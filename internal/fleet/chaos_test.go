@@ -411,6 +411,8 @@ func TestRouterMetricsAndBackendsEndpoints(t *testing.T) {
 		"targad_router_backend_state{backend=",
 		"targad_router_circuit_state{backend=",
 		"targad_router_tenant_routed_total 1",
+		"# HELP targad_router_request_duration_seconds ",
+		"# TYPE targad_router_request_duration_seconds summary\n",
 	} {
 		if !bytes.Contains(b, []byte(want)) {
 			t.Fatalf("/metrics missing %q:\n%s", want, b)

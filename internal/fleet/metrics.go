@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"targad/internal/obs"
 )
 
 // routerMetrics is the router's observability state: lock-free
@@ -35,87 +35,47 @@ func (m *routerMetrics) observeLatency(d time.Duration) {
 	m.latencyCount.Add(1)
 }
 
-func (m *routerMetrics) write(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("targad_router_requests_total", "Scoring requests accepted by the router.", m.requests.Load())
-	counter("targad_router_requests_ok_total", "Scoring requests answered with a backend response.", m.ok.Load())
-	counter("targad_router_request_errors_total", "Scoring requests answered with a router-authored error.", m.errs.Load())
-	counter("targad_router_request_too_large_total", "Scoring requests rejected with 413 before any forward.", m.tooLarge.Load())
-	counter("targad_router_tenant_routed_total", "Scoring requests placed via the tenant consistent-hash ring.", m.tenantRouted.Load())
-	counter("targad_router_retries_total", "Forward attempts re-sent after a retryable failure.", m.retries.Load())
-	counter("targad_router_retry_budget_exhausted_total", "Retries refused because the fleet-wide retry budget ran dry.", m.budgetExhausted.Load())
-	counter("targad_router_hedges_total", "Hedge copies launched for tail-latency requests.", m.hedges.Load())
-	counter("targad_router_hedge_wins_total", "Requests whose hedge copy answered first.", m.hedgeWins.Load())
-	counter("targad_router_hedge_cancels_total", "Losing attempts canceled after another attempt won.", m.hedgeCancels.Load())
-	counter("targad_router_shed_total", "Requests answered 503 because no selectable backend remained.", m.sheds.Load())
-	counter("targad_router_overflow_total", "Candidate selections skipped by the bounded-load rule.", m.overflows.Load())
-	counter("targad_router_circuit_skips_total", "Candidate selections skipped by an open circuit breaker.", m.circuitSkips.Load())
-	fmt.Fprintf(w, "# HELP targad_router_request_duration_seconds_sum End-to-end routed latency of successful requests.\n")
-	fmt.Fprintf(w, "# TYPE targad_router_request_duration_seconds summary\n")
-	fmt.Fprintf(w, "targad_router_request_duration_seconds_sum %g\n", float64(m.latencySumNs.Load())/1e9)
-	fmt.Fprintf(w, "targad_router_request_duration_seconds_count %d\n", m.latencyCount.Load())
+func (m *routerMetrics) write(w *obs.Writer) {
+	w.Counter("targad_router_requests_total", "Scoring requests accepted by the router.", m.requests.Load())
+	w.Counter("targad_router_requests_ok_total", "Scoring requests answered with a backend response.", m.ok.Load())
+	w.Counter("targad_router_request_errors_total", "Scoring requests answered with a router-authored error.", m.errs.Load())
+	w.Counter("targad_router_request_too_large_total", "Scoring requests rejected with 413 before any forward.", m.tooLarge.Load())
+	w.Counter("targad_router_tenant_routed_total", "Scoring requests placed via the tenant consistent-hash ring.", m.tenantRouted.Load())
+	w.Counter("targad_router_retries_total", "Forward attempts re-sent after a retryable failure.", m.retries.Load())
+	w.Counter("targad_router_retry_budget_exhausted_total", "Retries refused because the fleet-wide retry budget ran dry.", m.budgetExhausted.Load())
+	w.Counter("targad_router_hedges_total", "Hedge copies launched for tail-latency requests.", m.hedges.Load())
+	w.Counter("targad_router_hedge_wins_total", "Requests whose hedge copy answered first.", m.hedgeWins.Load())
+	w.Counter("targad_router_hedge_cancels_total", "Losing attempts canceled after another attempt won.", m.hedgeCancels.Load())
+	w.Counter("targad_router_shed_total", "Requests answered 503 because no selectable backend remained.", m.sheds.Load())
+	w.Counter("targad_router_overflow_total", "Candidate selections skipped by the bounded-load rule.", m.overflows.Load())
+	w.Counter("targad_router_circuit_skips_total", "Candidate selections skipped by an open circuit breaker.", m.circuitSkips.Load())
+	w.Summary("targad_router_request_duration_seconds", "End-to-end routed latency of successful requests.",
+		float64(m.latencySumNs.Load())/1e9, m.latencyCount.Load())
 }
 
 // handleMetrics renders router-level counters plus one labeled series
 // per backend: health state, in-flight load, forward and probe
 // counters, and the circuit breaker's state and transition counts.
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.metrics.write(w)
-
-	labeled := func(name, help, typ string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	labeled("targad_router_backend_state", "Backend health state: 0 up, 1 degraded, 2 down, 3 recovering.", "gauge")
+	ow := obs.New()
+	r.metrics.write(ow)
 	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_state{backend=%q} %d\n", b.Name, b.State())
+		bw := ow.With("backend", b.Name)
+		bw.Gauge("targad_router_backend_state", "Backend health state: 0 up, 1 degraded, 2 down, 3 recovering.", float64(b.State()))
+		bw.Gauge("targad_router_backend_inflight", "Proxied requests currently outstanding per backend.", float64(b.inflight.Load()))
+		bw.Counter("targad_router_backend_requests_total", "Forward attempts sent per backend.", b.requests.Load())
+		bw.Counter("targad_router_backend_failures_total", "Forward attempts that failed per backend.", b.failures.Load())
+		bw.Counter("targad_router_backend_probes_total", "Health probes sent per backend.", b.probes.Load())
+		bw.Counter("targad_router_backend_probe_failures_total", "Health probes that failed per backend.", b.probeFails.Load())
+		bw.Counter("targad_router_backend_restarts_total", "Instance-identity changes observed per backend.", b.restarts.Load())
+		bw.Counter("targad_router_backend_transitions_total", "Health state transitions per backend.", b.transitions.Load())
+		bw.Gauge("targad_router_circuit_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.", float64(b.cb.snapshotState()))
+		bw.Counter("targad_router_circuit_opens_total", "Circuit breaker open transitions per backend.", b.cb.opens.Load())
+		bw.Counter("targad_router_circuit_half_opens_total", "Circuit breaker half-open transitions per backend.", b.cb.halfOpens.Load())
+		bw.Counter("targad_router_circuit_closes_total", "Circuit breaker close transitions per backend.", b.cb.closes.Load())
 	}
-	labeled("targad_router_backend_inflight", "Proxied requests currently outstanding per backend.", "gauge")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_inflight{backend=%q} %d\n", b.Name, b.inflight.Load())
-	}
-	labeled("targad_router_backend_requests_total", "Forward attempts sent per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_requests_total{backend=%q} %d\n", b.Name, b.requests.Load())
-	}
-	labeled("targad_router_backend_failures_total", "Forward attempts that failed per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_failures_total{backend=%q} %d\n", b.Name, b.failures.Load())
-	}
-	labeled("targad_router_backend_probes_total", "Health probes sent per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_probes_total{backend=%q} %d\n", b.Name, b.probes.Load())
-	}
-	labeled("targad_router_backend_probe_failures_total", "Health probes that failed per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_probe_failures_total{backend=%q} %d\n", b.Name, b.probeFails.Load())
-	}
-	labeled("targad_router_backend_restarts_total", "Instance-identity changes observed per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_restarts_total{backend=%q} %d\n", b.Name, b.restarts.Load())
-	}
-	labeled("targad_router_backend_transitions_total", "Health state transitions per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_backend_transitions_total{backend=%q} %d\n", b.Name, b.transitions.Load())
-	}
-	labeled("targad_router_circuit_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.", "gauge")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_circuit_state{backend=%q} %d\n", b.Name, b.cb.snapshotState())
-	}
-	labeled("targad_router_circuit_opens_total", "Circuit breaker open transitions per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_circuit_opens_total{backend=%q} %d\n", b.Name, b.cb.opens.Load())
-	}
-	labeled("targad_router_circuit_half_opens_total", "Circuit breaker half-open transitions per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_circuit_half_opens_total{backend=%q} %d\n", b.Name, b.cb.halfOpens.Load())
-	}
-	labeled("targad_router_circuit_closes_total", "Circuit breaker close transitions per backend.", "counter")
-	for _, b := range r.backends {
-		fmt.Fprintf(w, "targad_router_circuit_closes_total{backend=%q} %d\n", b.Name, b.cb.closes.Load())
-	}
+	w.Header().Set("Content-Type", obs.ContentType)
+	_, _ = ow.WriteTo(w)
 }
 
 // handleBackends dumps the fleet's Status as JSON for operators and

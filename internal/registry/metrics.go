@@ -1,141 +1,40 @@
 package registry
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 
-	"targad/internal/buildinfo"
-	"targad/internal/serve"
+	"targad/internal/obs"
 )
 
-// handleMetrics renders the registry-wide Prometheus exposition. The
-// per-server /metrics writer cannot be reused here: exposition format
-// requires each metric name to appear in exactly one HELP/TYPE group,
-// so the registry snapshots every hot entry (serve.Stats) and renders
-// one group per name with one {model="..."} line per model. Label
-// values are hot-map keys — manifest-validated names, never raw
-// request headers — so a scraping storm of bogus model names cannot
-// explode series cardinality.
+// handleMetrics renders the registry-wide Prometheus exposition: every
+// hot model's own series under a {model="..."} label, the registry's
+// lifecycle series, and the build info. Label values are hot-map keys —
+// manifest-validated names, never raw request headers — so a scraping
+// storm of bogus model names cannot explode series cardinality.
 func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		r.writeJSONError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
+	ow := obs.New()
 	names := r.Hot()
 	hot := *r.hot.Load()
-	stats := make([]serve.Stats, 0, len(names))
-	models := make([]string, 0, len(names))
 	for _, name := range names {
-		e, ok := hot[name]
-		if !ok {
-			continue // evicted between Hot() and the map load
-		}
-		stats = append(stats, e.srv.Stats())
-		models = append(models, name)
-	}
-	writeLabeled(w, models, stats)
-	r.writeRegistryMetrics(w)
-
-	fmt.Fprintf(w, "# HELP targad_build_info Build metadata; the value is always 1.\n# TYPE targad_build_info gauge\n")
-	fmt.Fprintf(w, "targad_build_info{version=%q,revision=%q,go=%q} 1\n",
-		buildinfo.Version(), buildinfo.Revision(), buildinfo.GoVersion())
-}
-
-// writeLabeled renders the per-model serving and monitoring series:
-// one HELP/TYPE block per metric, one labeled sample per hot model.
-func writeLabeled(w io.Writer, models []string, stats []serve.Stats) {
-	counter := func(name, help string, pick func(serve.Stats) (float64, bool)) {
-		writeGroup(w, name, help, "counter", models, stats, pick)
-	}
-	gauge := func(name, help string, pick func(serve.Stats) (float64, bool)) {
-		writeGroup(w, name, help, "gauge", models, stats, pick)
-	}
-	all := func(f func(serve.Stats) float64) func(serve.Stats) (float64, bool) {
-		return func(st serve.Stats) (float64, bool) { return f(st), true }
-	}
-
-	counter("targad_serve_requests_total", "Scoring requests accepted for processing.", all(func(st serve.Stats) float64 { return float64(st.Requests) }))
-	counter("targad_serve_requests_ok_total", "Scoring requests answered successfully.", all(func(st serve.Stats) float64 { return float64(st.RequestOK) }))
-	counter("targad_serve_request_errors_total", "Scoring requests that failed (shed excluded).", all(func(st serve.Stats) float64 { return float64(st.RequestErrs) }))
-	counter("targad_serve_shed_total", "Scoring requests shed with 429 because the queue was full.", all(func(st serve.Stats) float64 { return float64(st.Shed) }))
-	counter("targad_serve_binary_requests_total", "Scoring requests carried as binary wire frames.", all(func(st serve.Stats) float64 { return float64(st.BinaryReqs) }))
-	counter("targad_serve_rows_total", "Instance rows scored.", all(func(st serve.Stats) float64 { return float64(st.Rows) }))
-	counter("targad_serve_batches_total", "Inference passes run (micro-batches plus direct calls).", all(func(st serve.Stats) float64 { return float64(st.Batches) }))
-	counter("targad_serve_reloads_total", "Successful model hot-reloads.", all(func(st serve.Stats) float64 { return float64(st.Reloads) }))
-	counter("targad_serve_reload_errors_total", "Failed model hot-reload attempts.", all(func(st serve.Stats) float64 { return float64(st.ReloadErrs) }))
-	gauge("targad_serve_in_flight", "Scoring requests currently in the handler.", all(func(st serve.Stats) float64 { return float64(st.InFlight) }))
-	gauge("targad_serve_queue_depth", "Scoring jobs waiting in the batching queue.", all(func(st serve.Stats) float64 { return float64(st.QueueDepth) }))
-	gauge("targad_serve_model_version", "Generation counter of the served model (bumped per reload).", all(func(st serve.Stats) float64 { return float64(st.ModelVersion) }))
-	gauge("targad_serve_ready", "1 when a model is loaded and the server accepts requests.", all(func(st serve.Stats) float64 {
-		if st.Ready {
-			return 1
-		}
-		return 0
-	}))
-	gauge("targad_shadow_active", "1 while a shadow model is under evaluation.", all(func(st serve.Stats) float64 {
-		if st.ShadowActive {
-			return 1
-		}
-		return 0
-	}))
-	gauge("targad_feedback_records", "Distinct labeled rows in the verdict store.", func(st serve.Stats) (float64, bool) {
-		if st.FeedbackRecords < 0 {
-			return 0, false
-		}
-		return float64(st.FeedbackRecords), true
-	})
-
-	gauge("targad_monitor_enabled", "1 when drift monitoring is armed for the served model.", all(func(st serve.Stats) float64 {
-		if st.Monitor != nil {
-			return 1
-		}
-		return 0
-	}))
-	monGauge := func(name, help string, f func(serve.Stats) float64) {
-		gauge(name, help, func(st serve.Stats) (float64, bool) {
-			if st.Monitor == nil {
-				return 0, false
-			}
-			return f(st), true
-		})
-	}
-	monGauge("targad_monitor_status", "Drift status: 0 filling, 1 ok, 2 warn, 3 alarm.", func(st serve.Stats) float64 { return float64(st.Monitor.Status) })
-	monGauge("targad_monitor_window_rows", "Rows in the sliding drift window.", func(st serve.Stats) float64 { return float64(st.Monitor.Rows) })
-	monGauge("targad_monitor_max_feature_psi", "Worst per-feature PSI of the window vs the reference profile.", func(st serve.Stats) float64 { return st.Monitor.MaxPSI })
-	monGauge("targad_monitor_max_feature_ks", "Worst per-feature binned KS statistic vs the reference profile.", func(st serve.Stats) float64 { return st.Monitor.MaxKS })
-	monGauge("targad_monitor_score_psi", "PSI of the live S^tar score distribution vs the reference.", func(st serve.Stats) float64 { return st.Monitor.ScorePSI })
-	monGauge("targad_monitor_score_ks", "Binned KS of the live S^tar score distribution vs the reference.", func(st serve.Stats) float64 { return st.Monitor.ScoreKS })
-}
-
-// writeGroup renders one metric's HELP/TYPE block and its labeled
-// samples; pick returning false skips a model's line (the metric does
-// not apply to it).
-func writeGroup(w io.Writer, name, help, kind string, models []string, stats []serve.Stats, pick func(serve.Stats) (float64, bool)) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-	for i, model := range models {
-		if v, ok := pick(stats[i]); ok {
-			fmt.Fprintf(w, "%s{model=%q} %g\n", name, model, v)
+		if e, ok := hot[name]; ok { // else evicted between Hot() and the map load
+			e.srv.WriteMetrics(ow.With("model", name))
 		}
 	}
-}
 
-// writeRegistryMetrics appends the registry's own lifecycle series.
-func (r *Registry) writeRegistryMetrics(w io.Writer) {
 	c := r.Counters()
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("targad_registry_models", "Models listed in the manifest.", int64(c.Models))
-	gauge("targad_registry_hot_models", "Models currently loaded.", int64(c.HotModels))
-	gauge("targad_registry_max_hot", "Bound on simultaneously loaded models.", int64(c.MaxHot))
-	counter("targad_registry_loads_total", "Cold-model loads completed.", c.Loads)
-	counter("targad_registry_load_errors_total", "Cold-model loads that failed.", c.LoadErrs)
-	counter("targad_registry_evictions_total", "Models evicted from the hot set (LRU).", c.Evictions)
-	counter("targad_registry_singleflight_waits_total", "Requests that waited on another request's cold load.", c.SingleflightWaits)
+	ow.Gauge("targad_registry_models", "Models listed in the manifest.", float64(c.Models))
+	ow.Gauge("targad_registry_hot_models", "Models currently loaded.", float64(c.HotModels))
+	ow.Gauge("targad_registry_max_hot", "Bound on simultaneously loaded models.", float64(c.MaxHot))
+	ow.Counter("targad_registry_loads_total", "Cold-model loads completed.", c.Loads)
+	ow.Counter("targad_registry_load_errors_total", "Cold-model loads that failed.", c.LoadErrs)
+	ow.Counter("targad_registry_evictions_total", "Models evicted from the hot set (LRU).", c.Evictions)
+	ow.Counter("targad_registry_singleflight_waits_total", "Requests that waited on another request's cold load.", c.SingleflightWaits)
+	ow.BuildInfo()
+
+	w.Header().Set("Content-Type", obs.ContentType)
+	_, _ = ow.WriteTo(w)
 }

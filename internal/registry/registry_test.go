@@ -708,16 +708,25 @@ func TestPerModelReloadAndMetrics(t *testing.T) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, m)
 		}
 	}
-	// Exposition validity: every metric name has exactly one TYPE line.
-	seen := map[string]int{}
+	// Exposition validity: every metric name has exactly one HELP and
+	// one TYPE line, and both name the same families.
+	help, typ := map[string]int{}, map[string]int{}
 	for _, line := range strings.Split(m, "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			seen[strings.Fields(line)[2]]++
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			help[strings.Fields(line)[2]]++
+		case strings.HasPrefix(line, "# TYPE "):
+			typ[strings.Fields(line)[2]]++
 		}
 	}
-	for name, n := range seen {
-		if n != 1 {
-			t.Fatalf("metric %s declared %d TYPE blocks, want 1", name, n)
+	for name, n := range typ {
+		if n != 1 || help[name] != 1 {
+			t.Fatalf("metric %s declared %d TYPE and %d HELP lines, want 1 each", name, n, help[name])
+		}
+	}
+	for name := range help {
+		if typ[name] == 0 {
+			t.Fatalf("HELP line for %s names no TYPE-declared family", name)
 		}
 	}
 

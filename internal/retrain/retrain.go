@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -38,6 +37,7 @@ import (
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/feedback"
+	"targad/internal/obs"
 	"targad/internal/serve"
 )
 
@@ -256,22 +256,15 @@ func (o *Orchestrator) Status() any {
 	}
 }
 
-// WriteMetrics appends the targad_retrain_* series. Implements
+// WriteMetrics writes the targad_retrain_* series. Implements
 // serve.RetrainController.
-func (o *Orchestrator) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("targad_retrain_attempts_total", "Retrain cycles started.", o.attempts.Load())
-	counter("targad_retrain_promoted_total", "Retrain cycles that promoted their candidate.", o.promoted.Load())
-	counter("targad_retrain_gate_failures_total", "Candidates discarded by the promotion gate.", o.gateFails.Load())
-	counter("targad_retrain_fit_errors_total", "Retrain cycles whose Fit failed.", o.fitErrs.Load())
-	counter("targad_retrain_shadow_timeouts_total", "Candidates discarded because shadow evaluation timed out.", o.timeouts.Load())
-	running := 0
-	if o.running.Load() {
-		running = 1
-	}
-	fmt.Fprintf(w, "# HELP targad_retrain_in_progress 1 while a retrain cycle is running.\n# TYPE targad_retrain_in_progress gauge\ntargad_retrain_in_progress %d\n", running)
+func (o *Orchestrator) WriteMetrics(w *obs.Writer) {
+	w.Counter("targad_retrain_attempts_total", "Retrain cycles started.", o.attempts.Load())
+	w.Counter("targad_retrain_promoted_total", "Retrain cycles that promoted their candidate.", o.promoted.Load())
+	w.Counter("targad_retrain_gate_failures_total", "Candidates discarded by the promotion gate.", o.gateFails.Load())
+	w.Counter("targad_retrain_fit_errors_total", "Retrain cycles whose Fit failed.", o.fitErrs.Load())
+	w.Counter("targad_retrain_shadow_timeouts_total", "Candidates discarded because shadow evaluation timed out.", o.timeouts.Load())
+	w.Gauge("targad_retrain_in_progress", "1 while a retrain cycle is running.", obs.Bool(o.running.Load()))
 }
 
 // Close cancels any running cycle and waits for it to unwind.

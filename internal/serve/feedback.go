@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"targad/internal/feedback"
 	"targad/internal/mat"
 	"targad/internal/monitor"
+	"targad/internal/obs"
 )
 
 // Closing the loop (DESIGN.md §14): POST /feedback records analyst
@@ -34,8 +34,8 @@ type RetrainController interface {
 	Trigger(reason string) error
 	// Status reports the controller's current/last cycle, JSON-ready.
 	Status() any
-	// WriteMetrics appends the controller's Prometheus series.
-	WriteMetrics(w io.Writer)
+	// WriteMetrics writes the controller's Prometheus series.
+	WriteMetrics(w *obs.Writer)
 }
 
 // retrainBox wraps the interface for atomic.Pointer storage.
@@ -323,28 +323,22 @@ func (s *Server) offerBatch(q *activelearn.Queue, ab *acquireBatch) {
 	}
 }
 
-// writeFeedbackMetrics appends the feedback-loop series to /metrics:
-// verdict store, acquisition queue, and retrain controller.
-func (s *Server) writeFeedbackMetrics(w io.Writer) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
+// writeFeedbackMetrics writes the feedback-loop series: verdict store,
+// acquisition queue, and retrain controller.
+func (s *Server) writeFeedbackMetrics(w *obs.Writer) {
 	if st := s.cfg.Feedback; st != nil {
 		frames, dups := st.Stats()
-		gauge("targad_feedback_records", "Distinct labeled rows in the verdict store.", float64(st.Len()))
-		counter("targad_feedback_frames_total", "Verdict frames ever appended (revisions included).", float64(frames))
-		counter("targad_feedback_duplicates_total", "Verdict appends that revised an already-labeled row.", float64(dups))
+		w.Gauge("targad_feedback_records", "Distinct labeled rows in the verdict store.", float64(st.Len()))
+		w.Counter("targad_feedback_frames_total", "Verdict frames ever appended (revisions included).", frames)
+		w.Counter("targad_feedback_duplicates_total", "Verdict appends that revised an already-labeled row.", dups)
 	}
 	if q := s.cfg.Acquire; q != nil {
 		qs := q.Stats()
-		gauge("targad_acquire_depth", "Rows queued for analyst labeling.", float64(qs.Depth))
-		gauge("targad_acquire_budget", "Acquisition queue capacity.", float64(q.Budget()))
-		counter("targad_acquire_offered_total", "Rows offered to the acquisition queue.", float64(qs.Offered))
-		counter("targad_acquire_admitted_total", "Rows admitted to (or refreshed in) the acquisition queue.", float64(qs.Admitted))
-		counter("targad_acquire_evicted_total", "Rows evicted by more informative ones.", float64(qs.Evicted))
+		w.Gauge("targad_acquire_depth", "Rows queued for analyst labeling.", float64(qs.Depth))
+		w.Gauge("targad_acquire_budget", "Acquisition queue capacity.", float64(q.Budget()))
+		w.Counter("targad_acquire_offered_total", "Rows offered to the acquisition queue.", qs.Offered)
+		w.Counter("targad_acquire_admitted_total", "Rows admitted to (or refreshed in) the acquisition queue.", qs.Admitted)
+		w.Counter("targad_acquire_evicted_total", "Rows evicted by more informative ones.", qs.Evicted)
 	}
 	if rc := s.retrainController(); rc != nil {
 		rc.WriteMetrics(w)

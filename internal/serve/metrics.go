@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
-	"targad/internal/monitor"
+	"targad/internal/obs"
 )
 
 // latencyBuckets are the fixed upper bounds (seconds) of the request
@@ -50,115 +48,38 @@ func (m *metrics) observeLatency(d time.Duration) {
 	m.latencyBkt[len(latencyBuckets)].Add(1)
 }
 
-// Stats is a point-in-time snapshot of the server's serving state, for
-// embedders that render their own metrics exposition — the model
-// registry groups every hot model's series under one HELP/TYPE block
-// with a {model="..."} label, which the per-server /metrics writer
-// cannot do (a metric name must appear in exactly one group).
-type Stats struct {
-	Requests    int64
-	RequestOK   int64
-	RequestErrs int64
-	Shed        int64
-	Canceled    int64
-	TooLarge    int64
-	BinaryReqs  int64
-	Rows        int64
-	Batches     int64
-	BatchRows   int64
-	Reloads     int64
-	ReloadErrs  int64
-	InFlight    int64
+// WriteMetrics writes the server's series into w: serving counters,
+// the latency histogram, drift window, shadow evaluation and feedback
+// loop. targad_build_info is process-level and left to the caller. The
+// model registry calls this once per hot model through
+// w.With("model", name), so both modes expose the same families.
+func (s *Server) WriteMetrics(w *obs.Writer) {
+	m := &s.metrics
+	w.Counter("targad_serve_requests_total", "Scoring requests accepted for processing.", m.requests.Load())
+	w.Counter("targad_serve_requests_ok_total", "Scoring requests answered successfully.", m.requestOK.Load())
+	w.Counter("targad_serve_request_errors_total", "Scoring requests that failed (shed excluded).", m.requestErrs.Load())
+	w.Counter("targad_serve_shed_total", "Scoring requests shed with 429 because the queue was full.", m.shed.Load())
+	w.Counter("targad_serve_canceled_total", "Queued scoring jobs dropped before inference because the client disconnected.", m.canceled.Load())
+	w.Counter("targad_serve_request_too_large_total", "Scoring requests rejected with 413 for exceeding the body limit.", m.tooLarge.Load())
+	w.Counter("targad_serve_binary_requests_total", "Scoring requests carried as binary wire frames.", m.binaryReqs.Load())
+	w.Counter("targad_serve_rows_total", "Instance rows scored.", m.rows.Load())
+	w.Counter("targad_serve_batches_total", "Inference passes run (micro-batches plus direct calls).", m.batches.Load())
+	w.Counter("targad_serve_batch_rows_total", "Rows across all inference passes.", m.batchRows.Load())
+	w.Counter("targad_serve_reloads_total", "Successful model hot-reloads.", m.reloads.Load())
+	w.Counter("targad_serve_reload_errors_total", "Failed model hot-reload attempts.", m.reloadErrs.Load())
+	w.Gauge("targad_serve_in_flight", "Scoring requests currently in the handler.", float64(m.inFlight.Load()))
+	w.Gauge("targad_serve_queue_depth", "Scoring jobs waiting in the batching queue.", float64(len(s.queue)))
+	w.Gauge("targad_serve_queue_capacity", "Bound of the batching queue.", float64(cap(s.queue)))
+	w.Gauge("targad_serve_model_version", "Generation counter of the served model (bumped per reload).", float64(s.ModelVersion()))
+	w.Gauge("targad_serve_ready", "1 when a model is loaded and the server accepts requests.", obs.Bool(s.Ready()))
 
-	QueueDepth   int
-	QueueCap     int
-	ModelVersion int64
-	Ready        bool
-	ShadowActive bool
+	counts := make([]int64, len(m.latencyBkt))
+	for i := range counts {
+		counts[i] = m.latencyBkt[i].Load()
+	}
+	w.Histogram("targad_serve_request_duration_seconds", "Request wall time from decode to response.",
+		latencyBuckets, counts, float64(m.latencySumNs.Load())/1e9, m.latencyCount.Load())
 
-	// FeedbackRecords is the verdict-store size (-1: no store).
-	FeedbackRecords int
-	// Monitor is the drift window's snapshot, nil when monitoring is
-	// not armed for the served generation.
-	Monitor *monitor.Snapshot
-}
-
-// Stats snapshots the server's counters and gauges. One monitor
-// Snapshot per call — observation-cadence cost, never on the scoring
-// path.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Requests:        s.metrics.requests.Load(),
-		RequestOK:       s.metrics.requestOK.Load(),
-		RequestErrs:     s.metrics.requestErrs.Load(),
-		Shed:            s.metrics.shed.Load(),
-		Canceled:        s.metrics.canceled.Load(),
-		TooLarge:        s.metrics.tooLarge.Load(),
-		BinaryReqs:      s.metrics.binaryReqs.Load(),
-		Rows:            s.metrics.rows.Load(),
-		Batches:         s.metrics.batches.Load(),
-		BatchRows:       s.metrics.batchRows.Load(),
-		Reloads:         s.metrics.reloads.Load(),
-		ReloadErrs:      s.metrics.reloadErrs.Load(),
-		InFlight:        s.metrics.inFlight.Load(),
-		QueueDepth:      len(s.queue),
-		QueueCap:        cap(s.queue),
-		ModelVersion:    s.ModelVersion(),
-		Ready:           s.Ready(),
-		ShadowActive:    s.shadow.Load() != nil,
-		FeedbackRecords: -1,
-	}
-	if s.cfg.Feedback != nil {
-		st.FeedbackRecords = s.cfg.Feedback.Len()
-	}
-	if lm := s.cur.Load(); lm != nil && lm.mon != nil {
-		snap := lm.mon.Snapshot()
-		st.Monitor = &snap
-	}
-	return st
-}
-
-// write renders the Prometheus text format. Gauges owned by the server
-// (queue depth, model version, readiness) are passed in so metrics
-// itself stays a plain counter bundle.
-func (m *metrics) write(w io.Writer, queueDepth, queueCap int, modelVersion int64, ready bool) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("targad_serve_requests_total", "Scoring requests accepted for processing.", m.requests.Load())
-	counter("targad_serve_requests_ok_total", "Scoring requests answered successfully.", m.requestOK.Load())
-	counter("targad_serve_request_errors_total", "Scoring requests that failed (shed excluded).", m.requestErrs.Load())
-	counter("targad_serve_shed_total", "Scoring requests shed with 429 because the queue was full.", m.shed.Load())
-	counter("targad_serve_canceled_total", "Queued scoring jobs dropped before inference because the client disconnected.", m.canceled.Load())
-	counter("targad_serve_request_too_large_total", "Scoring requests rejected with 413 for exceeding the body limit.", m.tooLarge.Load())
-	counter("targad_serve_binary_requests_total", "Scoring requests carried as binary wire frames.", m.binaryReqs.Load())
-	counter("targad_serve_rows_total", "Instance rows scored.", m.rows.Load())
-	counter("targad_serve_batches_total", "Inference passes run (micro-batches plus direct calls).", m.batches.Load())
-	counter("targad_serve_batch_rows_total", "Rows across all inference passes.", m.batchRows.Load())
-	counter("targad_serve_reloads_total", "Successful model hot-reloads.", m.reloads.Load())
-	counter("targad_serve_reload_errors_total", "Failed model hot-reload attempts.", m.reloadErrs.Load())
-	gauge("targad_serve_in_flight", "Scoring requests currently in the handler.", m.inFlight.Load())
-	gauge("targad_serve_queue_depth", "Scoring jobs waiting in the batching queue.", int64(queueDepth))
-	gauge("targad_serve_queue_capacity", "Bound of the batching queue.", int64(queueCap))
-	gauge("targad_serve_model_version", "Generation counter of the served model (bumped per reload).", modelVersion)
-	readyVal := int64(0)
-	if ready {
-		readyVal = 1
-	}
-	gauge("targad_serve_ready", "1 when a model is loaded and the server accepts requests.", readyVal)
-
-	name := "targad_serve_request_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Request wall time from decode to response.\n# TYPE %s histogram\n", name, name)
-	var cum int64
-	for i, ub := range latencyBuckets {
-		cum += m.latencyBkt[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmt.Sprintf("%g", ub), cum)
-	}
-	cum += m.latencyBkt[len(latencyBuckets)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(m.latencySumNs.Load())/1e9)
-	fmt.Fprintf(w, "%s_count %d\n", name, m.latencyCount.Load())
+	s.writeMonitorMetrics(w)
+	s.writeFeedbackMetrics(w)
 }

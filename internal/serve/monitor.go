@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 
-	"targad/internal/buildinfo"
 	"targad/internal/core"
 	"targad/internal/monitor"
+	"targad/internal/obs"
 )
 
 // newAccumulator builds the drift window for a freshly installed
@@ -141,49 +139,36 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// writeMonitorMetrics appends the drift, shadow, and build-info series
-// to the /metrics exposition. Rendering runs one Snapshot per scrape —
-// observation-cadence work, never on the scoring path.
-func (s *Server) writeMonitorMetrics(w io.Writer) {
-	gaugeF := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	fmt.Fprintf(w, "# HELP targad_build_info Build metadata; the value is always 1.\n# TYPE targad_build_info gauge\n")
-	fmt.Fprintf(w, "targad_build_info{version=%q,revision=%q,go=%q} 1\n",
-		buildinfo.Version(), buildinfo.Revision(), buildinfo.GoVersion())
-
+// writeMonitorMetrics writes the drift and shadow series. Rendering
+// runs one Snapshot per scrape — observation-cadence work, never on the
+// scoring path.
+func (s *Server) writeMonitorMetrics(w *obs.Writer) {
 	lm := s.cur.Load()
-	enabled := 0.0
-	if lm != nil && lm.mon != nil {
-		enabled = 1
-	}
-	gaugeF("targad_monitor_enabled", "1 when drift monitoring is armed for the served model.", enabled)
-	if enabled == 1 {
+	enabled := lm != nil && lm.mon != nil
+	w.Gauge("targad_monitor_enabled", "1 when drift monitoring is armed for the served model.", obs.Bool(enabled))
+	if enabled {
 		snap := lm.mon.Snapshot()
-		gaugeF("targad_monitor_status", "Drift status: 0 filling, 1 ok, 2 warn, 3 alarm.", float64(snap.Status))
-		gaugeF("targad_monitor_window_rows", "Rows in the sliding drift window.", float64(snap.Rows))
-		gaugeF("targad_monitor_max_feature_psi", "Worst per-feature PSI of the window vs the reference profile.", snap.MaxPSI)
-		gaugeF("targad_monitor_max_feature_ks", "Worst per-feature binned KS statistic vs the reference profile.", snap.MaxKS)
-		gaugeF("targad_monitor_score_psi", "PSI of the live S^tar score distribution vs the reference.", snap.ScorePSI)
-		gaugeF("targad_monitor_score_ks", "Binned KS of the live S^tar score distribution vs the reference.", snap.ScoreKS)
+		w.Gauge("targad_monitor_status", "Drift status: 0 filling, 1 ok, 2 warn, 3 alarm.", float64(snap.Status))
+		w.Gauge("targad_monitor_window_rows", "Rows in the sliding drift window.", float64(snap.Rows))
+		w.Gauge("targad_monitor_max_feature_psi", "Worst per-feature PSI of the window vs the reference profile.", snap.MaxPSI)
+		w.Gauge("targad_monitor_max_feature_ks", "Worst per-feature binned KS statistic vs the reference profile.", snap.MaxKS)
+		w.Gauge("targad_monitor_score_psi", "PSI of the live S^tar score distribution vs the reference.", snap.ScorePSI)
+		w.Gauge("targad_monitor_score_ks", "Binned KS of the live S^tar score distribution vs the reference.", snap.ScoreKS)
 		if snap.HaveMix {
-			gaugeF("targad_monitor_mix_tv", "Total-variation distance of the live decision mix from the reference.", snap.MixTV)
+			w.Gauge("targad_monitor_mix_tv", "Total-variation distance of the live decision mix from the reference.", snap.MixTV)
 		}
 	}
 
 	sh := s.shadowSnapshot()
-	active := 0.0
+	w.Gauge("targad_shadow_active", "1 while a shadow model is under evaluation.", obs.Bool(sh != nil))
 	if sh != nil {
-		active = 1
-	}
-	gaugeF("targad_shadow_active", "1 while a shadow model is under evaluation.", active)
-	if sh != nil {
-		gaugeF("targad_shadow_batches_total", "Live batches the shadow model re-scored.", float64(sh.Batches))
-		gaugeF("targad_shadow_rows_total", "Rows the shadow model re-scored.", float64(sh.Rows))
-		gaugeF("targad_shadow_score_mean_abs_delta", "Mean |shadow score - serving score| over sampled rows.", sh.MeanAbsDelta)
-		gaugeF("targad_shadow_score_max_abs_delta", "Largest |shadow score - serving score| seen.", sh.MaxAbsDelta)
-		gaugeF("targad_shadow_decision_flip_rate", "Fraction of sampled decisions the shadow model flips.", sh.FlipRate)
-		gaugeF("targad_shadow_errors_total", "Shadow inference passes that failed.", float64(sh.Errors))
+		// The _total series restart with each shadow session, which
+		// Prometheus reads as a counter reset.
+		w.Counter("targad_shadow_batches_total", "Live batches the shadow model re-scored.", sh.Batches)
+		w.Counter("targad_shadow_rows_total", "Rows the shadow model re-scored.", sh.Rows)
+		w.Gauge("targad_shadow_score_mean_abs_delta", "Mean |shadow score - serving score| over sampled rows.", sh.MeanAbsDelta)
+		w.Gauge("targad_shadow_score_max_abs_delta", "Largest |shadow score - serving score| seen.", sh.MaxAbsDelta)
+		w.Gauge("targad_shadow_decision_flip_rate", "Fraction of sampled decisions the shadow model flips.", sh.FlipRate)
+		w.Counter("targad_shadow_errors_total", "Shadow inference passes that failed.", sh.Errors)
 	}
 }

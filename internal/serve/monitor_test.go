@@ -388,7 +388,8 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	}
 }
 
-// TestShadowDiscard drops the candidate and its stats.
+// TestShadowDiscard drops the candidate and its stats; while the shadow
+// is active, /metrics types its _total series as counters.
 func TestShadowDiscard(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{MaxBatch: 1, Strategy: core.ED, ShadowSample: 1})
 	before := s.ModelVersion()
@@ -397,6 +398,18 @@ func TestShadowDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	// The shadow's _total series only grow within a session: counters.
+	m := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		"targad_shadow_active 1",
+		"# TYPE targad_shadow_batches_total counter\n",
+		"# TYPE targad_shadow_rows_total counter\n",
+		"# TYPE targad_shadow_errors_total counter\n",
+	} {
+		if !strings.Contains(m, want) {
+			t.Fatalf("/metrics with an active shadow missing %q in:\n%s", want, m)
+		}
+	}
 	resp, err = ts.Client().Post(ts.URL+"/discard", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -48,6 +48,7 @@ import (
 	"targad/internal/feedback"
 	"targad/internal/mat"
 	"targad/internal/monitor"
+	"targad/internal/obs"
 	"targad/internal/wire"
 )
 
@@ -747,14 +748,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	ready := s.cur.Load() != nil
-	select {
-	case <-s.done:
-		ready = false
-	default:
-	}
-	s.metrics.write(w, len(s.queue), cap(s.queue), s.ModelVersion(), ready)
-	s.writeMonitorMetrics(w)
-	s.writeFeedbackMetrics(w)
+	ow := obs.New()
+	s.WriteMetrics(ow)
+	ow.BuildInfo()
+	w.Header().Set("Content-Type", obs.ContentType)
+	_, _ = ow.WriteTo(w)
 }

@@ -31,6 +31,14 @@ GOARCH=arm64 go vet ./...
 echo "== go test =="
 go test ./...
 
+# bench/ is its own module (it requires the root through a replace
+# directive), so the root ./... patterns above never compile it; vet
+# and test it explicitly so an API change its harness calls cannot
+# break `bash bench/run.sh` unnoticed.
+echo "== bench module =="
+go -C bench vet ./...
+go -C bench test ./...
+
 # Float32 path on the pure-Go kernels: the ulp-bound property tests,
 # the fixture tolerance pins, and the serving tolerance suite all rerun
 # with the assembly kernels compiled out, so CI covers both kernel
