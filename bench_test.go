@@ -286,18 +286,37 @@ func BenchmarkTargADScoreF32(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMul times the f64 GEMMs. Beyond the two Mul reference
+// shapes it covers the products of one UNSW-NB15 training step (d=196,
+// hidden 98 and 49, batch 128): the forward Mul of each layer, the
+// weight-gradient aᵀ·b and the input-gradient a·bᵀ.
 func BenchmarkMatMul(b *testing.B) {
 	sizes := []struct {
 		name    string
+		op      string // "Mul": m×k·k×n; "ATB": (k×m)ᵀ·k×n; "ABT": m×k·(n×k)ᵀ
 		m, k, n int
 	}{
-		{"128x196x64", 128, 196, 64},         // classifier-batch shape
-		{"1024x1024x1024", 1024, 1024, 1024}, // square paper-scale GEMM
+		{"128x196x64", "Mul", 128, 196, 64},         // classifier-batch shape
+		{"1024x1024x1024", "Mul", 1024, 1024, 1024}, // square paper-scale GEMM
+		{"Mul/128x196x98", "Mul", 128, 196, 98},     // UNSW layer 1 forward
+		{"Mul/128x98x49", "Mul", 128, 98, 49},       // UNSW layer 2 forward
+		{"ATB/196<-128->98", "ATB", 196, 128, 98},   // UNSW layer 1 weight gradient
+		{"ABT/128x98->196", "ABT", 128, 98, 196},    // UNSW layer 1 input gradient
 	}
 	for _, sz := range sizes {
 		r := rng.New(1)
-		a := mat.New(sz.m, sz.k)
-		w := mat.New(sz.k, sz.n)
+		var a, w *mat.Matrix
+		mul := mat.Mul
+		switch sz.op {
+		case "Mul":
+			a, w = mat.New(sz.m, sz.k), mat.New(sz.k, sz.n)
+		case "ATB":
+			a, w = mat.New(sz.k, sz.m), mat.New(sz.k, sz.n)
+			mul = mat.MulATB
+		case "ABT":
+			a, w = mat.New(sz.m, sz.k), mat.New(sz.n, sz.k)
+			mul = mat.MulABT
+		}
 		r.FillNormal(a.Data, 0, 1)
 		r.FillNormal(w.Data, 0, 1)
 		dst := mat.New(sz.m, sz.n)
@@ -305,7 +324,7 @@ func BenchmarkMatMul(b *testing.B) {
 			for _, nw := range benchWorkerCounts() {
 				atWorkers(b, nw, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := mat.Mul(dst, a, w); err != nil {
+						if _, err := mul(dst, a, w); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -327,16 +346,29 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	}
 }
 
+// BenchmarkKMeans times a full k-means run; the 3132×196, k=5 case is
+// the UNSW-NB15 unlabeled pool the benchmark's models cluster.
 func BenchmarkKMeans(b *testing.B) {
-	r := rng.New(3)
-	x := mat.New(1500, 41)
-	r.FillUniform(x.Data, 0, 1)
-	for _, w := range benchWorkerCounts() {
-		atWorkers(b, w, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.KMeans(context.Background(), x, cluster.Config{K: 4}, rng.New(int64(i))); err != nil {
-					b.Fatal(err)
-				}
+	cases := []struct {
+		name    string
+		n, d, k int
+	}{
+		{"1500x41/k=4", 1500, 41, 4},
+		{"3132x196/k=5", 3132, 196, 5},
+	}
+	for _, c := range cases {
+		r := rng.New(3)
+		x := mat.New(c.n, c.d)
+		r.FillUniform(x.Data, 0, 1)
+		b.Run(c.name, func(b *testing.B) {
+			for _, w := range benchWorkerCounts() {
+				atWorkers(b, w, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := cluster.KMeans(context.Background(), x, cluster.Config{K: c.k}, rng.New(int64(i))); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -107,31 +107,12 @@ func KMeans(ctx context.Context, x *mat.Matrix, cfg Config, r *rng.RNG) (*Result
 }
 
 // assignRows writes each row's nearest centroid into assign and its
-// squared distance into rowd, splitting rows across the worker pool.
-// sizes is recomputed and the returned inertia is folded serially in
-// row order, so both are bitwise identical to the serial path for any
-// worker count.
+// squared distance into rowd (mat.NearestRows, split across the worker
+// pool). sizes is recomputed and the returned inertia is folded
+// serially in row order, so both are bitwise identical to the serial
+// path for any worker count.
 func assignRows(x, cent *mat.Matrix, assign []int, rowd []float64, sizes []int) float64 {
-	k := cent.Rows
-	minRows := 1
-	if perRow := k * x.Cols; perRow > 0 {
-		if minRows = 32768 / perRow; minRows < 1 {
-			minRows = 1
-		}
-	}
-	parallel.ForEachChunkMin(x.Rows, minRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Row(i)
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if dd := mat.SquaredDistance(row, cent.Row(c)); dd < bestD {
-					best, bestD = c, dd
-				}
-			}
-			assign[i] = best
-			rowd[i] = bestD
-		}
-	})
+	mat.NearestRows(x, cent, assign, rowd)
 	for i := range sizes {
 		sizes[i] = 0
 	}

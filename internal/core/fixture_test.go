@@ -134,8 +134,9 @@ func TestModelV2FixtureDecodes(t *testing.T) {
 	}
 }
 
-// TestSaveWritesV2WithProfile: a fresh Fit captures a profile, Save
-// writes format v2, and the profile survives the round trip intact.
+// TestSaveWritesV2WithProfile: a fresh Fit captures a profile (the v2
+// addition), Save writes the current format v3, and the profile
+// survives the round trip intact.
 func TestSaveWritesV2WithProfile(t *testing.T) {
 	b := testBundle(t, 11)
 	m := New(testConfig(), 11)
@@ -153,14 +154,15 @@ func TestSaveWritesV2WithProfile(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The envelope must say v2.
+	// The envelope must say v3: the v2 profile field, plus the
+	// strategy-sorted threshold and mix lists.
 	dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
 	var h envelope
 	if err := dec.Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Version != 2 {
-		t.Fatalf("saved envelope version %d, want 2", h.Version)
+	if h.Version != 3 {
+		t.Fatalf("saved envelope version %d, want 3", h.Version)
 	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -294,13 +296,31 @@ func pinFixture(t *testing.T, m *Model, raw []byte, modelPath, scoresPath string
 	t.Logf("re-pinned %s and %s", modelPath, scoresPath)
 }
 
-// writeModelFixture re-pins the v1 fixture. Save now writes format v2,
+// writeModelFixture re-pins the v1 fixture. Save now writes format v3,
 // so this writer builds the payload by hand — profile stripped,
 // envelope pinned at version 1 — to keep the committed file genuinely
 // v1 rather than silently upgrading it.
 func writeModelFixture(t *testing.T) {
 	t.Helper()
 	m := trainFixtureModel(t)
+	pinFixture(t, m, legacySave(t, m, 1, nil), fixtureModel, fixtureScores)
+}
+
+// writeModelFixtureV2 re-pins the v2 fixture, built by hand like the v1
+// one: thresholds as a map and the profile (decision mix included)
+// inline, envelope pinned at version 2.
+func writeModelFixtureV2(t *testing.T) {
+	t.Helper()
+	m := trainFixtureModel(t)
+	if m.Profile() == nil {
+		t.Fatal("fixture fit captured no profile; v2 fixture would be pointless")
+	}
+	pinFixture(t, m, legacySave(t, m, 2, m.Profile()), fixtureModelV2, fixtureScoresV2)
+}
+
+// legacySave encodes m in the map-based v1/v2 payload layout.
+func legacySave(t *testing.T, m *Model, version int, profile *monitor.Profile) []byte {
+	t.Helper()
 	hidden := m.cfg.ClfHidden
 	if len(hidden) == 0 {
 		hidden = defaultClfHidden(m.dim)
@@ -312,30 +332,16 @@ func writeModelFixture(t *testing.T) {
 		ClfHidden:  hidden,
 		Thresholds: make(map[int]float64, len(m.idThreshold)),
 		Params:     snapshotParams(m.clf),
+		Profile:    profile,
 	}
 	for strat, thr := range m.idThreshold {
 		s.Thresholds[int(strat)] = thr
 	}
 	var buf bytes.Buffer
-	if err := writeEnvelope(&buf, kindModel, 1, &s); err != nil {
+	if err := writeEnvelope(&buf, kindModel, version, &s); err != nil {
 		t.Fatal(err)
 	}
-	pinFixture(t, m, buf.Bytes(), fixtureModel, fixtureScores)
-}
-
-// writeModelFixtureV2 re-pins the v2 fixture through the regular Save
-// path, profile included.
-func writeModelFixtureV2(t *testing.T) {
-	t.Helper()
-	m := trainFixtureModel(t)
-	if m.Profile() == nil {
-		t.Fatal("fixture fit captured no profile; v2 fixture would be pointless")
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pinFixture(t, m, buf.Bytes(), fixtureModelV2, fixtureScoresV2)
+	return buf.Bytes()
 }
 
 func readPinnedScores(t *testing.T) []float64 {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"targad/internal/monitor"
 	"targad/internal/nn"
@@ -30,7 +32,11 @@ const (
 	// v2: adds the optional monitoring reference profile (Profile
 	//     field). v1 files keep decoding — gob leaves the absent field
 	//     nil and monitoring disables itself gracefully.
-	modelFormatVersion      = 2
+	// v3: writes the thresholds and the profile's decision mix as
+	//     strategy-sorted lists (ThresholdList, ProfileMix) instead of
+	//     gob maps, whose random iteration order made two saves of one
+	//     model differ byte for byte. v1/v2 maps still decode.
+	modelFormatVersion      = 3
 	checkpointFormatVersion = 1
 )
 
@@ -90,15 +96,31 @@ type savedModel struct {
 	Dim       int
 	ClfHidden []int
 	// Thresholds maps OODStrategy (as int) to its calibrated ID-ness
-	// cut.
+	// cut (v1/v2 only; v3 writes ThresholdList).
 	Thresholds map[int]float64
 	Params     [][]float64
 
 	// Profile is the monitoring reference captured at Fit time
 	// (format v2+; nil in v1 files and for fits whose capture
 	// degenerated). A loaded profile that fails validation is dropped
-	// rather than failing the load — scoring never depends on it.
+	// rather than failing the load — scoring never depends on it. v3
+	// writes it with a nil Mix and carries the mix in ProfileMix.
 	Profile *monitor.Profile
+
+	// ThresholdList and ProfileMix (v3) are Thresholds and Profile.Mix
+	// in increasing strategy order, so Save is byte-deterministic.
+	ThresholdList []savedThreshold
+	ProfileMix    []savedMix
+}
+
+type savedThreshold struct {
+	Strategy int
+	Cut      float64
+}
+
+type savedMix struct {
+	Strategy int
+	Mix      [3]float64
 }
 
 // Save serializes the trained classifier and scoring metadata inside
@@ -115,16 +137,24 @@ func (mo *Model) Save(w io.Writer) error {
 		hidden = defaultClfHidden(mo.dim)
 	}
 	s := savedModel{
-		M:          mo.m,
-		K:          mo.k,
-		Dim:        mo.dim,
-		ClfHidden:  hidden,
-		Thresholds: make(map[int]float64, len(mo.idThreshold)),
-		Params:     snapshotParams(mo.clf),
-		Profile:    mo.profile,
+		M:         mo.m,
+		K:         mo.k,
+		Dim:       mo.dim,
+		ClfHidden: hidden,
+		Params:    snapshotParams(mo.clf),
 	}
 	for strat, thr := range mo.idThreshold {
-		s.Thresholds[int(strat)] = thr
+		s.ThresholdList = append(s.ThresholdList, savedThreshold{int(strat), thr})
+	}
+	slices.SortFunc(s.ThresholdList, func(a, b savedThreshold) int { return cmp.Compare(a.Strategy, b.Strategy) })
+	if mo.profile != nil {
+		p := *mo.profile
+		p.Mix = nil
+		s.Profile = &p
+		for strat, mix := range mo.profile.Mix {
+			s.ProfileMix = append(s.ProfileMix, savedMix{strat, mix})
+		}
+		slices.SortFunc(s.ProfileMix, func(a, b savedMix) int { return cmp.Compare(a.Strategy, b.Strategy) })
 	}
 	return writeEnvelope(w, kindModel, modelFormatVersion, &s)
 }
@@ -164,6 +194,15 @@ func Load(r io.Reader) (*Model, error) {
 	mo.clf = clf
 	for strat, thr := range s.Thresholds {
 		mo.idThreshold[OODStrategy(strat)] = thr
+	}
+	for _, t := range s.ThresholdList {
+		mo.idThreshold[OODStrategy(t.Strategy)] = t.Cut
+	}
+	if s.Profile != nil && len(s.ProfileMix) > 0 {
+		s.Profile.Mix = make(map[int][3]float64, len(s.ProfileMix))
+		for _, m := range s.ProfileMix {
+			s.Profile.Mix[m.Strategy] = m.Mix
+		}
 	}
 	if s.Profile != nil && s.Profile.Validate() == nil && s.Profile.Dim() == s.Dim {
 		mo.profile = s.Profile

@@ -58,6 +58,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveByteDeterministic: saving one model repeatedly yields the
+// same bytes, and so does saving the model Load rebuilt from them. The
+// thresholds and the profile's decision mix are maps in memory, so a
+// map-ordered encoding would differ between saves.
+func TestSaveByteDeterministic(t *testing.T) {
+	b := testBundle(t, 12)
+	m := New(testConfig(), 12)
+	if err := m.Fit(context.Background(), b.Train); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.idThreshold) < 2 || m.profile == nil || len(m.profile.Mix) < 2 {
+		t.Fatalf("fit must yield several thresholds and mix entries (got %d, profile %v)", len(m.idThreshold), m.profile != nil)
+	}
+	save := func(m *Model) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(m)
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(save(m), first) {
+			t.Fatalf("save %d differs from the first", i+1)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(loaded), first) {
+		t.Fatal("re-saving a loaded model changed its bytes")
+	}
+}
+
 func TestSaveUnfittedErrors(t *testing.T) {
 	m := New(testConfig(), 1)
 	var buf bytes.Buffer

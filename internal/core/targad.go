@@ -140,7 +140,6 @@ type Model struct {
 
 	// Candidate-selection artifacts.
 	clusterRes *cluster.Result
-	aes        []*autoencoder.AE
 	recErrors  []float64 // S^Rec per unlabeled row
 	candIdx    []int     // rows of D_U^A within the unlabeled pool
 	normIdx    []int     // rows of D_U^N
@@ -352,7 +351,10 @@ func (mo *Model) selectCandidates(ctx context.Context, train *dataset.TrainSet, 
 			return err
 		}
 	}
-	aes, recErr, err := autoencoder.TrainPerCluster(ctx, x, train.Labeled, clusters, aeCfg, aesR, resume)
+	// The trained autoencoders are not kept: only their reconstruction
+	// errors feed the rest of Fit, and each AE pins its full-pool
+	// forward workspaces.
+	_, recErr, err := autoencoder.TrainPerCluster(ctx, x, train.Labeled, clusters, aeCfg, aesR, resume)
 	if err != nil {
 		var cerr *CheckpointError
 		if errors.As(err, &cerr) {
@@ -360,7 +362,6 @@ func (mo *Model) selectCandidates(ctx context.Context, train *dataset.TrainSet, 
 		}
 		return fmt.Errorf("targad: autoencoders: %w", err)
 	}
-	mo.aes = aes
 	mo.recErrors = recErr
 
 	// Rank by reconstruction error, top α% → D_U^A.

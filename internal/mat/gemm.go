@@ -15,6 +15,10 @@
 // chain never depends on which worker or row-quad a row lands in — the
 // result is bitwise identical for every worker count.
 //
+// On amd64 with AVX2 the assembly outer-product kernels (gemmOuter,
+// gemm64_amd64.go) replace this packed path with the same per-element
+// chain; the Go kernels here remain the portable implementation.
+//
 // Pack buffers are recycled through a sync.Pool so steady-state
 // training loops perform no allocation here.
 package mat
@@ -42,6 +46,27 @@ const (
 	// gemmMR multiply-adds.
 	gemmMR = 4
 )
+
+// gemmOuter, when non-nil, computes dst rows [lo,hi) of A·B (added to
+// dst when acc) with the outer-product assembly kernels, where A
+// element (i, l) is a[i·ars + l·aks] for l < k and b is k×dst.Cols
+// row-major. Each element keeps the single k-increasing chain of the
+// Go kernels, bit for bit, so it replaces the packed path whenever it
+// is set. Only simd_amd64.go sets it.
+var gemmOuter func(dst *Matrix, a []float64, ars, aks int, b []float64, k, lo, hi int, acc bool)
+
+// outerRows runs gemmOuter over all rows of dst, split row-wise across
+// the worker pool. The serial path stays closure-free so steady-state
+// calls do not allocate.
+func outerRows(dst *Matrix, a []float64, ars, aks int, b []float64, k, rows int, acc bool) {
+	if parallel.Workers() == 1 {
+		gemmOuter(dst, a, ars, aks, b, k, 0, rows, acc)
+		return
+	}
+	parallel.ForEachChunkMin(rows, minChunkFor(k*dst.Cols), func(lo, hi int) {
+		gemmOuter(dst, a, ars, aks, b, k, lo, hi, acc)
+	})
+}
 
 // gemmBlocked reports whether the packed kernel should run for an
 // m×k · k×n product. It is a pure function of the operand shape, so

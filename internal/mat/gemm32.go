@@ -42,15 +42,30 @@ var (
 	// routes everything through the packed dot kernels.
 	mul32Outer func(dst, a, b *Matrix32, lo, hi int)
 
-	// kernelName names the active f32 micro-kernel for logs and tests.
+	// kernelName names the active kernel implementation for logs and
+	// tests.
 	kernelName = "go"
 )
 
-// KernelName reports which f32 micro-kernel implementation is active:
-// "avx2+fma" when the assembly kernels were selected at init, "go" for
-// the portable fallback (non-amd64 builds, the noasm build tag, CPUs
-// without AVX2/FMA, or TARGAD_NOSIMD=1).
+// KernelName reports which kernel implementation is active, for both
+// precisions: "avx2+fma" when the assembly kernels were selected at
+// init, "go" for the portable fallback (non-amd64 builds, the noasm
+// build tag, CPUs without AVX2/FMA, TARGAD_NOSIMD=1, or
+// UsePortableKernels).
 func KernelName() string { return kernelName }
+
+// UsePortableKernels swaps every kernel chosen at init — f32 and f64 —
+// for the pure-Go implementations, the code the noasm tag and
+// TARGAD_NOSIMD=1 select, and returns a func that restores the previous
+// choice. It lets one binary compare both implementations; it must not
+// run while products are in flight.
+func UsePortableKernels() (restore func()) {
+	d4, d1, o32, o64, near, name := dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName
+	dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName = dot4f32Go, dotf32Go, nil, nil, nil, "go"
+	return func() {
+		dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName = d4, d1, o32, o64, near, name
+	}
+}
 
 // gemmMinFlops32 is the blocked-path cutoff for f32 products. It sits
 // well below the f64 cutoff (gemmMinFlops): the SIMD dot kernels beat

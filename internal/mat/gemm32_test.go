@@ -106,22 +106,18 @@ func TestMul32WithinUlpBoundOfF64(t *testing.T) {
 // result. On machines without the assembly kernels the two runs are
 // identical and the test degenerates to a no-op check.
 func TestMul32FallbackAgreesWithAsm(t *testing.T) {
-	savedDot4, savedDot, savedOuter, savedName := dot4f32, dotf32, mul32Outer, kernelName
-	defer func() { dot4f32, dotf32, mul32Outer, kernelName = savedDot4, savedDot, savedOuter, savedName }()
-
 	for _, s := range gemm32Shapes {
 		a := New32(s.m, s.k)
 		b := New32(s.k, s.n)
 		fillDet32(a.Data, uint64(s.m*5000+s.k))
 		fillDet32(b.Data, uint64(s.k*5000+s.n))
 
-		dot4f32, dotf32, mul32Outer, kernelName = savedDot4, savedDot, savedOuter, savedName
 		active, err := Mul32(nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dot4f32, dotf32, mul32Outer, kernelName = dot4f32Go, dotf32Go, nil, "go"
-		fallback, err := Mul32(nil, a, b)
+		var fallback *Matrix32
+		withGoKernels(func() { fallback, err = Mul32(nil, a, b) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // AVX2/FMA micro-kernels for the float32 inference GEMM (gemm32.go),
 // plus the CPUID/XGETBV probes that gate their selection at init
-// (simd_amd64.go). Only the f32 path uses assembly: the float64 kernels
-// are bitwise-pinned to their Go accumulation order, and FMA would
-// change their rounding.
+// (simd_amd64.go). The float64 kernels live in kernels64_amd64.s: they
+// are bitwise-pinned to the Go accumulation order, so they use unfused
+// multiplies and adds where these use FMA.
 //
 // Two kernel families:
 //

@@ -170,6 +170,10 @@ func Mul(dst, a, b *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("mat: mul destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Rows, b.Cols, ErrShape)
 	}
 	if gemmBlocked(a.Rows, a.Cols, b.Cols) {
+		if gemmOuter != nil {
+			outerRows(dst, a.Data, a.Cols, 1, b.Data, a.Cols, a.Rows, false)
+			return dst, nil
+		}
 		bt := grabPack(b.Rows * b.Cols)
 		packTransposeInto(bt.data, b)
 		if parallel.Workers() == 1 {
@@ -259,6 +263,12 @@ func MulATBAcc(dst, a, b *Matrix) (*Matrix, error) {
 func mulATBInto(dst, a, b *Matrix, acc bool) {
 	serial := parallel.Workers() == 1
 	if gemmBlocked(a.Cols, a.Rows, b.Cols) {
+		if gemmOuter != nil {
+			// Column i of a is row i of aᵀ: stride 1 across output
+			// rows, a.Cols along the accumulation index.
+			outerRows(dst, a.Data, 1, a.Cols, b.Data, a.Rows, a.Cols, acc)
+			return
+		}
 		at := grabPack(a.Cols * a.Rows)
 		packTransposeInto(at.data, a)
 		bt := grabPack(b.Cols * b.Rows)
@@ -350,6 +360,13 @@ func MulABT(dst, a, b *Matrix) (*Matrix, error) {
 		}
 	}
 	if gemmBlocked(a.Rows, a.Cols, b.Rows) {
+		if gemmOuter != nil {
+			bt := grabPack(b.Rows * b.Cols)
+			packTransposeInto(bt.data, b)
+			outerRows(dst, a.Data, a.Cols, 1, bt.data, a.Cols, a.Rows, false)
+			releasePack(bt)
+			return dst, nil
+		}
 		// b's rows are already contiguous, i.e. b.Data is (bᵀ)ᵀ packed
 		// exactly as gemmPackedRows wants — no packing pass needed.
 		if parallel.Workers() == 1 {

@@ -4,10 +4,11 @@ package mat
 
 import "os"
 
-// Assembly micro-kernels and CPU probes (kernels_amd64.s). The dot
-// kernels require AVX2 + FMA and OS-enabled YMM state; init verifies
-// all three before swapping them in, so a binary built on a modern box
-// still runs (on the Go fallback) on hardware without them.
+// Assembly micro-kernels and CPU probes (kernels_amd64.s, and the f64
+// kernels of kernels64_amd64.s). The kernels require AVX2 + FMA and
+// OS-enabled YMM state; init verifies all three before swapping them
+// in, so a binary built on a modern box still runs (on the Go
+// fallback) on hardware without them.
 
 //go:noescape
 func dot4f32AVX2(a0, a1, a2, a3, b *float32, n int) (c0, c1, c2, c3 float32)
@@ -74,6 +75,8 @@ func init() {
 		dot4f32 = dot4f32Asm
 		dotf32 = dotf32Asm
 		mul32Outer = mul32OuterAsm
+		gemmOuter = gemmOuterAsm
+		nearestOuter = nearestAsm
 		kernelName = "avx2+fma"
 	}
 }

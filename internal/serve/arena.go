@@ -18,9 +18,10 @@ import (
 // dispatcher may still be writing into it — and falls to the GC
 // instead.
 type reqArena struct {
-	hdr  [wire.RequestHeaderSize]byte
-	body []byte // request payload (binary feature block or JSON body)
-	out  []byte // response frame build buffer
+	hdr     [wire.RequestHeaderSize]byte
+	payload wire.PayloadReader // binary feature block → x / x32, in chunks
+	body    []byte             // JSON request body
+	out     []byte             // response frame build buffer
 
 	jreq scoreRequest // JSON request decode target
 	x    *mat.Matrix  // f64 feature rows
@@ -55,14 +56,6 @@ func releaseArena(a *reqArena) {
 	a.j.arena = nil // re-linked on next use; avoid a stale self-reference cycle surprise
 	a.j.ctx = nil   // a recycled arena must not look canceled to the dispatcher
 	arenaPool.Put(a)
-}
-
-// ensureBytes grows b to exactly n bytes, keeping capacity.
-func ensureBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
 }
 
 // ensureStrings grows s to n elements, keeping capacity.

@@ -14,7 +14,7 @@ import (
 
 // Binary protocol front end (DESIGN.md §12): requests whose
 // Content-Type is wire.ContentType carry one wire request frame instead
-// of JSON. The payload decodes into the request arena's matrix — f32
+// of JSON. The payload streams into the request arena's matrix — f32
 // frames go straight into the float32 inference path when the server
 // runs -precision f32, with no f64 round-trip — and the response is a
 // wire score frame built in the arena's output buffer, streamed as a
@@ -52,32 +52,25 @@ func (s *Server) handleScoreBinary(w http.ResponseWriter, r *http.Request, start
 			fmt.Sprintf("Content-Length %d disagrees with the %d-byte frame the header announces", cl, h.FrameSize()))
 		return
 	}
-	a.body = ensureBytes(a.body, int(h.PayloadSize()))
-	if _, err := io.ReadFull(r.Body, a.body); err != nil {
+	// The payload streams straight into the arena's matrix: the raw
+	// feature block is never held as bytes.
+	useF32 := h.F32 && s.cfg.Precision == F32
+	if useF32 {
+		a.x32, err = a.payload.ReadF32(r.Body, h, a.x32)
+	} else {
+		// An f32 frame on an f64 server widens (exactly) into the f64
+		// path.
+		a.x, err = a.payload.ReadF64(r.Body, h, a.x)
+	}
+	if err != nil {
 		releaseArena(a)
-		s.failBinary(w, http.StatusBadRequest, "truncated feature block: "+err.Error())
+		s.failBinary(w, wireErrStatus(err), "truncated feature block: "+err.Error())
 		return
 	}
 	var probe [1]byte
 	if n, _ := r.Body.Read(probe[:]); n > 0 {
 		releaseArena(a)
 		s.failBinary(w, http.StatusBadRequest, "trailing bytes past the announced frame")
-		return
-	}
-
-	useF32 := h.F32 && s.cfg.Precision == F32
-	switch {
-	case useF32:
-		a.x32, err = wire.DecodePayloadF32(h, a.body, a.x32)
-	case h.F32:
-		// f32 frame on an f64 server: widen (exactly) into the f64 path.
-		a.x, err = wire.DecodePayloadF32To64(h, a.body, a.x)
-	default:
-		a.x, err = wire.DecodePayloadF64(h, a.body, a.x)
-	}
-	if err != nil {
-		releaseArena(a)
-		s.failBinary(w, wireErrStatus(err), err.Error())
 		return
 	}
 

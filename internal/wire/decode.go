@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"targad/internal/dataset"
@@ -65,10 +67,101 @@ func ParseRequestFrameSize(hdr []byte) (int64, error) {
 	return h.FrameSize(), nil
 }
 
-// DecodePayloadF64 decodes an f64 feature block into dst (grown via
-// mat.Ensure, nil allocates) and returns it. payload must be exactly
-// the block the header announced. Steady-state calls over a recycled
-// dst allocate nothing.
+// payloadChunk is PayloadReader's largest staging size: enough that
+// the per-Read overhead vanishes, small enough to stay in L1. It is a
+// multiple of both element widths.
+const payloadChunk = 4096
+
+// PayloadReader streams a request's feature block from an io.Reader
+// straight into a matrix, a fixed-size chunk at a time, so no copy of
+// the raw payload is ever held. The zero value is ready; it owns a
+// chunk buffer of at most payloadChunk bytes, grown to the largest
+// block it has read, so keep one per goroutine (a serving arena holds
+// one) and reuse it — steady-state reads over a recycled dst allocate
+// nothing.
+//
+// The destination is sized from the header before any payload byte is
+// read: callers must bound h.PayloadSize() (a server's request-size
+// cap) first.
+type PayloadReader struct {
+	buf []byte
+}
+
+// chunk returns the staging buffer for h's block, growing it if needed.
+func (p *PayloadReader) chunk(h Request) []byte {
+	if want := int(min(h.PayloadSize(), payloadChunk)); cap(p.buf) < want {
+		p.buf = make([]byte, want)
+	}
+	return p.buf[:cap(p.buf)]
+}
+
+// ReadF64 reads the feature block h announces from r into dst (grown
+// via mat.Ensure, nil allocates). An f32 block widens exactly, so its
+// scores match an f64 frame carrying the same values. A block that
+// ends early fails with ErrTruncated; bytes past it are left unread.
+func (p *PayloadReader) ReadF64(r io.Reader, h Request, dst *mat.Matrix) (*mat.Matrix, error) {
+	dst = mat.Ensure(dst, h.Rows, h.Features)
+	es := h.elemSize()
+	buf := p.chunk(h)
+	out := dst.Data
+	for len(out) > 0 {
+		n := min(len(out), len(buf)/es)
+		b := buf[:n*es]
+		if err := readChunk(r, h, b, len(dst.Data)-len(out)); err != nil {
+			return nil, err
+		}
+		if h.F32 {
+			for i := range out[:n] {
+				out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:])))
+			}
+		} else {
+			for i := range out[:n] {
+				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			}
+		}
+		out = out[n:]
+	}
+	return dst, nil
+}
+
+// ReadF32 reads an f32 feature block into dst without widening — the
+// rows go straight into the float32 inference path. An f64 block fails
+// with ErrMalformed before anything is read.
+func (p *PayloadReader) ReadF32(r io.Reader, h Request, dst *mat.Matrix32) (*mat.Matrix32, error) {
+	if !h.F32 {
+		return nil, fmt.Errorf("%w: f64 payload decoded as f32", ErrMalformed)
+	}
+	dst = mat.Ensure32(dst, h.Rows, h.Features)
+	buf := p.chunk(h)
+	out := dst.Data
+	for len(out) > 0 {
+		n := min(len(out), len(buf)/4)
+		b := buf[:n*4]
+		if err := readChunk(r, h, b, len(dst.Data)-len(out)); err != nil {
+			return nil, err
+		}
+		for i := range out[:n] {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		}
+		out = out[n:]
+	}
+	return dst, nil
+}
+
+// readChunk reads exactly len(b) payload bytes; done counts the
+// elements already decoded, for the truncation message.
+func readChunk(r io.Reader, h Request, b []byte, done int) error {
+	n, err := io.ReadFull(r, b)
+	if err != nil {
+		return fmt.Errorf("%w: feature block ends after %d of %d bytes: %v",
+			ErrTruncated, int64(done*h.elemSize()+n), h.PayloadSize(), err)
+	}
+	return nil
+}
+
+// DecodePayloadF64 decodes an in-memory f64 feature block through a
+// PayloadReader. payload must be exactly the block the header
+// announced; the length is checked before the matrix is sized.
 func DecodePayloadF64(h Request, payload []byte, dst *mat.Matrix) (*mat.Matrix, error) {
 	if h.F32 {
 		return nil, fmt.Errorf("%w: f32 payload decoded as f64", ErrMalformed)
@@ -76,44 +169,8 @@ func DecodePayloadF64(h Request, payload []byte, dst *mat.Matrix) (*mat.Matrix, 
 	if err := checkPayloadLen(h, len(payload)); err != nil {
 		return nil, err
 	}
-	dst = mat.Ensure(dst, h.Rows, h.Features)
-	for i := range dst.Data {
-		dst.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return dst, nil
-}
-
-// DecodePayloadF32 decodes an f32 feature block into dst without
-// widening — the rows go straight into the float32 inference path.
-func DecodePayloadF32(h Request, payload []byte, dst *mat.Matrix32) (*mat.Matrix32, error) {
-	if !h.F32 {
-		return nil, fmt.Errorf("%w: f64 payload decoded as f32", ErrMalformed)
-	}
-	if err := checkPayloadLen(h, len(payload)); err != nil {
-		return nil, err
-	}
-	dst = mat.Ensure32(dst, h.Rows, h.Features)
-	for i := range dst.Data {
-		dst.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
-	}
-	return dst, nil
-}
-
-// DecodePayloadF32To64 widens an f32 feature block into an f64 matrix,
-// for servers whose inference path is float64 (widening is exact, so
-// the scores match an f64 frame carrying the same values).
-func DecodePayloadF32To64(h Request, payload []byte, dst *mat.Matrix) (*mat.Matrix, error) {
-	if !h.F32 {
-		return nil, fmt.Errorf("%w: f64 payload decoded as f32", ErrMalformed)
-	}
-	if err := checkPayloadLen(h, len(payload)); err != nil {
-		return nil, err
-	}
-	dst = mat.Ensure(dst, h.Rows, h.Features)
-	for i := range dst.Data {
-		dst.Data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:])))
-	}
-	return dst, nil
+	var p PayloadReader
+	return p.ReadF64(bytes.NewReader(payload), h, dst)
 }
 
 func checkPayloadLen(h Request, got int) error {
@@ -130,20 +187,19 @@ func checkPayloadLen(h Request, got int) error {
 // DecodeRequestFrame decodes one whole request frame (header +
 // payload) into a freshly allocated f64 matrix, widening f32 payloads.
 // It is the convenience/reference decoder used by tests and the
-// fuzzer; the serving path uses the split header/payload calls over
-// pooled buffers instead.
+// fuzzer; the serving path streams the payload with a PayloadReader
+// instead.
 func DecodeRequestFrame(frame []byte) (Request, *mat.Matrix, error) {
 	h, err := ParseRequestHeader(frame)
 	if err != nil {
 		return h, nil, err
 	}
 	payload := frame[RequestHeaderSize:]
-	var x *mat.Matrix
-	if h.F32 {
-		x, err = DecodePayloadF32To64(h, payload, nil)
-	} else {
-		x, err = DecodePayloadF64(h, payload, nil)
+	if err := checkPayloadLen(h, len(payload)); err != nil {
+		return h, nil, err
 	}
+	var p PayloadReader
+	x, err := p.ReadF64(bytes.NewReader(payload), h, nil)
 	return h, x, err
 }
 

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
+	"testing/iotest"
 
 	"targad/internal/dataset"
 )
@@ -45,8 +48,29 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, _, err := DecodeRequestFrame(b); err != nil && !typed(err) {
+		h, x, err := DecodeRequestFrame(b)
+		if err != nil && !typed(err) {
 			t.Fatalf("DecodeRequestFrame: untyped error %v", err)
+		}
+		// The streaming reader, fed the payload a byte at a time, must
+		// agree with the whole-frame decode bit for bit, and fail typed
+		// on a short block (only small blocks: the reader sizes its
+		// matrix from the header).
+		if x != nil || (err != nil && errors.Is(err, ErrTruncated) && len(b) >= RequestHeaderSize && h.PayloadSize() <= 1<<16) {
+			var p PayloadReader
+			got, serr := p.ReadF64(iotest.OneByteReader(bytes.NewReader(b[RequestHeaderSize:])), h, nil)
+			switch {
+			case x == nil && !errors.Is(serr, ErrTruncated):
+				t.Fatalf("PayloadReader on a short block: %v, want ErrTruncated", serr)
+			case x != nil && serr != nil:
+				t.Fatalf("PayloadReader failed where DecodeRequestFrame succeeded: %v", serr)
+			case x != nil:
+				for i := range x.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(x.Data[i]) {
+						t.Fatalf("PayloadReader element %d = %v, want %v", i, got.Data[i], x.Data[i])
+					}
+				}
+			}
 		}
 		if _, err := DecodeResponse(b); err != nil && !typed(err) {
 			t.Fatalf("DecodeResponse: untyped error %v", err)

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"targad/internal/dataset"
 	"targad/internal/mat"
@@ -72,7 +75,8 @@ func TestRequestRoundTripF32(t *testing.T) {
 	if !h.F32 || h.HasStrategy || h.WantProbs || h.Rows != 2 || h.Features != 2 {
 		t.Fatalf("header = %+v", h)
 	}
-	x32, err := DecodePayloadF32(h, frame[RequestHeaderSize:], nil)
+	var p PayloadReader
+	x32, err := p.ReadF32(bytes.NewReader(frame[RequestHeaderSize:]), h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestRequestRoundTripF32(t *testing.T) {
 		}
 	}
 	// Widening decode agrees with float64(float32) exactly.
-	x, err := DecodePayloadF32To64(h, frame[RequestHeaderSize:], nil)
+	x, err := p.ReadF64(bytes.NewReader(frame[RequestHeaderSize:]), h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +146,74 @@ func TestRequestHeaderErrors(t *testing.T) {
 	if _, err := DecodePayloadF64(h, append(append([]byte(nil), base[RequestHeaderSize:]...), 0), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("trailing payload bytes: %v", err)
 	}
-	if _, err := DecodePayloadF32(h, base[RequestHeaderSize:], nil); !errors.Is(err, ErrMalformed) {
+	var p PayloadReader
+	if _, err := p.ReadF32(bytes.NewReader(base[RequestHeaderSize:]), h, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("f64 payload through the f32 decoder: %v", err)
+	}
+	if _, err := p.ReadF64(bytes.NewReader(base[RequestHeaderSize:len(base)-1]), h, nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated stream: %v", err)
+	}
+}
+
+// TestPayloadReaderChunking streams blocks larger than one staging
+// chunk through readers that return one byte, or half the request, per
+// Read: element values must not depend on how the bytes arrive, and a
+// recycled matrix is reused.
+func TestPayloadReaderChunking(t *testing.T) {
+	const rows, features = 37, 61 // 2257 elements: several f64 and f32 chunks plus a remainder
+	f64 := validF64Frame(t, rows, features, -1, false)
+	data32 := make([][]float32, rows)
+	for i := range data32 {
+		data32[i] = make([]float32, features)
+		for j := range data32[i] {
+			data32[i][j] = float32(i*features+j) / 3
+		}
+	}
+	f32, err := AppendRequestF32(nil, data32, -1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wraps := map[string]func(io.Reader) io.Reader{
+		"whole":    func(r io.Reader) io.Reader { return r },
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	}
+	var p PayloadReader
+	for name, wrap := range wraps {
+		for _, frame := range [][]byte{f64, f32} {
+			h, err := ParseRequestHeader(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want, err := DecodeRequestFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.ReadF64(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, mat.New(1, 1))
+			if err != nil {
+				t.Fatalf("%s f32=%v: %v", name, h.F32, err)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s f32=%v: element %d = %v, want %v", name, h.F32, i, got.Data[i], want.Data[i])
+				}
+			}
+			prev := &got.Data[0]
+			if got, err = p.ReadF64(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, got); err != nil || &got.Data[0] != prev {
+				t.Fatalf("%s f32=%v: recycled read reallocated or failed: %v", name, h.F32, err)
+			}
+			if h.F32 {
+				x32, err := p.ReadF32(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range x32.Data {
+					if x32.Data[i] != data32[i/features][i%features] {
+						t.Fatalf("%s: f32 element %d = %v", name, i, x32.Data[i])
+					}
+				}
+			}
+		}
 	}
 }
 

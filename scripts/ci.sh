@@ -39,23 +39,28 @@ echo "== bench module =="
 go -C bench vet ./...
 go -C bench test ./...
 
-# Float32 path on the pure-Go kernels: the ulp-bound property tests,
-# the fixture tolerance pins, and the serving tolerance suite all rerun
-# with the assembly kernels compiled out, so CI covers both kernel
-# implementations even on machines where init selects AVX2.
-echo "== float32 fallback suite (-tags noasm) =="
-go test -tags noasm -count=1 ./internal/mat
+# Both precisions on the pure-Go kernels: the f32 ulp-bound property
+# tests, the f64 bitwise kernel tests (GEMM tails, k-means assignment),
+# the fixture tolerance pins, the serving tolerance suite and the
+# kernel-swap fit all rerun with the assembly compiled out, so CI
+# covers both kernel implementations even on machines where init
+# selects AVX2. The fit-swap test reruns once more with the assembly
+# compiled in but switched off at runtime (TARGAD_NOSIMD=1).
+echo "== portable-kernel suite (-tags noasm, TARGAD_NOSIMD=1) =="
+go test -tags noasm -count=1 ./internal/mat ./internal/cluster
 go test -tags noasm -count=1 \
-    -run 'TestF32Tolerance|TestInferF32|TestEnableF32' ./internal/core
+    -run 'TestF32Tolerance|TestInferF32|TestEnableF32|TestFitKernelSwap' ./internal/core
 go test -tags noasm -count=1 -run 'TestServeF32' ./internal/serve
+TARGAD_NOSIMD=1 go test -count=1 -run 'TestFitKernelSwap|TestOuterF64|TestNearestRows' \
+    ./internal/core ./internal/mat
 
 # Race smoke: exercise the worker-pool kernels (mat GEMMs including the
 # packed-buffer blocked paths, k-means assignment, softmax batching),
 # the nn layer-workspace reuse, the concurrent per-cluster AE training,
-# the drift-monitoring window (concurrent Observe vs Snapshot), and the
-# full serving stack (micro-batcher, replica-pool inference, hot reload
-# under load, shedding, shadow evaluation) with a multi-worker pool
-# under the race detector. The zero-alloc assertions self-skip under
+# the drift-monitoring window (concurrent Observe vs Snapshot), the
+# asm-vs-Go kernel-swap fit, and the full serving stack (micro-batcher,
+# replica-pool inference, hot reload under load, shedding, shadow
+# evaluation) with a multi-worker pool under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
 # the smoke short — the full core suite already ran above.
@@ -68,7 +73,7 @@ TARGAD_WORKERS=4 go test -race -short -count=1 \
 TARGAD_WORKERS=4 go test -race -short -count=1 \
     -run 'TrainPerCluster' ./internal/autoencoder
 TARGAD_WORKERS=4 go test -race -short -count=1 \
-    -run 'ParallelSerialIdentical|TestInfer|TestShareParams' ./internal/core
+    -run 'ParallelSerialIdentical|TestInfer|TestShareParams|TestFitKernelSwap' ./internal/core
 
 # Fault-injection suite: cancellation, checkpoint/resume equivalence,
 # NaN guards, worker panic/crash containment, and checkpoint write
