@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"targad/internal/dataset"
 	"targad/internal/mat"
@@ -81,35 +82,12 @@ func (mo *Model) releaseInferClf(r *nn.MLP) {
 	mo.inferMu.Unlock()
 }
 
-// ensureF64 grows s to n elements, keeping capacity like mat.Ensure.
-func ensureF64(s []float64, n int) []float64 {
+// ensure grows s to n elements, keeping capacity like mat.Ensure.
+func ensure[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// ensureKinds grows s to n elements, keeping capacity.
-func ensureKinds(s []dataset.Kind, n int) []dataset.Kind {
-	if cap(s) < n {
-		return make([]dataset.Kind, n)
-	}
-	return s[:n]
-}
-
-// checkThresholds resolves the calibrated threshold per requested
-// strategy into a flat array indexed by the strategy value (the three
-// strategies are 0, 1, 2), failing with ErrNotCalibrated on any gap.
-func (mo *Model) checkThresholds(strategies []OODStrategy) ([3]float64, error) {
-	var thresholds [3]float64
-	for _, s := range strategies {
-		thr, ok := mo.idThreshold[s]
-		if !ok {
-			return thresholds, fmt.Errorf("%w: %s", ErrNotCalibrated, s)
-		}
-		thresholds[s] = thr
-	}
-	return thresholds, nil
 }
 
 // prepareResult readies the result buffers for rows: the recycled
@@ -121,26 +99,19 @@ func prepareResult(opt InferOptions, rows int) *InferResult {
 	if res == nil {
 		res = &InferResult{}
 	}
-	res.Scores = ensureF64(res.Scores, rows)
+	res.Scores = ensure(res.Scores, rows)
 	if len(opt.Strategies) > 0 {
 		if res.Kinds == nil {
 			res.Kinds = make(map[OODStrategy][]dataset.Kind, len(opt.Strategies))
 		} else {
 			for k := range res.Kinds {
-				keep := false
-				for _, s := range opt.Strategies {
-					if s == k {
-						keep = true
-						break
-					}
-				}
-				if !keep {
+				if !slices.Contains(opt.Strategies, k) {
 					delete(res.Kinds, k)
 				}
 			}
 		}
 		for _, s := range opt.Strategies {
-			res.Kinds[s] = ensureKinds(res.Kinds[s], rows)
+			res.Kinds[s] = ensure(res.Kinds[s], rows)
 		}
 	} else if res.Kinds != nil {
 		clear(res.Kinds)
@@ -148,37 +119,61 @@ func prepareResult(opt InferOptions, rows int) *InferResult {
 	return res
 }
 
+// checkCall validates one inference call — live context, fitted
+// model, input width — and resolves the calibrated threshold per
+// requested strategy into a flat array indexed by the strategy value
+// (the three strategies are 0, 1, 2), failing with ErrNotCalibrated on
+// any gap or unknown strategy.
+func (mo *Model) checkCall(ctx context.Context, cols int, strategies []OODStrategy) (thresholds [3]float64, err error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return thresholds, err
+		}
+	}
+	if mo.clf == nil {
+		return thresholds, errors.New("targad: model is not fitted")
+	}
+	if cols != mo.dim {
+		return thresholds, fmt.Errorf("targad: input dim %d, want %d", cols, mo.dim)
+	}
+	for _, s := range strategies {
+		thr, ok := mo.idThreshold[s]
+		if !ok || uint(s) >= uint(len(thresholds)) {
+			return thresholds, fmt.Errorf("%w: %s", ErrNotCalibrated, s)
+		}
+		thresholds[s] = thr
+	}
+	return thresholds, nil
+}
+
 // Infer is the thread-safe inference path: it scores x on a pooled
 // parameter-sharing replica of the classifier, so any number of
 // goroutines may call it concurrently on one fitted (or loaded) Model.
 // The outputs are bitwise-identical to the single-threaded Score,
-// Probabilities, and Identify on the same rows — replicas share the
-// exact parameter tensors and every kernel computes each row
-// independently of which other rows share its batch.
+// Probabilities, and Identify on the same rows — all four run the one
+// body in infer, replicas share the exact parameter tensors, and every
+// kernel computes each row independently of which other rows share its
+// batch.
 //
 // Infer must not run concurrently with Fit: training mutates the
 // shared parameters.
 func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (res *InferResult, err error) {
 	defer recoverToError("infer", &err)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	if mo.clf == nil {
-		return nil, errors.New("targad: model is not fitted")
-	}
-	if x.Cols != mo.dim {
-		return nil, fmt.Errorf("targad: input dim %d, want %d", x.Cols, mo.dim)
-	}
-	thresholds, err := mo.checkThresholds(opt.Strategies)
+	thresholds, err := mo.checkCall(ctx, x.Cols, opt.Strategies)
 	if err != nil {
 		return nil, err
 	}
-
 	clf := mo.acquireInferClf()
 	defer mo.releaseInferClf(clf)
+	return mo.infer(clf, x, opt, thresholds), nil
+}
 
+// infer is the one f64 inference body: the forward pass on clf (a
+// pooled replica for Infer, the model's own classifier for the offline
+// wrappers), the row softmax, the Eq. (9) target score, and the Section
+// III-C three-way decision per requested strategy. The call must have
+// passed checkCall, which produced thresholds.
+func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	logits := clf.Forward(x)
 	// Softmax lands in a caller-owned matrix (never a layer workspace):
 	// the recycled result's Probs in reuse mode, a fresh allocation
@@ -190,7 +185,7 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 	}
 	probs := nn.SoftmaxRowsInto(probsDst, logits)
 
-	res = prepareResult(opt, x.Rows)
+	res := prepareResult(opt, x.Rows)
 	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			_, res.Scores[i] = mat.ArgMax(probs.Row(i)[:mo.m])
@@ -209,7 +204,7 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 				switch {
 				case pNormal > normalCut:
 					res.Kinds[s][i] = dataset.KindNormal
-				case idness(s, logits.Row(i)) >= thresholds[s]:
+				case idness(s, row, logits.Row(i)) >= thresholds[s]:
 					res.Kinds[s][i] = dataset.KindTarget
 				default:
 					res.Kinds[s][i] = dataset.KindNonTarget
@@ -220,5 +215,52 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 	if opt.Probs || opt.Reuse != nil {
 		res.Probs = probs
 	}
-	return res, nil
+	return res
+}
+
+// Score implements detector.Detector with Eq. (9):
+// S^tar(x) = max_{j ∈ [1,m]} p_j(x). Batch inference is parallel end
+// to end — the classifier forward pass, the row softmax, and this
+// reduction all split the batch across the worker pool — and the
+// scores are bitwise identical for any worker count. Like Fit, it
+// converts internal panics into a *InternalError at the boundary.
+//
+// Concurrency contract: Score, Probabilities and Identify run on the
+// model's own classifier, whose forward pass writes layer-owned
+// workspaces (see internal/nn's buffer-ownership contract), so they are
+// NOT safe for concurrent use on one Model. Concurrent scoring must use
+// Infer, whose replica pool makes it safe and whose outputs are
+// bitwise-identical to these methods'.
+func (mo *Model) Score(ctx context.Context, x *mat.Matrix) (scores []float64, err error) {
+	defer recoverToError("score", &err)
+	thresholds, err := mo.checkCall(ctx, x.Cols, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mo.infer(mo.clf, x, InferOptions{}, thresholds).Scores, nil
+}
+
+// Probabilities returns softmax class probabilities (m+k columns). It
+// shares Score's concurrency contract.
+func (mo *Model) Probabilities(x *mat.Matrix) (*mat.Matrix, error) {
+	thresholds, err := mo.checkCall(nil, x.Cols, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mo.infer(mo.clf, x, InferOptions{Probs: true}, thresholds).Probs, nil
+}
+
+// Identify performs the three-way classification of Section III-C:
+// an instance is normal when Σ_{j=m+1..m+k} p_j > k/(m+k); otherwise
+// it is anomalous and the OOD strategy splits it into target
+// (ID-ness above the calibrated threshold) or non-target. A strategy
+// the model has no threshold for fails with ErrNotCalibrated. It
+// shares Score's concurrency contract.
+func (mo *Model) Identify(x *mat.Matrix, strat OODStrategy) ([]dataset.Kind, error) {
+	opt := InferOptions{Strategies: []OODStrategy{strat}}
+	thresholds, err := mo.checkCall(nil, x.Cols, opt.Strategies)
+	if err != nil {
+		return nil, err
+	}
+	return mo.infer(mo.clf, x, opt, thresholds).Kinds[strat], nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"targad/internal/dataset"
 	"targad/internal/mat"
@@ -22,12 +21,11 @@ import (
 // ErrF32NotEnabled reports an InferF32 call before EnableF32.
 var ErrF32NotEnabled = errors.New("targad: float32 inference not enabled")
 
-// f32Replica bundles a float32 forward-pass replica with the
-// per-goroutine conversion and softmax workspaces, pooled on the same
-// free-list discipline as the f64 replicas.
+// f32Replica bundles a float32 forward-pass replica with its softmax
+// workspace, pooled on the same free-list discipline as the f64
+// replicas.
 type f32Replica struct {
 	inf   *nn.Inference32
-	xbuf  *mat.Matrix32 // input narrowing workspace
 	probs *mat.Matrix32 // softmax output, detached from replica workspaces
 }
 
@@ -101,92 +99,43 @@ func (mo *Model) releaseInferF32(r *f32Replica) {
 	mo.inferMu.Unlock()
 }
 
-// InferF32 is the float32 twin of Infer: same inputs, same result
-// shape, same thread-safety (any number of goroutines on one model),
-// same three-way identification logic — but the forward pass, softmax,
-// and ID-ness scores run in float32. Thresholds stay the calibrated
-// float64 values; only the scores compared against them carry f32
-// rounding. Results are deterministic for a fixed binary, CPU, and
-// input (worker count never changes a row's value), but differ from
-// Infer within the tolerance pinned by f32_tolerance_test.go.
-func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) (res *InferResult, err error) {
+// InferF32 is the float32 twin of Infer: same result shape, same
+// thread-safety (any number of goroutines on one model), same
+// three-way identification logic — but it takes float32 rows and the
+// forward pass, softmax, and ID-ness scores run in float32. Callers
+// holding float64 rows narrow them with mat.ToF32 into a buffer they
+// own; the binary wire path decodes f32 frames straight into a
+// Matrix32. Thresholds stay the calibrated float64 values; only the
+// scores compared against them carry f32 rounding. Results are
+// deterministic for a fixed binary, CPU, and input (worker count never
+// changes a row's value), but differ from Infer within the tolerance
+// pinned by f32_tolerance_test.go.
+func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix32, opt InferOptions) (_ *InferResult, err error) {
 	defer recoverToError("infer-f32", &err)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	if mo.clf == nil {
-		return nil, errors.New("targad: model is not fitted")
-	}
-	if x.Cols != mo.dim {
-		return nil, fmt.Errorf("targad: input dim %d, want %d", x.Cols, mo.dim)
-	}
-	thresholds, err := mo.checkThresholds(opt.Strategies)
+	thresholds, err := mo.checkCall(ctx, x.Cols, opt.Strategies)
 	if err != nil {
 		return nil, err
 	}
-
 	rep := mo.acquireInferF32()
 	if rep == nil {
 		return nil, ErrF32NotEnabled
 	}
 	defer mo.releaseInferF32(rep)
 
-	rep.xbuf = mat.ToF32(rep.xbuf, x)
-	return mo.inferF32Batch(rep, rep.xbuf, opt, thresholds), nil
-}
+	logits := rep.inf.Forward(x)
 
-// InferF32Rows is InferF32 for callers that already hold float32 rows —
-// the binary wire path decodes f32 frames straight into a Matrix32 and
-// scores them here with no f64 round-trip. For any x the result is
-// bitwise-identical to InferF32 on the widened rows: InferF32's first
-// step narrows its input back to exactly these float32 values.
-func (mo *Model) InferF32Rows(ctx context.Context, x *mat.Matrix32, opt InferOptions) (res *InferResult, err error) {
-	defer recoverToError("infer-f32", &err)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	if mo.clf == nil {
-		return nil, errors.New("targad: model is not fitted")
-	}
-	if x.Cols != mo.dim {
-		return nil, fmt.Errorf("targad: input dim %d, want %d", x.Cols, mo.dim)
-	}
-	thresholds, err := mo.checkThresholds(opt.Strategies)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := mo.acquireInferF32()
-	if rep == nil {
-		return nil, ErrF32NotEnabled
-	}
-	defer mo.releaseInferF32(rep)
-
-	return mo.inferF32Batch(rep, x, opt, thresholds), nil
-}
-
-// inferF32Batch runs the forward pass and decision logic shared by
-// InferF32 and InferF32Rows. x32 is read-only and may be the replica's
-// own xbuf or a caller matrix.
-func (mo *Model) inferF32Batch(rep *f32Replica, x32 *mat.Matrix32, opt InferOptions, thresholds [3]float64) *InferResult {
-	logits := rep.inf.Forward(x32)
-
-	res := prepareResult(opt, x32.Rows)
+	res := prepareResult(opt, x.Rows)
 	if len(opt.Strategies) == 0 && !opt.Probs {
 		// Score-only requests skip materializing the distribution:
 		// SoftmaxHeadMax32 is bitwise-identical to the softmax+argmax
 		// below, so the answer doesn't depend on what else was asked
 		// for.
-		parallel.ForEachChunkMin(x32.Rows, 256, func(lo, hi int) {
+		parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				res.Scores[i] = mat.SoftmaxHeadMax32(logits.Row(i), mo.m)
 			}
 		})
-		return res
+		return res, nil
 	}
 
 	// Softmax lands in the replica's detached probs workspace (logits is
@@ -195,7 +144,7 @@ func (mo *Model) inferF32Batch(rep *f32Replica, x32 *mat.Matrix32, opt InferOpti
 	rep.probs = mat.Ensure32(rep.probs, logits.Rows, logits.Cols)
 	probs := rep.probs
 
-	parallel.ForEachChunkMin(x32.Rows, 256, func(lo, hi int) {
+	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mat.Softmax32(probs.Row(i), logits.Row(i))
 			_, s := mat.ArgMax32(probs.Row(i)[:mo.m])
@@ -205,7 +154,7 @@ func (mo *Model) inferF32Batch(rep *f32Replica, x32 *mat.Matrix32, opt InferOpti
 
 	if len(opt.Strategies) > 0 {
 		normalCut := float64(mo.k) / float64(mo.m+mo.k)
-		for i := 0; i < x32.Rows; i++ {
+		for i := 0; i < x.Rows; i++ {
 			row := probs.Row(i)
 			var pNormal float64
 			for j := mo.m; j < mo.m+mo.k; j++ {
@@ -226,13 +175,12 @@ func (mo *Model) inferF32Batch(rep *f32Replica, x32 *mat.Matrix32, opt InferOpti
 	if opt.Probs {
 		res.Probs = mat.ToF64(res.Probs, probs)
 	}
-	return res
+	return res, nil
 }
 
 // idness32 computes the strategy's ID-ness score from one row's f32
-// softmax probabilities and logits, mirroring idness. MSP reads the
-// already-computed probability row (the f64 path's softmax-of-logits is
-// the same vector); ES/ED reduce the logits with float64 accumulators.
+// softmax probabilities and logits, mirroring idness; ES/ED reduce the
+// logits with float64 accumulators.
 func idness32(s OODStrategy, probs, logits []float32) float64 {
 	switch s {
 	case MSP:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"targad/internal/mat"
+	"targad/internal/parallel"
 	"targad/internal/rng"
 )
 
@@ -113,46 +114,24 @@ func TestInferReuseDropsStaleStrategies(t *testing.T) {
 	}
 }
 
-// TestInferF32RowsMatchesInferF32 pins the direct-f32 entry point: for
-// rows already held as float32, InferF32Rows returns results
-// bitwise-identical to InferF32 on the widened matrix (whose first step
-// narrows back to exactly those values).
-func TestInferF32RowsMatchesInferF32(t *testing.T) {
+// TestInferF32ReuseBitwise: reuse on the f32 path returns the same
+// bits as a fresh call, including score-only calls into a result that
+// carries probabilities and decisions from an earlier call.
+func TestInferF32ReuseBitwise(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
 	strategies := calibratedStrategies(m)
-	x := fixtureInput(m.dim)
-	x32 := mat.ToF32(nil, x)
-	wide := mat.ToF64(nil, x32)
+	x32 := mat.ToF32(nil, fixtureInput(m.dim))
 
 	opt := InferOptions{Strategies: strategies, Probs: true}
-	want, err := m.InferF32(context.Background(), wide, opt)
+	want, err := m.InferF32(context.Background(), x32, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.InferF32Rows(context.Background(), x32, opt)
+	got, err := m.InferF32(context.Background(), x32, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Scores {
-		if got.Scores[i] != want.Scores[i] {
-			t.Fatalf("f32-rows score %d differs", i)
-		}
-	}
-	for _, s := range strategies {
-		for i := range want.Kinds[s] {
-			if got.Kinds[s][i] != want.Kinds[s][i] {
-				t.Fatalf("f32-rows %s decision %d differs", s, i)
-			}
-		}
-	}
-	for i := range want.Probs.Data {
-		if got.Probs.Data[i] != want.Probs.Data[i] {
-			t.Fatalf("f32-rows probability %d differs", i)
-		}
-	}
-
-	// Reuse on the f32 path is bitwise too, including score-only calls.
-	got2, err := m.InferF32Rows(context.Background(), x32, InferOptions{Strategies: strategies, Probs: true, Reuse: got})
+	got2, err := m.InferF32(context.Background(), x32, InferOptions{Strategies: strategies, Probs: true, Reuse: got})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +140,19 @@ func TestInferF32RowsMatchesInferF32(t *testing.T) {
 			t.Fatalf("f32 reuse score %d differs", i)
 		}
 	}
-	fast, err := m.InferF32Rows(context.Background(), x32, InferOptions{Reuse: got2})
+	for _, s := range strategies {
+		for i := range want.Kinds[s] {
+			if got2.Kinds[s][i] != want.Kinds[s][i] {
+				t.Fatalf("f32 reuse %s decision %d differs", s, i)
+			}
+		}
+	}
+	for i := range want.Probs.Data {
+		if got2.Probs.Data[i] != want.Probs.Data[i] {
+			t.Fatalf("f32 reuse probability %d differs", i)
+		}
+	}
+	fast, err := m.InferF32(context.Background(), x32, InferOptions{Reuse: got2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +160,36 @@ func TestInferF32RowsMatchesInferF32(t *testing.T) {
 		if fast.Scores[i] != want.Scores[i] {
 			t.Fatalf("f32 reuse score-only score %d differs", i)
 		}
+	}
+}
+
+// TestInferMSPAllocsFlat: an MSP decision reads the probability row
+// the inference body already computed, so a reused Infer call makes the
+// same number of allocations whatever the batch size.
+func TestInferMSPAllocsFlat(t *testing.T) {
+	m := fixtureLoadedModel(t)
+	if _, ok := m.IdentifyThreshold(MSP); !ok {
+		t.Fatal("fixture has no MSP threshold")
+	}
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	opt := InferOptions{Strategies: []OODStrategy{MSP}}
+	allocs := func(rows int) float64 {
+		x := reuseBatch(rows, m.dim, int64(rows))
+		res, err := m.Infer(context.Background(), x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opt
+		o.Reuse = res
+		return testing.AllocsPerRun(20, func() {
+			if _, err := m.Infer(context.Background(), x, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	wide := allocs(64) // grows the pooled replica's workspaces first
+	if one := allocs(1); one != wide {
+		t.Fatalf("Infer with MSP: %v allocs at 1 row, %v at 64 rows", one, wide)
 	}
 }

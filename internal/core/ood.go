@@ -6,6 +6,7 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/mat"
 	"targad/internal/metrics"
+	"targad/internal/nn"
 )
 
 // OODStrategy selects how Identify splits anomalies into target vs
@@ -44,12 +45,12 @@ func (s OODStrategy) String() string {
 // OODStrategies lists all strategies in the paper's column order.
 func OODStrategies() []OODStrategy { return []OODStrategy{MSP, ES, ED} }
 
-// idness computes the strategy's ID-ness score for one logit row.
-func idness(s OODStrategy, logits []float64) float64 {
+// idness computes the strategy's ID-ness score for one row from its
+// softmax probabilities and its logits. MSP reads the probabilities;
+// ES and ED reduce the logits.
+func idness(s OODStrategy, probs, logits []float64) float64 {
 	switch s {
 	case MSP:
-		probs := make([]float64, len(logits))
-		mat.Softmax(probs, logits)
 		_, p := mat.ArgMax(probs)
 		return p
 	case ES:
@@ -79,10 +80,11 @@ func (mo *Model) calibrateIdentification(labeled, cand *mat.Matrix, weights []fl
 	// logits — clone them so both sides survive side by side.
 	lLog := mo.clf.Forward(labeled).Clone()
 	cLog := mo.clf.Forward(cand)
+	lProbs, cProbs := nn.SoftmaxRows(lLog), nn.SoftmaxRows(cLog)
 	for _, s := range OODStrategies() {
 		lv := make([]float64, lLog.Rows)
 		for i := range lv {
-			lv[i] = idness(s, lLog.Row(i))
+			lv[i] = idness(s, lProbs.Row(i), lLog.Row(i))
 		}
 		var wSum, vSum float64
 		for i := 0; i < cLog.Rows; i++ {
@@ -91,7 +93,7 @@ func (mo *Model) calibrateIdentification(labeled, cand *mat.Matrix, weights []fl
 				w = weights[i]
 			}
 			wSum += w
-			vSum += w * idness(s, cLog.Row(i))
+			vSum += w * idness(s, cProbs.Row(i), cLog.Row(i))
 		}
 		candCenter := vSum
 		if wSum > 0 {
@@ -157,7 +159,7 @@ func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 				pNormal += probs[j]
 			}
 			anomalous[i] = pNormal <= normalCut
-			ids[i] = idness(s, row)
+			ids[i] = idness(s, probs, row)
 			if anomalous[i] {
 				vals = append(vals, ids[i])
 			}
@@ -200,43 +202,4 @@ func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 func (mo *Model) IdentifyThreshold(s OODStrategy) (float64, bool) {
 	t, ok := mo.idThreshold[s]
 	return t, ok
-}
-
-// Identify performs the three-way classification of Section III-C:
-// an instance is normal when Σ_{j=m+1..m+k} p_j > k/(m+k); otherwise
-// it is anomalous and the OOD strategy splits it into target
-// (ID-ness above the calibrated threshold) or non-target.
-//
-// Like Score, Identify is NOT safe for concurrent use on one Model;
-// concurrent callers go through Infer, which returns the identical
-// decisions.
-func (mo *Model) Identify(x *mat.Matrix, strat OODStrategy) ([]dataset.Kind, error) {
-	logits, err := mo.Logits(x)
-	if err != nil {
-		return nil, err
-	}
-	thr, ok := mo.idThreshold[strat]
-	if !ok {
-		return nil, fmt.Errorf("targad: strategy %s not calibrated (model trained without candidates?)", strat)
-	}
-	normalCut := float64(mo.k) / float64(mo.m+mo.k)
-	out := make([]dataset.Kind, x.Rows)
-	probs := make([]float64, mo.m+mo.k)
-	for i := 0; i < x.Rows; i++ {
-		row := logits.Row(i)
-		mat.Softmax(probs, row)
-		var pNormal float64
-		for j := mo.m; j < mo.m+mo.k; j++ {
-			pNormal += probs[j]
-		}
-		switch {
-		case pNormal > normalCut:
-			out[i] = dataset.KindNormal
-		case idness(strat, row) >= thr:
-			out[i] = dataset.KindTarget
-		default:
-			out[i] = dataset.KindNonTarget
-		}
-	}
-	return out, nil
 }

@@ -9,12 +9,20 @@ import (
 	"targad/internal/rng"
 )
 
+// idnessOf is idness on one logit row, with the row's softmax computed
+// here the way the inference body computes it.
+func idnessOf(s OODStrategy, logits []float64) float64 {
+	probs := make([]float64, len(logits))
+	mat.Softmax(probs, logits)
+	return idness(s, probs, logits)
+}
+
 func TestIdnessMSP(t *testing.T) {
 	logits := []float64{2, 0, 0}
 	probs := make([]float64, 3)
 	mat.Softmax(probs, logits)
 	_, want := mat.ArgMax(probs)
-	if got := idness(MSP, logits); math.Abs(got-want) > 1e-12 {
+	if got := idnessOf(MSP, logits); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MSP idness = %v, want %v", got, want)
 	}
 }
@@ -22,7 +30,7 @@ func TestIdnessMSP(t *testing.T) {
 func TestIdnessES(t *testing.T) {
 	logits := []float64{1, 2, 3}
 	want := mat.LogSumExp(logits)
-	if got := idness(ES, logits); math.Abs(got-want) > 1e-12 {
+	if got := idnessOf(ES, logits); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("ES idness = %v, want %v", got, want)
 	}
 }
@@ -30,14 +38,14 @@ func TestIdnessES(t *testing.T) {
 func TestIdnessED(t *testing.T) {
 	logits := []float64{1, 2, 3}
 	want := mat.LogSumExp(logits) - 2
-	if got := idness(ED, logits); math.Abs(got-want) > 1e-12 {
+	if got := idnessOf(ED, logits); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("ED idness = %v, want %v", got, want)
 	}
 	// ED is shift-invariant: adding a constant to every logit must not
 	// change it — the property that makes it robust to overconfidence.
 	shifted := []float64{101, 102, 103}
-	if got := idness(ED, shifted); math.Abs(got-idness(ED, logits)) > 1e-9 {
-		t.Fatalf("ED not shift invariant: %v vs %v", got, idness(ED, logits))
+	if got := idnessOf(ED, shifted); math.Abs(got-idnessOf(ED, logits)) > 1e-9 {
+		t.Fatalf("ED not shift invariant: %v vs %v", got, idnessOf(ED, logits))
 	}
 }
 
@@ -47,8 +55,8 @@ func TestIdnessConfidenceOrdering(t *testing.T) {
 	peaked := []float64{5, 0, 0, 0}
 	uniform := []float64{1, 1, 1, 1}
 	for _, s := range OODStrategies() {
-		if idness(s, peaked) <= idness(s, uniform) {
-			t.Fatalf("%s: peaked idness %v not above uniform %v", s, idness(s, peaked), idness(s, uniform))
+		if idnessOf(s, peaked) <= idnessOf(s, uniform) {
+			t.Fatalf("%s: peaked idness %v not above uniform %v", s, idnessOf(s, peaked), idnessOf(s, uniform))
 		}
 	}
 }
@@ -59,7 +67,7 @@ func TestIdnessUnknownStrategyPanics(t *testing.T) {
 			t.Fatal("unknown strategy must panic")
 		}
 	}()
-	idness(OODStrategy(99), []float64{1})
+	idnessOf(OODStrategy(99), []float64{1})
 }
 
 func TestOODStrategyUnknownString(t *testing.T) {
@@ -93,13 +101,13 @@ func TestCalibrateIdentificationUsesLabeledLogits(t *testing.T) {
 		lLog := clf.Forward(labeled)
 		lv := make([]float64, lLog.Rows)
 		for i := range lv {
-			lv[i] = idness(s, lLog.Row(i))
+			lv[i] = idnessOf(s, lLog.Row(i))
 		}
 		cLog := clf.Forward(cand)
 		var wSum, vSum float64
 		for i := 0; i < cLog.Rows; i++ {
 			wSum += weights[i]
-			vSum += weights[i] * idness(s, cLog.Row(i))
+			vSum += weights[i] * idnessOf(s, cLog.Row(i))
 		}
 		want[s] = (median(lv) + vSum/wSum) / 2
 	}

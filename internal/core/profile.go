@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"targad/internal/dataset"
 	"targad/internal/monitor"
 )
@@ -21,24 +19,28 @@ const profileBins = monitor.DefaultBins
 // degenerate pool) simply ships without a profile and serving-time
 // monitoring disables itself.
 func (mo *Model) captureProfile(train *dataset.TrainSet) {
+	var err error
+	defer recoverToError("profile", &err) // best-effort: a panic ships no profile
 	x := train.Unlabeled
-	scores, err := mo.Score(context.Background(), x)
+	var strategies []OODStrategy
+	for _, s := range OODStrategies() {
+		if _, ok := mo.idThreshold[s]; ok {
+			strategies = append(strategies, s)
+		}
+	}
+	// One pass computes the scores and every calibrated decision mix.
+	opt := InferOptions{Strategies: strategies}
+	thresholds, err := mo.checkCall(nil, x.Cols, strategies)
 	if err != nil {
 		return
 	}
-	kinds := make(map[int][]dataset.Kind, len(mo.idThreshold))
-	for _, s := range OODStrategies() {
-		if _, ok := mo.idThreshold[s]; !ok {
-			continue
-		}
-		k, err := mo.Identify(x, s)
-		if err != nil {
-			continue
-		}
+	res := mo.infer(mo.clf, x, opt, thresholds)
+	kinds := make(map[int][]dataset.Kind, len(res.Kinds))
+	for s, k := range res.Kinds {
 		kinds[int(s)] = k
 	}
 	prior := float64(mo.k) / float64(mo.m+mo.k)
-	p, err := monitor.Capture(x, scores, kinds, prior, profileBins)
+	p, err := monitor.Capture(x, res.Scores, kinds, prior, profileBins)
 	if err != nil {
 		return
 	}

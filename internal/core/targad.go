@@ -760,72 +760,6 @@ func argsortDesc(v []float64) []int {
 	return idx
 }
 
-// Logits returns the classifier's raw outputs for each row of x. The
-// returned matrix is the network's own output workspace: it is valid
-// until the next forward or training pass through this model, and
-// callers needing it longer must Clone it.
-//
-// Like Score and Probabilities, Logits is NOT safe for concurrent use
-// on one Model — use Infer for concurrent scoring.
-func (mo *Model) Logits(x *mat.Matrix) (*mat.Matrix, error) {
-	if mo.clf == nil {
-		return nil, errors.New("targad: model is not fitted")
-	}
-	if x.Cols != mo.dim {
-		return nil, fmt.Errorf("targad: input dim %d, want %d", x.Cols, mo.dim)
-	}
-	return mo.clf.Forward(x), nil
-}
-
-// Probabilities returns softmax class probabilities (m+k columns).
-//
-// Concurrency contract: Probabilities runs the forward pass through
-// the classifier's layer-owned workspace buffers, so concurrent calls
-// on one Model race (and corrupt each other's outputs) even though
-// nothing in the signature suggests it. It is safe from one goroutine
-// at a time; concurrent callers — the serving layer above all — must
-// go through Infer, which scores on pooled parameter-sharing replicas
-// and returns bitwise-identical values.
-func (mo *Model) Probabilities(x *mat.Matrix) (*mat.Matrix, error) {
-	logits, err := mo.Logits(x)
-	if err != nil {
-		return nil, err
-	}
-	return nn.SoftmaxRows(logits), nil
-}
-
-// Score implements detector.Detector with Eq. (9):
-// S^tar(x) = max_{j ∈ [1,m]} p_j(x). Batch inference is parallel end
-// to end — the classifier forward pass, the row softmax, and this
-// reduction all split the batch across the worker pool — and the
-// scores are bitwise identical for any worker count. Like Fit, it
-// converts internal panics into a *InternalError at the boundary.
-//
-// Concurrency contract: Score is NOT safe for concurrent use on one
-// Model — the forward pass writes the classifier's layer-owned
-// workspaces (see internal/nn's buffer-ownership contract). Concurrent
-// scoring must use Infer, whose replica pool makes it safe and whose
-// scores are bitwise-identical to this method's.
-func (mo *Model) Score(ctx context.Context, x *mat.Matrix) (scores []float64, err error) {
-	defer recoverToError("score", &err)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	probs, err := mo.Probabilities(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, x.Rows)
-	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			_, out[i] = mat.ArgMax(probs.Row(i)[:mo.m])
-		}
-	})
-	return out, nil
-}
-
 // EvalAUPRC is a convenience used by convergence hooks: AUPRC of the
 // model on an evaluation set, 0 if degenerate.
 func (mo *Model) EvalAUPRC(e *dataset.EvalSet) float64 {

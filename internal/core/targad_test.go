@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -52,8 +53,8 @@ func TestUnfittedModelErrors(t *testing.T) {
 	if _, err := m.Score(context.Background(), mat.New(1, 3)); err == nil {
 		t.Fatal("scoring an unfitted model must error")
 	}
-	if _, err := m.Logits(mat.New(1, 3)); err == nil {
-		t.Fatal("logits of an unfitted model must error")
+	if _, err := m.Probabilities(mat.New(1, 3)); err == nil {
+		t.Fatal("probabilities of an unfitted model must error")
 	}
 }
 
@@ -337,8 +338,18 @@ func TestIdentifyReturnsValidKinds(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.Identify(b.Test.X, OODStrategy(42)); err == nil {
-		t.Fatal("unknown strategy must error")
+	if _, err := m.Identify(b.Test.X, OODStrategy(42)); !errors.Is(err, ErrNotCalibrated) {
+		t.Fatalf("unknown strategy: err = %v, want ErrNotCalibrated", err)
+	}
+	delete(m.idThreshold, ES)
+	if _, err := m.Identify(b.Test.X, ES); !errors.Is(err, ErrNotCalibrated) {
+		t.Fatalf("uncalibrated strategy: err = %v, want ErrNotCalibrated", err)
+	}
+	// A threshold under an unknown strategy (a corrupt save file) is
+	// still not a calibration: an error, never a panic.
+	m.idThreshold[OODStrategy(7)] = 0
+	if _, err := m.Identify(b.Test.X, OODStrategy(7)); !errors.Is(err, ErrNotCalibrated) {
+		t.Fatalf("unknown strategy with a threshold: err = %v, want ErrNotCalibrated", err)
 	}
 }
 

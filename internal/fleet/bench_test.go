@@ -14,8 +14,7 @@ import (
 // scoring workload over HTTP against one replica directly and through
 // targad-router in front of it (probe loop off, retries idle — the
 // steady-state proxy cost of buffer-once + forward + copy-back).
-// Divide routed by direct for the overhead factor; bench_baseline.sh
-// records both rows.
+// Divide routed by direct for the overhead factor.
 func BenchmarkRouterScore(b *testing.B) {
 	router, backends := newFleet(b, 1, nil)
 	rt := newRouterServer(b, router)

@@ -14,6 +14,7 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/faultinject"
 	"targad/internal/feedback"
+	"targad/internal/pin"
 	"targad/internal/retrain"
 	"targad/internal/serve"
 )
@@ -80,12 +81,11 @@ type entry struct {
 
 	pinned   bool         // the default entry; never evicted
 	lastUsed atomic.Int64 // registry clock tick of the last acquire
-	refs     atomic.Int64 // in-flight requests pinned to this entry
-	closed   atomic.Bool  // set when evicted; pinners must back off
+	pins     *pin.Ref     // in-flight requests; retired on eviction and Close
 }
 
 // close tears the entry's stack down in dependency order. Called only
-// after the entry left the hot map and its refs drained.
+// after the entry left the hot map and its pins drained.
 func (e *entry) close() {
 	if e.orch != nil {
 		e.orch.Close()
@@ -177,10 +177,10 @@ func (r *Registry) tenantModel(tenant string) string {
 }
 
 // acquire pins the named model's entry hot and returns it with a
-// release func. Cold models load on the spot (single-flighted); a
-// concurrently evicted entry is detected by the closed flag and the
-// lookup retried, so a returned entry's server is guaranteed live for
-// the duration of the pin.
+// release func. Cold models load on the spot (single-flighted); an
+// entry retired by a concurrent eviction refuses the pin and the
+// lookup is retried, so a returned entry's server is guaranteed live
+// for the duration of the pin.
 func (r *Registry) acquire(name string) (*entry, func(), error) {
 	for {
 		e, ok := (*r.hot.Load())[name]
@@ -191,18 +191,10 @@ func (r *Registry) acquire(name string) (*entry, func(), error) {
 				return nil, nil, err
 			}
 		}
-		e.refs.Add(1)
-		if e.closed.Load() {
-			// Lost the race with an eviction: this pin no longer keeps
-			// the entry alive (the drain may already have passed), so
-			// back off and reload. The stale pin is harmless — the
-			// drainer only needs refs taken BEFORE closed was set to
-			// reach zero, and those all release through this same path.
-			e.refs.Add(-1)
-			continue
+		if e.pins.TryPin() {
+			e.lastUsed.Store(r.clock.Add(1))
+			return e, e.pins.Release, nil
 		}
-		e.lastUsed.Store(r.clock.Add(1))
-		return e, func() { e.refs.Add(-1) }, nil
 	}
 }
 
@@ -259,9 +251,9 @@ func (r *Registry) load(name string) (*entry, error) {
 // publishLocked inserts e into the hot map and evicts past MaxHot.
 // Callers hold mu. The eviction ordering is the safety argument
 // (DESIGN.md §15): the shrunken map is published FIRST, so no new
-// request can find the victim; only then is the victim marked closed
-// and its drain started, so every ref taken from the old map either
-// finishes normally or backs off on the closed flag.
+// request can find the victim; only then is the victim retired, so
+// every request that found it in the old map either pinned it first,
+// and the drain waits for it, or fails the pin and looks again.
 func (r *Registry) publishLocked(e *entry) {
 	next := maps.Clone(*r.hot.Load())
 	next[e.name] = e
@@ -295,20 +287,18 @@ func (r *Registry) pickVictimLocked(m map[string]*entry, just *entry) *entry {
 	return victim
 }
 
-// retireLocked marks an unpublished victim closed and drains it in the
-// background: once every request pinned before the flag observes it
-// released, the entry's stack closes. In-flight batches finish on the
-// model they started with — eviction never fails a request.
+// retireLocked retires an unpublished victim and closes its stack in
+// the background once its last pin is released. In-flight batches
+// finish on the model they started with — eviction never fails a
+// request.
 func (r *Registry) retireLocked(victim *entry) {
-	victim.closed.Store(true)
+	victim.pins.Retire()
 	r.evicts.Add(1)
 	r.cfg.Logf("registry: evicting model %q (LRU)", victim.name)
 	r.evictWG.Add(1)
 	go func() {
 		defer r.evictWG.Done()
-		for victim.refs.Load() != 0 {
-			time.Sleep(time.Millisecond)
-		}
+		<-victim.pins.Drained()
 		victim.close()
 		r.cfg.Logf("registry: model %q drained and closed", victim.name)
 	}()
@@ -337,7 +327,7 @@ func (r *Registry) buildEntry(name string, spec ModelSpec) (*entry, error) {
 		scfg.Logf = func(format string, v ...any) { logf("model %s: "+format, append([]any{name}, v...)...) }
 	}
 
-	e := &entry{name: name, spec: spec}
+	e := &entry{name: name, spec: spec, pins: pin.New()}
 	if r.cfg.FeedbackRoot != "" {
 		store, err := feedback.Open(filepath.Join(r.cfg.FeedbackRoot, name), feedback.Config{})
 		if err != nil {
@@ -443,7 +433,7 @@ func (r *Registry) Close() {
 	empty := map[string]*entry{}
 	r.hot.Store(&empty)
 	for _, e := range old {
-		e.closed.Store(true)
+		e.pins.Retire()
 	}
 	flights := make([]*flight, 0, len(r.flights))
 	for _, f := range r.flights {
@@ -455,9 +445,7 @@ func (r *Registry) Close() {
 		<-f.done
 	}
 	for _, e := range old {
-		for e.refs.Load() != 0 {
-			time.Sleep(time.Millisecond)
-		}
+		<-e.pins.Drained()
 		e.close()
 	}
 	r.evictWG.Wait()

@@ -139,12 +139,11 @@ func (s *Server) drainQueue() {
 }
 
 // runBatch scores one coalesced batch and fans results back out to the
-// member jobs. The model generation is captured once, so a hot-reload
-// racing this batch lets it finish on the model it started with; in
-// f32 mode the capture also pins the generation against parameter
-// buffer reclaim (see precision.go). Mixed-precision batches (f32
-// frames coalesced with f64 traffic) split into one pass per element
-// type; in the common homogeneous case no split is allocated.
+// member jobs. The model generation is pinned once, so a hot-reload
+// racing this batch lets it finish on the model it started with (see
+// precision.go). Mixed-precision batches (f32 frames coalesced with f64
+// traffic) split into one pass per element type; in the common
+// homogeneous case no split is allocated.
 func (s *Server) runBatch(jobs []*job) {
 	// Drop jobs whose client already disconnected (hedge cancel, closed
 	// connection) before they cost inference; the buffered resp send
@@ -282,8 +281,11 @@ func (s *Server) runGroup(lm *loadedModel, jobs []*job, is32 bool) {
 func (s *Server) infer(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32, batch []*job) (*core.InferResult, int64, error) {
 	opt := core.InferOptions{}
 	var strategies []core.OODStrategy
-	if len(batch) == 1 && batch[0].arena != nil {
-		a := batch[0].arena
+	var a *reqArena // the single job's arena, nil for multi-job batches
+	if len(batch) == 1 {
+		a = batch[0].arena
+	}
+	if a != nil {
 		strategies = a.strategies[:0]
 		opt.Reuse = &a.res
 	}
@@ -323,10 +325,20 @@ func (s *Server) infer(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32, batch 
 	switch {
 	case x32 != nil:
 		rows = x32.Rows
-		res, err = lm.model.InferF32Rows(nil, x32, opt)
+		res, err = lm.model.InferF32(nil, x32, opt)
 	case s.cfg.Precision == F32:
+		// f64 rows on an f32 server are narrowed for the forward pass
+		// only; the drift window, shadow and acquisition below still
+		// see the rows as sent.
+		var n32 *mat.Matrix32
+		if a != nil {
+			a.x32 = mat.ToF32(a.x32, x)
+			n32 = a.x32
+		} else {
+			n32 = mat.ToF32(nil, x)
+		}
 		rows = x.Rows
-		res, err = lm.model.InferF32(nil, x, opt)
+		res, err = lm.model.InferF32(nil, n32, opt)
 	default:
 		rows = x.Rows
 		res, err = lm.model.Infer(nil, x, opt)

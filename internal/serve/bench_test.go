@@ -20,8 +20,8 @@ import (
 // over real HTTP for 1 vs N concurrent clients with micro-batching off
 // (MaxBatch=1: every request is its own inference pass on the replica
 // pool) and on (requests coalesce into shared Probabilities passes so
-// the blocked GEMM amortizes across clients). Recorded to
-// BENCH_PR4.json by scripts/bench_baseline.sh.
+// the blocked GEMM amortizes across clients). Historical rows:
+// BENCH_PR4.json.
 func BenchmarkServeScore(b *testing.B) {
 	benchServeScore(b, loadFixtureModel(b), F64)
 }
@@ -29,8 +29,7 @@ func BenchmarkServeScore(b *testing.B) {
 // BenchmarkServeScoreF32 is the same workload served on the float32
 // inference path (-precision f32); the delta against
 // BenchmarkServeScore is the end-to-end win from the f32 kernels.
-// Recorded next to the f64 rows in BENCH_PR6.json by
-// scripts/bench_baseline.sh.
+// Historical rows: BENCH_PR6.json.
 func BenchmarkServeScoreF32(b *testing.B) {
 	benchServeScore(b, loadFixtureModel(b), F32)
 }
@@ -38,8 +37,8 @@ func BenchmarkServeScoreF32(b *testing.B) {
 // BenchmarkServeScoreMonitored is the same workload over the v2
 // fixture, whose persisted profile arms the drift accumulator — the
 // delta against BenchmarkServeScore is the monitoring overhead
-// (budget: 0 extra allocs/op, <=5% latency). Recorded to
-// BENCH_PR5.json by scripts/bench_baseline.sh.
+// (budget: 0 extra allocs/op, <=5% latency). Historical rows:
+// BENCH_PR5.json.
 func BenchmarkServeScoreMonitored(b *testing.B) {
 	m := loadModelFile(b, fixtureV2Path)
 	if m.Profile() == nil {
@@ -253,8 +252,7 @@ func benchServeScore(b *testing.B, model *core.Model, prec Precision) {
 // (virtually) never sampling, proving the sampler's fast path — one
 // nil check plus a counter bump — adds zero allocations to the serving
 // path. The ci.sh gate holds it to the same <=9 allocs/op budget as
-// BenchmarkServeScoreBinary. Recorded to BENCH_PR9.json by
-// scripts/bench_baseline.sh.
+// BenchmarkServeScoreBinary. Historical rows: BENCH_PR9.json.
 func BenchmarkServeScoreWithAcquisition(b *testing.B) {
 	frame, err := wire.AppendRequestF64(nil, testRows(4, 123), int(core.ED), false)
 	if err != nil {

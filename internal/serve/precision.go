@@ -42,56 +42,49 @@ func ParsePrecision(s string) (Precision, bool) {
 	}
 }
 
-// Float32-mode generation tracking. The f64 path never touches any of
-// this: batches just atomically load the current generation, and
-// retired generations are left to the GC. In f32 mode each generation
-// carries a converted parameter set worth recycling, so batches pin the
-// generation they score on (acquireModel/releaseModel) and the reload
-// path hands the drained previous generation's buffers back to
-// core.Model.EnableF32 — a steady stream of reloads then allocates no
-// parameter garbage.
+// Generation pinning. Every batch pins the generation it scores on
+// (acquireModel/releaseModel), whatever the precision; install
+// publishes the successor, then retires the outgoing generation. In
+// f64 mode nothing waits on the drain and the GC takes the retired
+// generation. In f32 mode each generation carries a converted
+// parameter set worth recycling: the next reload waits for the retired
+// generation to drain and hands its buffers to core.Model.EnableF32,
+// so a steady stream of reloads allocates no parameter garbage.
 
-// acquireModel captures the serving generation for one batch. In f32
-// mode the generation is pinned: lmMu closes the race between loading
-// the pointer and registering on the generation's in-flight count, so
-// a concurrent install can never retire a generation between a batch
-// seeing it and pinning it.
+// spare32 is what a retired generation leaves for reclaim: its float32
+// parameter set (nil on the f64 path) and its drain signal. It holds
+// no reference to the generation itself.
+type spare32 struct {
+	params  *nn.Params32
+	drained <-chan struct{}
+}
+
+// acquireModel pins the serving generation for one batch, or returns
+// nil when no model is loaded. A failed pin means install retired the
+// generation after publishing its successor, so the retry finds the
+// successor.
 func (s *Server) acquireModel() *loadedModel {
-	if s.cfg.Precision != F32 {
-		return s.cur.Load()
+	for {
+		lm := s.cur.Load()
+		if lm == nil || lm.pins.TryPin() {
+			return lm
+		}
 	}
-	s.lmMu.RLock()
-	lm := s.cur.Load()
-	if lm != nil {
-		lm.inflight.Add(1)
-	}
-	s.lmMu.RUnlock()
-	return lm
 }
 
 // releaseModel unpins a generation captured by acquireModel.
-func (s *Server) releaseModel(lm *loadedModel) {
-	if s.cfg.Precision == F32 && lm != nil {
-		lm.inflight.Done()
-	}
-}
+func (s *Server) releaseModel(lm *loadedModel) { lm.pins.Release() }
 
 // reclaimSpare32 returns the float32 parameter buffers of the
-// generation retired by the previous install, after its last in-flight
-// batch drains, or nil when there is nothing to recycle. Callers hold
-// reloadMu. Every batch on the retired generation registered its pin
-// before the install swapped it out (acquireModel holds lmMu across
-// load+pin, install holds it across the swap), so Wait covers them all
-// and nothing can pin the generation afterwards.
+// generation retired by the previous install, once its last batch has
+// released its pin, or nil when there is nothing to recycle. Callers
+// hold reloadMu.
 func (s *Server) reclaimSpare32() *nn.Params32 {
-	if s.cfg.Precision != F32 {
+	sp := s.spare
+	if sp.params == nil {
 		return nil
 	}
-	r := s.retired
-	if r == nil {
-		return nil
-	}
-	r.inflight.Wait()
-	s.retired = nil
-	return r.model.F32Params()
+	<-sp.drained
+	s.spare = spare32{}
+	return sp.params
 }

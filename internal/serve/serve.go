@@ -49,6 +49,7 @@ import (
 	"targad/internal/mat"
 	"targad/internal/monitor"
 	"targad/internal/obs"
+	"targad/internal/pin"
 	"targad/internal/wire"
 )
 
@@ -155,10 +156,9 @@ type loadedModel struct {
 	loadedAt time.Time
 	mon      *monitor.Accumulator // nil = monitoring disabled
 
-	// inflight counts batches scoring on this generation; used only in
-	// f32 mode (see precision.go), where a retired generation's
-	// parameter buffers are recycled once it drains.
-	inflight sync.WaitGroup
+	// pins counts batches scoring on this generation (acquireModel);
+	// install retires it once the successor is published.
+	pins *pin.Ref
 }
 
 // Server is the scoring service. Create with New, mount Handler on an
@@ -176,12 +176,10 @@ type Server struct {
 
 	reloadMu sync.Mutex // serializes Reload/SetModel/shadow swaps
 
-	// Float32-mode generation tracking (precision.go): lmMu closes the
-	// load→pin race between batches and installs; retired holds the
-	// last swapped-out generation until its float32 parameter buffers
-	// are reclaimed on the next reload (guarded by reloadMu).
-	lmMu    sync.RWMutex
-	retired *loadedModel
+	// spare is the float32 parameter set of the last retired
+	// generation, recycled once it drains (precision.go; guarded by
+	// reloadMu).
+	spare spare32
 
 	// shadow is the candidate model under evaluation (nil when none);
 	// see shadow.go. shadowSeq numbers candidates so promote/discard
@@ -324,17 +322,15 @@ func (s *Server) install(m *core.Model, source string) int64 {
 		source:   source,
 		loadedAt: time.Now(),
 		mon:      s.newAccumulator(m),
+		pins:     pin.New(),
 	}
 	s.armAlarmHook(next)
-	if s.cfg.Precision == F32 {
-		// The swap happens under lmMu so no batch can pin the outgoing
-		// generation after it lands in retired (see precision.go).
-		s.lmMu.Lock()
-		s.retired = s.cur.Load()
-		s.cur.Store(next)
-		s.lmMu.Unlock()
-	} else {
-		s.cur.Store(next)
+	// Publish before retire: a batch that loaded the outgoing
+	// generation either pinned it first, and its drain waits for that
+	// batch, or fails the pin and finds next.
+	if old := s.cur.Swap(next); old != nil {
+		old.pins.Retire()
+		s.spare = spare32{params: old.model.F32Params(), drained: old.pins.Drained()}
 	}
 	return v
 }

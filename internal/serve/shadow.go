@@ -304,11 +304,16 @@ func (s *Server) maybeShadow(x *mat.Matrix, x32 *mat.Matrix32, scores []float64,
 		return
 	}
 	sb := shadowBatchPool.Get().(*shadowBatch)
-	sb.is32 = x32 != nil
-	if sb.is32 {
+	sb.is32 = x32 != nil || s.cfg.Precision == F32
+	switch {
+	case x32 != nil:
 		sb.x32 = mat.Ensure32(sb.x32, x32.Rows, x32.Cols)
 		copy(sb.x32.Data, x32.Data)
-	} else {
+	case sb.is32:
+		// The candidate scores on the same f32 path as the served
+		// generation, so f64 rows are narrowed here.
+		sb.x32 = mat.ToF32(sb.x32, x)
+	default:
 		sb.x = mat.Ensure(sb.x, x.Rows, x.Cols)
 		copy(sb.x.Data, x.Data)
 	}
@@ -336,12 +341,9 @@ func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
 	}
 	var res *core.InferResult
 	var err error
-	switch {
-	case sb.is32:
-		res, err = sh.model.InferF32Rows(nil, sb.x32, opt)
-	case s.cfg.Precision == F32:
-		res, err = sh.model.InferF32(nil, sb.x, opt)
-	default:
+	if sb.is32 {
+		res, err = sh.model.InferF32(nil, sb.x32, opt)
+	} else {
 		res, err = sh.model.Infer(nil, sb.x, opt)
 	}
 

@@ -60,7 +60,8 @@ TARGAD_NOSIMD=1 go test -count=1 -run 'TestFitKernelSwap|TestOuterF64|TestNeares
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
 # asm-vs-Go kernel-swap fit, and the full serving stack (micro-batcher,
 # replica-pool inference, hot reload under load, shedding, shadow
-# evaluation) with a multi-worker pool under the race detector. The zero-alloc assertions self-skip under
+# evaluation, the generation pin refcount) with a multi-worker pool
+# under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
 # the smoke short — the full core suite already ran above.
@@ -69,7 +70,7 @@ TARGAD_WORKERS=4 go test -race -short -count=1 \
     ./internal/parallel ./internal/mat ./internal/cluster ./internal/nn \
     ./internal/serve ./internal/monitor ./internal/fleet \
     ./internal/feedback ./internal/activelearn ./internal/retrain \
-    ./internal/registry
+    ./internal/registry ./internal/pin
 TARGAD_WORKERS=4 go test -race -short -count=1 \
     -run 'TrainPerCluster' ./internal/autoencoder
 TARGAD_WORKERS=4 go test -race -short -count=1 \
