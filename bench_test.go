@@ -275,12 +275,10 @@ func BenchmarkTargADScoreF32(b *testing.B) {
 	if err := m.EnableF32(nil); err != nil {
 		b.Fatal(err)
 	}
-	var x32 *mat.Matrix32
 	for _, w := range benchWorkerCounts() {
 		atWorkers(b, w, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x32 = mat.ToF32(x32, bundle.Test.X)
-				if _, err := m.InferF32(context.Background(), x32, core.InferOptions{}); err != nil {
+				if _, err := m.InferF32(context.Background(), bundle.Test.X, core.InferOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,7 +40,7 @@ func testF32Tolerance(t *testing.T, fixturePath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.InferF32(context.Background(), mat.ToF32(nil, x), opt)
+	got, err := m.InferF32(context.Background(), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/mat"
 	"targad/internal/nn"
-	"targad/internal/parallel"
 )
 
 // ErrNotCalibrated reports an identification request for a strategy the
@@ -170,9 +169,8 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 
 // infer is the one f64 inference body: the forward pass on clf (a
 // pooled replica for Infer, the model's own classifier for the offline
-// wrappers), the row softmax, the Eq. (9) target score, and the Section
-// III-C three-way decision per requested strategy. The call must have
-// passed checkCall, which produced thresholds.
+// wrappers) and the row softmax, then the decision tail. The call must
+// have passed checkCall, which produced thresholds.
 func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	logits := clf.Forward(x)
 	// Softmax lands in a caller-owned matrix (never a layer workspace):
@@ -183,32 +181,38 @@ func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds 
 	if opt.Reuse != nil {
 		probsDst = opt.Reuse.Probs
 	}
-	probs := nn.SoftmaxRowsInto(probsDst, logits)
+	return mo.decide(nn.SoftmaxRowsInto(probsDst, logits), logits, opt, thresholds)
+}
 
-	res := prepareResult(opt, x.Rows)
-	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			_, res.Scores[i] = mat.ArgMax(probs.Row(i)[:mo.m])
+// decide is the one decision tail behind every inference path, f64
+// and f32 alike: the Eq. (9) target score and the Section III-C
+// three-way decision per requested strategy, read off one batch's
+// softmax rows and logits. It is one serial pass: the per-row work is
+// a few comparisons and, for ES/ED, one exponential per class, so a
+// worker fan-out would cost more than it saves. probs becomes the
+// result's Probs when opt.Probs or opt.Reuse is set, so it must then
+// be caller-owned.
+func (mo *Model) decide(probs, logits *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
+	res := prepareResult(opt, probs.Rows)
+	normalCut := float64(mo.k) / float64(mo.m+mo.k)
+	for i := 0; i < probs.Rows; i++ {
+		row := probs.Row(i)
+		_, res.Scores[i] = mat.ArgMax(row[:mo.m])
+		if len(opt.Strategies) == 0 {
+			continue
 		}
-	})
-
-	if len(opt.Strategies) > 0 {
-		normalCut := float64(mo.k) / float64(mo.m+mo.k)
-		for i := 0; i < x.Rows; i++ {
-			row := probs.Row(i)
-			var pNormal float64
-			for j := mo.m; j < mo.m+mo.k; j++ {
-				pNormal += row[j]
-			}
-			for _, s := range opt.Strategies {
-				switch {
-				case pNormal > normalCut:
-					res.Kinds[s][i] = dataset.KindNormal
-				case idness(s, row, logits.Row(i)) >= thresholds[s]:
-					res.Kinds[s][i] = dataset.KindTarget
-				default:
-					res.Kinds[s][i] = dataset.KindNonTarget
-				}
+		var pNormal float64
+		for j := mo.m; j < mo.m+mo.k; j++ {
+			pNormal += row[j]
+		}
+		for _, s := range opt.Strategies {
+			switch {
+			case pNormal > normalCut:
+				res.Kinds[s][i] = dataset.KindNormal
+			case idness(s, row, logits.Row(i)) >= thresholds[s]:
+				res.Kinds[s][i] = dataset.KindTarget
+			default:
+				res.Kinds[s][i] = dataset.KindNonTarget
 			}
 		}
 	}
@@ -219,9 +223,8 @@ func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds 
 }
 
 // Score implements detector.Detector with Eq. (9):
-// S^tar(x) = max_{j ∈ [1,m]} p_j(x). Batch inference is parallel end
-// to end — the classifier forward pass, the row softmax, and this
-// reduction all split the batch across the worker pool — and the
+// S^tar(x) = max_{j ∈ [1,m]} p_j(x). The classifier forward pass and
+// the row softmax split the batch across the worker pool, and the
 // scores are bitwise identical for any worker count. Like Fit, it
 // converts internal panics into a *InternalError at the boundary.
 //

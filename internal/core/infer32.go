@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"targad/internal/dataset"
 	"targad/internal/mat"
 	"targad/internal/nn"
 	"targad/internal/parallel"
@@ -21,12 +20,14 @@ import (
 // ErrF32NotEnabled reports an InferF32 call before EnableF32.
 var ErrF32NotEnabled = errors.New("targad: float32 inference not enabled")
 
-// f32Replica bundles a float32 forward-pass replica with its softmax
-// workspace, pooled on the same free-list discipline as the f64
-// replicas.
+// f32Replica bundles a float32 forward-pass replica with its input and
+// widening workspaces, pooled on the same free-list discipline as the
+// f64 replicas.
 type f32Replica struct {
-	inf   *nn.Inference32
-	probs *mat.Matrix32 // softmax output, detached from replica workspaces
+	inf    *nn.Inference32
+	x      *mat.Matrix32 // the batch narrowed to float32
+	logits *mat.Matrix   // the f32 logits, widened
+	probs  *mat.Matrix   // the f32 softmax rows, widened, when the result does not keep them
 }
 
 // EnableF32 builds (or rebuilds) the model's float32 parameter set from
@@ -101,16 +102,18 @@ func (mo *Model) releaseInferF32(r *f32Replica) {
 
 // InferF32 is the float32 twin of Infer: same result shape, same
 // thread-safety (any number of goroutines on one model), same
-// three-way identification logic — but it takes float32 rows and the
-// forward pass, softmax, and ID-ness scores run in float32. Callers
-// holding float64 rows narrow them with mat.ToF32 into a buffer they
-// own; the binary wire path decodes f32 frames straight into a
-// Matrix32. Thresholds stay the calibrated float64 values; only the
-// scores compared against them carry f32 rounding. Results are
-// deterministic for a fixed binary, CPU, and input (worker count never
-// changes a row's value), but differ from Infer within the tolerance
-// pinned by f32_tolerance_test.go.
-func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix32, opt InferOptions) (_ *InferResult, err error) {
+// three-way identification — but the forward pass and softmax run in
+// float32. It narrows x into the replica's float32 workspace, runs the
+// f32 forward pass and softmax, widens the logits and probabilities
+// exactly, and hands them to the decision tail Infer uses. Widening is
+// exact and order-preserving, so the f64 reductions there equal their
+// float32 counterparts on the f32 rows bit for bit. Thresholds stay
+// the calibrated float64 values; only the scores compared against them
+// carry f32 rounding. Results are deterministic for a fixed binary,
+// CPU, and input (worker count never changes a row's value), but
+// differ from Infer within the tolerance pinned by
+// f32_tolerance_test.go.
+func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) (_ *InferResult, err error) {
 	defer recoverToError("infer-f32", &err)
 	thresholds, err := mo.checkCall(ctx, x.Cols, opt.Strategies)
 	if err != nil {
@@ -122,14 +125,15 @@ func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix32, opt InferOptions
 	}
 	defer mo.releaseInferF32(rep)
 
-	logits := rep.inf.Forward(x)
+	rep.x = mat.ToF32(rep.x, x)
+	logits := rep.inf.Forward(rep.x)
 
-	res := prepareResult(opt, x.Rows)
 	if len(opt.Strategies) == 0 && !opt.Probs {
 		// Score-only requests skip materializing the distribution:
 		// SoftmaxHeadMax32 is bitwise-identical to the softmax+argmax
 		// below, so the answer doesn't depend on what else was asked
 		// for.
+		res := prepareResult(opt, x.Rows)
 		parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				res.Scores[i] = mat.SoftmaxHeadMax32(logits.Row(i), mo.m)
@@ -138,59 +142,25 @@ func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix32, opt InferOptions
 		return res, nil
 	}
 
-	// Softmax lands in the replica's detached probs workspace (logits is
-	// an inference workspace the next Forward would clobber); everything
-	// the result carries is copied out before the replica is released.
-	rep.probs = mat.Ensure32(rep.probs, logits.Rows, logits.Cols)
-	probs := rep.probs
-
+	// The logits are widened before the softmax overwrites them in
+	// place (they are this replica's own workspace); the probabilities
+	// land in the recycled result's Probs, a fresh matrix the result
+	// keeps, or the replica's buffer when the result keeps neither.
+	rep.logits = mat.ToF64(rep.logits, logits)
 	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			mat.Softmax32(probs.Row(i), logits.Row(i))
-			_, s := mat.ArgMax32(probs.Row(i)[:mo.m])
-			res.Scores[i] = float64(s)
+			mat.Softmax32(logits.Row(i), logits.Row(i))
 		}
 	})
-
-	if len(opt.Strategies) > 0 {
-		normalCut := float64(mo.k) / float64(mo.m+mo.k)
-		for i := 0; i < x.Rows; i++ {
-			row := probs.Row(i)
-			var pNormal float64
-			for j := mo.m; j < mo.m+mo.k; j++ {
-				pNormal += float64(row[j])
-			}
-			for _, s := range opt.Strategies {
-				switch {
-				case pNormal > normalCut:
-					res.Kinds[s][i] = dataset.KindNormal
-				case idness32(s, row, logits.Row(i)) >= thresholds[s]:
-					res.Kinds[s][i] = dataset.KindTarget
-				default:
-					res.Kinds[s][i] = dataset.KindNonTarget
-				}
-			}
-		}
-	}
-	if opt.Probs {
-		res.Probs = mat.ToF64(res.Probs, probs)
-	}
-	return res, nil
-}
-
-// idness32 computes the strategy's ID-ness score from one row's f32
-// softmax probabilities and logits, mirroring idness; ES/ED reduce the
-// logits with float64 accumulators.
-func idness32(s OODStrategy, probs, logits []float32) float64 {
-	switch s {
-	case MSP:
-		_, p := mat.ArgMax32(probs)
-		return float64(p)
-	case ES:
-		return mat.LogSumExp32(logits)
-	case ED:
-		return mat.LogSumExp32(logits) - mat.Mean32(logits)
+	var probs *mat.Matrix
+	switch {
+	case opt.Reuse != nil:
+		probs = mat.ToF64(opt.Reuse.Probs, logits)
+	case opt.Probs:
+		probs = mat.ToF64(nil, logits)
 	default:
-		panic("targad: unknown OOD strategy")
+		rep.probs = mat.ToF64(rep.probs, logits)
+		probs = rep.probs
 	}
+	return mo.decide(probs, rep.logits, opt, thresholds), nil
 }

@@ -49,7 +49,7 @@ func calibratedStrategies(m *Model) []OODStrategy {
 // internal path ran.
 func TestInferF32ScoreOnlyBitwise(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
-	x := mat.ToF32(nil, fixtureInput(m.dim))
+	x := fixtureInput(m.dim)
 	fast, err := m.InferF32(context.Background(), x, InferOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestInferF32RequiresEnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.InferF32(context.Background(), mat.ToF32(nil, fixtureInput(m.dim)), InferOptions{})
+	_, err = m.InferF32(context.Background(), fixtureInput(m.dim), InferOptions{})
 	if !errors.Is(err, ErrF32NotEnabled) {
 		t.Fatalf("InferF32 before EnableF32: err = %v, want ErrF32NotEnabled", err)
 	}
@@ -99,7 +99,7 @@ func TestEnableF32RejectsPoisonedParams(t *testing.T) {
 	if m.F32Params() != nil {
 		t.Fatal("failed EnableF32 left f32 params armed")
 	}
-	_, err = m.InferF32(context.Background(), mat.ToF32(nil, fixtureInput(m.dim)), InferOptions{})
+	_, err = m.InferF32(context.Background(), fixtureInput(m.dim), InferOptions{})
 	if !errors.Is(err, ErrF32NotEnabled) {
 		t.Fatalf("InferF32 after failed enable: err = %v, want ErrF32NotEnabled", err)
 	}
@@ -107,7 +107,7 @@ func TestEnableF32RejectsPoisonedParams(t *testing.T) {
 
 func TestInferF32DimMismatch(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
-	if _, err := m.InferF32(context.Background(), mat.New32(2, m.dim+1), InferOptions{}); err == nil {
+	if _, err := m.InferF32(context.Background(), mat.New(2, m.dim+1), InferOptions{}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestInferF32DimMismatch(t *testing.T) {
 // path is deterministic per binary/CPU regardless of replica reuse.
 func TestInferF32Concurrent(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
-	x := mat.ToF32(nil, fixtureInput(m.dim))
+	x := fixtureInput(m.dim)
 	opt := InferOptions{Strategies: calibratedStrategies(m), Probs: true}
 	base, err := m.InferF32(context.Background(), x, opt)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestInferF32Concurrent(t *testing.T) {
 // split never changes a row's value.
 func TestInferF32WorkerInvariance(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
-	x := mat.ToF32(nil, fixtureInput(m.dim))
+	x := fixtureInput(m.dim)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	base, err := m.InferF32(context.Background(), x, InferOptions{})

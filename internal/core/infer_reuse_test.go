@@ -120,18 +120,18 @@ func TestInferReuseDropsStaleStrategies(t *testing.T) {
 func TestInferF32ReuseBitwise(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
 	strategies := calibratedStrategies(m)
-	x32 := mat.ToF32(nil, fixtureInput(m.dim))
+	x := fixtureInput(m.dim)
 
 	opt := InferOptions{Strategies: strategies, Probs: true}
-	want, err := m.InferF32(context.Background(), x32, opt)
+	want, err := m.InferF32(context.Background(), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.InferF32(context.Background(), x32, opt)
+	got, err := m.InferF32(context.Background(), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := m.InferF32(context.Background(), x32, InferOptions{Strategies: strategies, Probs: true, Reuse: got})
+	got2, err := m.InferF32(context.Background(), x, InferOptions{Strategies: strategies, Probs: true, Reuse: got})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestInferF32ReuseBitwise(t *testing.T) {
 			t.Fatalf("f32 reuse probability %d differs", i)
 		}
 	}
-	fast, err := m.InferF32(context.Background(), x32, InferOptions{Reuse: got2})
+	fast, err := m.InferF32(context.Background(), x, InferOptions{Reuse: got2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"targad/internal/monitor"
@@ -41,7 +42,8 @@ const (
 )
 
 // ErrBadFormat reports a stream that does not carry this package's
-// envelope at all (wrong magic or wrong kind).
+// envelope at all (wrong magic or wrong kind), or whose payload is
+// truncated, corrupt, or inconsistent with its own metadata.
 var ErrBadFormat = errors.New("targad: not a recognized save file")
 
 // ErrUnknownVersion reports an envelope from a newer (or otherwise
@@ -164,27 +166,31 @@ func (mo *Model) Save(w io.Writer) error {
 // TargAD save file fails with ErrBadFormat; a save from a newer format
 // version fails with ErrUnknownVersion.
 func Load(r io.Reader) (*Model, error) {
-	var s savedModel
+	// Non-nil maps make gob insert into them instead of pre-sizing a
+	// fresh map from the length the stream claims — a forged count
+	// would otherwise allocate unbounded memory before any entry is
+	// read. An empty preset profile fails Validate below and is
+	// dropped, exactly like an absent one.
+	s := savedModel{
+		Thresholds: map[int]float64{},
+		Profile:    &monitor.Profile{Mix: map[int][3]float64{}},
+	}
 	if err := readEnvelope(r, kindModel, modelFormatVersion, &s); err != nil {
 		return nil, fmt.Errorf("targad: load: %w", err)
 	}
 	if s.M < 1 || s.K < 1 || s.Dim < 1 {
-		return nil, fmt.Errorf("targad: load: invalid metadata m=%d k=%d dim=%d", s.M, s.K, s.Dim)
+		return nil, fmt.Errorf("targad: load: %w: invalid metadata m=%d k=%d dim=%d", ErrBadFormat, s.M, s.K, s.Dim)
 	}
 	dims := append([]int{s.Dim}, s.ClfHidden...)
 	dims = append(dims, s.M+s.K)
+	if err := checkParamShapes(dims, s.Params); err != nil {
+		return nil, fmt.Errorf("targad: load: %w: %v", ErrBadFormat, err)
+	}
 	clf, err := nn.NewMLP(nn.MLPConfig{Dims: dims, Hidden: nn.ReLU, Output: nn.Identity, Init: nn.HeNormal}, rng.New(0))
 	if err != nil {
 		return nil, fmt.Errorf("targad: load: %w", err)
 	}
-	params := clf.Params()
-	if len(params) != len(s.Params) {
-		return nil, fmt.Errorf("targad: load: %d param tensors, saved %d", len(params), len(s.Params))
-	}
-	for i, p := range params {
-		if len(p.Data) != len(s.Params[i]) {
-			return nil, fmt.Errorf("targad: load: param %d has %d values, saved %d", i, len(p.Data), len(s.Params[i]))
-		}
+	for i, p := range clf.Params() {
 		copy(p.Data, s.Params[i])
 	}
 	mo := New(Config{ClfHidden: s.ClfHidden}, 0)
@@ -198,14 +204,42 @@ func Load(r io.Reader) (*Model, error) {
 	for _, t := range s.ThresholdList {
 		mo.idThreshold[OODStrategy(t.Strategy)] = t.Cut
 	}
-	if s.Profile != nil && len(s.ProfileMix) > 0 {
+	if len(s.ProfileMix) > 0 {
 		s.Profile.Mix = make(map[int][3]float64, len(s.ProfileMix))
 		for _, m := range s.ProfileMix {
 			s.Profile.Mix[m.Strategy] = m.Mix
 		}
 	}
-	if s.Profile != nil && s.Profile.Validate() == nil && s.Profile.Dim() == s.Dim {
+	if s.Profile.Validate() == nil && s.Profile.Dim() == s.Dim {
 		mo.profile = s.Profile
 	}
 	return mo, nil
+}
+
+// checkParamShapes verifies that params holds exactly the weight and
+// bias tensors of the dense network over dims (layer widths, input
+// first), in nn.MLP parameter order. Load runs it before sizing
+// anything from dims: the widths come from the file, so a forged width
+// must fail against the tensors actually decoded, not allocate a
+// network first.
+func checkParamShapes(dims []int, params [][]float64) error {
+	layers := len(dims) - 1
+	if len(params) != 2*layers {
+		return fmt.Errorf("%d param tensors, want %d for %d dense layers", len(params), 2*layers, layers)
+	}
+	for i, d := range dims {
+		if d < 1 {
+			return fmt.Errorf("layer width %d is %d", i, d)
+		}
+	}
+	for l := 0; l < layers; l++ {
+		in, out := dims[l], dims[l+1]
+		if w := params[2*l]; in > math.MaxInt/out || len(w) != in*out {
+			return fmt.Errorf("param %d has %d values, want %d×%d", 2*l, len(w), in, out)
+		}
+		if b := params[2*l+1]; len(b) != out {
+			return fmt.Errorf("param %d has %d values, want %d", 2*l+1, len(b), out)
+		}
+	}
+	return nil
 }

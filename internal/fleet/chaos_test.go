@@ -116,8 +116,12 @@ func TestChaosKillStallFlap(t *testing.T) {
 	var badBodies []string
 	var done atomic.Bool
 	var wg sync.WaitGroup
+	// started/finished count each worker's requests, so a phase can
+	// wait out every request already in flight (see quiesce).
+	const workers = 6
+	var started, finished [workers]atomic.Int64
 	client := &http.Client{Timeout: 10 * time.Second}
-	for w := 0; w < 6; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -128,11 +132,13 @@ func TestChaosKillStallFlap(t *testing.T) {
 			for i := 0; !done.Load(); i++ {
 				var st int
 				var body []byte
+				started[w].Add(1)
 				if w%2 == 0 {
 					st, body = postJSON(t, client, rt.URL, rows, tenant)
 				} else {
 					st, body = postBinary(t, client, rt.URL, frame, tenant)
 				}
+				finished[w].Add(1)
 				if st != http.StatusOK {
 					bad.Add(1)
 					badMu.Lock()
@@ -143,6 +149,20 @@ func TestChaosKillStallFlap(t *testing.T) {
 				}
 			}
 		}(w)
+	}
+	// quiesce waits until every request in flight when it is called
+	// has finished, retries included. Each worker is sequential, so
+	// that is each worker finishing as many requests as it had started.
+	quiesce := func() {
+		var want [workers]int64
+		for w := range want {
+			want[w] = started[w].Load()
+		}
+		for w := range want {
+			for finished[w].Load() < want[w] {
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 
 	phase.Store(1)
@@ -164,6 +184,13 @@ func TestChaosKillStallFlap(t *testing.T) {
 	for faultinject.Fired(faultinject.FleetBackendLatency) < 8 {
 		time.Sleep(20 * time.Millisecond)
 	}
+	// A stall has fired when its try starts, not when it ends: the
+	// stalled tries are still waiting out TryTimeout, and their retries
+	// have yet to run. Let them finish before the 5xx burst, or one
+	// request can meet the stall on 1, then the burst on 2 with 0 dead,
+	// and run out of candidates — two simultaneous faults the fleet is
+	// not sized to absorb.
+	quiesce()
 
 	phase.Store(3)
 	// Phase 3: 5xx burst on backend 2 — retries absorb it.

@@ -140,7 +140,7 @@ func Softmax32(out, logits []float32) {
 // SoftmaxHeadMax32 returns the maximum softmax probability among the
 // first m entries of logits without materializing the distribution —
 // the score-only fast path of float32 inference. The arithmetic
-// mirrors Softmax32 followed by ArgMax32 over the head EXACTLY
+// mirrors Softmax32 followed by ArgMax over the widened head EXACTLY
 // (float64 exponentials summed wide, the winning exponential narrowed
 // to float32, one reciprocal multiply, narrowed again), so the result
 // is bitwise-identical to that two-step computation; a test pins the
@@ -197,55 +197,4 @@ func expNeg(x float64) float64 {
 	r4 := r2 * r2
 	p := (1 + r) + r2*(0.5+r*(1.0/6)) + r4*((1.0/24+r*(1.0/120))+r2*(1.0/720))
 	return p * math.Float64frombits(uint64(1023+int64(n))<<52)
-}
-
-// ArgMax32 returns the index of the maximum element (first on ties) and
-// its value. It panics on an empty slice.
-func ArgMax32(x []float32) (int, float32) {
-	if len(x) == 0 {
-		panic("mat: argmax of empty slice")
-	}
-	bi, bv := 0, x[0]
-	for i, v := range x[1:] {
-		if v > bv {
-			bi, bv = i+1, v
-		}
-	}
-	return bi, bv
-}
-
-// LogSumExp32 returns log(Σ exp(x_i)) of a float32 vector, accumulated
-// in float64 for the same stability as LogSumExp.
-func LogSumExp32(x []float32) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	mf := float64(m)
-	if math.IsInf(mf, -1) {
-		return mf
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(float64(v) - mf)
-	}
-	return mf + math.Log(s)
-}
-
-// Mean32 returns the arithmetic mean of x accumulated in float64, or 0
-// for an empty slice.
-func Mean32(x []float32) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s / float64(len(x))
 }

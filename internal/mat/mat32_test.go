@@ -69,9 +69,10 @@ func TestSoftmax32MatchesF64(t *testing.T) {
 }
 
 // TestSoftmaxHeadMax32Bitwise pins the fast path's contract: for any
-// row, SoftmaxHeadMax32 equals Softmax32-then-max-over-head bitwise,
-// so score-only inference and probability-carrying inference report
-// identical scores.
+// row, SoftmaxHeadMax32 equals Softmax32-then-max-over-the-widened-head
+// bitwise, so score-only inference and probability-carrying inference
+// (which widens the f32 softmax rows and takes ArgMax) report identical
+// scores.
 func TestSoftmaxHeadMax32Bitwise(t *testing.T) {
 	rows := [][]float32{
 		{1.5, -2, 0.25, 7, 7, -30},
@@ -84,8 +85,11 @@ func TestSoftmaxHeadMax32Bitwise(t *testing.T) {
 		for m := 1; m <= len(logits); m++ {
 			probs := make([]float32, len(logits))
 			Softmax32(probs, logits)
-			_, want32 := ArgMax32(probs[:m])
-			want := float64(want32)
+			head := make([]float64, m)
+			for j, p := range probs[:m] {
+				head[j] = float64(p)
+			}
+			_, want := ArgMax(head)
 			if got := SoftmaxHeadMax32(logits, m); got != want {
 				t.Fatalf("SoftmaxHeadMax32(%v, %d) = %v, softmax+argmax = %v (must be bitwise)", logits, m, got, want)
 			}
@@ -116,30 +120,6 @@ func TestExpNeg(t *testing.T) {
 	}
 	if got := expNeg(math.Inf(-1)); got != 0 {
 		t.Fatalf("expNeg(-Inf) = %v, want 0", got)
-	}
-}
-
-func TestArgMax32(t *testing.T) {
-	i, v := ArgMax32([]float32{-3, 8, 8, 1})
-	if i != 1 || v != 8 {
-		t.Fatalf("ArgMax32 = (%d, %v), want (1, 8) — first on ties", i, v)
-	}
-}
-
-func TestLogSumExp32AndMean32(t *testing.T) {
-	x := []float32{-1, 0.5, 3}
-	want := math.Log(math.Exp(-1) + math.Exp(0.5) + math.Exp(3))
-	if got := LogSumExp32(x); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("LogSumExp32 = %v, want %v", got, want)
-	}
-	if got := LogSumExp32(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LogSumExp32(nil) = %v, want -Inf", got)
-	}
-	if got := Mean32(x); math.Abs(got-0.8333333) > 1e-6 {
-		t.Fatalf("Mean32 = %v", got)
-	}
-	if got := Mean32(nil); got != 0 {
-		t.Fatalf("Mean32(nil) = %v", got)
 	}
 }
 

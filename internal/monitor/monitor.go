@@ -442,50 +442,6 @@ func (a *Accumulator) Observe(x *mat.Matrix, scores []float64, kinds []dataset.K
 	}
 }
 
-// Observe32 is Observe for float32 feature rows — the binary wire
-// path's f32 frames land here without widening into a scratch matrix.
-// Each element is widened exactly (float64(float32) is lossless), so a
-// batch observed here updates the window identically to Observe on the
-// widened rows. Zero allocations per call.
-func (a *Accumulator) Observe32(x *mat.Matrix32, scores []float64, kinds []dataset.Kind) {
-	if x == nil || x.Rows == 0 || x.Cols != a.p.Dim() || len(scores) != x.Rows {
-		return
-	}
-	if kinds != nil && len(kinds) != x.Rows {
-		kinds = nil
-	}
-	bins := a.p.Bins
-	a.mu.Lock()
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		cur := a.cur
-		for j, v := range row {
-			w := float64(v)
-			cur.feat[j][binIndex(w, a.p.Lo[j], a.p.Width[j], bins)]++
-			cur.featSum[j] += w
-		}
-		cur.score[binIndex(scores[i], a.p.ScoreLo, a.p.ScoreWidth, bins)]++
-		if kinds != nil {
-			if k := kinds[i]; k >= 0 && int(k) < 3 {
-				cur.mix[k]++
-				cur.decided++
-			}
-		}
-		cur.rows++
-		a.total++
-		if cur.rows >= a.perBucket {
-			a.ring[a.next].copyFrom(cur)
-			a.next = (a.next + 1) % len(a.ring)
-			cur.reset()
-		}
-	}
-	check := a.hookTick(int64(x.Rows))
-	a.mu.Unlock()
-	if check {
-		go a.runAlarmHook()
-	}
-}
-
 // SetAlarmHook registers fn to run (in its own goroutine) when the
 // window's status transitions into StatusAlarm. The status is checked
 // every `every` observed rows (<=0: once per ring bucket) — Snapshot

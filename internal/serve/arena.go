@@ -19,13 +19,12 @@ import (
 // instead.
 type reqArena struct {
 	hdr     [wire.RequestHeaderSize]byte
-	payload wire.PayloadReader // binary feature block → x / x32, in chunks
+	payload wire.PayloadReader // binary feature block → x, in chunks
 	body    []byte             // JSON request body
 	out     []byte             // response frame build buffer
 
 	jreq scoreRequest // JSON request decode target
-	x    *mat.Matrix  // f64 feature rows
-	x32  *mat.Matrix32
+	x    *mat.Matrix  // feature rows, JSON or binary (f32 frames widened)
 
 	// res is the inference reuse target for single-job batches
 	// (core.InferOptions.Reuse); its slices flow into jobResult and are

@@ -12,11 +12,8 @@ import (
 )
 
 // job is one scoring request queued for the micro-batching dispatcher.
-// Exactly one of x and x32 is set: x32 carries binary f32 frames on an
-// f32-precision server straight into the float32 kernels.
 type job struct {
-	x   *mat.Matrix
-	x32 *mat.Matrix32
+	x *mat.Matrix
 	// ctx is the originating request's context (nil = never canceled).
 	// The dispatcher drops jobs whose client is already gone — a closed
 	// connection, a router hedge that lost — before they cost an
@@ -34,22 +31,6 @@ type job struct {
 	// lives in, nil for jobs built outside the HTTP handlers. Single-job
 	// batches score into arena.res via core.InferOptions.Reuse.
 	arena *reqArena
-}
-
-// rowCount returns the job's instance rows.
-func (j *job) rowCount() int {
-	if j.x32 != nil {
-		return j.x32.Rows
-	}
-	return j.x.Rows
-}
-
-// colCount returns the job's feature width.
-func (j *job) colCount() int {
-	if j.x32 != nil {
-		return j.x32.Cols
-	}
-	return j.x.Cols
 }
 
 // jobResult is the dispatcher's answer for one job. Slices view the
@@ -94,13 +75,13 @@ func (s *Server) dispatch() {
 // without waiting, so a saturated queue forms full batches instantly.
 func (s *Server) collectBatch(first *job) []*job {
 	jobs := []*job{first}
-	rows := first.rowCount()
+	rows := first.x.Rows
 	// Fast drain: whatever is queued right now joins for free.
 	for rows < s.cfg.MaxBatch {
 		select {
 		case j := <-s.queue:
 			jobs = append(jobs, j)
-			rows += j.rowCount()
+			rows += j.x.Rows
 			continue
 		default:
 		}
@@ -115,7 +96,7 @@ func (s *Server) collectBatch(first *job) []*job {
 		select {
 		case j := <-s.queue:
 			jobs = append(jobs, j)
-			rows += j.rowCount()
+			rows += j.x.Rows
 		case <-timer.C:
 			return jobs
 		case <-s.done:
@@ -141,107 +122,53 @@ func (s *Server) drainQueue() {
 // runBatch scores one coalesced batch and fans results back out to the
 // member jobs. The model generation is pinned once, so a hot-reload
 // racing this batch lets it finish on the model it started with (see
-// precision.go). Mixed-precision batches (f32 frames coalesced with f64
-// traffic) split into one pass per element type; in the common
-// homogeneous case no split is allocated.
+// precision.go).
 func (s *Server) runBatch(jobs []*job) {
 	// Drop jobs whose client already disconnected (hedge cancel, closed
-	// connection) before they cost inference; the buffered resp send
-	// keeps the channel invariant for the abandoned handler.
-	live := jobs[:0]
+	// connection) before they cost inference, and fail jobs whose width
+	// disagrees with the first live job's — they cannot share its GEMM
+	// pass (the model's own dim check still guards the survivors). The
+	// buffered resp send keeps the channel invariant for the abandoned
+	// handler.
+	batch := jobs[:0]
+	var rows, cols int
 	for _, j := range jobs {
-		if j.ctx != nil && j.ctx.Err() != nil {
+		switch {
+		case j.ctx != nil && j.ctx.Err() != nil:
 			s.metrics.canceled.Add(1)
 			j.resp <- jobResult{err: j.ctx.Err()}
-			continue
+		case len(batch) > 0 && j.x.Cols != cols:
+			j.resp <- jobResult{err: errors.New("serve: instance width differs from batch")}
+		default:
+			cols = j.x.Cols
+			batch = append(batch, j)
+			rows += j.x.Rows
 		}
-		live = append(live, j)
 	}
-	jobs = live
-	if len(jobs) == 0 {
+	if len(batch) == 0 {
 		return
 	}
 
 	lm := s.acquireModel()
 	if lm == nil {
-		for _, j := range jobs {
+		for _, j := range batch {
 			j.resp <- jobResult{err: errors.New("serve: no model loaded")}
 		}
 		return
 	}
 	defer s.releaseModel(lm)
 
-	n32 := 0
-	for _, j := range jobs {
-		if j.x32 != nil {
-			n32++
-		}
-	}
-	switch {
-	case n32 == 0:
-		s.runGroup(lm, jobs, false)
-	case n32 == len(jobs):
-		s.runGroup(lm, jobs, true)
-	default:
-		g64 := make([]*job, 0, len(jobs)-n32)
-		g32 := make([]*job, 0, n32)
-		for _, j := range jobs {
-			if j.x32 != nil {
-				g32 = append(g32, j)
-			} else {
-				g64 = append(g64, j)
-			}
-		}
-		s.runGroup(lm, g64, false)
-		s.runGroup(lm, g32, true)
-	}
-}
-
-// runGroup scores one same-element-type slice of the batch.
-func (s *Server) runGroup(lm *loadedModel, jobs []*job, is32 bool) {
-	// Jobs whose width disagrees with the first job's cannot share its
-	// GEMM pass; fail them individually (the model's own dim check
-	// still guards the survivors).
-	cols := jobs[0].colCount()
-	batch := jobs[:0]
-	var rows int
-	for _, j := range jobs {
-		if j.colCount() != cols {
-			j.resp <- jobResult{err: errors.New("serve: instance width differs from batch")}
-			continue
-		}
-		batch = append(batch, j)
-		rows += j.rowCount()
-	}
-	if len(batch) == 0 {
-		return
-	}
-
-	var x *mat.Matrix
-	var x32 *mat.Matrix32
-	if is32 {
-		x32 = batch[0].x32
-		if len(batch) > 1 {
-			x32 = mat.New32(rows, cols)
-			off := 0
-			for _, j := range batch {
-				copy(x32.Data[off:], j.x32.Data)
-				off += len(j.x32.Data)
-			}
-		}
-	} else {
-		x = batch[0].x
-		if len(batch) > 1 {
-			x = mat.New(rows, cols)
-			off := 0
-			for _, j := range batch {
-				copy(x.Data[off:], j.x.Data)
-				off += len(j.x.Data)
-			}
+	x := batch[0].x
+	if len(batch) > 1 {
+		x = mat.New(rows, cols)
+		off := 0
+		for _, j := range batch {
+			copy(x.Data[off:], j.x.Data)
+			off += len(j.x.Data)
 		}
 	}
 
-	res, version, err := s.infer(lm, x, x32, batch)
+	res, version, err := s.infer(lm, x, batch)
 	if err != nil {
 		for _, j := range batch {
 			j.resp <- jobResult{err: err}
@@ -252,7 +179,7 @@ func (s *Server) runGroup(lm *loadedModel, jobs []*job, is32 bool) {
 	off := 0
 	single := len(batch) == 1
 	for _, j := range batch {
-		n := j.rowCount()
+		n := j.x.Rows
 		out := jobResult{scores: res.Scores[off : off+n : off+n], version: version}
 		if j.identify {
 			if kinds, ok := res.Kinds[j.strategy]; ok {
@@ -278,7 +205,7 @@ func (s *Server) runGroup(lm *loadedModel, jobs []*job, is32 bool) {
 // probabilities) in one forward. Single-job batches backed by a request
 // arena score into the arena's recycled InferResult, so the steady
 // direct path allocates nothing here.
-func (s *Server) infer(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32, batch []*job) (*core.InferResult, int64, error) {
+func (s *Server) infer(lm *loadedModel, x *mat.Matrix, batch []*job) (*core.InferResult, int64, error) {
 	opt := core.InferOptions{}
 	var strategies []core.OODStrategy
 	var a *reqArena // the single job's arena, nil for multi-job batches
@@ -308,60 +235,26 @@ func (s *Server) infer(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32, batch 
 		// Injected upstream data drift: shift every feature of the
 		// batch before scoring, so the drift windows see it exactly as
 		// real shifted traffic.
-		if x32 != nil {
-			f := float32(v)
-			for i := range x32.Data {
-				x32.Data[i] += f
-			}
-		} else {
-			for i := range x.Data {
-				x.Data[i] += v
-			}
+		for i := range x.Data {
+			x.Data[i] += v
 		}
 	}
-	var res *core.InferResult
-	var err error
-	var rows int
-	switch {
-	case x32 != nil:
-		rows = x32.Rows
-		res, err = lm.model.InferF32(nil, x32, opt)
-	case s.cfg.Precision == F32:
-		// f64 rows on an f32 server are narrowed for the forward pass
-		// only; the drift window, shadow and acquisition below still
-		// see the rows as sent.
-		var n32 *mat.Matrix32
-		if a != nil {
-			a.x32 = mat.ToF32(a.x32, x)
-			n32 = a.x32
-		} else {
-			n32 = mat.ToF32(nil, x)
-		}
-		rows = x.Rows
-		res, err = lm.model.InferF32(nil, n32, opt)
-	default:
-		rows = x.Rows
-		res, err = lm.model.Infer(nil, x, opt)
-	}
+	res, err := s.score(lm.model, x, opt)
 	if err != nil {
 		return nil, lm.version, err
 	}
 	s.metrics.batches.Add(1)
-	s.metrics.batchRows.Add(int64(rows))
-	s.metrics.rows.Add(int64(rows))
+	s.metrics.batchRows.Add(int64(x.Rows))
+	s.metrics.rows.Add(int64(x.Rows))
 
 	// Feed the drift window and (when active) the shadow evaluation.
-	// Binary-path rows are observed identically to JSON rows — the f32
-	// window entry point widens each element exactly.
+	// Binary-path rows are observed identically to JSON rows: an f32
+	// frame was widened exactly at decode.
 	kinds := res.Kinds[s.cfg.Strategy]
 	if lm.mon != nil {
-		if x32 != nil {
-			lm.mon.Observe32(x32, res.Scores, kinds)
-		} else {
-			lm.mon.Observe(x, res.Scores, kinds)
-		}
+		lm.mon.Observe(x, res.Scores, kinds)
 	}
-	s.maybeShadow(x, x32, res.Scores, kinds)
-	s.maybeAcquire(lm, x, x32, res.Scores, kinds)
+	s.maybeShadow(x, res.Scores, kinds)
+	s.maybeAcquire(lm, x, res.Scores, kinds)
 	return res, lm.version, nil
 }

@@ -82,7 +82,9 @@ func (w *nullResponseWriter) WriteHeader(status int)      { w.status = status }
 // overhead) so allocs/op reflects the pooled-arena design alone. The
 // ci.sh gate holds this at <=9 allocs/op against the JSON path's ~146.
 // f32 serves an f32 frame on an f32-precision server: the payload
-// decodes straight into the float32 kernels with no f64 round-trip.
+// widens exactly into the arena's f64 matrix, like every frame, and
+// InferF32 narrows it into its replica's workspace for the forward
+// pass.
 func BenchmarkServeScoreBinary(b *testing.B) {
 	rows := testRows(4, 123)
 	rows32 := make([][]float32, len(rows))

@@ -14,12 +14,12 @@ import (
 
 // Binary protocol front end (DESIGN.md §12): requests whose
 // Content-Type is wire.ContentType carry one wire request frame instead
-// of JSON. The payload streams into the request arena's matrix — f32
-// frames go straight into the float32 inference path when the server
-// runs -precision f32, with no f64 round-trip — and the response is a
-// wire score frame built in the arena's output buffer, streamed as a
-// chunk sequence when the batch is large. Scores are bit-for-bit the
-// values the JSON path would have carried for the same rows.
+// of JSON. The payload streams into the request arena's matrix — an
+// f32 frame widens exactly there, so every frame scores on the same
+// float64 rows as JSON — and the response is a wire score frame built
+// in the arena's output buffer, streamed as a chunk sequence when the
+// batch is large. Scores are bit-for-bit the values the JSON path
+// would have carried for the same rows.
 
 // handleScoreBinary answers one binary /score request. start is the
 // handler entry time (shared with the JSON path's latency histogram).
@@ -53,15 +53,9 @@ func (s *Server) handleScoreBinary(w http.ResponseWriter, r *http.Request, start
 		return
 	}
 	// The payload streams straight into the arena's matrix: the raw
-	// feature block is never held as bytes.
-	useF32 := h.F32 && s.cfg.Precision == F32
-	if useF32 {
-		a.x32, err = a.payload.ReadF32(r.Body, h, a.x32)
-	} else {
-		// An f32 frame on an f64 server widens (exactly) into the f64
-		// path.
-		a.x, err = a.payload.ReadF64(r.Body, h, a.x)
-	}
+	// feature block is never held as bytes. An f32 frame widens
+	// exactly, whatever precision the server scores at.
+	a.x, err = a.payload.ReadF64(r.Body, h, a.x)
 	if err != nil {
 		releaseArena(a)
 		s.failBinary(w, wireErrStatus(err), "truncated feature block: "+err.Error())
@@ -82,12 +76,7 @@ func (s *Server) handleScoreBinary(w http.ResponseWriter, r *http.Request, start
 
 	j := &a.j
 	j.ctx = r.Context()
-	j.x, j.x32 = nil, nil
-	if useF32 {
-		j.x32 = a.x32
-	} else {
-		j.x = a.x
-	}
+	j.x = a.x
 	j.identify = true
 	j.strict = strict
 	j.strategy = strat

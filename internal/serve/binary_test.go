@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,11 +147,11 @@ func TestBinaryScoreParity(t *testing.T) {
 	}
 }
 
-// TestBinaryF32Frames: an f32 frame on an f64 server widens each
-// element exactly, so answers are bitwise-identical to the f64 path on
-// the widened rows; on an f32-precision server the frame feeds the
-// float32 kernels directly and must match the JSON path (which
-// converts the same widened rows back down) bit for bit.
+// TestBinaryF32Frames: an f32 frame widens each element exactly at
+// decode, so on an f64 server answers are bitwise-identical to the f64
+// path on the widened rows, and on an f32-precision server they match
+// the JSON path on the same widened rows bit for bit (both narrow them
+// back exactly for the forward pass).
 func TestBinaryF32Frames(t *testing.T) {
 	rows32 := make([][]float32, 9)
 	widened := make([][]float64, len(rows32))
@@ -427,7 +428,7 @@ func TestBinaryRowsObserved(t *testing.T) {
 	}
 	waitShadow(t, s, batches)
 
-	// f32 frames observe through the widening entry point.
+	// f32 frames are observed as their exactly widened rows.
 	rows32 := make([][]float32, 4)
 	for i := range rows32 {
 		rows32[i] = make([]float32, fixtureDim)
@@ -444,6 +445,45 @@ func TestBinaryRowsObserved(t *testing.T) {
 		t.Fatalf("f32 frame rows not observed: window %d", d.TotalRows)
 	}
 	waitShadow(t, s, batches+1)
+}
+
+// TestBinaryF32FrameWindow: the drift window cannot tell which
+// encoding carried the traffic. f32 frames, widened exactly at decode,
+// leave the window (feature and score histograms) in the same state as
+// JSON carrying the widened rows, at either serving precision.
+func TestBinaryF32FrameWindow(t *testing.T) {
+	for _, prec := range []Precision{F64, F32} {
+		cfg := Config{MaxBatch: 1, Strategy: core.MSP, Precision: prec}
+		_, tsFrame := newV2TestServer(t, cfg)
+		_, tsJSON := newV2TestServer(t, cfg)
+		for batch := 0; batch < 4; batch++ {
+			rows32 := make([][]float32, 40)
+			widened := make([][]float64, len(rows32))
+			for i, row := range testRows(len(rows32), int64(70+batch)) {
+				rows32[i] = make([]float32, len(row))
+				widened[i] = make([]float64, len(row))
+				for j, v := range row {
+					rows32[i][j] = float32(v)
+					widened[i][j] = float64(float32(v))
+				}
+			}
+			frame, err := wire.AppendRequestF32(nil, rows32, -1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scoreFrame(t, tsFrame, frame)
+			if status, _, bad := postScore(t, tsJSON.Client(), tsJSON.URL, scoreRequest{Instances: widened}); status != http.StatusOK {
+				t.Fatalf("JSON twin: %d: %s", status, bad.Error)
+			}
+		}
+		got, want := getDrift(t, tsFrame), getDrift(t, tsJSON)
+		if !got.Enabled || got.TotalRows != 160 {
+			t.Fatalf("%s: f32 frames observed as enabled=%v rows=%d, want 160 rows", prec, got.Enabled, got.TotalRows)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: f32-frame window diverged from JSON on the widened rows:\nframe: %+v\njson:  %+v", prec, got, want)
+		}
+	}
 }
 
 func waitShadow(t testing.TB, s *Server, want int64) {

@@ -227,12 +227,9 @@ type acquireSampler struct {
 // before its arena can recycle (same contract as shadowBatch).
 type acquireBatch struct {
 	x        *mat.Matrix
-	x32      *mat.Matrix32
-	is32     bool
 	scores   []float64
 	kinds    []dataset.Kind
 	hasKinds bool
-	rowBuf   []float64 // widening scratch for f32 rows
 
 	threshold float64
 	version   int64
@@ -246,7 +243,7 @@ var acquireBatchPool = sync.Pool{New: func() any { return new(acquireBatch) }}
 // (scripts/ci.sh pins BenchmarkServeScoreWithAcquisition to the plain
 // serve budget). A sampled batch is copied into pooled buffers
 // synchronously; the Offer calls run in the background.
-func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32, scores []float64, kinds []dataset.Kind) {
+func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	q := s.cfg.Acquire
 	if q == nil {
 		return
@@ -267,14 +264,8 @@ func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32,
 		return
 	}
 	ab := acquireBatchPool.Get().(*acquireBatch)
-	ab.is32 = x32 != nil
-	if ab.is32 {
-		ab.x32 = mat.Ensure32(ab.x32, x32.Rows, x32.Cols)
-		copy(ab.x32.Data, x32.Data)
-	} else {
-		ab.x = mat.Ensure(ab.x, x.Rows, x.Cols)
-		copy(ab.x.Data, x.Data)
-	}
+	ab.x = mat.Ensure(ab.x, x.Rows, x.Cols)
+	copy(ab.x.Data, x.Data)
 	ab.scores = append(ab.scores[:0], scores...)
 	ab.hasKinds = kinds != nil
 	if ab.hasKinds {
@@ -295,31 +286,12 @@ func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, x32 *mat.Matrix32,
 
 // offerBatch feeds one copied batch into the queue row by row.
 func (s *Server) offerBatch(q *activelearn.Queue, ab *acquireBatch) {
-	var rows int
-	if ab.is32 {
-		rows = ab.x32.Rows
-	} else {
-		rows = ab.x.Rows
-	}
-	for i := 0; i < rows; i++ {
-		var row []float64
-		if ab.is32 {
-			src := ab.x32.Row(i)
-			if cap(ab.rowBuf) < len(src) {
-				ab.rowBuf = make([]float64, len(src))
-			}
-			row = ab.rowBuf[:len(src)]
-			for j, v := range src {
-				row[j] = float64(v)
-			}
-		} else {
-			row = ab.x.Row(i)
-		}
+	for i := 0; i < ab.x.Rows; i++ {
 		decision := ""
 		if ab.hasKinds {
 			decision = ab.kinds[i].String()
 		}
-		q.Offer(row, ab.scores[i], ab.threshold, decision, ab.version)
+		q.Offer(ab.x.Row(i), ab.scores[i], ab.threshold, decision, ab.version)
 	}
 }
 

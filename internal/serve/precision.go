@@ -3,6 +3,8 @@ package serve
 import (
 	"strings"
 
+	"targad/internal/core"
+	"targad/internal/mat"
 	"targad/internal/nn"
 )
 
@@ -40,6 +42,17 @@ func ParsePrecision(s string) (Precision, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// score runs one inference pass of m over x at the server's
+// precision. It is the only place the request path reads the
+// precision: rows are float64 everywhere in serve, and InferF32
+// narrows them for its forward pass.
+func (s *Server) score(m *core.Model, x *mat.Matrix, opt core.InferOptions) (*core.InferResult, error) {
+	if s.cfg.Precision == F32 {
+		return m.InferF32(nil, x, opt)
+	}
+	return m.Infer(nil, x, opt)
 }
 
 // Generation pinning. Every batch pins the generation it scores on

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
 	"time"
 
 	"targad/internal/core"
+	"targad/internal/wire"
 )
 
 // serveF32Tol bounds a served f32 score against the offline f64
@@ -75,6 +78,81 @@ func TestServeF32WithinTolerance(t *testing.T) {
 					t.Fatalf("prob (%d,%d): %v vs %v", i, j, p, want.probs.At(i, j))
 				}
 			}
+		}
+	}
+}
+
+// TestServeF32MatchesInferF32 pins served f32 to offline f32 bit for
+// bit: on an f32 server, JSON rows and f32 binary frames score exactly
+// as core.InferF32 does on the same rows (the JSON rows as sent, the
+// frame's rows widened) — scores, ED decisions and probabilities. The
+// requests go one at a time so each batch holds exactly one request's
+// rows: the f32 GEMM picks its kernel by batch shape, so an f32 row's
+// bits may depend on the rows it shares a batch with.
+func TestServeF32MatchesInferF32(t *testing.T) {
+	m := loadFixtureModel(t)
+	if err := m.EnableF32(nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, rows [][]float64, scores []float64, decisions []string, prob func(i, j int) float64) {
+		t.Helper()
+		want, err := m.InferF32(context.Background(), rowsMatrix(rows), core.InferOptions{Strategies: []core.OODStrategy{core.ED}, Probs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scores) != len(want.Scores) || len(decisions) != len(want.Scores) {
+			t.Fatalf("%s: %d scores and %d decisions, want %d", what, len(scores), len(decisions), len(want.Scores))
+		}
+		for i, s := range want.Scores {
+			if scores[i] != s {
+				t.Fatalf("%s row %d: served score %v != InferF32 %v", what, i, scores[i], s)
+			}
+			if k := want.Kinds[core.ED][i].String(); decisions[i] != k {
+				t.Fatalf("%s row %d: served decision %q != InferF32 %q", what, i, decisions[i], k)
+			}
+			for j := 0; j < want.Probs.Cols; j++ {
+				if p := prob(i, j); p != want.Probs.At(i, j) {
+					t.Fatalf("%s prob (%d,%d): served %v != InferF32 %v", what, i, j, p, want.Probs.At(i, j))
+				}
+			}
+		}
+	}
+
+	for _, cfg := range []Config{
+		{MaxBatch: 1, Strategy: core.ED, Precision: F32},
+		{MaxBatch: 32, MaxWait: time.Millisecond, Strategy: core.ED, Precision: F32},
+	} {
+		_, ts := newTestServer(t, cfg)
+		for n := 1; n <= 24; n += 23 {
+			rows := testRows(n, int64(500+n))
+			rows32 := make([][]float32, n)
+			widened := make([][]float64, n)
+			for i, row := range rows {
+				rows32[i] = make([]float32, len(row))
+				widened[i] = make([]float64, len(row))
+				for j, v := range row {
+					rows32[i][j] = float32(v)
+					widened[i][j] = float64(float32(v))
+				}
+			}
+			what := fmt.Sprintf("MaxBatch %d, %d rows", cfg.MaxBatch, n)
+
+			status, got, bad := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows, Strategy: "ED", Probabilities: true})
+			if status != http.StatusOK {
+				t.Fatalf("%s JSON: status %d: %s", what, status, bad.Error)
+			}
+			check(what+" JSON", rows, got.Scores, got.Decisions, func(i, j int) float64 { return got.Probabilities[i][j] })
+
+			frame, err := wire.AppendRequestF32(nil, rows32, int(core.ED), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin := scoreFrame(t, ts, frame)
+			decisions := make([]string, len(bin.Decisions))
+			for i, k := range bin.Decisions {
+				decisions[i] = k.String()
+			}
+			check(what+" f32 frame", widened, bin.Scores, decisions, bin.Probs.At)
 		}
 	}
 }

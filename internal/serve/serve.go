@@ -529,7 +529,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 	j := &a.j
 	j.ctx = r.Context()
-	j.x, j.x32 = a.x, nil
+	j.x = a.x
 	j.identify = true
 	j.strict = strict
 	j.strategy = strat

@@ -260,18 +260,9 @@ func (s *Server) ShadowBatches() int64 {
 // hold references into them.
 type shadowBatch struct {
 	x        *mat.Matrix
-	x32      *mat.Matrix32
-	is32     bool
 	scores   []float64
 	kinds    []dataset.Kind
 	hasKinds bool
-}
-
-func (sb *shadowBatch) rowCount() int {
-	if sb.is32 {
-		return sb.x32.Rows
-	}
-	return sb.x.Rows
 }
 
 var shadowBatchPool = sync.Pool{New: func() any { return new(shadowBatch) }}
@@ -280,9 +271,7 @@ var shadowBatchPool = sync.Pool{New: func() any { return new(shadowBatch) }}
 // the shadow model. The fast path (no shadow loaded) is one atomic
 // load and zero allocations; a sampled batch is copied into pooled
 // buffers synchronously, before the caller's arena can be recycled.
-// Exactly one of x and x32 is set, matching the pass that scored the
-// batch.
-func (s *Server) maybeShadow(x *mat.Matrix, x32 *mat.Matrix32, scores []float64, kinds []dataset.Kind) {
+func (s *Server) maybeShadow(x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	sh := s.shadow.Load()
 	if sh == nil {
 		return
@@ -304,19 +293,8 @@ func (s *Server) maybeShadow(x *mat.Matrix, x32 *mat.Matrix32, scores []float64,
 		return
 	}
 	sb := shadowBatchPool.Get().(*shadowBatch)
-	sb.is32 = x32 != nil || s.cfg.Precision == F32
-	switch {
-	case x32 != nil:
-		sb.x32 = mat.Ensure32(sb.x32, x32.Rows, x32.Cols)
-		copy(sb.x32.Data, x32.Data)
-	case sb.is32:
-		// The candidate scores on the same f32 path as the served
-		// generation, so f64 rows are narrowed here.
-		sb.x32 = mat.ToF32(sb.x32, x)
-	default:
-		sb.x = mat.Ensure(sb.x, x.Rows, x.Cols)
-		copy(sb.x.Data, x.Data)
-	}
+	sb.x = mat.Ensure(sb.x, x.Rows, x.Cols)
+	copy(sb.x.Data, x.Data)
 	sb.scores = append(sb.scores[:0], scores...)
 	sb.hasKinds = kinds != nil
 	if sb.hasKinds {
@@ -339,13 +317,8 @@ func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
 			opt.Strategies = []core.OODStrategy{s.cfg.Strategy}
 		}
 	}
-	var res *core.InferResult
-	var err error
-	if sb.is32 {
-		res, err = sh.model.InferF32(nil, sb.x32, opt)
-	} else {
-		res, err = sh.model.Infer(nil, sb.x, opt)
-	}
+	// The candidate scores at the served generation's precision.
+	res, err := s.score(sh.model, sb.x, opt)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -355,7 +328,7 @@ func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
 		return
 	}
 	sh.batches++
-	sh.rows += int64(sb.rowCount())
+	sh.rows += int64(sb.x.Rows)
 	for i, old := range sb.scores {
 		d := res.Scores[i] - old
 		sh.deltaSum += d

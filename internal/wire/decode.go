@@ -124,30 +124,6 @@ func (p *PayloadReader) ReadF64(r io.Reader, h Request, dst *mat.Matrix) (*mat.M
 	return dst, nil
 }
 
-// ReadF32 reads an f32 feature block into dst without widening — the
-// rows go straight into the float32 inference path. An f64 block fails
-// with ErrMalformed before anything is read.
-func (p *PayloadReader) ReadF32(r io.Reader, h Request, dst *mat.Matrix32) (*mat.Matrix32, error) {
-	if !h.F32 {
-		return nil, fmt.Errorf("%w: f64 payload decoded as f32", ErrMalformed)
-	}
-	dst = mat.Ensure32(dst, h.Rows, h.Features)
-	buf := p.chunk(h)
-	out := dst.Data
-	for len(out) > 0 {
-		n := min(len(out), len(buf)/4)
-		b := buf[:n*4]
-		if err := readChunk(r, h, b, len(dst.Data)-len(out)); err != nil {
-			return nil, err
-		}
-		for i := range out[:n] {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-		out = out[n:]
-	}
-	return dst, nil
-}
-
 // readChunk reads exactly len(b) payload bytes; done counts the
 // elements already decoded, for the truncation message.
 func readChunk(r io.Reader, h Request, b []byte, done int) error {

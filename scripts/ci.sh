@@ -118,12 +118,13 @@ go test -count=1 \
     -run 'TestChaosKillStallFlap|TestCircuitBreakerLifecycle|TestHedgeCancelsLoser|TestNoCandidate503|TestRoutedScoresBitwiseIdentical' \
     ./internal/fleet
 
-# Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader and
-# the binary wire-frame decoder (the seed corpora always run in the
-# full suite; this explores beyond them).
-echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame, 10s each) =="
+# Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
+# binary wire-frame decoder and the saved-model loader (the seed
+# corpora always run in the full suite; this explores beyond them).
+echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad, 10s each) =="
 go test -fuzz FuzzLoadCSV -fuzztime 10s -run '^$' ./internal/dataset
 go test -fuzz FuzzDecodeFrame -fuzztime 10s -run '^$' ./internal/wire
+go test -fuzz FuzzLoad -fuzztime 10s -run '^$' ./internal/core
 
 # Allocation-budget smoke: one iteration of each hot-path benchmark
 # with -benchmem, failing if allocs/op regresses above its budget. The
