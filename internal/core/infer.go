@@ -18,6 +18,10 @@ import (
 // test for it with errors.Is.
 var ErrNotCalibrated = errors.New("targad: identification strategy not calibrated")
 
+// ErrDimMismatch reports input rows whose width is not the model's
+// feature dimension; the returned error wraps it with both widths.
+var ErrDimMismatch = errors.New("targad: input dim")
+
 // InferOptions selects what one Infer pass computes beyond the Eq. (9)
 // target scores.
 type InferOptions struct {
@@ -133,7 +137,7 @@ func (mo *Model) checkCall(ctx context.Context, cols int, strategies []OODStrate
 		return thresholds, errors.New("targad: model is not fitted")
 	}
 	if cols != mo.dim {
-		return thresholds, fmt.Errorf("targad: input dim %d, want %d", cols, mo.dim)
+		return thresholds, fmt.Errorf("%w %d, want %d", ErrDimMismatch, cols, mo.dim)
 	}
 	for _, s := range strategies {
 		thr, ok := mo.idThreshold[s]

@@ -107,8 +107,8 @@ func TestEnableF32RejectsPoisonedParams(t *testing.T) {
 
 func TestInferF32DimMismatch(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
-	if _, err := m.InferF32(context.Background(), mat.New(2, m.dim+1), InferOptions{}); err == nil {
-		t.Fatal("dim mismatch accepted")
+	if _, err := m.InferF32(context.Background(), mat.New(2, m.dim+1), InferOptions{}); !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("dim mismatch: err = %v, want ErrDimMismatch", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -155,8 +156,12 @@ func TestInferErrors(t *testing.T) {
 	if _, err := New(testConfig(), 1).Infer(context.Background(), mat.New(1, 3), InferOptions{}); err == nil {
 		t.Fatal("Infer on an unfitted model must error")
 	}
-	if _, err := m.Infer(context.Background(), mat.New(2, m.dim+1), InferOptions{}); err == nil {
-		t.Fatal("Infer with the wrong dim must error")
+	_, err := m.Infer(context.Background(), mat.New(2, m.dim+1), InferOptions{})
+	if !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("Infer with the wrong dim must fail with ErrDimMismatch, got %v", err)
+	}
+	if want := fmt.Sprintf("targad: input dim %d, want %d", m.dim+1, m.dim); err.Error() != want {
+		t.Fatalf("dim error %q, want %q", err, want)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

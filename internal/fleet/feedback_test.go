@@ -5,52 +5,76 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // fakeReplica is a scripted backend for forwarding-policy tests: it
-// answers /readyz like a real replica and counts /feedback traffic.
+// answers /readyz like a real replica and counts the traffic on every
+// admin route the router forwards.
 type fakeReplica struct {
 	ts           *httptest.Server
 	feedbackHits atomic.Int64
 	queueHits    atomic.Int64
 	lastBody     atomic.Pointer[[]byte]
 	lastQuery    atomic.Pointer[string]
-	failFeedback atomic.Bool
-	failQueue    atomic.Bool
+	// fail makes every admin route answer 500; hits counts each
+	// "METHOD /path" that reached this replica.
+	fail atomic.Bool
+	mu   sync.Mutex
+	hits map[string]int
+}
+
+// hitCount returns how many method requests for path reached f.
+func (f *fakeReplica) hitCount(method, path string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hits[method+" "+path]
 }
 
 func newFakeReplica(t testing.TB, instance string) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{}
+	f := &fakeReplica{hits: map[string]int{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("X-Targad-Instance", instance)
 		w.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("/feedback", func(w http.ResponseWriter, r *http.Request) {
-		f.feedbackHits.Add(1)
-		if f.failFeedback.Load() {
-			http.Error(w, "injected", http.StatusInternalServerError)
-			return
+	// admin wraps one admin route: it counts the hit and, while fail is
+	// set, answers 500 instead of running next.
+	admin := func(next http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			f.mu.Lock()
+			f.hits[r.Method+" "+r.URL.Path]++
+			f.mu.Unlock()
+			if f.fail.Load() {
+				http.Error(w, "injected", http.StatusInternalServerError)
+				return
+			}
+			next(w, r)
 		}
+	}
+	mux.HandleFunc("/feedback", admin(func(w http.ResponseWriter, r *http.Request) {
+		f.feedbackHits.Add(1)
 		b, _ := io.ReadAll(r.Body)
 		f.lastBody.Store(&b)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"recorded":true}`))
-	})
-	mux.HandleFunc("/feedback/queue", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("/feedback/queue", admin(func(w http.ResponseWriter, r *http.Request) {
 		f.queueHits.Add(1)
-		if f.failQueue.Load() {
-			http.Error(w, "injected", http.StatusInternalServerError)
-			return
-		}
 		q := r.URL.RawQuery
 		f.lastQuery.Store(&q)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"items":[],"depth":0,"budget":0}`))
-	})
+	}))
+	for _, path := range []string{"/reload", "/drift", "/retrain"} {
+		mux.HandleFunc(path, admin(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{}`))
+		}))
+	}
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
@@ -152,40 +176,81 @@ func TestFeedbackForwarding(t *testing.T) {
 	}
 }
 
-// TestFeedbackRetryPolicy: recording a verdict mutates replica state,
-// so a failed POST /feedback gets exactly one attempt and the analyst
-// sees the shed; the idempotent GET /feedback/queue is retried onto
-// other replicas.
+// TestFeedbackRetryPolicy pins the router's forwarding policy on every
+// admin route. Policy follows the method: a POST mutates the replica
+// (records a verdict, swaps a model, starts a retrain), so with every
+// replica failing it gets exactly one attempt and the client sees the
+// shed; a GET is an idempotent read and is retried onto the second
+// replica. A method the route does not take is the router's own 405,
+// never forwarded.
 func TestFeedbackRetryPolicy(t *testing.T) {
-	replicas := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b")}
-	for _, f := range replicas {
-		f.failFeedback.Store(true)
-		f.failQueue.Store(true)
+	cases := []struct {
+		method, path string
+		idempotent   bool
+		// wrong is a method the route rejects, with the 405 message.
+		wrong, msg string
+	}{
+		{http.MethodPost, "/feedback", false, http.MethodGet, "POST required"},
+		{http.MethodPost, "/reload", false, http.MethodGet, "POST required"},
+		{http.MethodPost, "/retrain", false, http.MethodPut, "GET or POST required"},
+		{http.MethodGet, "/feedback/queue", true, http.MethodPost, "GET required"},
+		{http.MethodGet, "/drift", true, http.MethodPost, "GET required"},
+		{http.MethodGet, "/retrain", true, http.MethodDelete, "GET or POST required"},
 	}
-	_, ts := newFeedbackFleet(t, replicas)
+	for _, tc := range cases {
+		t.Run(tc.method+tc.path, func(t *testing.T) {
+			replicas := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b")}
+			for _, f := range replicas {
+				f.fail.Store(true)
+			}
+			_, ts := newFeedbackFleet(t, replicas)
 
-	resp, err := ts.Client().Post(ts.URL+"/feedback", "application/json",
-		bytes.NewReader([]byte(`{"features":[1],"verdict":"benign"}`)))
+			var body io.Reader
+			if tc.method == http.MethodPost {
+				body = bytes.NewReader([]byte(`{"features":[1],"verdict":"benign"}`))
+			}
+			status, _ := doRequest(t, ts, tc.method, tc.path, body)
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("%s %s with every replica failing: status %d, want 503", tc.method, tc.path, status)
+			}
+			n := replicas[0].hitCount(tc.method, tc.path) + replicas[1].hitCount(tc.method, tc.path)
+			if !tc.idempotent && n != 1 {
+				t.Fatalf("non-idempotent %s %s was attempted %d times, want exactly 1", tc.method, tc.path, n)
+			}
+			if tc.idempotent && n < 2 {
+				t.Fatalf("idempotent %s %s was attempted %d times, want a retry on the second replica", tc.method, tc.path, n)
+			}
+
+			status, out := doRequest(t, ts, tc.wrong, tc.path, nil)
+			if status != http.StatusMethodNotAllowed {
+				t.Fatalf("%s %s: status %d, want 405", tc.wrong, tc.path, status)
+			}
+			if want := `{"error":"` + tc.msg + `"}` + "\n"; string(out) != want {
+				t.Fatalf("%s %s: body %q, want %q", tc.wrong, tc.path, out, want)
+			}
+			if n := replicas[0].hitCount(tc.wrong, tc.path) + replicas[1].hitCount(tc.wrong, tc.path); n != 0 {
+				t.Fatalf("%s %s was forwarded %d times, want the router's own 405", tc.wrong, tc.path, n)
+			}
+		})
+	}
+}
+
+// doRequest sends one request through the router and returns the
+// status and body.
+func doRequest(t *testing.T, ts *httptest.Server, method, path string, body io.Reader) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("POST /feedback with every replica failing: status %d, want 503", resp.StatusCode)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	if n := replicas[0].feedbackHits.Load() + replicas[1].feedbackHits.Load(); n != 1 {
-		t.Fatalf("non-idempotent POST was attempted %d times, want exactly 1", n)
-	}
-
-	qresp, err := ts.Client().Get(ts.URL + "/feedback/queue")
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qresp.Body.Close()
-	if qresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("GET /feedback/queue with every replica failing: status %d, want 503", qresp.StatusCode)
-	}
-	if n := replicas[0].queueHits.Load() + replicas[1].queueHits.Load(); n < 2 {
-		t.Fatalf("idempotent GET was attempted %d times, want a retry on the second replica", n)
-	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, out
 }

@@ -257,12 +257,9 @@ func New(cfg Config) (*Router, error) {
 	r.copyPool.New = func() any { b := make([]byte, 32<<10); return &b }
 
 	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("/score", r.handleScore)
-	r.mux.HandleFunc("/feedback", r.handleFeedback)
-	r.mux.HandleFunc("/feedback/queue", r.handleFeedbackQueue)
-	r.mux.HandleFunc("/reload", r.handleReload)
-	r.mux.HandleFunc("/drift", r.handleDrift)
-	r.mux.HandleFunc("/retrain", r.handleRetrain)
+	for _, rt := range routes {
+		r.mux.HandleFunc(rt.path, r.forwarder(rt.path, rt.methods))
+	}
 	r.mux.HandleFunc("/healthz", r.handleHealthz)
 	r.mux.HandleFunc("/readyz", r.handleReadyz)
 	r.mux.HandleFunc("/metrics", r.handleMetrics)

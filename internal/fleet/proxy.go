@@ -3,13 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -61,117 +60,73 @@ func (a attempt) discard() {
 }
 
 // proxyOp names one forwarded operation: the backend method and path,
-// plus the retry policy it is allowed. Retries re-send the buffered
-// body, so they are reserved for idempotent operations (scoring is
-// stateless, GET /feedback/queue reads); a non-idempotent POST runs
-// exactly one attempt, no hedge.
+// whether the body is a wire frame, and the retry policy it is
+// allowed. Retries re-send the buffered body, so they are reserved for
+// idempotent operations; a non-idempotent POST runs exactly one
+// attempt, no hedge.
 type proxyOp struct {
 	method     string
 	path       string
+	binary     bool
 	maxRetries int
 	hedge      bool
 }
 
-// handleScore proxies one scoring request across the fleet.
-func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
-	binary := strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType)
-	if req.Method != http.MethodPost {
-		r.fail(w, binary, http.StatusMethodNotAllowed, "POST required", false)
-		return
-	}
-	r.proxy(w, req, binary, proxyOp{
-		method: http.MethodPost, path: "/score",
-		maxRetries: r.cfg.MaxRetries, hedge: true,
-	})
+// routes are the replica endpoints the router forwards, with the
+// methods each takes.
+var routes = []struct {
+	path    string
+	methods []string
+}{
+	{"/score", []string{http.MethodPost}},
+	{"/feedback", []string{http.MethodPost}},
+	{"/feedback/queue", []string{http.MethodGet}},
+	{"/reload", []string{http.MethodPost}},
+	{"/drift", []string{http.MethodGet}},
+	{"/retrain", []string{http.MethodGet, http.MethodPost}},
 }
 
-// handleFeedback forwards one analyst verdict to the tenant's home
-// replica. The body is opaque to the router (same pass-through
-// contract as scoring); recording a verdict mutates the replica's
-// store, so the request gets exactly one attempt — no retry, no
-// hedge — and the analyst re-submits on a shed (the store's
-// fingerprint dedup makes that safe).
-func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.fail(w, false, http.StatusMethodNotAllowed, "POST required", false)
-		return
-	}
-	r.proxy(w, req, false, proxyOp{method: http.MethodPost, path: "/feedback"})
-}
-
-// handleFeedbackQueue forwards an acquisition-queue read to the
-// tenant's home replica — the replica scoring a tenant's traffic is
-// the one holding its informative rows. A read is idempotent, so the
-// full retry/hedge policy applies.
-func (r *Router) handleFeedbackQueue(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.fail(w, false, http.StatusMethodNotAllowed, "GET required", false)
-		return
-	}
-	r.proxy(w, req, false, proxyOp{
-		method: http.MethodGet, path: "/feedback/queue",
-		maxRetries: r.cfg.MaxRetries, hedge: true,
-	})
-}
-
-// handleReload forwards a model reload to the tenant's home replica,
-// the ?model= query intact so a multi-model replica reloads the right
-// entry. A reload mutates the replica (it swaps the served model), so
-// one attempt, no hedge — the operator re-issues on failure.
-func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.fail(w, false, http.StatusMethodNotAllowed, "POST required", false)
-		return
-	}
-	r.proxy(w, req, false, proxyOp{method: http.MethodPost, path: "/reload"})
-}
-
-// handleDrift forwards a drift-report read (?model= preserved) to the
-// tenant's home replica — the replica scoring the tenant's traffic is
-// the one whose drift window knows it. Reads are idempotent: full
-// retry/hedge policy.
-func (r *Router) handleDrift(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.fail(w, false, http.StatusMethodNotAllowed, "GET required", false)
-		return
-	}
-	r.proxy(w, req, false, proxyOp{
-		method: http.MethodGet, path: "/drift",
-		maxRetries: r.cfg.MaxRetries, hedge: true,
-	})
-}
-
-// handleRetrain forwards retrain control (?model= preserved): a GET
-// status read gets the idempotent retry/hedge policy, a POST trigger
-// mutates the replica and runs exactly once.
-func (r *Router) handleRetrain(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodGet:
-		r.proxy(w, req, false, proxyOp{
-			method: http.MethodGet, path: "/retrain",
-			maxRetries: r.cfg.MaxRetries, hedge: true,
-		})
-	case http.MethodPost:
-		r.proxy(w, req, false, proxyOp{method: http.MethodPost, path: "/retrain"})
-	default:
-		r.fail(w, false, http.StatusMethodNotAllowed, "GET or POST required", false)
+// forwarder returns the handler that forwards path to the request's
+// home replica (the tenant's ring walk), query string and body passed
+// through opaquely. The retry policy comes from the method: a GET is an
+// idempotent read (the acquisition queue, a drift report, retrain
+// status) and gets MaxRetries plus hedging; a POST mutates the replica
+// (records a verdict, swaps a model, starts a retrain) and gets exactly
+// one attempt — the caller re-issues on a shed, and the verdict store's
+// fingerprint dedup makes that safe for /feedback. /score is the one
+// idempotent POST: scoring is stateless. Only /score speaks the binary
+// protocol. A method the route does not take is the router's own 405,
+// never forwarded.
+func (r *Router) forwarder(path string, methods []string) http.HandlerFunc {
+	notAllowed := strings.Join(methods, " or ") + " required"
+	score := path == "/score"
+	return func(w http.ResponseWriter, req *http.Request) {
+		op := proxyOp{method: req.Method, path: path, binary: score && wire.IsFrame(req.Header)}
+		if !slices.Contains(methods, req.Method) {
+			wire.WriteError(w, op.binary, http.StatusMethodNotAllowed, notAllowed, 0)
+			return
+		}
+		if score || req.Method == http.MethodGet {
+			op.maxRetries, op.hedge = r.cfg.MaxRetries, true
+		}
+		r.proxy(w, req, op)
 	}
 }
 
 // proxy buffers the request once and walks the candidate order under
 // op's retry policy.
-func (r *Router) proxy(w http.ResponseWriter, req *http.Request, binary bool, op proxyOp) {
+func (r *Router) proxy(w http.ResponseWriter, req *http.Request, op proxyOp) {
 	start := time.Now()
 	r.metrics.requests.Add(1)
 	r.budget.observeRequest()
 
-	body, status, msg := r.readBody(req, binary)
+	body, status, msg := r.readBody(req, op.binary)
 	if status != 0 {
 		r.metrics.errs.Add(1)
 		if status == http.StatusRequestEntityTooLarge {
 			r.metrics.tooLarge.Add(1)
 		}
-		r.fail(w, binary, status, msg, false)
+		wire.WriteError(w, op.binary, status, msg, 0)
 		return
 	}
 
@@ -218,7 +173,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, binary bool, op
 	}
 	r.metrics.errs.Add(1)
 	r.metrics.sheds.Add(1)
-	r.fail(w, binary, http.StatusServiceUnavailable, "no healthy backend available, retry later", true)
+	wire.WriteError(w, op.binary, http.StatusServiceUnavailable, "no healthy backend available, retry later", r.cfg.RetryAfter)
 }
 
 // readBody buffers the request once so it can be replayed on retries.
@@ -541,22 +496,4 @@ func (r *Router) writeProxied(w http.ResponseWriter, a attempt) {
 			return
 		}
 	}
-}
-
-// fail answers a router-authored error in the protocol the client
-// speaks: a wire error frame for binary clients, JSON otherwise.
-// retryAfter adds the Retry-After header 503s advertise.
-func (r *Router) fail(w http.ResponseWriter, binary bool, status int, msg string, retryAfter bool) {
-	if retryAfter {
-		w.Header().Set("Retry-After", strconv.Itoa(int((r.cfg.RetryAfter+time.Second-1)/time.Second)))
-	}
-	if binary {
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(status)
-		_, _ = w.Write(wire.AppendError(nil, status, msg))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

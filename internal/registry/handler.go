@@ -1,10 +1,10 @@
 package registry
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 
+	"targad/internal/serve"
 	"targad/internal/wire"
 )
 
@@ -34,27 +34,7 @@ func (h handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r := h.r
 	switch req.URL.Path {
 	case "/score":
-		name := req.Header.Get(HeaderModel)
-		if name == "" {
-			if tenant := req.Header.Get(HeaderTenant); tenant != "" {
-				name = r.tenantModel(tenant)
-			}
-		}
-		if name == "" || name == r.def.name {
-			// The tenantless (and default-tenant) fast path: one pointer
-			// dereference on top of the single-model server, no map
-			// load, no refcount. The default entry is pinned for the
-			// process lifetime, so no pin is needed to keep it alive.
-			r.def.srv.HandleScore(w, req)
-			return
-		}
-		e, release, err := r.acquire(name)
-		if err != nil {
-			r.writeError(w, req, err)
-			return
-		}
-		e.srv.HandleScore(w, req)
-		release()
+		r.serveModel(w, req, "", (*serve.Server).HandleScore)
 	case "/models":
 		r.handleModels(w, req)
 	case "/metrics":
@@ -66,41 +46,57 @@ func (h handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		r.def.srv.Handler().ServeHTTP(w, req)
 	default:
 		// Admin endpoints (/reload, /drift, /retrain, /feedback, ...)
-		// resolve their model from the query first — `curl
-		// /drift?model=acme-v2` beats header plumbing for operators —
-		// then the tenant header, then the default.
-		name := req.URL.Query().Get("model")
-		if name == "" {
-			name = req.Header.Get(HeaderModel)
-		}
-		if name == "" {
-			if tenant := req.Header.Get(HeaderTenant); tenant != "" {
-				name = r.tenantModel(tenant)
-			}
-		}
-		if name == "" || name == r.def.name {
-			r.def.srv.Handler().ServeHTTP(w, req)
-			return
-		}
-		e, release, err := r.acquire(name)
-		if err != nil {
-			r.writeError(w, req, err)
-			return
-		}
-		e.srv.Handler().ServeHTTP(w, req)
-		release()
+		// consult the query first — `curl /drift?model=acme-v2` beats
+		// header plumbing for operators.
+		r.serveModel(w, req, req.URL.Query().Get("model"), serveAdmin)
 	}
+}
+
+// serveAdmin runs an admin request on one model's server.
+func serveAdmin(s *serve.Server, w http.ResponseWriter, req *http.Request) {
+	s.Handler().ServeHTTP(w, req)
+}
+
+// serveModel resolves the request's model and runs handle on its
+// server. The name is the given one (an admin request's ?model=), else
+// the X-Targad-Model header, else the tenant's mapping, else the
+// default. The default — tenantless or default-tenant traffic — is the
+// fast path: one pointer dereference on top of the single-model
+// server, no map load, no refcount; the default entry is pinned for the
+// process lifetime. Any other model is acquired (loaded cold if
+// needed) and held for the request.
+func (r *Registry) serveModel(w http.ResponseWriter, req *http.Request, name string,
+	handle func(*serve.Server, http.ResponseWriter, *http.Request)) {
+	if name == "" {
+		name = req.Header.Get(HeaderModel)
+	}
+	if name == "" {
+		if tenant := req.Header.Get(HeaderTenant); tenant != "" {
+			name = r.tenantModel(tenant)
+		}
+	}
+	if name == "" || name == r.def.name {
+		handle(r.def.srv, w, req)
+		return
+	}
+	e, release, err := r.acquire(name)
+	if err != nil {
+		r.writeError(w, req, err)
+		return
+	}
+	defer release()
+	handle(e.srv, w, req)
 }
 
 // handleModels answers GET /models: the manifest's view plus what is
 // currently hot.
 func (r *Registry) handleModels(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		r.writeJSONError(w, http.StatusMethodNotAllowed, "GET required")
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "GET required", 0)
 		return
 	}
 	c := r.Counters()
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"default": r.man.Default,
 		"models":  r.man.Names(),
 		"hot":     r.Hot(),
@@ -109,7 +105,7 @@ func (r *Registry) handleModels(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// writeError maps registry errors onto the request's wire format: an
+// writeError maps registry errors onto the request's protocol: an
 // UnknownModelError is a 404, a closed registry a 503, anything else a
 // 500; binary-frame requests get a binary error frame so their clients
 // never have to parse JSON.
@@ -121,27 +117,10 @@ func (r *Registry) writeError(w http.ResponseWriter, req *http.Request, err erro
 	case err == ErrClosed:
 		status = http.StatusServiceUnavailable
 	}
-	if strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType) {
-		frame := wire.AppendError(nil, status, err.Error())
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(status)
-		_, _ = w.Write(frame)
-		return
-	}
-	r.writeJSONError(w, status, err.Error())
+	wire.WriteError(w, wire.IsFrame(req.Header), status, err.Error(), 0)
 }
 
 func isUnknownModel(err error) bool {
 	_, ok := err.(*UnknownModelError)
 	return ok
-}
-
-func (r *Registry) writeJSONError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"targad/internal/obs"
+	"targad/internal/wire"
 )
 
 // handleMetrics renders the registry-wide Prometheus exposition: every
@@ -13,7 +14,7 @@ import (
 // storm of bogus model names cannot explode series cardinality.
 func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		r.writeJSONError(w, http.StatusMethodNotAllowed, "GET required")
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "GET required", 0)
 		return
 	}
 	ow := obs.New()

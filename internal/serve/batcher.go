@@ -47,6 +47,10 @@ type jobResult struct {
 // errDraining fails jobs still queued when the server shuts down.
 var errDraining = errors.New("serve: server shutting down")
 
+// errBatchWidth fails a job whose rows are narrower or wider than the
+// batch it was queued into.
+var errBatchWidth = errors.New("serve: instance width differs from batch")
+
 // errStrategyNotCalibrated fails strict jobs whose strategy the served
 // model has no threshold for.
 var errStrategyNotCalibrated = errors.New("serve: identification strategy not calibrated on the served model")
@@ -138,7 +142,7 @@ func (s *Server) runBatch(jobs []*job) {
 			s.metrics.canceled.Add(1)
 			j.resp <- jobResult{err: j.ctx.Err()}
 		case len(batch) > 0 && j.x.Cols != cols:
-			j.resp <- jobResult{err: errors.New("serve: instance width differs from batch")}
+			j.resp <- jobResult{err: errBatchWidth}
 		default:
 			cols = j.x.Cols
 			batch = append(batch, j)

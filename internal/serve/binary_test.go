@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"targad/internal/core"
+	"targad/internal/feedback"
 	"targad/internal/wire"
 )
 
@@ -378,17 +381,43 @@ func TestBinaryFrameFaults(t *testing.T) {
 	}
 }
 
-// TestJSONBodyLimit413: oversized JSON bodies now map to 413 with the
-// too-large counter, matching the binary path's treatment.
+// TestJSONBodyLimit413: oversized JSON bodies map to 413 with the
+// too-large counter, matching the binary path's treatment — on /score
+// and on POST /feedback alike.
 func TestJSONBodyLimit413(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED, MaxBodyBytes: 256})
-	rows := testRows(8, 3)
-	status, _, bad := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows})
-	if status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized JSON body: status %d, want 413 (%s)", status, bad.Error)
+	store, err := feedback.Open(t.TempDir(), feedback.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(scrapeMetrics(t, ts), "targad_serve_request_too_large_total 1") {
-		t.Fatal("413 not counted in targad_serve_request_too_large_total")
+	t.Cleanup(func() { store.Close() })
+	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED, MaxBodyBytes: 256, Feedback: store})
+	score, err := json.Marshal(scoreRequest{Instances: testRows(8, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdict, err := json.Marshal(feedbackRequest{Features: testRows(1, 4)[0], Verdict: "target"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		path string
+		body []byte
+	}{{"/score", score}, {"/feedback", verdict}} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %d-byte JSON body on %s: status %d, want 413 (%s)", len(tc.body), tc.path, resp.StatusCode, raw)
+		}
+		if want := `{"error":"request body exceeds the 256-byte limit"}` + "\n"; string(raw) != want {
+			t.Fatalf("%s: body %q, want %q", tc.path, raw, want)
+		}
+		if want := fmt.Sprintf("targad_serve_request_too_large_total %d\n", i+1); !strings.Contains(scrapeMetrics(t, ts), want) {
+			t.Fatalf("%s: 413 not counted in targad_serve_request_too_large_total (want %q)", tc.path, want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"targad/internal/activelearn"
 	"targad/internal/dataset"
@@ -13,6 +12,7 @@ import (
 	"targad/internal/mat"
 	"targad/internal/monitor"
 	"targad/internal/obs"
+	"targad/internal/wire"
 )
 
 // Closing the loop (DESIGN.md §14): POST /feedback records analyst
@@ -22,8 +22,9 @@ import (
 // verdicts to the registered RetrainController, which fits a candidate
 // and drives it through shadow evaluation to an automatic, gated
 // promotion. The serving hot path pays for none of it: acquisition
-// sampling mirrors the shadow sampler — one nil check on the
-// non-sampled path, pooled copies on the sampled one.
+// samples through the same batch tap as shadow evaluation (tap.go) —
+// one nil check on the non-sampled path, pooled copies on the sampled
+// one.
 
 // RetrainController is the orchestration the serving layer delegates
 // retraining to (implemented by internal/retrain; the interface keeps
@@ -102,29 +103,29 @@ type feedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
 	store := s.cfg.Feedback
 	if store == nil {
-		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "feedback store not configured (-feedback-dir)"})
+		wire.WriteError(w, false, http.StatusNotImplemented, "feedback store not configured (-feedback-dir)", 0)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req feedbackRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.requestErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		status, msg := s.bodyError(err)
+		s.fail(w, false, status, msg)
 		return
 	}
 	if len(req.Features) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "features must hold at least one value"})
+		wire.WriteError(w, false, http.StatusBadRequest, "features must hold at least one value", 0)
 		return
 	}
 	verdict, ok := feedback.ParseVerdict(req.Verdict)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("unknown verdict %q (want target, non-target, or benign)", req.Verdict)})
+		wire.WriteError(w, false, http.StatusBadRequest,
+			fmt.Sprintf("unknown verdict %q (want target, non-target, or benign)", req.Verdict), 0)
 		return
 	}
 	if req.ModelVersion == 0 {
@@ -139,7 +140,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		ModelVersion: req.ModelVersion,
 	})
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteError(w, false, http.StatusInternalServerError, err.Error(), 0)
 		return
 	}
 	// The verdict retires the row from acquisition, and a confirmed
@@ -150,7 +151,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			q.ObserveLabeledTarget(req.Features)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"recorded": true,
 		"added":    added,
 		"verdict":  verdict.String(),
@@ -167,19 +168,19 @@ type feedbackQueueResponse struct {
 
 func (s *Server) handleFeedbackQueue(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "GET required", 0)
 		return
 	}
 	q := s.cfg.Acquire
 	if q == nil {
-		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "acquisition queue not configured (-acquire-budget)"})
+		wire.WriteError(w, false, http.StatusNotImplemented, "acquisition queue not configured (-acquire-budget)", 0)
 		return
 	}
 	n := 16
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "n must be a non-negative integer"})
+			wire.WriteError(w, false, http.StatusBadRequest, "n must be a non-negative integer", 0)
 			return
 		}
 		n = v
@@ -188,7 +189,7 @@ func (s *Server) handleFeedbackQueue(w http.ResponseWriter, r *http.Request) {
 	if items == nil {
 		items = []activelearn.Item{}
 	}
-	writeJSON(w, http.StatusOK, feedbackQueueResponse{Items: items, Depth: q.Len(), Budget: q.Budget()})
+	wire.WriteJSON(w, http.StatusOK, feedbackQueueResponse{Items: items, Depth: q.Len(), Budget: q.Budget()})
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
@@ -196,103 +197,49 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		if rc == nil {
-			writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "no retrain controller configured (-auto-retrain wiring)"})
+			wire.WriteError(w, false, http.StatusNotImplemented, "no retrain controller configured (-auto-retrain wiring)", 0)
 			return
 		}
 		if err := rc.Trigger("manual"); err != nil {
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+			wire.WriteError(w, false, http.StatusConflict, err.Error(), 0)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"started": true, "reason": "manual"})
+		wire.WriteJSON(w, http.StatusAccepted, map[string]any{"started": true, "reason": "manual"})
 	case http.MethodGet:
 		if rc == nil {
-			writeJSON(w, http.StatusOK, map[string]any{"configured": false})
+			wire.WriteJSON(w, http.StatusOK, map[string]any{"configured": false})
 			return
 		}
-		writeJSON(w, http.StatusOK, rc.Status())
+		wire.WriteJSON(w, http.StatusOK, rc.Status())
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET or POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "GET or POST required", 0)
 	}
 }
-
-// acquireSampler is the deterministic batch-sampling counter for the
-// acquisition queue — the same every-1/fraction-th-batch scheme as the
-// shadow sampler, with its own phase.
-type acquireSampler struct {
-	mu  sync.Mutex
-	acc float64
-}
-
-// acquireBatch is one sampled batch copied out of the request path
-// before its arena can recycle (same contract as shadowBatch).
-type acquireBatch struct {
-	x        *mat.Matrix
-	scores   []float64
-	kinds    []dataset.Kind
-	hasKinds bool
-
-	threshold float64
-	version   int64
-}
-
-var acquireBatchPool = sync.Pool{New: func() any { return new(acquireBatch) }}
 
 // maybeAcquire samples one served batch into the acquisition queue.
 // The fast path — no queue configured, or this batch not sampled — is
 // a nil check plus one counter bump under a mutex: zero allocations
 // (scripts/ci.sh pins BenchmarkServeScoreWithAcquisition to the plain
-// serve budget). A sampled batch is copied into pooled buffers
-// synchronously; the Offer calls run in the background.
+// serve budget). A sampled batch is offered row by row in the
+// background (tap.go).
 func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	q := s.cfg.Acquire
-	if q == nil {
+	if q == nil || !s.sampled(&s.acq) {
 		return
-	}
-	select {
-	case <-s.done:
-		return
-	default:
-	}
-	s.acq.mu.Lock()
-	s.acq.acc += s.cfg.AcquireSample
-	take := s.acq.acc >= 1
-	if take {
-		s.acq.acc--
-	}
-	s.acq.mu.Unlock()
-	if !take {
-		return
-	}
-	ab := acquireBatchPool.Get().(*acquireBatch)
-	ab.x = mat.Ensure(ab.x, x.Rows, x.Cols)
-	copy(ab.x.Data, x.Data)
-	ab.scores = append(ab.scores[:0], scores...)
-	ab.hasKinds = kinds != nil
-	if ab.hasKinds {
-		ab.kinds = append(ab.kinds[:0], kinds...)
 	}
 	// The acquisition threshold is the S^tar complement of the normal
 	// prior k/(m+k): a score at the threshold is the row the served
 	// model was least sure about.
-	ab.threshold = 1 - lm.model.NormalPrior()
-	ab.version = lm.version
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.offerBatch(q, ab)
-		acquireBatchPool.Put(ab)
-	}()
-}
-
-// offerBatch feeds one copied batch into the queue row by row.
-func (s *Server) offerBatch(q *activelearn.Queue, ab *acquireBatch) {
-	for i := 0; i < ab.x.Rows; i++ {
-		decision := ""
-		if ab.hasKinds {
-			decision = ab.kinds[i].String()
+	threshold, version := 1-lm.model.NormalPrior(), lm.version
+	s.tap(x, scores, kinds, func(b *batchCopy) {
+		for i := 0; i < b.x.Rows; i++ {
+			decision := ""
+			if len(b.kinds) > 0 {
+				decision = b.kinds[i].String()
+			}
+			q.Offer(b.x.Row(i), b.scores[i], threshold, decision, version)
 		}
-		q.Offer(ab.x.Row(i), ab.scores[i], ab.threshold, decision, ab.version)
-	}
+	})
 }
 
 // writeFeedbackMetrics writes the feedback-loop series: verdict store,

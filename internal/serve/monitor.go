@@ -6,6 +6,7 @@ import (
 	"targad/internal/core"
 	"targad/internal/monitor"
 	"targad/internal/obs"
+	"targad/internal/wire"
 )
 
 // newAccumulator builds the drift window for a freshly installed
@@ -87,7 +88,7 @@ type driftResponse struct {
 // evaluation's running stats when one is active.
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "GET required", 0)
 		return
 	}
 	out := driftResponse{Shadow: s.shadowSnapshot()}
@@ -136,7 +137,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // writeMonitorMetrics writes the drift and shadow series. Rendering

@@ -26,7 +26,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -187,9 +186,10 @@ type Server struct {
 	shadow    atomic.Pointer[shadowState]
 	shadowSeq atomic.Int64
 
-	// acq is the acquisition sampler's counter state (feedback.go);
-	// retrain holds the registered RetrainController (SetRetrain).
-	acq     acquireSampler
+	// acq samples served batches for the acquisition queue
+	// (feedback.go); retrain holds the registered RetrainController
+	// (SetRetrain).
+	acq     sampler
 	retrain atomic.Pointer[retrainBox]
 }
 
@@ -231,6 +231,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
 		done:  make(chan struct{}),
+		acq:   sampler{fraction: cfg.AcquireSample},
 	}
 	if cfg.ModelPath != "" {
 		if _, err := s.Reload(); err != nil {
@@ -432,170 +433,154 @@ type scoreResponse struct {
 	Warning       string      `json:"warning,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// jsonWriter is a pooled encode buffer: one json.Encoder bound to one
-// bytes.Buffer, so writeJSON never rebuilds encoder state per response.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonPool = sync.Pool{New: func() any {
-	jw := &jsonWriter{}
-	jw.enc = json.NewEncoder(&jw.buf)
-	return jw
-}}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	jw := jsonPool.Get().(*jsonWriter)
-	jw.buf.Reset()
-	if err := jw.enc.Encode(v); err != nil {
-		jw.buf.Reset()
-		fmt.Fprintf(&jw.buf, "{\"error\":%q}\n", err.Error())
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(jw.buf.Bytes())
-	jsonPool.Put(jw)
-}
-
+// handleScore answers one /score request. JSON and binary frames
+// differ only in how the body decodes into the request arena
+// (decodeJSON, decodeFrame) and how the result encodes
+// (writeScoreResult, writeScoreFrame); everything between — failure
+// answers, counting, the job's trip through the dispatcher, arena
+// release — is this one path.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
 	start := time.Now()
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		s.handleScoreBinary(w, r, start)
-		return
-	}
-
+	frame := wire.IsFrame(r.Header)
 	a := acquireArena()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var err error
-	a.body, err = readAllInto(a.body[:0], r.Body)
-	if err != nil {
-		releaseArena(a)
-		s.metrics.requestErrs.Add(1)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.metrics.tooLarge.Add(1)
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
+	var status int
+	var msg string
+	if frame {
+		s.metrics.binaryReqs.Add(1)
+		status, msg = s.decodeFrame(a, r)
+	} else {
+		status, msg = s.decodeJSON(a, w, r)
 	}
-	// Reset before decode: json.Unmarshal reuses Instances' backing
-	// arrays (outer and per-row) when capacity allows.
-	a.jreq.Instances = a.jreq.Instances[:0]
-	a.jreq.Strategy = ""
-	a.jreq.Probabilities = false
-	if err := json.Unmarshal(a.body, &a.jreq); err != nil {
+	if status != 0 {
 		releaseArena(a)
-		s.metrics.requestErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		s.fail(w, frame, status, msg)
 		return
-	}
-	a.x, err = instancesMatrixInto(a.x, a.jreq.Instances)
-	if err != nil {
-		releaseArena(a)
-		s.metrics.requestErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	strat := s.cfg.Strategy
-	strict := false
-	if a.jreq.Strategy != "" {
-		st, ok := ParseStrategy(a.jreq.Strategy)
-		if !ok {
-			msg := fmt.Sprintf("unknown strategy %q (want MSP, ES, or ED)", a.jreq.Strategy)
-			releaseArena(a)
-			s.metrics.requestErrs.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
-			return
-		}
-		strat, strict = st, true
 	}
 	s.metrics.requests.Add(1)
 
-	j := &a.j
-	j.ctx = r.Context()
-	j.x = a.x
-	j.identify = true
-	j.strict = strict
-	j.strategy = strat
-	j.probs = a.jreq.Probabilities
-	j.arena = a
+	a.j.ctx = r.Context()
+	a.j.x = a.x
+	a.j.identify = true
+	a.j.arena = a
 
-	res, ok, recycle := s.awaitScore(j, w, r, false)
-	if !ok {
-		if recycle {
-			releaseArena(a)
+	res, abandoned := s.awaitScore(a, r)
+	switch {
+	case abandoned:
+		// The dispatcher may still write into the arena, so it stays out
+		// of the pool; only a drain has a client left to answer.
+		if errors.Is(res.err, errDraining) {
+			wire.WriteError(w, frame, http.StatusServiceUnavailable, errDraining.Error(), 0)
 		}
 		return
+	case errors.Is(res.err, errShed):
+		wire.WriteError(w, frame, http.StatusTooManyRequests, errShed.Error(), s.cfg.RetryAfter)
+	case res.err != nil:
+		s.fail(w, frame, scoreErrStatus(res.err), res.err.Error())
+	default:
+		if frame {
+			writeScoreFrame(w, a, res)
+		} else {
+			writeScoreResult(w, a, res)
+		}
+		s.metrics.requestOK.Add(1)
+		s.metrics.observeLatency(time.Since(start))
 	}
-	s.writeScoreResult(w, a, res, start)
 	releaseArena(a)
 }
 
-// awaitScore runs one job through the dispatcher (or directly when
-// batching is off) and returns its result. ok=false means no result:
-// the request was already answered (shed, draining) or the client
-// left; recycle reports whether the job's arena may safely re-enter
-// the pool — false whenever the dispatcher might still touch it.
-func (s *Server) awaitScore(j *job, w http.ResponseWriter, r *http.Request, binary bool) (jobResult, bool, bool) {
-	if s.cfg.MaxBatch > 1 {
-		select {
-		case s.queue <- j:
-		default:
-			s.metrics.shed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-			if binary {
-				writeWireError(w, http.StatusTooManyRequests, "scoring queue full, retry later")
-			} else {
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "scoring queue full, retry later"})
-			}
-			return jobResult{}, false, true
-		}
-		select {
-		case res := <-j.resp:
-			return res, true, true
-		case <-r.Context().Done():
-			// The client is gone; the dispatcher's buffered send still
-			// completes, and the arena stays out of the pool because the
-			// dispatcher may still be writing into it.
-			return jobResult{}, false, false
-		case <-s.done:
-			if binary {
-				writeWireError(w, http.StatusServiceUnavailable, errDraining.Error())
-			} else {
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: errDraining.Error()})
-			}
-			return jobResult{}, false, false
-		}
+// fail answers a failed request in its protocol and counts it: every
+// failure in requestErrs, a 413 in tooLarge as well.
+func (s *Server) fail(w http.ResponseWriter, frame bool, status int, msg string) {
+	s.metrics.requestErrs.Add(1)
+	if status == http.StatusRequestEntityTooLarge {
+		s.metrics.tooLarge.Add(1)
 	}
-	if j.arena != nil {
-		s.runBatch(j.arena.jobs[:1])
-	} else {
-		s.runBatch([]*job{j})
-	}
-	return <-j.resp, true, true
+	wire.WriteError(w, frame, status, msg, 0)
 }
 
-// scoreErrStatus maps a scoring error to its HTTP status, shared by
-// the JSON and binary response writers.
+// decodeJSON reads a JSON /score body into the arena: the rows into
+// a.x, the request's options into a.j. A non-zero status rejects the
+// request with msg.
+func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request) (status int, msg string) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var err error
+	a.body, err = readAllInto(a.body[:0], r.Body)
+	if err == nil {
+		// Reset before decode: json.Unmarshal reuses Instances' backing
+		// arrays (outer and per-row) when capacity allows.
+		a.jreq = scoreRequest{Instances: a.jreq.Instances[:0]}
+		err = json.Unmarshal(a.body, &a.jreq)
+	}
+	if err != nil {
+		return s.bodyError(err)
+	}
+	if a.x, err = instancesMatrixInto(a.x, a.jreq.Instances); err != nil {
+		return http.StatusBadRequest, err.Error()
+	}
+	a.j.strategy, a.j.strict, a.j.probs = s.cfg.Strategy, false, a.jreq.Probabilities
+	if a.jreq.Strategy != "" {
+		st, ok := ParseStrategy(a.jreq.Strategy)
+		if !ok {
+			return http.StatusBadRequest, fmt.Sprintf("unknown strategy %q (want MSP, ES, or ED)", a.jreq.Strategy)
+		}
+		a.j.strategy, a.j.strict = st, true
+	}
+	return 0, ""
+}
+
+// bodyError maps a failed read or decode of a JSON body: 413 when the
+// body ran past MaxBodyBytes, 400 otherwise.
+func (s *Server) bodyError(err error) (status int, msg string) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
+	}
+	return http.StatusBadRequest, "bad request body: " + err.Error()
+}
+
+// errShed answers a request the full queue turned away (429).
+var errShed = errors.New("scoring queue full, retry later")
+
+// awaitScore runs the arena's job through the dispatcher (or directly
+// when batching is off) and returns its result; a shed comes back as
+// errShed. abandoned reports a job left behind — the client gone (its
+// context error) or the server draining (errDraining) — whose arena
+// must not re-enter the pool: the dispatcher may still write into it.
+func (s *Server) awaitScore(a *reqArena, r *http.Request) (res jobResult, abandoned bool) {
+	if s.cfg.MaxBatch <= 1 {
+		s.runBatch(a.jobs[:1])
+		return <-a.j.resp, false
+	}
+	select {
+	case s.queue <- &a.j:
+	default:
+		s.metrics.shed.Add(1)
+		return jobResult{err: errShed}, false
+	}
+	select {
+	case res := <-a.j.resp:
+		return res, false
+	case <-r.Context().Done():
+		// The dispatcher's buffered send still completes.
+		return jobResult{err: r.Context().Err()}, true
+	case <-s.done:
+		return jobResult{err: errDraining}, true
+	}
+}
+
+// scoreErrStatus maps a scoring error to its HTTP status.
 func scoreErrStatus(err error) int {
 	switch {
-	case errors.Is(err, errStrategyNotCalibrated):
+	case errors.Is(err, errStrategyNotCalibrated),
+		errors.Is(err, errBatchWidth),
+		errors.Is(err, core.ErrDimMismatch):
 		return http.StatusBadRequest
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
@@ -604,22 +589,14 @@ func scoreErrStatus(err error) int {
 		// client-closed-request) — nobody reads it, but the access log
 		// should not claim a server fault.
 		return 499
-	case strings.Contains(err.Error(), "input dim"),
-		strings.Contains(err.Error(), "instance width"):
-		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }
 
-// writeScoreResult maps one jobResult to the JSON response, building
-// the decision and probability views in the request arena, and records
-// request metrics.
-func (s *Server) writeScoreResult(w http.ResponseWriter, a *reqArena, res jobResult, start time.Time) {
-	if res.err != nil {
-		s.metrics.requestErrs.Add(1)
-		writeJSON(w, scoreErrStatus(res.err), errorResponse{Error: res.err.Error()})
-		return
-	}
+// writeScoreResult encodes one successful jobResult as the JSON
+// response, building the decision and probability views in the
+// request arena.
+func writeScoreResult(w http.ResponseWriter, a *reqArena, res jobResult) {
 	out := scoreResponse{ModelVersion: res.version, Scores: res.scores}
 	if res.kinds != nil {
 		a.decisions = ensureStrings(a.decisions, len(res.kinds))
@@ -637,9 +614,7 @@ func (s *Server) writeScoreResult(w http.ResponseWriter, a *reqArena, res jobRes
 		}
 		out.Probabilities = a.probsRows
 	}
-	s.metrics.requestOK.Add(1)
-	s.metrics.observeLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, &out)
+	wire.WriteJSON(w, http.StatusOK, &out)
 }
 
 // readAllInto is io.ReadAll into a recycled buffer.
@@ -681,24 +656,24 @@ func instancesMatrixInto(dst *mat.Matrix, rows [][]float64) (*mat.Matrix, error)
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
 	if q := r.URL.Query().Get("shadow"); q == "1" || strings.EqualFold(q, "true") {
 		source, err := s.ShadowLoad()
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			wire.WriteError(w, false, http.StatusInternalServerError, err.Error(), 0)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"shadow": true, "source": source})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"shadow": true, "source": source})
 		return
 	}
 	v, err := s.Reload()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteError(w, false, http.StatusInternalServerError, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"model_version": v})
+	wire.WriteJSON(w, http.StatusOK, map[string]int64{"model_version": v})
 }
 
 // InstanceID returns the identity this process stamps on its health

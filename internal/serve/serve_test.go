@@ -88,6 +88,12 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// errorResponse is the JSON error body every endpoint answers with
+// (wire.WriteError).
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
 func postScore(t testing.TB, client *http.Client, url string, req scoreRequest) (int, scoreResponse, errorResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)

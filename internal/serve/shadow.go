@@ -11,6 +11,7 @@ import (
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/mat"
+	"targad/internal/wire"
 )
 
 // Shadow evaluation: POST /reload?shadow=1 loads a candidate model
@@ -39,13 +40,11 @@ type shadowState struct {
 	id          int64
 	baseVersion int64
 
-	mu sync.Mutex
-	// acc implements deterministic fractional sampling: each batch adds
-	// ShadowSample, and the batch is taken when the accumulator crosses
-	// 1 — exactly every 1/ShadowSample-th batch, no RNG.
-	acc     float64
-	pending int64 // sampled batches not yet scored
+	// sample picks the live batches re-scored on the candidate
+	// (ShadowSample of them).
+	sample sampler
 
+	mu      sync.Mutex
 	batches int64
 	rows    int64
 	errs    int64
@@ -137,6 +136,7 @@ func (s *Server) installShadow(m *core.Model, source string) *shadowState {
 		loadedAt:    time.Now(),
 		id:          s.shadowSeq.Add(1),
 		baseVersion: s.ModelVersion(),
+		sample:      sampler{fraction: s.cfg.ShadowSample},
 	}
 	s.shadow.Store(sh)
 	s.cfg.Logf("serve: shadow candidate %d loaded from %s (sample %.2f)", sh.id, source, s.cfg.ShadowSample)
@@ -253,83 +253,39 @@ func (s *Server) ShadowBatches() int64 {
 	return sh.batches
 }
 
-// shadowBatch is one sampled batch copied out of the request path.
-// The copy is mandatory, not an optimization: the source rows and
-// result slices may live in a pooled request arena that is recycled
-// the moment the response is written, so the background pass can never
-// hold references into them.
-type shadowBatch struct {
-	x        *mat.Matrix
-	scores   []float64
-	kinds    []dataset.Kind
-	hasKinds bool
-}
-
-var shadowBatchPool = sync.Pool{New: func() any { return new(shadowBatch) }}
-
 // maybeShadow samples one served batch for background re-scoring on
 // the shadow model. The fast path (no shadow loaded) is one atomic
-// load and zero allocations; a sampled batch is copied into pooled
-// buffers synchronously, before the caller's arena can be recycled.
+// load and zero allocations; a sampled batch goes through the batch
+// tap (tap.go).
 func (s *Server) maybeShadow(x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	sh := s.shadow.Load()
-	if sh == nil {
+	if sh == nil || !s.sampled(&sh.sample) {
 		return
 	}
-	select {
-	case <-s.done:
-		return
-	default:
-	}
-	sh.mu.Lock()
-	sh.acc += s.cfg.ShadowSample
-	take := sh.acc >= 1
-	if take {
-		sh.acc--
-		sh.pending++
-	}
-	sh.mu.Unlock()
-	if !take {
-		return
-	}
-	sb := shadowBatchPool.Get().(*shadowBatch)
-	sb.x = mat.Ensure(sb.x, x.Rows, x.Cols)
-	copy(sb.x.Data, x.Data)
-	sb.scores = append(sb.scores[:0], scores...)
-	sb.hasKinds = kinds != nil
-	if sb.hasKinds {
-		sb.kinds = append(sb.kinds[:0], kinds...)
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.shadowScore(sh, sb)
-		shadowBatchPool.Put(sb)
-	}()
+	s.tap(x, scores, kinds, func(b *batchCopy) { s.shadowScore(sh, b) })
 }
 
 // shadowScore runs the candidate over one sampled (copied) batch and
 // folds the comparison into the running stats.
-func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
+func (s *Server) shadowScore(sh *shadowState, b *batchCopy) {
 	opt := core.InferOptions{}
-	if sb.hasKinds {
+	if len(b.kinds) > 0 {
 		if _, ok := sh.model.IdentifyThreshold(s.cfg.Strategy); ok {
 			opt.Strategies = []core.OODStrategy{s.cfg.Strategy}
 		}
 	}
 	// The candidate scores at the served generation's precision.
-	res, err := s.score(sh.model, sb.x, opt)
+	res, err := s.score(sh.model, b.x, opt)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.pending--
 	if err != nil {
 		sh.errs++
 		return
 	}
 	sh.batches++
-	sh.rows += int64(sb.x.Rows)
-	for i, old := range sb.scores {
+	sh.rows += int64(b.x.Rows)
+	for i, old := range b.scores {
 		d := res.Scores[i] - old
 		sh.deltaSum += d
 		if d < 0 {
@@ -340,10 +296,10 @@ func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
 			sh.maxAbs = d
 		}
 	}
-	if newKinds, ok := res.Kinds[s.cfg.Strategy]; ok && sb.hasKinds {
+	if newKinds, ok := res.Kinds[s.cfg.Strategy]; ok && len(b.kinds) > 0 {
 		for i, k := range newKinds {
 			sh.decided++
-			if k != sb.kinds[i] {
+			if k != b.kinds[i] {
 				sh.flips++
 			}
 		}
@@ -352,7 +308,7 @@ func (s *Server) shadowScore(sh *shadowState, sb *shadowBatch) {
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
 	report := s.shadowSnapshot()
@@ -362,21 +318,21 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errNoShadow) {
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		wire.WriteError(w, false, status, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"model_version": v, "shadow": report})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"model_version": v, "shadow": report})
 }
 
 func (s *Server) handleDiscard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
 	report := s.shadowSnapshot()
 	if err := s.Discard(); err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		wire.WriteError(w, false, http.StatusConflict, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"discarded": true, "shadow": report})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"discarded": true, "shadow": report})
 }

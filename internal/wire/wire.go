@@ -77,7 +77,9 @@
 //     frame may be replayed verbatim on a retry to another replica.
 //   - An intermediary that answers for an unreachable fleet speaks the
 //     same error frame type (AppendError) a server would, so binary
-//     clients parse one failure shape end to end.
+//     clients parse one failure shape end to end. Every layer of the
+//     stack answers failures through WriteError (http.go), which also
+//     owns the one test for a frame request, IsFrame.
 package wire
 
 import (

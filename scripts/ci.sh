@@ -119,12 +119,15 @@ go test -count=1 \
     ./internal/fleet
 
 # Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
-# binary wire-frame decoder and the saved-model loader (the seed
-# corpora always run in the full suite; this explores beyond them).
-echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad, 10s each) =="
+# binary wire-frame decoder, the saved-model loader and the serving
+# front end (/score under both content types, POST /feedback). The
+# seed corpora always run in the full suite; this explores beyond them.
+echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad + FuzzScoreRequest + FuzzFeedbackRequest, 10s each) =="
 go test -fuzz FuzzLoadCSV -fuzztime 10s -run '^$' ./internal/dataset
 go test -fuzz FuzzDecodeFrame -fuzztime 10s -run '^$' ./internal/wire
 go test -fuzz FuzzLoad -fuzztime 10s -run '^$' ./internal/core
+go test -fuzz FuzzScoreRequest -fuzztime 10s -run '^$' ./internal/serve
+go test -fuzz FuzzFeedbackRequest -fuzztime 10s -run '^$' ./internal/serve
 
 # Allocation-budget smoke: one iteration of each hot-path benchmark
 # with -benchmem, failing if allocs/op regresses above its budget. The
