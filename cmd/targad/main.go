@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -172,19 +173,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	for _, s := range scores {
-		fmt.Fprintln(w, strconv.FormatFloat(s, 'g', -1, 64))
+	if err := writeScoresTo(*outPath, scores); err != nil {
+		fatal(err)
 	}
 }
 
@@ -206,20 +196,38 @@ func scoreWithSavedModel(ctx context.Context, modelPath, scorePath, outPath stri
 	if err != nil {
 		fatal(err)
 	}
-	out := os.Stdout
-	if outPath != "" {
-		of, err := os.Create(outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer of.Close()
-		out = of
+	if err := writeScoresTo(outPath, scores); err != nil {
+		fatal(err)
 	}
+}
+
+// writeScoresTo writes scores to the file at path, or to stdout when
+// path is empty, and reports any write, flush or close failure.
+func writeScoresTo(path string, scores []float64) error {
+	if path == "" {
+		return writeScores(os.Stdout, scores)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	// Errors from the file already name its path.
+	if err := writeScores(f, scores); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeScores writes one full-precision score per line. The
+// bufio.Writer keeps its first write error and Flush returns it.
+func writeScores(out io.Writer, scores []float64) error {
 	w := bufio.NewWriter(out)
-	defer w.Flush()
 	for _, s := range scores {
-		fmt.Fprintln(w, strconv.FormatFloat(s, 'g', -1, 64))
+		w.WriteString(strconv.FormatFloat(s, 'g', -1, 64))
+		w.WriteByte('\n')
 	}
+	return w.Flush()
 }
 
 func loadCSV(path string, header bool) *mat.Matrix {

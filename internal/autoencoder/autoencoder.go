@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"targad/internal/faultinject"
@@ -156,14 +157,14 @@ func (ae *AE) TrainCtx(ctx context.Context, unlabeled, labeled *mat.Matrix, r *r
 			rec := ae.net.Forward(ae.xb)
 			loss, grad := reconLossGradInto(ae.grad, rec, ae.xb)
 			ae.grad = grad
-			ae.net.Backward(grad)
+			ae.net.BackwardParams(grad)
 
 			// Labeled inverse-error term (Eq. 1, second summand).
 			if useLabeled {
 				recL := ae.net.Forward(labeled)
 				l2, g2 := inverseLossGradInto(ae.gradL, recL, labeled, ae.cfg.Eta)
 				ae.gradL = g2
-				ae.net.Backward(g2)
+				ae.net.BackwardParams(g2)
 				loss += l2
 			}
 			opt.Step(ae.net.Params())
@@ -295,13 +296,14 @@ type ClusterResume struct {
 // the shared worker pool (Algorithm 1, lines 2–5). clusters[i] lists
 // the unlabeled row indices of cluster i. It returns the trained
 // autoencoders and S^Rec for every unlabeled row, computed by the AE
-// of its own cluster.
+// of its own cluster. Clusters are handed to workers largest first,
+// so the longest training starts at once instead of last.
 //
 // Each cluster's RNG stream is split from the parent serially, before
 // any training starts, so every autoencoder sees the same stream
-// regardless of worker count or scheduling — results are bitwise
-// identical to a sequential run, and a cluster restored from a
-// checkpoint (resume.Done) never perturbs its siblings' streams.
+// regardless of worker count, scheduling or training order — results
+// are bitwise identical to a sequential run, and a cluster restored
+// from a checkpoint (resume.Done) never perturbs its siblings' streams.
 //
 // A cluster whose training trips a numerical guard is retried up to
 // MaxTrainRetries times with a halved learning rate and a re-split RNG
@@ -319,9 +321,15 @@ func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 	aes := make([]*AE, k)
 	errsByCluster := make([][]float64, k)
 	firstErr := make([]error, k)
+	order := make([]int, k)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(clusters[b]) - len(clusters[a]) })
 	var hookMu sync.Mutex
 	var hookErr error
-	parallel.Map(k, func(i int) {
+	parallel.Map(k, func(j int) {
+		i := order[j]
 		if resume != nil && i < len(resume.Done) && resume.Done[i] != nil {
 			aes[i] = resume.Done[i]
 			errsByCluster[i] = resume.Errs[i]

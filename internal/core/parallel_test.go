@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"targad/internal/core"
@@ -99,6 +101,66 @@ func TestScoreOnlyParallelSerialIdentical(t *testing.T) {
 			if par[i] != s {
 				t.Fatalf("workers=%d: score[%d] = %v, serial %v", w, i, par[i], s)
 			}
+		}
+	}
+}
+
+// TestContendedFitsSaveLikeSolo runs two Fits at once at two workers,
+// so they compete for the one helper the process-wide budget allows
+// and each finds it taken at unpredictable moments: some of a Fit's
+// parallel calls get a helper and some run inline. Each model must
+// still save byte-for-byte what a solo Fit at one worker saves.
+func TestContendedFitsSaveLikeSolo(t *testing.T) {
+	bundle, err := synth.Generate(synth.KDDCUP99(), synth.Options{
+		Scale: 0.02, Seed: 7, LabeledPerType: 15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.K = 3
+	cfg.AEEpochs = 2
+	cfg.ClfEpochs = 3
+	cfg.AELR = 1e-3
+	cfg.ClfLR = 1e-3
+	fitBytes := func(seed int64) ([]byte, error) {
+		m := core.New(cfg, seed)
+		if err := m.Fit(context.Background(), bundle.Train); err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err := m.Save(&buf)
+		return buf.Bytes(), err
+	}
+	seeds := []int64{42, 43}
+
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	want := make([][]byte, len(seeds))
+	for i, s := range seeds {
+		if want[i], err = fitBytes(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	parallel.SetWorkers(2)
+	got := make([][]byte, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func(i int, s int64) {
+			defer wg.Done()
+			got[i], errs[i] = fitBytes(s)
+		}(i, s)
+	}
+	wg.Wait()
+	for i, s := range seeds {
+		if errs[i] != nil {
+			t.Fatalf("seed %d: contended fit: %v", s, errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("seed %d: contended fit at 2 workers saved %d bytes unlike the solo fit at 1 worker (%d bytes)", s, len(got[i]), len(want[i]))
 		}
 	}
 }

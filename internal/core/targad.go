@@ -467,10 +467,6 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	labBat := nn.NewBatcher(xa.Rows, min(mo.cfg.ClfBatch, xa.Rows), r.Split("labbat"))
 	candBat := nn.NewBatcher(cand.Rows, mo.cfg.ClfBatch, r.Split("candbat"))
 
-	// Per-batch workspaces, sized on first use and reused for the whole
-	// training run so the steady-state epoch loop allocates nothing.
-	var ws clfWS
-
 	bestVal := -1.0
 	var bestParams [][]float64
 	resumeEpochs := ck.classifierResume(attempt)
@@ -497,6 +493,12 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	}
 
 	useOE := mo.cfg.UseOE && mo.cfg.Lambda1 != 0 && cand.Rows > 0
+	// The step's three loss passes, their batch workspaces (sized on
+	// first use and reused for the whole run, so the steady-state epoch
+	// loop allocates nothing) and, once a step runs concurrently, the
+	// training replicas the D_L and D_U^A passes use.
+	st := &clfStep{mo: mo, useOE: useOE}
+	st.norm.reFrac, st.lab.reFrac = reFracN, reFracL
 	var firstLoss float64
 	haveFirst := false
 	if resumeEpochs > 0 && len(mo.EpochLosses) > 0 {
@@ -538,43 +540,29 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 		var epochLoss float64
 		nb := normBat.BatchesPerEpoch()
 		for b := 0; b < nb; b++ {
-			mo.clf.ZeroGrad()
-			var loss float64
-
-			// L_CE, normal-candidate term, plus its share of L_RE.
-			// Eq. (7) normalizes the entropy regularizer by
-			// |D_L| + |D_U^N| combined, so each set's contribution
-			// is weighted by its size fraction — the normal
-			// candidates receive nearly all of it and the handful
-			// of labeled anomalies almost none.
+			// Draw and gather every pass's batch first, in the order the
+			// batchers have always been drawn (ghost epochs replay it).
 			nidx := normBat.Next()
-			ws.xb = nn.GatherInto(ws.xb, xn, nidx)
+			st.norm.xb = nn.GatherInto(st.norm.xb, xn, nidx)
 			if faultinject.Fire(faultinject.ClfBatchNaN) {
-				ws.xb.Data[0] = math.NaN()
+				st.norm.xb.Data[0] = math.NaN()
 			}
-			ws.yb = nn.GatherInto(ws.yb, yn, nidx)
-			loss += mo.superviseStep(ws.xb, ws.yb, reFracN, &ws)
-
-			// L_CE, labeled-anomaly term. Its separate 1/|D_L|
-			// normalization is what lets a few hundred labels
-			// counterbalance tens of thousands of normal candidates.
+			st.norm.yb = nn.GatherInto(st.norm.yb, yn, nidx)
 			lidx := labBat.Next()
-			ws.xb = nn.GatherInto(ws.xb, xa, lidx)
-			ws.yb = nn.GatherInto(ws.yb, ya, lidx)
-			loss += mo.superviseStep(ws.xb, ws.yb, reFracL, &ws)
-
-			// L_OE over the non-target anomaly candidates.
+			st.lab.xb = nn.GatherInto(st.lab.xb, xa, lidx)
+			st.lab.yb = nn.GatherInto(st.lab.yb, ya, lidx)
 			if useOE {
 				cidx := candBat.Next()
-				ws.xb = nn.GatherInto(ws.xb, cand, cidx)
-				ws.yb = nn.GatherInto(ws.yb, candY, cidx)
-				ws.cw = nn.GatherVecInto(ws.cw, weights, cidx)
-				clogits := mo.clf.Forward(ws.xb)
-				oeLoss, oeGrad := nn.SoftCrossEntropyInto(ws.gradCE, clogits, ws.yb, ws.cw)
-				ws.gradCE = oeGrad
-				mat.Scale(mo.cfg.Lambda1, oeGrad.Data)
-				mo.clf.Backward(oeGrad)
-				loss += mo.cfg.Lambda1 * oeLoss
+				st.cand.xb = nn.GatherInto(st.cand.xb, cand, cidx)
+				st.cand.yb = nn.GatherInto(st.cand.yb, candY, cidx)
+				st.cand.cw = nn.GatherVecInto(st.cand.cw, weights, cidx)
+			}
+			st.run()
+			loss := 0.0
+			loss += st.norm.loss
+			loss += st.lab.loss
+			if useOE {
+				loss += mo.cfg.Lambda1 * st.cand.loss
 			}
 			opt.Step(mo.clf.Params())
 			epochLoss += loss
@@ -663,38 +651,118 @@ func defaultClfHidden(d int) []int {
 	return []int{h1, h2}
 }
 
-// clfWS holds the classifier training loop's reusable batch buffers:
-// gathered inputs/targets, OE weights, and loss gradients. All are
-// grown on first use via the Into helpers and reused across batches
-// and epochs.
-type clfWS struct {
+// clfPass is one loss pass of a classifier step: the network it runs
+// on, its gathered batch (inputs, targets and, for L_OE, candidate
+// weights), its loss-gradient buffers, and the loss it produced. The
+// buffers are grown on first use via the Into helpers and reused
+// across batches and epochs.
+type clfPass struct {
+	net            *nn.MLP
 	xb, yb         *mat.Matrix
 	gradCE, gradRE *mat.Matrix
 	cw             []float64
+	reFrac         float64 // L_RE share (superviseStep); unused by L_OE
+	loss           float64
+}
+
+// clfStep runs the three loss passes of one classifier step — the
+// D_U^N and D_L cross-entropy passes with their L_RE shares, then
+// L_OE over D_U^A — and leaves their summed gradient in the model's
+// parameters.
+//
+// With one worker every pass runs on the model's own network, one
+// after another, so each gradient element receives one add per pass:
+// ((0+g_N)+g_L)+g_A. With more, the work runs as two parallel.Map
+// tasks — the D_U^N pass on the model's network, and the D_L pass
+// followed by the D_U^A pass, each on a training replica of its own —
+// and AddGrads then folds the replicas into the model in pass order,
+// giving ((0+g_N)+(0+g_L))+(0+g_A). A zeroed buffer holds +0, so
+// (0+g) differs from g only when g is −0, and adding +0 instead of −0
+// changes a sum only when the other addend is −0 too. (0+g_N) is never
+// −0, nor is any sum onto it, so the fold is ((0+g_N)+g_L)+g_A bit for
+// bit, at any worker count.
+type clfStep struct {
+	mo              *Model
+	useOE           bool
+	norm, lab, cand clfPass
+
+	// Built on the first concurrent step, then reused.
+	labNet, candNet *nn.MLP
+	task            func(i int)
+}
+
+// run executes one step's passes. The batches must already be
+// gathered into the passes.
+func (st *clfStep) run() {
+	clf := st.mo.clf
+	clf.ZeroGrad()
+	if parallel.Workers() == 1 {
+		st.norm.net, st.lab.net, st.cand.net = clf, clf, clf
+		st.pass(0)
+		st.pass(1)
+		return
+	}
+	if st.task == nil {
+		st.labNet, st.candNet = clf.TrainReplica(), clf.TrainReplica()
+		st.task = st.pass
+	}
+	st.norm.net, st.lab.net, st.cand.net = clf, st.labNet, st.candNet
+	st.labNet.ZeroGrad()
+	st.candNet.ZeroGrad()
+	parallel.Map(2, st.task)
+	clf.AddGrads(st.labNet)
+	if st.useOE {
+		clf.AddGrads(st.candNet)
+	}
+}
+
+// pass runs task i of a step: 0 is the D_U^N pass, 1 the D_L pass and
+// then the D_U^A pass.
+func (st *clfStep) pass(i int) {
+	mo := st.mo
+	if i == 0 {
+		mo.superviseStep(&st.norm)
+		return
+	}
+	mo.superviseStep(&st.lab)
+	if st.useOE {
+		// L_OE over the non-target anomaly candidates.
+		p := &st.cand
+		logits := p.net.Forward(p.xb)
+		loss, grad := nn.SoftCrossEntropyInto(p.gradCE, logits, p.yb, p.cw)
+		p.gradCE = grad
+		mat.Scale(mo.cfg.Lambda1, grad.Data)
+		p.net.BackwardParams(grad)
+		p.loss = loss
+	}
 }
 
 // superviseStep backpropagates one batch's cross-entropy plus its
-// share of the entropy regularizer (Eq. 7) and returns the batch
-// loss. reFrac is the batch's set-size fraction of |D_L| + |D_U^N|,
-// implementing Eq. (7)'s combined normalization; minimizing the
-// entropy boosts prediction confidence on D_L ∪ D_U^N as Section
-// III-B2 describes (the printed equation omits the leading minus).
-// Gradients are written into ws's buffers.
-func (mo *Model) superviseStep(xb, yb *mat.Matrix, reFrac float64, ws *clfWS) float64 {
-	logits := mo.clf.Forward(xb)
-	loss, grad := nn.SoftCrossEntropyInto(ws.gradCE, logits, yb, nil)
-	ws.gradCE = grad
+// share of the entropy regularizer (Eq. 7) through p.net and records
+// the batch loss in p.loss. p.reFrac is the batch's set-size fraction
+// of |D_L| + |D_U^N|, implementing Eq. (7)'s combined normalization:
+// the normal candidates receive nearly all of L_RE and the handful of
+// labeled anomalies almost none, while each set's cross-entropy keeps
+// its own 1/|set| normalization (Eq. 3), which is what lets a few
+// hundred labels counterbalance tens of thousands of normal
+// candidates. Minimizing the entropy boosts prediction confidence on
+// D_L ∪ D_U^N as Section III-B2 describes (the printed equation omits
+// the leading minus).
+func (mo *Model) superviseStep(p *clfPass) {
+	logits := p.net.Forward(p.xb)
+	loss, grad := nn.SoftCrossEntropyInto(p.gradCE, logits, p.yb, nil)
+	p.gradCE = grad
 	if mo.cfg.UseRE && mo.cfg.Lambda2 != 0 {
-		w := mo.cfg.Lambda2 * reFrac
-		reLoss, reGrad := nn.EntropyInto(ws.gradRE, logits)
-		ws.gradRE = reGrad
+		w := mo.cfg.Lambda2 * p.reFrac
+		reLoss, reGrad := nn.EntropyInto(p.gradRE, logits)
+		p.gradRE = reGrad
 		loss += w * reLoss
 		for i := range grad.Data {
 			grad.Data[i] += w * reGrad.Data[i]
 		}
 	}
-	mo.clf.Backward(grad)
-	return loss
+	p.net.BackwardParams(grad)
+	p.loss = loss
 }
 
 // buildOEPseudoLabels returns n copies of

@@ -120,6 +120,18 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
+	d.accumulateGrads(grad)
+	// dL/dx = grad·Wᵀ
+	d.gin = mat.Ensure(d.gin, grad.Rows, d.In)
+	if _, err := mat.MulABT(d.gin, grad, &d.wView); err != nil {
+		panic(err)
+	}
+	return d.gin
+}
+
+// accumulateGrads is the parameter half of Backward: each element of
+// W.Grad and B.Grad receives exactly one add of its finished chain.
+func (d *Dense) accumulateGrads(grad *mat.Matrix) {
 	if d.lastIn == nil {
 		panic("nn: dense backward before forward")
 	}
@@ -131,12 +143,6 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 	// db += column sums of grad.
 	d.bSums = mat.ColSumsInto(d.bSums, grad)
 	mat.Axpy(1, d.bSums, d.B.Grad)
-	// dL/dx = grad·Wᵀ
-	d.gin = mat.Ensure(d.gin, grad.Rows, d.In)
-	if _, err := mat.MulABT(d.gin, grad, &d.wView); err != nil {
-		panic(err)
-	}
-	return d.gin
 }
 
 // Params implements Layer.

@@ -83,6 +83,32 @@ func (m *MLP) Backward(grad *mat.Matrix) *mat.Matrix {
 	return g
 }
 
+// BackwardParams is Backward for training loops that never read
+// dL/d(input): it accumulates exactly the parameter gradients Backward
+// does, bit for bit, but a leading Dense layer skips its grad·Wᵀ
+// product. It returns nothing, since no input gradient is formed.
+func (m *MLP) BackwardParams(grad *mat.Matrix) {
+	g := grad
+	for i := len(m.Layers) - 1; i > 0; i-- {
+		g = m.Layers[i].Backward(g)
+	}
+	if d, ok := m.Layers[0].(*Dense); ok {
+		d.accumulateGrads(g)
+		return
+	}
+	m.Layers[0].Backward(g)
+}
+
+// AddGrads adds src's parameter gradients into m's, one add per
+// element (g_m += g_src). src must share m's topology, as a
+// TrainReplica does.
+func (m *MLP) AddGrads(src *MLP) {
+	sp := src.Params()
+	for i, p := range m.Params() {
+		mat.Axpy(1, sp[i].Grad, p.Grad)
+	}
+}
+
 // Params returns all trainable parameters in layer order. The slice is
 // built once and cached (topology never changes after construction);
 // it is sized to exact capacity, so callers appending to it get their
@@ -130,20 +156,38 @@ func (m *MLP) NumParams() int {
 // original while replicas are live) is a data race. Replicas are
 // cheap: per Dense layer they allocate only the layer header; the
 // workspaces grow lazily on first Forward.
-func (m *MLP) ShareParams() *MLP {
+func (m *MLP) ShareParams() *MLP { return m.replica(false) }
+
+// TrainReplica returns a training replica of m: its layers read the
+// receiver's parameter values (Param.Data is shared, not copied) but
+// own their gradient buffers and workspaces. Forward and Backward on
+// distinct replicas may run concurrently, each accumulating only into
+// its own gradients, as long as nothing writes the shared values
+// meanwhile; the owner then folds them in with AddGrads and steps its
+// optimizer on its own Params. A replica allocates one gradient buffer
+// per parameter up front; workspaces grow lazily on first Forward.
+func (m *MLP) TrainReplica() *MLP { return m.replica(true) }
+
+// replica builds a layer-for-layer copy of m over m's parameter values,
+// with gradient buffers of its own when ownGrads is set.
+func (m *MLP) replica(ownGrads bool) *MLP {
 	r := &MLP{Layers: make([]Layer, 0, len(m.Layers))}
 	for _, l := range m.Layers {
 		switch t := l.(type) {
 		case *Dense:
 			d := &Dense{In: t.In, Out: t.Out, W: t.W, B: t.B}
+			if ownGrads {
+				d.W = &Param{Name: t.W.Name, Data: t.W.Data, Grad: make([]float64, len(t.W.Grad))}
+				d.B = &Param{Name: t.B.Name, Data: t.B.Data, Grad: make([]float64, len(t.B.Grad))}
+			}
 			d.params = []*Param{d.W, d.B}
-			d.wView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: t.W.Data}
-			d.gwView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: t.W.Grad}
+			d.wView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: d.W.Data}
+			d.gwView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: d.W.Grad}
 			r.Layers = append(r.Layers, d)
 		case *ActLayer:
 			r.Layers = append(r.Layers, NewAct(t.Act))
 		default:
-			panic(fmt.Sprintf("nn: ShareParams: unsupported layer type %T", l))
+			panic(fmt.Sprintf("nn: replica: unsupported layer type %T", l))
 		}
 	}
 	return r

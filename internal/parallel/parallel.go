@@ -1,5 +1,5 @@
 // Package parallel is the repository's shared deterministic compute
-// substrate: a fixed-width fork-join pool that splits index ranges into
+// substrate: a fork-join helper that splits index ranges into
 // contiguous chunks with a stable schedule, so that the same inputs,
 // seed, and worker count always produce bitwise-identical float64
 // results regardless of goroutine scheduling.
@@ -21,7 +21,13 @@
 // The worker count defaults to GOMAXPROCS, can be pinned process-wide
 // with the TARGAD_WORKERS environment variable, and can be changed at
 // runtime with SetWorkers (used by benchmarks and the -workers flag of
-// cmd/targad-bench).
+// cmd/targad-bench). It is one budget for the whole process: a call
+// runs chunks on its own goroutine and borrows helper goroutines only
+// while fewer than Workers()-1 are running anywhere. A call nested in
+// another call's chunk, or overlapping it, usually finds the budget
+// spent and runs its chunks inline, so coarse outer work (one
+// autoencoder per cluster, one loss pass per classifier task) keeps the
+// cores and the GEMMs inside it stop forking.
 //
 // Fault tolerance: a worker that dies before executing its chunk
 // (simulated via internal/faultinject's WorkerCrash point) degrades
@@ -37,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -69,7 +76,29 @@ func SetWorkers(n int) (prev int) {
 	return int(workers.Swap(int64(n)))
 }
 
-// chunkPanic carries a worker panic to the caller's goroutine.
+// busy counts the helper goroutines running in the whole process. The
+// budget is Workers()-1: a call's own goroutine is the remaining
+// worker, so work started from one goroutine never runs more than
+// Workers() chunk functions at once, however deeply calls nest, and
+// each other goroutine calling in concurrently adds only itself.
+var busy atomic.Int64
+
+// acquireHelpers reserves up to want helpers from the process-wide
+// budget and returns how many it got (possibly 0).
+func acquireHelpers(want int) int {
+	for {
+		b := busy.Load()
+		n := min(int64(want), int64(Workers()-1)-b)
+		if n <= 0 {
+			return 0
+		}
+		if busy.CompareAndSwap(b, b+n) {
+			return int(n)
+		}
+	}
+}
+
+// chunkPanic carries a chunk's panic to the caller's goroutine.
 type chunkPanic struct {
 	chunk int
 	value any
@@ -82,31 +111,32 @@ func Ranges(n, w int) [][2]int {
 	if n <= 0 {
 		return nil
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	base, rem := n/w, n%w
+	w = max(min(w, n), 1)
 	out := make([][2]int, w)
-	lo := 0
-	for c := 0; c < w; c++ {
-		hi := lo + base
-		if c < rem {
-			hi++
-		}
+	for c := range out {
+		lo, hi := chunkBounds(n, w, c)
 		out[c] = [2]int{lo, hi}
-		lo = hi
 	}
 	return out
 }
 
+// chunkBounds returns chunk c of Ranges(n, w) without building the
+// schedule; w must be in [1, n].
+func chunkBounds(n, w, c int) (lo, hi int) {
+	base, rem := n/w, n%w
+	lo = c*base + min(c, rem)
+	hi = lo + base
+	if c < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // ForEachChunk splits [0,n) into at most Workers() contiguous chunks
-// and runs fn(lo, hi) on each, concurrently when more than one chunk
-// results. It returns after every chunk completes. A panic in any
-// chunk is re-raised in the caller (first chunk in schedule order
-// wins, for determinism).
+// and runs fn(lo, hi) on each, concurrently when helpers are free. It
+// returns after every chunk completes. A panic in any chunk is
+// re-raised in the caller (first chunk in schedule order wins, for
+// determinism).
 func ForEachChunk(n int, fn func(lo, hi int)) {
 	ForEachChunkN(Workers(), n, fn)
 }
@@ -127,75 +157,124 @@ func ForEachChunkMin(n, minPerChunk int, fn func(lo, hi int)) {
 	ForEachChunkN(w, n, fn)
 }
 
-// ForEachChunkN is ForEachChunk with an explicit worker count.
+// ForEachChunkN is ForEachChunk with an explicit chunk count: [0,n) is
+// split as Ranges(n, w). The caller's goroutine runs chunks itself and
+// takes on at most w-1 helper goroutines, as many as the process-wide
+// budget has free; caller and helpers claim chunks in schedule order
+// from a shared counter. A call that finds no free helper — nested in
+// another call's chunk, or overlapping one — runs every chunk inline
+// and starts no goroutine. Which goroutine runs a chunk never changes
+// its boundaries, so results do not depend on it.
 func ForEachChunkN(w, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if w <= 1 || n == 1 {
+	w = min(w, n)
+	if w <= 1 {
 		fn(0, n)
 		return
 	}
-	ranges := Ranges(n, w)
-	if len(ranges) == 1 {
-		fn(0, n)
-		return
+	j := &job{n: n, chunks: w, fn: fn}
+	h := acquireHelpers(w - 1)
+	j.wg.Add(h)
+	for i := 0; i < h; i++ {
+		go j.help()
 	}
-	panics := make([]*chunkPanic, len(ranges))
-	crashed := make([]bool, len(ranges))
-	var wg sync.WaitGroup
-	for c, rg := range ranges {
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[c] = &chunkPanic{chunk: c, value: r}
-				}
-			}()
-			if faultinject.Enabled() {
-				// A simulated worker crash dies before fn touches any
-				// state, so the serial fallback below can re-execute
-				// the chunk exactly once. WorkerPanic instead fires
-				// inside the chunk's execution, modeling a bug in fn
-				// itself; it propagates like any fn panic.
-				if faultinject.Fire(faultinject.WorkerCrash) {
-					crashed[c] = true
-					return
-				}
-				faultinject.Sleep(faultinject.WorkerSlow)
-				if faultinject.Fire(faultinject.WorkerPanic) {
-					panic("faultinject: worker panic")
-				}
-			}
-			fn(lo, hi)
-		}(c, rg[0], rg[1])
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("parallel: worker chunk %d panicked: %v", p.chunk, p.value))
+	j.work()
+	j.wg.Wait()
+	j.finish()
+}
+
+// job is one ForEachChunkN call: Ranges(n, chunks) handed out through
+// next, plus the failures its chunks reported.
+type job struct {
+	n, chunks int
+	fn        func(lo, hi int)
+	next      atomic.Int64
+	wg        sync.WaitGroup
+
+	mu      sync.Mutex
+	panic   *chunkPanic // lowest panicking chunk
+	crashed []int       // chunks whose worker died before fn ran
+}
+
+// help is a helper goroutine's body. It returns its budget slot as
+// soon as it finds no chunk left to claim.
+func (j *job) help() {
+	defer j.wg.Done()
+	defer busy.Add(-1)
+	j.work()
+}
+
+// work claims and runs chunks until none is left.
+func (j *job) work() {
+	for {
+		c := int(j.next.Add(1) - 1)
+		if c >= j.chunks {
+			return
 		}
-	}
-	// Graceful degradation: chunks whose worker died before running fn
-	// are re-executed serially on the caller's goroutine, in schedule
-	// order. Every chunk still runs exactly once, so results (including
-	// accumulate kernels) are bitwise identical to a healthy run.
-	for c, rg := range ranges {
-		if crashed[c] {
-			fn(rg[0], rg[1])
-		}
+		j.runChunk(c)
 	}
 }
 
-// Map runs fn(i) for every i in [0,n), distributing indices over the
-// pool in contiguous chunks. Use it for embarrassingly parallel
-// per-item work (e.g. one autoencoder per cluster, one k-means restart
-// per candidate k). Results must be written to per-index slots.
+// runChunk runs chunk c behind the fault-injection points, recording a
+// panic instead of letting it unwind a helper goroutine.
+func (j *job) runChunk(c int) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.mu.Lock()
+			if j.panic == nil || c < j.panic.chunk {
+				j.panic = &chunkPanic{chunk: c, value: r}
+			}
+			j.mu.Unlock()
+		}
+	}()
+	if faultinject.Enabled() {
+		// A simulated worker crash dies before fn touches any state,
+		// so finish can re-execute the chunk exactly once. WorkerPanic
+		// instead fires inside the chunk's execution, modeling a bug
+		// in fn itself; it propagates like any fn panic.
+		if faultinject.Fire(faultinject.WorkerCrash) {
+			j.mu.Lock()
+			j.crashed = append(j.crashed, c)
+			j.mu.Unlock()
+			return
+		}
+		faultinject.Sleep(faultinject.WorkerSlow)
+		if faultinject.Fire(faultinject.WorkerPanic) {
+			panic("faultinject: worker panic")
+		}
+	}
+	j.fn(chunkBounds(j.n, j.chunks, c))
+}
+
+// finish runs on the caller once every chunk has been claimed and
+// returned. It re-raises the first panic in schedule order; otherwise
+// it re-executes crashed chunks serially, in schedule order. Every
+// chunk still runs exactly once, so results (including accumulate
+// kernels) are bitwise identical to a healthy run.
+func (j *job) finish() {
+	if p := j.panic; p != nil {
+		panic(fmt.Sprintf("parallel: worker chunk %d panicked: %v", p.chunk, p.value))
+	}
+	slices.Sort(j.crashed)
+	for _, c := range j.crashed {
+		j.fn(chunkBounds(j.n, j.chunks, c))
+	}
+}
+
+// Map runs fn(i) for every i in [0,n). Each index is its own chunk:
+// the caller and up to min(n, Workers())-1 helpers claim indices one
+// at a time, so long items do not leave a worker idle behind a
+// contiguous block. Use it for embarrassingly parallel per-item work
+// (e.g. one autoencoder per cluster, one k-means restart per candidate
+// k). Results must be written to per-index slots.
 func Map(n int, fn func(i int)) {
-	ForEachChunk(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	if Workers() <= 1 {
+		for i := 0; i < n; i++ {
 			fn(i)
 		}
-	})
+		return
+	}
+	ForEachChunkN(n, n, func(lo, _ int) { fn(lo) })
 }

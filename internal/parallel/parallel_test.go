@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // restoreWorkers pins the worker count for a test and restores the
@@ -195,3 +196,59 @@ func TestMapVisitsEveryIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedCallsShareOneBudget pins the process-wide helper budget: a
+// Map whose items each call ForEachChunk never has more than Workers()
+// chunk functions running at once (the outer Map's and the inner
+// calls' counted separately — an inner chunk runs on its item's
+// goroutine or on a helper), and every index is still visited exactly
+// once.
+func TestNestedCallsShareOneBudget(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		restoreWorkers(t, w)
+		var outer, inner gauge
+		const items, n = 8, 64
+		hits := make([]int32, items*n)
+		Map(items, func(i int) {
+			outer.enter()
+			defer outer.leave()
+			ForEachChunk(n, func(lo, hi int) {
+				inner.enter()
+				defer inner.leave()
+				for j := lo; j < hi; j++ {
+					atomic.AddInt32(&hits[i*n+j], 1)
+				}
+				time.Sleep(time.Millisecond) // widen the overlap window
+			})
+		})
+		if p := outer.peak.Load(); p > int32(w) {
+			t.Fatalf("workers=%d: %d Map items ran at once", w, p)
+		}
+		if p := inner.peak.Load(); p > int32(w) {
+			t.Fatalf("workers=%d: %d nested chunk functions ran at once", w, p)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", w, i, h)
+			}
+		}
+		if b := busy.Load(); b != 0 {
+			t.Fatalf("workers=%d: %d helper slots still held after return", w, b)
+		}
+	}
+}
+
+// gauge tracks how many goroutines are inside a section and the peak.
+type gauge struct{ now, peak atomic.Int32 }
+
+func (g *gauge) enter() {
+	n := g.now.Add(1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			return
+		}
+	}
+}
+
+func (g *gauge) leave() { g.now.Add(-1) }

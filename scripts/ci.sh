@@ -56,7 +56,9 @@ TARGAD_NOSIMD=1 go test -count=1 -run 'TestFitKernelSwap|TestOuterF64|TestNeares
 
 # Race smoke: exercise the worker-pool kernels (mat GEMMs including the
 # packed-buffer blocked paths, k-means assignment, softmax batching),
-# the nn layer-workspace reuse, the concurrent per-cluster AE training,
+# the process-wide helper budget under nested calls, the nn
+# layer-workspace reuse and training replicas, the concurrent
+# per-cluster AE training, two Fits contending for helpers,
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
 # asm-vs-Go kernel-swap fit, and the full serving stack (micro-batcher,
 # replica-pool inference, hot reload under load, shedding, shadow
@@ -74,7 +76,7 @@ TARGAD_WORKERS=4 go test -race -short -count=1 \
 TARGAD_WORKERS=4 go test -race -short -count=1 \
     -run 'TrainPerCluster' ./internal/autoencoder
 TARGAD_WORKERS=4 go test -race -short -count=1 \
-    -run 'ParallelSerialIdentical|TestInfer|TestShareParams|TestFitKernelSwap' ./internal/core
+    -run 'ParallelSerialIdentical|ContendedFitsSaveLikeSolo|TestInfer|TestShareParams|TestFitKernelSwap' ./internal/core
 
 # Fault-injection suite: cancellation, checkpoint/resume equivalence,
 # NaN guards, worker panic/crash containment, and checkpoint write
