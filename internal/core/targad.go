@@ -670,23 +670,22 @@ type clfPass struct {
 // L_OE over D_U^A — and leaves their summed gradient in the model's
 // parameters.
 //
-// With one worker every pass runs on the model's own network, one
-// after another, so each gradient element receives one add per pass:
-// ((0+g_N)+g_L)+g_A. With more, the work runs as two parallel.Map
-// tasks — the D_U^N pass on the model's network, and the D_L pass
-// followed by the D_U^A pass, each on a training replica of its own —
-// and AddGrads then folds the replicas into the model in pass order,
-// giving ((0+g_N)+(0+g_L))+(0+g_A). A zeroed buffer holds +0, so
-// (0+g) differs from g only when g is −0, and adding +0 instead of −0
-// changes a sum only when the other addend is −0 too. (0+g_N) is never
-// −0, nor is any sum onto it, so the fold is ((0+g_N)+g_L)+g_A bit for
-// bit, at any worker count.
+// The work runs as two parallel.Map tasks — the D_U^N pass on the
+// model's network, and the D_L pass followed by the D_U^A pass, each on
+// a training replica of its own — and AddGrads then folds the replicas
+// into the model in pass order, giving ((0+g_N)+(0+g_L))+(0+g_A). A
+// zeroed buffer holds +0, so (0+g) differs from g only when g is −0,
+// and adding +0 instead of −0 changes a sum only when the other addend
+// is −0 too. (0+g_N) is never −0, nor is any sum onto it, so the fold
+// is ((0+g_N)+g_L)+g_A bit for bit — the sum that one network
+// accumulating all three passes would hold — at any worker count. With
+// one worker Map runs the two tasks in order on the caller.
 type clfStep struct {
 	mo              *Model
 	useOE           bool
 	norm, lab, cand clfPass
 
-	// Built on the first concurrent step, then reused.
+	// Built on the first step, then reused.
 	labNet, candNet *nn.MLP
 	task            func(i int)
 }
@@ -695,18 +694,12 @@ type clfStep struct {
 // gathered into the passes.
 func (st *clfStep) run() {
 	clf := st.mo.clf
-	clf.ZeroGrad()
-	if parallel.Workers() == 1 {
-		st.norm.net, st.lab.net, st.cand.net = clf, clf, clf
-		st.pass(0)
-		st.pass(1)
-		return
-	}
 	if st.task == nil {
 		st.labNet, st.candNet = clf.TrainReplica(), clf.TrainReplica()
+		st.norm.net, st.lab.net, st.cand.net = clf, st.labNet, st.candNet
 		st.task = st.pass
 	}
-	st.norm.net, st.lab.net, st.cand.net = clf, st.labNet, st.candNet
+	clf.ZeroGrad()
 	st.labNet.ZeroGrad()
 	st.candNet.ZeroGrad()
 	parallel.Map(2, st.task)
