@@ -27,7 +27,9 @@
 // another call's chunk, or overlapping it, usually finds the budget
 // spent and runs its chunks inline, so coarse outer work (one
 // autoencoder per cluster, one loss pass per classifier task) keeps the
-// cores and the GEMMs inside it stop forking.
+// cores and the GEMMs inside it stop forking. Every chunk boundary
+// yields the processor, so such work still lets other goroutines (a
+// server's request handlers) run between chunks.
 //
 // Fault tolerance: a worker that dies before executing its chunk
 // (simulated via internal/faultinject's WorkerCrash point) degrades
@@ -206,7 +208,12 @@ func (j *job) help() {
 	j.work()
 }
 
-// work claims and runs chunks until none is left.
+// work claims and runs chunks until none is left. It yields the
+// processor after every chunk: a call whose chunks run inline hands
+// off no goroutine, and without the yield a long computation made of
+// such calls (a Fit's autoencoder or classifier task) keeps its P for
+// a whole preemption slice, about 10 ms, while a request goroutine
+// waits to run.
 func (j *job) work() {
 	for {
 		c := int(j.next.Add(1) - 1)
@@ -214,6 +221,7 @@ func (j *job) work() {
 			return
 		}
 		j.runChunk(c)
+		runtime.Gosched()
 	}
 }
 

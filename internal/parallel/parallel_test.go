@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -252,3 +253,32 @@ func (g *gauge) enter() {
 }
 
 func (g *gauge) leave() { g.now.Add(-1) }
+
+// TestInlineChunksYield pins the yield at chunk boundaries: on one P, a
+// goroutine made runnable just before a loop of inline ForEachChunkN
+// calls (the enclosing Map holds the helper budget) runs within a few
+// of those calls. Without the yield it would wait for the runtime's
+// preemption, about 10 ms — tens of thousands of calls.
+func TestInlineChunksYield(t *testing.T) {
+	restoreWorkers(t, 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ran atomic.Bool
+	calls := 0
+	done := make(chan struct{})
+	Map(2, func(i int) {
+		if i == 1 {
+			<-done // keep the helper slot for the whole loop
+			return
+		}
+		defer close(done)
+		runtime.Gosched() // let item 1 start; begin a fresh time slice
+		go ran.Store(true)
+		for !ran.Load() && calls < 100_000 {
+			ForEachChunkN(2, 2, func(lo, hi int) {})
+			calls++
+		}
+	})
+	if !ran.Load() || calls > 100 {
+		t.Fatalf("a runnable goroutine waited %d inline calls (ran=%v)", calls, ran.Load())
+	}
+}
