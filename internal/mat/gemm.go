@@ -1,23 +1,21 @@
-// Cache-blocked packed GEMM kernels.
+// The float64 GEMM seam.
 //
-// Above a flop cutoff the three products (Mul, MulATB, MulABT) leave
-// the naive streaming loops and run a register-tiled micro-kernel over
-// a packed copy of the right-hand operand's transpose: each output
-// column's K entries become contiguous, the kernel walks 4 output rows
-// at a time so every loaded B element feeds 4 accumulators, and the
-// column space is traversed in panels small enough that one panel of
-// packed B stays L2-resident while all row quads stream over it.
+// Every f64 product (Mul, MulATB, MulATBAcc, MulABT) is one call to
+// outerRows, which splits dst's rows across the worker pool and runs
+// gemmOuter on each row range. gemmOuter reads A in place through two
+// strides — (lda, 1) for a·b, (1, lda) for aᵀ·b — and B row-major, so
+// only MulABT packs an operand (bᵀ, once per call); a B over
+// gemmPanelBytes is read through column-panel copies.
 //
 // Accumulation-order contract: every dst element is produced by ONE
-// strictly k-increasing chain of multiply-adds, exactly the order of
-// the naive kernels. The blocked path is therefore bitwise identical
-// to the naive path (asserted by gemm_test.go), and — because the
-// chain never depends on which worker or row-quad a row lands in — the
-// result is bitwise identical for every worker count.
-//
-// On amd64 with AVX2 the assembly outer-product kernels (gemmOuter,
-// gemm64_amd64.go) replace this packed path with the same per-element
-// chain; the Go kernels here remain the portable implementation.
+// strictly k-increasing chain of unfused multiply-adds starting at +0
+// (added to dst once in the Acc variant). The chain never depends on
+// which worker, row quad or column block an element lands in, so the
+// result is bitwise identical for every worker count and for both
+// kernels: gemmOuterAsm (the AVX kernels of kernels64_amd64.s,
+// installed at init by simd_amd64.go) and gemmOuterGo below, the
+// portable twin the noasm build, non-amd64 targets, TARGAD_NOSIMD=1
+// and UsePortableKernels run.
 //
 // Pack buffers are recycled through a sync.Pool so steady-state
 // training loops perform no allocation here.
@@ -30,49 +28,167 @@ import (
 )
 
 const (
-	// gemmMinFlops is the m·k·n cutoff above which the packed blocked
-	// kernel engages; below it the pack/unpack overhead is not
-	// amortized and the naive streaming kernels win.
-	gemmMinFlops = 1 << 16
-	// gemmMinDepth is the minimum accumulation depth (k) for the
-	// blocked kernel; shallower products gain nothing from packing.
-	gemmMinDepth = 8
-	// gemmPanelCols is the number of output columns per packed panel:
-	// one panel of packed B (gemmPanelCols·K floats) is sized to stay
-	// L2-resident while every row quad streams over it.
-	gemmPanelCols = 64
-	// gemmMR is the register tile height: the micro-kernel carries
-	// gemmMR independent accumulator chains so one B load feeds
-	// gemmMR multiply-adds.
+	// gemmMR is the register tile height of the assembly kernels: they
+	// carry gemmMR rows of accumulator chains so one B load feeds gemmMR
+	// multiply-adds.
 	gemmMR = 4
+	// gemmPanelBytes bounds the B operand a kernel streams over: a B
+	// larger than this is copied one column panel at a time into a
+	// contiguous buffer of at most this size, so the panel stays
+	// L2-resident (and TLB-friendly) while every row tile walks it.
+	gemmPanelBytes = 256 << 10
 )
 
-// gemmOuter, when non-nil, computes dst rows [lo,hi) of A·B (added to
-// dst when acc) with the outer-product assembly kernels, where A
-// element (i, l) is a[i·ars + l·aks] for l < k and b is k×dst.Cols
-// row-major. Each element keeps the single k-increasing chain of the
-// Go kernels, bit for bit, so it replaces the packed path whenever it
-// is set. Only simd_amd64.go sets it.
-var gemmOuter func(dst *Matrix, a []float64, ars, aks int, b []float64, k, lo, hi int, acc bool)
+// gemmOuter computes dst rows [lo,hi), columns [jc, jc+w) of A·B
+// (added to dst when acc), where A element (i, l) is a[i·ars + l·aks]
+// for l < k and B's columns jc.. are row-major at b with row stride
+// ldb; k ≥ 1. It is never nil: simd_amd64.go swaps in gemmOuterAsm
+// when the CPU supports it.
+var gemmOuter = gemmOuterGo
 
-// outerRows runs gemmOuter over all rows of dst, split row-wise across
-// the worker pool. The serial path stays closure-free so steady-state
-// calls do not allocate.
+// outerRows computes rows [0, rows) of dst = A·B (added to dst when
+// acc), split row-wise across the worker pool. Degenerate shapes never
+// reach a kernel: an empty dst is left alone, and k = 0 (an empty
+// chain, +0) zeroes dst, or leaves it as it is when acc. The serial
+// path stays closure-free so steady-state calls do not allocate.
 func outerRows(dst *Matrix, a []float64, ars, aks int, b []float64, k, rows int, acc bool) {
+	if rows == 0 || dst.Cols == 0 {
+		return
+	}
+	if k == 0 {
+		if !acc {
+			clear(dst.Data[:rows*dst.Cols])
+		}
+		return
+	}
 	if parallel.Workers() == 1 {
-		gemmOuter(dst, a, ars, aks, b, k, 0, rows, acc)
+		outerPanels(dst, a, ars, aks, b, k, 0, rows, acc)
 		return
 	}
 	parallel.ForEachChunkMin(rows, minChunkFor(k*dst.Cols), func(lo, hi int) {
-		gemmOuter(dst, a, ars, aks, b, k, lo, hi, acc)
+		outerPanels(dst, a, ars, aks, b, k, lo, hi, acc)
 	})
 }
 
-// gemmBlocked reports whether the packed kernel should run for an
-// m×k · k×n product. It is a pure function of the operand shape, so
-// the kernel choice never depends on the worker count.
-func gemmBlocked(m, k, n int) bool {
-	return k >= gemmMinDepth && m*k*n >= gemmMinFlops
+// outerPanels runs gemmOuter over dst rows [lo,hi), B being k×dst.Cols
+// row-major. A B over gemmPanelBytes is copied into pooled column
+// panels first; panels change where B is read from, never an
+// element's chain.
+func outerPanels(dst *Matrix, a []float64, ars, aks int, b []float64, k, lo, hi int, acc bool) {
+	n := dst.Cols
+	if k*n*8 <= gemmPanelBytes {
+		gemmOuter(dst, a, ars, aks, b, n, k, lo, hi, 0, n, acc)
+		return
+	}
+	panel := max(8, (gemmPanelBytes/8/k)&^7)
+	buf := grabPack(k * panel)
+	for jc := 0; jc < n; jc += panel {
+		w := min(panel, n-jc)
+		bp := buf.data[:k*w]
+		for l := 0; l < k; l++ {
+			copy(bp[l*w:(l+1)*w], b[l*n+jc:])
+		}
+		gemmOuter(dst, a, ars, aks, bp, w, k, lo, hi, jc, w, acc)
+	}
+	releasePack(buf)
+}
+
+// gemmOuterGo is the portable gemmOuter, the Go twin of
+// gemm4f64/gemm1f64: each element is one k-increasing chain c += a·b
+// from +0 held in a register. Its register tile is 2 rows × 4 columns
+// rather than the assembly's 4 × 8: eight scalar accumulators and
+// their operands fit the sixteen SSE registers, where a 4-row tile
+// spills. Rows go in pairs, then one at a time.
+func gemmOuterGo(dst *Matrix, a []float64, ars, aks int, b []float64, ldb, k, lo, hi, jc, w int, acc bool) {
+	n := dst.Cols
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		outer2Go(dst.Data[i*n+jc:], n, a[i*ars:], ars, aks, b, ldb, k, w, acc)
+	}
+	if i < hi {
+		outer1Go(dst.Data[i*n+jc:i*n+jc+w], a[i*ars:], aks, b, ldb, k, acc)
+	}
+}
+
+// outer2Go computes w columns of a row pair: row r's start at
+// d[r·ldd]. A's rows start at a[0] and a[ars]; B element (l, j) is
+// b[l·ldb + j]. Columns go four at a time, then one at a time.
+func outer2Go(d []float64, ldd int, a []float64, ars, aks int, b []float64, ldb, k, w int, acc bool) {
+	d0, d1 := d[:w], d[ldd:ldd+w]
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		var c00, c01, c02, c03, c10, c11, c12, c13 float64
+		for p, bl := 0, j; bl < k*ldb; p, bl = p+aks, bl+ldb {
+			bb := b[bl : bl+4 : bl+4]
+			a0, a1 := a[p], a[p+ars]
+			c00 += a0 * bb[0]
+			c01 += a0 * bb[1]
+			c02 += a0 * bb[2]
+			c03 += a0 * bb[3]
+			c10 += a1 * bb[0]
+			c11 += a1 * bb[1]
+			c12 += a1 * bb[2]
+			c13 += a1 * bb[3]
+		}
+		store4(d0[j:j+4], c00, c01, c02, c03, acc)
+		store4(d1[j:j+4], c10, c11, c12, c13, acc)
+	}
+	for ; j < w; j++ {
+		var c0, c1 float64
+		for p, bl := 0, j; bl < k*ldb; p, bl = p+aks, bl+ldb {
+			c0 += a[p] * b[bl]
+			c1 += a[p+ars] * b[bl]
+		}
+		if acc {
+			d0[j] += c0
+			d1[j] += c1
+		} else {
+			d0[j], d1[j] = c0, c1
+		}
+	}
+}
+
+// outer1Go is the single-row outer2Go for the last row of an odd
+// range, with the identical per-element chain; it fills all of d.
+func outer1Go(d, a []float64, aks int, b []float64, ldb, k int, acc bool) {
+	w := len(d)
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		var c0, c1, c2, c3 float64
+		for p, bl := 0, j; bl < k*ldb; p, bl = p+aks, bl+ldb {
+			bb := b[bl : bl+4 : bl+4]
+			av := a[p]
+			c0 += av * bb[0]
+			c1 += av * bb[1]
+			c2 += av * bb[2]
+			c3 += av * bb[3]
+		}
+		store4(d[j:j+4], c0, c1, c2, c3, acc)
+	}
+	for ; j < w; j++ {
+		var c float64
+		for p, bl := 0, j; bl < k*ldb; p, bl = p+aks, bl+ldb {
+			c += a[p] * b[bl]
+		}
+		if acc {
+			d[j] += c
+		} else {
+			d[j] = c
+		}
+	}
+}
+
+// store4 writes (or, when acc, adds) four finished chains into d[0:4].
+func store4(d []float64, c0, c1, c2, c3 float64, acc bool) {
+	d = d[:4]
+	if acc {
+		d[0] += c0
+		d[1] += c1
+		d[2] += c2
+		d[3] += c3
+		return
+	}
+	d[0], d[1], d[2], d[3] = c0, c1, c2, c3
 }
 
 // packPool recycles pack buffers across GEMM calls. Pointers (not bare
@@ -119,114 +235,4 @@ func packTransposeRange(dst []float64, src *Matrix, lo, hi int) {
 			col[i] = src.Data[i*cols+j]
 		}
 	}
-}
-
-// gemmPackedRows computes dst rows [lo,hi) of a·B, where bt holds Bᵀ
-// row-major (each B column contiguous, length a.Cols each). When acc
-// is true the result is added to dst; otherwise dst is overwritten.
-// Each dst element is one strictly k-increasing accumulator chain.
-func gemmPackedRows(dst, a *Matrix, bt []float64, lo, hi int, acc bool) {
-	k, n := a.Cols, dst.Cols
-	for jc := 0; jc < n; jc += gemmPanelCols {
-		jhi := jc + gemmPanelCols
-		if jhi > n {
-			jhi = n
-		}
-		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
-			a0 := a.Data[(i+0)*k : (i+1)*k]
-			a1 := a.Data[(i+1)*k : (i+2)*k]
-			a2 := a.Data[(i+2)*k : (i+3)*k]
-			a3 := a.Data[(i+3)*k : (i+4)*k]
-			d0 := dst.Data[(i+0)*n : (i+1)*n]
-			d1 := dst.Data[(i+1)*n : (i+2)*n]
-			d2 := dst.Data[(i+2)*n : (i+3)*n]
-			d3 := dst.Data[(i+3)*n : (i+4)*n]
-			for j := jc; j < jhi; j++ {
-				c0, c1, c2, c3 := dot4(a0, a1, a2, a3, bt[j*k:(j+1)*k])
-				if acc {
-					d0[j] += c0
-					d1[j] += c1
-					d2[j] += c2
-					d3[j] += c3
-				} else {
-					d0[j] = c0
-					d1[j] = c1
-					d2[j] = c2
-					d3[j] = c3
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*n : (i+1)*n]
-			for j := jc; j < jhi; j++ {
-				c := dotSeq(arow, bt[j*k:(j+1)*k])
-				if acc {
-					drow[j] += c
-				} else {
-					drow[j] = c
-				}
-			}
-		}
-	}
-}
-
-// dot4 runs four accumulator chains over one shared B column. Each
-// chain adds its terms in strictly increasing k order (the adds within
-// one chain are sequential, never re-associated), so per-row results
-// match dotSeq — and the naive kernels — bitwise.
-func dot4(a0, a1, a2, a3, b []float64) (c0, c1, c2, c3 float64) {
-	n := len(b)
-	a0 = a0[:n]
-	a1 = a1[:n]
-	a2 = a2[:n]
-	a3 = a3[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		b0, b1, b2, b3 := b[j], b[j+1], b[j+2], b[j+3]
-		c0 += a0[j] * b0
-		c1 += a1[j] * b0
-		c2 += a2[j] * b0
-		c3 += a3[j] * b0
-		c0 += a0[j+1] * b1
-		c1 += a1[j+1] * b1
-		c2 += a2[j+1] * b1
-		c3 += a3[j+1] * b1
-		c0 += a0[j+2] * b2
-		c1 += a1[j+2] * b2
-		c2 += a2[j+2] * b2
-		c3 += a3[j+2] * b2
-		c0 += a0[j+3] * b3
-		c1 += a1[j+3] * b3
-		c2 += a2[j+3] * b3
-		c3 += a3[j+3] * b3
-	}
-	for ; j < n; j++ {
-		bv := b[j]
-		c0 += a0[j] * bv
-		c1 += a1[j] * bv
-		c2 += a2[j] * bv
-		c3 += a3[j] * bv
-	}
-	return
-}
-
-// dotSeq is the single-row chain of dot4: one accumulator, strictly
-// increasing k order, unrolled by 4 without re-association.
-func dotSeq(a, b []float64) float64 {
-	n := len(b)
-	a = a[:n]
-	var c float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		c += a[j] * b[j]
-		c += a[j+1] * b[j+1]
-		c += a[j+2] * b[j+2]
-		c += a[j+3] * b[j+3]
-	}
-	for ; j < n; j++ {
-		c += a[j] * b[j]
-	}
-	return c
 }

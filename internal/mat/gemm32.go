@@ -1,9 +1,9 @@
-// Float32 packed GEMM for the inference path, mirroring gemm.go's
-// panel structure: above the shared flop cutoff, Mul32 packs Bᵀ so each
-// output column's K entries are contiguous, then walks 4 output rows at
-// a time over 64-column panels. The micro-kernel is pluggable: on amd64
-// with AVX2+FMA (and without the noasm build tag) the inner loops run
-// the assembly kernels of kernels_amd64.s; everywhere else the pure-Go
+// Float32 packed GEMM for the inference path: above its flop and depth
+// cutoff (gemmBlocked32), Mul32 packs Bᵀ so each output column's K
+// entries are contiguous, then walks 4 output rows at a time over
+// 64-column panels. The micro-kernel is pluggable: on amd64 with
+// AVX2+FMA (and without the noasm build tag) the inner loops run the
+// assembly kernels of kernels_amd64.s; everywhere else the pure-Go
 // kernels below run.
 //
 // Precision contract: unlike the float64 GEMM there is NO bitwise
@@ -61,24 +61,32 @@ func KernelName() string { return kernelName }
 // run while products are in flight.
 func UsePortableKernels() (restore func()) {
 	d4, d1, o32, o64, near, name := dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName
-	dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName = dot4f32Go, dotf32Go, nil, nil, nil, "go"
+	dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName = dot4f32Go, dotf32Go, nil, gemmOuterGo, nil, "go"
 	return func() {
 		dot4f32, dotf32, mul32Outer, gemmOuter, nearestOuter, kernelName = d4, d1, o32, o64, near, name
 	}
 }
 
-// gemmMinFlops32 is the blocked-path cutoff for f32 products. It sits
-// well below the f64 cutoff (gemmMinFlops): the SIMD dot kernels beat
-// the streaming loop as soon as the pack cost (k·n writes) amortizes,
-// which for f32 happens around a few thousand multiply-adds — e.g. the
-// classifier's final 16→6 layer over a few hundred rows, which the f64
-// heuristic would leave on the naive path.
-const gemmMinFlops32 = 1 << 13
+const (
+	// gemmMinFlops32 is the blocked-path cutoff for f32 products: the
+	// SIMD dot kernels beat the streaming loop as soon as the pack cost
+	// (k·n writes) amortizes, which for f32 happens around a few
+	// thousand multiply-adds — e.g. the classifier's final 16→6 layer
+	// over a few hundred rows.
+	gemmMinFlops32 = 1 << 13
+	// gemmMinDepth32 is the minimum accumulation depth (k) for the
+	// packed path; shallower products gain nothing from packing.
+	gemmMinDepth32 = 8
+	// gemmPanelCols is the number of output columns per packed panel:
+	// one panel of packed Bᵀ (gemmPanelCols·K floats) is sized to stay
+	// L2-resident while every row quad streams over it.
+	gemmPanelCols = 64
+)
 
 // gemmBlocked32 reports whether an m×k·k×n f32 product should take the
 // packed path.
 func gemmBlocked32(m, k, n int) bool {
-	return k >= gemmMinDepth && m*k*n >= gemmMinFlops32
+	return k >= gemmMinDepth32 && m*k*n >= gemmMinFlops32
 }
 
 // packPool32 recycles f32 pack buffers across Mul32 calls, mirroring
@@ -177,8 +185,7 @@ func Mul32(dst, a, b *Matrix32) (*Matrix32, error) {
 	return dst, nil
 }
 
-// mulRows32 computes output rows [lo,hi) of dst = a·b in ikj order,
-// the f32 twin of mulRows.
+// mulRows32 computes output rows [lo,hi) of dst = a·b in ikj order.
 func mulRows32(dst, a, b *Matrix32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -231,8 +238,8 @@ func gemmPackedRows32(dst, a *Matrix32, bt []float32, lo, hi, j0 int) {
 }
 
 // dot4f32Go runs four f32 accumulator chains over one shared B column,
-// mirroring dot4's strictly k-increasing 4-unrolled order (no
-// re-association; the unroll only interleaves independent chains).
+// in strictly k-increasing 4-unrolled order (no re-association; the
+// unroll only interleaves independent chains).
 func dot4f32Go(a0, a1, a2, a3, b []float32) (c0, c1, c2, c3 float32) {
 	n := len(b)
 	a0 = a0[:n]

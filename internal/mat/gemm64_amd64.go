@@ -19,37 +19,10 @@ func sqdist4f64(x *float64, ldx int, ct *float64, ldct, d int, out *float64)
 //go:noescape
 func sqdist1f64(x, ct *float64, ldct, d int, out *float64)
 
-// gemmOuterPanelBytes bounds the B operand a row quad streams over: a
-// B larger than this is copied one column panel at a time into a
-// contiguous buffer of at most this size, so the panel stays
-// L2-resident (and TLB-friendly) while every row quad walks it.
-const gemmOuterPanelBytes = 256 << 10
-
-// gemmOuterAsm computes dst rows [lo,hi) of A·B (added to dst when
-// acc), where A element (i, l) is a[i·ars + l·aks] for l < k and B is
-// k×dst.Cols row-major. It is installed as gemmOuter; k ≥ 1.
-func gemmOuterAsm(dst *Matrix, a []float64, ars, aks int, b []float64, k, lo, hi int, acc bool) {
-	n := dst.Cols
-	if k*n*8 <= gemmOuterPanelBytes {
-		outerPanel(dst, a, ars, aks, b, n, k, lo, hi, 0, n, acc)
-		return
-	}
-	panel := max(8, (gemmOuterPanelBytes/8/k)&^7)
-	buf := grabPack(k * panel)
-	for jc := 0; jc < n; jc += panel {
-		w := min(panel, n-jc)
-		bp := buf.data[:k*w]
-		for l := 0; l < k; l++ {
-			copy(bp[l*w:(l+1)*w], b[l*n+jc:])
-		}
-		outerPanel(dst, a, ars, aks, bp, w, k, lo, hi, jc, w, acc)
-	}
-	releasePack(buf)
-}
-
-// outerPanel runs the kernels over dst rows [lo,hi), columns
-// [jc, jc+w), with B's panel at b (row stride ldb).
-func outerPanel(dst *Matrix, a []float64, ars, aks int, b []float64, ldb, k, lo, hi, jc, w int, acc bool) {
+// gemmOuterAsm is the assembly gemmOuter: it computes dst rows
+// [lo,hi), columns [jc, jc+w) with gemm4f64 over row quads and gemm1f64
+// over the rows left, B's panel at b with row stride ldb.
+func gemmOuterAsm(dst *Matrix, a []float64, ars, aks int, b []float64, ldb, k, lo, hi, jc, w int, acc bool) {
 	n := dst.Cols
 	i := lo
 	for ; i+gemmMR <= hi; i += gemmMR {

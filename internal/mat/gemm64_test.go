@@ -1,18 +1,22 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 // outerShapes covers every tail class of the f64 outer-product kernels:
-// each k ∈ {8, 9, 128} crosses rows mod 4 = 0–3 with n mod 8 = 0–7,
-// sized so every product takes the blocked path. The last entries
-// cover a narrow output (no 8-column body at all) and a deep product
-// whose column panels end in a tail.
+// each k ∈ {1, 2, 7, 8, 9, 128} crosses rows mod 4 = 0–3 with
+// n mod 8 = 0–7. Small products follow — every m < 6 against n < 10 at
+// shallow k, the classifier head (1×16×6) and a 3×7×5 product with no
+// full quad or column block — then a narrow output (no 8-column body
+// at all), a deep product whose column panels end in a tail, and empty
+// operands (k = 0 must zero dst, or leave it unchanged when
+// accumulating; m = 0 and n = 0 must not reach a kernel).
 func outerShapes() []struct{ m, k, n int } {
 	var shapes []struct{ m, k, n int }
-	for _, k := range []int{8, 9, 128} {
+	for _, k := range []int{1, 2, 7, 8, 9, 128} {
 		m0 := 128
 		if k == 128 {
 			m0 = 8
@@ -23,10 +27,23 @@ func outerShapes() []struct{ m, k, n int } {
 			}
 		}
 	}
+	for _, k := range []int{1, 2, 7} {
+		for m := 1; m < 6; m++ {
+			for _, n := range []int{1, 3, 6, 7, 9} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
 	return append(shapes,
+		struct{ m, k, n int }{1, 16, 6},
+		struct{ m, k, n int }{3, 7, 5},
 		struct{ m, k, n int }{515, 128, 1},
 		struct{ m, k, n int }{131, 128, 7},
 		struct{ m, k, n int }{9, 1100, 71},
+		struct{ m, k, n int }{5, 0, 9},
+		struct{ m, k, n int }{0, 3, 4},
+		struct{ m, k, n int }{3, 4, 0},
+		struct{ m, k, n int }{0, 0, 0},
 	)
 }
 
@@ -38,53 +55,57 @@ func withGoKernels(fn func()) {
 }
 
 // TestOuterF64MatchesGoChain pins the assembly f64 kernels bit for bit
-// to the Go chain reference (mulRef, and the Go packed path the noasm
-// build runs) for Mul, MulATB, MulATBAcc and MulABT across every tail.
-// Without the assembly kernels both sides run Go and the test still
-// checks the packed path against the reference.
+// to the Go chain reference (mulRef, and gemmOuterGo, the kernel the
+// noasm build runs) for Mul, MulATB, MulATBAcc and MulABT across every
+// tail. Destinations start out filled, so every element must be
+// overwritten (or added to once). Without the assembly kernels both
+// sides run Go and the test still checks gemmOuterGo against the
+// reference.
 func TestOuterF64MatchesGoChain(t *testing.T) {
-	if gemmOuter == nil {
-		t.Logf("f64 outer-product kernels inactive (kernel %s): checking the Go path only", KernelName())
+	if KernelName() == "go" {
+		t.Logf("f64 assembly kernels inactive: checking the Go kernel only")
 	}
 	for _, s := range outerShapes() {
-		if !gemmBlocked(s.m, s.k, s.n) {
-			t.Fatalf("shape %dx%dx%d does not reach the blocked path", s.m, s.k, s.n)
-		}
 		seed := uint64(s.m*7919 + s.k*131 + s.n)
 		run := func(name string, want *Matrix, f func() *Matrix) {
 			t.Helper()
+			name = fmt.Sprintf("%s %dx%dx%d", name, s.m, s.k, s.n)
 			requireBitwise(t, name, f(), want)
 			var goOut *Matrix
 			withGoKernels(func() { goOut = f() })
 			requireBitwise(t, name+" (Go kernels)", goOut, want)
 		}
 
+		filled := func() *Matrix {
+			d := New(s.m, s.n)
+			fillDet(d.Data, seed+2)
+			return d
+		}
 		a := New(s.m, s.k)
 		b := New(s.k, s.n)
 		fillDet(a.Data, seed)
 		fillDet(b.Data, seed+1)
 		run("Mul", mulRef(a, b), func() *Matrix {
-			out, err := Mul(New(s.m, s.n), a, b)
+			out, err := Mul(filled(), a, b)
 			must(t, err)
 			return out
 		})
 
 		bt := transposeRef(b)
 		run("MulABT", mulRef(a, b), func() *Matrix {
-			out, err := MulABT(New(s.m, s.n), a, bt)
+			out, err := MulABT(filled(), a, bt)
 			must(t, err)
 			return out
 		})
 
 		at := transposeRef(a) // k×m, so atᵀ·b is m×n
 		run("MulATB", mulRef(a, b), func() *Matrix {
-			out, err := MulATB(New(s.m, s.n), at, b)
+			out, err := MulATB(filled(), at, b)
 			must(t, err)
 			return out
 		})
 
-		base := New(s.m, s.n)
-		fillDet(base.Data, seed+2)
+		base := filled()
 		wantAcc := mulRef(a, b)
 		for i, c := range wantAcc.Data {
 			wantAcc.Data[i] = base.Data[i] + c

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"targad/internal/parallel"
@@ -20,8 +21,8 @@ func fillDet(data []float64, seed uint64) {
 }
 
 // mulRef is an order-faithful serial reference for a·b: each element
-// accumulates its k terms in increasing order, exactly the canonical
-// chain contract of the blocked kernel.
+// accumulates its k terms in increasing order from +0, exactly the
+// chain contract of the gemmOuter kernels.
 func mulRef(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -52,26 +53,28 @@ func requireBitwise(t *testing.T, name string, got, want *Matrix) {
 		t.Fatalf("%s: got %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i, v := range got.Data {
-		if v != want.Data[i] {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %v, want %v (bitwise)", name, i, v, want.Data[i])
 		}
 	}
 }
 
-// gemmShapes mixes shapes that engage the blocked kernel (with every
-// remainder class of the 4-row register tile, the 4-wide k unroll, and
-// the 64-column panel) with shapes below the cutoff.
+// gemmShapes covers every remainder class of the row tiles (4 rows in
+// assembly, 2 in Go) and of the column blocks, from single rows and
+// shallow k up to deep and wide products.
 var gemmShapes = []struct{ m, k, n int }{
-	{1, 8, 64},    // single row, naive (below flop cutoff)
-	{3, 7, 5},     // shallow k, naive
-	{64, 32, 64},  // blocked, exact tiles
-	{65, 32, 64},  // blocked, 1-row remainder
-	{66, 33, 65},  // blocked, 2-row + k and panel remainders
-	{67, 31, 130}, // blocked, 3-row remainder, 3 panels
-	{4, 128, 129}, // blocked, single quad, panel remainder
-	{5, 257, 64},  // blocked, k remainder 1
-	{128, 8, 64},  // blocked at minimum depth
-	{128, 7, 64},  // naive: below minimum depth despite flops
+	{1, 8, 64},    // single row
+	{3, 7, 5},     // shallow k, no full quad or column block
+	{64, 32, 64},  // exact tiles
+	{65, 32, 64},  // 1-row remainder
+	{66, 33, 65},  // 2-row + column remainders
+	{67, 31, 130}, // 3-row remainder, wide
+	{4, 128, 129}, // single quad, column remainder
+	{5, 257, 64},  // deep
+	{128, 8, 64},  // shallow k, many rows
+	{128, 7, 64},
+	{96, 7, 96}, // shallow k, square output
+	{96, 8, 96},
 }
 
 func TestBlockedMulMatchesNaive(t *testing.T) {
@@ -117,36 +120,9 @@ func TestBlockedMulABTMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGemmCutoff pins the dispatch predicate at its boundary: results
-// must agree with the reference on both sides, and the predicate must
-// depend only on shape.
-func TestGemmCutoff(t *testing.T) {
-	if gemmBlocked(16, gemmMinDepth-1, 1<<16) {
-		t.Fatal("blocked kernel engaged below minimum depth")
-	}
-	if !gemmBlocked(32, 32, 64) {
-		t.Fatal("blocked kernel not engaged above cutoff")
-	}
-	if gemmBlocked(4, 32, 4) {
-		t.Fatal("blocked kernel engaged below flop cutoff")
-	}
-	for _, k := range []int{gemmMinDepth - 1, gemmMinDepth} {
-		a := New(96, k)
-		b := New(k, 96)
-		fillDet(a.Data, uint64(k))
-		fillDet(b.Data, uint64(k)+7)
-		got, err := Mul(nil, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitwise(t, "Mul@cutoff", got, mulRef(a, b))
-	}
-}
-
 // TestBlockedMulWorkerInvariance locks the bitwise-identical-across-
-// worker-counts contract on a shape large enough to engage the packed
-// kernel and split across workers (also exercised under -race by the
-// CI smoke).
+// worker-counts contract on a shape large enough to split across
+// workers (also exercised under -race by the CI smoke).
 func TestBlockedMulWorkerInvariance(t *testing.T) {
 	a := New(130, 64)
 	b := New(64, 96)
@@ -277,27 +253,103 @@ func TestEnsure(t *testing.T) {
 	}
 }
 
-// TestMulSteadyStateAllocs verifies the pack-buffer pool: repeated
-// blocked products allocate nothing once warmed up.
+// TestMulSteadyStateAllocs verifies the pack-buffer pool and the
+// closure-free serial seam: at one worker, repeated products of every
+// entry point — a wide Mul, a single scoring row, the classifier head's
+// weight gradient and a small packed MulABT — allocate nothing once
+// warmed up, on both kernel sets. The pooled case is left out under
+// the race detector (see raceEnabled).
 func TestMulSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	a := New(64, 32)
-	b := New(32, 64)
-	fillDet(a.Data, 41)
-	fillDet(b.Data, 43)
-	dst := New(64, 64)
-	if !gemmBlocked(a.Rows, a.Cols, b.Cols) {
-		t.Fatal("test shape must engage the blocked kernel")
+	operands := func(ar, ac, br, bc int, seed uint64) (*Matrix, *Matrix) {
+		a, b := New(ar, ac), New(br, bc)
+		fillDet(a.Data, seed)
+		fillDet(b.Data, seed+1)
+		return a, b
 	}
-	if _, err := Mul(dst, a, b); err != nil {
-		t.Fatal(err)
+	wa, wb := operands(64, 32, 32, 64, 41)
+	ra, rb := operands(1, 196, 196, 64, 43)
+	ha, hb := operands(64, 16, 64, 6, 45)
+	ta, tb := operands(8, 16, 6, 16, 47)
+	wide, row, head, abt := New(64, 64), New(1, 64), New(16, 6), New(8, 6)
+	cases := []struct {
+		name   string
+		pooled bool // packs through packPool
+		run    func() (*Matrix, error)
+	}{
+		{"Mul 64x32x64", false, func() (*Matrix, error) { return Mul(wide, wa, wb) }},
+		{"Mul 1x196x64", false, func() (*Matrix, error) { return Mul(row, ra, rb) }},
+		{"MulATBAcc 16x6", false, func() (*Matrix, error) { return MulATBAcc(head, ha, hb) }},
+		{"MulABT 8x16x6", true, func() (*Matrix, error) { return MulABT(abt, ta, tb) }},
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := Mul(dst, a, b); err != nil {
-			t.Fatal(err)
+	check := func(kernel string) {
+		for _, c := range cases {
+			if c.pooled && raceEnabled {
+				continue
+			}
+			if _, err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 0 {
+				t.Fatalf("%s on the %s kernels allocates %.1f times per call, want 0", c.name, kernel, n)
+			}
 		}
-	}); n > 0 {
-		t.Fatalf("steady-state blocked Mul allocates %.1f times per call, want 0", n)
+	}
+	check(KernelName())
+	withGoKernels(func() { check("go") })
+}
+
+// TestNegativeZeroChains pins the +0 chain start: an element whose
+// every product is −0 is +0 (+0 + −0 = +0), and an Acc add of that
+// chain turns a −0 dst into +0, on both kernel sets, across quad and
+// column tails.
+func TestNegativeZeroChains(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, s := range []struct{ m, k, n int }{{5, 3, 9}, {4, 1, 8}, {1, 16, 6}, {9, 7, 17}} {
+		a := New(s.m, s.k)
+		b := New(s.k, s.n)
+		fillDet(a.Data, uint64(s.m+s.k))
+		for i := range a.Data {
+			a.Data[i] = math.Abs(a.Data[i]) + 1
+		}
+		for i := range b.Data {
+			b.Data[i] = negZero
+		}
+		want := mulRef(a, b)
+		for _, v := range want.Data {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("mulRef chain of −0 products = %v, want +0", v)
+			}
+		}
+		at, bt := transposeRef(a), transposeRef(b)
+		run := func(kernel string) {
+			got, err := Mul(nil, a, b)
+			must(t, err)
+			requireBitwise(t, kernel+" Mul −0", got, want)
+			got, err = MulATB(nil, at, b)
+			must(t, err)
+			requireBitwise(t, kernel+" MulATB −0", got, want)
+			got, err = MulABT(nil, a, bt)
+			must(t, err)
+			requireBitwise(t, kernel+" MulABT −0", got, want)
+			dst := New(s.m, s.n)
+			for i := range dst.Data {
+				dst.Data[i] = negZero
+			}
+			wantAcc := New(s.m, s.n)
+			for i := range wantAcc.Data {
+				wantAcc.Data[i] = dst.Data[i] + want.Data[i]
+			}
+			_, err = MulATBAcc(dst, at, b)
+			must(t, err)
+			requireBitwise(t, kernel+" MulATBAcc into −0", dst, wantAcc)
+		}
+		run(KernelName())
+		withGoKernels(func() { run("go") })
 	}
 }

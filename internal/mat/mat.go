@@ -8,6 +8,11 @@
 // (gemm, axpy) accept destination buffers so training loops can reuse
 // memory across iterations.
 //
+// Every float64 product (Mul, MulATB, MulATBAcc, MulABT), whatever its
+// shape, runs through one kernel seam (gemm.go): each output element is
+// one strictly k-increasing multiply-add chain from +0, so results are
+// bitwise identical across kernels and worker counts.
+//
 // # Buffer ownership
 //
 // Destination-taking kernels (Mul, MulATB, MulABT, MulATBAcc,
@@ -26,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"targad/internal/parallel"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -155,11 +158,10 @@ func minChunkFor(perIndexFlops int) int {
 // a or b. A nil dst allocates a fresh result. Every dst element is
 // fully overwritten; pre-existing contents never matter.
 //
-// Large products are split row-wise across the parallel worker pool
-// and, above a flop cutoff, run the cache-blocked packed kernel of
-// gemm.go. Every output element is one strictly k-increasing
-// accumulator chain regardless of path or worker count, so the result
-// is bitwise identical for any worker count.
+// The product runs through the gemmOuter seam of gemm.go, split
+// row-wise across the worker pool. Every output element is one
+// strictly k-increasing accumulator chain regardless of kernel or
+// worker count, so the result is bitwise identical for any of them.
 func Mul(dst, a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("mat: mul %dx%d by %dx%d: %w", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape)
@@ -169,52 +171,8 @@ func Mul(dst, a, b *Matrix) (*Matrix, error) {
 	} else if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return nil, fmt.Errorf("mat: mul destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Rows, b.Cols, ErrShape)
 	}
-	if gemmBlocked(a.Rows, a.Cols, b.Cols) {
-		if gemmOuter != nil {
-			outerRows(dst, a.Data, a.Cols, 1, b.Data, a.Cols, a.Rows, false)
-			return dst, nil
-		}
-		bt := grabPack(b.Rows * b.Cols)
-		packTransposeInto(bt.data, b)
-		if parallel.Workers() == 1 {
-			// No closure is created on the serial path, keeping
-			// steady-state calls allocation-free.
-			gemmPackedRows(dst, a, bt.data, 0, a.Rows, false)
-		} else {
-			parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*b.Cols), func(lo, hi int) {
-				gemmPackedRows(dst, a, bt.data, lo, hi, false)
-			})
-		}
-		releasePack(bt)
-		return dst, nil
-	}
-	if parallel.Workers() == 1 {
-		mulRows(dst, a, b, 0, a.Rows)
-		return dst, nil
-	}
-	parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*b.Cols), func(lo, hi int) {
-		mulRows(dst, a, b, lo, hi)
-	})
+	outerRows(dst, a.Data, a.Cols, 1, b.Data, a.Cols, a.Rows, false)
 	return dst, nil
-}
-
-// mulRows computes output rows [lo,hi) of dst = a·b in ikj order,
-// streaming through b and dst rows sequentially. Each dst row is
-// zeroed before accumulation, so dst need not be cleared by callers.
-func mulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k, av := range arow {
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MulATB computes dst = aᵀ·b without materializing the transpose.
@@ -232,7 +190,9 @@ func MulATB(dst, a, b *Matrix) (*Matrix, error) {
 	} else if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		return nil, fmt.Errorf("mat: mulATB destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Cols, b.Cols, ErrShape)
 	}
-	mulATBInto(dst, a, b, false)
+	// Column i of a is row i of aᵀ: stride 1 across output rows,
+	// a.Cols along the accumulation index.
+	outerRows(dst, a.Data, 1, a.Cols, b.Data, a.Rows, a.Cols, false)
 	return dst, nil
 }
 
@@ -241,7 +201,7 @@ func MulATB(dst, a, b *Matrix) (*Matrix, error) {
 // buffer (dst is typically a view aliasing Param.Grad). dst must be
 // non-nil, a.Cols×b.Cols, and must not alias a or b. Each dst element
 // receives exactly one add of a complete r-increasing product chain,
-// matching MulATB-then-Axpy bitwise.
+// matching MulATB-then-Axpy bitwise; with a.Rows = 0 dst is unchanged.
 func MulATBAcc(dst, a, b *Matrix) (*Matrix, error) {
 	if dst == nil {
 		return nil, fmt.Errorf("mat: mulATBAcc needs a destination: %w", ErrShape)
@@ -252,152 +212,27 @@ func MulATBAcc(dst, a, b *Matrix) (*Matrix, error) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		return nil, fmt.Errorf("mat: mulATBAcc destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Cols, b.Cols, ErrShape)
 	}
-	mulATBInto(dst, a, b, true)
+	outerRows(dst, a.Data, 1, a.Cols, b.Data, a.Rows, a.Cols, true)
 	return dst, nil
 }
 
-// mulATBInto dispatches aᵀ·b between the packed blocked kernel and the
-// naive fallbacks. Both left and right operands are packed transposed
-// (aᵀ is materialized so its rows are contiguous; bᵀ so each b column
-// is contiguous), then the shared row kernel runs over dst rows.
-func mulATBInto(dst, a, b *Matrix, acc bool) {
-	serial := parallel.Workers() == 1
-	if gemmBlocked(a.Cols, a.Rows, b.Cols) {
-		if gemmOuter != nil {
-			// Column i of a is row i of aᵀ: stride 1 across output
-			// rows, a.Cols along the accumulation index.
-			outerRows(dst, a.Data, 1, a.Cols, b.Data, a.Rows, a.Cols, acc)
-			return
-		}
-		at := grabPack(a.Cols * a.Rows)
-		packTransposeInto(at.data, a)
-		bt := grabPack(b.Cols * b.Rows)
-		packTransposeInto(bt.data, b)
-		if serial {
-			atM := Matrix{Rows: a.Cols, Cols: a.Rows, Data: at.data}
-			gemmPackedRows(dst, &atM, bt.data, 0, a.Cols, acc)
-		} else {
-			atM := &Matrix{Rows: a.Cols, Cols: a.Rows, Data: at.data}
-			parallel.ForEachChunkMin(a.Cols, minChunkFor(a.Rows*b.Cols), func(lo, hi int) {
-				gemmPackedRows(dst, atM, bt.data, lo, hi, acc)
-			})
-		}
-		releasePack(bt)
-		releasePack(at)
-		return
-	}
-	if acc {
-		if serial {
-			mulATBAccRange(dst, a, b, 0, a.Cols)
-			return
-		}
-		parallel.ForEachChunkMin(a.Cols, minChunkFor(a.Rows*b.Cols), func(lo, hi int) {
-			mulATBAccRange(dst, a, b, lo, hi)
-		})
-		return
-	}
-	if serial {
-		mulATBRange(dst, a, b, 0, a.Cols)
-		return
-	}
-	parallel.ForEachChunkMin(a.Cols, minChunkFor(a.Rows*b.Cols), func(lo, hi int) {
-		mulATBRange(dst, a, b, lo, hi)
-	})
-}
-
-// mulATBRange computes output rows [lo,hi) of dst = aᵀ·b, keeping the
-// r-major accumulation order of the serial kernel. Rows [lo,hi) are
-// zeroed before accumulation, so dst need not be cleared by callers.
-func mulATBRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		brow := b.Data[r*b.Cols : (r+1)*b.Cols]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// mulATBAccRange adds rows [lo,hi) of aᵀ·b into dst. Each element's
-// product chain accumulates in a register over r (same order as
-// mulATBRange) and lands in dst with a single add.
-func mulATBAccRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			var c float64
-			for r := 0; r < a.Rows; r++ {
-				c += a.Data[r*a.Cols+i] * b.Data[r*b.Cols+j]
-			}
-			drow[j] += c
-		}
-	}
-}
-
-// MulABT computes dst = a·bᵀ without materializing the transpose.
-// Rows of the output are split across the worker pool; each is a set
-// of independent dot products, so the result is bitwise identical to
-// the serial path for any worker count.
+// MulABT computes dst = a·bᵀ. bᵀ is packed once into a pooled buffer so
+// the seam reads it row-major; rows of the output are split across the
+// worker pool, bitwise identically for any worker count.
 func MulABT(dst, a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Cols {
 		return nil, fmt.Errorf("mat: mulABT %dx%d by %dx%d: %w", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape)
 	}
 	if dst == nil {
 		dst = New(a.Rows, b.Rows)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Rows {
-			return nil, fmt.Errorf("mat: mulABT destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Rows, b.Rows, ErrShape)
-		}
+	} else if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		return nil, fmt.Errorf("mat: mulABT destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Rows, b.Rows, ErrShape)
 	}
-	if gemmBlocked(a.Rows, a.Cols, b.Rows) {
-		if gemmOuter != nil {
-			bt := grabPack(b.Rows * b.Cols)
-			packTransposeInto(bt.data, b)
-			outerRows(dst, a.Data, a.Cols, 1, bt.data, a.Cols, a.Rows, false)
-			releasePack(bt)
-			return dst, nil
-		}
-		// b's rows are already contiguous, i.e. b.Data is (bᵀ)ᵀ packed
-		// exactly as gemmPackedRows wants — no packing pass needed.
-		if parallel.Workers() == 1 {
-			gemmPackedRows(dst, a, b.Data, 0, a.Rows, false)
-			return dst, nil
-		}
-		parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*b.Rows), func(lo, hi int) {
-			gemmPackedRows(dst, a, b.Data, lo, hi, false)
-		})
-		return dst, nil
-	}
-	if parallel.Workers() == 1 {
-		mulABTRows(dst, a, b, 0, a.Rows)
-		return dst, nil
-	}
-	parallel.ForEachChunkMin(a.Rows, minChunkFor(b.Rows*b.Cols), func(lo, hi int) {
-		mulABTRows(dst, a, b, lo, hi)
-	})
+	bt := grabPack(b.Rows * b.Cols)
+	packTransposeInto(bt.data, b)
+	outerRows(dst, a.Data, a.Cols, 1, bt.data, a.Cols, a.Rows, false)
+	releasePack(bt)
 	return dst, nil
-}
-
-// mulABTRows computes output rows [lo,hi) of dst = a·bᵀ as independent
-// dot products.
-func mulABTRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = Dot(arow, b.Data[j*b.Cols:(j+1)*b.Cols])
-		}
-	}
 }
 
 // Transpose returns a newly allocated aᵀ.

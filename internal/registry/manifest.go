@@ -26,6 +26,7 @@ package registry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,32 +102,63 @@ func (m *Manifest) Names() []string {
 	return names
 }
 
+// ErrBadManifest matches every LoadManifest failure on a manifest.json
+// that was read: malformed JSON or a broken invariant. A missing or
+// unreadable file fails with the file system's error instead.
+var ErrBadManifest = errors.New("registry: bad manifest")
+
+// manifestError is one manifest failure. Its text is the message alone;
+// under errors.Is it matches ErrBadManifest and its cause, if any.
+type manifestError struct {
+	msg   string
+	cause error
+}
+
+func (e *manifestError) Error() string { return e.msg }
+
+func (e *manifestError) Unwrap() []error {
+	if e.cause == nil {
+		return []error{ErrBadManifest}
+	}
+	return []error{ErrBadManifest, e.cause}
+}
+
 // LoadManifest reads and validates dir/manifest.json: every model name
 // well-formed, every path non-empty (resolved against dir), enums
 // parseable, the default present, and every tenant mapped to a
-// manifested model.
+// manifested model. Every failure after the read matches
+// ErrBadManifest.
 func LoadManifest(dir string) (*Manifest, error) {
-	path := filepath.Join(dir, ManifestFile)
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
+	return parseManifest(dir, raw)
+}
+
+// parseManifest decodes and validates the manifest bytes raw, read from
+// dir, for LoadManifest.
+func parseManifest(dir string, raw []byte) (*Manifest, error) {
+	path := filepath.Join(dir, ManifestFile)
+	bad := func(cause error, format string, args ...any) error {
+		return &manifestError{msg: "registry: " + path + ": " + fmt.Sprintf(format, args...), cause: cause}
+	}
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("registry: %s: %w", path, err)
+		return nil, bad(err, "%v", err)
 	}
 	if len(m.Models) == 0 {
-		return nil, fmt.Errorf("registry: %s: manifest lists no models", path)
+		return nil, bad(nil, "manifest lists no models")
 	}
 	if m.Default == "" {
-		return nil, fmt.Errorf("registry: %s: manifest names no default model", path)
+		return nil, bad(nil, "manifest names no default model")
 	}
 	for name, spec := range m.Models {
 		if !ValidName(name) {
-			return nil, fmt.Errorf("registry: %s: invalid model name %q (want %s)", path, name, nameRE)
+			return nil, bad(nil, "invalid model name %q (want %s)", name, nameRE)
 		}
 		if spec.Path == "" {
-			return nil, fmt.Errorf("registry: %s: model %q has no path", path, name)
+			return nil, bad(nil, "model %q has no path", name)
 		}
 		if !filepath.IsAbs(spec.Path) {
 			spec.Path = filepath.Join(dir, spec.Path)
@@ -140,28 +172,28 @@ func LoadManifest(dir string) (*Manifest, error) {
 		if spec.Strategy != "" {
 			st, ok := serve.ParseStrategy(spec.Strategy)
 			if !ok {
-				return nil, fmt.Errorf("registry: %s: model %q: unknown strategy %q (want MSP, ES, or ED)", path, name, spec.Strategy)
+				return nil, bad(nil, "model %q: unknown strategy %q (want MSP, ES, or ED)", name, spec.Strategy)
 			}
 			spec.strat, spec.hasStrat = st, true
 		}
 		if spec.Precision != "" {
 			p, ok := serve.ParsePrecision(spec.Precision)
 			if !ok {
-				return nil, fmt.Errorf("registry: %s: model %q: unknown precision %q (want f64 or f32)", path, name, spec.Precision)
+				return nil, bad(nil, "model %q: unknown precision %q (want f64 or f32)", name, spec.Precision)
 			}
 			spec.precision, spec.hasPrecision = p, true
 		}
 		m.Models[name] = spec
 	}
 	if _, ok := m.Models[m.Default]; !ok {
-		return nil, fmt.Errorf("registry: %s: default model %q is not manifested", path, m.Default)
+		return nil, bad(nil, "default model %q is not manifested", m.Default)
 	}
 	for tenant, model := range m.Tenants {
 		if tenant == "" {
-			return nil, fmt.Errorf("registry: %s: empty tenant ID", path)
+			return nil, bad(nil, "empty tenant ID")
 		}
 		if _, ok := m.Models[model]; !ok {
-			return nil, fmt.Errorf("registry: %s: tenant %q maps to unmanifested model %q", path, tenant, model)
+			return nil, bad(nil, "tenant %q maps to unmanifested model %q", tenant, model)
 		}
 	}
 	return &m, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -271,13 +272,18 @@ func requireScores(t testing.TB, body []byte, want []float64) {
 	}
 }
 
-func TestLoadManifestValidation(t *testing.T) {
-	model := absFixture(t)
-	cases := []struct {
-		name string
-		m    Manifest
-		want string
-	}{
+// manifestCase is a manifest LoadManifest must reject, with a
+// substring of its error.
+type manifestCase struct {
+	name string
+	m    Manifest
+	want string
+}
+
+// invalidManifests lists the rejected manifests for a model file at
+// model.
+func invalidManifests(model string) []manifestCase {
+	return []manifestCase{
 		{"no-models", Manifest{Default: "a"}, "no models"},
 		{"no-default", Manifest{Models: map[string]ModelSpec{"a": {Path: model}}}, "no default"},
 		{"bad-name", Manifest{Default: "a", Models: map[string]ModelSpec{"a": {Path: model}, "../evil": {Path: model}}}, "invalid model name"},
@@ -288,18 +294,29 @@ func TestLoadManifestValidation(t *testing.T) {
 		{"tenant-unmanifested", Manifest{Default: "a", Models: map[string]ModelSpec{"a": {Path: model}}, Tenants: map[string]string{"t": "b"}}, "unmanifested model"},
 		{"empty-tenant", Manifest{Default: "a", Models: map[string]ModelSpec{"a": {Path: model}}, Tenants: map[string]string{"": "a"}}, "empty tenant"},
 	}
-	for _, tc := range cases {
+}
+
+func TestLoadManifestValidation(t *testing.T) {
+	for _, tc := range invalidManifests(absFixture(t)) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			writeManifest(t, dir, tc.m)
-			if _, err := LoadManifest(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			_, err := LoadManifest(dir)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("LoadManifest error = %v, want substring %q", err, tc.want)
+			}
+			if !errors.Is(err, ErrBadManifest) {
+				t.Fatalf("LoadManifest error %v does not match ErrBadManifest", err)
 			}
 		})
 	}
 	t.Run("missing-file", func(t *testing.T) {
-		if _, err := LoadManifest(t.TempDir()); err == nil {
+		_, err := LoadManifest(t.TempDir())
+		if err == nil {
 			t.Fatal("LoadManifest over an empty dir succeeded")
+		}
+		if errors.Is(err, ErrBadManifest) || !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("missing manifest: err = %v, want fs.ErrNotExist, not ErrBadManifest", err)
 		}
 	})
 	t.Run("relative-paths-resolve", func(t *testing.T) {

@@ -54,8 +54,8 @@ go test -tags noasm -count=1 -run 'TestServeF32' ./internal/serve
 TARGAD_NOSIMD=1 go test -count=1 -run 'TestFitKernelSwap|TestOuterF64|TestNearestRows' \
     ./internal/core ./internal/mat
 
-# Race smoke: exercise the worker-pool kernels (mat GEMMs including the
-# packed-buffer blocked paths, k-means assignment, softmax batching),
+# Race smoke: exercise the worker-pool kernels (mat GEMMs through the
+# one row-split kernel seam, k-means assignment, softmax batching),
 # the process-wide helper budget under nested calls, the nn
 # layer-workspace reuse and training replicas, the concurrent
 # per-cluster AE training, two Fits contending for helpers,
@@ -121,15 +121,17 @@ go test -count=1 \
     ./internal/fleet
 
 # Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
-# binary wire-frame decoder, the saved-model loader and the serving
-# front end (/score under both content types, POST /feedback). The
-# seed corpora always run in the full suite; this explores beyond them.
-echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad + FuzzScoreRequest + FuzzFeedbackRequest, 10s each) =="
+# binary wire-frame decoder, the saved-model loader, the serving
+# front end (/score under both content types, POST /feedback) and the
+# registry's manifest parser. The seed corpora always run in the full
+# suite; this explores beyond them.
+echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad + FuzzScoreRequest + FuzzFeedbackRequest + FuzzLoadManifest, 10s each) =="
 go test -fuzz FuzzLoadCSV -fuzztime 10s -run '^$' ./internal/dataset
 go test -fuzz FuzzDecodeFrame -fuzztime 10s -run '^$' ./internal/wire
 go test -fuzz FuzzLoad -fuzztime 10s -run '^$' ./internal/core
 go test -fuzz FuzzScoreRequest -fuzztime 10s -run '^$' ./internal/serve
 go test -fuzz FuzzFeedbackRequest -fuzztime 10s -run '^$' ./internal/serve
+go test -fuzz FuzzLoadManifest -fuzztime 10s -run '^$' ./internal/registry
 
 # Allocation-budget smoke: one iteration of each hot-path benchmark
 # with -benchmem, failing if allocs/op regresses above its budget. The
