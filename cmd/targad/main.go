@@ -82,48 +82,23 @@ func main() {
 		return
 	}
 
-	labeledRaw := loadCSV(*labeledPath, *hasHeader)
-	unlabeled := loadCSV(*unlabeledPath, *hasHeader)
+	train, err := dataset.LoadTrainCSVs(*labeledPath, *unlabeledPath, *hasHeader)
+	if err != nil {
+		fatal(err)
+	}
 	test := loadCSV(*scorePath, *hasHeader)
 
-	// Split the type column off the labeled file.
-	if labeledRaw.Cols < 2 {
-		fatal(fmt.Errorf("labeled CSV needs a type column plus features, got %d columns", labeledRaw.Cols))
-	}
-	labeled := mat.New(labeledRaw.Rows, labeledRaw.Cols-1)
-	types := make([]int, labeledRaw.Rows)
-	maxType := 0
-	for i := 0; i < labeledRaw.Rows; i++ {
-		row := labeledRaw.Row(i)
-		t := int(row[0])
-		if t < 0 {
-			fatal(fmt.Errorf("labeled row %d has negative type %v", i, row[0]))
-		}
-		types[i] = t
-		if t > maxType {
-			maxType = t
-		}
-		copy(labeled.Row(i), row[1:])
-	}
-
 	if *normalize {
-		pool := dataset.MustVStack(unlabeled, labeled)
+		pool := dataset.MustVStack(train.Unlabeled, train.Labeled)
 		scaler, err := dataset.FitMinMax(pool)
 		if err != nil {
 			fatal(err)
 		}
-		for _, m := range []*mat.Matrix{labeled, unlabeled, test} {
+		for _, m := range []*mat.Matrix{train.Labeled, train.Unlabeled, test} {
 			if err := scaler.Transform(m); err != nil {
 				fatal(err)
 			}
 		}
-	}
-
-	train := &dataset.TrainSet{
-		Labeled:        labeled,
-		LabeledType:    types,
-		NumTargetTypes: maxType + 1,
-		Unlabeled:      unlabeled,
 	}
 
 	cfg := core.DefaultConfig()
@@ -140,7 +115,7 @@ func main() {
 	model := core.New(cfg, *seed)
 
 	fmt.Fprintf(os.Stderr, "targad: training on %d labeled (m=%d types) + %d unlabeled instances, %d features\n",
-		labeled.Rows, train.NumTargetTypes, unlabeled.Rows, unlabeled.Cols)
+		train.Labeled.Rows, train.NumTargetTypes, train.Unlabeled.Rows, train.Unlabeled.Cols)
 	start := time.Now()
 	if err := model.Fit(ctx, train); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -123,11 +123,23 @@ func (ae *AE) Train(unlabeled, labeled *mat.Matrix, r *rng.RNG) ([]float64, erro
 // with a *nn.NumericalError instead of silently returning a NaN
 // model.
 func (ae *AE) TrainCtx(ctx context.Context, unlabeled, labeled *mat.Matrix, r *rng.RNG) ([]float64, error) {
-	if unlabeled == nil || unlabeled.Rows == 0 {
+	return ae.train(ctx, unlabeled, nil, labeled, r)
+}
+
+// train is TrainCtx on the rows of pool that rows lists, or on every
+// row of pool when rows is nil. Each batch is gathered straight from
+// pool through rows, so training a cluster copies no more than one
+// batch at a time.
+func (ae *AE) train(ctx context.Context, pool *mat.Matrix, rows []int, labeled *mat.Matrix, r *rng.RNG) ([]float64, error) {
+	n := len(rows)
+	if rows == nil && pool != nil {
+		n = pool.Rows
+	}
+	if n == 0 {
 		return nil, errors.New("autoencoder: empty unlabeled cluster")
 	}
-	if unlabeled.Cols != ae.cfg.InputDim {
-		return nil, fmt.Errorf("autoencoder: unlabeled dim %d, want %d", unlabeled.Cols, ae.cfg.InputDim)
+	if pool.Cols != ae.cfg.InputDim {
+		return nil, fmt.Errorf("autoencoder: unlabeled dim %d, want %d", pool.Cols, ae.cfg.InputDim)
 	}
 	useLabeled := ae.cfg.Eta != 0 && labeled != nil && labeled.Rows > 0
 	if useLabeled && labeled.Cols != ae.cfg.InputDim {
@@ -135,7 +147,7 @@ func (ae *AE) TrainCtx(ctx context.Context, unlabeled, labeled *mat.Matrix, r *r
 	}
 
 	opt := nn.NewAdam(ae.cfg.LR)
-	batcher := nn.NewBatcher(unlabeled.Rows, ae.cfg.BatchSize, r)
+	batcher := nn.NewBatcher(n, ae.cfg.BatchSize, r)
 	losses := make([]float64, 0, ae.cfg.Epochs)
 	var firstLoss float64
 	haveFirst := false
@@ -147,7 +159,7 @@ func (ae *AE) TrainCtx(ctx context.Context, unlabeled, labeled *mat.Matrix, r *r
 		nb := batcher.BatchesPerEpoch()
 		for b := 0; b < nb; b++ {
 			idx := batcher.Next()
-			ae.xb = nn.GatherInto(ae.xb, unlabeled, idx)
+			ae.xb = nn.GatherSubsetInto(ae.xb, pool, rows, idx)
 			if faultinject.Fire(faultinject.AEBatchNaN) {
 				ae.xb.Data[0] = math.NaN()
 			}
@@ -242,16 +254,29 @@ func (ae *AE) ReconstructionErrors(x *mat.Matrix) ([]float64, error) {
 	if x.Cols != ae.cfg.InputDim {
 		return nil, fmt.Errorf("autoencoder: input dim %d, want %d", x.Cols, ae.cfg.InputDim)
 	}
-	// The network's own output buffer is read immediately, so no copy
-	// is needed here.
-	rec := ae.net.Forward(x)
 	errs := make([]float64, x.Rows)
-	parallel.ForEachChunkMin(x.Rows, 512, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = mat.SquaredDistance(x.Row(i), rec.Row(i))
+	ae.reconErrorsInto(errs, x, nil)
+	return errs, nil
+}
+
+// reconErrorsInto computes S^Rec for the rows of pool that rows lists
+// (every row when rows is nil) and stores each at the row's index in
+// pool, so dst is pool-sized. The rows run through the network in
+// BatchSize-row batches (listed rows gathered into the training batch
+// workspace), so the forward workspaces never grow past a batch.
+func (ae *AE) reconErrorsInto(dst []float64, pool *mat.Matrix, rows []int) {
+	ae.xb = nn.ForEachBatch(ae.xb, pool, rows, ae.cfg.BatchSize, func(lo int, x *mat.Matrix) {
+		// The network's own output buffer is read immediately, so no
+		// copy is needed here.
+		rec := ae.net.Forward(x)
+		for i := 0; i < x.Rows; i++ {
+			at := lo + i
+			if rows != nil {
+				at = rows[at]
+			}
+			dst[at] = mat.SquaredDistance(x.Row(i), rec.Row(i))
 		}
 	})
-	return errs, nil
 }
 
 // Encoder returns the latent representation of each row (the output of
@@ -280,46 +305,52 @@ const MaxTrainRetries = 2
 
 // ClusterResume threads checkpoint state through TrainPerCluster.
 type ClusterResume struct {
-	// Done holds pre-trained autoencoders by cluster index (nil
-	// entries are trained from scratch with their own RNG stream, so a
-	// resumed run is bitwise identical to an uninterrupted one).
-	Done []*AE
-	// Errs holds the matching per-cluster reconstruction errors.
+	// Errs holds, by cluster index, the S^Rec of clusters a checkpoint
+	// already finished, aligned with the cluster's row list. Clusters
+	// with a nil entry are trained with their own RNG stream, so a
+	// resumed run is bitwise identical to an uninterrupted one.
 	Errs [][]float64
 	// OnCluster, when non-nil, is invoked (serialized) as each cluster
-	// finishes training — the checkpoint writer hook. An error aborts
-	// the run once in-flight clusters drain.
-	OnCluster func(cluster int, ae *AE, errs []float64) error
+	// finishes with the cluster's S^Rec, aligned with its row list —
+	// the checkpoint writer hook. An error aborts the run once
+	// in-flight clusters drain.
+	OnCluster func(cluster int, errs []float64) error
 }
 
 // TrainPerCluster trains one autoencoder per cluster concurrently on
-// the shared worker pool (Algorithm 1, lines 2–5). clusters[i] lists
-// the unlabeled row indices of cluster i. It returns the trained
-// autoencoders and S^Rec for every unlabeled row, computed by the AE
-// of its own cluster. Clusters are handed to workers largest first,
-// so the longest training starts at once instead of last.
+// the shared worker pool (Algorithm 1, lines 2–5) and returns S^Rec for
+// every unlabeled row, computed by the AE of its own cluster.
+// clusters[i] lists the unlabeled row indices of cluster i. Clusters
+// are handed to workers largest first, so the longest training starts
+// at once instead of last.
+//
+// Only S^Rec outlives a cluster. Its batches and its S^Rec pass gather
+// rows straight from unlabeled through the row list, and its
+// autoencoder is dropped as soon as the cluster is scored, so the
+// working memory of a cluster is one batch whatever the cluster's size.
 //
 // Each cluster's RNG stream is split from the parent serially, before
 // any training starts, so every autoencoder sees the same stream
 // regardless of worker count, scheduling or training order — results
 // are bitwise identical to a sequential run, and a cluster restored
-// from a checkpoint (resume.Done) never perturbs its siblings' streams.
+// from a checkpoint (resume.Errs) never perturbs its siblings' streams.
 //
 // A cluster whose training trips a numerical guard is retried up to
 // MaxTrainRetries times with a halved learning rate and a re-split RNG
 // stream; if every attempt fails, the *nn.NumericalError of the last
 // attempt (annotated with the cluster index) is returned.
-func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, clusters [][]int, cfg Config, r *rng.RNG, resume *ClusterResume) ([]*AE, []float64, error) {
+func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, clusters [][]int, cfg Config, r *rng.RNG, resume *ClusterResume) ([]float64, error) {
 	k := len(clusters)
 	if k == 0 {
-		return nil, nil, errors.New("autoencoder: no clusters")
+		return nil, errors.New("autoencoder: no clusters")
 	}
 	rngs := make([]*rng.RNG, k)
 	for i := range rngs {
 		rngs[i] = r.SplitN("ae", i)
 	}
-	aes := make([]*AE, k)
-	errsByCluster := make([][]float64, k)
+	// Clusters own disjoint rows, so concurrent clusters write
+	// disjoint elements of scores.
+	scores := make([]float64, unlabeled.Rows)
 	firstErr := make([]error, k)
 	order := make([]int, k)
 	for i := range order {
@@ -330,62 +361,61 @@ func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 	var hookErr error
 	parallel.Map(k, func(j int) {
 		i := order[j]
-		if resume != nil && i < len(resume.Done) && resume.Done[i] != nil {
-			aes[i] = resume.Done[i]
-			errsByCluster[i] = resume.Errs[i]
+		if resume != nil && i < len(resume.Errs) && resume.Errs[i] != nil {
+			es := resume.Errs[i]
+			if len(es) != len(clusters[i]) {
+				firstErr[i] = fmt.Errorf("autoencoder: cluster %d resumes %d errors for %d rows", i, len(es), len(clusters[i]))
+				return
+			}
+			for p, row := range clusters[i] {
+				scores[row] = es[p]
+			}
 			return
 		}
 		if err := ctx.Err(); err != nil {
 			firstErr[i] = fmt.Errorf("autoencoder: cluster %d canceled: %w", i, err)
 			return
 		}
-		ae, es, err := trainOneCluster(ctx, unlabeled, labeled, clusters[i], cfg, rngs[i], i)
+		ae, err := trainOneCluster(ctx, unlabeled, labeled, clusters[i], cfg, rngs[i], i)
 		if err != nil {
 			firstErr[i] = err
 			return
 		}
-		aes[i] = ae
-		errsByCluster[i] = es
+		ae.reconErrorsInto(scores, unlabeled, clusters[i])
 		if resume != nil && resume.OnCluster != nil {
+			es := nn.GatherVec(scores, clusters[i])
 			hookMu.Lock()
 			if hookErr == nil {
-				hookErr = resume.OnCluster(i, ae, es)
+				hookErr = resume.OnCluster(i, es)
 			}
 			hookMu.Unlock()
 		}
 	})
 	for _, err := range firstErr {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if hookErr != nil {
-		return nil, nil, hookErr
+		return nil, hookErr
 	}
-	scores := make([]float64, unlabeled.Rows)
-	for i, idxs := range clusters {
-		for j, row := range idxs {
-			scores[row] = errsByCluster[i][j]
-		}
-	}
-	return aes, scores, nil
+	return scores, nil
 }
 
-// trainOneCluster runs one cluster's build-train-score cycle with the
+// trainOneCluster builds and trains one cluster's autoencoder with the
 // bounded numerical-retry loop. Attempt 0 consumes the cluster's
 // original RNG stream exactly as the pre-guard code did, so healthy
 // runs are bitwise unchanged; retries derive fresh streams from the
 // (deterministic) post-failure stream position.
-func trainOneCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluster []int, cfg Config, cr *rng.RNG, idx int) (*AE, []float64, error) {
-	sub := nn.Gather(unlabeled, cluster)
+func trainOneCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluster []int, cfg Config, cr *rng.RNG, idx int) (*AE, error) {
 	for attempt := 0; ; attempt++ {
 		acfg := cfg
 		acfg.LR = cfg.LR / float64(uint(1)<<uint(attempt))
 		ae, err := New(acfg, cr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		_, err = ae.TrainCtx(ctx, sub, labeled, cr)
+		_, err = ae.train(ctx, unlabeled, cluster, labeled, cr)
 		var nerr *nn.NumericalError
 		if errors.As(err, &nerr) {
 			nerr.Cluster = idx
@@ -394,42 +424,11 @@ func trainOneCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 				cr = cr.SplitN("retry", attempt+1)
 				continue
 			}
-			return nil, nil, nerr
+			return nil, nerr
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		es, err := ae.ReconstructionErrors(sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ae, es, nil
+		return ae, nil
 	}
-}
-
-// ParamValues deep-copies the network's parameter payloads in layer
-// order — the checkpoint representation of a trained autoencoder.
-func (ae *AE) ParamValues() [][]float64 {
-	ps := ae.net.Params()
-	out := make([][]float64, len(ps))
-	for i, p := range ps {
-		out[i] = append([]float64(nil), p.Data...)
-	}
-	return out
-}
-
-// SetParamValues restores payloads captured by ParamValues into an
-// identically configured autoencoder.
-func (ae *AE) SetParamValues(vals [][]float64) error {
-	ps := ae.net.Params()
-	if len(ps) != len(vals) {
-		return fmt.Errorf("autoencoder: restore: %d param tensors, saved %d", len(ps), len(vals))
-	}
-	for i, p := range ps {
-		if len(p.Data) != len(vals[i]) {
-			return fmt.Errorf("autoencoder: restore: param %d has %d values, saved %d", i, len(p.Data), len(vals[i]))
-		}
-		copy(p.Data, vals[i])
-	}
-	return nil
 }

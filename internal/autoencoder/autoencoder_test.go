@@ -6,6 +6,7 @@ import (
 
 	"targad/internal/mat"
 	"targad/internal/metrics"
+	"targad/internal/nn"
 	"targad/internal/rng"
 )
 
@@ -200,29 +201,39 @@ func TestTrainPerCluster(t *testing.T) {
 		clusters[i%2] = append(clusters[i%2], i)
 	}
 	cfg := Config{InputDim: 8, Hidden: []int{6, 3}, LR: 5e-3, BatchSize: 16, Epochs: 5}
-	aes, scores, err := TrainPerCluster(context.Background(), normals, nil, clusters, cfg, r, nil)
+	scores, err := TrainPerCluster(context.Background(), normals, nil, clusters, cfg, rng.New(8), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(aes) != 2 {
-		t.Fatalf("expected 2 AEs, got %d", len(aes))
 	}
 	if len(scores) != normals.Rows {
 		t.Fatalf("expected %d scores, got %d", normals.Rows, len(scores))
 	}
-	// Scores must be scattered back to the right rows: recompute row
-	// 0's error with its own cluster's AE.
-	c0 := clusters[0][0]
-	one := mat.New(1, 8)
-	copy(one.Row(0), normals.Row(c0))
-	es, err := aes[0].ReconstructionErrors(one)
+	// Scores must be scattered back to the right rows, bitwise equal to
+	// an autoencoder trained and scored on a copy of cluster 0 with the
+	// cluster's own RNG stream (the first split of the parent).
+	cr := rng.New(8).SplitN("ae", 0)
+	ae, err := New(cfg, cr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es[0] != scores[c0] {
-		t.Fatalf("score scatter mismatch: %v vs %v", es[0], scores[c0])
+	sub := nn.Gather(normals, clusters[0])
+	if _, err := ae.Train(sub, nil, cr); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := TrainPerCluster(context.Background(), normals, nil, nil, cfg, r, nil); err == nil {
+	es, err := ae.ReconstructionErrors(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, row := range clusters[0] {
+		if es[j] != scores[row] {
+			t.Fatalf("cluster 0 row %d: score %v, copied-cluster AE %v", row, scores[row], es[j])
+		}
+	}
+	if _, err := TrainPerCluster(context.Background(), normals, nil, nil, cfg, r, nil); err == nil {
 		t.Fatal("no clusters must error")
+	}
+	short := &ClusterResume{Errs: [][]float64{es[:3]}}
+	if _, err := TrainPerCluster(context.Background(), normals, nil, clusters, cfg, rng.New(8), short); err == nil {
+		t.Fatal("resumed errors that do not cover their cluster must error")
 	}
 }

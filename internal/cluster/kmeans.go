@@ -185,9 +185,12 @@ func ChooseK(ctx context.Context, x *mat.Matrix, kMin, kMax int, r *rng.RNG) (in
 	if kMax > x.Rows {
 		kMax = x.Rows
 	}
-	// The restarts are independent; run them on the worker pool. The
-	// child RNGs are split serially first — Split consumes the parent
-	// stream, so split order must not depend on scheduling.
+	// The restarts are independent; run them on the worker pool,
+	// largest k first, since a run's cost grows with k and the longest
+	// should start at once instead of last. The child RNGs are split
+	// serially first — Split consumes the parent stream, so split order
+	// must not depend on scheduling, and each k gets the same stream in
+	// any run order.
 	nk := kMax - kMin + 1
 	rngs := make([]*rng.RNG, nk)
 	for i := range rngs {
@@ -195,7 +198,8 @@ func ChooseK(ctx context.Context, x *mat.Matrix, kMin, kMax int, r *rng.RNG) (in
 	}
 	inertias := make([]float64, nk)
 	errs := make([]error, nk)
-	parallel.Map(nk, func(i int) {
+	parallel.Map(nk, func(j int) {
+		i := nk - 1 - j
 		res, err := KMeans(ctx, x, Config{K: kMin + i}, rngs[i])
 		if err != nil {
 			errs[i] = err

@@ -105,3 +105,42 @@ func TestChooseKParallelBitwiseIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestChooseKRunOrderKeepsStreams pins ChooseK's results to its RNG
+// split, not its run order: each k's inertia must equal a KMeans run
+// in increasing k on the stream the k-th serial split hands out, and
+// the chosen k must stay the one the elbow picks on these inertias, at
+// one worker and at four.
+func TestChooseKRunOrderKeepsStreams(t *testing.T) {
+	const kMin, kMax, wantK = 2, 7, 4
+	x := randomData(24, 600, 10)
+	parent := rng.New(6)
+	want := make([]float64, 0, kMax-kMin+1)
+	var streams []*rng.RNG
+	for k := kMin; k <= kMax; k++ {
+		streams = append(streams, parent.SplitN("choosek", k))
+	}
+	for i, r := range streams {
+		res, err := KMeans(context.Background(), x, Config{K: kMin + i}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Inertia)
+	}
+	for _, w := range []int{1, 4} {
+		runAt(t, w, func() {
+			k, inertias, err := ChooseK(context.Background(), x, kMin, kMax, rng.New(6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != wantK {
+				t.Fatalf("workers=%d: ChooseK picked k=%d, want %d", w, k, wantK)
+			}
+			for i := range want {
+				if inertias[i] != want[i] {
+					t.Fatalf("workers=%d: inertia for k=%d is %v, want %v", w, kMin+i, inertias[i], want[i])
+				}
+			}
+		})
+	}
+}

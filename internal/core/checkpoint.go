@@ -14,15 +14,14 @@ import (
 	"targad/internal/faultinject"
 	"targad/internal/mat"
 	"targad/internal/nn"
-	"targad/internal/rng"
 )
 
 // CheckpointConfig enables crash-safe training. When Path is set, Fit
-// persists its progress there — the clustering result, each completed
-// per-cluster autoencoder, and the classifier's parameters, optimizer
-// moments, and epoch count — and a later Fit with the same seed,
-// configuration, and data resumes from the file instead of starting
-// over. Resumption is bitwise exact: the resumed run reconstructs
+// persists its progress there — the clustering result, the
+// reconstruction errors of each completed per-cluster autoencoder, and
+// the classifier's parameters, optimizer moments, and epoch count — and
+// a later Fit with the same seed, configuration, and data resumes from
+// the file instead of starting over. Resumption is bitwise exact: the resumed run reconstructs
 // every RNG stream by replaying the completed epochs' draws, so the
 // final model is identical to one trained without interruption.
 //
@@ -57,11 +56,13 @@ type checkpointFile struct {
 	Inertia        float64
 	Iterations     int
 
-	// Per-cluster autoencoders (lines 2–5); entries fill in as
-	// clusters complete, in any order.
-	AEDone   []bool
-	AEParams [][][]float64
-	AEErrs   [][]float64
+	// Per-cluster autoencoders (lines 2–5): each finished cluster's
+	// S^Rec, aligned with its rows in Assignment order. Entries fill in
+	// as clusters complete, in any order. Only S^Rec feeds the rest of
+	// Fit, so the autoencoders themselves are not kept; format v1 also
+	// stored their parameters (AEParams), which gob now skips.
+	AEDone []bool
+	AEErrs [][]float64
 
 	// Classifier (lines 8–17).
 	ClfAttempt    int // numerical-retry attempt the epochs belong to
@@ -212,44 +213,28 @@ func (ck *checkpointer) saveClustering(res *cluster.Result) error {
 	ck.state.Inertia = res.Inertia
 	ck.state.Iterations = res.Iterations
 	ck.state.AEDone = make([]bool, res.K)
-	ck.state.AEParams = make([][][]float64, res.K)
 	ck.state.AEErrs = make([][]float64, res.K)
 	return ck.write()
 }
 
-// clusterResume restores completed autoencoders from the checkpoint
-// and wires the per-cluster completion hook that extends it.
-func (ck *checkpointer) clusterResume(aeCfg autoencoder.Config) (*autoencoder.ClusterResume, error) {
-	k := ck.state.K
-	res := &autoencoder.ClusterResume{
-		Done: make([]*autoencoder.AE, k),
-		Errs: make([][]float64, k),
+// clusterResume hands the checkpointed S^Rec of completed clusters to
+// TrainPerCluster and wires the per-cluster completion hook that
+// extends it.
+func (ck *checkpointer) clusterResume() *autoencoder.ClusterResume {
+	res := &autoencoder.ClusterResume{Errs: make([][]float64, ck.state.K)}
+	for i, done := range ck.state.AEDone {
+		if done {
+			res.Errs[i] = ck.state.AEErrs[i]
+		}
 	}
-	for i := 0; i < k; i++ {
-		if !ck.state.AEDone[i] {
-			continue
-		}
-		// The RNG only seeds the initial weights, which are about to
-		// be overwritten by the checkpointed parameters.
-		ae, err := autoencoder.New(aeCfg, rng.New(0))
-		if err != nil {
-			return nil, &CheckpointError{Path: ck.path, Op: "validate", Err: err}
-		}
-		if err := ae.SetParamValues(ck.state.AEParams[i]); err != nil {
-			return nil, &CheckpointError{Path: ck.path, Op: "validate", Err: err}
-		}
-		res.Done[i] = ae
-		res.Errs[i] = ck.state.AEErrs[i]
-	}
-	res.OnCluster = func(i int, ae *autoencoder.AE, es []float64) error {
+	res.OnCluster = func(i int, es []float64) error {
 		ck.mu.Lock()
 		defer ck.mu.Unlock()
 		ck.state.AEDone[i] = true
-		ck.state.AEParams[i] = ae.ParamValues()
 		ck.state.AEErrs[i] = es
 		return ck.write()
 	}
-	return res, nil
+	return res
 }
 
 // classifierResume reports whether the checkpoint can fast-forward the

@@ -70,36 +70,50 @@ func idness(s OODStrategy, probs, logits []float64) float64 {
 // the Eq. (4) weights concentrate on genuine non-target anomalies, so
 // the noisy normals and targets hiding in D_U^A barely move the
 // estimate. Both sides are available at training time; no labeled
-// non-target data is needed.
-func (mo *Model) calibrateIdentification(labeled, cand *mat.Matrix, weights []float64) {
-	if labeled.Rows == 0 || cand.Rows == 0 {
+// non-target data is needed. Both sets run through the classifier in
+// chunks; each chunk's ID-ness values are read before the next
+// forward pass reuses the logits workspace.
+func (mo *Model) calibrateIdentification(labeled, cand rowSet, weights []float64) {
+	if labeled.len() == 0 || cand.len() == 0 {
 		return
 	}
-	// Forward returns the classifier's layer-owned workspace, so the
-	// second call below would overwrite (and reshape) the labeled
-	// logits — clone them so both sides survive side by side.
-	lLog := mo.clf.Forward(labeled).Clone()
-	cLog := mo.clf.Forward(cand)
-	lProbs, cProbs := nn.SoftmaxRows(lLog), nn.SoftmaxRows(cLog)
-	for _, s := range OODStrategies() {
-		lv := make([]float64, lLog.Rows)
-		for i := range lv {
-			lv[i] = idness(s, lProbs.Row(i), lLog.Row(i))
-		}
-		var wSum, vSum float64
-		for i := 0; i < cLog.Rows; i++ {
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
+	strategies := OODStrategies()
+	lv := make([][]float64, len(strategies))
+	for si := range lv {
+		lv[si] = make([]float64, labeled.len())
+	}
+	var probs *mat.Matrix
+	mo.forChunks(labeled, func(lo int, chunk *mat.Matrix) {
+		logits := mo.clf.Forward(chunk)
+		probs = nn.SoftmaxRowsInto(probs, logits)
+		for si, s := range strategies {
+			for i := 0; i < logits.Rows; i++ {
+				lv[si][lo+i] = idness(s, probs.Row(i), logits.Row(i))
 			}
-			wSum += w
-			vSum += w * idness(s, cProbs.Row(i), cLog.Row(i))
 		}
-		candCenter := vSum
-		if wSum > 0 {
-			candCenter = vSum / wSum
+	})
+	wSum := make([]float64, len(strategies))
+	vSum := make([]float64, len(strategies))
+	mo.forChunks(cand, func(lo int, chunk *mat.Matrix) {
+		logits := mo.clf.Forward(chunk)
+		probs = nn.SoftmaxRowsInto(probs, logits)
+		for si, s := range strategies {
+			for i := 0; i < logits.Rows; i++ {
+				w := 1.0
+				if weights != nil {
+					w = weights[lo+i]
+				}
+				wSum[si] += w
+				vSum[si] += w * idness(s, probs.Row(i), logits.Row(i))
+			}
 		}
-		mo.idThreshold[s] = (median(lv) + candCenter) / 2
+	})
+	for si, s := range strategies {
+		candCenter := vSum[si]
+		if wSum[si] > 0 {
+			candCenter = vSum[si] / wSum[si]
+		}
+		mo.idThreshold[s] = (median(lv[si]) + candCenter) / 2
 	}
 }
 

@@ -112,7 +112,7 @@ func TestCalibrateIdentificationUsesLabeledLogits(t *testing.T) {
 		want[s] = (median(lv) + vSum/wSum) / 2
 	}
 
-	mo.calibrateIdentification(labeled, cand, weights)
+	mo.calibrateIdentification(rowSet{x: labeled}, rowSet{x: cand}, weights)
 	for _, s := range OODStrategies() {
 		got, ok := mo.IdentifyThreshold(s)
 		if !ok {

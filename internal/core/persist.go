@@ -29,6 +29,7 @@ const (
 	// incompatibly; checkpointFormatVersion likewise for
 	// checkpointFile.
 	//
+	// Saved models:
 	// v1: classifier parameters, metadata, identification thresholds.
 	// v2: adds the optional monitoring reference profile (Profile
 	//     field). v1 files keep decoding — gob leaves the absent field
@@ -37,8 +38,15 @@ const (
 	//     strategy-sorted lists (ThresholdList, ProfileMix) instead of
 	//     gob maps, whose random iteration order made two saves of one
 	//     model differ byte for byte. v1/v2 maps still decode.
-	modelFormatVersion      = 3
-	checkpointFormatVersion = 1
+	modelFormatVersion = 3
+	//
+	// Checkpoints:
+	// v1: clustering, per-cluster autoencoder parameters and S^Rec,
+	//     classifier state.
+	// v2: drops the autoencoder parameters (AEParams) — a resume only
+	//     needs each finished cluster's S^Rec. v1 files still resume:
+	//     gob skips the field the payload no longer has.
+	checkpointFormatVersion = 2
 )
 
 // ErrBadFormat reports a stream that does not carry this package's

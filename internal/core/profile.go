@@ -2,6 +2,7 @@ package core
 
 import (
 	"targad/internal/dataset"
+	"targad/internal/mat"
 	"targad/internal/monitor"
 )
 
@@ -28,19 +29,27 @@ func (mo *Model) captureProfile(train *dataset.TrainSet) {
 			strategies = append(strategies, s)
 		}
 	}
-	// One pass computes the scores and every calibrated decision mix.
-	opt := InferOptions{Strategies: strategies}
 	thresholds, err := mo.checkCall(nil, x.Cols, strategies)
 	if err != nil {
 		return
 	}
-	res := mo.infer(mo.clf, x, opt, thresholds)
-	kinds := make(map[int][]dataset.Kind, len(res.Kinds))
-	for s, k := range res.Kinds {
-		kinds[int(s)] = k
+	// One chunked pass computes the scores and every calibrated
+	// decision mix; each chunk's result recycles one InferResult.
+	scores := make([]float64, x.Rows)
+	kinds := make(map[int][]dataset.Kind, len(strategies))
+	for _, s := range strategies {
+		kinds[int(s)] = make([]dataset.Kind, x.Rows)
 	}
+	opt := InferOptions{Strategies: strategies, Reuse: &InferResult{}}
+	mo.forChunks(rowSet{x: x}, func(lo int, chunk *mat.Matrix) {
+		res := mo.infer(mo.clf, chunk, opt, thresholds)
+		copy(scores[lo:], res.Scores)
+		for _, s := range strategies {
+			copy(kinds[int(s)][lo:], res.Kinds[s])
+		}
+	})
 	prior := float64(mo.k) / float64(mo.m+mo.k)
-	p, err := monitor.Capture(x, res.Scores, kinds, prior, profileBins)
+	p, err := monitor.Capture(x, scores, kinds, prior, profileBins)
 	if err != nil {
 		return
 	}

@@ -346,15 +346,9 @@ func (mo *Model) selectCandidates(ctx context.Context, train *dataset.TrainSet, 
 	aesR := r.Split("aes")
 	var resume *autoencoder.ClusterResume
 	if ck != nil {
-		resume, err = ck.clusterResume(aeCfg)
-		if err != nil {
-			return err
-		}
+		resume = ck.clusterResume()
 	}
-	// The trained autoencoders are not kept: only their reconstruction
-	// errors feed the rest of Fit, and each AE pins its full-pool
-	// forward workspaces.
-	_, recErr, err := autoencoder.TrainPerCluster(ctx, x, train.Labeled, clusters, aeCfg, aesR, resume)
+	recErr, err := autoencoder.TrainPerCluster(ctx, x, train.Labeled, clusters, aeCfg, aesR, resume)
 	if err != nil {
 		var cerr *CheckpointError
 		if errors.As(err, &cerr) {
@@ -437,19 +431,14 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	// labeled anomalies carries the same aggregate weight as the
 	// entire normal-candidate pool — we honor that by drawing one
 	// batch from each per step and backpropagating the two
-	// cross-entropies separately.
+	// cross-entropies separately. D_U^N and D_U^A stay index lists into
+	// the unlabeled pool: each batch is gathered from the pool through
+	// them and its targets are written per batch, so neither set is
+	// ever copied whole.
 	xa := train.Labeled
-	ya := mat.New(xa.Rows, numClasses)
-	for i := 0; i < xa.Rows; i++ {
-		ya.Set(i, train.LabeledType[i], 1)
-	}
-	xn := nn.Gather(train.Unlabeled, mo.normIdx)
-	yn := mat.New(xn.Rows, numClasses)
-	for i := 0; i < xn.Rows; i++ {
-		yn.Set(i, mo.m+mo.normClus[i], 1)
-	}
-	cand := nn.Gather(train.Unlabeled, mo.candIdx)
-	candY := mo.buildOEPseudoLabels(len(mo.candIdx))
+	pool := train.Unlabeled
+	nNorm := len(mo.normIdx)
+	cand := rowSet{x: pool, idx: mo.candIdx}
 
 	// Initial weights via Eq. (5) from reconstruction errors.
 	candRec := make([]float64, len(mo.candIdx))
@@ -458,14 +447,14 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	}
 	weights := normalizeInverted(candRec)
 
-	total := float64(xa.Rows + xn.Rows)
-	reFracN := float64(xn.Rows) / total
+	total := float64(xa.Rows + nNorm)
+	reFracN := float64(nNorm) / total
 	reFracL := float64(xa.Rows) / total
 
 	opt := nn.NewAdam(lr)
-	normBat := nn.NewBatcher(xn.Rows, mo.cfg.ClfBatch, r.Split("normbat"))
+	normBat := nn.NewBatcher(nNorm, mo.cfg.ClfBatch, r.Split("normbat"))
 	labBat := nn.NewBatcher(xa.Rows, min(mo.cfg.ClfBatch, xa.Rows), r.Split("labbat"))
-	candBat := nn.NewBatcher(cand.Rows, mo.cfg.ClfBatch, r.Split("candbat"))
+	candBat := nn.NewBatcher(len(mo.candIdx), mo.cfg.ClfBatch, r.Split("candbat"))
 
 	bestVal := -1.0
 	var bestParams [][]float64
@@ -492,7 +481,7 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 		useValidation = pos >= 5
 	}
 
-	useOE := mo.cfg.UseOE && mo.cfg.Lambda1 != 0 && cand.Rows > 0
+	useOE := mo.cfg.UseOE && mo.cfg.Lambda1 != 0 && len(mo.candIdx) > 0
 	// The step's three loss passes, their batch workspaces (sized on
 	// first use and reused for the whole run, so the steady-state epoch
 	// loop allocates nothing) and, once a step runs concurrently, the
@@ -543,18 +532,18 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 			// Draw and gather every pass's batch first, in the order the
 			// batchers have always been drawn (ghost epochs replay it).
 			nidx := normBat.Next()
-			st.norm.xb = nn.GatherInto(st.norm.xb, xn, nidx)
+			st.norm.xb = nn.GatherSubsetInto(st.norm.xb, pool, mo.normIdx, nidx)
 			if faultinject.Fire(faultinject.ClfBatchNaN) {
 				st.norm.xb.Data[0] = math.NaN()
 			}
-			st.norm.yb = nn.GatherInto(st.norm.yb, yn, nidx)
+			st.norm.yb = oneHotInto(st.norm.yb, numClasses, mo.m, mo.normClus, nidx)
 			lidx := labBat.Next()
 			st.lab.xb = nn.GatherInto(st.lab.xb, xa, lidx)
-			st.lab.yb = nn.GatherInto(st.lab.yb, ya, lidx)
+			st.lab.yb = oneHotInto(st.lab.yb, numClasses, 0, train.LabeledType, lidx)
 			if useOE {
 				cidx := candBat.Next()
-				st.cand.xb = nn.GatherInto(st.cand.xb, cand, cidx)
-				st.cand.yb = nn.GatherInto(st.cand.yb, candY, cidx)
+				st.cand.xb = nn.GatherSubsetInto(st.cand.xb, pool, mo.candIdx, cidx)
+				st.cand.yb = mo.oeLabelsInto(st.cand.yb, len(cidx))
 				st.cand.cw = nn.GatherVecInto(st.cand.cw, weights, cidx)
 			}
 			st.run()
@@ -609,10 +598,10 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	// both the Fig. 5 diagnostics and the identification calibration
 	// (highly weighted candidates are the likeliest genuine
 	// non-target anomalies).
-	if cand.Rows > 0 {
+	if len(mo.candIdx) > 0 {
 		mo.finalWeights = normalizeInverted(mo.maxProbs(cand))
 	}
-	mo.calibrateIdentification(xa, cand, mo.finalWeights)
+	mo.calibrateIdentification(rowSet{x: xa}, cand, mo.finalWeights)
 	mo.tuneIdentifyOnValidation(mo.cfg.Validation)
 	return nil
 }
@@ -758,30 +747,65 @@ func (mo *Model) superviseStep(p *clfPass) {
 	p.loss = loss
 }
 
-// buildOEPseudoLabels returns n copies of
+// oneHotInto writes one one-hot target row per index into dst (grown
+// or allocated via mat.Ensure and returned): row i has classes columns
+// and a 1 in column offset+labels[idx[i]].
+func oneHotInto(dst *mat.Matrix, classes, offset int, labels, idx []int) *mat.Matrix {
+	dst = mat.Ensure(dst, len(idx), classes)
+	clear(dst.Data)
+	for i, j := range idx {
+		dst.Set(i, offset+labels[j], 1)
+	}
+	return dst
+}
+
+// oeLabelsInto writes n copies of
 // ỹ^o = (1/m, …, 1/m, 0, …, 0) — the modified outlier-exposure
 // pseudo-label that marks non-target candidates as anomalous but of no
-// known target type.
-func (mo *Model) buildOEPseudoLabels(n int) *mat.Matrix {
-	y := mat.New(n, mo.m+mo.k)
+// known target type — into dst (grown or allocated via mat.Ensure and
+// returned).
+func (mo *Model) oeLabelsInto(dst *mat.Matrix, n int) *mat.Matrix {
+	y := mat.Ensure(dst, n, mo.m+mo.k)
 	v := 1 / float64(mo.m)
 	for i := 0; i < n; i++ {
 		row := y.Row(i)
-		for j := 0; j < mo.m; j++ {
+		clear(row[mo.m:])
+		for j := range row[:mo.m] {
 			row[j] = v
 		}
 	}
 	return y
 }
 
-// maxProbs returns ε(x) = max_j p_j(x) for every row. The per-row
-// reductions are independent and run in parallel chunks.
-func (mo *Model) maxProbs(x *mat.Matrix) []float64 {
-	probs := nn.SoftmaxRows(mo.clf.Forward(x))
-	out := make([]float64, x.Rows)
-	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			_, out[i] = mat.ArgMax(probs.Row(i))
+// rowSet names rows of one matrix: the rows idx lists, or every row of
+// x when idx is nil.
+type rowSet struct {
+	x   *mat.Matrix
+	idx []int
+}
+
+func (s rowSet) len() int {
+	if s.idx != nil {
+		return len(s.idx)
+	}
+	return s.x.Rows
+}
+
+// forChunks walks the set in ClfBatch-row chunks (nn.ForEachBatch), so
+// a forward pass over a whole set keeps the classifier's workspaces the
+// size of a training batch and leaves it no reference into the set.
+func (mo *Model) forChunks(set rowSet, fn func(lo int, chunk *mat.Matrix)) {
+	nn.ForEachBatch(nil, set.x, set.idx, mo.cfg.ClfBatch, fn)
+}
+
+// maxProbs returns ε(x) = max_j p_j(x) for every row of the set.
+func (mo *Model) maxProbs(set rowSet) []float64 {
+	out := make([]float64, set.len())
+	var probs *mat.Matrix
+	mo.forChunks(set, func(lo int, chunk *mat.Matrix) {
+		probs = nn.SoftmaxRowsInto(probs, mo.clf.Forward(chunk))
+		for i := 0; i < probs.Rows; i++ {
+			_, out[lo+i] = mat.ArgMax(probs.Row(i))
 		}
 	})
 	return out

@@ -422,7 +422,7 @@ func TestMedian(t *testing.T) {
 
 func TestOEPseudoLabels(t *testing.T) {
 	m := &Model{m: 3, k: 4}
-	y := m.buildOEPseudoLabels(2)
+	y := m.oeLabelsInto(nil, 2)
 	if y.Rows != 2 || y.Cols != 7 {
 		t.Fatalf("pseudo labels %dx%d", y.Rows, y.Cols)
 	}

@@ -212,6 +212,14 @@ func TestGatherIntoReuses(t *testing.T) {
 	if dst.Rows != 2 || dst.At(0, 0) != src.At(1, 0) || dst.At(1, 2) != src.At(2, 2) {
 		t.Fatal("GatherInto copied wrong rows")
 	}
+	// Through a subset: positions 2 and 0 of {5, 6, 4} are rows 4 and 5.
+	dst = GatherSubsetInto(dst, src, []int{5, 6, 4}, []int{2, 0})
+	if &dst.Data[0] != base {
+		t.Fatal("GatherSubsetInto reallocated within capacity")
+	}
+	if dst.Rows != 2 || dst.At(0, 1) != src.At(4, 1) || dst.At(1, 2) != src.At(5, 2) {
+		t.Fatal("GatherSubsetInto copied wrong rows")
+	}
 	v := GatherVecInto(nil, []float64{10, 11, 12, 13}, []int{3, 1})
 	if v[0] != 13 || v[1] != 11 {
 		t.Fatalf("GatherVecInto = %v", v)

@@ -64,8 +64,19 @@ func Gather(src *mat.Matrix, rows []int) *mat.Matrix {
 // dst is grown (or allocated when nil) via mat.Ensure and returned;
 // training loops pass the previous batch's matrix to reuse its storage.
 func GatherInto(dst *mat.Matrix, src *mat.Matrix, rows []int) *mat.Matrix {
-	dst = mat.Ensure(dst, len(rows), src.Cols)
-	for i, r := range rows {
+	return GatherSubsetInto(dst, src, nil, rows)
+}
+
+// GatherSubsetInto is GatherInto through an index list: row i of dst is
+// src row subset[idx[i]], or src row idx[i] when subset is nil. Training
+// loops batch a subset of a pool this way without first copying the
+// subset out of it.
+func GatherSubsetInto(dst, src *mat.Matrix, subset, idx []int) *mat.Matrix {
+	dst = mat.Ensure(dst, len(idx), src.Cols)
+	for i, r := range idx {
+		if subset != nil {
+			r = subset[r]
+		}
 		copy(dst.Row(i), src.Row(r))
 	}
 	return dst
@@ -88,4 +99,37 @@ func GatherVecInto(dst, src []float64, idx []int) []float64 {
 		dst[i] = src[p]
 	}
 	return dst
+}
+
+// ForEachBatch walks the rows of src that rows lists — every row of src
+// when rows is nil — in consecutive batches of at most size rows, and
+// calls fn with each batch and the batch's first position in the walk.
+// Listed rows are gathered into buf (grown or allocated via GatherInto
+// and returned for reuse); consecutive rows are passed through one view
+// header over src, cleared when the walk ends so that a layer keeping
+// the last batch as its backward operand holds no reference into src
+// afterwards. No batch allocates. A whole-set forward pass run this way
+// keeps the network's workspaces batch-sized, and since every kernel
+// computes each row independently of the rest of its batch, its outputs
+// are bitwise those of one pass over the whole set.
+func ForEachBatch(buf, src *mat.Matrix, rows []int, size int, fn func(lo int, batch *mat.Matrix)) *mat.Matrix {
+	n := src.Rows
+	if rows != nil {
+		n = len(rows)
+	}
+	size = max(size, 1)
+	var view mat.Matrix
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		batch := &view
+		if rows != nil {
+			buf = GatherInto(buf, src, rows[lo:hi])
+			batch = buf
+		} else {
+			view = mat.Matrix{Rows: hi - lo, Cols: src.Cols, Data: src.Data[lo*src.Cols : hi*src.Cols]}
+		}
+		fn(lo, batch)
+	}
+	view = mat.Matrix{}
+	return buf
 }

@@ -45,14 +45,21 @@ go -C bench test ./...
 # kernel-swap fit all rerun with the assembly compiled out, so CI
 # covers both kernel implementations even on machines where init
 # selects AVX2. The fit-swap test reruns once more with the assembly
-# compiled in but switched off at runtime (TARGAD_NOSIMD=1).
+# compiled in but switched off at runtime (TARGAD_NOSIMD=1). So do the
+# Fit working-memory pins: the saved-bytes digest of a fixed fit, v1
+# checkpoint resume, the post-Fit classifier footprint, and the
+# chunked, batch-bounded S^Rec pass.
 echo "== portable-kernel suite (-tags noasm, TARGAD_NOSIMD=1) =="
+fitmem_core='TestFitSavedBytesGolden|TestCheckpointV1Resumes|TestFitClassifierHoldsNoPool'
+fitmem_ae='TestReconstructionErrorsChunked|TestTrainPerClusterBytesBatchBounded'
 go test -tags noasm -count=1 ./internal/mat ./internal/cluster
 go test -tags noasm -count=1 \
-    -run 'TestF32Tolerance|TestInferF32|TestEnableF32|TestFitKernelSwap' ./internal/core
+    -run "TestF32Tolerance|TestInferF32|TestEnableF32|TestFitKernelSwap|$fitmem_core" ./internal/core
+go test -tags noasm -count=1 -run "$fitmem_ae" ./internal/autoencoder
 go test -tags noasm -count=1 -run 'TestServeF32' ./internal/serve
-TARGAD_NOSIMD=1 go test -count=1 -run 'TestFitKernelSwap|TestOuterF64|TestNearestRows' \
+TARGAD_NOSIMD=1 go test -count=1 -run "TestFitKernelSwap|TestOuterF64|TestNearestRows|$fitmem_core" \
     ./internal/core ./internal/mat
+TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 
 # Race smoke: exercise the worker-pool kernels (mat GEMMs through the
 # one row-split kernel seam, k-means assignment, softmax batching),
@@ -141,7 +148,9 @@ go test -fuzz FuzzLoadManifest -fuzztime 10s -run '^$' ./internal/registry
 # per-batch allocation in a training loop is thousands of allocs/op —
 # trip immediately while warm-up noise does not. The monitor Observe
 # budget is exactly 0: the serving-path drift accumulator must never
-# allocate.
+# allocate. TargADFit also has a bytes budget, about 1.5x the measured
+# 2.74 MB/op: Fit's working state scales with the batch, and a change
+# that copies the pool or forwards it whole (7.1 MB/op) trips it.
 echo "== allocation budgets (benchtime=1x, workers=1) =="
 go test -run '^$' \
     -bench 'BenchmarkTargADFit|BenchmarkAutoencoderEpoch|BenchmarkMatMul' \
@@ -164,7 +173,11 @@ go test -run '^$' -bench 'BenchmarkRegistryScoreBinary$' \
     -benchmem -cpu 1 ./internal/registry | tee -a /tmp/targad_alloc_smoke.txt
 awk '
 /^Benchmark/ {
-    name = $1; allocs = $(NF - 1)
+    name = $1; allocs = $(NF - 1); bytes = $(NF - 3)
+    if (name ~ /TargADFit/ && bytes + 0 > 4200000) {
+        printf "MEMORY REGRESSION: %s at %d B/op exceeds budget 4200000\n", name, bytes
+        bad = 1
+    }
     budget = -1
     if (name ~ /TargADFit/)          budget = 3600
     if (name ~ /AutoencoderEpoch/)   budget = 50
