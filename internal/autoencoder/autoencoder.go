@@ -288,12 +288,10 @@ func (ae *AE) Encoder(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols != ae.cfg.InputDim {
 		return nil, fmt.Errorf("autoencoder: input dim %d, want %d", x.Cols, ae.cfg.InputDim)
 	}
-	// The encoder is the first half of the layer stack:
-	// len(Hidden) Dense layers, each followed by an activation.
+	// The encoder is the first len(Hidden) layers of the stack.
 	out := x
-	nEnc := 2 * len(ae.cfg.Hidden)
-	for i := 0; i < nEnc && i < len(ae.net.Layers); i++ {
-		out = ae.net.Layers[i].Forward(out)
+	for _, l := range ae.net.Layers[:len(ae.cfg.Hidden)] {
+		out = l.Forward(out)
 	}
 	return out.Clone(), nil
 }

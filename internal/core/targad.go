@@ -213,6 +213,9 @@ func (mo *Model) SetValidation(v *dataset.EvalSet) { mo.cfg.Validation = v }
 // NumTargetTypes returns m after Fit.
 func (mo *Model) NumTargetTypes() int { return mo.m }
 
+// InputDim returns the feature width the model scores, after Fit.
+func (mo *Model) InputDim() int { return mo.dim }
+
 // NumNormalClusters returns k after Fit.
 func (mo *Model) NumNormalClusters() int { return mo.k }
 

@@ -158,39 +158,8 @@ func TestMinMaxScalerPropertyRange(t *testing.T) {
 	}
 }
 
-func TestOneHot(t *testing.T) {
-	m, err := OneHot([]int{0, 2, 1, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 0) != 1 || m.At(1, 2) != 1 || m.At(2, 1) != 1 {
-		t.Fatalf("OneHot = %v", m.Data)
-	}
-	// Out-of-vocabulary row is all zeros.
-	for j := 0; j < 3; j++ {
-		if m.At(3, j) != 0 {
-			t.Fatal("OOV code must encode to zeros")
-		}
-	}
-	if _, err := OneHot(nil, 0); err == nil {
-		t.Fatal("zero cardinality must error")
-	}
-}
-
-func TestHStackVStack(t *testing.T) {
+func TestVStack(t *testing.T) {
 	a, _ := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := mat.FromRows([][]float64{{5}, {6}})
-	h, err := HStack(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Cols != 3 || h.At(1, 2) != 6 {
-		t.Fatalf("HStack = %v", h.Data)
-	}
-	if _, err := HStack(a, mat.New(3, 1)); err == nil {
-		t.Fatal("row mismatch must error")
-	}
-
 	v, err := VStack(a, a)
 	if err != nil {
 		t.Fatal(err)

@@ -63,48 +63,6 @@ func (s *MinMaxScaler) Transform(x *mat.Matrix) error {
 	return nil
 }
 
-// OneHot expands a categorical column of non-negative integer codes
-// into len(vocabulary) binary columns. Values outside the vocabulary
-// become all-zero rows (an "unknown" encoding).
-func OneHot(codes []int, cardinality int) (*mat.Matrix, error) {
-	if cardinality < 1 {
-		return nil, fmt.Errorf("dataset: one-hot cardinality %d", cardinality)
-	}
-	out := mat.New(len(codes), cardinality)
-	for i, c := range codes {
-		if c >= 0 && c < cardinality {
-			out.Set(i, c, 1)
-		}
-	}
-	return out, nil
-}
-
-// HStack concatenates matrices left-to-right; all must share a row
-// count.
-func HStack(ms ...*mat.Matrix) (*mat.Matrix, error) {
-	if len(ms) == 0 {
-		return mat.New(0, 0), nil
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for i, m := range ms {
-		if m.Rows != rows {
-			return nil, fmt.Errorf("dataset: hstack operand %d has %d rows, want %d", i, m.Rows, rows)
-		}
-		cols += m.Cols
-	}
-	out := mat.New(rows, cols)
-	for r := 0; r < rows; r++ {
-		dst := out.Row(r)
-		off := 0
-		for _, m := range ms {
-			copy(dst[off:off+m.Cols], m.Row(r))
-			off += m.Cols
-		}
-	}
-	return out, nil
-}
-
 // MustVStack is VStack for callers whose operands are guaranteed
 // compatible by construction; it panics on shape mismatch.
 func MustVStack(ms ...*mat.Matrix) *mat.Matrix {

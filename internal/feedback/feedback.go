@@ -365,17 +365,6 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 	return added, nil
 }
 
-// Rotate seals the active log into a read-only segment and starts a
-// fresh one. Append rotates automatically past Config.RotateBytes.
-func (s *Store) Rotate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return errors.New("feedback: store is closed")
-	}
-	return s.rotateLocked()
-}
-
 func (s *Store) rotateLocked() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("feedback: rotate: %w", err)

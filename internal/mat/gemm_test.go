@@ -209,7 +209,7 @@ func TestMulATBAccShapeErrors(t *testing.T) {
 func TestColSumsInto(t *testing.T) {
 	m := New(3, 4)
 	fillDet(m.Data, 31)
-	want := ColSums(m)
+	want := ColSumsInto(nil, m)
 
 	// Reuse overwrites stale contents rather than accumulating.
 	dst := []float64{1e9, -1e9, 42, 7}

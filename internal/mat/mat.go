@@ -22,7 +22,7 @@
 // input operand. Ensure is the companion primitive for reusable
 // workspaces: it reshapes a buffer in place when capacity allows and
 // leaves the contents unspecified, which is safe precisely because
-// every kernel overwrites dst. Views (Row, Reshape, a Matrix wrapping
+// every kernel overwrites dst. Views (Row, a Matrix wrapping
 // a Param's slice) alias their parent storage by design; writing
 // through a view writes through to the parent.
 package mat
@@ -91,24 +91,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// CopyFrom copies src into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) error {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		return fmt.Errorf("mat: copy %dx%d into %dx%d: %w", src.Rows, src.Cols, m.Rows, m.Cols, ErrShape)
-	}
-	copy(m.Data, src.Data)
-	return nil
-}
-
-// Reshape returns a view of m with the new shape; the element count
-// must be unchanged.
-func (m *Matrix) Reshape(rows, cols int) (*Matrix, error) {
-	if rows*cols != len(m.Data) {
-		return nil, fmt.Errorf("mat: reshape %dx%d to %dx%d: %w", m.Rows, m.Cols, rows, cols, ErrShape)
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: m.Data}, nil
 }
 
 // Ensure returns a rows×cols matrix backed by m's storage when its
@@ -235,26 +217,6 @@ func MulABT(dst, a, b *Matrix) (*Matrix, error) {
 	return dst, nil
 }
 
-// Transpose returns a newly allocated aᵀ.
-func Transpose(a *Matrix) *Matrix {
-	t := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			t.Data[j*t.Cols+i] = a.Data[i*a.Cols+j]
-		}
-	}
-	return t
-}
-
-// Dot returns the inner product of equally sized vectors a and b.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Axpy performs y += alpha*x element-wise.
 func Axpy(alpha float64, x, y []float64) {
 	for i, v := range x {
@@ -267,25 +229,6 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// AddRowVector adds vector v to every row of m in place.
-func AddRowVector(m *Matrix, v []float64) error {
-	if len(v) != m.Cols {
-		return fmt.Errorf("mat: add row vector len %d to %d cols: %w", len(v), m.Cols, ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-	return nil
-}
-
-// ColSums returns the per-column sums of m.
-func ColSums(m *Matrix) []float64 {
-	return ColSumsInto(nil, m)
 }
 
 // ColSumsInto writes the per-column sums of m into dst and returns it.
@@ -321,11 +264,6 @@ func SquaredDistance(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
 }
 
 // LogSumExp returns log(Σ exp(x_i)) computed stably.

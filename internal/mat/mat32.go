@@ -96,20 +96,6 @@ func ToF64(dst *Matrix, src *Matrix32) *Matrix {
 	return dst
 }
 
-// AddRowVector32 adds vector v to every row of m in place.
-func AddRowVector32(m *Matrix32, v []float32) error {
-	if len(v) != m.Cols {
-		return fmt.Errorf("mat: add row vector len %d to %d cols: %w", len(v), m.Cols, ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-	return nil
-}
-
 // Softmax32 writes the softmax of logits into out (out may alias
 // logits). The max-subtraction, exponentials, and normalizing sum run
 // in float64, keeping the only f32 rounding in the stored

@@ -122,23 +122,3 @@ func TestExpNeg(t *testing.T) {
 		t.Fatalf("expNeg(-Inf) = %v, want 0", got)
 	}
 }
-
-func TestAddRowVector32(t *testing.T) {
-	m := New32(2, 3)
-	fillDet32(m.Data, 5)
-	want := m.Clone()
-	v := []float32{1, -2, 0.5}
-	if err := AddRowVector32(m, v); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != want.At(i, j)+v[j] {
-				t.Fatalf("(%d,%d) = %v", i, j, m.At(i, j))
-			}
-		}
-	}
-	if err := AddRowVector32(m, []float32{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}

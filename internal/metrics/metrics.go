@@ -143,65 +143,3 @@ func PrecisionAtK(scores []float64, labels []bool, k int) (float64, error) {
 	}
 	return float64(tp) / float64(k), nil
 }
-
-// ROCPoint is one operating point of a ROC curve.
-type ROCPoint struct{ FPR, TPR float64 }
-
-// ROCCurve returns the ROC curve points from (0,0) to (1,1), one per
-// distinct score threshold.
-func ROCCurve(scores []float64, labels []bool) ([]ROCPoint, error) {
-	pos, neg, err := validate(scores, labels)
-	if err != nil {
-		return nil, err
-	}
-	idx := rankOrder(scores)
-	pts := []ROCPoint{{0, 0}}
-	var tp, fp int
-	i := 0
-	for i < len(idx) {
-		j := i
-		for j < len(idx) && scores[idx[j]] == scores[idx[i]] {
-			if labels[idx[j]] {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		pts = append(pts, ROCPoint{FPR: float64(fp) / float64(neg), TPR: float64(tp) / float64(pos)})
-		i = j
-	}
-	return pts, nil
-}
-
-// PRPoint is one operating point of a precision-recall curve.
-type PRPoint struct{ Recall, Precision float64 }
-
-// PRCurve returns precision-recall points, one per distinct threshold,
-// ordered by increasing recall.
-func PRCurve(scores []float64, labels []bool) ([]PRPoint, error) {
-	pos, _, err := validate(scores, labels)
-	if err != nil {
-		return nil, err
-	}
-	idx := rankOrder(scores)
-	var pts []PRPoint
-	var tp, seen int
-	i := 0
-	for i < len(idx) {
-		j := i
-		for j < len(idx) && scores[idx[j]] == scores[idx[i]] {
-			if labels[idx[j]] {
-				tp++
-			}
-			seen++
-			j++
-		}
-		pts = append(pts, PRPoint{
-			Recall:    float64(tp) / float64(pos),
-			Precision: float64(tp) / float64(seen),
-		})
-		i = j
-	}
-	return pts, nil
-}

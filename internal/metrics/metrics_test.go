@@ -215,44 +215,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestROCCurveEndpoints(t *testing.T) {
-	scores := []float64{0.9, 0.5, 0.4, 0.1}
-	labels := []bool{true, false, true, false}
-	pts, err := ROCCurve(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[0].FPR != 0 || pts[0].TPR != 0 {
-		t.Fatalf("ROC must start at origin, got %+v", pts[0])
-	}
-	last := pts[len(pts)-1]
-	if last.FPR != 1 || last.TPR != 1 {
-		t.Fatalf("ROC must end at (1,1), got %+v", last)
-	}
-	// Monotone non-decreasing in both axes.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].FPR < pts[i-1].FPR || pts[i].TPR < pts[i-1].TPR {
-			t.Fatalf("ROC not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
-		}
-	}
-}
-
-func TestPRCurveShape(t *testing.T) {
-	scores := []float64{0.9, 0.5, 0.4, 0.1}
-	labels := []bool{true, false, true, false}
-	pts, err := PRCurve(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[0].Precision != 1 || pts[0].Recall != 0.5 {
-		t.Fatalf("first PR point = %+v", pts[0])
-	}
-	last := pts[len(pts)-1]
-	if last.Recall != 1 {
-		t.Fatalf("PR must reach recall 1, got %+v", last)
-	}
-}
-
 func TestConfusionReport(t *testing.T) {
 	// 3 classes; hand-verified counts.
 	actual := []int{0, 0, 0, 1, 1, 2, 2, 2, 2, 2}

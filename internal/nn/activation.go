@@ -1,12 +1,14 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"targad/internal/mat"
 )
 
-// Activation names an element-wise nonlinearity usable as a Layer.
+// Activation names the element-wise nonlinearity a Dense stage applies
+// to its output.
 type Activation int
 
 // Supported activations.
@@ -38,92 +40,82 @@ func (a Activation) String() string {
 
 const leakySlope = 0.01
 
-// ActLayer applies an Activation element-wise. It stores the forward
-// output so Backward can compute the local derivative cheaply. The
-// output buffer is a layer-owned workspace reused across batches, and
-// Backward runs in place on its grad argument.
-type ActLayer struct {
-	Act Activation
+// reluBitsMax is the largest float64 bit pattern ReLU passes through:
+// +Inf. Every bit pattern at or below it is +0 or a positive number
+// (including +Inf); everything above has the sign bit set (negative
+// values and -0) or is a NaN, and maps to +0.
+const reluBitsMax = 0x7FF0000000000000
 
-	lastIn  *mat.Matrix
-	lastOut *mat.Matrix // workspace, reused across Forward calls
+// addBiasAct adds the bias row vector to every row of m and applies the
+// activation, in place and in one pass. Each element is computed
+// exactly as a separate bias add followed by the element-wise
+// activation would: ReLU gives v > 0 ? v : +0 (NaN gives +0), written
+// branch-free on the bit pattern.
+func addBiasAct(m *mat.Matrix, bias []float64, act Activation) {
+	if len(bias) != m.Cols {
+		panic(fmt.Sprintf("nn: bias len %d on %d columns", len(bias), m.Cols))
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		switch act {
+		case ReLU:
+			for j, b := range bias {
+				u := math.Float64bits(row[j] + b)
+				if u > reluBitsMax {
+					u = 0
+				}
+				row[j] = math.Float64frombits(u)
+			}
+		case LeakyReLU:
+			for j, b := range bias {
+				if v := row[j] + b; v > 0 {
+					row[j] = v
+				} else {
+					row[j] = leakySlope * v
+				}
+			}
+		case Sigmoid:
+			for j, b := range bias {
+				row[j] = 1 / (1 + math.Exp(-(row[j] + b)))
+			}
+		case Tanh:
+			for j, b := range bias {
+				row[j] = math.Tanh(row[j] + b)
+			}
+		default:
+			for j, b := range bias {
+				row[j] += b
+			}
+		}
+	}
 }
 
-// NewAct returns an activation layer.
-func NewAct(a Activation) *ActLayer { return &ActLayer{Act: a} }
-
-// Forward implements Layer.
-func (l *ActLayer) Forward(x *mat.Matrix) *mat.Matrix {
-	l.lastIn = x
-	out := mat.Ensure(l.lastOut, x.Rows, x.Cols)
-	switch l.Act {
+// actGrad multiplies grad in place by the activation's derivative,
+// read from the stage output out = act(z). For ReLU and LeakyReLU,
+// out <= 0 exactly when z <= 0 for every non-NaN z.
+func actGrad(act Activation, grad, out []float64) {
+	switch act {
 	case ReLU:
-		// The workspace holds stale values, so zeros are written
-		// explicitly rather than relying on a fresh allocation.
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
+		for i, y := range out[:len(grad)] {
+			if y <= 0 {
+				grad[i] = 0
 			}
 		}
 	case LeakyReLU:
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = leakySlope * v
+		for i, y := range out[:len(grad)] {
+			if y <= 0 {
+				grad[i] *= leakySlope
 			}
 		}
 	case Sigmoid:
-		for i, v := range x.Data {
-			out.Data[i] = 1 / (1 + math.Exp(-v))
+		for i, g := range grad {
+			s := out[i]
+			grad[i] = g * s * (1 - s)
 		}
 	case Tanh:
-		for i, v := range x.Data {
-			out.Data[i] = math.Tanh(v)
+		for i, g := range grad {
+			t := out[i]
+			grad[i] = g * (1 - t*t)
 		}
-	case Identity:
-		copy(out.Data, x.Data)
 	}
-	l.lastOut = out
-	return out
 }
-
-// Backward implements Layer. The local derivative is applied in place:
-// grad is overwritten and returned, so the caller must treat the
-// incoming gradient as consumed.
-func (l *ActLayer) Backward(grad *mat.Matrix) *mat.Matrix {
-	if l.lastOut == nil {
-		panic("nn: activation backward before forward")
-	}
-	switch l.Act {
-	case ReLU:
-		for i := range grad.Data {
-			if l.lastIn.Data[i] <= 0 {
-				grad.Data[i] = 0
-			}
-		}
-	case LeakyReLU:
-		for i := range grad.Data {
-			if l.lastIn.Data[i] <= 0 {
-				grad.Data[i] *= leakySlope
-			}
-		}
-	case Sigmoid:
-		for i, g := range grad.Data {
-			s := l.lastOut.Data[i]
-			grad.Data[i] = g * s * (1 - s)
-		}
-	case Tanh:
-		for i, g := range grad.Data {
-			t := l.lastOut.Data[i]
-			grad.Data[i] = g * (1 - t*t)
-		}
-	case Identity:
-	}
-	return grad
-}
-
-// Params implements Layer; activations have none.
-func (l *ActLayer) Params() []*Param { return nil }

@@ -30,7 +30,7 @@ func TestDenseSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	r := rng.New(7)
-	d := NewDense(48, 32, HeNormal, r)
+	d := NewDense(48, 32, Identity, HeNormal, r)
 	x := mat.New(64, 48)
 	r.FillNormal(x.Data, 0, 1)
 
@@ -47,6 +47,9 @@ func TestDenseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestActSteadyStateAllocs repeats the Dense check with every
+// activation: the fused bias-and-activation pass and the in-place
+// derivative must not allocate either.
 func TestActSteadyStateAllocs(t *testing.T) {
 	skipAllocCheckUnderRace(t)
 	prev := parallel.SetWorkers(1)
@@ -54,15 +57,16 @@ func TestActSteadyStateAllocs(t *testing.T) {
 	r := rng.New(9)
 	x := mat.New(64, 32)
 	r.FillNormal(x.Data, 0, 1)
-	grad := mat.New(64, 32)
+	grad := mat.New(64, 24)
 	r.FillNormal(grad.Data, 0, 1)
-	for _, act := range []Activation{ReLU, LeakyReLU, Sigmoid, Tanh, Identity} {
-		l := NewAct(act)
-		l.Forward(x)
-		if n := testing.AllocsPerRun(20, func() { l.Forward(x) }); n > 0 {
+	for _, act := range testActivations {
+		d := NewDense(32, 24, act, HeNormal, r)
+		d.Forward(x)
+		d.Backward(grad)
+		if n := testing.AllocsPerRun(20, func() { d.Forward(x) }); n > 0 {
 			t.Fatalf("%v Forward allocates %.1f times per call, want 0", act, n)
 		}
-		if n := testing.AllocsPerRun(20, func() { l.Backward(grad) }); n > 0 {
+		if n := testing.AllocsPerRun(20, func() { d.Backward(grad) }); n > 0 {
 			t.Fatalf("%v Backward allocates %.1f times per call, want 0", act, n)
 		}
 	}
@@ -185,7 +189,7 @@ func TestLossIntoMatchesAllocating(t *testing.T) {
 		}
 	}
 
-	l3, g3 := Entropy(logits)
+	l3, g3 := EntropyInto(nil, logits)
 	r.FillNormal(dst.Data, 0, 1)
 	l4, g4 := EntropyInto(dst, logits)
 	if l3 != l4 {

@@ -114,7 +114,7 @@ func TestGradEntropy(t *testing.T) {
 	}
 	x := smallInput(r, 3, 3)
 	checkGrads(t, net, x, func(out *mat.Matrix) (float64, *mat.Matrix) {
-		return Entropy(out)
+		return EntropyInto(nil, out)
 	})
 }
 

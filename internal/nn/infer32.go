@@ -34,7 +34,7 @@ func (e *ConvertError) Error() string {
 type dense32 struct {
 	w   mat.Matrix32 // In×Out, row-major, owned by the Params32
 	b   []float32
-	act Activation // Identity when the dense layer has no activation
+	act Activation
 }
 
 // Params32 holds a float32 copy of an MLP's parameters, shared by any
@@ -45,9 +45,6 @@ type Params32 struct {
 	in     int // input width, for shape checks
 	layers []dense32
 }
-
-// NumLayers returns the number of dense stages.
-func (p *Params32) NumLayers() int { return len(p.layers) }
 
 // Params32Into converts m's parameters to float32 into dst, reusing
 // dst's buffers when the topology matches (the mat.Ensure contract: a
@@ -62,31 +59,14 @@ func (m *MLP) Params32Into(dst *Params32) (*Params32, error) {
 	if dst == nil {
 		dst = &Params32{}
 	}
-	// Count dense stages and pair each with its trailing activation.
-	n := 0
-	for _, l := range m.Layers {
-		if _, ok := l.(*Dense); ok {
-			n++
-		}
-	}
+	n := len(m.Layers)
 	if cap(dst.layers) < n {
 		dst.layers = make([]dense32, n)
 	}
 	dst.layers = dst.layers[:n]
-	li := 0
-	for i, l := range m.Layers {
-		d, ok := l.(*Dense)
-		if !ok {
-			continue
-		}
-		act := Identity
-		if i+1 < len(m.Layers) {
-			if a, ok := m.Layers[i+1].(*ActLayer); ok {
-				act = a.Act
-			}
-		}
-		st := &dst.layers[li]
-		st.act = act
+	for i, d := range m.Layers {
+		st := &dst.layers[i]
+		st.act = d.Act
 		st.w = *mat.Ensure32(&st.w, d.In, d.Out)
 		if err := narrowInto(st.w.Data, d.W.Data, d.W.Name); err != nil {
 			return nil, err
@@ -98,7 +78,6 @@ func (m *MLP) Params32Into(dst *Params32) (*Params32, error) {
 		if err := narrowInto(st.b, d.B.Data, d.B.Name); err != nil {
 			return nil, err
 		}
-		li++
 	}
 	if n > 0 {
 		dst.in = dst.layers[0].w.Rows
@@ -162,61 +141,49 @@ func (inf *Inference32) Forward(x *mat.Matrix32) *mat.Matrix32 {
 	return cur
 }
 
-// addBiasAct32 adds the bias row vector and applies the activation in
-// one pass over the matrix. ReLU — the only activation on serving-size
-// classifier hidden layers — is fully fused (one load/store per
-// element instead of two); the rest add the bias row-wise and then
-// run applyAct32.
+// addBiasAct32 is addBiasAct in float32: it adds the bias row vector
+// and applies the activation in one pass over the matrix. Sigmoid and
+// tanh evaluate in float64 (their cost is negligible next to the GEMM);
+// the piecewise-linear activations stay in float32.
 func addBiasAct32(m *mat.Matrix32, bias []float32, act Activation) {
 	if len(bias) != m.Cols {
 		panic(fmt.Sprintf("nn: bias len %d on %d columns", len(bias), m.Cols))
 	}
-	if act != ReLU {
-		if err := mat.AddRowVector32(m, bias); err != nil {
-			panic(err)
-		}
-		applyAct32(act, m.Data)
-		return
-	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		for j, bv := range bias {
-			v := row[j] + bv
-			// Branchless ReLU: an arithmetic shift of the sign bit
-			// yields an all-ones mask exactly for negative values
-			// (including -0), which AND-NOT clears to +0. Post-GEMM
-			// data is an even mix of signs, so the branchy form pays a
-			// misprediction per element.
-			b := math.Float32bits(v)
-			row[j] = math.Float32frombits(b &^ uint32(int32(b)>>31))
-		}
-	}
-}
-
-// applyAct32 applies an activation element-wise in place. Sigmoid and
-// tanh evaluate in float64 (their cost is negligible next to the GEMM);
-// the piecewise-linear activations stay in float32.
-func applyAct32(a Activation, data []float32) {
-	switch a {
-	case ReLU:
-		for i, v := range data {
-			b := math.Float32bits(v)
-			data[i] = math.Float32frombits(b &^ uint32(int32(b)>>31))
-		}
-	case LeakyReLU:
-		for i, v := range data {
-			if v < 0 {
-				data[i] = leakySlope * v
+		switch act {
+		case ReLU:
+			for j, bv := range bias {
+				// Branchless ReLU: an arithmetic shift of the sign bit
+				// yields an all-ones mask exactly for negative values
+				// (including -0), which AND-NOT clears to +0. Post-GEMM
+				// data is an even mix of signs, so the branchy form
+				// pays a misprediction per element.
+				b := math.Float32bits(row[j] + bv)
+				row[j] = math.Float32frombits(b &^ uint32(int32(b)>>31))
+			}
+		case LeakyReLU:
+			for j, bv := range bias {
+				if v := row[j] + bv; v < 0 {
+					row[j] = leakySlope * v
+				} else {
+					row[j] = v
+				}
+			}
+		case Sigmoid:
+			for j, bv := range bias {
+				v := row[j] + bv
+				row[j] = float32(1 / (1 + math.Exp(-float64(v))))
+			}
+		case Tanh:
+			for j, bv := range bias {
+				v := row[j] + bv
+				row[j] = float32(math.Tanh(float64(v)))
+			}
+		default:
+			for j, bv := range bias {
+				row[j] += bv
 			}
 		}
-	case Sigmoid:
-		for i, v := range data {
-			data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-		}
-	case Tanh:
-		for i, v := range data {
-			data[i] = float32(math.Tanh(float64(v)))
-		}
-	case Identity:
 	}
 }

@@ -22,9 +22,3 @@ func HeNormal(w []float64, in, out int, r *rng.RNG) {
 	std := math.Sqrt(2 / float64(in))
 	r.FillNormal(w, 0, std)
 }
-
-// SmallNormal initializes weights from N(0, 0.01²); used by linear
-// scoring heads where near-zero outputs at start are desirable.
-func SmallNormal(w []float64, in, out int, r *rng.RNG) {
-	r.FillNormal(w, 0, 0.01)
-}

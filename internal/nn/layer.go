@@ -1,6 +1,6 @@
 // Package nn is a compact, dependency-free neural-network substrate:
-// dense layers, activations, explicit backpropagation, Adam/SGD
-// optimizers, and the loss primitives used by TargAD and the deep
+// dense layers with their activations, explicit backpropagation, the
+// Adam optimizer, and the loss primitives used by TargAD and the deep
 // baselines. It supports exactly what the paper's models need — batch
 // training of multi-layer perceptrons on tabular float64 data — and is
 // written for clarity and reproducibility rather than raw speed.
@@ -21,13 +21,14 @@
 //     the next Forward or Backward call on the same layer (and hence,
 //     through MLP, on the same network). Callers that need the values
 //     afterwards must Clone them.
-//   - Backward may overwrite its grad argument in place (activation
-//     layers do) and may return it; callers must treat grad as
-//     consumed. The returned dL/d(input) is layer-owned with the same
-//     lifetime rule as Forward's output.
+//   - Backward may overwrite its grad argument in place (a stage
+//     applies its activation derivative there); callers must treat
+//     grad as consumed. The returned dL/d(input) is layer-owned with
+//     the same lifetime rule as Forward's output.
 //   - Forward keeps a reference to its input x as the backward
-//     operand; callers must not mutate x between Forward and the
-//     matching Backward.
+//     operand, and Backward reads the activation derivative from the
+//     stage's own output; callers must mutate neither between Forward
+//     and the matching Backward.
 package nn
 
 import (
@@ -51,34 +52,21 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is one differentiable stage of a network.
-type Layer interface {
-	// Forward computes the layer output for a batch x. The returned
-	// matrix is a layer-owned workspace, valid until the next
-	// Forward/Backward call on this layer.
-	Forward(x *mat.Matrix) *mat.Matrix
-	// Backward receives dL/d(output) and returns dL/d(input),
-	// accumulating parameter gradients as a side effect. It may
-	// overwrite grad in place; the returned matrix follows the same
-	// layer-owned lifetime rule as Forward's output.
-	Backward(grad *mat.Matrix) *mat.Matrix
-	// Params returns the layer's trainable parameters (possibly none).
-	Params() []*Param
-}
-
-// Dense is a fully connected layer computing y = x·W + b.
+// Dense is one fully connected stage computing y = act(x·W + b). It
+// is the only layer type: an MLP is a list of Dense stages, each
+// carrying the activation that follows it (Identity when none does).
 type Dense struct {
 	In, Out int
+	Act     Activation
 	W       *Param // In×Out, row-major
 	B       *Param // Out
 
 	lastIn *mat.Matrix
 
 	// Workspaces, sized on first use and reused across batches.
-	out    *mat.Matrix // forward output
-	gin    *mat.Matrix // backward dL/d(input)
-	bSums  []float64   // ColSumsInto scratch for the bias gradient
-	params []*Param
+	out   *mat.Matrix // forward output, act(x·W + b)
+	gin   *mat.Matrix // backward dL/d(input)
+	bSums []float64   // ColSumsInto scratch for the bias gradient
 
 	// Long-lived matrix views over the parameter buffers, built once so
 	// the hot path never constructs (and heap-allocates) view headers.
@@ -86,23 +74,27 @@ type Dense struct {
 	gwView mat.Matrix // In×Out over W.Grad
 }
 
-// NewDense returns a Dense layer with weights drawn from the given
-// initializer.
-func NewDense(in, out int, init Initializer, r *rng.RNG) *Dense {
-	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   &Param{Name: fmt.Sprintf("dense%dx%d.W", in, out), Data: make([]float64, in*out), Grad: make([]float64, in*out)},
-		B:   &Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), Data: make([]float64, out), Grad: make([]float64, out)},
-	}
-	d.params = []*Param{d.W, d.B}
-	d.wView = mat.Matrix{Rows: in, Cols: out, Data: d.W.Data}
-	d.gwView = mat.Matrix{Rows: in, Cols: out, Data: d.W.Grad}
+// NewDense returns a Dense stage with activation act and weights drawn
+// from the given initializer.
+func NewDense(in, out int, act Activation, init Initializer, r *rng.RNG) *Dense {
+	d := newDenseOver(in, out, act,
+		&Param{Name: fmt.Sprintf("dense%dx%d.W", in, out), Data: make([]float64, in*out), Grad: make([]float64, in*out)},
+		&Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), Data: make([]float64, out), Grad: make([]float64, out)})
 	init(d.W.Data, in, out, r)
 	return d
 }
 
-// Forward implements Layer.
+// newDenseOver returns a Dense stage over existing parameter tensors.
+func newDenseOver(in, out int, act Activation, w, b *Param) *Dense {
+	return &Dense{
+		In: in, Out: out, Act: act, W: w, B: b,
+		wView:  mat.Matrix{Rows: in, Cols: out, Data: w.Data},
+		gwView: mat.Matrix{Rows: in, Cols: out, Data: w.Grad},
+	}
+}
+
+// Forward computes act(x·W + b) for the batch x: the GEMM, then one
+// pass that adds the bias and applies the activation in place.
 func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense forward with %d features, want %d", x.Cols, d.In))
@@ -112,13 +104,13 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 	if _, err := mat.Mul(d.out, x, &d.wView); err != nil {
 		panic(err)
 	}
-	if err := mat.AddRowVector(d.out, d.B.Data); err != nil {
-		panic(err)
-	}
+	addBiasAct(d.out, d.B.Data, d.Act)
 	return d.out
 }
 
-// Backward implements Layer.
+// Backward receives dL/d(output) and returns dL/d(input), accumulating
+// the parameter gradients. The activation's derivative is applied to
+// grad in place, so the caller must treat grad as consumed.
 func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 	d.accumulateGrads(grad)
 	// dL/dx = grad·Wᵀ
@@ -129,12 +121,14 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 	return d.gin
 }
 
-// accumulateGrads is the parameter half of Backward: each element of
-// W.Grad and B.Grad receives exactly one add of its finished chain.
+// accumulateGrads is the parameter half of Backward: it turns grad into
+// dL/d(x·W + b) in place, then each element of W.Grad and B.Grad
+// receives exactly one add of its finished chain.
 func (d *Dense) accumulateGrads(grad *mat.Matrix) {
 	if d.lastIn == nil {
 		panic("nn: dense backward before forward")
 	}
+	actGrad(d.Act, grad.Data, d.out.Data)
 	// dW += xᵀ·grad, accumulated straight into the gradient buffer
 	// through a view — no scratch matrix.
 	if _, err := mat.MulATBAcc(&d.gwView, d.lastIn, grad); err != nil {
@@ -144,6 +138,3 @@ func (d *Dense) accumulateGrads(grad *mat.Matrix) {
 	d.bSums = mat.ColSumsInto(d.bSums, grad)
 	mat.Axpy(1, d.bSums, d.B.Grad)
 }
-
-// Params implements Layer.
-func (d *Dense) Params() []*Param { return d.params }

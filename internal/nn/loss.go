@@ -78,8 +78,8 @@ func SoftCrossEntropyInto(dst, logits, y *mat.Matrix, weights []float64) (loss f
 	return loss / n, grad
 }
 
-// Entropy computes the mean Shannon entropy H(p) = −Σ_j p_j·log p_j of
-// softmax(logits) rows and the gradient of that mean with respect to
+// EntropyInto computes the mean Shannon entropy H(p) = −Σ_j p_j·log p_j
+// of softmax(logits) rows and the gradient of that mean with respect to
 // the logits.
 //
 // This realizes the paper's confidence regularizer L_RE (Eq. 7): the
@@ -87,13 +87,9 @@ func SoftCrossEntropyInto(dst, logits, y *mat.Matrix, weights []float64) (loss f
 // *boosting* prediction confidence on D_L ∪ D_U^N, which requires
 // minimizing entropy; we therefore expose H(p) directly and add it
 // with a positive λ₂.
-func Entropy(logits *mat.Matrix) (loss float64, grad *mat.Matrix) {
-	return EntropyInto(nil, logits)
-}
-
-// EntropyInto is Entropy with a caller-supplied gradient destination,
-// grown (or allocated when nil) via mat.Ensure and returned. The
-// softmax probabilities are computed directly in the gradient rows and
+//
+// The gradient goes to dst, grown (or allocated when nil) via
+// mat.Ensure and returned. The softmax probabilities are computed directly in the gradient rows and
 // transformed in place. dst must not alias logits.
 func EntropyInto(dst, logits *mat.Matrix) (loss float64, grad *mat.Matrix) {
 	n := float64(logits.Rows)

@@ -16,7 +16,7 @@ import (
 // valid until the next Forward/Backward call on the same network, and
 // callers that need it longer must Clone it.
 type MLP struct {
-	Layers []Layer
+	Layers []*Dense
 
 	params []*Param // cached Params() result; layer topology is fixed
 }
@@ -51,15 +51,13 @@ func NewMLP(cfg MLPConfig, r *rng.RNG) (*MLP, error) {
 	if init == nil {
 		init = HeNormal
 	}
-	m := &MLP{}
-	last := len(cfg.Dims) - 2
-	for i := 0; i < len(cfg.Dims)-1; i++ {
-		m.Layers = append(m.Layers, NewDense(cfg.Dims[i], cfg.Dims[i+1], init, r))
-		if i < last {
-			m.Layers = append(m.Layers, NewAct(cfg.Hidden))
-		} else if cfg.Output != Identity {
-			m.Layers = append(m.Layers, NewAct(cfg.Output))
+	m := &MLP{Layers: make([]*Dense, len(cfg.Dims)-1)}
+	for i := range m.Layers {
+		act := cfg.Hidden
+		if i == len(m.Layers)-1 {
+			act = cfg.Output
 		}
+		m.Layers[i] = NewDense(cfg.Dims[i], cfg.Dims[i+1], act, init, r)
 	}
 	return m, nil
 }
@@ -85,18 +83,14 @@ func (m *MLP) Backward(grad *mat.Matrix) *mat.Matrix {
 
 // BackwardParams is Backward for training loops that never read
 // dL/d(input): it accumulates exactly the parameter gradients Backward
-// does, bit for bit, but a leading Dense layer skips its grad·Wᵀ
-// product. It returns nothing, since no input gradient is formed.
+// does, bit for bit, but the first layer skips its grad·Wᵀ product.
+// It returns nothing, since no input gradient is formed.
 func (m *MLP) BackwardParams(grad *mat.Matrix) {
 	g := grad
 	for i := len(m.Layers) - 1; i > 0; i-- {
 		g = m.Layers[i].Backward(g)
 	}
-	if d, ok := m.Layers[0].(*Dense); ok {
-		d.accumulateGrads(g)
-		return
-	}
-	m.Layers[0].Backward(g)
+	m.Layers[0].accumulateGrads(g)
 }
 
 // AddGrads adds src's parameter gradients into m's, one add per
@@ -115,13 +109,9 @@ func (m *MLP) AddGrads(src *MLP) {
 // own backing array. Callers must not mutate the returned slice.
 func (m *MLP) Params() []*Param {
 	if m.params == nil {
-		var n int
+		ps := make([]*Param, 0, 2*len(m.Layers))
 		for _, l := range m.Layers {
-			n += len(l.Params())
-		}
-		ps := make([]*Param, 0, n)
-		for _, l := range m.Layers {
-			ps = append(ps, l.Params()...)
+			ps = append(ps, l.W, l.B)
 		}
 		m.params = ps
 	}
@@ -135,15 +125,6 @@ func (m *MLP) ZeroGrad() {
 	}
 }
 
-// NumParams returns the total trainable parameter count.
-func (m *MLP) NumParams() int {
-	var n int
-	for _, p := range m.Params() {
-		n += len(p.Data)
-	}
-	return n
-}
-
 // ShareParams returns an inference replica of m: a new MLP whose
 // layers reference the receiver's *Param tensors (no weights are
 // copied) but own fresh workspace buffers. Concurrent Forward calls on
@@ -154,7 +135,7 @@ func (m *MLP) NumParams() int {
 // The replica is for inference. Backward on a replica accumulates into
 // the SHARED gradient buffers, so concurrent Backward (or training the
 // original while replicas are live) is a data race. Replicas are
-// cheap: per Dense layer they allocate only the layer header; the
+// cheap: per layer they allocate only the layer header; the
 // workspaces grow lazily on first Forward.
 func (m *MLP) ShareParams() *MLP { return m.replica(false) }
 
@@ -171,24 +152,14 @@ func (m *MLP) TrainReplica() *MLP { return m.replica(true) }
 // replica builds a layer-for-layer copy of m over m's parameter values,
 // with gradient buffers of its own when ownGrads is set.
 func (m *MLP) replica(ownGrads bool) *MLP {
-	r := &MLP{Layers: make([]Layer, 0, len(m.Layers))}
-	for _, l := range m.Layers {
-		switch t := l.(type) {
-		case *Dense:
-			d := &Dense{In: t.In, Out: t.Out, W: t.W, B: t.B}
-			if ownGrads {
-				d.W = &Param{Name: t.W.Name, Data: t.W.Data, Grad: make([]float64, len(t.W.Grad))}
-				d.B = &Param{Name: t.B.Name, Data: t.B.Data, Grad: make([]float64, len(t.B.Grad))}
-			}
-			d.params = []*Param{d.W, d.B}
-			d.wView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: d.W.Data}
-			d.gwView = mat.Matrix{Rows: t.In, Cols: t.Out, Data: d.W.Grad}
-			r.Layers = append(r.Layers, d)
-		case *ActLayer:
-			r.Layers = append(r.Layers, NewAct(t.Act))
-		default:
-			panic(fmt.Sprintf("nn: replica: unsupported layer type %T", l))
+	r := &MLP{Layers: make([]*Dense, len(m.Layers))}
+	for i, t := range m.Layers {
+		w, b := t.W, t.B
+		if ownGrads {
+			w = &Param{Name: w.Name, Data: w.Data, Grad: make([]float64, len(w.Grad))}
+			b = &Param{Name: b.Name, Data: b.Data, Grad: make([]float64, len(b.Grad))}
 		}
+		r.Layers[i] = newDenseOver(t.In, t.Out, t.Act, w, b)
 	}
 	return r
 }

@@ -5,13 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and leaves gradients
-	// untouched (callers ZeroGrad between batches).
-	Step(params []*Param)
-}
-
 // Adam implements the Adaptive Moment Estimation optimizer
 // (Kingma & Ba, 2015), the optimizer the paper uses for both the
 // autoencoders and the classifier.
@@ -39,7 +32,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update to every parameter and leaves gradients
+// untouched (callers ZeroGrad between batches).
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -117,42 +111,6 @@ func (a *Adam) Restore(params []*Param, st AdamState) error {
 		a.v[p] = v
 	}
 	return nil
-}
-
-// SGD is plain stochastic gradient descent with optional momentum,
-// used by a few baselines whose reference implementations specify it.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			for i, g := range p.Grad {
-				p.Data[i] -= s.LR * g
-			}
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = make([]float64, len(p.Data))
-			s.vel[p] = v
-		}
-		for i, g := range p.Grad {
-			v[i] = s.Momentum*v[i] - s.LR*g
-			p.Data[i] += v[i]
-		}
-	}
 }
 
 // ClipGrads rescales every gradient so the global L2 norm does not

@@ -134,20 +134,11 @@ func chunkBounds(n, w, c int) (lo, hi int) {
 	return lo, hi
 }
 
-// ForEachChunk splits [0,n) into at most Workers() contiguous chunks
-// and runs fn(lo, hi) on each, concurrently when helpers are free. It
-// returns after every chunk completes. A panic in any chunk is
-// re-raised in the caller (first chunk in schedule order wins, for
-// determinism).
-func ForEachChunk(n int, fn func(lo, hi int)) {
-	ForEachChunkN(Workers(), n, fn)
-}
-
-// ForEachChunkMin is ForEachChunk with a serial-cutoff guard: the
-// chunk count is capped so every chunk holds at least minPerChunk
-// indices. Ranges shorter than 2*minPerChunk therefore run serially on
-// the caller's goroutine — the "size cutoff below which the serial
-// path is kept" for small kernels.
+// ForEachChunkMin is ForEachChunkN over at most Workers() chunks with
+// a serial-cutoff guard: the chunk count is capped so every chunk holds
+// at least minPerChunk indices. Ranges shorter than 2*minPerChunk
+// therefore run serially on the caller's goroutine — the "size cutoff
+// below which the serial path is kept" for small kernels.
 func ForEachChunkMin(n, minPerChunk int, fn func(lo, hi int)) {
 	if minPerChunk < 1 {
 		minPerChunk = 1
@@ -159,13 +150,15 @@ func ForEachChunkMin(n, minPerChunk int, fn func(lo, hi int)) {
 	ForEachChunkN(w, n, fn)
 }
 
-// ForEachChunkN is ForEachChunk with an explicit chunk count: [0,n) is
-// split as Ranges(n, w). The caller's goroutine runs chunks itself and
-// takes on at most w-1 helper goroutines, as many as the process-wide
-// budget has free; caller and helpers claim chunks in schedule order
-// from a shared counter. A call that finds no free helper — nested in
-// another call's chunk, or overlapping one — runs every chunk inline
-// and starts no goroutine. Which goroutine runs a chunk never changes
+// ForEachChunkN splits [0,n) into Ranges(n, w) contiguous chunks and
+// runs fn(lo, hi) on each, returning after every chunk completes. A
+// panic in any chunk is re-raised in the caller (first chunk in
+// schedule order wins, for determinism). The caller's goroutine runs
+// chunks itself and takes on at most w-1 helper goroutines, as many as
+// the process-wide budget has free; caller and helpers claim chunks in
+// schedule order from a shared counter. A call that finds no free
+// helper — nested in another call's chunk, or overlapping one — runs
+// every chunk inline and starts no goroutine. Which goroutine runs a chunk never changes
 // its boundaries, so results do not depend on it.
 func ForEachChunkN(w, n int, fn func(lo, hi int)) {
 	if n <= 0 {

@@ -73,7 +73,7 @@ func TestForEachChunkTouchesEveryIndex(t *testing.T) {
 	restoreWorkers(t, 4)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 17, 100} {
 		hits := make([]int32, n)
-		ForEachChunk(n, func(lo, hi int) {
+		ForEachChunkN(Workers(), n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -89,7 +89,7 @@ func TestForEachChunkTouchesEveryIndex(t *testing.T) {
 func TestForEachChunkFewerItemsThanWorkers(t *testing.T) {
 	restoreWorkers(t, 8)
 	var calls atomic.Int32
-	ForEachChunk(3, func(lo, hi int) {
+	ForEachChunkN(Workers(), 3, func(lo, hi int) {
 		calls.Add(1)
 		if hi-lo != 1 {
 			t.Errorf("chunk [%d,%d) should hold exactly 1 of 3 items", lo, hi)
@@ -102,7 +102,7 @@ func TestForEachChunkFewerItemsThanWorkers(t *testing.T) {
 
 func TestForEachChunkZeroItemsNoCalls(t *testing.T) {
 	restoreWorkers(t, 4)
-	ForEachChunk(0, func(lo, hi int) { t.Error("fn called for n=0") })
+	ForEachChunkN(Workers(), 0, func(lo, hi int) { t.Error("fn called for n=0") })
 	Map(0, func(i int) { t.Error("fn called for n=0") })
 	ForEachChunkMin(0, 64, func(lo, hi int) { t.Error("fn called for n=0") })
 }
@@ -129,7 +129,7 @@ func TestForEachChunkMinKeepsSerialPathBelowCutoff(t *testing.T) {
 func TestForEachChunkNotDivisible(t *testing.T) {
 	restoreWorkers(t, 3)
 	var total atomic.Int64
-	ForEachChunk(10, func(lo, hi int) {
+	ForEachChunkN(Workers(), 10, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			total.Add(int64(i))
 		}
@@ -151,7 +151,7 @@ func TestPanicPropagation(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the worker's message", r)
 		}
 	}()
-	ForEachChunk(100, func(lo, hi int) {
+	ForEachChunkN(Workers(), 100, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i == 60 {
 				panic("boom")
@@ -167,7 +167,7 @@ func TestPanicPropagationSerialPath(t *testing.T) {
 			t.Fatal("serial-path panic did not propagate")
 		}
 	}()
-	ForEachChunk(10, func(lo, hi int) { panic("serial boom") })
+	ForEachChunkN(Workers(), 10, func(lo, hi int) { panic("serial boom") })
 }
 
 func TestSetWorkersOverride(t *testing.T) {
@@ -199,7 +199,7 @@ func TestMapVisitsEveryIndexOnce(t *testing.T) {
 }
 
 // TestNestedCallsShareOneBudget pins the process-wide helper budget: a
-// Map whose items each call ForEachChunk never has more than Workers()
+// Map whose items each call ForEachChunkN never has more than Workers()
 // chunk functions running at once (the outer Map's and the inner
 // calls' counted separately — an inner chunk runs on its item's
 // goroutine or on a helper), and every index is still visited exactly
@@ -213,7 +213,7 @@ func TestNestedCallsShareOneBudget(t *testing.T) {
 		Map(items, func(i int) {
 			outer.enter()
 			defer outer.leave()
-			ForEachChunk(n, func(lo, hi int) {
+			ForEachChunkN(Workers(), n, func(lo, hi int) {
 				inner.enter()
 				defer inner.leave()
 				for j := lo; j < hi; j++ {

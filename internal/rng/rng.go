@@ -10,7 +10,6 @@ package rng
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -63,18 +62,8 @@ func (r *RNG) Normal(mean, std float64) float64 {
 	return mean + std*r.src.NormFloat64()
 }
 
-// Exponential returns a sample from Exp(rate); its mean is 1/rate.
-func (r *RNG) Exponential(rate float64) float64 {
-	return r.src.ExpFloat64() / rate
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
-
-// LogNormal returns a sample whose logarithm is N(mu, sigma²).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
 
 // FillNormal fills dst with independent N(mean, std²) samples.
 func (r *RNG) FillNormal(dst []float64, mean, std float64) {

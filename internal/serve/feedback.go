@@ -128,8 +128,26 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown verdict %q (want target, non-target, or benign)", req.Verdict), 0)
 		return
 	}
+	// Validate against one generation and stamp its version: a row
+	// the served model cannot take, or a type outside its target
+	// types, would fail every later retrain on these verdicts.
+	lm := s.cur.Load()
+	if lm == nil {
+		wire.WriteError(w, false, http.StatusServiceUnavailable, "no model loaded", 0)
+		return
+	}
+	if dim := lm.model.InputDim(); len(req.Features) != dim {
+		wire.WriteError(w, false, http.StatusBadRequest,
+			fmt.Sprintf("features hold %d values, the served model takes %d", len(req.Features), dim), 0)
+		return
+	}
+	if m := lm.model.NumTargetTypes(); verdict == feedback.VerdictTarget && (req.TargetType < 0 || req.TargetType >= m) {
+		wire.WriteError(w, false, http.StatusBadRequest,
+			fmt.Sprintf("target_type %d outside [0,%d)", req.TargetType, m), 0)
+		return
+	}
 	if req.ModelVersion == 0 {
-		req.ModelVersion = s.ModelVersion()
+		req.ModelVersion = lm.version
 	}
 	added, err := store.Append(feedback.Record{
 		Features:     req.Features,

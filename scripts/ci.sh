@@ -129,16 +129,17 @@ go test -count=1 \
 
 # Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
 # binary wire-frame decoder, the saved-model loader, the serving
-# front end (/score under both content types, POST /feedback) and the
-# registry's manifest parser. The seed corpora always run in the full
-# suite; this explores beyond them.
-echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad + FuzzScoreRequest + FuzzFeedbackRequest + FuzzLoadManifest, 10s each) =="
+# front end (/score under both content types, POST /feedback), the
+# registry's manifest parser and the verdict-log replay. The seed
+# corpora always run in the full suite; this explores beyond them.
+echo "== fuzz smoke (FuzzLoadCSV + FuzzDecodeFrame + FuzzLoad + FuzzScoreRequest + FuzzFeedbackRequest + FuzzLoadManifest + FuzzReplay, 10s each) =="
 go test -fuzz FuzzLoadCSV -fuzztime 10s -run '^$' ./internal/dataset
 go test -fuzz FuzzDecodeFrame -fuzztime 10s -run '^$' ./internal/wire
 go test -fuzz FuzzLoad -fuzztime 10s -run '^$' ./internal/core
 go test -fuzz FuzzScoreRequest -fuzztime 10s -run '^$' ./internal/serve
 go test -fuzz FuzzFeedbackRequest -fuzztime 10s -run '^$' ./internal/serve
 go test -fuzz FuzzLoadManifest -fuzztime 10s -run '^$' ./internal/registry
+go test -fuzz FuzzReplay -fuzztime 10s -run '^$' ./internal/feedback
 
 # Allocation-budget smoke: one iteration of each hot-path benchmark
 # with -benchmem, failing if allocs/op regresses above its budget. The
