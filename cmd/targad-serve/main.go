@@ -46,12 +46,21 @@
 // mounts POST /feedback (analyst verdicts land in a crash-safe
 // append-only store), -acquire-budget mounts GET /feedback/queue (the
 // rows whose labels would help the model most, by active-learning
-// informativeness), and -auto-retrain with -retrain-labeled and
-// -retrain-unlabeled arms the full cycle: a drift alarm (or POST
-// /retrain) fits a candidate on the verdict-merged training set,
-// shadow-evaluates it on live traffic, and promotes it automatically
-// when it passes the -retrain-max-flip / -retrain-max-delta gate. A
-// promoted model overwrites -model, so a restart serves it again.
+// informativeness), and a store plus -retrain-labeled and
+// -retrain-unlabeled arms the retrain cycle: POST /retrain (or, with
+// -auto-retrain, a drift alarm) fits a candidate on the verdict-merged
+// training set, shadow-evaluates it on live traffic, and promotes it
+// automatically when it passes the -retrain-max-flip /
+// -retrain-max-delta gate. A promoted model overwrites -model, so a
+// restart serves it again. -auto-retrain without -feedback-dir exits 2.
+//
+// -model-dir serves every model a manifest.json lists from one process
+// (DESIGN.md §15), routed by the X-Targad-Model and X-Targad-Tenant
+// headers. Each model gets the stack single-model mode builds
+// (registry.OpenStack, one set of arming rules): its own verdict store
+// under -feedback-dir, its own -acquire-budget queue, and retraining
+// from the CSVs its manifest entry names, so -retrain-labeled and
+// -retrain-unlabeled with -model-dir exit 2.
 package main
 
 import (
@@ -66,11 +75,8 @@ import (
 	"syscall"
 	"time"
 
-	"targad/internal/activelearn"
 	"targad/internal/buildinfo"
 	"targad/internal/core"
-	"targad/internal/dataset"
-	"targad/internal/feedback"
 	"targad/internal/mat"
 	"targad/internal/monitor"
 	"targad/internal/parallel"
@@ -109,9 +115,9 @@ func main() {
 		acquireBudget = flag.Int("acquire-budget", 0, "active-learning queue capacity; mounts GET /feedback/queue (0 disables)")
 		acquireSample = flag.Float64("acquire-sample", 0.25, "fraction of live batches offered to the acquisition queue")
 
-		autoRetrain      = flag.Bool("auto-retrain", false, "retrain on drift alarm and auto-promote through shadow evaluation (needs -feedback-dir, -retrain-labeled, -retrain-unlabeled)")
-		retrainLabeled   = flag.String("retrain-labeled", "", "CSV of labeled target anomalies for retraining (type index in first column)")
-		retrainUnlabeled = flag.String("retrain-unlabeled", "", "CSV of unlabeled instances for retraining (features only)")
+		autoRetrain      = flag.Bool("auto-retrain", false, "retrain on drift alarm and auto-promote through shadow evaluation (needs -feedback-dir; with -model also -retrain-labeled and -retrain-unlabeled, with -model-dir the manifest's retrain CSVs)")
+		retrainLabeled   = flag.String("retrain-labeled", "", "CSV of labeled target anomalies for retraining (type index in first column; -model only)")
+		retrainUnlabeled = flag.String("retrain-unlabeled", "", "CSV of unlabeled instances for retraining (features only; -model only)")
 		retrainHeader    = flag.Bool("retrain-csv-header", false, "retraining CSVs start with a header row")
 		retrainEpochs    = flag.Int("retrain-epochs", 30, "training epochs for retrained candidates")
 		retrainLR        = flag.Float64("retrain-lr", 1e-3, "learning rate for retrained candidates")
@@ -147,12 +153,60 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
+	// One set of retraining flag rules for both modes; the arming
+	// itself is registry.OpenStack's.
+	retrainFlags := *retrainLabeled != "" || *retrainUnlabeled != ""
+	var flagErr string
+	switch {
+	case *modelDir != "" && retrainFlags:
+		flagErr = "-retrain-labeled and -retrain-unlabeled do not apply to -model-dir (each manifest entry names its own retraining CSVs)"
+	case (*autoRetrain || retrainFlags) && *feedbackDir == "":
+		flagErr = "retraining needs -feedback-dir (verdicts are the retraining signal)"
+	case *modelPath != "" && (*autoRetrain || retrainFlags) && (*retrainLabeled == "" || *retrainUnlabeled == ""):
+		flagErr = "retraining needs both -retrain-labeled and -retrain-unlabeled (the base training set verdicts merge into)"
+	}
+	if flagErr != "" {
+		fmt.Fprintln(os.Stderr, "targad-serve: "+flagErr)
+		os.Exit(2)
+	}
+
+	base := serve.Config{
+		MaxBatch:     *maxBatch,
+		MaxWait:      *maxWait,
+		QueueDepth:   *queueDepth,
+		RetryAfter:   *retryAfter,
+		MaxBodyBytes: *maxReqBytes,
+		Strategy:     strat,
+		Precision:    prec,
+		EnablePprof:  *enablePprof,
+		InstanceID:   *instanceID,
+		Monitor: monitor.Config{
+			WindowRows: *monitorWindow,
+			WarnPSI:    *driftWarn,
+			AlarmPSI:   *driftAlarm,
+		},
+		DisableMonitor: *noMonitor,
+		DriftDegrade:   *driftDegrade,
+		ShadowSample:   *shadowSample,
+		AcquireSample:  *acquireSample,
+		AutoRetrain:    *autoRetrain,
+		Logf:           log.Printf,
+	}
 	fitCfg := core.DefaultConfig()
 	fitCfg.K = *retrainK
 	fitCfg.AEEpochs = *retrainEpochs
 	fitCfg.ClfEpochs = *retrainEpochs
 	fitCfg.AELR = *retrainLR
 	fitCfg.ClfLR = *retrainLR
+	rt := retrain.Config{
+		Fit:           fitCfg,
+		Seed:          *retrainSeed,
+		FeedbackTTL:   *feedbackTTL,
+		MaxFlipRate:   *retrainMaxFlip,
+		MaxScoreDelta: *retrainMaxDelta,
+		MinShadowRows: *retrainMinRows,
+		Logf:          log.Printf,
+	}
 
 	var (
 		httpHandler http.Handler
@@ -163,46 +217,19 @@ func main() {
 	if *modelDir != "" {
 		// Registry mode: one process hosts every manifested model,
 		// routed by the X-Targad-Model / X-Targad-Tenant headers, with
-		// at most -max-hot-models loaded at once. Each model gets its
-		// own feedback store (under -feedback-dir) and, when its spec
-		// names retraining CSVs, its own retrain cycle — all cycles
-		// share one fit slot so drift alarms never fork parallel fits.
+		// at most -max-hot-models loaded at once. Each model gets the
+		// stack single-model mode builds, with its store under
+		// -feedback-dir and its retraining CSVs from its manifest
+		// entry; all retrain cycles share one fit slot so drift alarms
+		// never fork parallel fits.
 		reg, err := registry.New(registry.Config{
-			Dir:    *modelDir,
-			MaxHot: *maxHot,
-			Base: serve.Config{
-				MaxBatch:     *maxBatch,
-				MaxWait:      *maxWait,
-				QueueDepth:   *queueDepth,
-				RetryAfter:   *retryAfter,
-				MaxBodyBytes: *maxReqBytes,
-				Strategy:     strat,
-				Precision:    prec,
-				EnablePprof:  *enablePprof,
-				InstanceID:   *instanceID,
-				Monitor: monitor.Config{
-					WindowRows: *monitorWindow,
-					WarnPSI:    *driftWarn,
-					AlarmPSI:   *driftAlarm,
-				},
-				DisableMonitor: *noMonitor,
-				DriftDegrade:   *driftDegrade,
-				ShadowSample:   *shadowSample,
-				AcquireSample:  *acquireSample,
-				AutoRetrain:    *autoRetrain,
-			},
+			Dir:           *modelDir,
+			MaxHot:        *maxHot,
+			Base:          base,
 			FeedbackRoot:  *feedbackDir,
 			AcquireBudget: *acquireBudget,
-			FeedbackTTL:   *feedbackTTL,
-			Retrain: &retrain.Config{
-				Fit:           fitCfg,
-				Seed:          *retrainSeed,
-				MaxFlipRate:   *retrainMaxFlip,
-				MaxScoreDelta: *retrainMaxDelta,
-				MinShadowRows: *retrainMinRows,
-				Logf:          log.Printf,
-			},
-			Logf: log.Printf,
+			Retrain:       &rt,
+			Logf:          log.Printf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "targad-serve: %v\n", err)
@@ -213,88 +240,19 @@ func main() {
 		closeAll = reg.Close
 		serving = *modelDir + " (registry, default " + reg.DefaultModel() + ")"
 	} else {
-		var store *feedback.Store
-		if *feedbackDir != "" {
-			var err error
-			store, err = feedback.Open(*feedbackDir, feedback.Config{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "targad-serve: opening feedback store: %v\n", err)
-				os.Exit(1)
-			}
-			defer store.Close()
-		}
-		var queue *activelearn.Queue
-		if *acquireBudget > 0 {
-			qc := activelearn.Config{Budget: *acquireBudget}
-			if store != nil {
-				qc.Labeled = store.Has
-			}
-			queue = activelearn.New(qc)
-		}
-
-		s, err := serve.New(serve.Config{
-			ModelPath:    *modelPath,
-			MaxBatch:     *maxBatch,
-			MaxWait:      *maxWait,
-			QueueDepth:   *queueDepth,
-			RetryAfter:   *retryAfter,
-			MaxBodyBytes: *maxReqBytes,
-			Strategy:     strat,
-			Precision:    prec,
-			EnablePprof:  *enablePprof,
-			InstanceID:   *instanceID,
-			Monitor: monitor.Config{
-				WindowRows: *monitorWindow,
-				WarnPSI:    *driftWarn,
-				AlarmPSI:   *driftAlarm,
-			},
-			DisableMonitor: *noMonitor,
-			DriftDegrade:   *driftDegrade,
-			ShadowSample:   *shadowSample,
-			Feedback:       store,
-			Acquire:        queue,
-			AcquireSample:  *acquireSample,
-			AutoRetrain:    *autoRetrain,
-			Logf:           log.Printf,
-		})
+		st, err := registry.OpenStack(base, registry.ModelSpec{
+			Path:             *modelPath, // a promoted candidate overwrites it, so a restart serves it
+			RetrainLabeled:   *retrainLabeled,
+			RetrainUnlabeled: *retrainUnlabeled,
+			RetrainCSVHeader: *retrainHeader,
+		}, *feedbackDir, *acquireBudget, &rt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "targad-serve: %v\n", err)
 			os.Exit(1)
 		}
-
-		var orch *retrain.Orchestrator
-		if *autoRetrain || *retrainLabeled != "" || *retrainUnlabeled != "" {
-			switch {
-			case store == nil:
-				fmt.Fprintln(os.Stderr, "targad-serve: retraining needs -feedback-dir (verdicts are the retraining signal)")
-				os.Exit(2)
-			case *retrainLabeled == "" || *retrainUnlabeled == "":
-				fmt.Fprintln(os.Stderr, "targad-serve: retraining needs both -retrain-labeled and -retrain-unlabeled (the base training set verdicts merge into)")
-				os.Exit(2)
-			}
-			labeledPath, unlabeledPath, header := *retrainLabeled, *retrainUnlabeled, *retrainHeader
-			orch, err = retrain.New(s, retrain.Config{
-				Store:         store,
-				Train:         func() (*dataset.TrainSet, error) { return dataset.LoadTrainCSVs(labeledPath, unlabeledPath, header) },
-				Fit:           fitCfg,
-				Seed:          *retrainSeed,
-				FeedbackTTL:   *feedbackTTL,
-				MaxFlipRate:   *retrainMaxFlip,
-				MaxScoreDelta: *retrainMaxDelta,
-				MinShadowRows: *retrainMinRows,
-				SavePath:      *modelPath, // a restart serves the promoted model
-				Logf:          log.Printf,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "targad-serve: %v\n", err)
-				os.Exit(1)
-			}
-			defer orch.Close()
-			s.SetRetrain(orch)
-		}
-		httpHandler = s.Handler()
-		reload = func() error { _, err := s.Reload(); return err }
-		closeAll = s.Close
+		httpHandler = st.Server.Handler()
+		reload = func() error { _, err := st.Server.Reload(); return err }
+		closeAll = st.Close
 		serving = *modelPath
 	}
 

@@ -166,7 +166,7 @@ func (m *ADOA) Fit(ctx context.Context, train *dataset.TrainSet) error {
 	}
 
 	net, err := nn.NewMLP(nn.MLPConfig{
-		Dims:   []int{x.Cols, maxInt(32, x.Cols/2), numClasses},
+		Dims:   []int{x.Cols, max(32, x.Cols/2), numClasses},
 		Hidden: nn.ReLU,
 		Output: nn.Identity,
 		Init:   nn.HeNormal,
@@ -208,11 +208,4 @@ func (m *ADOA) Score(ctx context.Context, x *mat.Matrix) ([]float64, error) {
 		out[i] = 1 - probs.At(i, m.kA)
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

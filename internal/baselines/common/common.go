@@ -1,5 +1,6 @@
 // Package common holds small helpers shared by the baseline
-// implementations: ranking, prototypes, and distance utilities.
+// implementations: ranking, prototypes, distance utilities, and the
+// triplet-loss step REPEN and PUMAD train with.
 package common
 
 import (
@@ -7,6 +8,7 @@ import (
 	"sort"
 
 	"targad/internal/mat"
+	"targad/internal/nn"
 )
 
 // ArgsortDesc returns indices ordering v from largest to smallest,
@@ -68,4 +70,40 @@ func MinDistTo(x, ref *mat.Matrix) []float64 {
 		out[i] = math.Sqrt(best)
 	}
 	return out
+}
+
+// TripletStep accumulates into net the gradient of the hinge triplet
+// loss max(0, margin + d(a,p) − d(a,n)), averaged over the rows of the
+// three streams, through three forward passes.
+func TripletStep(net *nn.MLP, anchor, pos, neg *mat.Matrix, margin float64) {
+	za := net.Forward(anchor).Clone()
+	zp := net.Forward(pos).Clone()
+	zn := net.Forward(neg).Clone()
+	n := float64(za.Rows)
+	ga := mat.New(za.Rows, za.Cols)
+	gp := mat.New(za.Rows, za.Cols)
+	gn := mat.New(za.Rows, za.Cols)
+	for i := 0; i < za.Rows; i++ {
+		a, p, q := za.Row(i), zp.Row(i), zn.Row(i)
+		dp := mat.SquaredDistance(a, p)
+		dn := mat.SquaredDistance(a, q)
+		if margin+dp-dn <= 0 {
+			continue
+		}
+		// d/da = 2(a−p) − 2(a−n); d/dp = −2(a−p); d/dn = 2(a−n)
+		gra, grp, grn := ga.Row(i), gp.Row(i), gn.Row(i)
+		for j := range a {
+			gra[j] = (2*(a[j]-p[j]) - 2*(a[j]-q[j])) / n
+			grp[j] = -2 * (a[j] - p[j]) / n
+			grn[j] = 2 * (a[j] - q[j]) / n
+		}
+	}
+	// Backward through each stream; re-forward to restore layer
+	// caches before each backward pass.
+	net.Forward(anchor)
+	net.Backward(ga)
+	net.Forward(pos)
+	net.Backward(gp)
+	net.Forward(neg)
+	net.Backward(gn)
 }

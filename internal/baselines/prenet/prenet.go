@@ -124,9 +124,9 @@ func (m *PReNet) Fit(ctx context.Context, train *dataset.TrainSet) error {
 	}
 
 	// Freeze scoring anchors.
-	nA := minInt(m.cfg.ScorePairs, train.Labeled.Rows)
+	nA := min(m.cfg.ScorePairs, train.Labeled.Rows)
 	m.anchorsA = nn.Gather(train.Labeled, r.Sample(train.Labeled.Rows, nA))
-	nU := minInt(m.cfg.ScorePairs, x.Rows)
+	nU := min(m.cfg.ScorePairs, x.Rows)
 	m.anchorsU = nn.Gather(x, r.Sample(x.Rows, nU))
 	return nil
 }
@@ -165,11 +165,4 @@ func (m *PReNet) Score(ctx context.Context, x *mat.Matrix) ([]float64, error) {
 		out[i] = sum / float64(pred.Rows)
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

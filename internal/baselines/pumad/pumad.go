@@ -105,7 +105,7 @@ func (m *PUMAD) Fit(ctx context.Context, train *dataset.TrainSet) error {
 
 	opt := nn.NewAdam(m.cfg.LR)
 	tr := r.Split("triplets")
-	steps := m.cfg.Epochs * maxInt(1, nRel/m.cfg.BatchSize)
+	steps := m.cfg.Epochs * max(1, nRel/m.cfg.BatchSize)
 	for s := 0; s < steps; s++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pumad: canceled: %w", err)
@@ -120,7 +120,7 @@ func (m *PUMAD) Fit(ctx context.Context, train *dataset.TrainSet) error {
 			copy(neg.Row(i), x.Row(reliable[tr.Intn(nRel)]))
 		}
 		net.ZeroGrad()
-		tripletStep(net, anchor, pos, neg, m.cfg.Margin)
+		common.TripletStep(net, anchor, pos, neg, m.cfg.Margin)
 		opt.Step(net.Params())
 	}
 
@@ -143,38 +143,6 @@ func colMean(z *mat.Matrix) []float64 {
 	return out
 }
 
-// tripletStep accumulates the hinge-triplet gradient through three
-// forward passes (same scheme as REPEN's).
-func tripletStep(net *nn.MLP, anchor, pos, neg *mat.Matrix, margin float64) {
-	za := net.Forward(anchor).Clone()
-	zp := net.Forward(pos).Clone()
-	zn := net.Forward(neg).Clone()
-	n := float64(za.Rows)
-	ga := mat.New(za.Rows, za.Cols)
-	gp := mat.New(za.Rows, za.Cols)
-	gn := mat.New(za.Rows, za.Cols)
-	for i := 0; i < za.Rows; i++ {
-		a, p, q := za.Row(i), zp.Row(i), zn.Row(i)
-		dp := mat.SquaredDistance(a, p)
-		dn := mat.SquaredDistance(a, q)
-		if margin+dp-dn <= 0 {
-			continue
-		}
-		gra, grp, grn := ga.Row(i), gp.Row(i), gn.Row(i)
-		for j := range a {
-			gra[j] = (2*(a[j]-p[j]) - 2*(a[j]-q[j])) / n
-			grp[j] = -2 * (a[j] - p[j]) / n
-			grn[j] = 2 * (a[j] - q[j]) / n
-		}
-	}
-	net.Forward(anchor)
-	net.Backward(ga)
-	net.Forward(pos)
-	net.Backward(gp)
-	net.Forward(neg)
-	net.Backward(gn)
-}
-
 // Score implements detector.Detector: distance-to-normal minus
 // distance-to-anomaly prototype (larger ⇒ more anomalous).
 func (m *PUMAD) Score(ctx context.Context, x *mat.Matrix) ([]float64, error) {
@@ -189,11 +157,4 @@ func (m *PUMAD) Score(ctx context.Context, x *mat.Matrix) ([]float64, error) {
 		out[i] = dN - dA
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,8 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
+	"targad/internal/baselines/common"
 	"targad/internal/dataset"
 	"targad/internal/mat"
 	"targad/internal/nn"
@@ -90,7 +90,7 @@ func (m *REPEN) Fit(ctx context.Context, train *dataset.TrainSet) error {
 	init := lesinnScores(x, m.cfg.SubsampleSize, 16, r.Split("lesinn"))
 
 	// Rank to form outlier candidates (top fraction) and inlier pool.
-	order := argsortDesc(init)
+	order := common.ArgsortDesc(init)
 	nCand := int(m.cfg.CandidateFrac * float64(x.Rows))
 	if nCand < 2 {
 		nCand = 2
@@ -112,7 +112,7 @@ func (m *REPEN) Fit(ctx context.Context, train *dataset.TrainSet) error {
 	}
 	m.net = net
 	opt := nn.NewAdam(m.cfg.LR)
-	steps := m.cfg.Epochs * (x.Rows / maxInt(m.cfg.BatchSize, 1))
+	steps := m.cfg.Epochs * (x.Rows / max(m.cfg.BatchSize, 1))
 	if steps < m.cfg.Epochs {
 		steps = m.cfg.Epochs
 	}
@@ -131,49 +131,14 @@ func (m *REPEN) Fit(ctx context.Context, train *dataset.TrainSet) error {
 			copy(neg.Row(i), x.Row(cands[tr.Intn(len(cands))]))
 		}
 		net.ZeroGrad()
-		tripletStep(net, anchor, pos, neg, m.cfg.Margin)
+		common.TripletStep(net, anchor, pos, neg, m.cfg.Margin)
 		opt.Step(net.Params())
 	}
 
 	// Reference subsample for scoring.
-	refIdx := r.Sample(x.Rows, minInt(m.cfg.SubsampleSize*16, x.Rows))
+	refIdx := r.Sample(x.Rows, min(m.cfg.SubsampleSize*16, x.Rows))
 	m.ref = nn.Gather(x, refIdx)
 	return nil
-}
-
-// tripletStep accumulates the gradient of the hinge triplet loss
-// max(0, margin + d(a,p) − d(a,n)) through three forward passes.
-func tripletStep(net *nn.MLP, anchor, pos, neg *mat.Matrix, margin float64) {
-	za := net.Forward(anchor).Clone()
-	zp := net.Forward(pos).Clone()
-	zn := net.Forward(neg).Clone()
-	n := float64(za.Rows)
-	ga := mat.New(za.Rows, za.Cols)
-	gp := mat.New(za.Rows, za.Cols)
-	gn := mat.New(za.Rows, za.Cols)
-	for i := 0; i < za.Rows; i++ {
-		a, p, q := za.Row(i), zp.Row(i), zn.Row(i)
-		dp := mat.SquaredDistance(a, p)
-		dn := mat.SquaredDistance(a, q)
-		if margin+dp-dn <= 0 {
-			continue
-		}
-		// d/da = 2(a−p) − 2(a−n); d/dp = −2(a−p); d/dn = 2(a−n)
-		gra, grp, grn := ga.Row(i), gp.Row(i), gn.Row(i)
-		for j := range a {
-			gra[j] = (2*(a[j]-p[j]) - 2*(a[j]-q[j])) / n
-			grp[j] = -2 * (a[j] - p[j]) / n
-			grn[j] = 2 * (a[j] - q[j]) / n
-		}
-	}
-	// Backward through each stream; re-forward to restore layer
-	// caches before each backward pass.
-	net.Forward(anchor)
-	net.Backward(ga)
-	net.Forward(pos)
-	net.Backward(gp)
-	net.Forward(neg)
-	net.Backward(gn)
 }
 
 // Score implements detector.Detector: the distance to the nearest
@@ -228,27 +193,4 @@ func lesinnScores(x *mat.Matrix, subsample, ensembles int, r *rng.RNG) []float64
 		scores[i] /= float64(ensembles)
 	}
 	return scores
-}
-
-func argsortDesc(v []float64) []int {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
-	return idx
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

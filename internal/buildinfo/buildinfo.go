@@ -42,22 +42,8 @@ func versionFrom(bi *debug.BuildInfo) string {
 	if v := bi.Main.Version; v != "" && v != "(devel)" {
 		return v
 	}
-	var rev, dirty string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "-dirty"
-			}
-		}
-	}
-	if rev != "" {
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		return "devel+" + rev + dirty
+	if rev := revisionFrom(bi); rev != "unknown" {
+		return "devel+" + rev
 	}
 	return "devel"
 }

@@ -201,7 +201,7 @@ func newGenerator(p Profile, targets []string, seed int64) (*generator, error) {
 	// floor for reconstruction residuals and distance computations.
 	g.noiseDims = make([]bool, p.Dim)
 	nr := geo.Split("noise")
-	for _, d := range nr.Sample(p.Dim, maxInt(2, p.Dim/8)) {
+	for _, d := range nr.Sample(p.Dim, max(2, p.Dim/8)) {
 		g.noiseDims[d] = true
 	}
 	for gi := 0; gi < p.NormalGroups; gi++ {
@@ -214,7 +214,7 @@ func newGenerator(p Profile, targets []string, seed int64) (*generator, error) {
 		}
 		// Group signature: a handful of features with distinct means,
 		// giving k-means something to find.
-		sig := gr.Sample(p.Dim, maxInt(3, p.Dim/6))
+		sig := gr.Sample(p.Dim, max(3, p.Dim/6))
 		for _, d := range sig {
 			if gr.Bernoulli(0.5) {
 				mean[d] = gr.Uniform(0.1, 0.25)
@@ -224,7 +224,7 @@ func newGenerator(p Profile, targets []string, seed int64) (*generator, error) {
 		}
 	}
 	cr := geo.Split("common")
-	commonSize := maxInt(3, p.Dim/10)
+	commonSize := max(3, p.Dim/10)
 	g.common = commonGen{
 		subspace: cr.Sample(p.Dim, commonSize),
 		signs:    make([]float64, commonSize),
@@ -244,10 +244,10 @@ func newGenerator(p Profile, targets []string, seed int64) (*generator, error) {
 	// real attack/fraud families exhibit and that causes the false
 	// positives the paper documents.
 	poolR := geo.Split("pool")
-	pool := poolR.Sample(p.Dim, maxInt(4, p.Dim/6))
+	pool := poolR.Sample(p.Dim, max(4, p.Dim/6))
 	for ti, spec := range p.Anomalies {
 		tr := geo.SplitN("type:"+spec.Name, ti)
-		size := maxInt(3, int(spec.SubspaceFrac*float64(p.Dim)))
+		size := max(3, int(spec.SubspaceFrac*float64(p.Dim)))
 		nv := spec.Variants
 		if nv <= 0 {
 			nv = defaultVariants
@@ -310,13 +310,6 @@ func hashSeed(name string) int64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sampleWithPool draws a subspace of the given size: about half from

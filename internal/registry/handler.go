@@ -43,7 +43,7 @@ func (h handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		// Health belongs to the host, identity to the default entry;
 		// the hot-model stamp rides along for fleet affinity probing.
 		w.Header().Set(HeaderHotModels, strings.Join(r.Hot(), ","))
-		r.def.srv.Handler().ServeHTTP(w, req)
+		r.def.Server.Handler().ServeHTTP(w, req)
 	default:
 		// Admin endpoints (/reload, /drift, /retrain, /feedback, ...)
 		// consult the query first — `curl /drift?model=acme-v2` beats
@@ -76,7 +76,7 @@ func (r *Registry) serveModel(w http.ResponseWriter, req *http.Request, name str
 		}
 	}
 	if name == "" || name == r.def.name {
-		handle(r.def.srv, w, req)
+		handle(r.def.Server, w, req)
 		return
 	}
 	e, release, err := r.acquire(name)
@@ -85,7 +85,7 @@ func (r *Registry) serveModel(w http.ResponseWriter, req *http.Request, name str
 		return
 	}
 	defer release()
-	handle(e.srv, w, req)
+	handle(e.Server, w, req)
 }
 
 // handleModels answers GET /models: the manifest's view plus what is

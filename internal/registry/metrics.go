@@ -22,7 +22,7 @@ func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	hot := *r.hot.Load()
 	for _, name := range names {
 		if e, ok := hot[name]; ok { // else evicted between Hot() and the map load
-			e.srv.WriteMetrics(ow.With("model", name))
+			e.Server.WriteMetrics(ow.With("model", name))
 		}
 	}
 

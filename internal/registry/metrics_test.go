@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"targad/internal/activelearn"
 	"targad/internal/core"
-	"targad/internal/dataset"
-	"targad/internal/feedback"
 	"targad/internal/retrain"
 	"targad/internal/serve"
 )
@@ -40,41 +36,26 @@ func families(text string) []string {
 func TestRegistryMetricsParity(t *testing.T) {
 	fx := tenantModels(t)
 	base := serve.Config{MaxBatch: 1, Strategy: core.ED, ShadowSample: 1}
-	noTrain := func() (*dataset.TrainSet, error) { return nil, errors.New("no training data in this test") }
+	dir := t.TempDir()
+	spec := ModelSpec{
+		Path:             fx.alpha,
+		RetrainLabeled:   filepath.Join(dir, "labeled.csv"),
+		RetrainUnlabeled: filepath.Join(dir, "unlabeled.csv"),
+	}
 
-	// Single-model stack, wired as targad-serve wires it.
-	store, err := feedback.Open(t.TempDir(), feedback.Config{})
+	// Single-model stack, built as targad-serve builds it.
+	st, err := OpenStack(base, spec, t.TempDir(), 8, &retrain.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	cfg := base
-	cfg.ModelPath = fx.alpha
-	cfg.Feedback = store
-	cfg.Acquire = activelearn.New(activelearn.Config{Budget: 8, Labeled: store.Has})
-	srv, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	orch, err := retrain.New(srv, retrain.Config{Store: store, Train: noTrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orch.Close()
-	srv.SetRetrain(orch)
-	direct := httptest.NewServer(srv.Handler())
+	defer st.Close()
+	direct := httptest.NewServer(st.Server.Handler())
 	defer direct.Close()
 
 	// The same model as a registry's only entry, configured alike.
-	dir := t.TempDir()
 	writeManifest(t, dir, Manifest{
 		Default: "alpha",
-		Models: map[string]ModelSpec{"alpha": {
-			Path:             fx.alpha,
-			RetrainLabeled:   filepath.Join(dir, "labeled.csv"),
-			RetrainUnlabeled: filepath.Join(dir, "unlabeled.csv"),
-		}},
+		Models:  map[string]ModelSpec{"alpha": spec},
 	})
 	reg, err := New(Config{
 		Dir:           dir,

@@ -8,12 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"targad/internal/activelearn"
-	"targad/internal/dataset"
 	"targad/internal/faultinject"
-	"targad/internal/feedback"
 	"targad/internal/pin"
 	"targad/internal/retrain"
 	"targad/internal/serve"
@@ -42,10 +38,10 @@ type Config struct {
 	// rather than failing the request.
 	MaxHot int
 
-	// Base is the serving configuration template every entry starts
-	// from; per-entry fields (ModelPath, Strategy, Precision, Feedback,
-	// Acquire, InstanceID suffixing) are filled per model. Base.Monitor,
-	// queue/batch tuning, and body limits apply to every model.
+	// Base is the serving configuration template every entry's
+	// OpenStack starts from; InstanceID and Logf are suffixed and
+	// prefixed with the model name. Base.Monitor, queue/batch tuning,
+	// and body limits apply to every model.
 	Base serve.Config
 
 	// FeedbackRoot, when set, gives each model its own verdict store at
@@ -53,16 +49,12 @@ type Config struct {
 	FeedbackRoot string
 	// AcquireBudget, when positive, arms a per-model acquisition queue.
 	AcquireBudget int
-	// FeedbackTTL is handed to each entry's retrain configuration:
-	// verdicts older than it decay out of retraining (0 keeps forever).
-	FeedbackTTL time.Duration
 
 	// Retrain, when set, is the retrain template for models whose spec
-	// carries RetrainLabeled/RetrainUnlabeled: Store, Train, FitSlot,
-	// FeedbackTTL, and SavePath are filled per entry; everything else
-	// (Fit, Seed, gate bounds, timeouts) is taken from the template.
-	// All entries share one fit slot, so concurrent drift alarms
-	// serialize their expensive Fits instead of forking N of them.
+	// carries RetrainLabeled/RetrainUnlabeled (OpenStack's arming
+	// rules). All entries share one fit slot, so concurrent drift
+	// alarms serialize their expensive Fits instead of forking N of
+	// them.
 	Retrain *retrain.Config
 
 	// Logf receives one line per lifecycle event. Nil discards.
@@ -70,30 +62,15 @@ type Config struct {
 }
 
 // entry is one hot model: a full single-model serving stack plus the
-// registry's bookkeeping.
+// registry's bookkeeping. Its Stack is closed only after the entry left
+// the hot map and its pins drained.
 type entry struct {
+	*Stack
 	name string
-	spec ModelSpec
-
-	srv   *serve.Server
-	store *feedback.Store       // nil: no per-model feedback
-	orch  *retrain.Orchestrator // nil: no per-model retrain
 
 	pinned   bool         // the default entry; never evicted
 	lastUsed atomic.Int64 // registry clock tick of the last acquire
 	pins     *pin.Ref     // in-flight requests; retired on eviction and Close
-}
-
-// close tears the entry's stack down in dependency order. Called only
-// after the entry left the hot map and its pins drained.
-func (e *entry) close() {
-	if e.orch != nil {
-		e.orch.Close()
-	}
-	e.srv.Close()
-	if e.store != nil {
-		e.store.Close()
-	}
 }
 
 // flight is one in-progress cold load other requests for the same
@@ -120,7 +97,6 @@ type Registry struct {
 	flights map[string]*flight
 	closed  bool
 
-	fitSlot chan struct{}
 	evictWG sync.WaitGroup
 
 	loads    atomic.Int64
@@ -139,6 +115,11 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.Retrain != nil {
+		rc := *cfg.Retrain
+		rc.FitSlot = make(chan struct{}, 1)
+		cfg.Retrain = &rc
+	}
 	man, err := LoadManifest(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -147,7 +128,6 @@ func New(cfg Config) (*Registry, error) {
 		cfg:     cfg,
 		man:     man,
 		flights: map[string]*flight{},
-		fitSlot: make(chan struct{}, 1),
 	}
 	def, err := r.buildEntry(man.Default, man.Models[man.Default])
 	if err != nil {
@@ -235,7 +215,7 @@ func (r *Registry) load(name string) (*entry, error) {
 		f.err = ErrClosed
 		r.mu.Unlock()
 		close(f.done)
-		e.close()
+		e.Close()
 		return nil, f.err
 	} else {
 		r.loads.Add(1)
@@ -299,74 +279,33 @@ func (r *Registry) retireLocked(victim *entry) {
 	go func() {
 		defer r.evictWG.Done()
 		<-victim.pins.Drained()
-		victim.close()
+		victim.Close()
 		r.cfg.Logf("registry: model %q drained and closed", victim.name)
 	}()
 }
 
-// buildEntry constructs one model's full serving stack from the
-// manifest spec and the host template. It runs outside the registry
-// lock — a slow model load never blocks other tenants.
+// buildEntry opens one model's serving stack from the manifest spec
+// and the host templates. It runs outside the registry lock — a slow
+// model load never blocks other tenants.
 func (r *Registry) buildEntry(name string, spec ModelSpec) (*entry, error) {
 	if faultinject.Fire(faultinject.RegistryLoadFail) {
 		return nil, fmt.Errorf("registry: load of model %q failed (injected)", name)
 	}
-	scfg := r.cfg.Base
-	scfg.ModelPath = spec.Path
-	if spec.hasStrat {
-		scfg.Strategy = spec.strat
+	base := r.cfg.Base
+	if base.InstanceID != "" {
+		base.InstanceID += "/" + name
 	}
-	if spec.hasPrecision {
-		scfg.Precision = spec.precision
-	}
-	if scfg.InstanceID != "" {
-		scfg.InstanceID = scfg.InstanceID + "/" + name
-	}
-	if r.cfg.Logf != nil {
-		logf := r.cfg.Logf
-		scfg.Logf = func(format string, v ...any) { logf("model %s: "+format, append([]any{name}, v...)...) }
-	}
-
-	e := &entry{name: name, spec: spec, pins: pin.New()}
+	logf := r.cfg.Logf
+	base.Logf = func(format string, v ...any) { logf("model %s: "+format, append([]any{name}, v...)...) }
+	var feedbackDir string
 	if r.cfg.FeedbackRoot != "" {
-		store, err := feedback.Open(filepath.Join(r.cfg.FeedbackRoot, name), feedback.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("registry: model %q: feedback store: %w", name, err)
-		}
-		e.store = store
-		scfg.Feedback = store
-		if r.cfg.AcquireBudget > 0 {
-			scfg.Acquire = activelearn.New(activelearn.Config{Budget: r.cfg.AcquireBudget, Labeled: store.Has})
-		}
+		feedbackDir = filepath.Join(r.cfg.FeedbackRoot, name)
 	}
-
-	srv, err := serve.New(scfg)
+	st, err := OpenStack(base, spec, feedbackDir, r.cfg.AcquireBudget, r.cfg.Retrain)
 	if err != nil {
-		if e.store != nil {
-			e.store.Close()
-		}
 		return nil, fmt.Errorf("registry: model %q: %w", name, err)
 	}
-	e.srv = srv
-
-	if r.cfg.Retrain != nil && e.store != nil && spec.RetrainLabeled != "" && spec.RetrainUnlabeled != "" {
-		rc := *r.cfg.Retrain
-		rc.Store = e.store
-		labeled, unlabeled, header := spec.RetrainLabeled, spec.RetrainUnlabeled, spec.RetrainCSVHeader
-		rc.Train = func() (*dataset.TrainSet, error) { return dataset.LoadTrainCSVs(labeled, unlabeled, header) }
-		rc.FitSlot = r.fitSlot
-		rc.FeedbackTTL = r.cfg.FeedbackTTL
-		rc.SavePath = spec.Path // a reload (or restart) serves the promoted model
-		orch, err := retrain.New(srv, rc)
-		if err != nil {
-			srv.Close()
-			e.store.Close()
-			return nil, fmt.Errorf("registry: model %q: retrain: %w", name, err)
-		}
-		e.orch = orch
-		srv.SetRetrain(orch)
-	}
-	return e, nil
+	return &entry{Stack: st, name: name, pins: pin.New()}, nil
 }
 
 // Hot returns the currently hot model names, sorted.
@@ -393,7 +332,7 @@ func (r *Registry) ReloadHot() error {
 			}
 			continue
 		}
-		if _, err := e.srv.Reload(); err != nil && first == nil {
+		if _, err := e.Server.Reload(); err != nil && first == nil {
 			first = fmt.Errorf("model %s: %w", name, err)
 		}
 		release()
@@ -446,7 +385,7 @@ func (r *Registry) Close() {
 	}
 	for _, e := range old {
 		<-e.pins.Drained()
-		e.close()
+		e.Close()
 	}
 	r.evictWG.Wait()
 }

@@ -22,7 +22,8 @@
 //     or discard on fail, leaving the old model serving.
 //
 // The orchestrator implements serve.RetrainController; wiring is
-// serve.New → retrain.New(srv, cfg) → srv.SetRetrain(o).
+// serve.New → retrain.New(srv, cfg) → srv.SetRetrain(o), done in one
+// place for every served model by registry.OpenStack.
 package retrain
 
 import (

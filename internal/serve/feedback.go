@@ -58,28 +58,23 @@ func (s *Server) retrainController() RetrainController {
 }
 
 // armAlarmHook connects a freshly installed generation's drift window
-// to the closed loop: on the transition into alarm, notify
-// Config.OnDriftAlarm and (with AutoRetrain) trigger the controller.
+// to the closed loop: with AutoRetrain, the transition into alarm
+// triggers the retrain controller.
 func (s *Server) armAlarmHook(lm *loadedModel) {
-	if lm.mon == nil || (s.cfg.OnDriftAlarm == nil && !s.cfg.AutoRetrain) {
+	if lm.mon == nil || !s.cfg.AutoRetrain {
 		return
 	}
 	version := lm.version
 	lm.mon.SetAlarmHook(0, func(snap monitor.Snapshot) {
 		s.cfg.Logf("serve: drift alarm on model v%d (max feature PSI %.3f, score PSI %.3f, mix TV %.3f)",
 			version, snap.MaxPSI, snap.ScorePSI, snap.MixTV)
-		if s.cfg.OnDriftAlarm != nil {
-			s.cfg.OnDriftAlarm(snap)
+		rc := s.retrainController()
+		if rc == nil {
+			s.cfg.Logf("serve: auto-retrain skipped: no retrain controller registered")
+			return
 		}
-		if s.cfg.AutoRetrain {
-			rc := s.retrainController()
-			if rc == nil {
-				s.cfg.Logf("serve: auto-retrain skipped: no retrain controller registered")
-				return
-			}
-			if err := rc.Trigger("drift-alarm"); err != nil {
-				s.cfg.Logf("serve: auto-retrain not started: %v", err)
-			}
+		if err := rc.Trigger("drift-alarm"); err != nil {
+			s.cfg.Logf("serve: auto-retrain not started: %v", err)
 		}
 	})
 }

@@ -135,9 +135,6 @@ type Config struct {
 	// AutoRetrain arms the closed loop: a drift-window alarm triggers
 	// the registered retrain controller (SetRetrain) automatically.
 	AutoRetrain bool
-	// OnDriftAlarm, when set, runs (in its own goroutine) each time a
-	// served generation's drift window transitions into alarm.
-	OnDriftAlarm func(monitor.Snapshot)
 
 	// Logf, when set, receives one line per lifecycle event (load,
 	// reload, shutdown). Nil discards.

@@ -143,15 +143,13 @@ func (s *Server) installShadow(m *core.Model, source string) *shadowState {
 	return sh
 }
 
-// Promote installs the shadow model as the next serving generation and
-// ends the evaluation. Because the promoted generation is the same
-// model object the shadow scored with, traffic after promotion gets
-// bitwise-identical scores to the shadow's.
-func (s *Server) Promote() (int64, error) { return s.PromoteShadow(0) }
-
-// PromoteShadow is Promote pinned to a candidate id (0 = whichever is
-// loaded): if a different candidate replaced the one the caller
-// evaluated, the promotion fails instead of shipping unmeasured code.
+// PromoteShadow installs the shadow model as the next serving
+// generation and ends the evaluation. Because the promoted generation
+// is the same model object the shadow scored with, traffic after
+// promotion gets bitwise-identical scores to the shadow's. A nonzero
+// id pins the candidate: if a different one replaced the candidate the
+// caller evaluated, the promotion fails instead of shipping unmeasured
+// code (0 = whichever is loaded).
 func (s *Server) PromoteShadow(id int64) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -169,11 +167,8 @@ func (s *Server) PromoteShadow(id int64) (int64, error) {
 	return v, nil
 }
 
-// Discard drops the shadow model and its stats.
-func (s *Server) Discard() error { return s.DiscardShadow(0) }
-
-// DiscardShadow is Discard pinned to a candidate id (0 = whichever is
-// loaded).
+// DiscardShadow drops the shadow model and its stats; a nonzero id
+// pins the candidate as in PromoteShadow (0 = whichever is loaded).
 func (s *Server) DiscardShadow(id int64) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -312,7 +307,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	report := s.shadowSnapshot()
-	v, err := s.Promote()
+	v, err := s.PromoteShadow(0)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errNoShadow) {
@@ -330,7 +325,7 @@ func (s *Server) handleDiscard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	report := s.shadowSnapshot()
-	if err := s.Discard(); err != nil {
+	if err := s.DiscardShadow(0); err != nil {
 		wire.WriteError(w, false, http.StatusConflict, err.Error(), 0)
 		return
 	}

@@ -105,9 +105,14 @@ go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|Tes
 # crash recovery, and the end-to-end lifecycle — verdicts over POST
 # /feedback, injected drift traffic alarming the window, automatic
 # retrain on the merged verdicts, shadow evaluation, gated
-# auto-promote (plus the gate-failure path keeping the old model).
+# auto-promote (plus the gate-failure path keeping the old model). The
+# loop's wiring: registry.OpenStack's arming rules, the same rules in
+# registry mode, and single-model vs registry /metrics parity built
+# through OpenStack.
 go test -count=1 -run 'TestCrashRecoveryEveryPrefix|TestFeedbackLifecycle|TestRetrainGateFailureKeepsServing' \
     ./internal/feedback ./internal/retrain
+go test -count=1 -run 'TestOpenStack|TestRegistryAcquireWithoutFeedback|TestRegistryMetricsParity' \
+    ./internal/registry
 # Registry fault suite: LRU eviction racing an in-flight batch on the
 # victim (the request must finish with correct scores and the model
 # must score bitwise-identically after re-load), and an injected
