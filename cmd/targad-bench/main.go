@@ -10,10 +10,15 @@
 //	targad-bench -exp table2 -full      # paper-scale (hours)
 //
 // Experiments: table1 table2 table3 table4 fig3 fig4a fig4b fig4c
-// fig4d fig5 fig6 fig7a fig7bc all.
+// fig4d fig5 fig6 fig7a fig7bc weight-ablation all.
+//
+// With -state DIR, every grid experiment (all but table1, table4,
+// fig3 and fig5) records each completed cell under DIR, and a rerun
+// of the same command resumes from the cells on record.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -45,7 +50,7 @@ func main() {
 		outPath = flag.String("o", "", "also write rendered results to this file")
 		workers = flag.Int("workers", 0, "compute worker pool size (default GOMAXPROCS; TARGAD_WORKERS env also honored)")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30m); 0 disables")
-		state   = flag.String("state", "", "directory for per-table resume state; an interrupted run continues from its last completed cell")
+		state   = flag.String("state", "", "directory for per-experiment resume state; an interrupted grid experiment continues from its last completed cell")
 
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -102,13 +107,13 @@ func main() {
 		progress = nil
 	}
 	out := io.Writer(os.Stdout)
+	var file *os.File
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+		var err error
+		if file, err = os.Create(*outPath); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(os.Stdout, file)
 	}
 
 	names := []string{*exp}
@@ -116,8 +121,7 @@ func main() {
 		names = []string{"table1", "table2", "table3", "table4", "fig3", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "fig6", "fig7a", "fig7bc", "weight-ablation"}
 	}
 	for _, name := range names {
-		start := time.Now()
-		if err := run(ctx, name, rc, out, progress); err != nil {
+		if err := runTo(ctx, name, rc, out, progress); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintln(os.Stderr, "targad-bench: interrupted:", err)
 				if *state != "" {
@@ -127,14 +131,66 @@ func main() {
 			}
 			fatal(err)
 		}
-		fmt.Fprintf(out, "\n[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	if file != nil {
+		if err := file.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
+
+// runTo runs one experiment and writes its output, then a wall-clock
+// line, to out in a single Write. A failed write (a full -o file) is
+// returned, so the run exits nonzero instead of leaving a truncated
+// file behind a success.
+func runTo(ctx context.Context, name string, rc experiments.RunConfig, out, progress io.Writer) error {
+	var buf bytes.Buffer
+	start := time.Now()
+	if err := run(ctx, name, rc, &buf, progress); err != nil {
+		return err
+	}
+	fmt.Fprintf(&buf, "\n[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	_, err := out.Write(buf.Bytes())
+	return err
+}
+
+// grids are the experiments that sweep a detector over a grid of
+// settings; shapeChecks are the paper's qualitative claims appended
+// to a grid's output.
+var (
+	grids = map[string]func(context.Context, experiments.RunConfig, io.Writer) (*experiments.Grid, error){
+		"table2":          experiments.Table2,
+		"table3":          experiments.Table3,
+		"fig4a":           experiments.Fig4a,
+		"fig4b":           experiments.Fig4b,
+		"fig4c":           experiments.Fig4c,
+		"fig4d":           experiments.Fig4d,
+		"fig6":            experiments.Fig6,
+		"fig7a":           experiments.Fig7Eta,
+		"fig7bc":          experiments.Fig7Lambda,
+		"weight-ablation": experiments.WeightAblation,
+	}
+	shapeChecks = map[string]func(*experiments.Grid) []experiments.ShapeCheck{
+		"table2": experiments.Table2Shapes,
+		"fig4a":  experiments.Fig4aShapes,
+	}
+)
 
 // renderer is implemented by every experiment result.
 type renderer interface{ Render(io.Writer) }
 
 func run(ctx context.Context, name string, rc experiments.RunConfig, out, progress io.Writer) error {
+	if sweep, ok := grids[name]; ok {
+		g, err := sweep(ctx, rc, progress)
+		if err != nil {
+			return err
+		}
+		g.Render(out)
+		if check, ok := shapeChecks[name]; ok {
+			fmt.Fprintf(out, "\nShape checks:\n%s", experiments.RenderShapes(check(g)))
+		}
+		return nil
+	}
 	var (
 		res renderer
 		err error
@@ -142,32 +198,12 @@ func run(ctx context.Context, name string, rc experiments.RunConfig, out, progre
 	switch name {
 	case "table1":
 		res, err = experiments.Table1(rc)
-	case "table2":
-		res, err = experiments.Table2(ctx, rc, progress)
-	case "table3":
-		res, err = experiments.Table3(ctx, rc, progress)
 	case "table4":
 		res, err = experiments.Table4(ctx, rc, progress)
 	case "fig3":
 		res, err = experiments.Fig3(ctx, rc, progress)
-	case "fig4a":
-		res, err = experiments.Fig4a(ctx, rc, progress)
-	case "fig4b":
-		res, err = experiments.Fig4b(ctx, rc, progress)
-	case "fig4c":
-		res, err = experiments.Fig4c(ctx, rc, progress)
-	case "fig4d":
-		res, err = experiments.Fig4d(ctx, rc, progress)
 	case "fig5":
 		res, err = experiments.Fig5(ctx, rc, progress)
-	case "fig6":
-		res, err = experiments.Fig6(ctx, rc, progress)
-	case "fig7a":
-		res, err = experiments.Fig7Eta(ctx, rc, progress)
-	case "fig7bc":
-		res, err = experiments.Fig7Lambda(ctx, rc, progress)
-	case "weight-ablation":
-		res, err = experiments.WeightAblation(ctx, rc, progress)
 	default:
 		return fmt.Errorf("unknown experiment %q (see -h)", name)
 	}
@@ -175,15 +211,6 @@ func run(ctx context.Context, name string, rc experiments.RunConfig, out, progre
 		return err
 	}
 	res.Render(out)
-	// Append the paper's qualitative shape checks where defined.
-	switch r := res.(type) {
-	case *experiments.Table2Result:
-		fmt.Fprintf(out, "\nShape checks:\n%s", experiments.RenderShapes(experiments.Table2Shapes(r)))
-	case *experiments.Fig4Result:
-		if name == "fig4a" {
-			fmt.Fprintf(out, "\nShape checks:\n%s", experiments.RenderShapes(experiments.Fig4aShapes(r)))
-		}
-	}
 	return nil
 }
 

@@ -22,17 +22,6 @@ func ArgsortDesc(v []float64) []int {
 	return idx
 }
 
-// ArgsortAsc returns indices ordering v from smallest to largest,
-// stable on ties.
-func ArgsortAsc(v []float64) []int {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
-	return idx
-}
-
 // Mean returns the column-wise mean of the given rows of x (all rows
 // when idx is nil).
 func Mean(x *mat.Matrix, idx []int) []float64 {

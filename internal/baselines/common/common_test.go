@@ -13,10 +13,6 @@ func TestArgsort(t *testing.T) {
 	if desc[0] != 1 || desc[1] != 3 || desc[2] != 0 || desc[3] != 2 {
 		t.Fatalf("ArgsortDesc = %v", desc)
 	}
-	asc := ArgsortAsc(v)
-	if asc[0] != 2 || asc[1] != 0 || asc[2] != 1 || asc[3] != 3 {
-		t.Fatalf("ArgsortAsc = %v", asc)
-	}
 }
 
 func TestMean(t *testing.T) {

@@ -161,18 +161,6 @@ func farthestPoint(x, cent *mat.Matrix, assign []int) int {
 	return best
 }
 
-// Predict returns the index of the centroid nearest to row.
-func (res *Result) Predict(row []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c := 0; c < res.K; c++ {
-		dd := mat.SquaredDistance(row, res.Centroids.Row(c))
-		if dd < bestD {
-			best, bestD = c, dd
-		}
-	}
-	return best
-}
-
 // ChooseK applies the elbow method over k ∈ [kMin, kMax]: it runs
 // k-means for each k, then picks the k whose point on the
 // (k, inertia) curve is farthest from the chord connecting the curve's

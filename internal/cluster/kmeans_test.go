@@ -152,20 +152,6 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestPredictMatchesAssignment(t *testing.T) {
-	r := rng.New(7)
-	x, _ := threeBlobs(90, r)
-	res, err := KMeans(context.Background(), x, Config{K: 3}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows; i++ {
-		if got := res.Predict(x.Row(i)); got != res.Assignment[i] {
-			t.Fatalf("Predict(%d) = %d, assignment %d", i, got, res.Assignment[i])
-		}
-	}
-}
-
 func TestChooseKFindsElbow(t *testing.T) {
 	r := rng.New(8)
 	x, _ := threeBlobs(240, r)

@@ -37,10 +37,12 @@ type RunConfig struct {
 	// retained so comparative experiments keep their subject).
 	ModelFilter []string
 
-	// StateDir, when non-empty, makes table experiments resumable:
-	// each completed cell is recorded in a JSON state file under this
-	// directory, and a rerun with the same configuration skips the
-	// cells already on record instead of recomputing them.
+	// StateDir, when non-empty, makes every grid experiment (Table2,
+	// Table3, Fig4a–d, Fig6, Fig7Eta, Fig7Lambda, WeightAblation)
+	// resumable: each completed cell is recorded in a JSON state file
+	// under this directory, and a rerun with the same configuration
+	// skips the cells already on record instead of recomputing them.
+	// Table1, Table4, Fig3 and Fig5 are not grids and ignore it.
 	StateDir string
 }
 

@@ -101,8 +101,8 @@ func TestTable3Ablation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Variants) != 4 || res.Variants[3] != "TargAD" {
-		t.Fatalf("variants = %v", res.Variants)
+	if len(res.Rows) != 4 || res.Rows[3] != "TargAD" {
+		t.Fatalf("variants = %v", res.Rows)
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -168,10 +168,10 @@ func TestFig7Eta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Etas) != 6 || len(res.AUPRC) != 6 {
-		t.Fatalf("eta sweep size wrong: %d", len(res.Etas))
+	if len(res.Rows) != 6 || len(res.AUPRC) != 6 {
+		t.Fatalf("eta sweep size wrong: %d", len(res.Rows))
 	}
-	if res.Etas[0] != 0 {
+	if res.Rows[0] != "0" {
 		t.Fatal("sweep must include eta = 0")
 	}
 	var buf bytes.Buffer
@@ -215,11 +215,11 @@ func TestFig4aSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Settings) != 4 {
-		t.Fatalf("fig4a settings = %v", res.Settings)
+	if len(res.Cols) != 4 {
+		t.Fatalf("fig4a settings = %v", res.Cols)
 	}
-	if res.Settings[0] != "0 new types" || res.Settings[3] != "3 new types" {
-		t.Fatalf("fig4a settings = %v", res.Settings)
+	if res.Cols[0] != "0 new types" || res.Cols[3] != "3 new types" {
+		t.Fatalf("fig4a settings = %v", res.Cols)
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -235,23 +235,19 @@ func TestTable2TrimmedRoster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Models) != 2 { // iForest + TargAD
-		t.Fatalf("models = %v", res.Models)
+	if len(res.Rows) != 2 { // iForest + TargAD
+		t.Fatalf("models = %v", res.Rows)
 	}
-	if len(res.Datasets) != 4 {
-		t.Fatalf("datasets = %v", res.Datasets)
+	if len(res.Cols) != 4 {
+		t.Fatalf("datasets = %v", res.Cols)
 	}
-	for mi := range res.Models {
-		for pi := range res.Datasets {
+	for mi := range res.Rows {
+		for pi := range res.Cols {
 			c := res.AUPRC[mi][pi]
 			if c.Mean < 0 || c.Mean > 1 {
 				t.Fatalf("AUPRC cell out of range: %+v", c)
 			}
 		}
-	}
-	best := res.BestModelPerDataset()
-	if len(best) != 4 {
-		t.Fatalf("best models = %v", best)
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -266,8 +262,8 @@ func TestFig6Matrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Alphas) != 5 || len(res.Contaminations) != 4 {
-		t.Fatalf("grid %dx%d", len(res.Alphas), len(res.Contaminations))
+	if len(res.Rows) != 5 || len(res.Cols) != 4 {
+		t.Fatalf("grid %dx%d", len(res.Rows), len(res.Cols))
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -281,8 +277,8 @@ func TestWeightAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Variants) != 2 {
-		t.Fatalf("variants = %v", res.Variants)
+	if len(res.Rows) != 2 {
+		t.Fatalf("variants = %v", res.Rows)
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)

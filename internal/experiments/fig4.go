@@ -5,59 +5,31 @@ import (
 	"fmt"
 	"io"
 
-	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
+	"targad/internal/detector"
 )
 
-// Fig4Result holds one robustness sweep (Fig. 4a–d): per-model AUPRC
-// across the sweep's settings.
-type Fig4Result struct {
-	Title    string
-	Settings []string
-	Models   []string
-	// AUPRC is indexed [model][setting].
-	AUPRC [][]Cell
-}
-
-// fig4Sweep evaluates the semi-supervised model roster across
-// settings, where mutate(i) adapts the generation options for
-// setting i.
-func fig4Sweep(ctx context.Context, rc RunConfig, title string, settings []string, mutate func(i int, o *synth.Options), progress io.Writer) (*Fig4Result, error) {
-	st, err := rc.state(title)
-	if err != nil {
-		return nil, err
-	}
+// fig4Sweep evaluates the semi-supervised model roster (rows) on
+// UNSW-NB15 across one robustness sweep's settings (columns), where
+// mutate(j, o) adapts the generation options for setting j. It
+// serves Fig. 4(a–d).
+func fig4Sweep(ctx context.Context, rc RunConfig, title string, settings []string, mutate func(j int, o *synth.Options), progress io.Writer) (*Grid, error) {
 	p := synth.UNSWNB15()
 	models := SemiSupervisedModels(rc)
-	res := &Fig4Result{Title: title, Settings: settings}
-	for _, m := range models {
-		res.Models = append(res.Models, m.Name)
-	}
-	res.AUPRC = make([][]Cell, len(models))
-	for mi, m := range models {
-		res.AUPRC[mi] = make([]Cell, len(settings))
-		for si := range settings {
-			si := si
-			key := fmt.Sprintf("%s/%s/%s", title, m.Name, settings[si])
-			prc, _, _, err := cachedEval(ctx, rc, st, key, m.New, func(run int) (*dataset.Bundle, error) {
-				return rc.generateFor(p, run, func(o *synth.Options) { mutate(si, o) })
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %s at %s: %w", title, m.Name, settings[si], err)
-			}
-			res.AUPRC[mi][si] = prc
-			if progress != nil {
-				fmt.Fprintf(progress, "%s: %-10s %-14s AUPRC=%s\n", title, m.Name, settings[si], prc)
-			}
-		}
-	}
-	return res, nil
+	return sweep(ctx, rc, title, modelNames(models), settings, func(i, j int) (detector.Factory, generator) {
+		return models[i].New, rc.bundles(p, func(o *synth.Options) { mutate(j, o) })
+	}, fig4Layout(title), progress)
+}
+
+// fig4Layout writes a sweep as a model × setting table of AUPRC.
+func fig4Layout(title string) layout {
+	return auprcTable(title+" — AUPRC per model and setting (UNSW-NB15)", "Model")
 }
 
 // Fig4a varies how many of UNSW-NB15's four non-target types appear
 // in training; the testing data always contains all four, so the
 // withheld types are novel at test time (0–3 new types).
-func Fig4a(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, error) {
+func Fig4a(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	// The paper's four settings: 4 classes (0 new), 3 (Fuzzers,
 	// Analysis, Reconnaissance), 2 (Analysis, Reconnaissance),
 	// 1 (Reconnaissance).
@@ -76,7 +48,7 @@ func Fig4a(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, 
 // Fig4b varies the number m of target anomaly classes from 1 to 6
 // over UNSW-NB15's seven anomaly types; the remaining types are
 // non-target.
-func Fig4b(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, error) {
+func Fig4b(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	order := []string{"Generic", "Backdoor", "DoS", "Fuzzers", "Analysis", "Exploits", "Reconnaissance"}
 	settings := make([]string, 6)
 	for i := range settings {
@@ -90,7 +62,7 @@ func Fig4b(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, 
 // Fig4c varies the number of labeled target anomalies per type
 // (paper: {20, 60, 100}), at 5% contamination. The counts scale with
 // rc.Scale so the labeled/unlabeled ratio matches the paper's.
-func Fig4c(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, error) {
+func Fig4c(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	counts := []int{20, 60, 100}
 	settings := make([]string, len(counts))
 	scaledCounts := make([]int, len(counts))
@@ -109,28 +81,9 @@ func Fig4c(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, 
 
 // Fig4d varies the anomaly contamination rate of the unlabeled pool
 // (paper: {3, 5, 7, 9}%).
-func Fig4d(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig4Result, error) {
+func Fig4d(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	rates := []float64{0.03, 0.05, 0.07, 0.09}
-	settings := make([]string, len(rates))
-	for i, r := range rates {
-		settings[i] = fmt.Sprintf("%.0f%%", r*100)
-	}
-	return fig4Sweep(ctx, rc, "fig4d", settings, func(i int, o *synth.Options) {
+	return fig4Sweep(ctx, rc, "fig4d", percents(rates), func(i int, o *synth.Options) {
 		o.Contamination = rates[i]
 	}, progress)
-}
-
-// Render writes the sweep as a model × setting table.
-func (r *Fig4Result) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s — AUPRC per model and setting (UNSW-NB15)\n\n", r.Title)
-	header := append([]string{"Model"}, r.Settings...)
-	t := newTable(header...)
-	for mi, m := range r.Models {
-		row := []string{m}
-		for si := range r.Settings {
-			row = append(row, r.AUPRC[mi][si].String())
-		}
-		t.addRow(row...)
-	}
-	t.render(w)
 }

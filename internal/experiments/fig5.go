@@ -8,6 +8,7 @@ import (
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
+	"targad/internal/detector"
 )
 
 // Fig5Result reproduces the weight-updating analysis of Fig. 5:
@@ -120,4 +121,19 @@ func (r *Fig5Result) Render(w io.Writer) {
 		lo = hi
 	}
 	t2.render(w)
+}
+
+var weightAblationLayout = listTable("Weight-updating ablation (extension of RQ4, UNSW-NB15)", "Variant")
+
+// WeightAblation extends the paper's RQ4 analysis (Fig. 5 shows the
+// weight dynamics qualitatively) with a quantitative ablation on
+// UNSW-NB15: TargAD with its weights frozen at their Eq. (5)
+// initialization, and with the full Eq. (4) weight-updating
+// mechanism, one row each.
+func WeightAblation(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
+	rows := []string{"frozen Eq.(5) weights", "full Eq.(4) updates"}
+	unsw := rc.bundles(synth.UNSWNB15(), nil)
+	return sweep(ctx, rc, "weight-ablation", rows, []string{""}, func(i, _ int) (detector.Factory, generator) {
+		return rc.targadWith(func(c *core.Config) { c.FreezeWeights = i == 0 }), unsw
+	}, weightAblationLayout, progress)
 }

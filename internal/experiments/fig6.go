@@ -2,82 +2,27 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"targad/internal/core"
-	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
 	"targad/internal/detector"
 )
 
-// Fig6Result reproduces the α-sensitivity matrix of Fig. 6: TargAD's
-// AUPRC and AUROC for every combination of the candidate-selection
-// threshold α and the ground-truth contamination rate.
-type Fig6Result struct {
-	Alphas         []float64
-	Contaminations []float64
-	// AUPRC / AUROC are indexed [alpha][contamination].
-	AUPRC [][]Cell
-	AUROC [][]Cell
-}
+var fig6Layout = heatmaps(`alpha\contam`,
+	"Fig. 6(a) — AUPRC (rows: alpha, cols: true contamination)",
+	"Fig. 6(b) — AUROC (rows: alpha, cols: true contamination)")
 
-// Fig6 sweeps α ∈ {1,5,10,15,20}% against contamination ∈
-// {1,5,10,15}% on UNSW-NB15.
-func Fig6(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig6Result, error) {
+// Fig6 reproduces the α-sensitivity matrix of Fig. 6: TargAD's AUPRC
+// and AUROC on UNSW-NB15 for every candidate-selection threshold
+// α ∈ {1,5,10,15,20}% (rows) against every ground-truth contamination
+// rate ∈ {1,5,10,15}% (columns).
+func Fig6(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	p := synth.UNSWNB15()
-	res := &Fig6Result{
-		Alphas:         []float64{0.01, 0.05, 0.10, 0.15, 0.20},
-		Contaminations: []float64{0.01, 0.05, 0.10, 0.15},
-	}
-	res.AUPRC = make([][]Cell, len(res.Alphas))
-	res.AUROC = make([][]Cell, len(res.Alphas))
-	for ai, alpha := range res.Alphas {
-		res.AUPRC[ai] = make([]Cell, len(res.Contaminations))
-		res.AUROC[ai] = make([]Cell, len(res.Contaminations))
-		for ci, contam := range res.Contaminations {
-			alpha, contam := alpha, contam
-			factory := func(seed int64) detector.Detector {
-				cfg := rc.targadConfig()
-				cfg.Alpha = alpha
-				return core.New(cfg, seed)
-			}
-			prc, roc, err := repeatEval(ctx, rc, factory, func(run int) (*dataset.Bundle, error) {
-				return rc.generateFor(p, run, func(o *synth.Options) { o.Contamination = contam })
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig6: alpha=%.2f contam=%.2f: %w", alpha, contam, err)
-			}
-			res.AUPRC[ai][ci] = prc
-			res.AUROC[ai][ci] = roc
-			if progress != nil {
-				fmt.Fprintf(progress, "fig6: alpha=%.0f%% contam=%.0f%% AUPRC=%s\n", alpha*100, contam*100, prc)
-			}
-		}
-	}
-	return res, nil
-}
-
-// Render writes the two matrices.
-func (r *Fig6Result) Render(w io.Writer) {
-	for _, block := range []struct {
-		name  string
-		cells [][]Cell
-	}{{"Fig. 6(a) — AUPRC", r.AUPRC}, {"Fig. 6(b) — AUROC", r.AUROC}} {
-		fmt.Fprintf(w, "%s (rows: alpha, cols: true contamination)\n\n", block.name)
-		header := []string{"alpha\\contam"}
-		for _, c := range r.Contaminations {
-			header = append(header, fmt.Sprintf("%.0f%%", c*100))
-		}
-		t := newTable(header...)
-		for ai, a := range r.Alphas {
-			row := []string{fmt.Sprintf("%.0f%%", a*100)}
-			for ci := range r.Contaminations {
-				row = append(row, f3(block.cells[ai][ci].Mean))
-			}
-			t.addRow(row...)
-		}
-		t.render(w)
-		fmt.Fprintln(w)
-	}
+	alphas := []float64{0.01, 0.05, 0.10, 0.15, 0.20}
+	contams := []float64{0.01, 0.05, 0.10, 0.15}
+	return sweep(ctx, rc, "fig6", percents(alphas), percents(contams), func(i, j int) (detector.Factory, generator) {
+		return rc.targadWith(func(c *core.Config) { c.Alpha = alphas[i] }),
+			rc.bundles(p, func(o *synth.Options) { o.Contamination = contams[j] })
+	}, fig6Layout, progress)
 }

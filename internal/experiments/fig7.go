@@ -2,122 +2,38 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"targad/internal/core"
-	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
 	"targad/internal/detector"
 )
 
-// Fig7EtaResult reproduces Fig. 7(a): TargAD's sensitivity to the
-// autoencoder trade-off η.
-type Fig7EtaResult struct {
-	Etas  []float64
-	AUPRC []Cell
-	AUROC []Cell
+var (
+	fig7aLayout  = listTable("Fig. 7(a) — sensitivity to eta in L_AE (UNSW-NB15)", "eta")
+	fig7bcLayout = heatmaps(`l1\l2`,
+		"Fig. 7(b) — AUPRC over lambda1 (rows) x lambda2 (cols), UNSW-NB15",
+		"Fig. 7(c) — AUROC over lambda1 (rows) x lambda2 (cols), UNSW-NB15")
+)
+
+// Fig7Eta reproduces Fig. 7(a): TargAD's sensitivity to the
+// autoencoder trade-off η ∈ {0, 0.01, 0.1, 1, 10, 100} on UNSW-NB15,
+// one row per η.
+func Fig7Eta(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
+	etas := []float64{0, 0.01, 0.1, 1, 10, 100}
+	unsw := rc.bundles(synth.UNSWNB15(), nil)
+	return sweep(ctx, rc, "fig7a", numbers(etas), []string{""}, func(i, _ int) (detector.Factory, generator) {
+		return rc.targadWith(func(c *core.Config) { c.Eta = etas[i] }), unsw
+	}, fig7aLayout, progress)
 }
 
-// Fig7Eta sweeps η ∈ {0, 0.01, 0.1, 1, 10, 100} on UNSW-NB15.
-func Fig7Eta(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig7EtaResult, error) {
-	p := synth.UNSWNB15()
-	res := &Fig7EtaResult{Etas: []float64{0, 0.01, 0.1, 1, 10, 100}}
-	for _, eta := range res.Etas {
-		eta := eta
-		factory := func(seed int64) detector.Detector {
-			cfg := rc.targadConfig()
-			cfg.Eta = eta
-			return core.New(cfg, seed)
-		}
-		prc, roc, err := repeatEval(ctx, rc, factory, func(run int) (*dataset.Bundle, error) {
-			return rc.generateFor(p, run, nil)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig7a: eta=%g: %w", eta, err)
-		}
-		res.AUPRC = append(res.AUPRC, prc)
-		res.AUROC = append(res.AUROC, roc)
-		if progress != nil {
-			fmt.Fprintf(progress, "fig7a: eta=%-6g AUPRC=%s AUROC=%s\n", eta, prc, roc)
-		}
-	}
-	return res, nil
-}
-
-// Render writes the η sweep.
-func (r *Fig7EtaResult) Render(w io.Writer) {
-	fmt.Fprintln(w, "Fig. 7(a) — sensitivity to eta in L_AE (UNSW-NB15)")
-	fmt.Fprintln(w)
-	t := newTable("eta", "AUPRC", "AUROC")
-	for i, eta := range r.Etas {
-		t.addRow(fmt.Sprint(eta), r.AUPRC[i].String(), r.AUROC[i].String())
-	}
-	t.render(w)
-}
-
-// Fig7LambdaResult reproduces Fig. 7(b,c): TargAD's AUPRC and AUROC
-// over the λ₁ × λ₂ grid.
-type Fig7LambdaResult struct {
-	Lambdas []float64
-	// AUPRC / AUROC are indexed [λ₁][λ₂].
-	AUPRC [][]Cell
-	AUROC [][]Cell
-}
-
-// Fig7Lambda sweeps λ₁, λ₂ ∈ {0.01, 0.1, 1, 2, 5, 10} with η = 1.
-func Fig7Lambda(ctx context.Context, rc RunConfig, progress io.Writer) (*Fig7LambdaResult, error) {
-	p := synth.UNSWNB15()
-	res := &Fig7LambdaResult{Lambdas: []float64{0.01, 0.1, 1, 2, 5, 10}}
-	res.AUPRC = make([][]Cell, len(res.Lambdas))
-	res.AUROC = make([][]Cell, len(res.Lambdas))
-	for i, l1 := range res.Lambdas {
-		res.AUPRC[i] = make([]Cell, len(res.Lambdas))
-		res.AUROC[i] = make([]Cell, len(res.Lambdas))
-		for j, l2 := range res.Lambdas {
-			l1, l2 := l1, l2
-			factory := func(seed int64) detector.Detector {
-				cfg := rc.targadConfig()
-				cfg.Lambda1 = l1
-				cfg.Lambda2 = l2
-				return core.New(cfg, seed)
-			}
-			prc, roc, err := repeatEval(ctx, rc, factory, func(run int) (*dataset.Bundle, error) {
-				return rc.generateFor(p, run, nil)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig7bc: l1=%g l2=%g: %w", l1, l2, err)
-			}
-			res.AUPRC[i][j] = prc
-			res.AUROC[i][j] = roc
-			if progress != nil {
-				fmt.Fprintf(progress, "fig7bc: l1=%-5g l2=%-5g AUPRC=%s\n", l1, l2, prc)
-			}
-		}
-	}
-	return res, nil
-}
-
-// Render writes the two grids.
-func (r *Fig7LambdaResult) Render(w io.Writer) {
-	for _, block := range []struct {
-		name  string
-		cells [][]Cell
-	}{{"Fig. 7(b) — AUPRC", r.AUPRC}, {"Fig. 7(c) — AUROC", r.AUROC}} {
-		fmt.Fprintf(w, "%s over lambda1 (rows) x lambda2 (cols), UNSW-NB15\n\n", block.name)
-		header := []string{"l1\\l2"}
-		for _, l := range r.Lambdas {
-			header = append(header, fmt.Sprint(l))
-		}
-		t := newTable(header...)
-		for i, l1 := range r.Lambdas {
-			row := []string{fmt.Sprint(l1)}
-			for j := range r.Lambdas {
-				row = append(row, f3(block.cells[i][j].Mean))
-			}
-			t.addRow(row...)
-		}
-		t.render(w)
-		fmt.Fprintln(w)
-	}
+// Fig7Lambda reproduces Fig. 7(b,c): TargAD's AUPRC and AUROC on
+// UNSW-NB15 over the grid λ₁ (rows) × λ₂ (columns), both in
+// {0.01, 0.1, 1, 2, 5, 10}, with η = 1.
+func Fig7Lambda(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
+	lambdas := []float64{0.01, 0.1, 1, 2, 5, 10}
+	unsw := rc.bundles(synth.UNSWNB15(), nil)
+	return sweep(ctx, rc, "fig7bc", numbers(lambdas), numbers(lambdas), func(i, j int) (detector.Factory, generator) {
+		return rc.targadWith(func(c *core.Config) { c.Lambda1, c.Lambda2 = lambdas[i], lambdas[j] }), unsw
+	}, fig7bcLayout, progress)
 }

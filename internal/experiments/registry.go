@@ -106,3 +106,12 @@ func ModelByName(rc RunConfig, name string) (ModelEntry, bool) {
 	}
 	return ModelEntry{}, false
 }
+
+// modelNames lists the entries' display names.
+func modelNames(models []ModelEntry) []string {
+	out := make([]string, len(models))
+	for i, m := range models {
+		out[i] = m.Name
+	}
+	return out
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
+	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
 	"targad/internal/detector"
@@ -70,15 +72,18 @@ func evalDetector(ctx context.Context, f detector.Factory, seed int64, b *datase
 	return auprc, auroc, nil
 }
 
+// generator builds one run's dataset bundle from the run index.
+type generator func(run int) (*dataset.Bundle, error)
+
 // repeatEval runs evalDetector rc.Runs times over freshly generated
-// bundles (generator gen receives the run index) and aggregates.
+// bundles (gen receives the run index) and aggregates.
 //
 // Failure model: a detector error or panic produces error cells and a
 // nil error — the caller records them and the rest of its table keeps
 // going. Only harness-level failures (dataset generation) and context
 // cancellation abort the run, since every remaining cell would fail
 // the same way.
-func repeatEval(ctx context.Context, rc RunConfig, f detector.Factory, gen func(run int) (*dataset.Bundle, error)) (Cell, Cell, error) {
+func repeatEval(ctx context.Context, rc RunConfig, f detector.Factory, gen generator) (Cell, Cell, error) {
 	prcs := make([]float64, 0, rc.Runs)
 	rocs := make([]float64, 0, rc.Runs)
 	for run := 0; run < rc.Runs; run++ {
@@ -110,7 +115,7 @@ func repeatEval(ctx context.Context, rc RunConfig, f detector.Factory, gen func(
 // computed successful cell is persisted so an interrupted table run
 // resumes where it left off. Error cells are never cached — a rerun
 // retries them.
-func cachedEval(ctx context.Context, rc RunConfig, st *State, key string, f detector.Factory, gen func(run int) (*dataset.Bundle, error)) (Cell, Cell, bool, error) {
+func cachedEval(ctx context.Context, rc RunConfig, st *State, key string, f detector.Factory, gen generator) (Cell, Cell, bool, error) {
 	if pair, ok := st.lookup(key); ok {
 		return pair.AUPRC, pair.AUROC, true, nil
 	}
@@ -124,6 +129,74 @@ func cachedEval(ctx context.Context, rc RunConfig, st *State, key string, f dete
 		}
 	}
 	return prc, roc, false, nil
+}
+
+// Grid is the result of one sweep: the AUPRC and AUROC (mean ± std
+// over rc.Runs) of every (row, column) setting. A sweep over one axis
+// has a single column labeled "".
+type Grid struct {
+	Rows, Cols []string
+	// AUPRC and AUROC are indexed [row][col].
+	AUPRC, AUROC [][]Cell
+
+	layout layout
+}
+
+// Render writes the grid in its experiment's layout.
+func (g *Grid) Render(w io.Writer) { g.layout(w, g) }
+
+// sweep evaluates every cell of the rows × cols grid in row-major
+// order. cell(i, j) gives the detector and the bundle generator of
+// row i, column j. Every cell goes through the state store named
+// name, under the key name/row/col (name/row in a one-column sweep),
+// so with rc.StateDir set a rerun resumes the cells already on
+// record. progress, when non-nil, receives a line per cell.
+func sweep(ctx context.Context, rc RunConfig, name string, rows, cols []string, cell func(i, j int) (detector.Factory, generator), lay layout, progress io.Writer) (*Grid, error) {
+	st, err := rc.state(name)
+	if err != nil {
+		return nil, err
+	}
+	g := &Grid{Rows: rows, Cols: cols, layout: lay}
+	for i, row := range rows {
+		g.AUPRC = append(g.AUPRC, make([]Cell, len(cols)))
+		g.AUROC = append(g.AUROC, make([]Cell, len(cols)))
+		for j, col := range cols {
+			key := name + "/" + row
+			if col != "" {
+				key += "/" + col
+			}
+			f, gen := cell(i, j)
+			prc, roc, cached, err := cachedEval(ctx, rc, st, key, f, gen)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", key, err)
+			}
+			g.AUPRC[i][j], g.AUROC[i][j] = prc, roc
+			if progress != nil {
+				note := ""
+				if cached {
+					note = " (resumed)"
+				}
+				fmt.Fprintf(progress, "%-40s AUPRC=%s AUROC=%s%s\n", key, prc, roc, note)
+			}
+		}
+	}
+	return g, nil
+}
+
+// bundles returns the generator of profile p's bundles, with mutate
+// (when non-nil) applied to each run's options.
+func (rc RunConfig) bundles(p synth.Profile, mutate func(*synth.Options)) generator {
+	return func(run int) (*dataset.Bundle, error) { return rc.generateFor(p, run, mutate) }
+}
+
+// targadWith returns a TargAD factory whose configuration is rc's
+// with mutate applied.
+func (rc RunConfig) targadWith(mutate func(*core.Config)) detector.Factory {
+	return func(seed int64) detector.Detector {
+		cfg := rc.targadConfig()
+		mutate(&cfg)
+		return core.New(cfg, seed)
+	}
 }
 
 // generateFor builds one run's bundle for a profile with optional

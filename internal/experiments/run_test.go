@@ -96,18 +96,3 @@ func TestRepeatEvalPropagatesGenError(t *testing.T) {
 		t.Fatalf("generator error not propagated: %v", err)
 	}
 }
-
-func TestTable2BestModelHelper(t *testing.T) {
-	res := &Table2Result{
-		Datasets: []string{"A", "B"},
-		Models:   []string{"m1", "m2"},
-		AUPRC: [][]Cell{
-			{{Mean: 0.5}, {Mean: 0.9}},
-			{{Mean: 0.7}, {Mean: 0.2}},
-		},
-	}
-	best := res.BestModelPerDataset()
-	if best[0] != "m2" || best[1] != "m1" {
-		t.Fatalf("BestModelPerDataset = %v", best)
-	}
-}

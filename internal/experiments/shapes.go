@@ -14,29 +14,30 @@ type ShapeCheck struct {
 }
 
 // Table2Shapes evaluates Table II's qualitative claims against a
-// measured result: TargAD leads AUPRC per dataset, and the
-// unsupervised methods trail the semi-supervised median.
-func Table2Shapes(r *Table2Result) []ShapeCheck {
+// measured Table2 grid (models × datasets): TargAD leads AUPRC per
+// dataset, and the unsupervised methods trail the semi-supervised
+// median.
+func Table2Shapes(g *Grid) []ShapeCheck {
 	var out []ShapeCheck
 	idx := map[string]int{}
-	for i, m := range r.Models {
+	for i, m := range g.Rows {
 		idx[m] = i
 	}
 	ti, hasTargAD := idx["TargAD"]
-	for pi, ds := range r.Datasets {
+	for pi, ds := range g.Cols {
 		if !hasTargAD {
 			break
 		}
 		best, bestV := "", -1.0
-		for mi, m := range r.Models {
-			if v := r.AUPRC[mi][pi].Mean; v > bestV {
+		for mi, m := range g.Rows {
+			if v := g.AUPRC[mi][pi].Mean; v > bestV {
 				best, bestV = m, v
 			}
 		}
 		out = append(out, ShapeCheck{
 			Claim: fmt.Sprintf("TargAD has the top AUPRC on %s", ds),
 			Pass:  best == "TargAD",
-			Note:  fmt.Sprintf("best=%s (%.3f), TargAD=%.3f", best, bestV, r.AUPRC[ti][pi].Mean),
+			Note:  fmt.Sprintf("best=%s (%.3f), TargAD=%.3f", best, bestV, g.AUPRC[ti][pi].Mean),
 		})
 	}
 	// Unsupervised methods below the semi-supervised median AUPRC,
@@ -45,20 +46,20 @@ func Table2Shapes(r *Table2Result) []ShapeCheck {
 		var semis []float64
 		var unsup float64
 		var nd int
-		for pi := range r.Datasets {
+		for pi := range g.Cols {
 			var vals []float64
-			for mi, m := range r.Models {
+			for mi, m := range g.Rows {
 				if m == "iForest" || m == "REPEN" || m == "TargAD" {
 					continue
 				}
-				vals = append(vals, r.AUPRC[mi][pi].Mean)
+				vals = append(vals, g.AUPRC[mi][pi].Mean)
 			}
 			if len(vals) == 0 {
 				continue
 			}
 			sort.Float64s(vals)
 			semis = append(semis, vals[len(vals)/2])
-			unsup += r.AUPRC[ui][pi].Mean
+			unsup += g.AUPRC[ui][pi].Mean
 			nd++
 		}
 		if nd > 0 {
@@ -77,12 +78,13 @@ func Table2Shapes(r *Table2Result) []ShapeCheck {
 	return out
 }
 
-// Fig4aShapes evaluates the novel-non-target robustness claims: TargAD
-// tops every setting, and its spread across settings stays small.
-func Fig4aShapes(r *Fig4Result) []ShapeCheck {
+// Fig4aShapes evaluates the novel-non-target robustness claims against
+// a measured Fig4a grid (models × settings): TargAD tops every
+// setting, and its spread across settings stays small.
+func Fig4aShapes(g *Grid) []ShapeCheck {
 	var out []ShapeCheck
 	ti := -1
-	for i, m := range r.Models {
+	for i, m := range g.Rows {
 		if m == "TargAD" {
 			ti = i
 		}
@@ -92,16 +94,16 @@ func Fig4aShapes(r *Fig4Result) []ShapeCheck {
 	}
 	topEverywhere := true
 	lo, hi := 2.0, -1.0
-	for si := range r.Settings {
-		tv := r.AUPRC[ti][si].Mean
+	for si := range g.Cols {
+		tv := g.AUPRC[ti][si].Mean
 		if tv < lo {
 			lo = tv
 		}
 		if tv > hi {
 			hi = tv
 		}
-		for mi := range r.Models {
-			if mi != ti && r.AUPRC[mi][si].Mean > tv {
+		for mi := range g.Rows {
+			if mi != ti && g.AUPRC[mi][si].Mean > tv {
 				topEverywhere = false
 			}
 		}

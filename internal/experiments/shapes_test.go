@@ -6,9 +6,9 @@ import (
 )
 
 func TestTable2Shapes(t *testing.T) {
-	res := &Table2Result{
-		Datasets: []string{"D1", "D2"},
-		Models:   []string{"iForest", "DevNet", "DeepSAD", "TargAD"},
+	res := &Grid{
+		Cols: []string{"D1", "D2"},
+		Rows: []string{"iForest", "DevNet", "DeepSAD", "TargAD"},
 		AUPRC: [][]Cell{
 			{{Mean: 0.2}, {Mean: 0.3}}, // iForest
 			{{Mean: 0.5}, {Mean: 0.6}}, // DevNet
@@ -34,9 +34,9 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFig4aShapes(t *testing.T) {
-	res := &Fig4Result{
-		Settings: []string{"0", "1", "2", "3"},
-		Models:   []string{"DevNet", "TargAD"},
+	res := &Grid{
+		Cols: []string{"0", "1", "2", "3"},
+		Rows: []string{"DevNet", "TargAD"},
 		AUPRC: [][]Cell{
 			{{Mean: 0.7}, {Mean: 0.65}, {Mean: 0.6}, {Mean: 0.55}},
 			{{Mean: 0.8}, {Mean: 0.79}, {Mean: 0.81}, {Mean: 0.78}},
@@ -67,7 +67,7 @@ func TestFig4aShapes(t *testing.T) {
 }
 
 func TestFig4aShapesNoTargAD(t *testing.T) {
-	res := &Fig4Result{Models: []string{"DevNet"}}
+	res := &Grid{Rows: []string{"DevNet"}}
 	if got := Fig4aShapes(res); len(got) != 0 {
 		t.Fatalf("no TargAD row should yield no checks, got %d", len(got))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,29 +175,47 @@ func TestCachedEvalNeverCachesErrorCells(t *testing.T) {
 	}
 }
 
+// TestTable2ResumesFromState runs grid experiments twice on one state
+// directory: the second run must take every cell from the store and
+// agree with the first.
 func TestTable2ResumesFromState(t *testing.T) {
-	rc := microConfig()
-	rc.StateDir = t.TempDir()
-	rc.ModelFilter = []string{"iForest"} // iForest + TargAD keeps it cheap
-	ctx := context.Background()
-	res, err := Table2(ctx, rc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second run must be served entirely from the store and agree.
-	var progress bytes.Buffer
-	res2, err := Table2(ctx, rc, &progress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(progress.String(), "(resumed)") {
-		t.Fatal("resumed run must report cells as resumed")
-	}
-	for i := range res.AUPRC {
-		for j := range res.AUPRC[i] {
-			if res.AUPRC[i][j] != res2.AUPRC[i][j] {
-				t.Fatalf("cell %d/%d differs on resume: %v vs %v", i, j, res.AUPRC[i][j], res2.AUPRC[i][j])
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, RunConfig, io.Writer) (*Grid, error)
+	}{
+		{"Table2", Table2},
+		{"Fig7Eta", Fig7Eta},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := microConfig()
+			rc.StateDir = t.TempDir()
+			rc.ModelFilter = []string{"iForest"} // iForest + TargAD keeps Table2 cheap
+			ctx := context.Background()
+			res, err := tc.run(ctx, rc, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			var progress bytes.Buffer
+			res2, err := tc.run(ctx, rc, &progress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
+			if cells := len(res.Rows) * len(res.Cols); len(lines) != cells {
+				t.Fatalf("%d progress lines for %d cells", len(lines), cells)
+			}
+			for _, l := range lines {
+				if !strings.HasSuffix(l, "(resumed)") {
+					t.Fatalf("resumed run recomputed a cell: %q", l)
+				}
+			}
+			for i := range res.AUPRC {
+				for j := range res.AUPRC[i] {
+					if res.AUPRC[i][j] != res2.AUPRC[i][j] || res.AUROC[i][j] != res2.AUROC[i][j] {
+						t.Fatalf("cell %d/%d differs on resume: %v vs %v", i, j, res.AUPRC[i][j], res2.AUPRC[i][j])
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,103 +2,54 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
-	"targad/internal/dataset"
+	"targad/internal/core"
 	"targad/internal/dataset/synth"
+	"targad/internal/detector"
 )
 
-// Table2Result reproduces Table II: AUPRC and AUROC (mean ± std over
-// rc.Runs) for every model on every dataset.
-type Table2Result struct {
-	Datasets []string
-	Models   []string
-	// AUPRC and AUROC are indexed [model][dataset].
-	AUPRC [][]Cell
-	AUROC [][]Cell
-}
+var (
+	table2Layout = metricBlocks("Table II — AUPRC and AUROC (mean ± std) of TargAD and the eleven baselines", "Models")
+	table3Layout = listTable("Table III — ablation of L_OE and L_RE on UNSW-NB15", "Variant")
+)
 
-// Table2 runs the full model × dataset grid. progress, when non-nil,
-// receives a line per completed cell. A failing detector degrades to
-// an error cell while the rest of the grid completes; with
-// rc.StateDir set, completed cells persist across interrupted runs.
-func Table2(ctx context.Context, rc RunConfig, progress io.Writer) (*Table2Result, error) {
-	st, err := rc.state("table2")
-	if err != nil {
-		return nil, err
-	}
+// Table2 reproduces Table II: AUPRC and AUROC (mean ± std over
+// rc.Runs) for every model (rows) on every dataset (columns).
+// progress, when non-nil, receives a line per completed cell. A
+// failing detector degrades to an error cell while the rest of the
+// grid completes.
+func Table2(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
 	profiles := synth.AllProfiles()
 	models := Models(rc)
-	res := &Table2Result{}
-	for _, p := range profiles {
-		res.Datasets = append(res.Datasets, p.Name)
+	datasets := make([]string, len(profiles))
+	for i, p := range profiles {
+		datasets[i] = p.Name
 	}
-	for _, m := range models {
-		res.Models = append(res.Models, m.Name)
-	}
-	res.AUPRC = make([][]Cell, len(models))
-	res.AUROC = make([][]Cell, len(models))
-	for mi, m := range models {
-		res.AUPRC[mi] = make([]Cell, len(profiles))
-		res.AUROC[mi] = make([]Cell, len(profiles))
-		for pi, p := range profiles {
-			p := p
-			key := fmt.Sprintf("table2/%s/%s", m.Name, p.Name)
-			prc, roc, cached, err := cachedEval(ctx, rc, st, key, m.New, func(run int) (*dataset.Bundle, error) {
-				return rc.generateFor(p, run, nil)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("table2: %s on %s: %w", m.Name, p.Name, err)
-			}
-			res.AUPRC[mi][pi] = prc
-			res.AUROC[mi][pi] = roc
-			if progress != nil {
-				note := ""
-				if cached {
-					note = " (resumed)"
-				}
-				fmt.Fprintf(progress, "table2: %-10s %-10s AUPRC=%s AUROC=%s%s\n", m.Name, p.Name, prc, roc, note)
-			}
-		}
-	}
-	return res, nil
+	return sweep(ctx, rc, "table2", modelNames(models), datasets, func(i, j int) (detector.Factory, generator) {
+		return models[i].New, rc.bundles(profiles[j], nil)
+	}, table2Layout, progress)
 }
 
-// Render writes both metric blocks in the paper's layout.
-func (r *Table2Result) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table II — AUPRC and AUROC (mean ± std) of TargAD and the eleven baselines")
-	for _, metric := range []struct {
-		name  string
-		cells [][]Cell
-	}{{"AUPRC", r.AUPRC}, {"AUROC", r.AUROC}} {
-		fmt.Fprintf(w, "\n%s\n", metric.name)
-		header := append([]string{"Models"}, r.Datasets...)
-		t := newTable(header...)
-		for mi, m := range r.Models {
-			row := []string{m}
-			for pi := range r.Datasets {
-				row = append(row, metric.cells[mi][pi].String())
-			}
-			t.addRow(row...)
-		}
-		t.render(w)
+// Table3 reproduces Table III: the ablation of L_OE and L_RE on the
+// UNSW-NB15 dataset, one row per TargAD variant.
+func Table3(ctx context.Context, rc RunConfig, progress io.Writer) (*Grid, error) {
+	variants := []struct {
+		name         string
+		useOE, useRE bool
+	}{
+		{"TargAD_-O-R", false, false},
+		{"TargAD_-O", false, true},
+		{"TargAD_-R", true, false},
+		{"TargAD", true, true},
 	}
-}
-
-// BestModelPerDataset returns, for each dataset, the model with the
-// highest mean AUPRC — the headline claim of Table II is that this is
-// TargAD everywhere.
-func (r *Table2Result) BestModelPerDataset() []string {
-	out := make([]string, len(r.Datasets))
-	for pi := range r.Datasets {
-		best, bestV := "", -1.0
-		for mi, m := range r.Models {
-			if v := r.AUPRC[mi][pi].Mean; v > bestV {
-				best, bestV = m, v
-			}
-		}
-		out[pi] = best
+	rows := make([]string, len(variants))
+	for i, v := range variants {
+		rows[i] = v.name
 	}
-	return out
+	unsw := rc.bundles(synth.UNSWNB15(), nil)
+	return sweep(ctx, rc, "table3", rows, []string{""}, func(i, _ int) (detector.Factory, generator) {
+		v := variants[i]
+		return rc.targadWith(func(c *core.Config) { c.UseOE, c.UseRE = v.useOE, v.useRE }), unsw
+	}, table3Layout, progress)
 }

@@ -19,9 +19,10 @@ type Table4Result struct {
 	Reports    []*metrics.Report
 }
 
-// Table4 trains TargAD once per run on UNSW-NB15 and evaluates each
-// OOD strategy's three-way classification; reports are from the last
-// run (the paper reports a single confusion-matrix breakdown).
+// Table4 trains TargAD once, on run 0's UNSW-NB15 bundle, and
+// evaluates each OOD strategy's three-way classification on that one
+// model (the paper reports a single confusion-matrix breakdown);
+// rc.Runs does not apply.
 func Table4(ctx context.Context, rc RunConfig, progress io.Writer) (*Table4Result, error) {
 	p := synth.UNSWNB15()
 	b, err := rc.generateFor(p, 0, nil)

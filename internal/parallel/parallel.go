@@ -106,24 +106,10 @@ type chunkPanic struct {
 	value any
 }
 
-// Ranges returns the stable chunk boundaries for splitting [0,n) into
-// at most w contiguous chunks: the first n%w chunks get one extra
-// element. The schedule is a pure function of (n, w).
-func Ranges(n, w int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	w = max(min(w, n), 1)
-	out := make([][2]int, w)
-	for c := range out {
-		lo, hi := chunkBounds(n, w, c)
-		out[c] = [2]int{lo, hi}
-	}
-	return out
-}
-
-// chunkBounds returns chunk c of Ranges(n, w) without building the
-// schedule; w must be in [1, n].
+// chunkBounds returns chunk c of the stable schedule that splits
+// [0,n) into w contiguous chunks: the first n%w chunks get one extra
+// element. The schedule is a pure function of (n, w); w must be in
+// [1, n].
 func chunkBounds(n, w, c int) (lo, hi int) {
 	base, rem := n/w, n%w
 	lo = c*base + min(c, rem)
@@ -150,7 +136,8 @@ func ForEachChunkMin(n, minPerChunk int, fn func(lo, hi int)) {
 	ForEachChunkN(w, n, fn)
 }
 
-// ForEachChunkN splits [0,n) into Ranges(n, w) contiguous chunks and
+// ForEachChunkN splits [0,n) into min(w, n) contiguous chunks (see
+// chunkBounds) and
 // runs fn(lo, hi) on each, returning after every chunk completes. A
 // panic in any chunk is re-raised in the caller (first chunk in
 // schedule order wins, for determinism). The caller's goroutine runs
@@ -180,7 +167,7 @@ func ForEachChunkN(w, n int, fn func(lo, hi int)) {
 	j.finish()
 }
 
-// job is one ForEachChunkN call: Ranges(n, chunks) handed out through
+// job is one ForEachChunkN call: the chunkBounds schedule handed out through
 // next, plus the failures its chunks reported.
 type job struct {
 	n, chunks int

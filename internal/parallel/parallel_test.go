@@ -16,21 +16,36 @@ func restoreWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { SetWorkers(prev) })
 }
 
+// schedule lists the chunkBounds chunks ForEachChunkN runs for
+// ForEachChunkN(w, n, ...).
+func schedule(n, w int) [][2]int {
+	if n <= 0 {
+		return nil
+	}
+	w = min(w, n)
+	out := make([][2]int, w)
+	for c := range out {
+		lo, hi := chunkBounds(n, w, c)
+		out[c] = [2]int{lo, hi}
+	}
+	return out
+}
+
 func TestRangesCoverEveryIndexExactlyOnce(t *testing.T) {
 	cases := []struct{ n, w int }{
 		{0, 4}, {1, 4}, {3, 4}, {4, 4}, {5, 4}, {7, 3}, {100, 7}, {13, 1},
 	}
 	for _, tc := range cases {
-		rs := Ranges(tc.n, tc.w)
+		rs := schedule(tc.n, tc.w)
 		seen := make([]int, tc.n)
 		prevHi := 0
 		for c, rg := range rs {
 			lo, hi := rg[0], rg[1]
 			if lo != prevHi {
-				t.Fatalf("Ranges(%d,%d): chunk %d starts at %d, want %d", tc.n, tc.w, c, lo, prevHi)
+				t.Fatalf("schedule(%d,%d): chunk %d starts at %d, want %d", tc.n, tc.w, c, lo, prevHi)
 			}
 			if hi <= lo {
-				t.Fatalf("Ranges(%d,%d): empty chunk %d [%d,%d)", tc.n, tc.w, c, lo, hi)
+				t.Fatalf("schedule(%d,%d): empty chunk %d [%d,%d)", tc.n, tc.w, c, lo, hi)
 			}
 			for i := lo; i < hi; i++ {
 				seen[i]++
@@ -38,19 +53,19 @@ func TestRangesCoverEveryIndexExactlyOnce(t *testing.T) {
 			prevHi = hi
 		}
 		if tc.n > 0 && prevHi != tc.n {
-			t.Fatalf("Ranges(%d,%d): covers [0,%d), want [0,%d)", tc.n, tc.w, prevHi, tc.n)
+			t.Fatalf("schedule(%d,%d): covers [0,%d), want [0,%d)", tc.n, tc.w, prevHi, tc.n)
 		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("Ranges(%d,%d): index %d covered %d times", tc.n, tc.w, i, c)
+				t.Fatalf("schedule(%d,%d): index %d covered %d times", tc.n, tc.w, i, c)
 			}
 		}
 	}
 }
 
 func TestRangesStableSchedule(t *testing.T) {
-	a := Ranges(1000, 8)
-	b := Ranges(1000, 8)
+	a := schedule(1000, 8)
+	b := schedule(1000, 8)
 	if len(a) != len(b) {
 		t.Fatal("schedule not stable")
 	}
@@ -60,11 +75,11 @@ func TestRangesStableSchedule(t *testing.T) {
 		}
 	}
 	// First n%w chunks get the extra element.
-	rs := Ranges(10, 4) // 3,3,2,2
+	rs := schedule(10, 4) // 3,3,2,2
 	want := [][2]int{{0, 3}, {3, 6}, {6, 8}, {8, 10}}
 	for i, rg := range rs {
 		if rg != want[i] {
-			t.Fatalf("Ranges(10,4)[%d] = %v, want %v", i, rg, want[i])
+			t.Fatalf("schedule(10,4)[%d] = %v, want %v", i, rg, want[i])
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"targad/internal/dataset"
-	"targad/internal/mat"
 )
 
 // Encoding helpers. The Append* functions grow dst in place and return
@@ -64,21 +63,6 @@ func AppendRequestF32(dst []byte, rows [][]float32, strategy int, probs bool) ([
 		for _, v := range row {
 			dst = appendU32(dst, math.Float32bits(v))
 		}
-	}
-	return dst, nil
-}
-
-// AppendRequestMatrix appends one f64 score-request frame carrying the
-// matrix rows, the zero-allocation twin of AppendRequestF64 for
-// callers that already hold a matrix.
-func AppendRequestMatrix(dst []byte, x *mat.Matrix, strategy int, probs bool) ([]byte, error) {
-	h, err := requestHeader(x.Rows, x.Cols, strategy, probs, false)
-	if err != nil {
-		return nil, err
-	}
-	dst = h.appendHeader(dst)
-	for _, v := range x.Data {
-		dst = appendU64(dst, math.Float64bits(v))
 	}
 	return dst, nil
 }

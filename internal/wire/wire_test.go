@@ -333,10 +333,6 @@ func TestAppendRequestValidation(t *testing.T) {
 	if _, err := AppendRequestF64(nil, [][]float64{{1}}, 3, false); err == nil {
 		t.Fatal("out-of-range strategy must not encode")
 	}
-	x := mat.New(2, 2)
-	if _, err := AppendRequestMatrix(nil, x, StrategyES, true); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestParseRequestFrameSize(t *testing.T) {
