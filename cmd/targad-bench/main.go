@@ -13,8 +13,9 @@
 // fig4d fig5 fig6 fig7a fig7bc weight-ablation all.
 //
 // With -state DIR, every grid experiment (all but table1, table4,
-// fig3 and fig5) records each completed cell under DIR, and a rerun
-// of the same command resumes from the cells on record.
+// fig3 and fig5) records each completed run of each cell under DIR,
+// keyed by the configuration, and a rerun computes only the runs not
+// on record under its own configuration.
 package main
 
 import (
@@ -50,7 +51,7 @@ func main() {
 		outPath = flag.String("o", "", "also write rendered results to this file")
 		workers = flag.Int("workers", 0, "compute worker pool size (default GOMAXPROCS; TARGAD_WORKERS env also honored)")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30m); 0 disables")
-		state   = flag.String("state", "", "directory for per-experiment resume state; an interrupted grid experiment continues from its last completed cell")
+		state   = flag.String("state", "", "directory for per-experiment resume state; an interrupted grid experiment continues from its last completed run")
 
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -93,7 +94,7 @@ func main() {
 
 	// ^C/SIGTERM and -timeout cancel the run cooperatively: the
 	// harness stops at the next cell or epoch boundary, and with
-	// -state set the completed cells are already on disk.
+	// -state set the completed runs are already on disk.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
@@ -125,7 +126,7 @@ func main() {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintln(os.Stderr, "targad-bench: interrupted:", err)
 				if *state != "" {
-					fmt.Fprintln(os.Stderr, "targad-bench: completed cells are saved under", *state, "- rerun the same command to resume")
+					fmt.Fprintln(os.Stderr, "targad-bench: completed runs are saved under", *state, "- rerun the same command to resume")
 				}
 				os.Exit(130)
 			}

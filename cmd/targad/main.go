@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"targad/internal/atomicfile"
 	"targad/internal/buildinfo"
 	"targad/internal/core"
 	"targad/internal/dataset"
@@ -130,15 +131,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "targad: trained with k=%d normal clusters\n", model.NumNormalClusters())
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := model.Save(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := atomicfile.Write(*savePath, model.Save); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "targad: model saved to %s\n", *savePath)

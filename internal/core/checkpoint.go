@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sync"
 
+	"targad/internal/atomicfile"
 	"targad/internal/autoencoder"
 	"targad/internal/cluster"
 	"targad/internal/dataset"
@@ -137,7 +139,7 @@ func (mo *Model) newCheckpointer(train *dataset.TrainSet) (*checkpointer, error)
 	return ck, nil
 }
 
-// write persists the current state atomically (tmp file + rename). A
+// write persists the current state atomically (atomicfile.Write). A
 // failure — including one injected at the CheckpointWrite fault
 // point — surfaces as a *CheckpointError; training treats it as fatal
 // rather than running on without its crash-recovery state.
@@ -145,28 +147,9 @@ func (ck *checkpointer) write() error {
 	if faultinject.Fire(faultinject.CheckpointWrite) {
 		return &CheckpointError{Path: ck.path, Op: "write", Err: errors.New("injected write failure")}
 	}
-	tmp := ck.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return &CheckpointError{Path: ck.path, Op: "write", Err: err}
-	}
-	w := bufio.NewWriter(f)
-	if err := writeEnvelope(w, kindCheckpoint, checkpointFormatVersion, &ck.state); err == nil {
-		err = w.Flush()
-	} else {
-		w.Flush()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return &CheckpointError{Path: ck.path, Op: "write", Err: err}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return &CheckpointError{Path: ck.path, Op: "write", Err: err}
-	}
-	if err := os.Rename(tmp, ck.path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(ck.path, func(w io.Writer) error {
+		return writeEnvelope(w, kindCheckpoint, checkpointFormatVersion, &ck.state)
+	}); err != nil {
 		return &CheckpointError{Path: ck.path, Op: "write", Err: err}
 	}
 	ck.writes++

@@ -16,7 +16,8 @@ type RunConfig struct {
 	// Runs is the number of independent repetitions aggregated into
 	// mean ± std (paper: 5).
 	Runs int
-	// Seed is the base seed; run i uses Seed+i.
+	// Seed is the base seed: run i fits its detector with seed
+	// Seed+7919·i and generates its dataset with seed Seed+1000003·i.
 	Seed int64
 
 	// AEEpochs / ClfEpochs / AELR / ClfLR override TargAD's training
@@ -39,10 +40,11 @@ type RunConfig struct {
 
 	// StateDir, when non-empty, makes every grid experiment (Table2,
 	// Table3, Fig4a–d, Fig6, Fig7Eta, Fig7Lambda, WeightAblation)
-	// resumable: each completed cell is recorded in a JSON state file
-	// under this directory, and a rerun with the same configuration
-	// skips the cells already on record instead of recomputing them.
-	// Table1, Table4, Fig3 and Fig5 are not grids and ignore it.
+	// resumable: each completed run of a cell is recorded in a JSON
+	// state file under this directory, per configuration (every field
+	// above except Runs). A rerun computes only the runs not on record
+	// under its own configuration. Table1, Table4, Fig3 and Fig5 are
+	// not grids and ignore it.
 	StateDir string
 }
 

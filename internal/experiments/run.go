@@ -21,15 +21,12 @@ type Cell struct {
 	Mean, Std float64
 	// Err is the failure description when the cell's detector errored
 	// or panicked; empty for a successful cell.
-	Err string `json:",omitempty"`
+	Err string
 }
 
 // Failed reports whether the cell records a failure instead of a
 // result.
 func (c Cell) Failed() bool { return c.Err != "" }
-
-// ErrCell builds the error cell recorded for a failed evaluation.
-func ErrCell(err error) Cell { return Cell{Err: err.Error()} }
 
 // String renders the cell like the paper's tables ("error" for a
 // failed cell — the full reason is in Cell.Err).
@@ -75,60 +72,53 @@ func evalDetector(ctx context.Context, f detector.Factory, seed int64, b *datase
 // generator builds one run's dataset bundle from the run index.
 type generator func(run int) (*dataset.Bundle, error)
 
-// repeatEval runs evalDetector rc.Runs times over freshly generated
-// bundles (gen receives the run index) and aggregates.
+// evalCell evaluates the cell named key over runs 0..rc.Runs-1 and
+// aggregates them, in run order, into its AUPRC and AUROC cells. A run
+// on record in st under rc's configuration is taken from it; any
+// other run fits a fresh detector on gen(run) and is recorded.
+// resumed counts the runs taken from the store.
 //
-// Failure model: a detector error or panic produces error cells and a
-// nil error — the caller records them and the rest of its table keeps
-// going. Only harness-level failures (dataset generation) and context
-// cancellation abort the run, since every remaining cell would fail
-// the same way.
-func repeatEval(ctx context.Context, rc RunConfig, f detector.Factory, gen generator) (Cell, Cell, error) {
+// Failure model: a detector error or panic ends the cell as error
+// cells and a nil error, so the rest of the table keeps going; the
+// failed run is not recorded and a rerun retries it. Only harness
+// failures (dataset generation, the state write) and context
+// cancellation abort, since every remaining cell would fail the same
+// way.
+func evalCell(ctx context.Context, rc RunConfig, st *State, key string, f detector.Factory, gen generator) (prc, roc Cell, resumed int, err error) {
+	config := rc.fingerprint()
 	prcs := make([]float64, 0, rc.Runs)
 	rocs := make([]float64, 0, rc.Runs)
 	for run := 0; run < rc.Runs; run++ {
-		if err := ctx.Err(); err != nil {
-			return Cell{}, Cell{}, err
-		}
-		b, err := gen(run)
-		if err != nil {
-			return Cell{}, Cell{}, err
-		}
-		prc, roc, err := evalDetector(ctx, f, rc.Seed+int64(run)*7919, b)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return Cell{}, Cell{}, err
+		rk := runKey(config, key, run)
+		r, ok := st.lookup(rk)
+		if ok {
+			resumed++
+		} else {
+			if err := ctx.Err(); err != nil {
+				return Cell{}, Cell{}, resumed, err
 			}
-			ec := ErrCell(err)
-			return ec, ec, nil
+			b, err := gen(run)
+			if err != nil {
+				return Cell{}, Cell{}, resumed, err
+			}
+			r.AUPRC, r.AUROC, err = evalDetector(ctx, f, rc.Seed+int64(run)*7919, b)
+			if err != nil {
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return Cell{}, Cell{}, resumed, err
+				}
+				ec := Cell{Err: err.Error()}
+				return ec, ec, resumed, nil
+			}
+			if err := st.put(rk, r); err != nil {
+				return Cell{}, Cell{}, resumed, err
+			}
 		}
-		prcs = append(prcs, prc)
-		rocs = append(rocs, roc)
+		prcs = append(prcs, r.AUPRC)
+		rocs = append(rocs, r.AUROC)
 	}
 	pm, ps := metrics.MeanStd(prcs)
 	rm, rs := metrics.MeanStd(rocs)
-	return Cell{Mean: pm, Std: ps}, Cell{Mean: rm, Std: rs}, nil
-}
-
-// cachedEval is repeatEval behind the state store: a cell already
-// recorded under key is returned without recomputation, and a freshly
-// computed successful cell is persisted so an interrupted table run
-// resumes where it left off. Error cells are never cached — a rerun
-// retries them.
-func cachedEval(ctx context.Context, rc RunConfig, st *State, key string, f detector.Factory, gen generator) (Cell, Cell, bool, error) {
-	if pair, ok := st.lookup(key); ok {
-		return pair.AUPRC, pair.AUROC, true, nil
-	}
-	prc, roc, err := repeatEval(ctx, rc, f, gen)
-	if err != nil {
-		return prc, roc, false, err
-	}
-	if !prc.Failed() && !roc.Failed() {
-		if err := st.put(key, cellPair{AUPRC: prc, AUROC: roc}); err != nil {
-			return prc, roc, false, err
-		}
-	}
-	return prc, roc, false, nil
+	return Cell{Mean: pm, Std: ps}, Cell{Mean: rm, Std: rs}, resumed, nil
 }
 
 // Grid is the result of one sweep: the AUPRC and AUROC (mean ± std
@@ -147,10 +137,12 @@ func (g *Grid) Render(w io.Writer) { g.layout(w, g) }
 
 // sweep evaluates every cell of the rows × cols grid in row-major
 // order. cell(i, j) gives the detector and the bundle generator of
-// row i, column j. Every cell goes through the state store named
-// name, under the key name/row/col (name/row in a one-column sweep),
-// so with rc.StateDir set a rerun resumes the cells already on
-// record. progress, when non-nil, receives a line per cell.
+// row i, column j. Every cell is named name/row/col (name/row in a
+// one-column sweep) and its runs go through the state store named
+// name, so with rc.StateDir set a rerun resumes the runs already on
+// record under the same configuration. progress, when non-nil,
+// receives a line per cell, ending in "(resumed)" when every run came
+// from the store and "(resumed k/n)" when k of n did.
 func sweep(ctx context.Context, rc RunConfig, name string, rows, cols []string, cell func(i, j int) (detector.Factory, generator), lay layout, progress io.Writer) (*Grid, error) {
 	st, err := rc.state(name)
 	if err != nil {
@@ -166,15 +158,17 @@ func sweep(ctx context.Context, rc RunConfig, name string, rows, cols []string, 
 				key += "/" + col
 			}
 			f, gen := cell(i, j)
-			prc, roc, cached, err := cachedEval(ctx, rc, st, key, f, gen)
+			prc, roc, resumed, err := evalCell(ctx, rc, st, key, f, gen)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", key, err)
 			}
 			g.AUPRC[i][j], g.AUROC[i][j] = prc, roc
 			if progress != nil {
 				note := ""
-				if cached {
+				if resumed == rc.Runs && resumed > 0 {
 					note = " (resumed)"
+				} else if resumed > 0 {
+					note = fmt.Sprintf(" (resumed %d/%d)", resumed, rc.Runs)
 				}
 				fmt.Fprintf(progress, "%-40s AUPRC=%s AUROC=%s%s\n", key, prc, roc, note)
 			}

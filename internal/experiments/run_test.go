@@ -70,14 +70,19 @@ func TestEvalDetectorPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestRepeatEvalAggregates(t *testing.T) {
+// stubGen returns a generator that hands out b for every run.
+func stubGen(b *dataset.Bundle) generator {
+	return func(run int) (*dataset.Bundle, error) { return b, nil }
+}
+
+func TestEvalCellAggregates(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
 	rc.Runs = 3
 	factory := func(seed int64) detector.Detector { return &stubDetector{} }
-	prc, roc, err := repeatEval(context.Background(), rc, factory, func(run int) (*dataset.Bundle, error) { return b, nil })
-	if err != nil {
-		t.Fatal(err)
+	prc, roc, resumed, err := evalCell(context.Background(), rc, nil, "k", factory, stubGen(b))
+	if err != nil || resumed != 0 {
+		t.Fatalf("resumed=%d err=%v; want a fresh cell", resumed, err)
 	}
 	// Identical runs → (numerically) zero std.
 	if prc.Std > 1e-9 || roc.Std > 1e-9 {
@@ -88,11 +93,11 @@ func TestRepeatEvalAggregates(t *testing.T) {
 	}
 }
 
-func TestRepeatEvalPropagatesGenError(t *testing.T) {
+func TestEvalCellPropagatesGenError(t *testing.T) {
 	rc := microConfig()
 	genErr := errors.New("boom-gen")
 	factory := func(seed int64) detector.Detector { return &stubDetector{} }
-	if _, _, err := repeatEval(context.Background(), rc, factory, func(run int) (*dataset.Bundle, error) { return nil, genErr }); !errors.Is(err, genErr) {
+	if _, _, _, err := evalCell(context.Background(), rc, nil, "k", factory, func(run int) (*dataset.Bundle, error) { return nil, genErr }); !errors.Is(err, genErr) {
 		t.Fatalf("generator error not propagated: %v", err)
 	}
 }

@@ -7,24 +7,24 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"targad/internal/dataset"
 	"targad/internal/detector"
 )
 
 // Failure model of the harness: broken detectors degrade to error
 // cells, and the state store resumes interrupted tables.
 
-func TestRepeatEvalDegradesToErrorCell(t *testing.T) {
+func TestEvalCellDegradesToErrorCell(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
 	rc.Runs = 2
 	factory := func(seed int64) detector.Detector {
 		return &stubDetector{fitErr: errors.New("baseline exploded")}
 	}
-	prc, roc, err := repeatEval(context.Background(), rc, factory, func(run int) (*dataset.Bundle, error) { return b, nil })
+	prc, roc, _, err := evalCell(context.Background(), rc, nil, "k", factory, stubGen(b))
 	if err != nil {
 		t.Fatalf("a detector failure must degrade, not abort: %v", err)
 	}
@@ -36,14 +36,14 @@ func TestRepeatEvalDegradesToErrorCell(t *testing.T) {
 	}
 }
 
-func TestRepeatEvalDegradesOnPanic(t *testing.T) {
+func TestEvalCellDegradesOnPanic(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
 	rc.Runs = 1
 	factory := func(seed int64) detector.Detector {
 		panic("factory blew up")
 	}
-	prc, _, err := repeatEval(context.Background(), rc, factory, func(run int) (*dataset.Bundle, error) { return b, nil })
+	prc, _, _, err := evalCell(context.Background(), rc, nil, "k", factory, stubGen(b))
 	if err != nil {
 		t.Fatalf("a detector panic must degrade, not abort: %v", err)
 	}
@@ -52,14 +52,14 @@ func TestRepeatEvalDegradesOnPanic(t *testing.T) {
 	}
 }
 
-func TestRepeatEvalAbortsOnCancel(t *testing.T) {
+func TestEvalCellAbortsOnCancel(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
 	rc.Runs = 3
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	factory := func(seed int64) detector.Detector { return &stubDetector{} }
-	_, _, err := repeatEval(ctx, rc, factory, func(run int) (*dataset.Bundle, error) { return b, nil })
+	_, _, _, err := evalCell(ctx, rc, nil, "k", factory, stubGen(b))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation must abort the run, got %v", err)
 	}
@@ -71,32 +71,48 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cellPair{AUPRC: Cell{Mean: 0.8, Std: 0.01}, AUROC: Cell{Mean: 0.9, Std: 0.02}}
-	if err := st.put("table2/TargAD/KDDCUP99", want); err != nil {
+	key := runKey(microConfig().fingerprint(), "table2/TargAD/KDDCUP99", 0)
+	want := runResult{AUPRC: 0.8, AUROC: 0.9}
+	if err := st.put(key, want); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen from disk: the cell must survive the round trip.
+	// Reopen from disk: the run must survive the round trip.
 	st2, err := OpenState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st2.lookup("table2/TargAD/KDDCUP99")
+	got, ok := st2.lookup(key)
 	if !ok || got != want {
 		t.Fatalf("lookup after reopen = %v, %v; want %v", got, ok, want)
 	}
-	if st2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st2.Len())
+	if len(st2.runs) != 1 {
+		t.Fatalf("store holds %d runs, want 1", len(st2.runs))
 	}
 }
 
 func TestStateRejectsNewerVersion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
-	if err := os.WriteFile(path, []byte(`{"Version": 99, "Cells": {}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"Version": 99, "Runs": {}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenState(path); err == nil {
 		t.Fatal("newer state version must be rejected")
+	}
+}
+
+// TestStateRefusesV1: a version-1 file holds whole-cell aggregates
+// with no record of the configuration that produced them, so it must
+// be refused, with an error naming the file.
+func TestStateRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table2.json")
+	v1 := `{"Version": 1, "Cells": {"table2/TargAD/KDDCUP99": {"AUPRC": {"Mean": 0.8, "Std": 0}, "AUROC": {"Mean": 0.9, "Std": 0}}}}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenState(path)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenState(v1) = %v; want an error naming %s", err, path)
 	}
 }
 
@@ -115,15 +131,46 @@ func TestNilStateDisablesCaching(t *testing.T) {
 	if _, ok := st.lookup("x"); ok {
 		t.Fatal("nil state must miss")
 	}
-	if err := st.put("x", cellPair{}); err != nil {
+	if err := st.put("x", runResult{}); err != nil {
 		t.Fatal(err)
-	}
-	if st.Len() != 0 {
-		t.Fatal("nil state must be empty")
 	}
 }
 
-func TestCachedEvalResumes(t *testing.T) {
+// TestFingerprintCoversResultFields: every RunConfig field except
+// Runs, ModelFilter and StateDir changes a run's result, so changing
+// it must change the fingerprint; changing one of those three must
+// not. A field added to RunConfig fails here until fingerprint (or the
+// exclusion list) accounts for it.
+func TestFingerprintCoversResultFields(t *testing.T) {
+	base := microConfig()
+	excluded := map[string]bool{"Runs": true, "ModelFilter": true, "StateDir": true}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		rc := base
+		f := reflect.ValueOf(&rc).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() * 2)
+		case reflect.String:
+			f.SetString("changed")
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]string{"changed"}))
+		default:
+			t.Fatalf("field %s: unhandled kind %s", typ.Field(i).Name, f.Kind())
+		}
+		name := typ.Field(i).Name
+		if changed := rc.fingerprint() != base.fingerprint(); changed == excluded[name] {
+			t.Errorf("changing %s changes the fingerprint: %v, want %v", name, changed, !excluded[name])
+		}
+	}
+}
+
+// TestEvalCellResumes: a rerun takes recorded runs from the store,
+// and raising Runs computes only the added runs, each with its own
+// seed.
+func TestEvalCellResumes(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
 	rc.Runs = 1
@@ -131,47 +178,62 @@ func TestCachedEvalResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals := 0
-	factory := func(seed int64) detector.Detector { evals++; return &stubDetector{} }
-	gen := func(run int) (*dataset.Bundle, error) { return b, nil }
+	var seeds []int64
+	factory := func(seed int64) detector.Detector { seeds = append(seeds, seed); return &stubDetector{} }
 
-	_, _, cached, err := cachedEval(context.Background(), rc, st, "k", factory, gen)
-	if err != nil || cached {
-		t.Fatalf("first eval must compute: cached=%v err=%v", cached, err)
+	if _, _, resumed, err := evalCell(context.Background(), rc, st, "k", factory, stubGen(b)); err != nil || resumed != 0 {
+		t.Fatalf("first eval must compute: resumed=%d err=%v", resumed, err)
 	}
-	_, _, cached, err = cachedEval(context.Background(), rc, st, "k", factory, gen)
-	if err != nil || !cached {
-		t.Fatalf("second eval must come from the store: cached=%v err=%v", cached, err)
+	if _, _, resumed, err := evalCell(context.Background(), rc, st, "k", factory, stubGen(b)); err != nil || resumed != 1 {
+		t.Fatalf("second eval must come from the store: resumed=%d err=%v", resumed, err)
 	}
-	if evals != 1 {
-		t.Fatalf("detector built %d times, want 1", evals)
+	rc.Runs = 3
+	if _, _, resumed, err := evalCell(context.Background(), rc, st, "k", factory, stubGen(b)); err != nil || resumed != 1 {
+		t.Fatalf("Runs 1 → 3 must resume run 0: resumed=%d err=%v", resumed, err)
+	}
+	want := []int64{rc.Seed, rc.Seed + 7919, rc.Seed + 2*7919}
+	if !reflect.DeepEqual(seeds, want) {
+		t.Fatalf("detectors built with seeds %v, want %v", seeds, want)
+	}
+	if len(st.runs) != 3 {
+		t.Fatalf("store holds %d runs, want 3", len(st.runs))
 	}
 }
 
-func TestCachedEvalNeverCachesErrorCells(t *testing.T) {
+// TestEvalCellNeverRecordsFailedRun: when run 1 of a cell fails, run 0
+// is on record and run 1 is not, and a rerun retries only run 1.
+func TestEvalCellNeverRecordsFailedRun(t *testing.T) {
 	b := stubBundle(t)
 	rc := microConfig()
-	rc.Runs = 1
+	rc.Runs = 2
 	st, err := OpenState(filepath.Join(t.TempDir(), "t.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	builds := map[int64]int{}
 	factory := func(seed int64) detector.Detector {
-		return &stubDetector{fitErr: errors.New("flaky")}
+		builds[seed]++
+		if seed == rc.Seed+7919 {
+			return &stubDetector{fitErr: errors.New("flaky")}
+		}
+		return &stubDetector{}
 	}
-	gen := func(run int) (*dataset.Bundle, error) { return b, nil }
 
-	prc, _, cached, err := cachedEval(context.Background(), rc, st, "k", factory, gen)
-	if err != nil || cached || !prc.Failed() {
-		t.Fatalf("want fresh error cell: %v cached=%v err=%v", prc, cached, err)
+	for attempt := 0; attempt < 2; attempt++ {
+		prc, _, resumed, err := evalCell(context.Background(), rc, st, "k", factory, stubGen(b))
+		if err != nil || !prc.Failed() || resumed != attempt {
+			t.Fatalf("attempt %d: want an error cell with %d runs resumed: %v resumed=%d err=%v", attempt, attempt, prc, resumed, err)
+		}
 	}
-	// A rerun retries instead of replaying the failure from the store.
-	_, _, cached, err = cachedEval(context.Background(), rc, st, "k", factory, gen)
-	if err != nil || cached {
-		t.Fatalf("error cells must not be cached: cached=%v err=%v", cached, err)
+	config := rc.fingerprint()
+	if _, ok := st.lookup(runKey(config, "k", 0)); !ok {
+		t.Fatal("run 0 succeeded but is not on record")
 	}
-	if st.Len() != 0 {
-		t.Fatalf("store recorded %d cells, want 0", st.Len())
+	if _, ok := st.lookup(runKey(config, "k", 1)); ok {
+		t.Fatal("failed run 1 is on record")
+	}
+	if builds[rc.Seed] != 1 || builds[rc.Seed+7919] != 2 {
+		t.Fatalf("detector builds per seed = %v; want run 0 once, run 1 on each attempt", builds)
 	}
 }
 
@@ -218,4 +280,69 @@ func TestTable2ResumesFromState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepTwice runs Table2 at first, then at second on one state
+// directory, and returns the second grid and its progress lines.
+func sweepTwice(t *testing.T, first, second RunConfig) (*Grid, []string) {
+	t.Helper()
+	dir := t.TempDir()
+	first.StateDir, second.StateDir = dir, dir
+	ctx := context.Background()
+	if _, err := Table2(ctx, first, nil); err != nil {
+		t.Fatal(err)
+	}
+	var progress bytes.Buffer
+	g, err := Table2(ctx, second, &progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, strings.Split(strings.TrimSpace(progress.String()), "\n")
+}
+
+// assertFresh checks g against a fresh Table2 run at rc.
+func assertFresh(t *testing.T, rc RunConfig, g *Grid) {
+	t.Helper()
+	fresh, err := Table2(context.Background(), rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.AUPRC, fresh.AUPRC) || !reflect.DeepEqual(g.AUROC, fresh.AUROC) {
+		t.Fatalf("resumed grid differs from a fresh one:\n%v %v\nvs\n%v %v", g.AUPRC, g.AUROC, fresh.AUPRC, fresh.AUROC)
+	}
+}
+
+// TestResumeExtendsRuns: Runs 1 then Runs 2 on one state directory
+// computes only run 1 of every cell and equals a fresh Runs 2 grid.
+func TestResumeExtendsRuns(t *testing.T) {
+	one := microConfig()
+	one.ModelFilter = []string{"iForest"}
+	two := one
+	two.Runs = 2
+	g, lines := sweepTwice(t, one, two)
+	if cells := len(g.Rows) * len(g.Cols); len(lines) != cells {
+		t.Fatalf("%d progress lines for %d cells", len(lines), cells)
+	}
+	for _, l := range lines {
+		if !strings.HasSuffix(l, "(resumed 1/2)") {
+			t.Fatalf("want run 0 resumed and run 1 computed: %q", l)
+		}
+	}
+	assertFresh(t, two, g)
+}
+
+// TestResumeRecomputesChangedSeed: a rerun at another Seed on the same
+// state directory recomputes every cell.
+func TestResumeRecomputesChangedSeed(t *testing.T) {
+	one := microConfig()
+	one.ModelFilter = []string{"iForest"}
+	other := one
+	other.Seed = 2
+	g, lines := sweepTwice(t, one, other)
+	for _, l := range lines {
+		if strings.Contains(l, "resumed") {
+			t.Fatalf("changed seed reused a run: %q", l)
+		}
+	}
+	assertFresh(t, other, g)
 }

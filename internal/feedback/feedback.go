@@ -30,12 +30,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"targad/internal/atomicfile"
 )
 
 // Log-format constants. The magic deliberately differs from core's
@@ -204,7 +207,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 }
 
 // openActive replays and opens the active log for appending, creating
-// it (atomically, via tmp+rename) when absent.
+// it (atomically, via createActive) when absent.
 func (s *Store) openActive() error {
 	path := filepath.Join(s.dir, activeName)
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
@@ -233,17 +236,14 @@ func (s *Store) openActive() error {
 	return nil
 }
 
-// createActive writes a fresh header-only active log via tmp+rename so
-// a crash mid-create never leaves a half-written header in place.
+// createActive writes a fresh header-only active log through
+// atomicfile.Write, so a crash mid-create never leaves a half-written
+// header in place.
 func (s *Store) createActive(path string) error {
-	tmp := path + ".tmp"
 	hdr := make([]byte, 0, headerSize)
 	hdr = append(hdr, logMagic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, logVersion)
-	if err := os.WriteFile(tmp, hdr, 0o644); err != nil {
-		return fmt.Errorf("feedback: create log: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := atomicfile.Write(path, func(w io.Writer) error { _, err := w.Write(hdr); return err }); err != nil {
 		return fmt.Errorf("feedback: create log: %w", err)
 	}
 	return nil
@@ -260,9 +260,9 @@ func (s *Store) replayFile(path string, active bool) error {
 		return fmt.Errorf("feedback: replay %s: %w", filepath.Base(path), err)
 	}
 	if len(data) < headerSize {
-		// Only a crash between createActive's WriteFile and Rename —
-		// or an outside truncation of the active log — can leave a
-		// short header. Rebuild the file; there is nothing to lose.
+		// createActive never exposes a short header, so an outside
+		// truncation of the active log left it. Rebuild the file;
+		// there is nothing to lose.
 		if active {
 			return s.createActive(path)
 		}

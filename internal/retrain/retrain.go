@@ -30,11 +30,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"targad/internal/atomicfile"
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/feedback"
@@ -130,7 +130,7 @@ type Config struct {
 	Poll time.Duration
 
 	// SavePath, when set, persists each promoted candidate there
-	// (tmp+rename) so a restart reloads the retrained model.
+	// (atomicfile.Write) so a restart reloads the retrained model.
 	SavePath string
 
 	// Logf receives one line per lifecycle event. Nil discards.
@@ -422,7 +422,7 @@ func (o *Orchestrator) runCycle(reason string) {
 	o.cfg.Logf("retrain: candidate %d promoted to v%d (flip rate %.4f, mean |Δscore| %.6f, %d shadow rows)",
 		id, v, st.FlipRate, st.MeanAbsDelta, st.Rows)
 	if o.cfg.SavePath != "" {
-		if err := saveModel(m, o.cfg.SavePath); err != nil {
+		if err := atomicfile.Write(o.cfg.SavePath, m.Save); err != nil {
 			o.cfg.Logf("retrain: persisting promoted model: %v", err)
 			res.Err = err.Error()
 		}
@@ -456,24 +456,4 @@ func (o *Orchestrator) awaitShadow(id int64) (serve.ShadowReport, string, error)
 		case <-tick.C:
 		}
 	}
-}
-
-// saveModel persists a promoted candidate with the same tmp+rename
-// crash safety as the feedback log's rotation.
-func saveModel(m *core.Model, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

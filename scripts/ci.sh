@@ -32,21 +32,27 @@ echo "== go test =="
 go test ./...
 
 # Experiment-harness resume, end to end: a table2 run writes every
-# cell to the -state store, and a second run of the same command must
-# take every cell from the store and print the same stdout (shape
-# checks included) apart from the wall-clock line.
+# run of every cell to the -state store, and a second run of the same
+# command must take every run from the store and print the same stdout
+# (shape checks included) apart from the wall-clock line. Raising -runs
+# on the same store must then print what a fresh store prints at that
+# -runs: the runs on record are reused only as the first runs of the
+# larger table, never as its aggregate.
 echo "== targad-bench resume =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/targad-bench" ./cmd/targad-bench
-bench_table2() {
-    "$tmp/targad-bench" -exp table2 -models DevNet -scale 0.012 -runs 1 \
-        -clf-epochs 4 -quiet -state "$tmp/state" | grep -v 'done in'
+bench_table2() { # runs state-dir
+    "$tmp/targad-bench" -exp table2 -models DevNet -scale 0.012 -runs "$1" \
+        -clf-epochs 4 -quiet -state "$2" | grep -v 'done in'
 }
-bench_table2 > "$tmp/first.txt"
-bench_table2 > "$tmp/second.txt"
+bench_table2 1 "$tmp/state" > "$tmp/first.txt"
+bench_table2 1 "$tmp/state" > "$tmp/second.txt"
 diff "$tmp/first.txt" "$tmp/second.txt"
 grep -q 'Shape checks' "$tmp/second.txt"
+bench_table2 2 "$tmp/state" > "$tmp/extended.txt"
+bench_table2 2 "$tmp/fresh" > "$tmp/fresh.txt"
+diff "$tmp/extended.txt" "$tmp/fresh.txt"
 
 # bench/ is its own module (it requires the root through a replace
 # directive), so the root ./... patterns above never compile it; vet
