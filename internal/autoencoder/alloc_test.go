@@ -12,11 +12,14 @@ import (
 
 // TestTrainEpochSteadyStateAllocs verifies the autoencoder's epoch
 // loop allocates nothing once its workspaces are warm. Each Train call
-// pays a fixed setup cost (optimizer state, batcher, loss slice), so
-// the per-epoch cost is isolated by differencing a 1-epoch and a
-// 6-epoch run of otherwise identical configuration: the extra five
-// epochs must add zero allocations.
+// pays a fixed setup cost (batcher, loss slice), so the per-epoch cost
+// is isolated by differencing a 1-epoch and a 6-epoch run of otherwise
+// identical configuration: the extra five epochs must add zero
+// allocations.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
@@ -137,5 +140,60 @@ func TestTrainPerClusterBytesBatchBounded(t *testing.T) {
 	if large > small && large-small > allowed {
 		t.Fatalf("TrainPerCluster allocates %d B at %d rows and %d B at %d rows: growth %d B exceeds %d B",
 			small, 4*batch, large, 8*batch, large-small, allowed)
+	}
+}
+
+// TestTrainPerClusterBytesReuseAutoencoder pins the per-worker
+// autoencoder reuse: at workers=1, splitting one pool into 6 clusters
+// instead of 2 may add per extra cluster only its RNG stream, batcher
+// and loss slice, well under half an autoencoder (network, optimizer
+// moments and batch workspaces), which a cluster that built its own
+// would add.
+func TestTrainPerClusterBytesReuseAutoencoder(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const n, d = 240, 48
+	cfg := Config{InputDim: d, Hidden: []int{24, 12}, Eta: 1, LR: 1e-3, BatchSize: 32, Epochs: 1}
+	x := mat.New(n, d)
+	rng.New(1).FillUniform(x.Data, 0, 1)
+	lab := mat.New(5, d)
+	rng.New(2).FillUniform(lab.Data, 0, 1)
+	minBytes := func(fn func()) uint64 {
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	split := func(k int) uint64 {
+		clusters := make([][]int, k)
+		for i := 0; i < n; i++ {
+			clusters[i%k] = append(clusters[i%k], i)
+		}
+		return minBytes(func() {
+			if _, err := TrainPerCluster(context.Background(), x, lab, clusters, cfg, rng.New(3), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := minBytes(func() {
+		ae, err := New(cfg, rng.New(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ae.Train(x, lab, rng.New(5)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	two, six := split(2), split(6)
+	if six > two && (six-two)/4 >= one/2 {
+		t.Fatalf("TrainPerCluster allocates %d B over 2 clusters and %d B over 6: %d B per extra cluster, want under half of the %d B one autoencoder costs",
+			two, six, (six-two)/4, one)
 	}
 }

@@ -73,6 +73,7 @@ const invErrEps = 1e-3
 type AE struct {
 	cfg Config
 	net *nn.MLP
+	opt *nn.Adam // reset at the start of every Train
 
 	// Training workspaces, sized on first use and reused across batches
 	// and Train calls so steady-state epochs allocate nothing.
@@ -104,7 +105,17 @@ func New(cfg Config, r *rng.RNG) (*AE, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AE{cfg: cfg, net: net}, nil
+	return &AE{cfg: cfg, net: net, opt: nn.NewAdam(cfg.LR)}, nil
+}
+
+// reinit turns ae into the autoencoder New would build from r with
+// learning rate lr: weights drawn from r exactly as New draws them,
+// biases and gradients zeroed (Train resets the optimizer). The
+// workspaces are kept, so one autoencoder trains cluster after cluster
+// on one set of buffers.
+func (ae *AE) reinit(lr float64, r *rng.RNG) {
+	ae.cfg.LR = lr
+	ae.net.Reinit(nn.HeNormal, r)
 }
 
 // Train fits the autoencoder on one unlabeled cluster with the Eq. (1)
@@ -146,7 +157,7 @@ func (ae *AE) train(ctx context.Context, pool *mat.Matrix, rows []int, labeled *
 		return nil, fmt.Errorf("autoencoder: labeled dim %d, want %d", labeled.Cols, ae.cfg.InputDim)
 	}
 
-	opt := nn.NewAdam(ae.cfg.LR)
+	ae.opt.Reset(ae.cfg.LR)
 	batcher := nn.NewBatcher(n, ae.cfg.BatchSize, r)
 	losses := make([]float64, 0, ae.cfg.Epochs)
 	var firstLoss float64
@@ -179,7 +190,7 @@ func (ae *AE) train(ctx context.Context, pool *mat.Matrix, rows []int, labeled *
 				ae.net.BackwardParams(g2)
 				loss += l2
 			}
-			opt.Step(ae.net.Params())
+			ae.opt.Step(ae.net.Params())
 			epochLoss += loss
 		}
 		mean := epochLoss / float64(nb)
@@ -323,9 +334,12 @@ type ClusterResume struct {
 // at once instead of last.
 //
 // Only S^Rec outlives a cluster. Its batches and its S^Rec pass gather
-// rows straight from unlabeled through the row list, and its
-// autoencoder is dropped as soon as the cluster is scored, so the
-// working memory of a cluster is one batch whatever the cluster's size.
+// rows straight from unlabeled through the row list, so the working
+// memory of a cluster is one batch whatever the cluster's size. Once a
+// cluster is scored its autoencoder goes back on a free list of at most
+// parallel.Workers() entries, and the next cluster (or retry) reinits
+// it in place from its own RNG stream, so a run builds one network,
+// optimizer state and set of workspaces per worker, not per cluster.
 //
 // Each cluster's RNG stream is split from the parent serially, before
 // any training starts, so every autoencoder sees the same stream
@@ -357,6 +371,7 @@ func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 	slices.SortStableFunc(order, func(a, b int) int { return len(clusters[b]) - len(clusters[a]) })
 	var hookMu sync.Mutex
 	var hookErr error
+	free := make(chan *AE, min(k, parallel.Workers()))
 	parallel.Map(k, func(j int) {
 		i := order[j]
 		if resume != nil && i < len(resume.Errs) && resume.Errs[i] != nil {
@@ -374,12 +389,21 @@ func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 			firstErr[i] = fmt.Errorf("autoencoder: cluster %d canceled: %w", i, err)
 			return
 		}
-		ae, err := trainOneCluster(ctx, unlabeled, labeled, clusters[i], cfg, rngs[i], i)
+		var ae *AE
+		select {
+		case ae = <-free:
+		default:
+		}
+		ae, err := trainOneCluster(ctx, ae, unlabeled, labeled, clusters[i], cfg, rngs[i], i)
 		if err != nil {
 			firstErr[i] = err
 			return
 		}
 		ae.reconErrorsInto(scores, unlabeled, clusters[i])
+		select {
+		case free <- ae:
+		default:
+		}
 		if resume != nil && resume.OnCluster != nil {
 			es := nn.GatherVec(scores, clusters[i])
 			hookMu.Lock()
@@ -400,20 +424,27 @@ func TrainPerCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluste
 	return scores, nil
 }
 
-// trainOneCluster builds and trains one cluster's autoencoder with the
-// bounded numerical-retry loop. Attempt 0 consumes the cluster's
-// original RNG stream exactly as the pre-guard code did, so healthy
-// runs are bitwise unchanged; retries derive fresh streams from the
-// (deterministic) post-failure stream position.
-func trainOneCluster(ctx context.Context, unlabeled, labeled *mat.Matrix, cluster []int, cfg Config, cr *rng.RNG, idx int) (*AE, error) {
+// trainOneCluster trains one cluster's autoencoder with the bounded
+// numerical-retry loop, reinitialising ae when it is non-nil and
+// building one otherwise; either way each attempt starts from the
+// network New would draw. Attempt 0 consumes the cluster's original RNG
+// stream exactly as the pre-guard code did, so healthy runs are bitwise
+// unchanged; retries derive fresh streams from the (deterministic)
+// post-failure stream position.
+func trainOneCluster(ctx context.Context, ae *AE, unlabeled, labeled *mat.Matrix, cluster []int, cfg Config, cr *rng.RNG, idx int) (*AE, error) {
 	for attempt := 0; ; attempt++ {
-		acfg := cfg
-		acfg.LR = cfg.LR / float64(uint(1)<<uint(attempt))
-		ae, err := New(acfg, cr)
-		if err != nil {
-			return nil, err
+		lr := cfg.LR / float64(uint(1)<<uint(attempt))
+		if ae == nil {
+			acfg := cfg
+			acfg.LR = lr
+			var err error
+			if ae, err = New(acfg, cr); err != nil {
+				return nil, err
+			}
+		} else {
+			ae.reinit(lr, cr)
 		}
-		_, err = ae.train(ctx, unlabeled, cluster, labeled, cr)
+		_, err := ae.train(ctx, unlabeled, cluster, labeled, cr)
 		var nerr *nn.NumericalError
 		if errors.As(err, &nerr) {
 			nerr.Cluster = idx

@@ -2,11 +2,16 @@ package autoencoder
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"targad/internal/faultinject"
 	"targad/internal/mat"
 	"targad/internal/metrics"
 	"targad/internal/nn"
+	"targad/internal/parallel"
 	"targad/internal/rng"
 )
 
@@ -235,5 +240,97 @@ func TestTrainPerCluster(t *testing.T) {
 	short := &ClusterResume{Errs: [][]float64{es[:3]}}
 	if _, err := TrainPerCluster(context.Background(), normals, nil, clusters, cfg, rng.New(8), short); err == nil {
 		t.Fatal("resumed errors that do not cover their cluster must error")
+	}
+}
+
+// freshPerCluster is a reference TrainPerCluster that builds a fresh
+// autoencoder with New for every cluster and every retry, trains the
+// clusters in index order, and poisons the first batch of cluster
+// faulted with faultinject.AEBatchNaN.
+func freshPerCluster(t *testing.T, unlabeled, labeled *mat.Matrix, clusters [][]int, cfg Config, r *rng.RNG, faulted int) []float64 {
+	t.Helper()
+	defer faultinject.Reset()
+	rngs := make([]*rng.RNG, len(clusters))
+	for i := range rngs {
+		rngs[i] = r.SplitN("ae", i)
+	}
+	scores := make([]float64, unlabeled.Rows)
+	for i, rows := range clusters {
+		if i == faulted {
+			faultinject.Arm(faultinject.AEBatchNaN, 1)
+		}
+		cr := rngs[i]
+		for attempt := 0; ; attempt++ {
+			acfg := cfg
+			acfg.LR = cfg.LR / float64(uint(1)<<uint(attempt))
+			ae, err := New(acfg, cr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ae.train(context.Background(), unlabeled, rows, labeled, cr)
+			var nerr *nn.NumericalError
+			if errors.As(err, &nerr) && attempt < MaxTrainRetries {
+				cr = cr.SplitN("retry", attempt+1)
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ae.reconErrorsInto(scores, unlabeled, rows)
+			break
+		}
+	}
+	return scores
+}
+
+// TestTrainPerClusterReuseMatchesFresh pins the per-worker autoencoder
+// reuse to a fresh New per cluster, bit for bit, at workers 1 and 2.
+// The first batch trained is poisoned, so one cluster goes through a
+// retry and its NaN-soaked network and optimizer are reinitialised and
+// reused. Clusters start largest first, so the poisoned cluster is
+// one of the first w: at workers 1 the largest, at workers 2 either of
+// the two largest. The result must match the reference in which that
+// cluster was the faulted one.
+func TestTrainPerClusterReuseMatchesFresh(t *testing.T) {
+	defer faultinject.Reset()
+	const d = 10
+	x := mat.New(150, d)
+	rng.New(21).FillUniform(x.Data, 0, 1)
+	lab := mat.New(4, d)
+	rng.New(22).FillUniform(lab.Data, 0, 1)
+	// Three clusters of 75, 50 and 25 rows, interleaved in the pool.
+	owner := [6]int{0, 0, 0, 1, 1, 2}
+	clusters := make([][]int, 3)
+	for i := 0; i < x.Rows; i++ {
+		clusters[owner[i%6]] = append(clusters[owner[i%6]], i)
+	}
+	cfg := Config{InputDim: d, Hidden: []int{8, 4}, Eta: 1, LR: 5e-3, BatchSize: 16, Epochs: 3}
+	want := make([][]float64, len(clusters))
+	for c := range clusters {
+		want[c] = freshPerCluster(t, x, lab, clusters, cfg, rng.New(23), c)
+	}
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			defer parallel.SetWorkers(parallel.SetWorkers(w))
+			faultinject.Arm(faultinject.AEBatchNaN, 1)
+			got, err := TrainPerCluster(context.Background(), x, lab, clusters, cfg, rng.New(23), nil)
+			fired := faultinject.Fired(faultinject.AEBatchNaN)
+			faultinject.Reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fired != 1 {
+				t.Fatalf("the NaN batch fired %d times, want 1", fired)
+			}
+			match := -1
+			for c := range want {
+				if slices.Equal(got, want[c]) {
+					match = c
+				}
+			}
+			if match < 0 || match >= w {
+				t.Fatalf("S^Rec matches the fresh-autoencoder reference with cluster %d retried (-1: none), want one of clusters 0..%d", match, w-1)
+			}
+		})
 	}
 }

@@ -62,6 +62,18 @@ func NewMLP(cfg MLPConfig, r *rng.RNG) (*MLP, error) {
 	return m, nil
 }
 
+// Reinit redraws m's weights in place from r exactly as NewMLP draws
+// them with the same Init, and zeroes every bias and gradient. The
+// layers keep their workspaces, so a reinitialised network computes
+// bitwise what a fresh NewMLP(cfg, r) would, without allocating one.
+func (m *MLP) Reinit(init Initializer, r *rng.RNG) {
+	for _, l := range m.Layers {
+		init(l.W.Data, l.In, l.Out, r)
+		clear(l.B.Data)
+	}
+	m.ZeroGrad()
+}
+
 // Forward runs the batch x through every layer and returns the output.
 func (m *MLP) Forward(x *mat.Matrix) *mat.Matrix {
 	out := x

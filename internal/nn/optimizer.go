@@ -32,6 +32,20 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
+// Reset returns a to the state NewAdam(lr) builds: step count zero
+// and every moment zero. The moment buffers are kept, so an optimizer
+// reused over the same parameters allocates nothing.
+func (a *Adam) Reset(lr float64) {
+	a.LR = lr
+	a.t = 0
+	for _, m := range a.m {
+		clear(m)
+	}
+	for _, v := range a.v {
+		clear(v)
+	}
+}
+
 // Step applies one update to every parameter and leaves gradients
 // untouched (callers ZeroGrad between batches).
 func (a *Adam) Step(params []*Param) {

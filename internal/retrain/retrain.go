@@ -7,13 +7,18 @@
 //
 // One cycle:
 //
-//  1. Snapshot the verdict store and the base training set, merge them
-//     with core.MergeFeedback (deterministic ordering, so the fit is
-//     bitwise-reproducible offline).
+//  1. Snapshot the verdict store. Then, holding the fit slot
+//     (Config.FitSlot) when one is shared, load the base training set
+//     and merge the verdicts into it with core.MergeFeedback
+//     (deterministic ordering, so the fit is bitwise-reproducible
+//     offline).
 //  2. Warm-start core.Model.Fit from the serving model's classifier
 //     parameters, in a background goroutine under the orchestrator's
-//     context (PR3's checkpoint machinery applies when Fit.Checkpoint
-//     is configured).
+//     context (the checkpoint machinery applies when Fit.Checkpoint is
+//     configured). When Fit returns, the base and merged sets are
+//     dropped and the heap is handed back to the OS
+//     (debug.FreeOSMemory), then the slot is released, so the
+//     replica's resident size falls back before the shadow wait.
 //  3. Install the candidate as a shadow (never touching live traffic),
 //     wait for it to re-score at least MinShadowRows sampled rows,
 //     then gate on decision-flip rate and mean |score delta|.
@@ -30,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,11 +110,13 @@ type Config struct {
 
 	// FitSlot, when set, is a shared fit-serialization semaphore (a
 	// buffered channel, typically cap 1): the cycle acquires a slot
-	// before Fit and releases it the moment Fit returns, before the
-	// shadow wait. A registry hosting N tenants hands every
-	// orchestrator the same slot so N drift alarms cannot fork N
-	// concurrent Fits, while one tenant's shadow evaluation overlaps the
-	// next tenant's fit. Nil fits without queueing.
+	// before it loads the base set and releases it once Fit has
+	// returned and its memory has been handed back, before the shadow
+	// wait. A registry hosting N tenants hands every orchestrator the
+	// same slot so N drift alarms cannot fork N concurrent Fits and a
+	// queued tenant holds no training data, while one tenant's shadow
+	// evaluation overlaps the next tenant's fit. Nil fits without
+	// queueing.
 	FitSlot chan struct{}
 
 	// MinShadowRows is how many sampled rows the candidate must
@@ -331,47 +339,8 @@ func (o *Orchestrator) runCycle(reason string) {
 		return
 	}
 
-	base, err := o.cfg.Train()
+	m, err := o.fitCandidate(recs)
 	if err != nil {
-		o.fitErrs.Add(1)
-		fail("fit-error", fmt.Errorf("load training data: %w", err))
-		return
-	}
-	merged, err := core.MergeFeedback(base, BuildVerdictBatch(recs, o.cfg.TargetRepeat))
-	if err != nil {
-		o.fitErrs.Add(1)
-		fail("fit-error", err)
-		return
-	}
-
-	// The fit slot serializes the expensive part across every tenant
-	// sharing it; acquired for Fit only, so one tenant's shadow wait
-	// never blocks another tenant's fit.
-	releaseFit := func() {}
-	if o.cfg.FitSlot != nil {
-		select {
-		case o.cfg.FitSlot <- struct{}{}:
-			released := false
-			releaseFit = func() {
-				if !released {
-					released = true
-					<-o.cfg.FitSlot
-				}
-			}
-		case <-o.ctx.Done():
-			fail("canceled", o.ctx.Err())
-			return
-		}
-	}
-
-	fitCfg := o.cfg.Fit
-	if cur := o.ctrl.CurrentModel(); cur != nil {
-		fitCfg.WarmStart = cur.WarmStartState()
-	}
-	m := core.New(fitCfg, o.cfg.Seed)
-	fitErr := m.Fit(o.ctx, merged)
-	releaseFit()
-	if err := fitErr; err != nil {
 		if errors.Is(err, context.Canceled) {
 			fail("canceled", err)
 			return
@@ -427,6 +396,56 @@ func (o *Orchestrator) runCycle(reason string) {
 			res.Err = err.Error()
 		}
 	}
+}
+
+// releaseMemory returns the freed heap to the operating system. It is
+// a variable only so tests can count the calls.
+var releaseMemory = debug.FreeOSMemory
+
+// fitCandidate is the cycle's expensive stage: it loads the base set,
+// merges the verdicts and fits a candidate, all under the fit slot, so
+// a cycle queued behind another tenant's fit holds no training data.
+// Once a Fit has run, the base and merged sets are unreachable and the
+// heap is handed back to the OS before the slot is released: the
+// retrain's working memory would otherwise stay resident through the
+// shadow wait and beyond. A canceled slot wait or Fit returns an error
+// wrapping context.Canceled.
+func (o *Orchestrator) fitCandidate(recs []feedback.Record) (*core.Model, error) {
+	if o.cfg.FitSlot != nil {
+		select {
+		case o.cfg.FitSlot <- struct{}{}:
+			defer func() { <-o.cfg.FitSlot }()
+		case <-o.ctx.Done():
+			return nil, o.ctx.Err()
+		}
+	}
+	m, fitted, err := o.fit(recs)
+	if fitted {
+		releaseMemory()
+	}
+	return m, err
+}
+
+// fit is fitCandidate's body; the base and merged sets live in its
+// frame only. fitted reports whether Fit ran.
+func (o *Orchestrator) fit(recs []feedback.Record) (m *core.Model, fitted bool, err error) {
+	base, err := o.cfg.Train()
+	if err != nil {
+		return nil, false, fmt.Errorf("load training data: %w", err)
+	}
+	merged, err := core.MergeFeedback(base, BuildVerdictBatch(recs, o.cfg.TargetRepeat))
+	if err != nil {
+		return nil, false, err
+	}
+	fitCfg := o.cfg.Fit
+	if cur := o.ctrl.CurrentModel(); cur != nil {
+		fitCfg.WarmStart = cur.WarmStartState()
+	}
+	m = core.New(fitCfg, o.cfg.Seed)
+	if err := m.Fit(o.ctx, merged); err != nil {
+		return nil, true, err
+	}
+	return m, true, nil
 }
 
 // awaitShadow polls the candidate's shadow stats until it has scored
