@@ -272,7 +272,7 @@ func BenchmarkTargADScoreF32(b *testing.B) {
 	if err := m.Fit(context.Background(), bundle.Train); err != nil {
 		b.Fatal(err)
 	}
-	if err := m.EnableF32(nil); err != nil {
+	if err := m.EnableF32(); err != nil {
 		b.Fatal(err)
 	}
 	for _, w := range benchWorkerCounts() {

@@ -33,12 +33,10 @@ import (
 // seed, hyperparameters, or data shape — is rejected with a
 // *CheckpointError rather than silently ignored.
 type CheckpointConfig struct {
-	// Path is the checkpoint file; empty disables checkpointing.
+	// Path is the checkpoint file; empty disables checkpointing. The
+	// classifier is checkpointed after every epoch, and autoencoder
+	// progress as each cluster completes.
 	Path string
-	// Every is the number of classifier epochs between checkpoint
-	// writes (default 1). Autoencoder progress is checkpointed as each
-	// cluster completes regardless.
-	Every int
 }
 
 // checkpointFile is the gob payload of a training checkpoint (wrapped
@@ -79,8 +77,7 @@ type checkpointFile struct {
 
 // checkpointer owns one training run's checkpoint file.
 type checkpointer struct {
-	path  string
-	every int
+	path string
 
 	mu    sync.Mutex
 	state checkpointFile
@@ -113,10 +110,7 @@ func (mo *Model) fitHash(train *dataset.TrainSet) uint64 {
 // this Fit. A file from a mismatched run fails with *CheckpointError.
 func (mo *Model) newCheckpointer(train *dataset.TrainSet) (*checkpointer, error) {
 	cc := mo.cfg.Checkpoint
-	ck := &checkpointer{path: cc.Path, every: cc.Every}
-	if ck.every <= 0 {
-		ck.every = 1
-	}
+	ck := &checkpointer{path: cc.Path}
 	hash := mo.fitHash(train)
 	f, err := os.Open(cc.Path)
 	if errors.Is(err, os.ErrNotExist) {

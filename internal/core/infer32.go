@@ -31,10 +31,9 @@ type f32Replica struct {
 }
 
 // EnableF32 builds (or rebuilds) the model's float32 parameter set from
-// the current float64 parameters and resets the replica pool. Passing a
-// reuse buffer from a retired model recycles its parameter storage —
-// the mat.Ensure contract — so a hot reload of an f32-serving model
-// allocates no steady-state garbage; nil allocates fresh.
+// the current float64 parameters and resets the replica pool. Each call
+// allocates a fresh set, so a set that replicas already read is never
+// written again.
 //
 // Conversion is guarded: any NaN, ±Inf, or float32-overflowing
 // parameter aborts with the typed *nn.ConvertError and leaves the
@@ -42,32 +41,16 @@ type f32Replica struct {
 //
 // Like Fit, EnableF32 must not run concurrently with InferF32 on the
 // same model.
-func (mo *Model) EnableF32(reuse *nn.Params32) error {
+func (mo *Model) EnableF32() error {
 	if mo.clf == nil {
 		return errors.New("targad: model is not fitted")
 	}
-	p, err := mo.clf.Params32Into(reuse)
-	if err != nil {
-		mo.inferMu.Lock()
-		mo.f32params = nil
-		mo.f32free = nil
-		mo.inferMu.Unlock()
-		return err
-	}
+	p, err := mo.clf.Params32()
 	mo.inferMu.Lock()
-	mo.f32params = p
+	mo.f32params = p // nil on error: f32 stays disabled
 	mo.f32free = nil
 	mo.inferMu.Unlock()
-	return nil
-}
-
-// F32Params returns the float32 parameter set built by EnableF32, or
-// nil. Serving hands a retired model's set back to EnableF32 on the
-// next reload to recycle its storage.
-func (mo *Model) F32Params() *nn.Params32 {
-	mo.inferMu.Lock()
-	defer mo.inferMu.Unlock()
-	return mo.f32params
+	return err
 }
 
 // acquireInferF32 returns a pooled f32 replica, or nil when EnableF32

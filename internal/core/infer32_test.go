@@ -25,7 +25,7 @@ func loadFixtureF32(t *testing.T, path string) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableF32(nil); err != nil {
+	if err := m.EnableF32(); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -90,13 +90,13 @@ func TestEnableF32RejectsPoisonedParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.clf.Params()[0].Data[3] = math.NaN()
-	err = m.EnableF32(nil)
+	err = m.EnableF32()
 	var ce *nn.ConvertError
 	if !errors.As(err, &ce) {
 		t.Fatalf("EnableF32 on NaN param: err = %v, want *nn.ConvertError", err)
 	}
 	// The failed enable must leave f32 inference off, not half-armed.
-	if m.F32Params() != nil {
+	if m.f32params != nil {
 		t.Fatal("failed EnableF32 left f32 params armed")
 	}
 	_, err = m.InferF32(context.Background(), fixtureInput(m.dim), InferOptions{})

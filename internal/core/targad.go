@@ -587,7 +587,7 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 		if mo.cfg.EpochHook != nil {
 			mo.cfg.EpochHook(epoch, mo)
 		}
-		if ck != nil && (epoch+1)%ck.every == 0 {
+		if ck != nil {
 			if err := ck.saveClassifier(mo, opt, attempt, epoch+1, bestVal, bestParams); err != nil {
 				return err
 			}

@@ -38,51 +38,35 @@ type dense32 struct {
 }
 
 // Params32 holds a float32 copy of an MLP's parameters, shared by any
-// number of Inference32 replicas. It is immutable after Params32Into
-// fills it (replicas only read), so concurrent Forward calls on
+// number of Inference32 replicas. It is immutable once MLP.Params32
+// returns it (replicas only read), so concurrent Forward calls on
 // replicas backed by one Params32 are safe.
 type Params32 struct {
 	in     int // input width, for shape checks
 	layers []dense32
 }
 
-// Params32Into converts m's parameters to float32 into dst, reusing
-// dst's buffers when the topology matches (the mat.Ensure contract: a
-// nil dst allocates). Every value is checked before narrowing; the
-// first NaN, ±Inf, or float32-overflowing value aborts with a
-// *ConvertError and dst must then be treated as unspecified.
-//
-// When dst's buffers are large enough the call performs no allocation,
-// so hot-reloading a float32-serving model produces no steady-state
-// garbage (serve recycles the retired generation's Params32 here).
-func (m *MLP) Params32Into(dst *Params32) (*Params32, error) {
-	if dst == nil {
-		dst = &Params32{}
-	}
-	n := len(m.Layers)
-	if cap(dst.layers) < n {
-		dst.layers = make([]dense32, n)
-	}
-	dst.layers = dst.layers[:n]
+// Params32 converts m's parameters into a freshly allocated float32
+// set. Every value is checked before narrowing; the first NaN, ±Inf,
+// or float32-overflowing value aborts with a *ConvertError.
+func (m *MLP) Params32() (*Params32, error) {
+	p := &Params32{layers: make([]dense32, len(m.Layers))}
 	for i, d := range m.Layers {
-		st := &dst.layers[i]
+		st := &p.layers[i]
 		st.act = d.Act
-		st.w = *mat.Ensure32(&st.w, d.In, d.Out)
+		st.w = *mat.New32(d.In, d.Out)
 		if err := narrowInto(st.w.Data, d.W.Data, d.W.Name); err != nil {
 			return nil, err
 		}
-		if cap(st.b) < d.Out {
-			st.b = make([]float32, d.Out)
-		}
-		st.b = st.b[:d.Out]
+		st.b = make([]float32, d.Out)
 		if err := narrowInto(st.b, d.B.Data, d.B.Name); err != nil {
 			return nil, err
 		}
 	}
-	if n > 0 {
-		dst.in = dst.layers[0].w.Rows
+	if len(p.layers) > 0 {
+		p.in = p.layers[0].w.Rows
 	}
-	return dst, nil
+	return p, nil
 }
 
 // narrowInto converts src to float32 into dst (same length), rejecting

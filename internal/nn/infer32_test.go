@@ -42,7 +42,7 @@ func TestInference32MatchesF64(t *testing.T) {
 			}
 			want := m.Forward(x)
 
-			p, err := m.Params32Into(nil)
+			p, err := m.Params32()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestInference32MatchesF64(t *testing.T) {
 // kernels are deterministic per binary/CPU.
 func TestInference32ReplicasConcurrent(t *testing.T) {
 	m := buildTestMLP(t, ReLU, Identity)
-	p, err := m.Params32Into(nil)
+	p, err := m.Params32()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,49 +106,10 @@ func TestInference32ReplicasConcurrent(t *testing.T) {
 	}
 }
 
-// TestParams32IntoReuse pins the satellite contract: converting into an
-// existing Params32 of matching topology reuses every buffer (pointer
-// identity) and allocates nothing.
-func TestParams32IntoReuse(t *testing.T) {
-	m := buildTestMLP(t, ReLU, Identity)
-	p, err := m.Params32Into(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, b0 := &p.layers[0].w.Data[0], &p.layers[0].b[0]
-
-	// Perturb the source weights as a reload would, then reconvert.
-	m.Params()[0].Data[0] += 0.5
-	again, err := m.Params32Into(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != p {
-		t.Fatal("Params32Into returned a different Params32")
-	}
-	if &p.layers[0].w.Data[0] != w0 || &p.layers[0].b[0] != b0 {
-		t.Fatal("Params32Into reallocated parameter buffers despite matching topology")
-	}
-	if p.layers[0].w.Data[0] != float32(m.Params()[0].Data[0]) {
-		t.Fatal("reconversion did not pick up the new weight")
-	}
-
-	if raceEnabled {
-		t.Skip("alloc counting is meaningless under -race")
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := m.Params32Into(p); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 0 {
-		t.Fatalf("steady-state Params32Into allocates %.1f times per call, want 0", n)
-	}
-}
-
-// TestParams32IntoRejectsBadValues: every class of unconvertible value
+// TestParams32RejectsBadValues: every class of unconvertible value
 // surfaces a typed *ConvertError naming the parameter, instead of
 // narrowing to Inf/NaN and serving garbage.
-func TestParams32IntoRejectsBadValues(t *testing.T) {
+func TestParams32RejectsBadValues(t *testing.T) {
 	cases := []struct {
 		name   string
 		value  float64
@@ -164,7 +125,7 @@ func TestParams32IntoRejectsBadValues(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := buildTestMLP(t, ReLU, Identity)
 			m.Params()[2].Data[7] = tc.value
-			_, err := m.Params32Into(nil)
+			_, err := m.Params32()
 			var ce *ConvertError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *ConvertError", err)

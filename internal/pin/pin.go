@@ -1,14 +1,15 @@
 // Package pin refcounts a value that is retired while readers may
-// still be using it: a served model generation replaced by a reload,
-// or a registry entry evicted from the hot set. Readers take a pin
-// before use and release it after; the owner retires the value once it
-// can no longer be found, then waits on Drained before reclaiming it.
+// still be using it. Its one user is the model registry: an entry
+// evicted from the hot set, or closed with the registry, must drain
+// its in-flight requests before its serving stack is closed. Readers
+// take a pin before use and release it after; the owner retires the
+// value once it can no longer be found, then waits on Drained before
+// tearing it down.
 //
-// The safety argument every user shares is publish-before-retire:
-// unpublish the value first (swap the pointer, republish the map),
-// then Retire it. A reader that loaded the old value either pinned it
-// before Retire, and Drained waits for that pin, or fails TryPin and
-// reloads, finding the successor.
+// The safety argument is publish-before-retire: unpublish the value
+// first (republish the map), then Retire it. A reader that loaded the
+// old value either pinned it before Retire, and Drained waits for that
+// pin, or fails TryPin and reloads, finding the successor.
 package pin
 
 import "sync/atomic"

@@ -124,9 +124,8 @@ func (s *Server) drainQueue() {
 }
 
 // runBatch scores one coalesced batch and fans results back out to the
-// member jobs. The model generation is pinned once, so a hot-reload
-// racing this batch lets it finish on the model it started with (see
-// precision.go).
+// member jobs. The model generation is loaded once, so a hot-reload
+// racing this batch lets it finish on the model it started with.
 func (s *Server) runBatch(jobs []*job) {
 	// Drop jobs whose client already disconnected (hedge cancel, closed
 	// connection) before they cost inference, and fail jobs whose width
@@ -153,14 +152,13 @@ func (s *Server) runBatch(jobs []*job) {
 		return
 	}
 
-	lm := s.acquireModel()
+	lm := s.cur.Load()
 	if lm == nil {
 		for _, j := range batch {
 			j.resp <- jobResult{err: errors.New("serve: no model loaded")}
 		}
 		return
 	}
-	defer s.releaseModel(lm)
 
 	x := batch[0].x
 	if len(batch) > 1 {

@@ -76,6 +76,28 @@ func trainingRows(t testing.TB) [][]float64 {
 	return rows
 }
 
+// fitCandidate trains a small model in the fixture's feature space on
+// a different seed, so its weights and scores genuinely differ from
+// the fixture's.
+func fitCandidate(t testing.TB) *core.Model {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.K = 2
+	cfg.AEEpochs = 2
+	cfg.ClfEpochs = 10
+	cfg.ClfHidden = []int{16}
+	cfg.AEHidden = []int{12, 6}
+	bundle, err := synth.Generate(synth.KDDCUP99(), synth.Options{Scale: 0.03, Seed: 13, LabeledPerType: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := core.New(cfg, 13)
+	if err := cand.Fit(context.Background(), bundle.Train); err != nil {
+		t.Fatal(err)
+	}
+	return cand
+}
+
 // postBatch posts rows[lo:hi] (cycling past the end) and requires 200.
 func postBatch(t testing.TB, ts *httptest.Server, rows [][]float64, lo, n int) {
 	t.Helper()
@@ -269,22 +291,7 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	})
 	servingVersion := s.ModelVersion()
 
-	// Train a small candidate on a different seed so its scores
-	// genuinely differ from the fixture's.
-	cfg := core.DefaultConfig()
-	cfg.K = 2
-	cfg.AEEpochs = 2
-	cfg.ClfEpochs = 10
-	cfg.ClfHidden = []int{16}
-	cfg.AEHidden = []int{12, 6}
-	bundle, err := synth.Generate(synth.KDDCUP99(), synth.Options{Scale: 0.03, Seed: 13, LabeledPerType: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := core.New(cfg, 13)
-	if err := cand.Fit(context.Background(), bundle.Train); err != nil {
-		t.Fatal(err)
-	}
+	cand := fitCandidate(t)
 	f, err := os.Create(s.cfg.ModelPath) // overwrite the served file
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 
 	"targad/internal/core"
 	"targad/internal/mat"
-	"targad/internal/nn"
 )
 
 // Precision selects the numeric path requests are scored on.
@@ -55,49 +55,17 @@ func (s *Server) score(m *core.Model, x *mat.Matrix, opt core.InferOptions) (*co
 	return m.Infer(nil, x, opt)
 }
 
-// Generation pinning. Every batch pins the generation it scores on
-// (acquireModel/releaseModel), whatever the precision; install
-// publishes the successor, then retires the outgoing generation. In
-// f64 mode nothing waits on the drain and the GC takes the retired
-// generation. In f32 mode each generation carries a converted
-// parameter set worth recycling: the next reload waits for the retired
-// generation to drain and hands its buffers to core.Model.EnableF32,
-// so a steady stream of reloads allocates no parameter garbage.
-
-// spare32 is what a retired generation leaves for reclaim: its float32
-// parameter set (nil on the f64 path) and its drain signal. It holds
-// no reference to the generation itself.
-type spare32 struct {
-	params  *nn.Params32
-	drained <-chan struct{}
-}
-
-// acquireModel pins the serving generation for one batch, or returns
-// nil when no model is loaded. A failed pin means install retired the
-// generation after publishing its successor, so the retry finds the
-// successor.
-func (s *Server) acquireModel() *loadedModel {
-	for {
-		lm := s.cur.Load()
-		if lm == nil || lm.pins.TryPin() {
-			return lm
-		}
-	}
-}
-
-// releaseModel unpins a generation captured by acquireModel.
-func (s *Server) releaseModel(lm *loadedModel) { lm.pins.Release() }
-
-// reclaimSpare32 returns the float32 parameter buffers of the
-// generation retired by the previous install, once its last batch has
-// released its pin, or nil when there is nothing to recycle. Callers
-// hold reloadMu.
-func (s *Server) reclaimSpare32() *nn.Params32 {
-	sp := s.spare
-	if sp.params == nil {
+// intake applies the server's precision to a model before it serves
+// or shadows: at f32 it narrows the parameters into a fresh float32
+// set, so no generation's buffers are shared or rewritten. It is the
+// only place the server applies its precision to a model. Callers hold
+// reloadMu.
+func (s *Server) intake(m *core.Model) error {
+	if s.cfg.Precision != F32 {
 		return nil
 	}
-	<-sp.drained
-	s.spare = spare32{}
-	return sp.params
+	if err := m.EnableF32(); err != nil {
+		return fmt.Errorf("enable float32: %w", err)
+	}
+	return nil
 }

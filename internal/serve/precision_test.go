@@ -91,7 +91,7 @@ func TestServeF32WithinTolerance(t *testing.T) {
 // bits may depend on the rows it shares a batch with.
 func TestServeF32MatchesInferF32(t *testing.T) {
 	m := loadFixtureModel(t)
-	if err := m.EnableF32(nil); err != nil {
+	if err := m.EnableF32(); err != nil {
 		t.Fatal(err)
 	}
 	check := func(what string, rows [][]float64, scores []float64, decisions []string, prob func(i, j int) float64) {
@@ -157,47 +157,36 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 	}
 }
 
-// TestServeF32ReloadRecyclesParams pins the zero-garbage reload
-// contract: generation 1's float32 parameter buffers are reclaimed
-// when generation 3 loads (gen 1 retires at the gen-2 swap and has
-// drained by the gen-3 reload), so a steady stream of reloads cycles
-// between two parameter sets instead of allocating fresh ones.
-func TestServeF32ReloadRecyclesParams(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 1, Precision: F32})
-
-	gen1 := s.cur.Load().model.F32Params()
-	if gen1 == nil {
-		t.Fatal("f32 server loaded without enabling float32")
-	}
-	// Traffic on gen 1, so the drain path is exercised, not vacuous.
-	if status, _, bad := postScore(t, http.DefaultClient, ts.URL, scoreRequest{Instances: testRows(4, 9)}); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, bad.Error)
-	}
-
-	if _, err := s.Reload(); err != nil {
+// TestServeF32RetiredModelUnchanged: a model handed to SetModel keeps
+// its own float32 weights after it retires. Two more installs follow
+// it, the second a model with different weights; the retired model's
+// InferF32 scores must not move by a bit.
+func TestServeF32RetiredModelUnchanged(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxBatch: 1, Precision: F32})
+	a := loadFixtureModel(t)
+	if _, err := s.SetModel(a, "a"); err != nil {
 		t.Fatal(err)
 	}
-	gen2 := s.cur.Load().model.F32Params()
-	if gen2 == gen1 {
-		t.Fatal("generation 2 must not reuse generation 1's params while gen 1 may still be scoring")
-	}
-	if _, err := s.Reload(); err != nil {
+	x := rowsMatrix(testRows(6, 77))
+	before, err := a.InferF32(context.Background(), x, core.InferOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	gen3 := s.cur.Load().model.F32Params()
-	if gen3 != gen1 {
-		t.Fatal("generation 3 did not recycle generation 1's float32 parameter buffers")
+	want := append([]float64(nil), before.Scores...)
+
+	if _, err := s.SetModel(loadFixtureModel(t), "fixture"); err != nil {
+		t.Fatal(err)
 	}
-	// And the recycled generation still serves correct scores.
-	rows := testRows(6, 77)
-	want := offlineExpect(t, loadFixtureModel(t), rows, core.MSP)
-	status, ok, bad := postScore(t, http.DefaultClient, ts.URL, scoreRequest{Instances: rows})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, bad.Error)
+	if _, err := s.SetModel(fitCandidate(t), "fitted"); err != nil {
+		t.Fatal(err)
 	}
-	for i, sc := range ok.Scores {
-		if d := math.Abs(sc - want.scores[i]); d > serveF32Tol {
-			t.Fatalf("post-recycle score %d: %v vs %v", i, sc, want.scores[i])
+	after, err := a.InferF32(context.Background(), x, core.InferOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range after.Scores {
+		if math.Float64bits(sc) != math.Float64bits(want[i]) {
+			t.Fatalf("retired model's score %d moved from %v to %v", i, want[i], sc)
 		}
 	}
 }

@@ -48,7 +48,6 @@ import (
 	"targad/internal/mat"
 	"targad/internal/monitor"
 	"targad/internal/obs"
-	"targad/internal/pin"
 	"targad/internal/wire"
 )
 
@@ -151,10 +150,6 @@ type loadedModel struct {
 	source   string
 	loadedAt time.Time
 	mon      *monitor.Accumulator // nil = monitoring disabled
-
-	// pins counts batches scoring on this generation (acquireModel);
-	// install retires it once the successor is published.
-	pins *pin.Ref
 }
 
 // Server is the scoring service. Create with New, mount Handler on an
@@ -171,11 +166,6 @@ type Server struct {
 	closing sync.Once
 
 	reloadMu sync.Mutex // serializes Reload/SetModel/shadow swaps
-
-	// spare is the float32 parameter set of the last retired
-	// generation, recycled once it drains (precision.go; guarded by
-	// reloadMu).
-	spare spare32
 
 	// shadow is the candidate model under evaluation (nil when none);
 	// see shadow.go. shadowSeq numbers candidates so promote/discard
@@ -295,23 +285,20 @@ func (s *Server) ModelVersion() int64 {
 // load models themselves) and returns the new generation. In f32 mode
 // the model's parameters are narrowed first — a model that cannot be
 // narrowed safely is rejected and the current generation keeps
-// serving. Installing hands ownership of m to the server: in f32 mode
-// its parameter buffers are recycled into a later generation once it
-// retires.
+// serving.
 func (s *Server) SetModel(m *core.Model, source string) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if s.cfg.Precision == F32 {
-		if err := m.EnableF32(s.reclaimSpare32()); err != nil {
-			return 0, fmt.Errorf("serve: enable float32: %w", err)
-		}
+	if err := s.intake(m); err != nil {
+		return 0, fmt.Errorf("serve: %w", err)
 	}
 	return s.install(m, source), nil
 }
 
-// install swaps m in as the next generation and arms its drift window.
-// Callers hold reloadMu; in f32 mode m must already have EnableF32
-// applied.
+// install publishes m as the next generation and arms its drift
+// window. Callers hold reloadMu and have passed m through intake. A
+// batch that loaded the outgoing generation finishes on it; the GC
+// frees it after the last such batch.
 func (s *Server) install(m *core.Model, source string) int64 {
 	v := s.gen.Add(1)
 	next := &loadedModel{
@@ -320,16 +307,9 @@ func (s *Server) install(m *core.Model, source string) int64 {
 		source:   source,
 		loadedAt: time.Now(),
 		mon:      s.newAccumulator(m),
-		pins:     pin.New(),
 	}
 	s.armAlarmHook(next)
-	// Publish before retire: a batch that loaded the outgoing
-	// generation either pinned it first, and its drain waits for that
-	// batch, or fails the pin and finds next.
-	if old := s.cur.Swap(next); old != nil {
-		old.pins.Retire()
-		s.spare = spare32{params: old.model.F32Params(), drained: old.pins.Drained()}
-	}
+	s.cur.Store(next)
 	return v
 }
 
@@ -349,11 +329,9 @@ func (s *Server) Reload() (int64, error) {
 		s.metrics.reloadErrs.Add(1)
 		return 0, err
 	}
-	if s.cfg.Precision == F32 {
-		if err := m.EnableF32(s.reclaimSpare32()); err != nil {
-			s.metrics.reloadErrs.Add(1)
-			return 0, fmt.Errorf("serve: reload: enable float32: %w", err)
-		}
+	if err := s.intake(m); err != nil {
+		s.metrics.reloadErrs.Add(1)
+		return 0, fmt.Errorf("serve: reload: %w", err)
 	}
 	v := s.install(m, s.cfg.ModelPath)
 	s.metrics.reloads.Add(1)

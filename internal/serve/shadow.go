@@ -94,14 +94,9 @@ func (s *Server) ShadowLoad() (string, error) {
 		s.metrics.reloadErrs.Add(1)
 		return "", err
 	}
-	if s.cfg.Precision == F32 {
-		// Candidates convert fresh (never the recycled spare — that is
-		// reserved for serving generations, and a discarded shadow would
-		// strand it).
-		if err := m.EnableF32(nil); err != nil {
-			s.metrics.reloadErrs.Add(1)
-			return "", fmt.Errorf("serve: shadow load: enable float32: %w", err)
-		}
+	if err := s.intake(m); err != nil {
+		s.metrics.reloadErrs.Add(1)
+		return "", fmt.Errorf("serve: shadow load: %w", err)
 	}
 	s.installShadow(m, s.cfg.ModelPath)
 	return s.cfg.ModelPath, nil
@@ -118,17 +113,15 @@ func (s *Server) ShadowModel(m *core.Model, source string) (int64, error) {
 	if m == nil {
 		return 0, errors.New("serve: nil shadow model")
 	}
-	if s.cfg.Precision == F32 {
-		if err := m.EnableF32(nil); err != nil {
-			return 0, fmt.Errorf("serve: shadow model: enable float32: %w", err)
-		}
+	if err := s.intake(m); err != nil {
+		return 0, fmt.Errorf("serve: shadow model: %w", err)
 	}
 	sh := s.installShadow(m, source)
 	return sh.id, nil
 }
 
 // installShadow stores a fresh candidate; callers hold reloadMu and
-// have applied precision conversion.
+// have passed m through intake.
 func (s *Server) installShadow(m *core.Model, source string) *shadowState {
 	sh := &shadowState{
 		model:       m,
@@ -185,8 +178,9 @@ func (s *Server) DiscardShadow(id int64) error {
 }
 
 // CurrentModel returns the served model object (nil when none): the
-// warm-start source for retraining. The model is immutable while
-// served; callers must not mutate it.
+// warm-start source for retraining. The server never changes the
+// weights of a model it has installed, during or after its generation;
+// callers must not mutate it either.
 func (s *Server) CurrentModel() *core.Model {
 	if lm := s.cur.Load(); lm != nil {
 		return lm.model

@@ -92,8 +92,7 @@ TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
 # asm-vs-Go kernel-swap fit, and the full serving stack (micro-batcher,
 # replica-pool inference, hot reload under load, shedding, shadow
-# evaluation, the generation pin refcount) with a multi-worker pool
-# under the race detector. The zero-alloc assertions self-skip under
+# evaluation) with a multi-worker pool under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
 # the smoke short — the full core suite already ran above.
