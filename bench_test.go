@@ -389,12 +389,12 @@ func BenchmarkAutoencoderEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ae.Train(x, nil, rng.New(0)); err != nil {
+			if _, err := ae.Train(context.Background(), x, nil, rng.New(0)); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ae.Train(x, nil, rng.New(int64(i))); err != nil {
+				if _, err := ae.Train(context.Background(), x, nil, rng.New(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

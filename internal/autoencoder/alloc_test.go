@@ -35,11 +35,11 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm the workspaces so AllocsPerRun sees only steady state.
-		if _, err := ae.Train(x, lab, rng.New(4)); err != nil {
+		if _, err := ae.Train(context.Background(), x, lab, rng.New(4)); err != nil {
 			t.Fatal(err)
 		}
 		return func() {
-			if _, err := ae.Train(x, lab, rng.New(5)); err != nil {
+			if _, err := ae.Train(context.Background(), x, lab, rng.New(5)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -187,7 +187,7 @@ func TestTrainPerClusterBytesReuseAutoencoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ae.Train(x, lab, rng.New(5)); err != nil {
+		if _, err := ae.Train(context.Background(), x, lab, rng.New(5)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -123,21 +123,15 @@ func (ae *AE) reinit(lr float64, r *rng.RNG) {
 // conventional unsupervised autoencoder — the η = 0 ablation of
 // Fig. 7(a). It returns the mean epoch losses.
 //
-// Train is TrainCtx without cancellation.
-func (ae *AE) Train(unlabeled, labeled *mat.Matrix, r *rng.RNG) ([]float64, error) {
-	return ae.TrainCtx(context.Background(), unlabeled, labeled, r)
-}
-
-// TrainCtx is Train with cooperative cancellation (checked at every
-// epoch boundary) and numerical-health guards: a non-finite or
-// diverging epoch loss, or a non-finite parameter, aborts training
-// with a *nn.NumericalError instead of silently returning a NaN
-// model.
-func (ae *AE) TrainCtx(ctx context.Context, unlabeled, labeled *mat.Matrix, r *rng.RNG) ([]float64, error) {
+// Cancellation is cooperative (ctx is checked at every epoch
+// boundary), and numerical-health guards stop a non-finite or
+// diverging epoch loss, or a non-finite parameter, with a
+// *nn.NumericalError instead of silently returning a NaN model.
+func (ae *AE) Train(ctx context.Context, unlabeled, labeled *mat.Matrix, r *rng.RNG) ([]float64, error) {
 	return ae.train(ctx, unlabeled, nil, labeled, r)
 }
 
-// train is TrainCtx on the rows of pool that rows lists, or on every
+// train is Train on the rows of pool that rows lists, or on every
 // row of pool when rows is nil. Each batch is gathered straight from
 // pool through rows, so training a cluster copies no more than one
 // batch at a time.

@@ -61,13 +61,13 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ae.Train(nil, nil, r); err == nil {
+	if _, err := ae.Train(context.Background(), nil, nil, r); err == nil {
 		t.Fatal("nil unlabeled must error")
 	}
-	if _, err := ae.Train(mat.New(3, 5), nil, r); err == nil {
+	if _, err := ae.Train(context.Background(), mat.New(3, 5), nil, r); err == nil {
 		t.Fatal("wrong unlabeled dim must error")
 	}
-	if _, err := ae.Train(mat.New(3, 8), mat.New(1, 5), r); err == nil {
+	if _, err := ae.Train(context.Background(), mat.New(3, 8), mat.New(1, 5), r); err == nil {
 		t.Fatal("wrong labeled dim must error")
 	}
 	if _, err := ae.ReconstructionErrors(mat.New(1, 5)); err == nil {
@@ -83,7 +83,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	losses, err := ae.Train(normals, nil, r)
+	losses, err := ae.Train(context.Background(), normals, nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAnomaliesReconstructWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ae.Train(normals, nil, r); err != nil {
+	if _, err := ae.Train(context.Background(), normals, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	en, err := ae.ReconstructionErrors(normals)
@@ -136,7 +136,7 @@ func TestEtaPenaltyRaisesAnomalyError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ae.Train(normals, labeled, rr); err != nil {
+		if _, err := ae.Train(context.Background(), normals, labeled, rr); err != nil {
 			t.Fatal(err)
 		}
 		en, _ := ae.ReconstructionErrors(normals)
@@ -184,7 +184,7 @@ func TestReconstructInUnitRange(t *testing.T) {
 	}
 	x := mat.New(10, 6)
 	r.FillUniform(x.Data, 0, 1)
-	if _, err := ae.Train(x, nil, r); err != nil {
+	if _, err := ae.Train(context.Background(), x, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := ae.Reconstruct(x)
@@ -222,7 +222,7 @@ func TestTrainPerCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := nn.Gather(normals, clusters[0])
-	if _, err := ae.Train(sub, nil, cr); err != nil {
+	if _, err := ae.Train(context.Background(), sub, nil, cr); err != nil {
 		t.Fatal(err)
 	}
 	es, err := ae.ReconstructionErrors(sub)

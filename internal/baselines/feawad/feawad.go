@@ -92,8 +92,8 @@ func (m *FEAWAD) Fit(ctx context.Context, train *dataset.TrainSet) error {
 	if err != nil {
 		return err
 	}
-	if _, err := ae.Train(x, nil, r.Split("aetrain")); err != nil {
-		return err
+	if _, err := ae.Train(ctx, x, nil, r.Split("aetrain")); err != nil {
+		return fmt.Errorf("feawad: pretraining: %w", err)
 	}
 	m.ae = ae
 

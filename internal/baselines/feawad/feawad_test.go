@@ -2,6 +2,7 @@ package feawad
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -86,5 +87,21 @@ func TestRequiresLabels(t *testing.T) {
 	m := New(DefaultConfig(1))
 	if err := m.Fit(context.Background(), &dataset.TrainSet{Labeled: mat.New(0, 2), NumTargetTypes: 1, Unlabeled: mat.New(5, 2)}); err == nil {
 		t.Fatal("must require labeled anomalies")
+	}
+}
+
+// TestFitCanceledSkipsPretraining: a canceled context stops Fit in
+// the autoencoder pretraining, before its first epoch, so no
+// autoencoder is installed.
+func TestFitCanceledSkipsPretraining(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := New(DefaultConfig(2))
+	err := m.Fit(ctx, trainSet(rng.New(1), 150, 10, 6))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fit on a canceled context: err = %v, want context.Canceled", err)
+	}
+	if m.ae != nil {
+		t.Fatal("Fit on a canceled context trained the autoencoder")
 	}
 }

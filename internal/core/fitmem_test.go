@@ -52,11 +52,14 @@ func goldenFitConfig() Config {
 }
 
 // savedBytesGolden holds the SHA-256 of Save after the golden fit on
-// each profile. A change that alters any saved byte — parameters,
-// thresholds, the monitoring profile — fails here and must say why.
+// each profile; the "+val" entry fits with goldenValSplit, which drives best-epoch selection and the identification
+// thresholds' validation pass. A change that alters any saved byte —
+// parameters, thresholds, the monitoring profile — fails here and must
+// say why.
 var savedBytesGolden = map[string]string{
-	"KDDCUP99":  "a3a1f6815a856a002c699e256211876fdc528d0ecab2480fe90973d912357bd2",
-	"UNSW-NB15": "cb50e78a079da8ddbee63c71e9b3864221b26915bfa7e7e2dee41118a44865df",
+	"KDDCUP99":     "a3a1f6815a856a002c699e256211876fdc528d0ecab2480fe90973d912357bd2",
+	"UNSW-NB15":    "cb50e78a079da8ddbee63c71e9b3864221b26915bfa7e7e2dee41118a44865df",
+	"KDDCUP99+val": "aa9222a64ccde3b94598b84ecac452b93f80f4cd60ee6113e0b0f61e63f39943",
 }
 
 func goldenSave(t *testing.T, b *dataset.Bundle, cfg Config) []byte {
@@ -72,6 +75,34 @@ func goldenSave(t *testing.T, b *dataset.Bundle, cfg Config) []byte {
 	return buf.Bytes()
 }
 
+// goldenValSplit is the validation split of the "+val" golden fit: the
+// profile's validation split at three times the golden scale (the
+// golden bundle's own has too few anomalies), about 440 rows, so the
+// validation pass runs many ClfBatch chunks with a short last one. It
+// fails unless the split passes both support gates of that pass
+// (tuneIdentifyOnValidation): at least 5 target and 5 non-target rows.
+func goldenValSplit(t *testing.T, spec synth.Profile) *dataset.EvalSet {
+	t.Helper()
+	b, err := synth.Generate(spec, synth.Options{Scale: 0.03, Seed: 5, LabeledPerType: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := b.Val
+	var nT, nNT int
+	for _, k := range v.Kind {
+		switch k {
+		case dataset.KindTarget:
+			nT++
+		case dataset.KindNonTarget:
+			nNT++
+		}
+	}
+	if nT < 5 || nNT < 5 {
+		t.Fatalf("validation split has %d targets and %d non-targets, want >= 5 of each", nT, nNT)
+	}
+	return v
+}
+
 // TestFitSavedBytesGolden pins the saved model of a fixed fit, on the
 // kernels selected at init and on the portable Go kernels, at one and
 // four workers. The digests are amd64 values: other architectures may
@@ -80,17 +111,24 @@ func TestFitSavedBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are recorded on amd64")
 	}
-	for _, spec := range []synth.Profile{synth.KDDCUP99(), synth.UNSWNB15()} {
-		b := goldenFitBundle(t, spec)
+	for _, c := range []struct {
+		spec synth.Profile
+		val  bool
+	}{{synth.KDDCUP99(), false}, {synth.UNSWNB15(), false}, {synth.KDDCUP99(), true}} {
+		b := goldenFitBundle(t, c.spec)
+		cfg, name := goldenFitConfig(), c.spec.Name
+		if c.val {
+			cfg.Validation, name = goldenValSplit(t, c.spec), name+"+val"
+		}
 		for _, kernels := range []string{"active", "portable"} {
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", spec.Name, kernels, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, kernels, workers), func(t *testing.T) {
 					if kernels == "portable" {
 						defer mat.UsePortableKernels()()
 					}
 					defer parallel.SetWorkers(parallel.SetWorkers(workers))
-					sum := sha256.Sum256(goldenSave(t, b, goldenFitConfig()))
-					if got, want := hex.EncodeToString(sum[:]), savedBytesGolden[spec.Name]; got != want {
+					sum := sha256.Sum256(goldenSave(t, b, cfg))
+					if got, want := hex.EncodeToString(sum[:]), savedBytesGolden[name]; got != want {
 						t.Fatalf("saved model digest %s, want %s (kernel %s)", got, want, mat.KernelName())
 					}
 				})

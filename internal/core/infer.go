@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"targad/internal/dataset"
 	"targad/internal/mat"
@@ -56,33 +57,62 @@ type InferResult struct {
 	Probs *mat.Matrix
 }
 
-// maxInferReplicas caps the replica free-list. Replicas beyond the cap
-// are simply dropped on release and reclaimed by the GC; steady-state
-// serving converges on one replica per concurrently scoring goroutine.
+// maxInferReplicas caps each replica free list. Steady-state serving
+// converges on one replica per concurrently scoring goroutine; a
+// release past the cap leaves the replica to the GC.
 const maxInferReplicas = 32
 
-// acquireInferClf returns a parameter-sharing classifier replica,
-// reusing a pooled one when available.
-func (mo *Model) acquireInferClf() *nn.MLP {
-	mo.inferMu.Lock()
-	if n := len(mo.inferFree); n > 0 {
-		r := mo.inferFree[n-1]
-		mo.inferFree[n-1] = nil
-		mo.inferFree = mo.inferFree[:n-1]
-		mo.inferMu.Unlock()
-		return r
-	}
-	mo.inferMu.Unlock()
-	return mo.clf.ShareParams()
+// freeList is a LIFO of pooled inference replicas, one per precision,
+// built over the installed classifier. setClassifier and EnableF32
+// empty it, so a replica never outlives the parameters it reads.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
 }
 
-// releaseInferClf returns a replica to the free-list.
-func (mo *Model) releaseInferClf(r *nn.MLP) {
-	mo.inferMu.Lock()
-	if len(mo.inferFree) < maxInferReplicas {
-		mo.inferFree = append(mo.inferFree, r)
+// get pops the most recently released replica; ok is false when the
+// list is empty and the caller must build one.
+func (l *freeList[T]) get() (r T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return r, false
 	}
-	mo.inferMu.Unlock()
+	r = l.items[n-1]
+	clear(l.items[n-1:])
+	l.items = l.items[:n-1]
+	return r, true
+}
+
+// put returns a replica to the list, dropping it past the cap.
+func (l *freeList[T]) put(r T) {
+	l.mu.Lock()
+	if len(l.items) < maxInferReplicas {
+		l.items = append(l.items, r)
+	}
+	l.mu.Unlock()
+}
+
+// reset drops every pooled replica.
+func (l *freeList[T]) reset() {
+	l.mu.Lock()
+	l.items = nil
+	l.mu.Unlock()
+}
+
+// setClassifier installs clf as the model's classifier — in every Fit
+// attempt and in Load — and, under inferMu, empties both replica free
+// lists and drops the float32 parameter set, so no later Infer runs on
+// a previous classifier's replica and InferF32 answers
+// ErrF32NotEnabled until EnableF32 runs again.
+func (mo *Model) setClassifier(clf *nn.MLP) {
+	mo.inferMu.Lock()
+	defer mo.inferMu.Unlock()
+	mo.clf = clf
+	mo.f32params = nil
+	mo.clfFree.reset()
+	mo.f32Free.reset()
 }
 
 // ensure grows s to n elements, keeping capacity like mat.Ensure.
@@ -166,8 +196,11 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 	if err != nil {
 		return nil, err
 	}
-	clf := mo.acquireInferClf()
-	defer mo.releaseInferClf(clf)
+	clf, ok := mo.clfFree.get()
+	if !ok {
+		clf = mo.clf.ShareParams()
+	}
+	defer mo.clfFree.put(clf)
 	return mo.infer(clf, x, opt, thresholds), nil
 }
 
@@ -198,20 +231,16 @@ func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds 
 // be caller-owned.
 func (mo *Model) decide(probs, logits *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	res := prepareResult(opt, probs.Rows)
-	normalCut := float64(mo.k) / float64(mo.m+mo.k)
 	for i := 0; i < probs.Rows; i++ {
 		row := probs.Row(i)
 		_, res.Scores[i] = mat.ArgMax(row[:mo.m])
 		if len(opt.Strategies) == 0 {
 			continue
 		}
-		var pNormal float64
-		for j := mo.m; j < mo.m+mo.k; j++ {
-			pNormal += row[j]
-		}
+		normal := mo.isNormal(row)
 		for _, s := range opt.Strategies {
 			switch {
-			case pNormal > normalCut:
+			case normal:
 				res.Kinds[s][i] = dataset.KindNormal
 			case idness(s, row, logits.Row(i)) >= thresholds[s]:
 				res.Kinds[s][i] = dataset.KindTarget

@@ -21,8 +21,7 @@ import (
 var ErrF32NotEnabled = errors.New("targad: float32 inference not enabled")
 
 // f32Replica bundles a float32 forward-pass replica with its input and
-// widening workspaces, pooled on the same free-list discipline as the
-// f64 replicas.
+// widening workspaces, pooled on a free list like the f64 replicas.
 type f32Replica struct {
 	inf    *nn.Inference32
 	x      *mat.Matrix32 // the batch narrowed to float32
@@ -48,39 +47,9 @@ func (mo *Model) EnableF32() error {
 	p, err := mo.clf.Params32()
 	mo.inferMu.Lock()
 	mo.f32params = p // nil on error: f32 stays disabled
-	mo.f32free = nil
+	mo.f32Free.reset()
 	mo.inferMu.Unlock()
 	return err
-}
-
-// acquireInferF32 returns a pooled f32 replica, or nil when EnableF32
-// has not run.
-func (mo *Model) acquireInferF32() *f32Replica {
-	mo.inferMu.Lock()
-	if mo.f32params == nil {
-		mo.inferMu.Unlock()
-		return nil
-	}
-	if n := len(mo.f32free); n > 0 {
-		r := mo.f32free[n-1]
-		mo.f32free[n-1] = nil
-		mo.f32free = mo.f32free[:n-1]
-		mo.inferMu.Unlock()
-		return r
-	}
-	p := mo.f32params
-	mo.inferMu.Unlock()
-	return &f32Replica{inf: nn.NewInference32(p)}
-}
-
-// releaseInferF32 returns a replica to the free-list (same cap as the
-// f64 pool).
-func (mo *Model) releaseInferF32(r *f32Replica) {
-	mo.inferMu.Lock()
-	if len(mo.f32free) < maxInferReplicas {
-		mo.f32free = append(mo.f32free, r)
-	}
-	mo.inferMu.Unlock()
 }
 
 // InferF32 is the float32 twin of Infer: same result shape, same
@@ -92,21 +61,27 @@ func (mo *Model) releaseInferF32(r *f32Replica) {
 // exact and order-preserving, so the f64 reductions there equal their
 // float32 counterparts on the f32 rows bit for bit. Thresholds stay
 // the calibrated float64 values; only the scores compared against them
-// carry f32 rounding. Results are deterministic for a fixed binary,
-// CPU, and input (worker count never changes a row's value), but
-// differ from Infer within the tolerance pinned by
-// f32_tolerance_test.go.
+// carry f32 rounding. A row's results are deterministic for a fixed
+// binary, CPU and model (neither the worker count nor the rows batched
+// with it change them), but differ from Infer within the tolerance
+// pinned by f32_tolerance_test.go.
 func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) (_ *InferResult, err error) {
 	defer recoverToError("infer-f32", &err)
 	thresholds, err := mo.checkCall(ctx, x.Cols, opt.Strategies)
 	if err != nil {
 		return nil, err
 	}
-	rep := mo.acquireInferF32()
-	if rep == nil {
+	mo.inferMu.Lock()
+	p := mo.f32params
+	mo.inferMu.Unlock()
+	if p == nil {
 		return nil, ErrF32NotEnabled
 	}
-	defer mo.releaseInferF32(rep)
+	rep, ok := mo.f32Free.get()
+	if !ok {
+		rep = &f32Replica{inf: nn.NewInference32(p)}
+	}
+	defer mo.f32Free.put(rep)
 
 	rep.x = mat.ToF32(rep.x, x)
 	logits := rep.inf.Forward(rep.x)

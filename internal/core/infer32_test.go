@@ -183,3 +183,36 @@ func TestInferF32WorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestInferF32RowBatchInvariant: a row's f32 scores, probabilities and
+// decisions are the same whether it is scored alone or in a batch of
+// 64, because mat.Mul32 chooses its kernels from the weight shape
+// alone.
+func TestInferF32RowBatchInvariant(t *testing.T) {
+	m := loadFixtureF32(t, fixtureModelV2)
+	x := reuseBatch(64, m.dim, 3)
+	opt := InferOptions{Strategies: []OODStrategy{ED}, Probs: true}
+	batch, err := m.InferF32(context.Background(), x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := mat.New(1, m.dim)
+	for i := 0; i < x.Rows; i++ {
+		copy(row.Data, x.Row(i))
+		alone, err := m.InferF32(context.Background(), row, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone.Scores[0] != batch.Scores[i] {
+			t.Fatalf("row %d: score %v alone, %v in the batch", i, alone.Scores[0], batch.Scores[i])
+		}
+		if alone.Kinds[ED][0] != batch.Kinds[ED][i] {
+			t.Fatalf("row %d: decision %v alone, %v in the batch", i, alone.Kinds[ED][0], batch.Kinds[ED][i])
+		}
+		for j, p := range alone.Probs.Row(0) {
+			if p != batch.Probs.At(i, j) {
+				t.Fatalf("row %d: probability %d is %v alone, %v in the batch", i, j, p, batch.Probs.At(i, j))
+			}
+		}
+	}
+}

@@ -192,10 +192,49 @@ func TestInferReplicaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.inferMu.Lock()
-	n := len(m.inferFree)
-	m.inferMu.Unlock()
+	m.clfFree.mu.Lock()
+	n := len(m.clfFree.items)
+	m.clfFree.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("sequential Infer calls left %d pooled replicas, want 1", n)
+	}
+}
+
+// TestInferAfterRefit: a second Fit installs a new classifier, so Infer
+// must score with it (bitwise equal to Score), never with a pooled
+// replica of the first fit's network, and the first fit's float32
+// parameter set is dropped until EnableF32 runs again.
+func TestInferAfterRefit(t *testing.T) {
+	cfg := testConfig()
+	cfg.ClfEpochs = 5
+	m := New(cfg, 1)
+	if err := m.Fit(context.Background(), testBundle(t, 1).Train); err != nil {
+		t.Fatal(err)
+	}
+	b := testBundle(t, 2)
+	if _, err := m.Infer(context.Background(), b.Test.X, InferOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableF32(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fit(context.Background(), b.Train); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Infer(context.Background(), b.Test.X, InferOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Score(context.Background(), b.Test.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range want {
+		if res.Scores[i] != s {
+			t.Fatalf("row %d: Infer %v after the re-fit, Score %v", i, res.Scores[i], s)
+		}
+	}
+	if _, err := m.InferF32(context.Background(), b.Test.X, InferOptions{}); !errors.Is(err, ErrF32NotEnabled) {
+		t.Fatalf("InferF32 after the re-fit: err = %v, want ErrF32NotEnabled", err)
 	}
 }

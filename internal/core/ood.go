@@ -62,6 +62,17 @@ func idness(s OODStrategy, probs, logits []float64) float64 {
 	}
 }
 
+// isNormal is the Section III-C normal rule on one row of softmax
+// probabilities: the row is normal when its mass on the k normal
+// classes, Σ_{j=m+1..m+k} p_j, exceeds k/(m+k).
+func (mo *Model) isNormal(probs []float64) bool {
+	var pNormal float64
+	for _, p := range probs[mo.m : mo.m+mo.k] {
+		pNormal += p
+	}
+	return pNormal > mo.NormalPrior()
+}
+
 // calibrateIdentification derives, per strategy, the threshold that
 // separates target anomalies from non-target anomalies among
 // anomalous-looking instances. It places the cut midway between the
@@ -135,7 +146,9 @@ func median(v []float64) float64 {
 // non-target anomalies). For each strategy it sweeps the quantiles of
 // the validation ID-ness distribution and keeps the threshold with the
 // best macro F1 over the three-way classification. It requires minimal
-// support of each class to avoid fitting noise.
+// support of each class to avoid fitting noise. One chunked pass over
+// the split reads every row's normal test and all three ID-ness
+// values.
 func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 	if v == nil || mo.clf == nil {
 		return
@@ -152,30 +165,36 @@ func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 	if nT < 5 || nNT < 5 {
 		return
 	}
-	logits := mo.clf.Forward(v.X)
-	actual := make([]int, len(v.Kind))
+	strategies := OODStrategies()
+	n := v.X.Rows
+	anomalous := make([]bool, n)
+	ids := make([][]float64, len(strategies))
+	for si := range ids {
+		ids[si] = make([]float64, n)
+	}
+	var probs *mat.Matrix
+	mo.forChunks(rowSet{x: v.X}, func(lo int, chunk *mat.Matrix) {
+		logits := mo.clf.Forward(chunk)
+		probs = nn.SoftmaxRowsInto(probs, logits)
+		for i := 0; i < logits.Rows; i++ {
+			anomalous[lo+i] = !mo.isNormal(probs.Row(i))
+			for si, s := range strategies {
+				ids[si][lo+i] = idness(s, probs.Row(i), logits.Row(i))
+			}
+		}
+	})
+	actual := make([]int, n)
 	for i, k := range v.Kind {
 		actual[i] = int(k)
 	}
-	normalCut := float64(mo.k) / float64(mo.m+mo.k)
-	probs := make([]float64, mo.m+mo.k)
-	for _, s := range OODStrategies() {
+	pred := make([]int, n)
+	for si, s := range strategies {
 		// Candidate thresholds: quantiles of the anomalous rows'
 		// ID-ness values.
 		var vals []float64
-		anomalous := make([]bool, v.X.Rows)
-		ids := make([]float64, v.X.Rows)
-		for i := 0; i < v.X.Rows; i++ {
-			row := logits.Row(i)
-			mat.Softmax(probs, row)
-			var pNormal float64
-			for j := mo.m; j < mo.m+mo.k; j++ {
-				pNormal += probs[j]
-			}
-			anomalous[i] = pNormal <= normalCut
-			ids[i] = idness(s, probs, row)
-			if anomalous[i] {
-				vals = append(vals, ids[i])
+		for i, a := range anomalous {
+			if a {
+				vals = append(vals, ids[si][i])
 			}
 		}
 		if len(vals) < 4 {
@@ -185,12 +204,11 @@ func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 		bestThr, bestF1 := mo.idThreshold[s], -1.0
 		for q := 1; q < 20; q++ {
 			thr := vals[order[len(order)*q/20]]
-			pred := make([]int, v.X.Rows)
 			for i := range pred {
 				switch {
 				case !anomalous[i]:
 					pred[i] = int(dataset.KindNormal)
-				case ids[i] >= thr:
+				case ids[si][i] >= thr:
 					pred[i] = int(dataset.KindTarget)
 				default:
 					pred[i] = int(dataset.KindNonTarget)

@@ -205,7 +205,7 @@ func Load(r io.Reader) (*Model, error) {
 	mo.m = s.M
 	mo.k = s.K
 	mo.dim = s.Dim
-	mo.clf = clf
+	mo.setClassifier(clf)
 	for strat, thr := range s.Thresholds {
 		mo.idThreshold[OODStrategy(strat)] = thr
 	}

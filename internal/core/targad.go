@@ -157,16 +157,14 @@ type Model struct {
 	// profile.go); persisted with the model, nil when absent.
 	profile *monitor.Profile
 
-	// Inference replica free-list (see infer.go): parameter-sharing
-	// classifier replicas backing the thread-safe Infer path.
+	// Inference state, reset by setClassifier (see infer.go): the free
+	// list of parameter-sharing classifier replicas behind Infer, and
+	// the float32 parameter set EnableF32 builds, guarded by inferMu,
+	// with the free list of f32 replicas over it (see infer32.go).
 	inferMu   sync.Mutex
-	inferFree []*nn.MLP
-
-	// Float32 inference state (see infer32.go): the converted parameter
-	// set built by EnableF32 and the replica free-list over it, both
-	// guarded by inferMu.
+	clfFree   freeList[*nn.MLP]
 	f32params *nn.Params32
-	f32free   []*f32Replica
+	f32Free   freeList[*f32Replica]
 }
 
 // New returns an untrained TargAD model. Zero-valued numeric fields in
@@ -423,7 +421,7 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 	if err != nil {
 		return fmt.Errorf("targad: classifier: %w", err)
 	}
-	mo.clf = clf
+	mo.setClassifier(clf)
 	if ws := mo.cfg.WarmStart; ws.matches(mo.dim, numClasses, hidden) {
 		restoreParams(clf, ws.Params)
 	}

@@ -1,20 +1,22 @@
-// Float32 packed GEMM for the inference path: above its flop and depth
-// cutoff (gemmBlocked32), Mul32 packs Bᵀ so each output column's K
-// entries are contiguous, then walks 4 output rows at a time over
-// 64-column panels. The micro-kernel is pluggable: on amd64 with
-// AVX2+FMA (and without the noasm build tag) the inner loops run the
-// assembly kernels of kernels_amd64.s; everywhere else the pure-Go
-// kernels below run.
+// Float32 packed GEMM for the inference path. Mul32 chooses its
+// kernels from the weight shape alone: on amd64 with AVX2+FMA (and
+// without the noasm build tag) the 16-column body of the output runs
+// the outer-product assembly kernels of kernels_amd64.s, and the
+// narrow remainder runs the dot kernels over a packed Bᵀ, 4 output
+// rows at a time over 64-column panels. Everywhere else every column
+// runs the pure-Go dot kernels below over the packed Bᵀ.
 //
 // Precision contract: unlike the float64 GEMM there is NO bitwise
-// accumulation-order guarantee here. The assembly kernels keep 16
-// partial sums per output element and fuse multiply-adds, so blocked,
-// naive, asm, and fallback results differ in the last ulps. What IS
-// guaranteed: (a) results are deterministic for a fixed binary, CPU,
-// and shape — kernel choice is decided once at init and the row split
-// never changes per-element accumulation chains, so any worker count
-// produces identical bytes; (b) every path stays within the ulp bound
-// asserted by gemm32_test.go against the float64 reference.
+// accumulation-order guarantee across implementations. The assembly
+// kernels fuse multiply-adds and the dot kernels keep 16 partial sums
+// per output element, so asm and fallback results differ in the last
+// ulps. What IS guaranteed: (a) results are deterministic per binary,
+// CPU and weight shape — kernel choice is decided once at init, the
+// batch size never selects a kernel, and every 1-row kernel is
+// chain-identical to its 4-row twin, so a row's bits do not depend on
+// the rows batched with it or on the worker count; (b) every path
+// stays within the ulp bound asserted by gemm32_test.go against the
+// float64 reference.
 package mat
 
 import (
@@ -67,27 +69,10 @@ func UsePortableKernels() (restore func()) {
 	}
 }
 
-const (
-	// gemmMinFlops32 is the blocked-path cutoff for f32 products: the
-	// SIMD dot kernels beat the streaming loop as soon as the pack cost
-	// (k·n writes) amortizes, which for f32 happens around a few
-	// thousand multiply-adds — e.g. the classifier's final 16→6 layer
-	// over a few hundred rows.
-	gemmMinFlops32 = 1 << 13
-	// gemmMinDepth32 is the minimum accumulation depth (k) for the
-	// packed path; shallower products gain nothing from packing.
-	gemmMinDepth32 = 8
-	// gemmPanelCols is the number of output columns per packed panel:
-	// one panel of packed Bᵀ (gemmPanelCols·K floats) is sized to stay
-	// L2-resident while every row quad streams over it.
-	gemmPanelCols = 64
-)
-
-// gemmBlocked32 reports whether an m×k·k×n f32 product should take the
-// packed path.
-func gemmBlocked32(m, k, n int) bool {
-	return k >= gemmMinDepth32 && m*k*n >= gemmMinFlops32
-}
+// gemmPanelCols is the number of output columns per packed panel: one
+// panel of packed Bᵀ (gemmPanelCols·K floats) is sized to stay
+// L2-resident while every row quad streams over it.
+const gemmPanelCols = 64
 
 // packPool32 recycles f32 pack buffers across Mul32 calls, mirroring
 // packPool.
@@ -120,11 +105,14 @@ func packTransposeColsInto32(dst []float32, src *Matrix32, j0, j1 int) {
 }
 
 // Mul32 computes dst = a·b in float32. dst must be a.Rows×b.Cols and
-// must not alias a or b; a nil dst allocates. Above the f32 cutoff
-// (gemmBlocked32) the packed panel kernel runs (with the SIMD
-// micro-kernels when active); below it a naive streaming loop runs.
-// Large products split row-wise across the worker pool; each output
-// element's value is independent of the worker count.
+// must not alias a or b; a nil dst allocates. The kernels depend on
+// b's shape only: the outer-product kernels take the 16-column body
+// when active, and the packed dot kernels take narrow outputs and the
+// sub-16 column remainder. An empty output returns before any kernel
+// runs, and k = 0 (an empty chain, +0) zeroes dst. Large products
+// split row-wise across the worker pool. Every 1-row kernel is
+// chain-identical to its 4-row twin, so each output row is the same
+// for any batch it is part of and any worker count.
 func Mul32(dst, a, b *Matrix32) (*Matrix32, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("mat: mul32 %dx%d by %dx%d: %w", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape)
@@ -134,72 +122,46 @@ func Mul32(dst, a, b *Matrix32) (*Matrix32, error) {
 	} else if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return nil, fmt.Errorf("mat: mul32 destination %dx%d, want %dx%d: %w", dst.Rows, dst.Cols, a.Rows, b.Cols, ErrShape)
 	}
-	if gemmBlocked32(a.Rows, a.Cols, b.Cols) {
-		n := b.Cols
-		// The outer-product kernels take the 16-column body when
-		// active; the packed dot kernels take narrow outputs and the
-		// sub-16 column remainder. Row-splitting either kernel never
-		// changes an element's accumulation chain (the 1-row variants
-		// are chain-identical to the 4-row ones), so results stay
-		// worker-count invariant.
-		body := 0
-		if mul32Outer != nil && n >= 16 {
-			body = n &^ 15
-		}
-		var bt *packBuf32
-		if body < n {
-			bt = grabPack32(b.Rows * (n - body))
-			packTransposeColsInto32(bt.data, b, body, n)
-		}
-		// The serial path stays closure-free: a closure shared with the
-		// parallel branch would escape and cost an allocation per call.
-		if parallel.Workers() == 1 {
-			if body > 0 {
-				mul32Outer(dst, a, b, 0, a.Rows)
-			}
-			if bt != nil {
-				gemmPackedRows32(dst, a, bt.data, 0, a.Rows, body)
-			}
-		} else {
-			parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*n), func(lo, hi int) {
-				if body > 0 {
-					mul32Outer(dst, a, b, lo, hi)
-				}
-				if bt != nil {
-					gemmPackedRows32(dst, a, bt.data, lo, hi, body)
-				}
-			})
+	n := b.Cols
+	if a.Rows == 0 || n == 0 {
+		return dst, nil
+	}
+	if a.Cols == 0 {
+		clear(dst.Data)
+		return dst, nil
+	}
+	body := 0
+	if mul32Outer != nil && n >= 16 {
+		body = n &^ 15
+	}
+	var bt *packBuf32
+	if body < n {
+		bt = grabPack32(b.Rows * (n - body))
+		packTransposeColsInto32(bt.data, b, body, n)
+	}
+	// The serial path stays closure-free: a closure shared with the
+	// parallel branch would escape and cost an allocation per call.
+	if parallel.Workers() == 1 {
+		if body > 0 {
+			mul32Outer(dst, a, b, 0, a.Rows)
 		}
 		if bt != nil {
-			releasePack32(bt)
+			gemmPackedRows32(dst, a, bt.data, 0, a.Rows, body)
 		}
-		return dst, nil
-	}
-	if parallel.Workers() == 1 {
-		mulRows32(dst, a, b, 0, a.Rows)
-		return dst, nil
-	}
-	parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*b.Cols), func(lo, hi int) {
-		mulRows32(dst, a, b, lo, hi)
-	})
-	return dst, nil
-}
-
-// mulRows32 computes output rows [lo,hi) of dst = a·b in ikj order.
-func mulRows32(dst, a, b *Matrix32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k, av := range arow {
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
+	} else {
+		parallel.ForEachChunkMin(a.Rows, minChunkFor(a.Cols*n), func(lo, hi int) {
+			if body > 0 {
+				mul32Outer(dst, a, b, lo, hi)
 			}
-		}
+			if bt != nil {
+				gemmPackedRows32(dst, a, bt.data, lo, hi, body)
+			}
+		})
 	}
+	if bt != nil {
+		releasePack32(bt)
+	}
+	return dst, nil
 }
 
 // gemmPackedRows32 computes dst rows [lo,hi) of columns [j0,n) of a·B,

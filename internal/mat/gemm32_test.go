@@ -58,25 +58,26 @@ func requireUlpBound(t *testing.T, name string, got *Matrix32, a, b *Matrix) {
 }
 
 // gemm32Shapes extends gemmShapes with extra panel/tile remainder
-// combinations around the blocked cutoff; every remainder class of the
-// 4-row quad, the 8/16-lane vector widths, and the 64-column panel
-// appears at least once.
+// combinations; every remainder class of the 4-row quad, the 8/16-lane
+// vector widths, the 16-column outer-product body and the 64-column
+// panel appears at least once.
 var gemm32Shapes = []struct{ m, k, n int }{
-	{1, 8, 64},    // single row, naive (below flop cutoff)
-	{3, 7, 5},     // shallow k, naive
-	{64, 32, 64},  // blocked, exact tiles
-	{65, 32, 64},  // blocked, 1-row remainder
-	{66, 33, 65},  // blocked, 2-row + k and panel remainders
-	{67, 31, 130}, // blocked, 3-row remainder, 3 panels
-	{4, 128, 129}, // blocked, single quad, panel remainder
-	{5, 257, 64},  // blocked, k remainder 1 past the 16-lane body
-	{128, 8, 64},  // blocked at minimum depth (one 8-lane step exactly)
-	{128, 9, 64},  // blocked, k = 8-lane step + scalar tail
-	{64, 17, 64},  // blocked, k = 16-lane step + scalar tail
-	{64, 24, 64},  // blocked, k = 16-lane step + 8-lane step
-	{128, 7, 64},  // naive: below minimum depth despite flops
-	{556, 16, 6},  // blocked under the f32 cutoff only (classifier's final layer over a batch)
-	{32, 16, 16},  // blocked right at the f32 flop cutoff (8192)
+	{1, 8, 64},    // single row, outer-product body only
+	{3, 7, 5},     // shallow k, 3-row remainder, dot kernels only
+	{64, 32, 64},  // exact tiles
+	{65, 32, 64},  // 1-row remainder
+	{66, 33, 65},  // 2-row + k and panel remainders
+	{67, 31, 130}, // 3-row remainder, 3 panels
+	{4, 128, 129}, // single quad, panel remainder
+	{5, 257, 64},  // k remainder 1 past the 16-lane body
+	{128, 8, 64},  // one 8-lane step exactly
+	{128, 9, 64},  // k = 8-lane step + scalar tail
+	{64, 17, 64},  // k = 16-lane step + scalar tail
+	{64, 24, 64},  // k = 16-lane step + 8-lane step
+	{128, 7, 64},  // k below one 8-lane step
+	{556, 16, 6},  // classifier's final layer over a batch
+	{32, 16, 16},  // one 16-column body, no remainder
+	{2, 1, 3},     // k = 1
 }
 
 // TestMul32WithinUlpBoundOfF64 is the property test of the f32
@@ -175,18 +176,15 @@ func TestMul32ShapeErrors(t *testing.T) {
 }
 
 // TestMul32SteadyStateAllocs verifies the f32 pack-buffer pool mirrors
-// the f64 one: repeated blocked products allocate nothing once warm.
+// the f64 one: repeated products allocate nothing once warm.
 func TestMul32SteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	a := New32(64, 32)
-	b := New32(32, 64)
+	b := New32(32, 70)
 	fillDet32(a.Data, 41)
 	fillDet32(b.Data, 43)
-	dst := New32(64, 64)
-	if !gemmBlocked32(a.Rows, a.Cols, b.Cols) {
-		t.Fatal("test shape must engage the blocked kernel")
-	}
+	dst := New32(64, 70)
 	if _, err := Mul32(dst, a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,63 @@ func TestMul32SteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Fatalf("steady-state blocked Mul32 allocates %.1f times per call, want 0", n)
+		t.Fatalf("steady-state Mul32 allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestMul32RowInvariant: kernels are chosen from the weight shape
+// alone and every 1-row kernel is chain-identical to its 4-row twin,
+// so each row of a batched product equals that row multiplied alone,
+// bit for bit. The shapes are the classifier layers of the KDDCUP99
+// and UNSW-NB15 profiles, whose narrow outputs once took a different
+// kernel at one row than at 64.
+func TestMul32RowInvariant(t *testing.T) {
+	t.Logf("active f32 kernel: %s", KernelName())
+	for _, s := range []struct{ m, k, n int }{{64, 32, 32}, {64, 98, 49}, {64, 49, 6}, {64, 196, 98}} {
+		a := New32(s.m, s.k)
+		b := New32(s.k, s.n)
+		fillDet32(a.Data, uint64(s.k*7+s.n))
+		fillDet32(b.Data, uint64(s.k*13+s.n))
+		batch, err := Mul32(nil, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := New32(1, s.k)
+		for i := 0; i < s.m; i++ {
+			copy(row.Data, a.Data[i*s.k:(i+1)*s.k])
+			alone, err := Mul32(nil, row, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range alone.Data {
+				if got := batch.Data[i*s.n+j]; got != v {
+					t.Fatalf("%dx%dx%d: row %d column %d is %v in the batch, %v alone", s.m, s.k, s.n, i, j, got, v)
+				}
+			}
+		}
+	}
+}
+
+// TestMul32EmptyAndZeroDepth: an empty output is left alone and k = 0
+// zeroes dst, both before any kernel runs.
+func TestMul32EmptyAndZeroDepth(t *testing.T) {
+	if got, err := Mul32(nil, New32(0, 4), New32(4, 3)); err != nil || got.Rows != 0 || got.Cols != 3 {
+		t.Fatalf("empty rows: got %v, %v", got, err)
+	}
+	if got, err := Mul32(nil, New32(2, 4), New32(4, 0)); err != nil || len(got.Data) != 0 {
+		t.Fatalf("empty columns: got %v, %v", got, err)
+	}
+	dst := New32(3, 17)
+	for i := range dst.Data {
+		dst.Data[i] = 1
+	}
+	if _, err := Mul32(dst, New32(3, 0), New32(0, 17)); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dst.Data {
+		if v != 0 {
+			t.Fatalf("k = 0: element %d = %v, want 0", i, v)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 //     resident C tile — A elements broadcast against B row slabs, no
 //     packing, no horizontal reduction. One strictly k-increasing FMA
 //     chain per output element. These carry the column body (n ≥ 16)
-//     of the blocked f32 GEMM.
+//     of the f32 GEMM.
 //   - dot4f32AVX2/dotf32AVX2: dot-product kernels over a packed Bᵀ
 //     column, 16 independent float32 partial sums per output (two
 //     8-lane YMM accumulator banks) folded pairwise at the end. These
@@ -205,7 +205,7 @@ done:
 // one A element per row and issues 8 FMAs against the two YMM halves of
 // B's row slab, so the 4×16 C tile lives entirely in registers — no
 // horizontal reduction and no packing. Each C element is a single
-// strictly k-increasing FMA chain (the same order as the naive loop,
+// strictly k-increasing FMA chain (the k order of the Go dot kernels,
 // with fused roundings), which keeps results worker-count invariant:
 // this kernel and fma1x16f32 produce bitwise-identical rows.
 TEXT ·fma4x16f32(SB), NOSPLIT, $0-56

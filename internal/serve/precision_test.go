@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,36 +91,99 @@ func TestServeF32WithinTolerance(t *testing.T) {
 // bit: on an f32 server, JSON rows and f32 binary frames score exactly
 // as core.InferF32 does on the same rows (the JSON rows as sent, the
 // frame's rows widened) — scores, ED decisions and probabilities. The
-// requests go one at a time so each batch holds exactly one request's
-// rows: the f32 GEMM picks its kernel by batch shape, so an f32 row's
-// bits may depend on the rows it shares a batch with.
+// f32 GEMM chooses its kernels from the weight shape alone, so a row's
+// bits do not depend on the rows it shares a batch with: the last pass
+// sends requests from several clients at once, so the batcher
+// coalesces them, and every response must still equal InferF32 on its
+// own rows.
 func TestServeF32MatchesInferF32(t *testing.T) {
 	m := loadFixtureModel(t)
 	if err := m.EnableF32(); err != nil {
 		t.Fatal(err)
 	}
-	check := func(what string, rows [][]float64, scores []float64, decisions []string, prob func(i, j int) float64) {
-		t.Helper()
+	check := func(what string, rows [][]float64, scores []float64, decisions []string, prob func(i, j int) float64) error {
 		want, err := m.InferF32(context.Background(), rowsMatrix(rows), core.InferOptions{Strategies: []core.OODStrategy{core.ED}, Probs: true})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if len(scores) != len(want.Scores) || len(decisions) != len(want.Scores) {
-			t.Fatalf("%s: %d scores and %d decisions, want %d", what, len(scores), len(decisions), len(want.Scores))
+			return fmt.Errorf("%s: %d scores and %d decisions, want %d", what, len(scores), len(decisions), len(want.Scores))
 		}
 		for i, s := range want.Scores {
 			if scores[i] != s {
-				t.Fatalf("%s row %d: served score %v != InferF32 %v", what, i, scores[i], s)
+				return fmt.Errorf("%s row %d: served score %v != InferF32 %v", what, i, scores[i], s)
 			}
 			if k := want.Kinds[core.ED][i].String(); decisions[i] != k {
-				t.Fatalf("%s row %d: served decision %q != InferF32 %q", what, i, decisions[i], k)
+				return fmt.Errorf("%s row %d: served decision %q != InferF32 %q", what, i, decisions[i], k)
 			}
 			for j := 0; j < want.Probs.Cols; j++ {
 				if p := prob(i, j); p != want.Probs.At(i, j) {
-					t.Fatalf("%s prob (%d,%d): served %v != InferF32 %v", what, i, j, p, want.Probs.At(i, j))
+					return fmt.Errorf("%s prob (%d,%d): served %v != InferF32 %v", what, i, j, p, want.Probs.At(i, j))
 				}
 			}
 		}
+		return nil
+	}
+	// post sends one /score body and returns the 200 response body. It
+	// reports failures as errors, so the concurrent pass below can call
+	// it off the test goroutine.
+	post := func(ts *httptest.Server, contentType string, body []byte) ([]byte, error) {
+		resp, err := ts.Client().Post(ts.URL+"/score", contentType, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %q", resp.StatusCode, raw)
+		}
+		return raw, err
+	}
+	// roundTrip scores n rows as JSON and as an f32 frame and checks
+	// both responses.
+	roundTrip := func(ts *httptest.Server, what string, n int, seed int64) error {
+		rows := testRows(n, seed)
+		rows32 := make([][]float32, n)
+		widened := make([][]float64, n)
+		for i, row := range rows {
+			rows32[i] = make([]float32, len(row))
+			widened[i] = make([]float64, len(row))
+			for j, v := range row {
+				rows32[i][j] = float32(v)
+				widened[i][j] = float64(float32(v))
+			}
+		}
+		body, err := json.Marshal(scoreRequest{Instances: rows, Strategy: "ED", Probabilities: true})
+		if err != nil {
+			return err
+		}
+		raw, err := post(ts, "application/json", body)
+		if err != nil {
+			return fmt.Errorf("%s JSON: %w", what, err)
+		}
+		var got scoreResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
+			return fmt.Errorf("%s JSON: %w", what, err)
+		}
+		if err := check(what+" JSON", rows, got.Scores, got.Decisions, func(i, j int) float64 { return got.Probabilities[i][j] }); err != nil {
+			return err
+		}
+		frame, err := wire.AppendRequestF32(nil, rows32, int(core.ED), true)
+		if err != nil {
+			return err
+		}
+		if raw, err = post(ts, wire.ContentType, frame); err != nil {
+			return fmt.Errorf("%s f32 frame: %w", what, err)
+		}
+		bin, err := wire.DecodeResponse(raw)
+		if err != nil {
+			return fmt.Errorf("%s f32 frame: %w", what, err)
+		}
+		decisions := make([]string, len(bin.Decisions))
+		for i, k := range bin.Decisions {
+			decisions[i] = k.String()
+		}
+		return check(what+" f32 frame", widened, bin.Scores, decisions, bin.Probs.At)
 	}
 
 	for _, cfg := range []Config{
@@ -124,36 +192,33 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 	} {
 		_, ts := newTestServer(t, cfg)
 		for n := 1; n <= 24; n += 23 {
-			rows := testRows(n, int64(500+n))
-			rows32 := make([][]float32, n)
-			widened := make([][]float64, n)
-			for i, row := range rows {
-				rows32[i] = make([]float32, len(row))
-				widened[i] = make([]float64, len(row))
-				for j, v := range row {
-					rows32[i][j] = float32(v)
-					widened[i][j] = float64(float32(v))
-				}
-			}
-			what := fmt.Sprintf("MaxBatch %d, %d rows", cfg.MaxBatch, n)
-
-			status, got, bad := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows, Strategy: "ED", Probabilities: true})
-			if status != http.StatusOK {
-				t.Fatalf("%s JSON: status %d: %s", what, status, bad.Error)
-			}
-			check(what+" JSON", rows, got.Scores, got.Decisions, func(i, j int) float64 { return got.Probabilities[i][j] })
-
-			frame, err := wire.AppendRequestF32(nil, rows32, int(core.ED), true)
-			if err != nil {
+			if err := roundTrip(ts, fmt.Sprintf("MaxBatch %d, %d rows", cfg.MaxBatch, n), n, int64(500+n)); err != nil {
 				t.Fatal(err)
 			}
-			bin := scoreFrame(t, ts, frame)
-			decisions := make([]string, len(bin.Decisions))
-			for i, k := range bin.Decisions {
-				decisions[i] = k.String()
-			}
-			check(what+" f32 frame", widened, bin.Scores, decisions, bin.Probs.At)
 		}
+	}
+
+	_, ts := newTestServer(t, Config{MaxBatch: 32, MaxWait: 2 * time.Millisecond, Strategy: core.ED, Precision: F32})
+	const clients, iters = 8, 4
+	var wg sync.WaitGroup
+	fails := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				n := 1 + (c+it)%7
+				if err := roundTrip(ts, fmt.Sprintf("client %d, request %d, %d rows", c, it, n), n, int64(600+10*c+it)); err != nil {
+					fails <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(fails)
+	for err := range fails {
+		t.Fatal(err)
 	}
 }
 
