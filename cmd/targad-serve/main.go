@@ -92,7 +92,7 @@ func main() {
 		maxHot      = flag.Int("max-hot-models", 4, "registry mode: models kept loaded at once; past it the least-recently-used is evicted")
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxBatch    = flag.Int("max-batch", 64, "max rows per inference micro-batch (1 disables batching)")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait for an incomplete batch to fill")
+		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait for an incomplete batch to fill (0 means 2ms; negative takes only what is already queued)")
 		queueDepth  = flag.Int("queue", 256, "bounded queue depth; beyond it requests shed with 429")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")

@@ -222,15 +222,35 @@ func writeCheckpointFixture(t *testing.T, b *dataset.Bundle, path string, interr
 // classifier keeps after Fit: no matrix held by any layer — inputs
 // kept for the backward pass, forward and backward workspaces — shares
 // train.Unlabeled's backing array, and none has room for more than
-// ClfBatch rows.
+// ClfBatch rows. The "+val" case also runs the per-epoch validation
+// AUPRC and the threshold tuning over a split of about 440 rows, then
+// Scores the test split: scoring runs on replicas, never on the
+// classifier Fit trains.
 func TestFitClassifierHoldsNoPool(t *testing.T) {
-	b := goldenFitBundle(t, synth.KDDCUP99())
-	cfg := goldenFitConfig()
-	m := New(cfg, 11)
-	if err := m.Fit(context.Background(), b.Train); err != nil {
-		t.Fatal(err)
+	for _, val := range []bool{false, true} {
+		t.Run(fmt.Sprintf("val=%v", val), func(t *testing.T) {
+			b := goldenFitBundle(t, synth.KDDCUP99())
+			cfg := goldenFitConfig()
+			if val {
+				cfg.Validation = goldenValSplit(t, synth.KDDCUP99())
+			}
+			m := New(cfg, 11)
+			if err := m.Fit(context.Background(), b.Train); err != nil {
+				t.Fatal(err)
+			}
+			if val {
+				if _, err := m.Score(context.Background(), b.Test.X); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkClassifierHoldsNoPool(t, m, b.Train.Unlabeled, cfg.ClfBatch)
+		})
 	}
-	pool := reflect.ValueOf(b.Train.Unlabeled.Data)
+}
+
+func checkClassifierHoldsNoPool(t *testing.T, m *Model, unlabeled *mat.Matrix, clfBatch int) {
+	t.Helper()
+	pool := reflect.ValueOf(unlabeled.Data)
 	poolLo := pool.Pointer()
 	poolHi := poolLo + uintptr(pool.Cap())*8
 	matrixType := reflect.TypeOf((*mat.Matrix)(nil))
@@ -249,8 +269,8 @@ func TestFitClassifierHoldsNoPool(t *testing.T) {
 			if p := data.Pointer(); data.Cap() > 0 && p >= poolLo && p < poolHi {
 				t.Errorf("%s references the unlabeled pool", name)
 			}
-			if cols > 0 && data.Cap() > cfg.ClfBatch*cols {
-				t.Errorf("%s holds room for %d rows, over ClfBatch %d", name, data.Cap()/cols, cfg.ClfBatch)
+			if cols > 0 && data.Cap() > clfBatch*cols {
+				t.Errorf("%s holds room for %d rows, over ClfBatch %d", name, data.Cap()/cols, clfBatch)
 			}
 		}
 	}

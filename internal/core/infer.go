@@ -47,13 +47,12 @@ type InferOptions struct {
 // any later call on the model (and may be handed back via
 // InferOptions.Reuse to recycle their storage).
 type InferResult struct {
-	// Scores holds S^tar per row (Eq. 9), identical to Model.Score.
+	// Scores holds S^tar per row (Eq. 9).
 	Scores []float64
-	// Kinds holds the three-way decision per requested strategy,
-	// identical to Model.Identify.
+	// Kinds holds the three-way decision per requested strategy.
 	Kinds map[OODStrategy][]dataset.Kind
 	// Probs holds softmax class probabilities (m+k columns) when
-	// requested, identical to Model.Probabilities.
+	// requested.
 	Probs *mat.Matrix
 }
 
@@ -179,14 +178,13 @@ func (mo *Model) checkCall(ctx context.Context, cols int, strategies []OODStrate
 	return thresholds, nil
 }
 
-// Infer is the thread-safe inference path: it scores x on a pooled
-// parameter-sharing replica of the classifier, so any number of
-// goroutines may call it concurrently on one fitted (or loaded) Model.
-// The outputs are bitwise-identical to the single-threaded Score,
-// Probabilities, and Identify on the same rows — all four run the one
-// body in infer, replicas share the exact parameter tensors, and every
-// kernel computes each row independently of which other rows share its
-// batch.
+// Infer scores x on a pooled parameter-sharing replica of the
+// classifier. Any number of goroutines may call it, or Score and
+// Identify, which wrap it, concurrently on one fitted (or loaded)
+// Model. Replicas share the exact parameter tensors and every kernel
+// computes each row independently of which other rows share its batch,
+// so a row's outputs do not depend on the replica, the batch, or the
+// worker count.
 //
 // Infer must not run concurrently with Fit: training mutates the
 // shared parameters.
@@ -196,19 +194,18 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 	if err != nil {
 		return nil, err
 	}
+	return mo.infer(x, opt, thresholds), nil
+}
+
+// infer is the one f64 inference body: the forward pass on a pooled
+// replica and the row softmax, then the decision tail. The call must
+// have passed checkCall, which produced thresholds.
+func (mo *Model) infer(x *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	clf, ok := mo.clfFree.get()
 	if !ok {
 		clf = mo.clf.ShareParams()
 	}
 	defer mo.clfFree.put(clf)
-	return mo.infer(clf, x, opt, thresholds), nil
-}
-
-// infer is the one f64 inference body: the forward pass on clf (a
-// pooled replica for Infer, the model's own classifier for the offline
-// wrappers) and the row softmax, then the decision tail. The call must
-// have passed checkCall, which produced thresholds.
-func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	logits := clf.Forward(x)
 	// Softmax lands in a caller-owned matrix (never a layer workspace):
 	// the recycled result's Probs in reuse mode, a fresh allocation
@@ -232,22 +229,7 @@ func (mo *Model) infer(clf *nn.MLP, x *mat.Matrix, opt InferOptions, thresholds 
 func (mo *Model) decide(probs, logits *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	res := prepareResult(opt, probs.Rows)
 	for i := 0; i < probs.Rows; i++ {
-		row := probs.Row(i)
-		_, res.Scores[i] = mat.ArgMax(row[:mo.m])
-		if len(opt.Strategies) == 0 {
-			continue
-		}
-		normal := mo.isNormal(row)
-		for _, s := range opt.Strategies {
-			switch {
-			case normal:
-				res.Kinds[s][i] = dataset.KindNormal
-			case idness(s, row, logits.Row(i)) >= thresholds[s]:
-				res.Kinds[s][i] = dataset.KindTarget
-			default:
-				res.Kinds[s][i] = dataset.KindNonTarget
-			}
-		}
+		mo.decideRow(res, i, probs.Row(i), logits.Row(i), opt.Strategies, thresholds)
 	}
 	if opt.Probs || opt.Reuse != nil {
 		res.Probs = probs
@@ -255,48 +237,55 @@ func (mo *Model) decide(probs, logits *mat.Matrix, opt InferOptions, thresholds 
 	return res
 }
 
+// decideRow writes row i's target score and its decision under each
+// strategy into res, from the row's softmax probabilities and logits.
+func (mo *Model) decideRow(res *InferResult, i int, probs, logits []float64, strategies []OODStrategy, thresholds [3]float64) {
+	res.Scores[i] = mo.targetScore(probs)
+	if len(strategies) == 0 {
+		return
+	}
+	normal := mo.isNormal(probs)
+	for _, s := range strategies {
+		switch {
+		case normal:
+			res.Kinds[s][i] = dataset.KindNormal
+		case idness(s, probs, logits) >= thresholds[s]:
+			res.Kinds[s][i] = dataset.KindTarget
+		default:
+			res.Kinds[s][i] = dataset.KindNonTarget
+		}
+	}
+}
+
+// targetScore is Eq. (9) for one row: S^tar = max_{j ∈ [1,m]} p_j.
+func (mo *Model) targetScore(probs []float64) float64 {
+	_, s := mat.ArgMax(probs[:mo.m])
+	return s
+}
+
 // Score implements detector.Detector with Eq. (9):
-// S^tar(x) = max_{j ∈ [1,m]} p_j(x). The classifier forward pass and
-// the row softmax split the batch across the worker pool, and the
-// scores are bitwise identical for any worker count. Like Fit, it
-// converts internal panics into a *InternalError at the boundary.
-//
-// Concurrency contract: Score, Probabilities and Identify run on the
-// model's own classifier, whose forward pass writes layer-owned
-// workspaces (see internal/nn's buffer-ownership contract), so they are
-// NOT safe for concurrent use on one Model. Concurrent scoring must use
-// Infer, whose replica pool makes it safe and whose outputs are
-// bitwise-identical to these methods'.
+// S^tar(x) = max_{j ∈ [1,m]} p_j(x). It is Infer without options; like
+// Fit, it converts internal panics into a *InternalError at the
+// boundary.
 func (mo *Model) Score(ctx context.Context, x *mat.Matrix) (scores []float64, err error) {
 	defer recoverToError("score", &err)
 	thresholds, err := mo.checkCall(ctx, x.Cols, nil)
 	if err != nil {
 		return nil, err
 	}
-	return mo.infer(mo.clf, x, InferOptions{}, thresholds).Scores, nil
-}
-
-// Probabilities returns softmax class probabilities (m+k columns). It
-// shares Score's concurrency contract.
-func (mo *Model) Probabilities(x *mat.Matrix) (*mat.Matrix, error) {
-	thresholds, err := mo.checkCall(nil, x.Cols, nil)
-	if err != nil {
-		return nil, err
-	}
-	return mo.infer(mo.clf, x, InferOptions{Probs: true}, thresholds).Probs, nil
+	return mo.infer(x, InferOptions{}, thresholds).Scores, nil
 }
 
 // Identify performs the three-way classification of Section III-C:
 // an instance is normal when Σ_{j=m+1..m+k} p_j > k/(m+k); otherwise
 // it is anomalous and the OOD strategy splits it into target
 // (ID-ness above the calibrated threshold) or non-target. A strategy
-// the model has no threshold for fails with ErrNotCalibrated. It
-// shares Score's concurrency contract.
+// the model has no threshold for fails with ErrNotCalibrated. It is
+// Infer with one strategy.
 func (mo *Model) Identify(x *mat.Matrix, strat OODStrategy) ([]dataset.Kind, error) {
-	opt := InferOptions{Strategies: []OODStrategy{strat}}
-	thresholds, err := mo.checkCall(nil, x.Cols, opt.Strategies)
+	res, err := mo.Infer(context.Background(), x, InferOptions{Strategies: []OODStrategy{strat}})
 	if err != nil {
 		return nil, err
 	}
-	return mo.infer(mo.clf, x, opt, thresholds).Kinds[strat], nil
+	return res.Kinds[strat], nil
 }

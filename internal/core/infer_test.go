@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
+	"targad/internal/dataset"
 	"targad/internal/mat"
+	"targad/internal/nn"
 	"targad/internal/rng"
 )
 
@@ -28,50 +31,72 @@ func fixtureLoadedModel(t *testing.T) *Model {
 	return m
 }
 
+// TestInferMatchesOfflinePaths pins Infer, Score and Identify to an
+// in-test reference built from the classifier's own forward pass: the
+// row softmax, Eq. (9)'s max over the first m probabilities, and the
+// Section III-C rule (normal when the normal-class mass exceeds
+// k/(m+k), else target when the strategy's ID-ness reaches its
+// calibrated threshold).
 func TestInferMatchesOfflinePaths(t *testing.T) {
 	m := fixtureLoadedModel(t)
 	x := fixtureInput(m.dim)
 
-	wantScores, err := m.Score(context.Background(), x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProbs, err := m.Probabilities(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProbs = wantProbs.Clone() // layer workspace; Infer below reuses it
-	wantKinds := map[OODStrategy][]int{}
-	for _, s := range OODStrategies() {
-		ks, err := m.Identify(x, s)
-		if err != nil {
-			t.Fatal(err)
+	logits := m.clf.Forward(x)
+	wantProbs := nn.SoftmaxRows(logits)
+	wantScores := make([]float64, x.Rows)
+	wantKinds := map[OODStrategy][]dataset.Kind{}
+	for i := 0; i < x.Rows; i++ {
+		p, l := wantProbs.Row(i), logits.Row(i)
+		_, wantScores[i] = mat.ArgMax(p[:m.m])
+		var pNormal float64
+		for _, v := range p[m.m:] {
+			pNormal += v
 		}
-		ints := make([]int, len(ks))
-		for i, k := range ks {
-			ints[i] = int(k)
+		_, msp := mat.ArgMax(p)
+		lse := mat.LogSumExp(l)
+		id := map[OODStrategy]float64{MSP: msp, ES: lse, ED: lse - mat.Mean(l)}
+		for _, s := range OODStrategies() {
+			thr, ok := m.IdentifyThreshold(s)
+			if !ok {
+				t.Fatalf("fixture has no %s threshold", s)
+			}
+			k := dataset.KindNonTarget
+			switch {
+			case pNormal > float64(m.k)/float64(m.m+m.k):
+				k = dataset.KindNormal
+			case id[s] >= thr:
+				k = dataset.KindTarget
+			}
+			wantKinds[s] = append(wantKinds[s], k)
 		}
-		wantKinds[s] = ints
 	}
 
 	res, err := m.Infer(context.Background(), x, InferOptions{Strategies: OODStrategies(), Probs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scores, err := m.Score(context.Background(), x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range wantScores {
-		if res.Scores[i] != wantScores[i] {
-			t.Fatalf("Infer score %d differs from Score: %v vs %v", i, res.Scores[i], wantScores[i])
+		if res.Scores[i] != wantScores[i] || scores[i] != wantScores[i] {
+			t.Fatalf("score %d: Infer %v, Score %v, reference %v", i, res.Scores[i], scores[i], wantScores[i])
 		}
 	}
 	for i := range wantProbs.Data {
 		if res.Probs.Data[i] != wantProbs.Data[i] {
-			t.Fatalf("Infer probability %d differs from Probabilities", i)
+			t.Fatalf("Infer probability %d differs from the reference", i)
 		}
 	}
 	for _, s := range OODStrategies() {
+		ks, err := m.Identify(x, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, k := range res.Kinds[s] {
-			if int(k) != wantKinds[s][i] {
-				t.Fatalf("Infer %s decision %d differs from Identify: %v vs %v", s, i, k, wantKinds[s][i])
+			if k != wantKinds[s][i] || ks[i] != wantKinds[s][i] {
+				t.Fatalf("%s decision %d: Infer %v, Identify %v, reference %v", s, i, k, ks[i], wantKinds[s][i])
 			}
 		}
 	}
@@ -150,6 +175,62 @@ func TestInferConcurrentBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestScoreIdentifyConcurrent: Score and Identify run on pooled
+// replicas, so goroutines sharing one model get back, bit for bit, what
+// a serial call returned on the same rows.
+func TestScoreIdentifyConcurrent(t *testing.T) {
+	m := fixtureLoadedModel(t)
+	const goroutines = 8
+	const iters = 10
+	r := rng.New(77)
+	x := mat.New(24, m.dim)
+	for i := range x.Data {
+		x.Data[i] = r.Float64()
+	}
+	wantScores, err := m.Score(context.Background(), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKinds, err := m.Identify(x, ED)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < iters; iter++ {
+				if g%2 == 0 {
+					s, err := m.Score(context.Background(), x)
+					if err == nil && !slices.Equal(s, wantScores) {
+						err = errors.New("concurrent Score diverged from a serial call")
+					}
+					if errs[g] = err; err != nil {
+						return
+					}
+					continue
+				}
+				ks, err := m.Identify(x, ED)
+				if err == nil && !slices.Equal(ks, wantKinds) {
+					err = errors.New("concurrent Identify diverged from a serial call")
+				}
+				if errs[g] = err; err != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+}
+
 func TestInferErrors(t *testing.T) {
 	m := fixtureLoadedModel(t)
 
@@ -201,9 +282,10 @@ func TestInferReplicaReuse(t *testing.T) {
 }
 
 // TestInferAfterRefit: a second Fit installs a new classifier, so Infer
-// must score with it (bitwise equal to Score), never with a pooled
-// replica of the first fit's network, and the first fit's float32
-// parameter set is dropped until EnableF32 runs again.
+// must score with it (bitwise equal to the new classifier's own forward
+// pass), never with a pooled replica of the first fit's network, and
+// the first fit's float32 parameter set is dropped until EnableF32 runs
+// again.
 func TestInferAfterRefit(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClfEpochs = 5
@@ -225,13 +307,10 @@ func TestInferAfterRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Score(context.Background(), b.Test.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range want {
-		if res.Scores[i] != s {
-			t.Fatalf("row %d: Infer %v after the re-fit, Score %v", i, res.Scores[i], s)
+	probs := nn.SoftmaxRows(m.clf.Forward(b.Test.X))
+	for i, s := range res.Scores {
+		if _, want := mat.ArgMax(probs.Row(i)[:m.m]); s != want {
+			t.Fatalf("row %d: Infer %v after the re-fit, the new classifier %v", i, s, want)
 		}
 	}
 	if _, err := m.InferF32(context.Background(), b.Test.X, InferOptions{}); !errors.Is(err, ErrF32NotEnabled) {

@@ -6,7 +6,6 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/mat"
 	"targad/internal/metrics"
-	"targad/internal/nn"
 )
 
 // OODStrategy selects how Identify splits anomalies into target vs
@@ -81,9 +80,7 @@ func (mo *Model) isNormal(probs []float64) bool {
 // the Eq. (4) weights concentrate on genuine non-target anomalies, so
 // the noisy normals and targets hiding in D_U^A barely move the
 // estimate. Both sides are available at training time; no labeled
-// non-target data is needed. Both sets run through the classifier in
-// chunks; each chunk's ID-ness values are read before the next
-// forward pass reuses the logits workspace.
+// non-target data is needed.
 func (mo *Model) calibrateIdentification(labeled, cand rowSet, weights []float64) {
 	if labeled.len() == 0 || cand.len() == 0 {
 		return
@@ -93,30 +90,21 @@ func (mo *Model) calibrateIdentification(labeled, cand rowSet, weights []float64
 	for si := range lv {
 		lv[si] = make([]float64, labeled.len())
 	}
-	var probs *mat.Matrix
-	mo.forChunks(labeled, func(lo int, chunk *mat.Matrix) {
-		logits := mo.clf.Forward(chunk)
-		probs = nn.SoftmaxRowsInto(probs, logits)
+	mo.forRows(labeled, func(i int, probs, logits []float64) {
 		for si, s := range strategies {
-			for i := 0; i < logits.Rows; i++ {
-				lv[si][lo+i] = idness(s, probs.Row(i), logits.Row(i))
-			}
+			lv[si][i] = idness(s, probs, logits)
 		}
 	})
 	wSum := make([]float64, len(strategies))
 	vSum := make([]float64, len(strategies))
-	mo.forChunks(cand, func(lo int, chunk *mat.Matrix) {
-		logits := mo.clf.Forward(chunk)
-		probs = nn.SoftmaxRowsInto(probs, logits)
+	mo.forRows(cand, func(i int, probs, logits []float64) {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
 		for si, s := range strategies {
-			for i := 0; i < logits.Rows; i++ {
-				w := 1.0
-				if weights != nil {
-					w = weights[lo+i]
-				}
-				wSum[si] += w
-				vSum[si] += w * idness(s, probs.Row(i), logits.Row(i))
-			}
+			wSum[si] += w
+			vSum[si] += w * idness(s, probs, logits)
 		}
 	})
 	for si, s := range strategies {
@@ -146,9 +134,8 @@ func median(v []float64) float64 {
 // non-target anomalies). For each strategy it sweeps the quantiles of
 // the validation ID-ness distribution and keeps the threshold with the
 // best macro F1 over the three-way classification. It requires minimal
-// support of each class to avoid fitting noise. One chunked pass over
-// the split reads every row's normal test and all three ID-ness
-// values.
+// support of each class to avoid fitting noise. One pass over the
+// split reads every row's normal test and all three ID-ness values.
 func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 	if v == nil || mo.clf == nil {
 		return
@@ -172,15 +159,10 @@ func (mo *Model) tuneIdentifyOnValidation(v *dataset.EvalSet) {
 	for si := range ids {
 		ids[si] = make([]float64, n)
 	}
-	var probs *mat.Matrix
-	mo.forChunks(rowSet{x: v.X}, func(lo int, chunk *mat.Matrix) {
-		logits := mo.clf.Forward(chunk)
-		probs = nn.SoftmaxRowsInto(probs, logits)
-		for i := 0; i < logits.Rows; i++ {
-			anomalous[lo+i] = !mo.isNormal(probs.Row(i))
-			for si, s := range strategies {
-				ids[si][lo+i] = idness(s, probs.Row(i), logits.Row(i))
-			}
+	mo.forRows(rowSet{x: v.X}, func(i int, probs, logits []float64) {
+		anomalous[i] = !mo.isNormal(probs)
+		for si, s := range strategies {
+			ids[si][i] = idness(s, probs, logits)
 		}
 	})
 	actual := make([]int, n)

@@ -170,7 +170,7 @@ func (mo *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model previously written by Save and returns a Model
-// ready for Score, Probabilities, and Identify. A stream that is not a
+// ready for Score, Identify, and Infer. A stream that is not a
 // TargAD save file fails with ErrBadFormat; a save from a newer format
 // version fails with ErrUnknownVersion.
 func Load(r io.Reader) (*Model, error) {

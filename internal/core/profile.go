@@ -2,7 +2,6 @@ package core
 
 import (
 	"targad/internal/dataset"
-	"targad/internal/mat"
 	"targad/internal/monitor"
 )
 
@@ -33,23 +32,17 @@ func (mo *Model) captureProfile(train *dataset.TrainSet) {
 	if err != nil {
 		return
 	}
-	// One chunked pass computes the scores and every calibrated
-	// decision mix; each chunk's result recycles one InferResult.
-	scores := make([]float64, x.Rows)
-	kinds := make(map[int][]dataset.Kind, len(strategies))
-	for _, s := range strategies {
-		kinds[int(s)] = make([]dataset.Kind, x.Rows)
-	}
-	opt := InferOptions{Strategies: strategies, Reuse: &InferResult{}}
-	mo.forChunks(rowSet{x: x}, func(lo int, chunk *mat.Matrix) {
-		res := mo.infer(mo.clf, chunk, opt, thresholds)
-		copy(scores[lo:], res.Scores)
-		for _, s := range strategies {
-			copy(kinds[int(s)][lo:], res.Kinds[s])
-		}
+	// One forRows pass writes every row's score and calibrated
+	// decisions through Infer's decision tail.
+	res := prepareResult(InferOptions{Strategies: strategies}, x.Rows)
+	mo.forRows(rowSet{x: x}, func(i int, probs, logits []float64) {
+		mo.decideRow(res, i, probs, logits, strategies, thresholds)
 	})
-	prior := float64(mo.k) / float64(mo.m+mo.k)
-	p, err := monitor.Capture(x, scores, kinds, prior, profileBins)
+	kinds := make(map[int][]dataset.Kind, len(strategies))
+	for s, k := range res.Kinds {
+		kinds[int(s)] = k
+	}
+	p, err := monitor.Capture(x, res.Scores, kinds, mo.NormalPrior(), profileBins)
 	if err != nil {
 		return
 	}

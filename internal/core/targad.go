@@ -577,7 +577,7 @@ func (mo *Model) trainClassifierAttempt(ctx context.Context, train *dataset.Trai
 			return &nn.NumericalError{Stage: "classifier", Cluster: -1, Epoch: epoch, Attempt: attempt, Detail: "non-finite parameter " + name, Value: mean}
 		}
 		if useValidation {
-			if v := mo.EvalAUPRC(mo.cfg.Validation); v > bestVal {
+			if v := mo.validationAUPRC(mo.cfg.Validation); v > bestVal {
 				bestVal = v
 				bestParams = snapshotParams(mo.clf)
 			}
@@ -792,23 +792,27 @@ func (s rowSet) len() int {
 	return s.x.Rows
 }
 
-// forChunks walks the set in ClfBatch-row chunks (nn.ForEachBatch), so
-// a forward pass over a whole set keeps the classifier's workspaces the
-// size of a training batch and leaves it no reference into the set.
-func (mo *Model) forChunks(set rowSet, fn func(lo int, chunk *mat.Matrix)) {
-	nn.ForEachBatch(nil, set.x, set.idx, mo.cfg.ClfBatch, fn)
+// forRows runs the classifier over the set in ClfBatch-row chunks
+// (nn.ForEachBatch) and hands fn each row's softmax probabilities and
+// logits, with i the row's position in the set. It is Fit's whole-set
+// pass: the classifier's workspaces stay the size of a training batch
+// and it keeps no reference into the set. The rows fn receives are
+// workspaces, valid only during the call.
+func (mo *Model) forRows(set rowSet, fn func(i int, probs, logits []float64)) {
+	var probs *mat.Matrix
+	nn.ForEachBatch(nil, set.x, set.idx, mo.cfg.ClfBatch, func(lo int, chunk *mat.Matrix) {
+		logits := mo.clf.Forward(chunk)
+		probs = nn.SoftmaxRowsInto(probs, logits)
+		for r := 0; r < probs.Rows; r++ {
+			fn(lo+r, probs.Row(r), logits.Row(r))
+		}
+	})
 }
 
 // maxProbs returns ε(x) = max_j p_j(x) for every row of the set.
 func (mo *Model) maxProbs(set rowSet) []float64 {
 	out := make([]float64, set.len())
-	var probs *mat.Matrix
-	mo.forChunks(set, func(lo int, chunk *mat.Matrix) {
-		probs = nn.SoftmaxRowsInto(probs, mo.clf.Forward(chunk))
-		for i := 0; i < probs.Rows; i++ {
-			_, out[lo+i] = mat.ArgMax(probs.Row(i))
-		}
-	})
+	mo.forRows(set, func(i int, probs, _ []float64) { _, out[i] = mat.ArgMax(probs) })
 	return out
 }
 
@@ -846,16 +850,15 @@ func argsortDesc(v []float64) []int {
 	return idx
 }
 
-// EvalAUPRC is a convenience used by convergence hooks: AUPRC of the
-// model on an evaluation set, 0 if degenerate.
-func (mo *Model) EvalAUPRC(e *dataset.EvalSet) float64 {
-	s, err := mo.Score(context.Background(), e.X)
+// validationAUPRC is the AUPRC of the Eq. (9) scores on the
+// validation split, 0 if degenerate — the per-epoch criterion of
+// best-epoch selection (Section IV-C).
+func (mo *Model) validationAUPRC(v *dataset.EvalSet) float64 {
+	scores := make([]float64, v.X.Rows)
+	mo.forRows(rowSet{x: v.X}, func(i int, probs, _ []float64) { scores[i] = mo.targetScore(probs) })
+	auprc, err := metrics.AUPRC(scores, v.TargetLabels())
 	if err != nil {
 		return 0
 	}
-	v, err := metrics.AUPRC(s, e.TargetLabels())
-	if err != nil {
-		return 0
-	}
-	return v
+	return auprc
 }

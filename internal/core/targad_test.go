@@ -10,6 +10,7 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
 	"targad/internal/mat"
+	"targad/internal/metrics"
 	"targad/internal/rng"
 )
 
@@ -53,7 +54,7 @@ func TestUnfittedModelErrors(t *testing.T) {
 	if _, err := m.Score(context.Background(), mat.New(1, 3)); err == nil {
 		t.Fatal("scoring an unfitted model must error")
 	}
-	if _, err := m.Probabilities(mat.New(1, 3)); err == nil {
+	if _, err := m.Infer(context.Background(), mat.New(1, 3), InferOptions{Probs: true}); err == nil {
 		t.Fatal("probabilities of an unfitted model must error")
 	}
 }
@@ -80,14 +81,19 @@ func TestFitEndToEnd(t *testing.T) {
 		t.Fatalf("candidate count %d, want %d (alpha 5%%)", got, wantCand)
 	}
 	// Score must beat random ranking comfortably on this easy data.
-	if auprc := m.EvalAUPRC(b.Test); auprc < 0.2 {
-		t.Fatalf("test AUPRC = %v, too weak", auprc)
-	}
-	// Probabilities are a valid distribution over m+k classes.
-	probs, err := m.Probabilities(b.Test.X)
+	scores, err := m.Score(context.Background(), b.Test.X)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if auprc, _ := metrics.AUPRC(scores, b.Test.TargetLabels()); auprc < 0.2 {
+		t.Fatalf("test AUPRC = %v, too weak", auprc)
+	}
+	// Probabilities are a valid distribution over m+k classes.
+	res, err := m.Infer(context.Background(), b.Test.X, InferOptions{Probs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := res.Probs
 	if probs.Cols != m.NumTargetTypes()+m.NumNormalClusters() {
 		t.Fatalf("probability width %d", probs.Cols)
 	}
@@ -104,10 +110,6 @@ func TestFitEndToEnd(t *testing.T) {
 		}
 	}
 	// Eq. (9): scores are max over the first m probabilities.
-	scores, err := m.Score(context.Background(), b.Test.X)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, s := range scores {
 		_, want := mat.ArgMax(probs.Row(i)[:m.NumTargetTypes()])
 		if s != want {

@@ -19,7 +19,7 @@ import (
 // BenchmarkServeScore measures end-to-end serving throughput/latency
 // over real HTTP for 1 vs N concurrent clients with micro-batching off
 // (MaxBatch=1: every request is its own inference pass on the replica
-// pool) and on (requests coalesce into shared Probabilities passes so
+// pool) and on (requests coalesce into shared Infer passes so
 // the blocked GEMM amortizes across clients). Historical rows:
 // BENCH_PR4.json.
 func BenchmarkServeScore(b *testing.B) {

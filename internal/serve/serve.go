@@ -63,8 +63,9 @@ type Config struct {
 	// <= 1 disables micro-batching (default 64).
 	MaxBatch int
 	// MaxWait bounds how long an incomplete batch waits for more rows
-	// after its first job arrives (default 2ms; 0 means "take only
-	// what is already queued").
+	// after its first job arrives. 0 selects the default, 2ms; a
+	// negative value waits not at all and takes only what is already
+	// queued.
 	MaxWait time.Duration
 	// QueueDepth bounds the number of queued scoring jobs; a full
 	// queue sheds with 429 (default 256).

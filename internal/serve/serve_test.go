@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -118,7 +119,7 @@ func postScore(t testing.TB, client *http.Client, url string, req scoreRequest) 
 	return resp.StatusCode, ok, bad
 }
 
-// offline holds the single-threaded reference outputs for one batch.
+// offline holds the offline reference outputs for one batch.
 type offline struct {
 	scores    []float64
 	decisions []string
@@ -140,18 +141,18 @@ func offlineExpect(t testing.TB, m *core.Model, rows [][]float64, strat core.OOD
 	for i, k := range kinds {
 		dec[i] = k.String()
 	}
-	probs, err := m.Probabilities(x)
+	res, err := m.Infer(context.Background(), x, core.InferOptions{Probs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return offline{scores: scores, decisions: dec, probs: probs.Clone()}
+	return offline{scores: scores, decisions: dec, probs: res.Probs}
 }
 
 // TestServedScoresBitwiseIdenticalConcurrent is the acceptance race
 // suite: N concurrent clients score distinct batches through the
 // micro-batcher against ONE served model, and every response must be
-// bitwise-identical to the offline Model.Score / Identify /
-// Probabilities on the same rows. JSON carries float64 losslessly
+// bitwise-identical to the offline Model.Score / Identify / Infer
+// probabilities on the same rows. JSON carries float64 losslessly
 // (shortest round-trip encoding), so == is exact.
 func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Millisecond, Strategy: core.ED})
@@ -552,5 +553,24 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, ok := ParseStrategy("energy"); ok {
 		t.Fatal("unknown strategy must not parse")
+	}
+}
+
+// TestMaxWaitDefault: New turns an unset MaxWait into the 2ms default
+// and keeps a negative one, the setting that waits not at all.
+func TestMaxWaitDefault(t *testing.T) {
+	for _, c := range []struct{ in, want time.Duration }{
+		{0, 2 * time.Millisecond},
+		{-1, -1},
+		{time.Millisecond, time.Millisecond},
+	} {
+		s, err := New(Config{MaxBatch: 2, MaxWait: c.in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if s.cfg.MaxWait != c.want {
+			t.Fatalf("MaxWait %v became %v, want %v", c.in, s.cfg.MaxWait, c.want)
+		}
 	}
 }

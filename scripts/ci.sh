@@ -109,7 +109,7 @@ TARGAD_WORKERS=4 go test -race -short -count=1 \
 TARGAD_WORKERS=4 go test -race -short -count=1 \
     -run 'TrainPerCluster' ./internal/autoencoder
 TARGAD_WORKERS=4 go test -race -short -count=1 \
-    -run 'ParallelSerialIdentical|ContendedFitsSaveLikeSolo|TestInfer|TestShareParams|TestFitKernelSwap' ./internal/core
+    -run 'ParallelSerialIdentical|ContendedFitsSaveLikeSolo|TestInfer|TestScoreIdentifyConcurrent|TestShareParams|TestFitKernelSwap' ./internal/core
 
 # Fault-injection suite: cancellation, checkpoint/resume equivalence,
 # NaN guards, worker panic/crash containment, and checkpoint write
