@@ -44,7 +44,7 @@ import (
 
 	"targad/internal/buildinfo"
 	"targad/internal/fleet"
-	"targad/internal/serve"
+	"targad/internal/wire"
 )
 
 func main() {
@@ -78,7 +78,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed of the backoff-jitter RNG")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
-	timeouts := serve.DefaultHTTPTimeouts()
+	timeouts := wire.DefaultHTTPTimeouts()
 	timeouts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *showVersion {
@@ -127,7 +127,7 @@ func main() {
 
 	// The same hardened listener targad-serve uses: header/read/write/
 	// idle timeouts close the slowloris window.
-	httpSrv := serve.NewHTTPServer(*addr, r.Handler(), timeouts)
+	httpSrv := wire.NewHTTPServer(*addr, r.Handler(), timeouts)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

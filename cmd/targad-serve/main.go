@@ -20,8 +20,10 @@
 // -precision f32, feeds float32 frames straight into the SIMD kernels.
 //
 // Concurrent requests are micro-batched (-max-batch rows, -max-wait
-// window) into single inference passes. The queue is bounded
-// (-queue); when full, requests are shed with 429 + Retry-After.
+// window) into single inference passes; a request of more than
+// -max-batch rows scores on its own handler, -max-batch rows per pass.
+// The queue is bounded (-queue), and so are the large requests scoring
+// at once; past either bound requests are shed with 429 + Retry-After.
 // Bodies beyond -max-request-bytes are rejected with 413. The
 // model hot-reloads from -model on SIGHUP or POST /reload with zero
 // failed requests — in-flight batches finish on the model they
@@ -91,9 +93,9 @@ func main() {
 		modelDir    = flag.String("model-dir", "", "multi-model registry directory holding manifest.json; serves every manifested model from one process (mutually exclusive with -model)")
 		maxHot      = flag.Int("max-hot-models", 4, "registry mode: models kept loaded at once; past it the least-recently-used is evicted")
 		addr        = flag.String("addr", ":8080", "listen address")
-		maxBatch    = flag.Int("max-batch", 64, "max rows per inference micro-batch (1 disables batching)")
+		maxBatch    = flag.Int("max-batch", 64, "max rows per inference pass (1 disables batching)")
 		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait for an incomplete batch to fill (0 means 2ms; negative takes only what is already queued)")
-		queueDepth  = flag.Int("queue", 256, "bounded queue depth; beyond it requests shed with 429")
+		queueDepth  = flag.Int("queue", 256, "bounded queue depth, and the most large requests scoring at once; beyond either requests shed with 429")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
 		strategy    = flag.String("strategy", "ED", "default identification strategy (MSP, ES, ED)")

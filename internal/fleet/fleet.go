@@ -124,7 +124,7 @@ type Config struct {
 }
 
 // Router proxies /score across the fleet. Create with New, mount
-// Handler on an http.Server (serve.NewHTTPServer), Close on shutdown.
+// Handler on an http.Server (wire.NewHTTPServer), Close on shutdown.
 type Router struct {
 	cfg      Config
 	backends []*Backend

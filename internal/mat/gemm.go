@@ -61,11 +61,12 @@ func outerRows(dst *Matrix, a []float64, ars, aks int, b []float64, k, rows int,
 		}
 		return
 	}
-	if parallel.Workers() == 1 {
+	minRows := minChunkFor(k * dst.Cols)
+	if parallel.Serial(rows, minRows) {
 		outerPanels(dst, a, ars, aks, b, k, 0, rows, acc)
 		return
 	}
-	parallel.ForEachChunkMin(rows, minChunkFor(k*dst.Cols), func(lo, hi int) {
+	parallel.ForEachChunkMin(rows, minRows, func(lo, hi int) {
 		outerPanels(dst, a, ars, aks, b, k, lo, hi, acc)
 	})
 }
@@ -216,7 +217,7 @@ func releasePack(b *packBuf) { packPool.Put(b) }
 // with a pure-copy body — deterministic for any worker count.
 func packTransposeInto(dst []float64, src *Matrix) {
 	rows, cols := src.Rows, src.Cols
-	if parallel.Workers() == 1 {
+	if parallel.Serial(cols, minChunkFor(rows)) {
 		// No closure on the serial path: steady-state packing must not
 		// allocate.
 		packTransposeRange(dst, src, 0, cols)

@@ -141,7 +141,7 @@ func Mul32(dst, a, b *Matrix32) (*Matrix32, error) {
 	}
 	// The serial path stays closure-free: a closure shared with the
 	// parallel branch would escape and cost an allocation per call.
-	if parallel.Workers() == 1 {
+	if parallel.Serial(a.Rows, minChunkFor(a.Cols*n)) {
 		if body > 0 {
 			mul32Outer(dst, a, b, 0, a.Rows)
 		}

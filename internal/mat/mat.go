@@ -119,9 +119,14 @@ func Ensure(m *Matrix, rows, cols int) *Matrix {
 // parChunkFlops is the minimum number of multiply-adds a parallel
 // chunk must amortize before a GEMM is split across the worker pool;
 // below roughly twice this the whole product runs serially on the
-// caller's goroutine. The value keeps per-chunk work comfortably above
-// goroutine fork-join overhead (~1µs) at float64 FMA throughput.
-const parChunkFlops = 1 << 15
+// caller's goroutine. A helper does not start at once: on a 2-vCPU VM,
+// parallel's BenchmarkForkJoin runs Map(2) over two 20µs tasks in
+// about 43µs and over two 100µs tasks in about 170µs, so a helper
+// begins some 65µs late. A chunk of 2^20 multiply-adds runs for a few
+// hundred µs at float64 FMA throughput, enough to repay that start.
+// Smaller products — a 64-row serving pass — stay on their caller's
+// core, leaving the other cores to the requests beside it.
+const parChunkFlops = 1 << 20
 
 // minChunkFor converts a per-index cost in multiply-adds into the
 // minimum indices per parallel chunk.

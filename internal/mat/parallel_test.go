@@ -116,3 +116,61 @@ func TestMulZeroEntries(t *testing.T) {
 		})
 	}
 }
+
+// TestSplitAboveCutoffBitwiseIdentical sizes each row-split kernel from
+// parChunkFlops, so it splits into four chunks at four workers whatever
+// the cutoff, and checks the split result against one worker bitwise.
+// The fixed shapes of the tests above may fall under the cutoff and run
+// serially at every worker count.
+func TestSplitAboveCutoffBitwiseIdentical(t *testing.T) {
+	const k, n = 64, 64
+	rows := 4*minChunkFor(k*n) + 3
+	a := New(rows, k)
+	b := New(k, n)
+	fillDet(a.Data, 21)
+	fillDet(b.Data, 22)
+	at := transposeRef(a) // k×rows: MulATB's output has rows rows
+	bt := transposeRef(b) // n×k: MulABT multiplies by its transpose
+	a32 := New32(rows, k)
+	b32 := New32(k, n)
+	fillDet32(a32.Data, 23)
+	fillDet32(b32.Data, 24)
+	const cents = 16
+	x := New(4*minChunkFor(cents*k)+3, k)
+	cent := New(cents, k)
+	fillDet(x.Data, 25)
+	fillDet(cent.Data, 26)
+
+	run := func() (out []*Matrix, out32 *Matrix32, assign []int, dist []float64) {
+		mul, err := Mul(nil, a, b)
+		must(t, err)
+		atb, err := MulATB(nil, at, b)
+		must(t, err)
+		abt, err := MulABT(nil, a, bt)
+		must(t, err)
+		out32, err = Mul32(nil, a32, b32)
+		must(t, err)
+		assign, dist = make([]int, x.Rows), make([]float64, x.Rows)
+		NearestRows(x, cent, assign, dist)
+		return []*Matrix{mul, atb, abt}, out32, assign, dist
+	}
+	var serial, par []*Matrix
+	var serial32, par32 *Matrix32
+	var sAssign, pAssign []int
+	var sDist, pDist []float64
+	withWorkers(t, 1, func() { serial, serial32, sAssign, sDist = run() })
+	withWorkers(t, 4, func() { par, par32, pAssign, pDist = run() })
+	for i, name := range []string{"Mul", "MulATB", "MulABT"} {
+		bitwiseEqual(t, name, serial[i], par[i])
+	}
+	for i, v := range serial32.Data {
+		if par32.Data[i] != v {
+			t.Fatalf("Mul32: element %d differs: serial %v, parallel %v", i, v, par32.Data[i])
+		}
+	}
+	for i := range sAssign {
+		if pAssign[i] != sAssign[i] || pDist[i] != sDist[i] {
+			t.Fatalf("NearestRows row %d: serial (%d, %v), parallel (%d, %v)", i, sAssign[i], sDist[i], pAssign[i], pDist[i])
+		}
+	}
+}

@@ -23,12 +23,26 @@ func SoftmaxRows(logits *mat.Matrix) *mat.Matrix {
 // not alias logits.
 func SoftmaxRowsInto(dst, logits *mat.Matrix) *mat.Matrix {
 	dst = mat.Ensure(dst, logits.Rows, logits.Cols)
-	parallel.ForEachChunkMin(logits.Rows, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mat.Softmax(dst.Row(i), logits.Row(i))
-		}
+	if parallel.Serial(logits.Rows, softmaxChunk) {
+		// No closure on the serial path: a serving pass must not
+		// allocate.
+		softmaxRange(dst, logits, 0, logits.Rows)
+		return dst
+	}
+	parallel.ForEachChunkMin(logits.Rows, softmaxChunk, func(lo, hi int) {
+		softmaxRange(dst, logits, lo, hi)
 	})
 	return dst
+}
+
+// softmaxChunk is the fewest rows SoftmaxRowsInto hands one worker.
+const softmaxChunk = 64
+
+// softmaxRange writes the softmax of logits rows [lo, hi) into dst.
+func softmaxRange(dst, logits *mat.Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		mat.Softmax(dst.Row(i), logits.Row(i))
+	}
 }
 
 // SoftCrossEntropy computes the mean weighted cross-entropy

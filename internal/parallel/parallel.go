@@ -136,6 +136,15 @@ func ForEachChunkMin(n, minPerChunk int, fn func(lo, hi int)) {
 	ForEachChunkN(w, n, fn)
 }
 
+// Serial reports whether ForEachChunkMin(n, minPerChunk, fn) runs as
+// the single chunk fn(0, n) on the caller's goroutine: one worker, or
+// a range too short for two chunks. A closure handed to
+// ForEachChunkMin is heap-allocated even when it runs inline, so hot
+// callers test Serial first to keep their serial path closure-free.
+func Serial(n, minPerChunk int) bool {
+	return Workers() <= 1 || n < 2*max(minPerChunk, 1)
+}
+
 // ForEachChunkN splits [0,n) into min(w, n) contiguous chunks (see
 // chunkBounds) and
 // runs fn(lo, hi) on each, returning after every chunk completes. A

@@ -44,6 +44,9 @@ type jobResult struct {
 	err     error
 }
 
+// errNoModel fails requests that arrive before any model is installed.
+var errNoModel = errors.New("serve: no model loaded")
+
 // errDraining fails jobs still queued when the server shuts down.
 var errDraining = errors.New("serve: server shutting down")
 
@@ -155,7 +158,7 @@ func (s *Server) runBatch(jobs []*job) {
 	lm := s.cur.Load()
 	if lm == nil {
 		for _, j := range batch {
-			j.resp <- jobResult{err: errors.New("serve: no model loaded")}
+			j.resp <- jobResult{err: errNoModel}
 		}
 		return
 	}
@@ -179,34 +182,44 @@ func (s *Server) runBatch(jobs []*job) {
 	}
 
 	off := 0
-	single := len(batch) == 1
 	for _, j := range batch {
 		n := j.x.Rows
-		out := jobResult{scores: res.Scores[off : off+n : off+n], version: version}
-		if j.identify {
-			if kinds, ok := res.Kinds[j.strategy]; ok {
-				out.kinds = kinds[off : off+n : off+n]
-			} else if j.strict {
-				out = jobResult{err: errStrategyNotCalibrated, version: version}
-			}
-		}
-		if j.probs && out.err == nil {
-			if single {
-				out.probs = res.Probs
-			} else {
-				out.probs = &mat.Matrix{Rows: n, Cols: res.Probs.Cols, Data: res.Probs.Data[off*res.Probs.Cols : (off+n)*res.Probs.Cols]}
-			}
-		}
-		j.resp <- out
+		j.resp <- answerFor(j, res, off, n, version)
 		off += n
 	}
 }
 
-// infer runs the batch's single thread-safe inference pass, computing
-// the union of the member jobs' needs (calibrated strategies,
-// probabilities) in one forward. Single-job batches backed by a request
-// arena score into the arena's recycled InferResult, so the steady
-// direct path allocates nothing here.
+// answerFor cuts job j's answer, rows [off, off+n), out of a pass's
+// result: its scores, the decisions under its strategy, and its
+// probability rows when it asked for them. A strategy the client named
+// that the model has no calibration for fails the job; the server's
+// default one only omits the decisions.
+func answerFor(j *job, res *core.InferResult, off, n int, version int64) jobResult {
+	out := jobResult{scores: res.Scores[off : off+n : off+n], version: version}
+	if j.identify {
+		if kinds, ok := res.Kinds[j.strategy]; ok {
+			out.kinds = kinds[off : off+n : off+n]
+		} else if j.strict {
+			return jobResult{err: errStrategyNotCalibrated, version: version}
+		}
+	}
+	if j.probs {
+		if off == 0 && n == res.Probs.Rows {
+			out.probs = res.Probs
+		} else {
+			c := res.Probs.Cols
+			out.probs = &mat.Matrix{Rows: n, Cols: c, Data: res.Probs.Data[off*c : (off+n)*c]}
+		}
+	}
+	return out
+}
+
+// infer runs one thread-safe inference pass — a batch, or one pass of
+// an inline request — computing the union of the member jobs' needs
+// (calibrated strategies, probabilities) in one forward. Single-job
+// passes backed by a request arena score into the arena's recycled
+// InferResult, so the steady inline path allocates nothing here. Every
+// pass feeds the drift window and the sampled taps alike.
 func (s *Server) infer(lm *loadedModel, x *mat.Matrix, batch []*job) (*core.InferResult, int64, error) {
 	opt := core.InferOptions{}
 	var strategies []core.OODStrategy

@@ -13,49 +13,70 @@ import (
 
 // Binary protocol front end (DESIGN.md §12): requests whose
 // Content-Type is wire.ContentType carry one wire request frame instead
-// of JSON. Only decode and encode are binary-specific; handleScore runs
-// the rest for both protocols. The payload streams into the request
-// arena's matrix — an f32 frame widens exactly there, so every frame
-// scores on the same float64 rows as JSON — and the response is a wire
-// score frame built in the arena's output buffer, streamed as a chunk
-// sequence when the batch is large. Scores are bit-for-bit the values
-// the JSON path would have carried for the same rows.
+// of JSON. Only decode and encode are binary-specific; scoreRequest
+// runs the rest for both protocols. The payload streams into the
+// request arena's matrix — an f32 frame widens exactly there, so every
+// frame scores on the same float64 rows as JSON — at most MaxBatch rows
+// at a time, and the response is a wire score frame built in the
+// arena's output buffer, streamed as a chunk sequence when the request
+// is large. Scores are bit-for-bit the values the JSON path would have
+// carried for the same rows.
 
-// decodeFrame reads one wire request frame into the arena: the
-// payload streams straight into a.x — the raw feature block is never
-// held as bytes, and an f32 frame widens exactly, whatever precision
-// the server scores at — and the header's options into a.j. A non-zero
-// status rejects the request with msg.
-func (s *Server) decodeFrame(a *reqArena, r *http.Request) (status int, msg string) {
+// decodeFrame reads one wire request frame's header into the arena —
+// its geometry into a.h and a.rows, its options into a.j — and, for a
+// frame the micro-batcher takes, the whole payload into a.x. A frame
+// that scores inline leaves its payload to scoreInline, which reads it
+// pass by pass. The raw feature block is never held as bytes, and an
+// f32 frame widens exactly, whatever precision the server scores at.
+func (s *Server) decodeFrame(a *reqArena, r *http.Request) error {
 	if _, err := io.ReadFull(r.Body, a.hdr[:]); err != nil {
-		return http.StatusBadRequest, "truncated request header: " + err.Error()
+		return badRequest("truncated request header: " + err.Error())
 	}
 	h, err := wire.ParseRequestHeader(a.hdr[:])
 	if err != nil {
-		return wireErrStatus(err), err.Error()
+		return &statusError{wireErrStatus(err), err.Error()}
 	}
 	// The header's own geometry bounds the read: nothing is sized from
 	// the body past this check, so MaxBytesReader is unnecessary here.
 	if h.FrameSize() > s.cfg.MaxBodyBytes {
-		return http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("frame of %d bytes exceeds the %d-byte request limit", h.FrameSize(), s.cfg.MaxBodyBytes)
+		return &statusError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("frame of %d bytes exceeds the %d-byte request limit", h.FrameSize(), s.cfg.MaxBodyBytes)}
 	}
 	if cl := r.ContentLength; cl >= 0 && cl != h.FrameSize() {
-		return http.StatusBadRequest,
-			fmt.Sprintf("Content-Length %d disagrees with the %d-byte frame the header announces", cl, h.FrameSize())
+		return badRequest(fmt.Sprintf("Content-Length %d disagrees with the %d-byte frame the header announces", cl, h.FrameSize()))
 	}
-	if a.x, err = a.payload.ReadF64(r.Body, h, a.x); err != nil {
-		return wireErrStatus(err), "truncated feature block: " + err.Error()
-	}
-	var probe [1]byte
-	if n, _ := r.Body.Read(probe[:]); n > 0 {
-		return http.StatusBadRequest, "trailing bytes past the announced frame"
-	}
+	a.h, a.rows = h, h.Rows
 	a.j.strategy, a.j.strict, a.j.probs = s.cfg.Strategy, false, h.WantProbs
 	if h.HasStrategy {
 		a.j.strategy, a.j.strict = core.OODStrategy(h.Strategy), true
 	}
-	return 0, ""
+	if s.inline(h.Rows) {
+		return nil
+	}
+	if err := a.readRows(r.Body, 0, h.Rows); err != nil {
+		return err
+	}
+	return a.frameEnd(r.Body)
+}
+
+// readRows decodes rows [lo, lo+n) of the request frame's feature
+// block from body into a.x, which then holds those n rows only.
+func (a *reqArena) readRows(body io.Reader, lo, n int) error {
+	x, err := a.payload.ReadRows(body, a.h, lo, n, a.x)
+	if err != nil {
+		return &statusError{wireErrStatus(err), "truncated feature block: " + err.Error()}
+	}
+	a.x = x
+	return nil
+}
+
+// frameEnd fails a frame whose body runs past its announced feature
+// block. The probe reads into the header buffer, parsed long before.
+func (a *reqArena) frameEnd(body io.Reader) error {
+	if n, _ := body.Read(a.hdr[:1]); n > 0 {
+		return badRequest("trailing bytes past the announced frame")
+	}
+	return nil
 }
 
 // wireErrStatus maps a wire decode error to its HTTP status.
@@ -69,7 +90,7 @@ func wireErrStatus(err error) int {
 // writeScoreFrame encodes one successful jobResult as a wire response
 // frame from the request's arena buffers. Responses wider than
 // wire.StreamChunkRows rows stream chunk by chunk, flushing as they
-// go, so the peak output buffer stays bounded no matter the batch.
+// go, so the peak output buffer stays bounded no matter the request.
 func writeScoreFrame(w http.ResponseWriter, a *reqArena, res jobResult) {
 	rows := len(res.scores)
 	withProbs := res.probs != nil // set only when the frame asked

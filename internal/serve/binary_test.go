@@ -24,20 +24,28 @@ import (
 // then cannot cross-check it against the frame header).
 func postFrame(t testing.TB, ts *httptest.Server, frame []byte, chunked bool) (int, []byte) {
 	t.Helper()
+	status, raw, err := tryPostFrame(ts, frame, chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, raw
+}
+
+// tryPostFrame is postFrame for goroutines other than the test's own:
+// a transport failure comes back as an error instead of failing the
+// test.
+func tryPostFrame(ts *httptest.Server, frame []byte, chunked bool) (int, []byte, error) {
 	var body io.Reader = bytes.NewReader(frame)
 	if chunked {
 		body = struct{ io.Reader }{body} // hide the length: forces chunked encoding
 	}
 	resp, err := ts.Client().Post(ts.URL+"/score", wire.ContentType, body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, raw
+	return resp.StatusCode, raw, err
 }
 
 // scoreFrame posts a frame expecting success and decodes the response.

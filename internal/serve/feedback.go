@@ -109,8 +109,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req feedbackRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status, msg := s.bodyError(err)
-		s.fail(w, false, status, msg)
+		s.fail(w, false, s.bodyError(err))
 		return
 	}
 	if len(req.Features) == 0 {

@@ -1,62 +1,20 @@
 package serve
 
 import (
-	"flag"
 	"net/http"
-	"time"
+
+	"targad/internal/wire"
 )
 
-// HTTPTimeouts bounds a listener against slow, stalled, or malicious
-// clients. A server built without them holds a goroutine and a
-// connection for as long as a client cares to dribble bytes
-// (slowloris); every targad listener — targad-serve and targad-router
-// alike — is constructed through NewHTTPServer so the same bounds
-// apply fleet-wide.
-type HTTPTimeouts struct {
-	// ReadHeader bounds how long a client may take to send the request
-	// headers (the classic slowloris window).
-	ReadHeader time.Duration
-	// Read bounds the whole request read, headers plus body.
-	Read time.Duration
-	// Write bounds the response write, from the end of the request
-	// read; it must cover the largest streamed binary response.
-	Write time.Duration
-	// Idle bounds how long a keep-alive connection may sit between
-	// requests.
-	Idle time.Duration
-}
+// HTTPTimeouts is wire.HTTPTimeouts: the listener bounds every targad
+// server runs behind. The names here forward to wire for callers that
+// already build their server through serve.
+type HTTPTimeouts = wire.HTTPTimeouts
 
-// DefaultHTTPTimeouts returns the production defaults: tight on
-// headers, generous on bodies (a 32 MiB frame on a slow link is
-// legitimate traffic), bounded keep-alive.
-func DefaultHTTPTimeouts() HTTPTimeouts {
-	return HTTPTimeouts{
-		ReadHeader: 5 * time.Second,
-		Read:       60 * time.Second,
-		Write:      60 * time.Second,
-		Idle:       120 * time.Second,
-	}
-}
+// DefaultHTTPTimeouts returns wire.DefaultHTTPTimeouts().
+func DefaultHTTPTimeouts() HTTPTimeouts { return wire.DefaultHTTPTimeouts() }
 
-// RegisterFlags mounts the -read-header-timeout, -read-timeout,
-// -write-timeout, and -idle-timeout flags on fs, seeded with t's
-// current values, so every cmd exposes the same tuning surface.
-func (t *HTTPTimeouts) RegisterFlags(fs *flag.FlagSet) {
-	fs.DurationVar(&t.ReadHeader, "read-header-timeout", t.ReadHeader, "max time a client may take to send request headers (0 disables)")
-	fs.DurationVar(&t.Read, "read-timeout", t.Read, "max time for the whole request read, headers plus body (0 disables)")
-	fs.DurationVar(&t.Write, "write-timeout", t.Write, "max time for the response write (0 disables)")
-	fs.DurationVar(&t.Idle, "idle-timeout", t.Idle, "max keep-alive idle time between requests (0 disables)")
-}
-
-// NewHTTPServer builds the hardened http.Server every targad listener
-// runs behind: handler plus the timeout bounds.
+// NewHTTPServer returns wire.NewHTTPServer(addr, h, t).
 func NewHTTPServer(addr string, h http.Handler, t HTTPTimeouts) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: t.ReadHeader,
-		ReadTimeout:       t.Read,
-		WriteTimeout:      t.Write,
-		IdleTimeout:       t.Idle,
-	}
+	return wire.NewHTTPServer(addr, h, t)
 }

@@ -19,12 +19,12 @@ type metrics struct {
 	requests     atomic.Int64 // scoring requests accepted (any outcome)
 	requestOK    atomic.Int64 // scoring requests answered 200
 	requestErrs  atomic.Int64 // scoring requests answered 4xx/5xx (shed excluded)
-	shed         atomic.Int64 // scoring requests shed with 429
-	canceled     atomic.Int64 // queued jobs dropped pre-inference, client gone
+	shed         atomic.Int64 // scoring requests shed with 429 (queue or inline bound full)
+	canceled     atomic.Int64 // requests dropped because the client is gone
 	tooLarge     atomic.Int64 // scoring requests rejected 413 (body over MaxBodyBytes)
 	binaryReqs   atomic.Int64 // scoring requests carried as binary wire frames
 	rows         atomic.Int64 // instance rows scored
-	batches      atomic.Int64 // inference passes run
+	batches      atomic.Int64 // inference passes run (batches and inline passes)
 	batchRows    atomic.Int64 // rows across all passes (avg batch = batchRows/batches)
 	reloads      atomic.Int64 // successful model reloads
 	reloadErrs   atomic.Int64 // failed model reloads
@@ -58,12 +58,12 @@ func (s *Server) WriteMetrics(w *obs.Writer) {
 	w.Counter("targad_serve_requests_total", "Scoring requests accepted for processing.", m.requests.Load())
 	w.Counter("targad_serve_requests_ok_total", "Scoring requests answered successfully.", m.requestOK.Load())
 	w.Counter("targad_serve_request_errors_total", "Scoring requests that failed (shed excluded).", m.requestErrs.Load())
-	w.Counter("targad_serve_shed_total", "Scoring requests shed with 429 because the queue was full.", m.shed.Load())
-	w.Counter("targad_serve_canceled_total", "Queued scoring jobs dropped before inference because the client disconnected.", m.canceled.Load())
+	w.Counter("targad_serve_shed_total", "Scoring requests shed with 429: the queue was full, or QueueDepth requests already scored inline.", m.shed.Load())
+	w.Counter("targad_serve_canceled_total", "Scoring requests dropped because the client disconnected: queued jobs before inference, inline requests at their next pass.", m.canceled.Load())
 	w.Counter("targad_serve_request_too_large_total", "Scoring requests rejected with 413 for exceeding the body limit.", m.tooLarge.Load())
 	w.Counter("targad_serve_binary_requests_total", "Scoring requests carried as binary wire frames.", m.binaryReqs.Load())
 	w.Counter("targad_serve_rows_total", "Instance rows scored.", m.rows.Load())
-	w.Counter("targad_serve_batches_total", "Inference passes run (micro-batches plus direct calls).", m.batches.Load())
+	w.Counter("targad_serve_batches_total", "Inference passes run (micro-batches plus inline passes).", m.batches.Load())
 	w.Counter("targad_serve_batch_rows_total", "Rows across all inference passes.", m.batchRows.Load())
 	w.Counter("targad_serve_reloads_total", "Successful model hot-reloads.", m.reloads.Load())
 	w.Counter("targad_serve_reload_errors_total", "Failed model hot-reload attempts.", m.reloadErrs.Load())

@@ -7,19 +7,25 @@
 //
 // Architecture (DESIGN.md §8):
 //
-//   - Requests decode into pooled per-request arenas and become jobs on
-//     a bounded queue. A full queue sheds the request with 429 and a
-//     Retry-After header instead of letting latency grow without bound.
+//   - Requests decode into pooled per-request arenas. A request of at
+//     most MaxBatch rows becomes a job on a bounded queue; a full
+//     queue sheds the request with 429 and a Retry-After header
+//     instead of letting latency grow without bound.
 //   - A single dispatcher goroutine micro-batches queued jobs — up to
 //     MaxBatch rows, waiting at most MaxWait from the first job — into
 //     one core.Model.Infer pass, so the blocked GEMM amortizes across
-//     concurrent requests. With MaxBatch <= 1 the queue is bypassed and
-//     handlers score directly on the replica pool.
+//     concurrent requests.
+//   - A request of more than MaxBatch rows skips the queue and scores
+//     on its own handler, MaxBatch rows per pass: a binary frame
+//     decodes pass by pass, so its memory is one pass, not the frame.
+//     At most QueueDepth such requests score at once; the next is
+//     shed. With MaxBatch <= 1 every request scores this way, as one
+//     pass.
 //   - The served model lives behind an atomic pointer. Reload (POST
 //     /reload, or SIGHUP in cmd/targad-serve) loads the file into a
-//     fresh model and swaps the pointer; batches in flight finish on
-//     the model they started with, so a reload under load fails zero
-//     requests.
+//     fresh model and swaps the pointer; batches and inline requests
+//     in flight finish on the model they started with, so a reload
+//     under load fails zero requests.
 //   - /healthz (liveness), /readyz (model loaded), /metrics
 //     (Prometheus text), /debug/vars (expvar), and optional
 //     /debug/pprof make the service observable.
@@ -59,16 +65,20 @@ type Config struct {
 	// model with SetModel.
 	ModelPath string
 
-	// MaxBatch is the most instance rows one inference pass carries;
-	// <= 1 disables micro-batching (default 64).
+	// MaxBatch is the most instance rows one inference pass carries
+	// (default 64). Requests of at most MaxBatch rows are
+	// micro-batched; bigger ones score on their own handler, MaxBatch
+	// rows per pass. <= 1 disables micro-batching: every request then
+	// scores on its handler in one pass.
 	MaxBatch int
 	// MaxWait bounds how long an incomplete batch waits for more rows
 	// after its first job arrives. 0 selects the default, 2ms; a
 	// negative value waits not at all and takes only what is already
 	// queued.
 	MaxWait time.Duration
-	// QueueDepth bounds the number of queued scoring jobs; a full
-	// queue sheds with 429 (default 256).
+	// QueueDepth bounds the number of queued scoring jobs, and
+	// separately the requests scoring inline at once; past either bound
+	// a request sheds with 429 (default 256).
 	QueueDepth int
 	// RetryAfter is advertised on shed responses (default 1s).
 	RetryAfter time.Duration
@@ -166,6 +176,10 @@ type Server struct {
 	wg      sync.WaitGroup
 	closing sync.Once
 
+	// inlineSlots bounds the requests scoring inline at once
+	// (QueueDepth); a request that finds it full is shed.
+	inlineSlots chan struct{}
+
 	reloadMu sync.Mutex // serializes Reload/SetModel/shadow swaps
 
 	// shadow is the candidate model under evaluation (nil when none);
@@ -216,10 +230,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.InstanceID = fmt.Sprintf("%s-%d-%x", host, os.Getpid(), time.Now().UnixNano())
 	}
 	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *job, cfg.QueueDepth),
-		done:  make(chan struct{}),
-		acq:   sampler{fraction: cfg.AcquireSample},
+		cfg:         cfg,
+		queue:       make(chan *job, cfg.QueueDepth),
+		inlineSlots: make(chan struct{}, cfg.QueueDepth),
+		done:        make(chan struct{}),
+		acq:         sampler{fraction: cfg.AcquireSample},
 	}
 	if cfg.ModelPath != "" {
 		if _, err := s.Reload(); err != nil {
@@ -409,56 +424,69 @@ type scoreResponse struct {
 	Warning       string      `json:"warning,omitempty"`
 }
 
-// handleScore answers one /score request. JSON and binary frames
-// differ only in how the body decodes into the request arena
-// (decodeJSON, decodeFrame) and how the result encodes
-// (writeScoreResult, writeScoreFrame); everything between — failure
-// answers, counting, the job's trip through the dispatcher, arena
-// release — is this one path.
+// handleScore answers one /score request from a pooled arena.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
+	a := acquireArena()
+	if s.scoreRequest(w, r, a) {
+		releaseArena(a)
+	}
+}
+
+// scoreRequest answers one /score request with a as its scratch and
+// reports whether a may return to the pool. JSON and binary frames
+// differ only in how the body decodes into the arena (decodeJSON,
+// decodeFrame) and how the result encodes (writeScoreResult,
+// writeScoreFrame); everything between — failure answers, counting,
+// the route to scoring — is this one path. A request of at most
+// MaxBatch rows rides the micro-batcher (awaitScore); a bigger one, or
+// any request when batching is off, scores on this handler
+// (scoreInline).
+func (s *Server) scoreRequest(w http.ResponseWriter, r *http.Request, a *reqArena) (release bool) {
 	start := time.Now()
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
 	frame := wire.IsFrame(r.Header)
-	a := acquireArena()
-	var status int
-	var msg string
+	var err error
 	if frame {
 		s.metrics.binaryReqs.Add(1)
-		status, msg = s.decodeFrame(a, r)
+		err = s.decodeFrame(a, r)
 	} else {
-		status, msg = s.decodeJSON(a, w, r)
+		err = s.decodeJSON(a, w, r)
 	}
-	if status != 0 {
-		releaseArena(a)
-		s.fail(w, frame, status, msg)
-		return
+	if err != nil {
+		s.fail(w, frame, err)
+		return true
 	}
 	s.metrics.requests.Add(1)
 
 	a.j.ctx = r.Context()
-	a.j.x = a.x
 	a.j.identify = true
 	a.j.arena = a
 
-	res, abandoned := s.awaitScore(a, r)
-	switch {
-	case abandoned:
-		// The dispatcher may still write into the arena, so it stays out
-		// of the pool; only a drain has a client left to answer.
-		if errors.Is(res.err, errDraining) {
-			wire.WriteError(w, frame, http.StatusServiceUnavailable, errDraining.Error(), 0)
+	var res jobResult
+	if s.inline(a.rows) {
+		res = s.scoreInline(a, r, frame)
+	} else {
+		var abandoned bool
+		if res, abandoned = s.awaitScore(a, r); abandoned {
+			// The dispatcher may still write into the arena, so it stays
+			// out of the pool; only a drain has a client left to answer.
+			if errors.Is(res.err, errDraining) {
+				wire.WriteError(w, frame, http.StatusServiceUnavailable, errDraining.Error(), 0)
+			}
+			return false
 		}
-		return
+	}
+	switch {
 	case errors.Is(res.err, errShed):
 		wire.WriteError(w, frame, http.StatusTooManyRequests, errShed.Error(), s.cfg.RetryAfter)
 	case res.err != nil:
-		s.fail(w, frame, scoreErrStatus(res.err), res.err.Error())
+		s.fail(w, frame, res.err)
 	default:
 		if frame {
 			writeScoreFrame(w, a, res)
@@ -468,23 +496,36 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.metrics.requestOK.Add(1)
 		s.metrics.observeLatency(time.Since(start))
 	}
-	releaseArena(a)
+	return true
 }
 
-// fail answers a failed request in its protocol and counts it: every
-// failure in requestErrs, a 413 in tooLarge as well.
-func (s *Server) fail(w http.ResponseWriter, frame bool, status int, msg string) {
+// fail answers a failed request in its protocol, with err's status
+// (scoreErrStatus), and counts it: every failure in requestErrs, a 413
+// in tooLarge as well.
+func (s *Server) fail(w http.ResponseWriter, frame bool, err error) {
+	status := scoreErrStatus(err)
 	s.metrics.requestErrs.Add(1)
 	if status == http.StatusRequestEntityTooLarge {
 		s.metrics.tooLarge.Add(1)
 	}
-	wire.WriteError(w, frame, status, msg, 0)
+	wire.WriteError(w, frame, status, err.Error(), 0)
 }
 
+// statusError is a request the server refuses before or while reading
+// it — a body that does not decode, a frame cut short — carrying the
+// HTTP status of its answer.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+func badRequest(msg string) error { return &statusError{http.StatusBadRequest, msg} }
+
 // decodeJSON reads a JSON /score body into the arena: the rows into
-// a.x, the request's options into a.j. A non-zero status rejects the
-// request with msg.
-func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request) (status int, msg string) {
+// a.x, the request's options into a.j.
+func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var err error
 	a.body, err = readAllInto(a.body[:0], r.Body)
@@ -498,42 +539,41 @@ func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request)
 		return s.bodyError(err)
 	}
 	if a.x, err = instancesMatrixInto(a.x, a.jreq.Instances); err != nil {
-		return http.StatusBadRequest, err.Error()
+		return badRequest(err.Error())
 	}
+	a.rows = a.x.Rows
 	a.j.strategy, a.j.strict, a.j.probs = s.cfg.Strategy, false, a.jreq.Probabilities
 	if a.jreq.Strategy != "" {
 		st, ok := ParseStrategy(a.jreq.Strategy)
 		if !ok {
-			return http.StatusBadRequest, fmt.Sprintf("unknown strategy %q (want MSP, ES, or ED)", a.jreq.Strategy)
+			return badRequest(fmt.Sprintf("unknown strategy %q (want MSP, ES, or ED)", a.jreq.Strategy))
 		}
 		a.j.strategy, a.j.strict = st, true
 	}
-	return 0, ""
+	return nil
 }
 
 // bodyError maps a failed read or decode of a JSON body: 413 when the
 // body ran past MaxBodyBytes, 400 otherwise.
-func (s *Server) bodyError(err error) (status int, msg string) {
+func (s *Server) bodyError(err error) error {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
+		return &statusError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)}
 	}
-	return http.StatusBadRequest, "bad request body: " + err.Error()
+	return badRequest("bad request body: " + err.Error())
 }
 
-// errShed answers a request the full queue turned away (429).
+// errShed answers a request turned away for lack of room (429): the
+// queue is full, or QueueDepth requests already score inline.
 var errShed = errors.New("scoring queue full, retry later")
 
-// awaitScore runs the arena's job through the dispatcher (or directly
-// when batching is off) and returns its result; a shed comes back as
-// errShed. abandoned reports a job left behind — the client gone (its
-// context error) or the server draining (errDraining) — whose arena
-// must not re-enter the pool: the dispatcher may still write into it.
+// awaitScore runs the arena's job through the dispatcher and returns
+// its result; a shed comes back as errShed. abandoned reports a job
+// left behind — the client gone (its context error) or the server
+// draining (errDraining) — whose arena must not re-enter the pool: the
+// dispatcher may still write into it.
 func (s *Server) awaitScore(a *reqArena, r *http.Request) (res jobResult, abandoned bool) {
-	if s.cfg.MaxBatch <= 1 {
-		s.runBatch(a.jobs[:1])
-		return <-a.j.resp, false
-	}
+	a.j.x = a.x
 	select {
 	case s.queue <- &a.j:
 	default:
@@ -553,7 +593,10 @@ func (s *Server) awaitScore(a *reqArena, r *http.Request) (res jobResult, abando
 
 // scoreErrStatus maps a scoring error to its HTTP status.
 func scoreErrStatus(err error) int {
+	var se *statusError
 	switch {
+	case errors.As(err, &se):
+		return se.status
 	case errors.Is(err, errStrategyNotCalibrated),
 		errors.Is(err, errBatchWidth),
 		errors.Is(err, core.ErrDimMismatch):
@@ -575,7 +618,7 @@ func scoreErrStatus(err error) int {
 func writeScoreResult(w http.ResponseWriter, a *reqArena, res jobResult) {
 	out := scoreResponse{ModelVersion: res.version, Scores: res.scores}
 	if res.kinds != nil {
-		a.decisions = ensureStrings(a.decisions, len(res.kinds))
+		a.decisions = ensure(a.decisions, len(res.kinds))
 		for i, k := range res.kinds {
 			a.decisions[i] = k.String()
 		}
@@ -584,7 +627,7 @@ func writeScoreResult(w http.ResponseWriter, a *reqArena, res jobResult) {
 		out.Warning = "decisions omitted: served model has no calibration for the default strategy"
 	}
 	if res.probs != nil {
-		a.probsRows = ensureRows(a.probsRows, res.probs.Rows)
+		a.probsRows = ensure(a.probsRows, res.probs.Rows)
 		for i := range a.probsRows {
 			a.probsRows[i] = res.probs.Row(i)
 		}

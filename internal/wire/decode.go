@@ -95,19 +95,23 @@ func (p *PayloadReader) chunk(h Request) []byte {
 	return p.buf[:cap(p.buf)]
 }
 
-// ReadF64 reads the feature block h announces from r into dst (grown
-// via mat.Ensure, nil allocates). An f32 block widens exactly, so its
-// scores match an f64 frame carrying the same values. A block that
-// ends early fails with ErrTruncated; bytes past it are left unread.
-func (p *PayloadReader) ReadF64(r io.Reader, h Request, dst *mat.Matrix) (*mat.Matrix, error) {
-	dst = mat.Ensure(dst, h.Rows, h.Features)
+// ReadRows reads the next rows rows of the feature block h announces
+// from r into dst (grown via mat.Ensure to rows×h.Features, nil
+// allocates); done counts the rows of the block already read, for the
+// truncation message. An f32 block widens exactly, so its scores match
+// an f64 frame carrying the same values. A block that ends early fails
+// with ErrTruncated; bytes past the rows asked for are left unread, so
+// consecutive calls decode the block pass by pass, dst holding only one
+// call's rows.
+func (p *PayloadReader) ReadRows(r io.Reader, h Request, done, rows int, dst *mat.Matrix) (*mat.Matrix, error) {
+	dst = mat.Ensure(dst, rows, h.Features)
 	es := h.elemSize()
 	buf := p.chunk(h)
 	out := dst.Data
 	for len(out) > 0 {
 		n := min(len(out), len(buf)/es)
 		b := buf[:n*es]
-		if err := readChunk(r, h, b, len(dst.Data)-len(out)); err != nil {
+		if err := readChunk(r, h, b, done*h.Features+len(dst.Data)-len(out)); err != nil {
 			return nil, err
 		}
 		if h.F32 {
@@ -146,7 +150,7 @@ func DecodePayloadF64(h Request, payload []byte, dst *mat.Matrix) (*mat.Matrix, 
 		return nil, err
 	}
 	var p PayloadReader
-	return p.ReadF64(bytes.NewReader(payload), h, dst)
+	return p.ReadRows(bytes.NewReader(payload), h, 0, h.Rows, dst)
 }
 
 func checkPayloadLen(h Request, got int) error {
@@ -175,7 +179,7 @@ func DecodeRequestFrame(frame []byte) (Request, *mat.Matrix, error) {
 		return h, nil, err
 	}
 	var p PayloadReader
-	x, err := p.ReadF64(bytes.NewReader(payload), h, nil)
+	x, err := p.ReadRows(bytes.NewReader(payload), h, 0, h.Rows, nil)
 	return h, x, err
 }
 

@@ -58,7 +58,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// matrix from the header).
 		if x != nil || (err != nil && errors.Is(err, ErrTruncated) && len(b) >= RequestHeaderSize && h.PayloadSize() <= 1<<16) {
 			var p PayloadReader
-			got, serr := p.ReadF64(iotest.OneByteReader(bytes.NewReader(b[RequestHeaderSize:])), h, nil)
+			got, serr := p.ReadRows(iotest.OneByteReader(bytes.NewReader(b[RequestHeaderSize:])), h, 0, h.Rows, nil)
 			switch {
 			case x == nil && !errors.Is(serr, ErrTruncated):
 				t.Fatalf("PayloadReader on a short block: %v, want ErrTruncated", serr)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -77,7 +79,7 @@ func TestRequestRoundTripF32(t *testing.T) {
 	}
 	var p PayloadReader
 	// Widening decode agrees with float64(float32) exactly.
-	x, err := p.ReadF64(bytes.NewReader(frame[RequestHeaderSize:]), h, nil)
+	x, err := p.ReadRows(bytes.NewReader(frame[RequestHeaderSize:]), h, 0, h.Rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestRequestRoundTripF32(t *testing.T) {
 		}
 	}
 	// A short f32 block fails typed, like a short f64 one.
-	if _, err := p.ReadF64(bytes.NewReader(frame[RequestHeaderSize:len(frame)-1]), h, nil); !errors.Is(err, ErrTruncated) {
+	if _, err := p.ReadRows(bytes.NewReader(frame[RequestHeaderSize:len(frame)-1]), h, 0, h.Rows, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated f32 stream: %v", err)
 	}
 }
@@ -140,7 +142,7 @@ func TestRequestHeaderErrors(t *testing.T) {
 		t.Fatalf("trailing payload bytes: %v", err)
 	}
 	var p PayloadReader
-	if _, err := p.ReadF64(bytes.NewReader(base[RequestHeaderSize:len(base)-1]), h, nil); !errors.Is(err, ErrTruncated) {
+	if _, err := p.ReadRows(bytes.NewReader(base[RequestHeaderSize:len(base)-1]), h, 0, h.Rows, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated stream: %v", err)
 	}
 }
@@ -179,7 +181,7 @@ func TestPayloadReaderChunking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.ReadF64(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, mat.New(1, 1))
+			got, err := p.ReadRows(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, 0, h.Rows, mat.New(1, 1))
 			if err != nil {
 				t.Fatalf("%s f32=%v: %v", name, h.F32, err)
 			}
@@ -189,7 +191,7 @@ func TestPayloadReaderChunking(t *testing.T) {
 				}
 			}
 			prev := &got.Data[0]
-			if got, err = p.ReadF64(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, got); err != nil || &got.Data[0] != prev {
+			if got, err = p.ReadRows(wrap(bytes.NewReader(frame[RequestHeaderSize:])), h, 0, h.Rows, got); err != nil || &got.Data[0] != prev {
 				t.Fatalf("%s f32=%v: recycled read reallocated or failed: %v", name, h.F32, err)
 			}
 			if h.F32 {
@@ -368,5 +370,51 @@ func TestParseRequestFrameSize(t *testing.T) {
 	bad[5] = TypeResponse
 	if _, err := ParseRequestFrameSize(bad); !errors.Is(err, ErrFrameType) {
 		t.Fatalf("non-request frame error = %v, want ErrFrameType", err)
+	}
+}
+
+// TestReadRowsInPasses: a block read as consecutive ReadRows passes
+// decodes exactly what one call over the whole block does, each pass
+// into a matrix of its own rows only, and a block cut short names the
+// byte offset it ended at, counted over the whole block.
+func TestReadRowsInPasses(t *testing.T) {
+	const rows, features, pass = 23, 5, 4
+	frame := validF64Frame(t, rows, features, StrategyED, false)
+	h, err := ParseRequestHeader(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p PayloadReader
+	want, err := p.ReadRows(bytes.NewReader(frame[RequestHeaderSize:]), h, 0, h.Rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := iotest.HalfReader(bytes.NewReader(frame[RequestHeaderSize:]))
+	var x *mat.Matrix
+	for lo := 0; lo < rows; lo += pass {
+		n := min(pass, rows-lo)
+		if x, err = p.ReadRows(body, h, lo, n, x); err != nil {
+			t.Fatalf("pass at row %d: %v", lo, err)
+		}
+		if x.Rows != n || cap(x.Data) > pass*features {
+			t.Fatalf("pass at row %d: %d rows, capacity %d, want %d rows within %d", lo, x.Rows, cap(x.Data), n, pass*features)
+		}
+		for i, v := range x.Data {
+			if v != want.Data[lo*features+i] {
+				t.Fatalf("pass at row %d: element %d = %v, want %v", lo, i, v, want.Data[lo*features+i])
+			}
+		}
+	}
+
+	short := bytes.NewReader(frame[RequestHeaderSize : len(frame)-8])
+	if _, err := p.ReadRows(short, h, 0, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.ReadRows(short, h, 20, 3, nil)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short last pass: %v, want ErrTruncated", err)
+	}
+	if msg := fmt.Sprintf("ends after %d of %d bytes", h.PayloadSize()-8, h.PayloadSize()); !strings.Contains(err.Error(), msg) {
+		t.Fatalf("short last pass: %q does not say %q", err, msg)
 	}
 }
