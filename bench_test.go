@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -222,65 +223,74 @@ func BenchmarkTargADFit(b *testing.B) {
 	}
 }
 
-func BenchmarkTargADScore(b *testing.B) {
-	bundle, err := synth.Generate(synth.KDDCUP99(), synth.Options{
-		Scale: 0.03, Seed: 1, LabeledPerType: 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.K = 3
-	cfg.AEEpochs = 3
-	cfg.ClfEpochs = 8
-	cfg.AELR = 1e-3
-	cfg.ClfLR = 1e-3
-	m := core.New(cfg, 1)
-	if err := m.Fit(context.Background(), bundle.Train); err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range benchWorkerCounts() {
-		atWorkers(b, w, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Score(context.Background(), bundle.Test.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// BenchmarkTargADScore times f64 scoring (core.Model.Infer, scores
+// only) on two models. KDDCUP99 scores its whole test split in one
+// pass. UNSW-NB15 is bench/'s UNSW-NB15 model (scale 0.05, 10 epochs,
+// seed 1) scoring its 1130 test rows in 64-row passes, the pass shape
+// of targad-serve's default -max-batch; its us/row against
+// BenchmarkTargADScoreF32's is the f64/f32 ratio of DESIGN.md §10,
+// measured over 9 interleaved rounds:
+//
+//	for i in 1 2 3 4 5 6 7 8 9; do
+//		go test -run '^$' -bench 'TargADScore(F32)?/UNSW' -cpu 1 .
+//	done
+func BenchmarkTargADScore(b *testing.B) { benchScore(b, false) }
 
 // BenchmarkTargADScoreF32 is BenchmarkTargADScore's workload on the
 // float32 inference path (EnableF32 + InferF32, the same path
 // targad-serve -precision f32 takes), input narrowing included. The
 // ratio against BenchmarkTargADScore's f64 rows is the end-to-end f32
 // kernel speedup recorded in BENCH_PR6.json.
-func BenchmarkTargADScoreF32(b *testing.B) {
-	bundle, err := synth.Generate(synth.KDDCUP99(), synth.Options{
-		Scale: 0.03, Seed: 1, LabeledPerType: 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.K = 3
-	cfg.AEEpochs = 3
-	cfg.ClfEpochs = 8
-	cfg.AELR = 1e-3
-	cfg.ClfLR = 1e-3
-	m := core.New(cfg, 1)
-	if err := m.Fit(context.Background(), bundle.Train); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.EnableF32(); err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range benchWorkerCounts() {
-		atWorkers(b, w, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := m.InferF32(context.Background(), bundle.Test.X, core.InferOptions{}); err != nil {
+func BenchmarkTargADScoreF32(b *testing.B) { benchScore(b, true) }
+
+// benchScore runs BenchmarkTargADScore's cases on the f64 path, or
+// with f32 on the f32 path.
+func benchScore(b *testing.B, f32 bool) {
+	unsw := core.DefaultConfig()
+	unsw.AEEpochs, unsw.ClfEpochs = 10, 10
+	unsw.AELR, unsw.ClfLR = 1e-3, 1e-3
+	kdd := unsw
+	kdd.K, kdd.AEEpochs, kdd.ClfEpochs = 3, 3, 8
+	for _, c := range []struct {
+		name    string
+		profile synth.Profile
+		opt     synth.Options
+		cfg     core.Config
+		pass    int // rows per Infer call
+	}{
+		{"KDDCUP99", synth.KDDCUP99(), synth.Options{Scale: 0.03, Seed: 1, LabeledPerType: 20}, kdd, math.MaxInt},
+		{"UNSW-NB15/pass=64", synth.UNSWNB15(), synth.Options{Scale: 0.05, Seed: 1}, unsw, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bundle, err := synth.Generate(c.profile, c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := core.New(c.cfg, 1)
+			if err := m.Fit(context.Background(), bundle.Train); err != nil {
+				b.Fatal(err)
+			}
+			infer := m.Infer
+			if f32 {
+				if err := m.EnableF32(); err != nil {
 					b.Fatal(err)
 				}
+				infer = m.InferF32
+			}
+			x := bundle.Test.X
+			for _, w := range benchWorkerCounts() {
+				atWorkers(b, w, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for lo := 0; lo < x.Rows; lo += c.pass {
+							n := min(c.pass, x.Rows-lo)
+							view := &mat.Matrix{Rows: n, Cols: x.Cols, Data: x.Data[lo*x.Cols : (lo+n)*x.Cols]}
+							if _, err := infer(context.Background(), view, core.InferOptions{}); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*x.Rows), "us/row")
+				})
 			}
 		})
 	}

@@ -19,9 +19,11 @@
 // path decodes into pooled buffers with near-zero allocation and, with
 // -precision f32, feeds float32 frames straight into the SIMD kernels.
 //
-// Concurrent requests are micro-batched (-max-batch rows, -max-wait
-// window) into single inference passes; a request of more than
-// -max-batch rows scores on its own handler, -max-batch rows per pass.
+// Concurrent requests are micro-batched into single inference passes
+// of at most -max-batch rows. Batching never waits on a timer: a pass
+// takes whatever is queued when it starts, so a lone request scores at
+// once. A request of more than -max-batch rows scores on its own
+// handler, -max-batch rows per pass.
 // The queue is bounded (-queue), and so are the large requests scoring
 // at once; past either bound requests are shed with 429 + Retry-After.
 // Bodies beyond -max-request-bytes are rejected with 413. The
@@ -94,7 +96,6 @@ func main() {
 		maxHot      = flag.Int("max-hot-models", 4, "registry mode: models kept loaded at once; past it the least-recently-used is evicted")
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxBatch    = flag.Int("max-batch", 64, "max rows per inference pass (1 disables batching)")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait for an incomplete batch to fill (0 means 2ms; negative takes only what is already queued)")
 		queueDepth  = flag.Int("queue", 256, "bounded queue depth, and the most large requests scoring at once; beyond either requests shed with 429")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
@@ -174,7 +175,6 @@ func main() {
 
 	base := serve.Config{
 		MaxBatch:     *maxBatch,
-		MaxWait:      *maxWait,
 		QueueDepth:   *queueDepth,
 		RetryAfter:   *retryAfter,
 		MaxBodyBytes: *maxReqBytes,
@@ -280,8 +280,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("targad-serve %s: serving %s on %s (batch<=%d wait=%s queue=%d strategy=%s precision=%s kernel=%s)",
-		buildinfo.Version(), serving, *addr, *maxBatch, *maxWait, *queueDepth, strat, prec, mat.KernelName())
+	log.Printf("targad-serve %s: serving %s on %s (batch<=%d queue=%d strategy=%s precision=%s kernel=%s)",
+		buildinfo.Version(), serving, *addr, *maxBatch, *queueDepth, strat, prec, mat.KernelName())
 
 	select {
 	case <-ctx.Done():

@@ -92,10 +92,14 @@ func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) 
 		// below, so the answer doesn't depend on what else was asked
 		// for.
 		res := prepareResult(opt, x.Rows)
-		parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				res.Scores[i] = mat.SoftmaxHeadMax32(logits.Row(i), mo.m)
-			}
+		if parallel.Serial(x.Rows, f32RowChunk) {
+			// No closure on the serial path: a serving pass must not
+			// allocate.
+			headMaxRange(res.Scores, logits, mo.m, 0, x.Rows)
+			return res, nil
+		}
+		parallel.ForEachChunkMin(x.Rows, f32RowChunk, func(lo, hi int) {
+			headMaxRange(res.Scores, logits, mo.m, lo, hi)
 		})
 		return res, nil
 	}
@@ -105,11 +109,13 @@ func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) 
 	// land in the recycled result's Probs, a fresh matrix the result
 	// keeps, or the replica's buffer when the result keeps neither.
 	rep.logits = mat.ToF64(rep.logits, logits)
-	parallel.ForEachChunkMin(x.Rows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mat.Softmax32(logits.Row(i), logits.Row(i))
-		}
-	})
+	if parallel.Serial(x.Rows, f32RowChunk) {
+		softmax32Range(logits, 0, x.Rows)
+	} else {
+		parallel.ForEachChunkMin(x.Rows, f32RowChunk, func(lo, hi int) {
+			softmax32Range(logits, lo, hi)
+		})
+	}
 	var probs *mat.Matrix
 	switch {
 	case opt.Reuse != nil:
@@ -121,4 +127,21 @@ func (mo *Model) InferF32(ctx context.Context, x *mat.Matrix, opt InferOptions) 
 		probs = rep.probs
 	}
 	return mo.decide(probs, rep.logits, opt, thresholds), nil
+}
+
+// f32RowChunk is the fewest rows InferF32's row loops hand one worker.
+const f32RowChunk = 256
+
+// headMaxRange writes the score of logits rows [lo, hi) into scores.
+func headMaxRange(scores []float64, logits *mat.Matrix32, m, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		scores[i] = mat.SoftmaxHeadMax32(logits.Row(i), m)
+	}
+}
+
+// softmax32Range replaces logits rows [lo, hi) with their softmax.
+func softmax32Range(logits *mat.Matrix32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		mat.Softmax32(logits.Row(i), logits.Row(i))
+	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"time"
 
 	"targad/internal/core"
 	"targad/internal/dataset"
@@ -58,10 +57,11 @@ var errBatchWidth = errors.New("serve: instance width differs from batch")
 // model has no threshold for.
 var errStrategyNotCalibrated = errors.New("serve: identification strategy not calibrated on the served model")
 
-// dispatch is the micro-batching loop: one goroutine drains the queue,
-// coalesces up to MaxBatch rows (waiting at most MaxWait from the
-// first job), and runs a single inference pass per batch so the
-// blocked GEMM amortizes across concurrent requests.
+// dispatch is the micro-batching loop: one goroutine drains the queue
+// and runs a single inference pass per batch, so the blocked GEMM
+// amortizes across concurrent requests. Batching is work-conserving: a
+// batch never waits for company, so a lone request scores at once,
+// and the rows that queue during a pass form the next batch.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -77,36 +77,18 @@ func (s *Server) dispatch() {
 	}
 }
 
-// collectBatch gathers jobs after the first until the batch holds
-// MaxBatch rows or MaxWait elapses. Jobs already queued are taken
-// without waiting, so a saturated queue forms full batches instantly.
+// collectBatch returns first plus whatever is already queued, up to
+// MaxBatch rows. It never waits: a score depends only on the model and
+// the row, so holding a job back to fill a batch would buy nothing but
+// latency.
 func (s *Server) collectBatch(first *job) []*job {
 	jobs := []*job{first}
-	rows := first.x.Rows
-	// Fast drain: whatever is queued right now joins for free.
-	for rows < s.cfg.MaxBatch {
+	for rows := first.x.Rows; rows < s.cfg.MaxBatch; {
 		select {
 		case j := <-s.queue:
 			jobs = append(jobs, j)
 			rows += j.x.Rows
-			continue
 		default:
-		}
-		break
-	}
-	if rows >= s.cfg.MaxBatch || s.cfg.MaxWait <= 0 {
-		return jobs
-	}
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
-	for rows < s.cfg.MaxBatch {
-		select {
-		case j := <-s.queue:
-			jobs = append(jobs, j)
-			rows += j.x.Rows
-		case <-timer.C:
-			return jobs
-		case <-s.done:
 			return jobs
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"targad/internal/activelearn"
 	"targad/internal/core"
@@ -87,17 +86,11 @@ func (w *nullResponseWriter) WriteHeader(status int)      { w.status = status }
 // pass.
 func BenchmarkServeScoreBinary(b *testing.B) {
 	rows := testRows(4, 123)
-	rows32 := make([][]float32, len(rows))
-	for i, row := range rows {
-		rows32[i] = make([]float32, len(row))
-		for j, v := range row {
-			rows32[i][j] = float32(v)
-		}
-	}
 	f64frame, err := wire.AppendRequestF64(nil, rows, int(core.ED), false)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rows32, _ := narrowRows(rows)
 	f32frame, err := wire.AppendRequestF32(nil, rows32, int(core.ED), false)
 	if err != nil {
 		b.Fatal(err)
@@ -119,18 +112,29 @@ func BenchmarkServeScoreBinary(b *testing.B) {
 
 // BenchmarkServeScoreBinaryFrame measures bulk frames in-process at
 // the default MaxBatch of 64: each frame scores on its handler, 64 rows
-// per pass. The ci.sh gate holds both sizes to the same small
+// per pass. f64 serves an f64 frame on an f64 server, f32 an f32 frame
+// on an f32 server. The ci.sh gate holds every case to the same small
 // allocs/op, so no pass may allocate: one allocation per pass shows as
 // 8 more at 512 rows and 64 more at 4096.
 func BenchmarkServeScoreBinaryFrame(b *testing.B) {
-	for _, rows := range []int{512, 4096} {
-		frame, err := wire.AppendRequestF64(nil, testRows(rows, 123), int(core.ED), false)
-		if err != nil {
-			b.Fatal(err)
+	for _, prec := range []Precision{F64, F32} {
+		for _, n := range []int{512, 4096} {
+			rows := testRows(n, 123)
+			var frame []byte
+			var err error
+			if prec == F32 {
+				rows32, _ := narrowRows(rows)
+				frame, err = wire.AppendRequestF32(nil, rows32, int(core.ED), false)
+			} else {
+				frame, err = wire.AppendRequestF64(nil, rows, int(core.ED), false)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/%d", prec, n), func(b *testing.B) {
+				benchFrame(b, Config{MaxBatch: 64, Strategy: core.ED, Precision: prec}, frame)
+			})
 		}
-		b.Run(fmt.Sprint(rows), func(b *testing.B) {
-			benchFrame(b, Config{MaxBatch: 64, Strategy: core.ED}, frame)
-		})
 	}
 }
 
@@ -223,7 +227,7 @@ func benchServeScore(b *testing.B, model *core.Model, prec Precision) {
 		cfg  Config
 	}{
 		{"batch=off", Config{MaxBatch: 1, Strategy: core.ED, Precision: prec}},
-		{"batch=on", Config{MaxBatch: 64, MaxWait: 500 * time.Microsecond, QueueDepth: 1024, Strategy: core.ED, Precision: prec}},
+		{"batch=on", Config{MaxBatch: 64, QueueDepth: 1024, Strategy: core.ED, Precision: prec}},
 	} {
 		for _, clients := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/clients=%d", batching.name, clients), func(b *testing.B) {

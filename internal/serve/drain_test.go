@@ -21,7 +21,7 @@ import (
 // dropped before it costs an inference pass, answered with its
 // context's error, and counted in targad_serve_canceled_total.
 func TestCanceledJobsDroppedBeforeDispatch(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Millisecond})
+	s, _ := newTestServer(t, Config{MaxBatch: 16})
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -77,7 +77,7 @@ func TestCanceledJobsDroppedBeforeDispatch(t *testing.T) {
 // CI smoke.
 func TestGracefulDrainMixedLoad(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s, ts := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxBatch: 8})
 
 	rows := testRows(2, 42)
 	jsonBody, err := json.Marshal(scoreRequest{Instances: rows})

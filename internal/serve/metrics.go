@@ -8,8 +8,8 @@ import (
 )
 
 // latencyBuckets are the fixed upper bounds (seconds) of the request
-// latency histogram, chosen to straddle both the sub-millisecond
-// direct path and batching-window latencies.
+// latency histogram, chosen to straddle both sub-millisecond passes
+// and requests queued behind a busy dispatcher.
 var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // metrics is the server's observability state: lock-free counters

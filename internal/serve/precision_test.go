@@ -57,7 +57,7 @@ func TestServeF32WithinTolerance(t *testing.T) {
 
 	for _, cfg := range []Config{
 		{MaxBatch: 1, Precision: F32},
-		{MaxBatch: 32, MaxWait: time.Millisecond, Precision: F32},
+		{MaxBatch: 32, Precision: F32},
 	} {
 		_, ts := newTestServer(t, cfg)
 		status, ok, bad := postScore(t, http.DefaultClient, ts.URL, scoreRequest{Instances: rows, Strategy: "MSP", Probabilities: true})
@@ -93,9 +93,9 @@ func TestServeF32WithinTolerance(t *testing.T) {
 // frame's rows widened) — scores, ED decisions and probabilities. The
 // f32 GEMM chooses its kernels from the weight shape alone, so a row's
 // bits do not depend on the rows it shares a batch with: the last pass
-// sends requests from several clients at once, so the batcher
-// coalesces them, and every response must still equal InferF32 on its
-// own rows.
+// sends requests from several clients at once behind a held first
+// pass, so the batcher coalesces them, and every response must still
+// equal InferF32 on its own rows.
 func TestServeF32MatchesInferF32(t *testing.T) {
 	m := loadFixtureModel(t)
 	if err := m.EnableF32(); err != nil {
@@ -188,7 +188,7 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 
 	for _, cfg := range []Config{
 		{MaxBatch: 1, Strategy: core.ED, Precision: F32},
-		{MaxBatch: 32, MaxWait: time.Millisecond, Strategy: core.ED, Precision: F32},
+		{MaxBatch: 32, Strategy: core.ED, Precision: F32},
 	} {
 		_, ts := newTestServer(t, cfg)
 		for n := 1; n <= 24; n += 23 {
@@ -198,7 +198,8 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 		}
 	}
 
-	_, ts := newTestServer(t, Config{MaxBatch: 32, MaxWait: 2 * time.Millisecond, Strategy: core.ED, Precision: F32})
+	s, ts := newTestServer(t, Config{MaxBatch: 32, Strategy: core.ED, Precision: F32})
+	holdFirstPass(t, 200*time.Millisecond)
 	const clients, iters = 8, 4
 	var wg sync.WaitGroup
 	fails := make(chan error, clients)
@@ -220,6 +221,7 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 	for err := range fails {
 		t.Fatal(err)
 	}
+	requireCoalesced(t, s)
 }
 
 // TestServeF32RetiredModelUnchanged: a model handed to SetModel keeps

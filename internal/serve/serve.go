@@ -11,10 +11,13 @@
 //     most MaxBatch rows becomes a job on a bounded queue; a full
 //     queue sheds the request with 429 and a Retry-After header
 //     instead of letting latency grow without bound.
-//   - A single dispatcher goroutine micro-batches queued jobs — up to
-//     MaxBatch rows, waiting at most MaxWait from the first job — into
-//     one core.Model.Infer pass, so the blocked GEMM amortizes across
-//     concurrent requests.
+//   - A single dispatcher goroutine micro-batches queued jobs into one
+//     core.Model.Infer pass, so the blocked GEMM amortizes across
+//     concurrent requests. Batching is work-conserving: a batch is the
+//     first queued job plus whatever else is already queued, up to
+//     MaxBatch rows, and never waits on a timer, so a lone request
+//     scores at once while rows arriving during a pass form the next,
+//     fuller batch.
 //   - A request of more than MaxBatch rows skips the queue and scores
 //     on its own handler, MaxBatch rows per pass: a binary frame
 //     decodes pass by pass, so its memory is one pass, not the frame.
@@ -71,10 +74,10 @@ type Config struct {
 	// rows per pass. <= 1 disables micro-batching: every request then
 	// scores on its handler in one pass.
 	MaxBatch int
-	// MaxWait bounds how long an incomplete batch waits for more rows
-	// after its first job arrives. 0 selects the default, 2ms; a
-	// negative value waits not at all and takes only what is already
-	// queued.
+	// MaxWait is ignored: a batch takes only what is already queued
+	// and never waits for more rows.
+	//
+	// Deprecated: batching is work-conserving; nothing reads MaxWait.
 	MaxWait time.Duration
 	// QueueDepth bounds the number of queued scoring jobs, and
 	// separately the requests scoring inline at once; past either bound
@@ -200,9 +203,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = 2 * time.Millisecond
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256

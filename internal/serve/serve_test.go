@@ -97,26 +97,34 @@ type errorResponse struct {
 
 func postScore(t testing.TB, client *http.Client, url string, req scoreRequest) (int, scoreResponse, errorResponse) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	status, ok, bad, err := tryScore(client, url, req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return status, ok, bad
+}
+
+// tryScore is postScore reporting failures as an error, for callers
+// off the test goroutine.
+func tryScore(client *http.Client, url string, req scoreRequest) (int, scoreResponse, errorResponse, error) {
+	var ok scoreResponse
+	var bad errorResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, ok, bad, err
 	}
 	resp, err := client.Post(url+"/score", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, ok, bad, err
 	}
 	defer resp.Body.Close()
-	var ok scoreResponse
-	var bad errorResponse
 	dec := json.NewDecoder(resp.Body)
 	if resp.StatusCode == http.StatusOK {
-		if err := dec.Decode(&ok); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := dec.Decode(&bad); err != nil {
-		t.Fatal(err)
+		err = dec.Decode(&ok)
+	} else {
+		err = dec.Decode(&bad)
 	}
-	return resp.StatusCode, ok, bad
+	return resp.StatusCode, ok, bad, err
 }
 
 // offline holds the offline reference outputs for one batch.
@@ -148,15 +156,36 @@ func offlineExpect(t testing.TB, m *core.Model, rows [][]float64, strat core.OOD
 	return offline{scores: scores, decisions: dec, probs: res.Probs}
 }
 
+// holdFirstPass makes the next inference pass sleep for d in the
+// serve/slow-score probe, so requests sent meanwhile queue behind it
+// and coalesce into the batch after it.
+func holdFirstPass(t *testing.T, d time.Duration) {
+	t.Helper()
+	faultinject.ArmDelay(faultinject.ServeSlowScore, d, 1)
+	t.Cleanup(faultinject.Reset)
+}
+
+// requireCoalesced fails the test unless some pass carried more than
+// one job. Every request in the callers is one queued job, so fewer
+// passes than requests means at least one batch held several.
+func requireCoalesced(t *testing.T, s *Server) {
+	t.Helper()
+	if passes, reqs := s.metrics.batches.Load(), s.metrics.requests.Load(); passes >= reqs {
+		t.Fatalf("%d passes for %d requests: no batch carried more than one job", passes, reqs)
+	}
+}
+
 // TestServedScoresBitwiseIdenticalConcurrent is the acceptance race
 // suite: N concurrent clients score distinct batches through the
 // micro-batcher against ONE served model, and every response must be
 // bitwise-identical to the offline Model.Score / Identify / Infer
 // probabilities on the same rows. JSON carries float64 losslessly
-// (shortest round-trip encoding), so == is exact.
+// (shortest round-trip encoding), so == is exact. The first pass is
+// held so the other clients' requests queue and share a batch.
 func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, ts := newTestServer(t, Config{MaxBatch: 16, Strategy: core.ED})
 	ref := loadFixtureModel(t)
+	holdFirstPass(t, 200*time.Millisecond)
 
 	const clients = 8
 	const iters = 10
@@ -210,6 +239,7 @@ func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
 	for f := range fails {
 		t.Fatal(f)
 	}
+	requireCoalesced(t, s)
 }
 
 // TestDirectPathBitwiseIdentical covers batching-off mode (MaxBatch=1):
@@ -251,7 +281,7 @@ func TestDirectPathBitwiseIdentical(t *testing.T) {
 // repeatedly must see only 200s, every score bitwise-correct, and the
 // served version must advance.
 func TestHotReloadUnderLoad(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, ts := newTestServer(t, Config{MaxBatch: 8, Strategy: core.ED})
 	ref := loadFixtureModel(t)
 
 	const clients = 6
@@ -305,33 +335,28 @@ func TestHotReloadUnderLoad(t *testing.T) {
 }
 
 // TestSaturatedQueueSheds pins load shedding: with the dispatcher
-// pinned inside a slow (fault-injected) batch and the queue full, the
+// pinned inside a slow (fault-injected) pass and the queue full, the
 // next request must be shed with 429 and a Retry-After header — not
 // queued into unbounded latency.
 func TestSaturatedQueueSheds(t *testing.T) {
-	defer faultinject.Reset()
 	s, ts := newTestServer(t, Config{
 		MaxBatch:   2,
-		MaxWait:    time.Second,
 		QueueDepth: 2,
 		RetryAfter: 3 * time.Second,
 		Strategy:   core.ED,
 	})
-
-	faultinject.ArmDelay(faultinject.ServeSlowScore, 400*time.Millisecond, 1)
+	holdFirstPass(t, 400*time.Millisecond)
 
 	rows := testRows(1, 7)
 	var wg sync.WaitGroup
-	codes := make(chan int, 4)
+	codes := make(chan int, 3)
 	send := func() {
 		defer wg.Done()
 		status, _, _ := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows})
 		codes <- status
 	}
-	// Two requests fill one MaxBatch=2 batch; the dispatcher enters the
-	// injected 400ms sleep.
-	wg.Add(2)
-	go send()
+	// One request holds the dispatcher in the injected 400ms sleep.
+	wg.Add(1)
 	go send()
 	deadline := time.Now().Add(2 * time.Second)
 	for faultinject.Fired(faultinject.ServeSlowScore) < 1 {
@@ -350,7 +375,7 @@ func TestSaturatedQueueSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// …so the fifth must shed immediately.
+	// …so the fourth must shed immediately.
 	body, _ := json.Marshal(scoreRequest{Instances: rows})
 	start := time.Now()
 	resp, err := ts.Client().Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
@@ -381,12 +406,95 @@ func TestSaturatedQueueSheds(t *testing.T) {
 	}
 }
 
+// TestLoneRequestNotDelayed pins work-conserving batching: a request
+// with nothing queued behind it scores at once. The deprecated MaxWait
+// is set to an hour to prove nothing reads it.
+func TestLoneRequestNotDelayed(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxWait: time.Hour, Strategy: core.ED})
+	client := &http.Client{Timeout: 10 * time.Second}
+	rows := testRows(1, 11)
+	status, got, bad := postScore(t, client, ts.URL, scoreRequest{Instances: rows})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, bad.Error)
+	}
+	want := offlineExpect(t, loadFixtureModel(t), rows, core.ED)
+	if got.Scores[0] != want.scores[0] {
+		t.Fatalf("served score %v != offline %v", got.Scores[0], want.scores[0])
+	}
+}
+
+// TestBatchFormsDuringPass: requests that arrive while a pass runs
+// queue, and the dispatcher takes them all as the next batch — exactly
+// one more pass — each answer still bitwise the offline answer for its
+// own rows.
+func TestBatchFormsDuringPass(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBatch: 16, Strategy: core.ED})
+	ref := loadFixtureModel(t)
+	holdFirstPass(t, time.Second)
+	passes0 := s.metrics.batches.Load()
+
+	held := make(chan error, 1)
+	go func() {
+		status, _, _, err := tryScore(ts.Client(), ts.URL, scoreRequest{Instances: testRows(1, 3)})
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("status %d, want 200", status)
+		}
+		held <- err
+	}()
+	waitFor(t, "the held pass", func() bool { return faultinject.Fired(faultinject.ServeSlowScore) == 1 })
+
+	const k = 4
+	var wg sync.WaitGroup
+	fails := make(chan string, k)
+	for c := 0; c < k; c++ {
+		rows := testRows(1+c, int64(700+c))
+		want := offlineExpect(t, ref, rows, core.ED)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, got, bad, err := tryScore(ts.Client(), ts.URL, scoreRequest{Instances: rows, Strategy: "ED", Probabilities: true})
+			if err != nil || status != http.StatusOK {
+				fails <- fmt.Sprintf("client %d: status %d: %s %v", c, status, bad.Error, err)
+				return
+			}
+			for i := range want.scores {
+				if got.Scores[i] != want.scores[i] || got.Decisions[i] != want.decisions[i] {
+					fails <- fmt.Sprintf("client %d row %d: served answer differs from offline", c, i)
+					return
+				}
+				for j, p := range got.Probabilities[i] {
+					if p != want.probs.At(i, j) {
+						fails <- fmt.Sprintf("client %d row %d: served probability differs from offline", c, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	waitFor(t, "the queued requests", func() bool { return len(s.queue) == k })
+	if got := s.metrics.batches.Load(); got != passes0 {
+		t.Fatalf("the held pass ended before %d requests queued; lengthen the hold", k)
+	}
+
+	wg.Wait()
+	close(fails)
+	for f := range fails {
+		t.Fatal(f)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if got := s.metrics.batches.Load() - passes0; got != 2 {
+		t.Fatalf("%d passes after the held one, want exactly 1 for %d queued requests", got-1, k)
+	}
+}
+
 // TestReloadFailureKeepsServing pins the reload failure path: an
 // injected reload fault answers 500, bumps the error counter, and the
 // old model keeps serving.
 func TestReloadFailureKeepsServing(t *testing.T) {
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, ts := newTestServer(t, Config{MaxBatch: 4, Strategy: core.ED})
 	before := s.ModelVersion()
 
 	faultinject.Arm(faultinject.ServeReloadFail, 1)
@@ -411,7 +519,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 }
 
 func TestScoreValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, Config{MaxBatch: 4})
 
 	cases := []struct {
 		name string
@@ -451,7 +559,7 @@ func TestScoreValidation(t *testing.T) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxBatch: 2})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -491,7 +599,7 @@ func TestHealthAndReadiness(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{MaxBatch: 4, Strategy: core.ED})
 	if status, _, _ := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: testRows(3, 5)}); status != http.StatusOK {
 		t.Fatalf("score: status %d", status)
 	}
@@ -530,7 +638,7 @@ func TestDefaultStrategyUncalibrated(t *testing.T) {
 	// a junk strategy (covered in validation) and the lenient path by
 	// spot-checking the dispatcher contract directly.
 	m := loadFixtureModel(t)
-	s, err := New(Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, err := New(Config{MaxBatch: 4, Strategy: core.ED})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,24 +661,5 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, ok := ParseStrategy("energy"); ok {
 		t.Fatal("unknown strategy must not parse")
-	}
-}
-
-// TestMaxWaitDefault: New turns an unset MaxWait into the 2ms default
-// and keeps a negative one, the setting that waits not at all.
-func TestMaxWaitDefault(t *testing.T) {
-	for _, c := range []struct{ in, want time.Duration }{
-		{0, 2 * time.Millisecond},
-		{-1, -1},
-		{time.Millisecond, time.Millisecond},
-	} {
-		s, err := New(Config{MaxBatch: 2, MaxWait: c.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if s.cfg.MaxWait != c.want {
-			t.Fatalf("MaxWait %v became %v, want %v", c.in, s.cfg.MaxWait, c.want)
-		}
 	}
 }

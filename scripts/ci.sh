@@ -197,9 +197,9 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve' \
 # outside the pattern. The WithAcquisition twin (PR9) holds the same
 # budget with an acquisition queue armed: the sampler's non-sampled
 # path must add zero allocations. The bulk frames (512 and 4096 rows
-# at MaxBatch 64, scored 64 rows per pass on their handler) share one
-# budget of 12 allocs/op: one allocation per pass adds 64 at 4096 rows,
-# so the gate rejects it.
+# at MaxBatch 64, f64 and f32, scored 64 rows per pass on their
+# handler) share one budget of 12 allocs/op: one allocation per pass
+# adds 64 at 4096 rows, so the gate rejects it.
 go test -run '^$' -bench 'BenchmarkServeScoreBinary/|BenchmarkServeScoreBinaryFrame/|BenchmarkServeScoreWithAcquisition' \
     -benchmem -cpu 1 ./internal/serve | tee -a /tmp/targad_alloc_smoke.txt
 # The registry twin (PR10) holds the identical budget on the
