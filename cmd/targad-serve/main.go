@@ -19,18 +19,15 @@
 // path decodes into pooled buffers with near-zero allocation and, with
 // -precision f32, feeds float32 frames straight into the SIMD kernels.
 //
-// Concurrent requests are micro-batched into single inference passes
-// of at most -max-batch rows. Batching never waits on a timer: a pass
-// takes whatever is queued when it starts, so a lone request scores at
-// once. A request of more than -max-batch rows scores on its own
-// handler, -max-batch rows per pass.
-// The queue is bounded (-queue), and so are the large requests scoring
-// at once; past either bound requests are shed with 429 + Retry-After.
-// Bodies beyond -max-request-bytes are rejected with 413. The
-// model hot-reloads from -model on SIGHUP or POST /reload with zero
-// failed requests — in-flight batches finish on the model they
-// started with. /healthz, /readyz, /metrics (Prometheus text),
-// /debug/vars, and (with -pprof) /debug/pprof serve operations.
+// Every request scores on its own handler, in inference passes of at
+// most -max-batch rows, so a request costs one pass of memory whatever
+// its size. At most -queue requests score at once; past that requests
+// are shed with 429 + Retry-After. Bodies beyond -max-request-bytes
+// are rejected with 413. The model hot-reloads from -model on SIGHUP
+// or POST /reload with zero failed requests — in-flight requests
+// finish on the model they were admitted on. /healthz, /readyz,
+// /metrics (Prometheus text), /debug/vars, and (with -pprof)
+// /debug/pprof serve operations.
 //
 // By default scoring runs in float64, bitwise-identical to offline
 // scoring of the same model file. -precision f32 serves on the float32
@@ -95,8 +92,8 @@ func main() {
 		modelDir    = flag.String("model-dir", "", "multi-model registry directory holding manifest.json; serves every manifested model from one process (mutually exclusive with -model)")
 		maxHot      = flag.Int("max-hot-models", 4, "registry mode: models kept loaded at once; past it the least-recently-used is evicted")
 		addr        = flag.String("addr", ":8080", "listen address")
-		maxBatch    = flag.Int("max-batch", 64, "max rows per inference pass (1 disables batching)")
-		queueDepth  = flag.Int("queue", 256, "bounded queue depth, and the most large requests scoring at once; beyond either requests shed with 429")
+		maxBatch    = flag.Int("max-batch", 64, "max rows per inference pass; a larger request scores in several passes")
+		queueDepth  = flag.Int("queue", 256, "most requests scoring at once; beyond it requests shed with 429")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
 		strategy    = flag.String("strategy", "ED", "default identification strategy (MSP, ES, ED)")

@@ -5,7 +5,7 @@
 //
 //   - Placement: a consistent-hash ring keyed on the X-Targad-Tenant
 //     header pins each tenant to a home replica (warm drift windows,
-//     stable micro-batch mixes); requests without a tenant round-robin.
+//     hot models stay loaded); requests without a tenant round-robin.
 //     Bounded load overflows a saturated home to the next ring position
 //     instead of queueing behind it.
 //   - Health: a prober walks every replica's /readyz, driving a

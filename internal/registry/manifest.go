@@ -2,7 +2,7 @@
 // host: a manifest maps model names (and tenant IDs) to saved model
 // files, a bounded hot set keeps at most MaxHot of them loaded, and
 // each loaded model owns the full single-model serving stack — its own
-// micro-batcher, atomic model snapshot, drift window, feedback store,
+// admission slots, atomic model snapshot, drift window, feedback store,
 // and retrain slot — so tenants never share mutable state.
 //
 // The request contract (DESIGN.md §15):
@@ -17,7 +17,7 @@
 //     header, then the default, and delegate to that entry's handler.
 //   - A cold model loads lazily on first use, single-flighted; past
 //     MaxHot the least-recently-used unpinned entry is evicted, after
-//     every in-flight batch on it drains.
+//     every in-flight request on it drains.
 //
 // Unmanifested model names are rejected with a typed 404 before any
 // metric label or map entry is minted from them: Prometheus label

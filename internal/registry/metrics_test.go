@@ -35,7 +35,7 @@ func families(text string) []string {
 // and a single unlabelled build-info line.
 func TestRegistryMetricsParity(t *testing.T) {
 	fx := tenantModels(t)
-	base := serve.Config{MaxBatch: 1, Strategy: core.ED, ShadowSample: 1}
+	base := serve.Config{Strategy: core.ED, ShadowSample: 1}
 	dir := t.TempDir()
 	spec := ModelSpec{
 		Path:             fx.alpha,

@@ -268,7 +268,7 @@ func (r *Registry) pickVictimLocked(m map[string]*entry, just *entry) *entry {
 }
 
 // retireLocked retires an unpublished victim and closes its stack in
-// the background once its last pin is released. In-flight batches
+// the background once its last pin is released. In-flight requests
 // finish on the model they started with — eviction never fails a
 // request.
 func (r *Registry) retireLocked(victim *entry) {

@@ -186,7 +186,7 @@ func newTestRegistry(t testing.TB, mut func(*Config)) (*Registry, tenantFixtures
 	})
 	cfg := Config{
 		Dir:  dir,
-		Base: serve.Config{MaxBatch: 1, Strategy: core.ED},
+		Base: serve.Config{Strategy: core.ED},
 		Logf: t.Logf,
 	}
 	if mut != nil {
@@ -779,7 +779,7 @@ func TestRegistryClose(t *testing.T) {
 			"alpha": {Path: fx.alpha},
 		},
 	})
-	r, err := New(Config{Dir: dir, Base: serve.Config{MaxBatch: 1, Strategy: core.ED}})
+	r, err := New(Config{Dir: dir, Base: serve.Config{Strategy: core.ED}})
 	if err != nil {
 		t.Fatal(err)
 	}

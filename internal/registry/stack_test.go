@@ -93,7 +93,7 @@ func TestOpenStack(t *testing.T) {
 			if tc.dir {
 				dir = t.TempDir()
 			}
-			st, err := OpenStack(serve.Config{MaxBatch: 1, Strategy: core.ED}, tc.spec, dir, tc.budget, tc.rt)
+			st, err := OpenStack(serve.Config{Strategy: core.ED}, tc.spec, dir, tc.budget, tc.rt)
 			if tc.wantErr {
 				if err == nil {
 					st.Close()

@@ -192,8 +192,7 @@ func TestFeedbackLifecycle(t *testing.T) {
 
 	srv, err := serve.New(serve.Config{
 		ModelPath: modelPath,
-		MaxBatch:  1, // direct path: one POST = one batch = one Observe
-		Strategy:  core.ED,
+		Strategy:  core.ED, // one POST of at most 64 rows = one pass = one Observe
 		Monitor: monitor.Config{
 			WindowRows: 4 * batch,
 			Buckets:    4,
@@ -397,7 +396,6 @@ func TestRetrainGateFailureKeepsServing(t *testing.T) {
 
 	srv, err := serve.New(serve.Config{
 		ModelPath:      modelPath,
-		MaxBatch:       1,
 		Strategy:       core.ED,
 		DisableMonitor: true, // manual trigger path: no drift needed
 		ShadowSample:   1.0,

@@ -16,11 +16,10 @@ import (
 )
 
 // BenchmarkServeScore measures end-to-end serving throughput/latency
-// over real HTTP for 1 vs N concurrent clients with micro-batching off
-// (MaxBatch=1: every request is its own inference pass on the replica
-// pool) and on (requests coalesce into shared Infer passes so
-// the blocked GEMM amortizes across clients). Historical rows:
-// BENCH_PR4.json.
+// over real HTTP for 1 vs 8 concurrent closed-loop clients, each 4-row
+// JSON request one inference pass on its own handler. Historical rows
+// (from before every request scored on its handler, with a batch=off/on
+// axis): BENCH_PR4.json.
 func BenchmarkServeScore(b *testing.B) {
 	benchServeScore(b, loadFixtureModel(b), F64)
 }
@@ -105,7 +104,7 @@ func BenchmarkServeScoreBinary(b *testing.B) {
 		{"f32", F32, f32frame},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			benchFrame(b, Config{MaxBatch: 1, Strategy: core.ED, Precision: tc.prec}, tc.frame)
+			benchFrame(b, Config{Strategy: core.ED, Precision: tc.prec}, tc.frame)
 		})
 	}
 }
@@ -190,7 +189,7 @@ func BenchmarkServeScoreBinaryHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{MaxBatch: 1, Strategy: core.ED})
+	s, err := New(Config{Strategy: core.ED})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,58 +221,50 @@ func benchServeScore(b *testing.B, model *core.Model, prec Precision) {
 		b.Fatal(err)
 	}
 
-	for _, batching := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"batch=off", Config{MaxBatch: 1, Strategy: core.ED, Precision: prec}},
-		{"batch=on", Config{MaxBatch: 64, QueueDepth: 1024, Strategy: core.ED, Precision: prec}},
-	} {
-		for _, clients := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/clients=%d", batching.name, clients), func(b *testing.B) {
-				s, err := New(batching.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				if _, err := s.SetModel(model, "bench"); err != nil {
-					b.Fatal(err)
-				}
-				ts := httptest.NewServer(s.Handler())
-				defer ts.Close()
+	for _, clients := range []int{1, 8} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			s, err := New(Config{Strategy: core.ED, Precision: prec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.SetModel(model, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-				client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / clients
-				extra := b.N % clients
-				for c := 0; c < clients; c++ {
-					n := per
-					if c < extra {
-						n++
-					}
-					wg.Add(1)
-					go func(n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							resp, err := client.Post(ts.URL+"/score", "application/json", bytes.NewReader(payload))
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							_, _ = io.Copy(io.Discard, resp.Body)
-							resp.Body.Close()
-							if resp.StatusCode != http.StatusOK {
-								b.Errorf("status %d", resp.StatusCode)
-								return
-							}
-						}
-					}(n)
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / clients
+			extra := b.N % clients
+			for c := 0; c < clients; c++ {
+				n := per
+				if c < extra {
+					n++
 				}
-				wg.Wait()
-			})
-		}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						resp, err := client.Post(ts.URL+"/score", "application/json", bytes.NewReader(payload))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						_, _ = io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							b.Errorf("status %d", resp.StatusCode)
+							return
+						}
+					}
+				}(n)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -289,7 +280,6 @@ func BenchmarkServeScoreWithAcquisition(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchFrame(b, Config{
-		MaxBatch: 1,
 		Strategy: core.ED,
 		Acquire:  activelearn.New(activelearn.Config{Budget: 64}),
 		// Sampling cadence of one batch per 1e9: the counter never

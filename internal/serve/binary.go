@@ -22,12 +22,11 @@ import (
 // is large. Scores are bit-for-bit the values the JSON path would have
 // carried for the same rows.
 
-// decodeFrame reads one wire request frame's header into the arena —
-// its geometry into a.h and a.rows, its options into a.j — and, for a
-// frame the micro-batcher takes, the whole payload into a.x. A frame
-// that scores inline leaves its payload to scoreInline, which reads it
-// pass by pass. The raw feature block is never held as bytes, and an
-// f32 frame widens exactly, whatever precision the server scores at.
+// decodeFrame reads one wire request frame's header into the arena:
+// its geometry into a.h and a.rows, its options beside them. The
+// payload is left to scorePasses, which reads it pass by pass, so the
+// raw feature block is never held as bytes; an f32 frame widens
+// exactly, whatever precision the server scores at.
 func (s *Server) decodeFrame(a *reqArena, r *http.Request) error {
 	if _, err := io.ReadFull(r.Body, a.hdr[:]); err != nil {
 		return badRequest("truncated request header: " + err.Error())
@@ -46,17 +45,11 @@ func (s *Server) decodeFrame(a *reqArena, r *http.Request) error {
 		return badRequest(fmt.Sprintf("Content-Length %d disagrees with the %d-byte frame the header announces", cl, h.FrameSize()))
 	}
 	a.h, a.rows = h, h.Rows
-	a.j.strategy, a.j.strict, a.j.probs = s.cfg.Strategy, false, h.WantProbs
+	a.strategy, a.strict, a.wantProbs = s.cfg.Strategy, false, h.WantProbs
 	if h.HasStrategy {
-		a.j.strategy, a.j.strict = core.OODStrategy(h.Strategy), true
+		a.strategy, a.strict = core.OODStrategy(h.Strategy), true
 	}
-	if s.inline(h.Rows) {
-		return nil
-	}
-	if err := a.readRows(r.Body, 0, h.Rows); err != nil {
-		return err
-	}
-	return a.frameEnd(r.Body)
+	return nil
 }
 
 // readRows decodes rows [lo, lo+n) of the request frame's feature
@@ -87,36 +80,35 @@ func wireErrStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeScoreFrame encodes one successful jobResult as a wire response
-// frame from the request's arena buffers. Responses wider than
-// wire.StreamChunkRows rows stream chunk by chunk, flushing as they
-// go, so the peak output buffer stays bounded no matter the request.
-func writeScoreFrame(w http.ResponseWriter, a *reqArena, res jobResult) {
-	rows := len(res.scores)
-	withProbs := res.probs != nil // set only when the frame asked
+// writeScoreFrame encodes the arena's answer as a wire response frame
+// from the arena's buffers. Responses wider than wire.StreamChunkRows
+// rows stream chunk by chunk, flushing as they go, so the peak output
+// buffer stays bounded no matter the request.
+func writeScoreFrame(w http.ResponseWriter, a *reqArena) {
+	rows := len(a.scores)
 	classes := 0
-	if withProbs {
-		classes = res.probs.Cols
+	if a.wantProbs {
+		classes = a.probs.Cols
 	}
 	streamed := rows > wire.StreamChunkRows
 	// Decisions flag off = the served model has no calibration for the
 	// strategy (the JSON path's warning case).
-	flags := wire.RespFlags(res.kinds != nil, withProbs, streamed)
+	flags := wire.RespFlags(a.decided, a.wantProbs, streamed)
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
-	a.out = wire.AppendResponseHeader(a.out[:0], res.version, rows, classes, flags)
+	a.out = wire.AppendResponseHeader(a.out[:0], a.version, rows, classes, flags)
 	fl, _ := w.(http.Flusher)
 	for lo := 0; lo < rows; lo += wire.StreamChunkRows {
 		hi := min(lo+wire.StreamChunkRows, rows)
 		var kinds []dataset.Kind
-		if res.kinds != nil {
-			kinds = res.kinds[lo:hi]
+		if a.decided {
+			kinds = a.kinds[lo:hi]
 		}
 		var probs []float64
-		if withProbs {
-			probs = res.probs.Data[lo*classes : hi*classes]
+		if a.wantProbs {
+			probs = a.probs.Data[lo*classes : hi*classes]
 		}
-		a.out = wire.AppendScoreChunk(a.out, res.scores[lo:hi], kinds, probs)
+		a.out = wire.AppendScoreChunk(a.out, a.scores[lo:hi], kinds, probs)
 		if _, err := w.Write(a.out); err != nil {
 			return
 		}

@@ -122,7 +122,7 @@ func requireBitwise(t testing.TB, got *wire.Response, want offline, probs bool) 
 // decisions, and probabilities bitwise-identical to both the offline
 // reference and the JSON path answering the same rows.
 func TestBinaryScoreParity(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{Strategy: core.ED})
 	ref := loadFixtureModel(t)
 	for _, rows := range []int{1, 7, 33} {
 		batch := testRows(rows, int64(100+rows))
@@ -182,13 +182,13 @@ func TestBinaryF32Frames(t *testing.T) {
 	}
 
 	t.Run("f64-server", func(t *testing.T) {
-		_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED})
+		_, ts := newTestServer(t, Config{Strategy: core.ED})
 		want := offlineExpect(t, loadFixtureModel(t), widened, core.ED)
 		requireBitwise(t, scoreFrame(t, ts, frame), want, true)
 	})
 
 	t.Run("f32-server", func(t *testing.T) {
-		_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED, Precision: F32})
+		_, ts := newTestServer(t, Config{Strategy: core.ED, Precision: F32})
 		got := scoreFrame(t, ts, frame)
 		status, jgot, bad := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: widened, Strategy: "ED", Probabilities: true})
 		if status != http.StatusOK {
@@ -206,7 +206,7 @@ func TestBinaryF32Frames(t *testing.T) {
 }
 
 // TestBinaryMixedProtocolConcurrent drives binary and JSON clients
-// through the micro-batcher at once; every response must stay
+// at once; every response must stay
 // bitwise-identical to the offline reference for its own rows. Run
 // under -race this is the mixed-protocol acceptance.
 func TestBinaryMixedProtocolConcurrent(t *testing.T) {
@@ -290,7 +290,7 @@ func TestBinaryMixedProtocolConcurrent(t *testing.T) {
 // come back as a chunk sequence with the streamed flag, still
 // bitwise-identical to offline scoring.
 func TestBinaryStreamedResponse(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{Strategy: core.ED})
 	rows := wire.StreamChunkRows + wire.StreamChunkRows/2
 	batch := testRows(rows, 555)
 	frame, err := wire.AppendRequestF64(nil, batch, int(core.ED), false)
@@ -323,7 +323,7 @@ func rawRequestHeader(rows, features uint32, flags, strategy byte) []byte {
 // error frame with the right status, never a hang or panic, and the
 // connection-level accounting must show up in /metrics.
 func TestBinaryFrameFaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED, MaxBodyBytes: 1 << 16})
+	_, ts := newTestServer(t, Config{Strategy: core.ED, MaxBodyBytes: 1 << 16})
 	good, err := wire.AppendRequestF64(nil, testRows(2, 1), int(core.ED), false)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestJSONBodyLimit413(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED, MaxBodyBytes: 256, Feedback: store})
+	_, ts := newTestServer(t, Config{Strategy: core.ED, MaxBodyBytes: 256, Feedback: store})
 	score, err := json.Marshal(scoreRequest{Instances: testRows(8, 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,6 @@ func TestJSONBodyLimit413(t *testing.T) {
 // sampled by an active shadow.
 func TestBinaryRowsObserved(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{
-		MaxBatch:     1,
 		Strategy:     core.ED,
 		ShadowSample: 1,
 	})
@@ -490,7 +489,7 @@ func TestBinaryRowsObserved(t *testing.T) {
 // JSON carrying the widened rows, at either serving precision.
 func TestBinaryF32FrameWindow(t *testing.T) {
 	for _, prec := range []Precision{F64, F32} {
-		cfg := Config{MaxBatch: 1, Strategy: core.MSP, Precision: prec}
+		cfg := Config{Strategy: core.MSP, Precision: prec}
 		_, tsFrame := newV2TestServer(t, cfg)
 		_, tsJSON := newV2TestServer(t, cfg)
 		for batch := 0; batch < 4; batch++ {

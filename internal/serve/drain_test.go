@@ -4,59 +4,66 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"targad/internal/core"
 	"targad/internal/faultinject"
 	"targad/internal/wire"
 )
 
-// TestCanceledJobsDroppedBeforeDispatch pins the cancellation contract
-// of the micro-batcher: a job whose client disconnected while it sat
-// in the queue (a closed connection, a router hedge that lost) is
-// dropped before it costs an inference pass, answered with its
-// context's error, and counted in targad_serve_canceled_total.
-func TestCanceledJobsDroppedBeforeDispatch(t *testing.T) {
+// TestCanceledRequestsNotScored pins the cancellation contract: a
+// request whose client is already gone (a closed connection, a router
+// hedge that lost) stops before it costs an inference pass, answers
+// 499 with its context's error, and counts in
+// targad_serve_canceled_total. Dead requests alternate JSON and binary
+// frames, so both decoders are covered.
+func TestCanceledRequestsNotScored(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 16})
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	post := func(ctx context.Context, rows [][]float64, frame bool) *httptest.ResponseRecorder {
+		t.Helper()
+		var body []byte
+		var err error
+		if frame {
+			body, err = wire.AppendRequestF64(nil, rows, -1, false)
+		} else {
+			body, err = json.Marshal(scoreRequest{Instances: rows})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(body)).WithContext(ctx)
+		if frame {
+			req.Header.Set("Content-Type", wire.ContentType)
+		}
+		w := httptest.NewRecorder()
+		s.HandleScore(w, req)
+		return w
+	}
 
 	const dead = 4
-	deadJobs := make([]*job, dead)
-	for i := range deadJobs {
-		deadJobs[i] = &job{
-			x:        rowsMatrix(testRows(1, int64(100+i))),
-			identify: true,
-			ctx:      canceled,
-			resp:     make(chan jobResult, 1),
+	for i := 0; i < dead; i++ {
+		if w := post(canceled, testRows(1, int64(100+i)), i%2 == 1); w.Code != 499 {
+			t.Fatalf("dead request %d answered %d, want 499: %s", i, w.Code, w.Body)
 		}
-		s.queue <- deadJobs[i]
 	}
-	live := &job{
-		x:        rowsMatrix(testRows(1, 7)),
-		identify: true,
-		ctx:      context.Background(),
-		resp:     make(chan jobResult, 1),
+	w := post(context.Background(), testRows(1, 7), false)
+	if w.Code != http.StatusOK {
+		t.Fatalf("live request answered %d: %s", w.Code, w.Body)
 	}
-	s.queue <- live
-
-	res := <-live.resp
-	if res.err != nil {
-		t.Fatalf("live job failed: %v", res.err)
+	var res scoreResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
 	}
-	if len(res.scores) != 1 {
-		t.Fatalf("live job returned %d scores, want 1", len(res.scores))
-	}
-	for i, j := range deadJobs {
-		r := <-j.resp
-		if !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("dead job %d error = %v, want context.Canceled", i, r.err)
-		}
+	if len(res.Scores) != 1 {
+		t.Fatalf("live request returned %d scores, want 1", len(res.Scores))
 	}
 	if got := s.metrics.canceled.Load(); got != dead {
 		t.Fatalf("canceled counter = %d, want %d", got, dead)
@@ -64,13 +71,13 @@ func TestCanceledJobsDroppedBeforeDispatch(t *testing.T) {
 	// The canceled rows never reached inference: only the live row was
 	// scored.
 	if got := s.metrics.rows.Load(); got != 1 {
-		t.Fatalf("rows scored = %d, want 1 (canceled jobs must not reach inference)", got)
+		t.Fatalf("rows scored = %d, want 1 (canceled requests must not reach inference)", got)
 	}
 }
 
 // TestGracefulDrainMixedLoad drives concurrent JSON + binary load,
-// stalls one batch mid-inference, and shuts the listener down while
-// that batch is in flight: every request the server accepted must
+// stalls one pass mid-inference, and shuts the listener down while
+// that pass is in flight: every request the server accepted must
 // complete with 200 (at least one of them finishing after shutdown
 // began), and requests arriving afterwards are refused at the
 // connection instead of being half-answered. Runs under -race in the
@@ -135,7 +142,7 @@ func TestGracefulDrainMixedLoad(t *testing.T) {
 		}(w)
 	}
 
-	// Let traffic flow, then stall one batch mid-inference so shutdown
+	// Let traffic flow, then stall one pass mid-inference so shutdown
 	// provably begins with requests in flight.
 	deadline := time.Now().Add(5 * time.Second)
 	for okBefore.Load() < 20 && time.Now().Before(deadline) {
@@ -170,4 +177,72 @@ func TestGracefulDrainMixedLoad(t *testing.T) {
 	if _, err := client.Post(ts.URL+"/score", "application/json", bytes.NewReader(jsonBody)); err == nil {
 		t.Fatal("request after shutdown unexpectedly succeeded")
 	}
+}
+
+// TestScoreAfterClose503: once Close has run, every /score request is
+// answered 503 without scoring, whatever its size — a 1-row JSON
+// request and a frame of several MaxBatch passes alike.
+func TestScoreAfterClose503(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxBatch: inlineBatch, Strategy: core.ED})
+	frame, err := wire.AppendRequestF64(nil, testRows(inlineRows, 9), int(core.ED), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(scoreRequest{Instances: testRows(1, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for _, tc := range []struct {
+		name        string
+		body        []byte
+		contentType string
+	}{
+		{"json", jsonBody, "application/json"},
+		{"frame", frame, wire.ContentType},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.contentType)
+		w := httptest.NewRecorder()
+		s.HandleScore(w, req)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s after Close answered %d, want 503", tc.name, w.Code)
+		}
+	}
+	if got := s.metrics.rows.Load(); got != 0 {
+		t.Fatalf("%d rows scored after Close, want 0", got)
+	}
+}
+
+// TestCloseDuringTappedTraffic: Close while requests score with every
+// pass tapped for a shadow model. Requests answer 200 or, once Close
+// has run, 503; Close waits for every tap goroutine it raced (under
+// -race, a tap started after Close's wait began is reported).
+func TestCloseDuringTappedTraffic(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBatch: 2, ShadowSample: 1})
+	if _, err := s.ShadowLoad(); err != nil {
+		t.Fatal(err)
+	}
+	req := scoreRequest{Instances: testRows(6, 1)}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				status, _, _, err := tryScore(ts.Client(), ts.URL, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if status != http.StatusOK && status != http.StatusServiceUnavailable {
+					t.Errorf("request answered %d, want 200 or 503", status)
+					return
+				}
+			}
+		}()
+	}
+	waitFor(t, "tapped passes", func() bool { return s.metrics.batches.Load() >= 10 })
+	s.Close()
+	wg.Wait()
 }

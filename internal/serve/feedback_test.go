@@ -38,7 +38,7 @@ func TestFeedbackValidatesAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Feedback: store})
+	_, ts := newTestServer(t, Config{Feedback: store})
 	m := loadFixtureModel(t).NumTargetTypes()
 	row := testRows(1, 7)[0]
 
@@ -75,7 +75,7 @@ func TestFeedbackNoModel503(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	s, err := New(Config{MaxBatch: 1, Feedback: store})
+	s, err := New(Config{Feedback: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,7 @@ func checkAnswer(t *testing.T, handle http.HandlerFunc, path string, frame bool,
 }
 
 // FuzzScoreRequest drives HandleScore with arbitrary bodies, each sent
-// once as JSON and once as a wire frame, on a direct-path server
-// (MaxBatch 1, so a request is scored inside the handler). Seeds: a
+// once as JSON and once as a wire frame. Seeds: a
 // valid JSON body, valid f64 and f32 frames, a truncated frame and a
 // frame with trailing bytes. Contract: checkAnswer's.
 func FuzzScoreRequest(f *testing.F) {
@@ -106,7 +105,7 @@ func FuzzScoreRequest(f *testing.F) {
 	f.Add(f64[:len(f64)-5])
 	f.Add(append(append([]byte(nil), f32...), 1, 2, 3))
 
-	s, _ := newTestServer(f, Config{MaxBatch: 1, Strategy: core.ED, MaxBodyBytes: fuzzBodyLimit})
+	s, _ := newTestServer(f, Config{Strategy: core.ED, MaxBodyBytes: fuzzBodyLimit})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAnswer(t, s.HandleScore, "/score", false, body)
 		checkAnswer(t, s.HandleScore, "/score", true, body)
@@ -148,7 +147,7 @@ func FuzzFeedbackRequest(f *testing.F) {
 	}
 	openStore(f)
 	f.Cleanup(func() { store.Close() })
-	s, _ := newTestServer(f, Config{MaxBatch: 1, MaxBodyBytes: fuzzBodyLimit, Feedback: store})
+	s, _ := newTestServer(f, Config{MaxBodyBytes: fuzzBodyLimit, Feedback: store})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if store.Len() >= 1024 {
 			store.Close()

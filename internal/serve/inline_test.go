@@ -20,7 +20,7 @@ import (
 	"targad/internal/wire"
 )
 
-// inlineBatch is the MaxBatch of the inline-path tests; inlineRows
+// inlineBatch is the MaxBatch of the multi-pass tests; inlineRows
 // spans three full passes and a short fourth.
 const (
 	inlineBatch = 16
@@ -112,7 +112,7 @@ func TestInlinePassesBitwiseIdentical(t *testing.T) {
 }
 
 // TestInlineReloadKeepsGeneration: a reload that lands between two
-// passes of an inline request leaves the whole answer on the
+// passes of a request leaves the whole answer on the
 // generation the request was admitted on, under one model_version.
 func TestInlineReloadKeepsGeneration(t *testing.T) {
 	defer faultinject.Reset()
@@ -177,7 +177,7 @@ func TestInlineReloadKeepsGeneration(t *testing.T) {
 	}
 }
 
-// TestInlineFrameFaults: an inline frame cut short, or running past
+// TestInlineFrameFaults: a multi-pass frame cut short, or running past
 // its announced block, answers 400 with an error frame and not one
 // score byte, although every pass before the fault was scored.
 func TestInlineFrameFaults(t *testing.T) {
@@ -218,7 +218,7 @@ func TestInlineFrameFaults(t *testing.T) {
 }
 
 // TestInlineClientGone: a client that leaves mid-request stops its
-// inline request at the next pass, counted in canceled_total — whether
+// request at the next pass, counted in canceled_total — whether
 // it drops the connection mid-frame (the next pass's read fails) or
 // while a JSON request scores (the next pass finds the context done).
 func TestInlineClientGone(t *testing.T) {
@@ -291,55 +291,10 @@ func TestInlineClientGone(t *testing.T) {
 	})
 }
 
-// TestInlineSaturatedSheds: with QueueDepth requests already scoring
-// inline, the next big request is shed at once with 429 and
-// Retry-After, and the one in flight still completes.
-func TestInlineSaturatedSheds(t *testing.T) {
-	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{
-		MaxBatch:   inlineBatch,
-		QueueDepth: 1,
-		RetryAfter: 3 * time.Second,
-		Strategy:   core.ED,
-	})
-	frame, err := wire.AppendRequestF64(nil, testRows(inlineRows, 6), int(core.ED), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.ArmDelay(faultinject.ServeSlowScore, 400*time.Millisecond, 1)
-	first := make(chan int, 1)
-	go func() {
-		status, _, err := tryPostFrame(ts, frame, false)
-		if err != nil {
-			t.Error(err)
-		}
-		first <- status
-	}()
-	waitFor(t, "the first request to score", func() bool { return faultinject.Fired(faultinject.ServeSlowScore) >= 1 })
-
-	resp, err := ts.Client().Post(ts.URL+"/score", wire.ContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
-	}
-	if got := s.metrics.shed.Load(); got != 1 {
-		t.Fatalf("shed counter %d, want 1", got)
-	}
-	if status := <-first; status != http.StatusOK {
-		t.Fatalf("admitted request answered %d, want 200", status)
-	}
-}
-
 // TestInlineConcurrentTaps: two big frames score at once, on two
 // handlers, with drift monitoring and a shadow model on. Every answer
 // is bitwise the offline one, and the window and the shadow see every
-// pass exactly as they see a batch.
+// pass.
 func TestInlineConcurrentTaps(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{MaxBatch: inlineBatch, Strategy: core.ED, ShadowSample: 1})
 	if _, err := s.ShadowLoad(); err != nil {
@@ -391,74 +346,79 @@ func TestInlineConcurrentTaps(t *testing.T) {
 	waitShadow(t, s, senders*iters*passes)
 }
 
-// TestInlineMemoryBoundedByMaxBatch: after a 4096-row frame at
-// MaxBatch 64, no pooled inference replica's workspace and no
-// per-pass matrix of the request's arena holds room for more than 64
-// rows. Only the answer — one score, decision and probability row per
-// request row — scales with the frame.
+// TestInlineMemoryBoundedByMaxBatch: after a 4096-row frame, no
+// pooled inference replica's workspace and no per-pass matrix of the
+// request's arena holds room for more than MaxBatch rows, at the
+// default of 64 and at 1. Only the answer — one score, decision and
+// probability row per request row — scales with the frame.
 func TestInlineMemoryBoundedByMaxBatch(t *testing.T) {
-	const maxBatch, rows = 64, 4096
-	s, err := New(Config{MaxBatch: maxBatch, Strategy: core.ED})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	m := loadFixtureModel(t)
-	if _, err := s.SetModel(m, "test"); err != nil {
-		t.Fatal(err)
-	}
+	const rows = 4096
 	frame, err := wire.AppendRequestF64(nil, testRows(rows, 11), int(core.ED), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	w := httptest.NewRecorder()
-	a := newArena()
-	if !s.scoreRequest(w, req, a) || w.Code != http.StatusOK {
-		t.Fatalf("status %d", w.Code)
-	}
-	if got, err := wire.DecodeResponse(w.Body.Bytes()); err != nil || len(got.Scores) != rows {
-		t.Fatalf("answer: %v", err)
-	}
+	for _, maxBatch := range []int{64, 1} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
+			s, err := New(Config{MaxBatch: maxBatch, Strategy: core.ED})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			m := loadFixtureModel(t)
+			if _, err := s.SetModel(m, "test"); err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(frame))
+			req.Header.Set("Content-Type", wire.ContentType)
+			w := httptest.NewRecorder()
+			a := new(reqArena)
+			if s.scoreRequest(w, req, a); w.Code != http.StatusOK {
+				t.Fatalf("status %d", w.Code)
+			}
+			if got, err := wire.DecodeResponse(w.Body.Bytes()); err != nil || len(got.Scores) != rows {
+				t.Fatalf("answer: %v", err)
+			}
 
-	checkRows := func(name string, x *mat.Matrix) {
-		t.Helper()
-		if x == nil || x.Cols == 0 {
-			t.Fatalf("%s is empty; nothing was checked", name)
-		}
-		if n := cap(x.Data) / x.Cols; n > maxBatch {
-			t.Errorf("%s holds room for %d rows, over MaxBatch %d", name, n, maxBatch)
-		}
-	}
-	checkRows("arena feature matrix", a.x)
-	checkRows("arena pass probabilities", a.res.Probs)
-	if n := cap(a.res.Scores); n > maxBatch {
-		t.Errorf("arena pass scores hold room for %d rows, over MaxBatch %d", n, maxBatch)
-	}
-
-	// The model's pooled f64 replicas: every *mat.Matrix field of every
-	// layer (forward workspace, backward workspace, kept input).
-	matrixType := reflect.TypeOf((*mat.Matrix)(nil))
-	replicas := reflect.ValueOf(m).Elem().FieldByName("clfFree").FieldByName("items")
-	if replicas.Len() == 0 {
-		t.Fatal("the model pools no replica; nothing was checked")
-	}
-	for i := 0; i < replicas.Len(); i++ {
-		layers := replicas.Index(i).Elem().FieldByName("Layers")
-		for li := 0; li < layers.Len(); li++ {
-			l := layers.Index(li).Elem()
-			for f := 0; f < l.NumField(); f++ {
-				fv := l.Field(f)
-				if fv.Type() != matrixType || fv.IsNil() {
-					continue
+			checkRows := func(name string, x *mat.Matrix) {
+				t.Helper()
+				if x == nil || x.Cols == 0 {
+					t.Fatalf("%s is empty; nothing was checked", name)
 				}
-				cols := int(fv.Elem().FieldByName("Cols").Int())
-				if n := fv.Elem().FieldByName("Data").Cap() / max(cols, 1); n > maxBatch {
-					t.Errorf("replica %d layer %d %s holds room for %d rows, over MaxBatch %d",
-						i, li, l.Type().Field(f).Name, n, maxBatch)
+				if n := cap(x.Data) / x.Cols; n > maxBatch {
+					t.Errorf("%s holds room for %d rows, over MaxBatch %d", name, n, maxBatch)
 				}
 			}
-		}
+			checkRows("arena feature matrix", a.x)
+			checkRows("arena pass probabilities", a.res.Probs)
+			if n := cap(a.res.Scores); n > maxBatch {
+				t.Errorf("arena pass scores hold room for %d rows, over MaxBatch %d", n, maxBatch)
+			}
+
+			// The model's pooled f64 replicas: every *mat.Matrix field of
+			// every layer (forward workspace, backward workspace, kept
+			// input).
+			matrixType := reflect.TypeOf((*mat.Matrix)(nil))
+			replicas := reflect.ValueOf(m).Elem().FieldByName("clfFree").FieldByName("items")
+			if replicas.Len() == 0 {
+				t.Fatal("the model pools no replica; nothing was checked")
+			}
+			for i := 0; i < replicas.Len(); i++ {
+				layers := replicas.Index(i).Elem().FieldByName("Layers")
+				for li := 0; li < layers.Len(); li++ {
+					l := layers.Index(li).Elem()
+					for f := 0; f < l.NumField(); f++ {
+						fv := l.Field(f)
+						if fv.Type() != matrixType || fv.IsNil() {
+							continue
+						}
+						cols := int(fv.Elem().FieldByName("Cols").Int())
+						if n := fv.Elem().FieldByName("Data").Cap() / max(cols, 1); n > maxBatch {
+							t.Errorf("replica %d layer %d %s holds room for %d rows, over MaxBatch %d",
+								i, li, l.Type().Field(f).Name, n, maxBatch)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // latencyBuckets are the fixed upper bounds (seconds) of the request
-// latency histogram, chosen to straddle both sub-millisecond passes
-// and requests queued behind a busy dispatcher.
+// latency histogram, chosen to straddle both sub-millisecond one-pass
+// requests and bulk frames of many passes.
 var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // metrics is the server's observability state: lock-free counters
@@ -19,12 +19,12 @@ type metrics struct {
 	requests     atomic.Int64 // scoring requests accepted (any outcome)
 	requestOK    atomic.Int64 // scoring requests answered 200
 	requestErrs  atomic.Int64 // scoring requests answered 4xx/5xx (shed excluded)
-	shed         atomic.Int64 // scoring requests shed with 429 (queue or inline bound full)
+	shed         atomic.Int64 // scoring requests shed with 429 (QueueDepth already scoring)
 	canceled     atomic.Int64 // requests dropped because the client is gone
 	tooLarge     atomic.Int64 // scoring requests rejected 413 (body over MaxBodyBytes)
 	binaryReqs   atomic.Int64 // scoring requests carried as binary wire frames
 	rows         atomic.Int64 // instance rows scored
-	batches      atomic.Int64 // inference passes run (batches and inline passes)
+	batches      atomic.Int64 // inference passes run
 	batchRows    atomic.Int64 // rows across all passes (avg batch = batchRows/batches)
 	reloads      atomic.Int64 // successful model reloads
 	reloadErrs   atomic.Int64 // failed model reloads
@@ -58,18 +58,18 @@ func (s *Server) WriteMetrics(w *obs.Writer) {
 	w.Counter("targad_serve_requests_total", "Scoring requests accepted for processing.", m.requests.Load())
 	w.Counter("targad_serve_requests_ok_total", "Scoring requests answered successfully.", m.requestOK.Load())
 	w.Counter("targad_serve_request_errors_total", "Scoring requests that failed (shed excluded).", m.requestErrs.Load())
-	w.Counter("targad_serve_shed_total", "Scoring requests shed with 429: the queue was full, or QueueDepth requests already scored inline.", m.shed.Load())
-	w.Counter("targad_serve_canceled_total", "Scoring requests dropped because the client disconnected: queued jobs before inference, inline requests at their next pass.", m.canceled.Load())
+	w.Counter("targad_serve_shed_total", "Scoring requests shed with 429 because QueueDepth requests were already scoring.", m.shed.Load())
+	w.Counter("targad_serve_canceled_total", "Scoring requests stopped at their next inference pass because the client disconnected.", m.canceled.Load())
 	w.Counter("targad_serve_request_too_large_total", "Scoring requests rejected with 413 for exceeding the body limit.", m.tooLarge.Load())
 	w.Counter("targad_serve_binary_requests_total", "Scoring requests carried as binary wire frames.", m.binaryReqs.Load())
 	w.Counter("targad_serve_rows_total", "Instance rows scored.", m.rows.Load())
-	w.Counter("targad_serve_batches_total", "Inference passes run (micro-batches plus inline passes).", m.batches.Load())
+	w.Counter("targad_serve_batches_total", "Inference passes run, each of at most MaxBatch rows of one request.", m.batches.Load())
 	w.Counter("targad_serve_batch_rows_total", "Rows across all inference passes.", m.batchRows.Load())
 	w.Counter("targad_serve_reloads_total", "Successful model hot-reloads.", m.reloads.Load())
 	w.Counter("targad_serve_reload_errors_total", "Failed model hot-reload attempts.", m.reloadErrs.Load())
 	w.Gauge("targad_serve_in_flight", "Scoring requests currently in the handler.", float64(m.inFlight.Load()))
-	w.Gauge("targad_serve_queue_depth", "Scoring jobs waiting in the batching queue.", float64(len(s.queue)))
-	w.Gauge("targad_serve_queue_capacity", "Bound of the batching queue.", float64(cap(s.queue)))
+	w.Gauge("targad_serve_queue_depth", "Scoring requests holding an admission slot (scoring now).", float64(len(s.slots)))
+	w.Gauge("targad_serve_queue_capacity", "Admission slots (QueueDepth): requests that may score at once.", float64(cap(s.slots)))
 	w.Gauge("targad_serve_model_version", "Generation counter of the served model (bumped per reload).", float64(s.ModelVersion()))
 	w.Gauge("targad_serve_ready", "1 when a model is loaded and the server accepts requests.", obs.Bool(s.Ready()))
 

@@ -141,7 +141,7 @@ func getStatus(t testing.TB, ts *httptest.Server, path string) int {
 // TestDriftDisabledForV1Model: a pre-v2 save file has no profile, so
 // /drift reports monitoring off (and says why) while scoring works.
 func TestDriftDisabledForV1Model(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{Strategy: core.ED})
 	postBatch(t, ts, testRows(4, 11), 0, 4)
 	d := getDrift(t, ts)
 	if d.Enabled {
@@ -164,7 +164,6 @@ func TestDriftLifecycle(t *testing.T) {
 	defer faultinject.Reset()
 	const batch = 64
 	s, ts := newV2TestServer(t, Config{
-		MaxBatch: 1, // direct path: one POST = one batch = one Observe
 		Strategy: core.ED,
 		Monitor: monitor.Config{
 			WindowRows: 4 * batch,
@@ -258,7 +257,6 @@ func TestDriftLifecycle(t *testing.T) {
 // scored by different models.
 func TestReloadResetsDriftWindow(t *testing.T) {
 	_, ts := newV2TestServer(t, Config{
-		MaxBatch: 1,
 		Strategy: core.ED,
 		Monitor:  monitor.Config{WindowRows: 128, Buckets: 4, MinRows: 64},
 	})
@@ -285,7 +283,6 @@ func TestReloadResetsDriftWindow(t *testing.T) {
 // loading the candidate file directly.
 func TestShadowEvaluationAndPromote(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{
-		MaxBatch:     1,
 		Strategy:     core.ED,
 		ShadowSample: 1, // sample every batch: deterministic counts
 	})
@@ -398,7 +395,7 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 // TestShadowDiscard drops the candidate and its stats; while the shadow
 // is active, /metrics types its _total series as counters.
 func TestShadowDiscard(t *testing.T) {
-	s, ts := newV2TestServer(t, Config{MaxBatch: 1, Strategy: core.ED, ShadowSample: 1})
+	s, ts := newV2TestServer(t, Config{Strategy: core.ED, ShadowSample: 1})
 	before := s.ModelVersion()
 	resp, err := ts.Client().Post(ts.URL+"/reload?shadow=1", "application/json", nil)
 	if err != nil {
@@ -442,7 +439,6 @@ func TestShadowDiscard(t *testing.T) {
 // always, and the drift gauges once monitoring is armed.
 func TestMonitorMetricsExposition(t *testing.T) {
 	_, ts := newV2TestServer(t, Config{
-		MaxBatch: 1,
 		Strategy: core.ED,
 		Monitor:  monitor.Config{WindowRows: 64, Buckets: 2, MinRows: 16},
 	})

@@ -92,10 +92,10 @@ func TestServeF32WithinTolerance(t *testing.T) {
 // as core.InferF32 does on the same rows (the JSON rows as sent, the
 // frame's rows widened) — scores, ED decisions and probabilities. The
 // f32 GEMM chooses its kernels from the weight shape alone, so a row's
-// bits do not depend on the rows it shares a batch with: the last pass
-// sends requests from several clients at once behind a held first
-// pass, so the batcher coalesces them, and every response must still
-// equal InferF32 on its own rows.
+// bits do not depend on the rows it shares a pass with: at MaxBatch 1
+// every row is its own pass and must still equal InferF32 over the
+// whole request, and the last pass sends requests from several clients
+// at once, each of which must equal InferF32 on its own rows.
 func TestServeF32MatchesInferF32(t *testing.T) {
 	m := loadFixtureModel(t)
 	if err := m.EnableF32(); err != nil {
@@ -198,8 +198,7 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 		}
 	}
 
-	s, ts := newTestServer(t, Config{MaxBatch: 32, Strategy: core.ED, Precision: F32})
-	holdFirstPass(t, 200*time.Millisecond)
+	_, ts := newTestServer(t, Config{MaxBatch: 32, Strategy: core.ED, Precision: F32})
 	const clients, iters = 8, 4
 	var wg sync.WaitGroup
 	fails := make(chan error, clients)
@@ -221,7 +220,6 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 	for err := range fails {
 		t.Fatal(err)
 	}
-	requireCoalesced(t, s)
 }
 
 // TestServeF32RetiredModelUnchanged: a model handed to SetModel keeps
@@ -229,7 +227,7 @@ func TestServeF32MatchesInferF32(t *testing.T) {
 // it, the second a model with different weights; the retired model's
 // InferF32 scores must not move by a bit.
 func TestServeF32RetiredModelUnchanged(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 1, Precision: F32})
+	s, _ := newTestServer(t, Config{Precision: F32})
 	a := loadFixtureModel(t)
 	if _, err := s.SetModel(a, "a"); err != nil {
 		t.Fatal(err)
@@ -262,7 +260,7 @@ func TestServeF32RetiredModelUnchanged(t *testing.T) {
 // candidate on the f32 path too; with an identical candidate file the
 // deltas are exactly zero (same path, same kernels, same bytes).
 func TestServeF32Shadow(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 1, Precision: F32, ShadowSample: 1})
+	s, ts := newTestServer(t, Config{Precision: F32, ShadowSample: 1})
 	if _, err := s.ShadowLoad(); err != nil {
 		t.Fatal(err)
 	}

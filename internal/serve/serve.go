@@ -7,28 +7,19 @@
 //
 // Architecture (DESIGN.md §8):
 //
-//   - Requests decode into pooled per-request arenas. A request of at
-//     most MaxBatch rows becomes a job on a bounded queue; a full
-//     queue sheds the request with 429 and a Retry-After header
-//     instead of letting latency grow without bound.
-//   - A single dispatcher goroutine micro-batches queued jobs into one
-//     core.Model.Infer pass, so the blocked GEMM amortizes across
-//     concurrent requests. Batching is work-conserving: a batch is the
-//     first queued job plus whatever else is already queued, up to
-//     MaxBatch rows, and never waits on a timer, so a lone request
-//     scores at once while rows arriving during a pass form the next,
-//     fuller batch.
-//   - A request of more than MaxBatch rows skips the queue and scores
-//     on its own handler, MaxBatch rows per pass: a binary frame
-//     decodes pass by pass, so its memory is one pass, not the frame.
-//     At most QueueDepth such requests score at once; the next is
-//     shed. With MaxBatch <= 1 every request scores this way, as one
-//     pass.
+//   - Requests decode into pooled per-request arenas, and every
+//     request scores on its own handler, at most MaxBatch rows per
+//     core.Model.Infer pass: a binary frame decodes pass by pass, so
+//     its memory is one pass, not the frame. A score depends only on
+//     the model and the row, so nothing is pooled across requests.
+//   - At most QueueDepth requests score at once; the next is shed with
+//     429 and a Retry-After header instead of letting latency grow
+//     without bound.
 //   - The served model lives behind an atomic pointer. Reload (POST
 //     /reload, or SIGHUP in cmd/targad-serve) loads the file into a
-//     fresh model and swaps the pointer; batches and inline requests
-//     in flight finish on the model they started with, so a reload
-//     under load fails zero requests.
+//     fresh model and swaps the pointer; requests in flight finish on
+//     the model they were admitted on, so a reload under load fails
+//     zero requests.
 //   - /healthz (liveness), /readyz (model loaded), /metrics
 //     (Prometheus text), /debug/vars (expvar), and optional
 //     /debug/pprof make the service observable.
@@ -69,19 +60,16 @@ type Config struct {
 	ModelPath string
 
 	// MaxBatch is the most instance rows one inference pass carries
-	// (default 64). Requests of at most MaxBatch rows are
-	// micro-batched; bigger ones score on their own handler, MaxBatch
-	// rows per pass. <= 1 disables micro-batching: every request then
-	// scores on its handler in one pass.
+	// (default 64): a request scores on its handler in passes of at
+	// most MaxBatch rows.
 	MaxBatch int
-	// MaxWait is ignored: a batch takes only what is already queued
-	// and never waits for more rows.
+	// MaxWait is ignored: no request waits for another.
 	//
-	// Deprecated: batching is work-conserving; nothing reads MaxWait.
+	// Deprecated: every request scores on its own handler; nothing
+	// reads MaxWait.
 	MaxWait time.Duration
-	// QueueDepth bounds the number of queued scoring jobs, and
-	// separately the requests scoring inline at once; past either bound
-	// a request sheds with 429 (default 256).
+	// QueueDepth bounds the requests scoring at once; past it a request
+	// sheds with 429 (default 256).
 	QueueDepth int
 	// RetryAfter is advertised on shed responses (default 1s).
 	RetryAfter time.Duration
@@ -172,16 +160,20 @@ type Server struct {
 	cfg     Config
 	cur     atomic.Pointer[loadedModel]
 	gen     atomic.Int64
-	queue   chan *job
 	metrics metrics
 	mux     *http.ServeMux
+
+	// slots bounds the requests scoring at once (QueueDepth); a
+	// request that finds it full is shed.
+	slots chan struct{}
+
+	// done closes when Close marks the server draining. wg counts the
+	// tap goroutines Close waits for; closeMu orders every wg.Add
+	// before that wait (tap.go).
 	done    chan struct{}
+	closeMu sync.Mutex
 	wg      sync.WaitGroup
 	closing sync.Once
-
-	// inlineSlots bounds the requests scoring inline at once
-	// (QueueDepth); a request that finds it full is shed.
-	inlineSlots chan struct{}
 
 	reloadMu sync.Mutex // serializes Reload/SetModel/shadow swaps
 
@@ -199,9 +191,9 @@ type Server struct {
 }
 
 // New builds a Server from cfg, loading the initial model from
-// cfg.ModelPath when set, and starts the batching dispatcher.
+// cfg.ModelPath when set.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxBatch == 0 {
+	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
 	if cfg.QueueDepth <= 0 {
@@ -230,11 +222,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.InstanceID = fmt.Sprintf("%s-%d-%x", host, os.Getpid(), time.Now().UnixNano())
 	}
 	s := &Server{
-		cfg:         cfg,
-		queue:       make(chan *job, cfg.QueueDepth),
-		inlineSlots: make(chan struct{}, cfg.QueueDepth),
-		done:        make(chan struct{}),
-		acq:         sampler{fraction: cfg.AcquireSample},
+		cfg:   cfg,
+		slots: make(chan struct{}, cfg.QueueDepth),
+		done:  make(chan struct{}),
+		acq:   sampler{fraction: cfg.AcquireSample},
 	}
 	if cfg.ModelPath != "" {
 		if _, err := s.Reload(); err != nil {
@@ -261,10 +252,6 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	if cfg.MaxBatch > 1 {
-		s.wg.Add(1)
-		go s.dispatch()
-	}
 	return s, nil
 }
 
@@ -280,12 +267,17 @@ func (s *Server) HandleScore(w http.ResponseWriter, r *http.Request) { s.handleS
 // Ready reports whether the server is accepting scoring traffic: a
 // model is loaded and the server is not draining.
 func (s *Server) Ready() bool {
+	return !s.draining() && s.cur.Load() != nil
+}
+
+// draining reports whether Close has run.
+func (s *Server) draining() bool {
 	select {
 	case <-s.done:
-		return false
+		return true
 	default:
+		return false
 	}
-	return s.cur.Load() != nil
 }
 
 // ModelVersion returns the generation counter of the served model
@@ -313,8 +305,8 @@ func (s *Server) SetModel(m *core.Model, source string) (int64, error) {
 
 // install publishes m as the next generation and arms its drift
 // window. Callers hold reloadMu and have passed m through intake. A
-// batch that loaded the outgoing generation finishes on it; the GC
-// frees it after the last such batch.
+// request admitted on the outgoing generation finishes on it; the GC
+// frees it after the last such request.
 func (s *Server) install(m *core.Model, source string) int64 {
 	v := s.gen.Add(1)
 	next := &loadedModel{
@@ -332,8 +324,8 @@ func (s *Server) install(m *core.Model, source string) int64 {
 // Reload re-reads cfg.ModelPath and atomically swaps the served model.
 // On any failure — unreadable file, bad envelope, injected
 // serve/reload-fail fault — the current model keeps serving and the
-// error is returned. Batches already in flight finish on the model
-// they captured, so a reload under load fails no requests.
+// error is returned. Requests already in flight finish on the model
+// they were admitted on, so a reload under load fails no requests.
 func (s *Server) Reload() (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -371,14 +363,17 @@ func (s *Server) loadModelFile() (*core.Model, error) {
 	return m, nil
 }
 
-// Close stops the dispatcher and fails still-queued jobs. In-flight
-// HTTP handlers should be drained first (http.Server.Shutdown); Close
-// then releases anything still waiting on the queue.
+// Close marks the server draining, so a request that arrives
+// afterwards is answered 503, and waits for the background passes of
+// sampled batches. In-flight HTTP handlers should be drained first
+// (http.Server.Shutdown); one still scoring finishes on its
+// generation.
 func (s *Server) Close() {
 	s.closing.Do(func() {
+		s.closeMu.Lock()
 		close(s.done)
+		s.closeMu.Unlock()
 		s.wg.Wait()
-		s.drainQueue()
 	})
 }
 
@@ -430,22 +425,17 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
-	a := acquireArena()
-	if s.scoreRequest(w, r, a) {
-		releaseArena(a)
-	}
+	a := arenaPool.Get().(*reqArena)
+	s.scoreRequest(w, r, a)
+	arenaPool.Put(a)
 }
 
-// scoreRequest answers one /score request with a as its scratch and
-// reports whether a may return to the pool. JSON and binary frames
-// differ only in how the body decodes into the arena (decodeJSON,
-// decodeFrame) and how the result encodes (writeScoreResult,
-// writeScoreFrame); everything between — failure answers, counting,
-// the route to scoring — is this one path. A request of at most
-// MaxBatch rows rides the micro-batcher (awaitScore); a bigger one, or
-// any request when batching is off, scores on this handler
-// (scoreInline).
-func (s *Server) scoreRequest(w http.ResponseWriter, r *http.Request, a *reqArena) (release bool) {
+// scoreRequest answers one /score request with a as its scratch. JSON
+// and binary frames differ only in how the body decodes into the arena
+// (decodeJSON, decodeFrame) and how the answer encodes
+// (writeScoreResult, writeScoreFrame); everything between — failure
+// answers, counting, scoring (scorePasses) — is this one path.
+func (s *Server) scoreRequest(w http.ResponseWriter, r *http.Request, a *reqArena) {
 	start := time.Now()
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
@@ -460,43 +450,24 @@ func (s *Server) scoreRequest(w http.ResponseWriter, r *http.Request, a *reqAren
 	}
 	if err != nil {
 		s.fail(w, frame, err)
-		return true
+		return
 	}
 	s.metrics.requests.Add(1)
 
-	a.j.ctx = r.Context()
-	a.j.identify = true
-	a.j.arena = a
-
-	var res jobResult
-	if s.inline(a.rows) {
-		res = s.scoreInline(a, r, frame)
-	} else {
-		var abandoned bool
-		if res, abandoned = s.awaitScore(a, r); abandoned {
-			// The dispatcher may still write into the arena, so it stays
-			// out of the pool; only a drain has a client left to answer.
-			if errors.Is(res.err, errDraining) {
-				wire.WriteError(w, frame, http.StatusServiceUnavailable, errDraining.Error(), 0)
-			}
-			return false
-		}
-	}
-	switch {
-	case errors.Is(res.err, errShed):
+	switch err := s.scorePasses(a, r, frame); {
+	case errors.Is(err, errShed):
 		wire.WriteError(w, frame, http.StatusTooManyRequests, errShed.Error(), s.cfg.RetryAfter)
-	case res.err != nil:
-		s.fail(w, frame, res.err)
+	case err != nil:
+		s.fail(w, frame, err)
 	default:
 		if frame {
-			writeScoreFrame(w, a, res)
+			writeScoreFrame(w, a)
 		} else {
-			writeScoreResult(w, a, res)
+			writeScoreResult(w, a)
 		}
 		s.metrics.requestOK.Add(1)
 		s.metrics.observeLatency(time.Since(start))
 	}
-	return true
 }
 
 // fail answers a failed request in its protocol, with err's status
@@ -524,7 +495,7 @@ func (e *statusError) Error() string { return e.msg }
 func badRequest(msg string) error { return &statusError{http.StatusBadRequest, msg} }
 
 // decodeJSON reads a JSON /score body into the arena: the rows into
-// a.x, the request's options into a.j.
+// a.x, the request's options beside them.
 func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var err error
@@ -542,13 +513,13 @@ func (s *Server) decodeJSON(a *reqArena, w http.ResponseWriter, r *http.Request)
 		return badRequest(err.Error())
 	}
 	a.rows = a.x.Rows
-	a.j.strategy, a.j.strict, a.j.probs = s.cfg.Strategy, false, a.jreq.Probabilities
+	a.strategy, a.strict, a.wantProbs = s.cfg.Strategy, false, a.jreq.Probabilities
 	if a.jreq.Strategy != "" {
 		st, ok := ParseStrategy(a.jreq.Strategy)
 		if !ok {
 			return badRequest(fmt.Sprintf("unknown strategy %q (want MSP, ES, or ED)", a.jreq.Strategy))
 		}
-		a.j.strategy, a.j.strict = st, true
+		a.strategy, a.strict = st, true
 	}
 	return nil
 }
@@ -563,34 +534,6 @@ func (s *Server) bodyError(err error) error {
 	return badRequest("bad request body: " + err.Error())
 }
 
-// errShed answers a request turned away for lack of room (429): the
-// queue is full, or QueueDepth requests already score inline.
-var errShed = errors.New("scoring queue full, retry later")
-
-// awaitScore runs the arena's job through the dispatcher and returns
-// its result; a shed comes back as errShed. abandoned reports a job
-// left behind — the client gone (its context error) or the server
-// draining (errDraining) — whose arena must not re-enter the pool: the
-// dispatcher may still write into it.
-func (s *Server) awaitScore(a *reqArena, r *http.Request) (res jobResult, abandoned bool) {
-	a.j.x = a.x
-	select {
-	case s.queue <- &a.j:
-	default:
-		s.metrics.shed.Add(1)
-		return jobResult{err: errShed}, false
-	}
-	select {
-	case res := <-a.j.resp:
-		return res, false
-	case <-r.Context().Done():
-		// The dispatcher's buffered send still completes.
-		return jobResult{err: r.Context().Err()}, true
-	case <-s.done:
-		return jobResult{err: errDraining}, true
-	}
-}
-
 // scoreErrStatus maps a scoring error to its HTTP status.
 func scoreErrStatus(err error) int {
 	var se *statusError
@@ -598,38 +541,36 @@ func scoreErrStatus(err error) int {
 	case errors.As(err, &se):
 		return se.status
 	case errors.Is(err, errStrategyNotCalibrated),
-		errors.Is(err, errBatchWidth),
 		errors.Is(err, core.ErrDimMismatch):
 		return http.StatusBadRequest
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client left before its job dispatched; 499 (nginx's
-		// client-closed-request) — nobody reads it, but the access log
-		// should not claim a server fault.
+		// The client left before its request finished scoring; 499
+		// (nginx's client-closed-request) — nobody reads it, but the
+		// access log should not claim a server fault.
 		return 499
 	}
 	return http.StatusInternalServerError
 }
 
-// writeScoreResult encodes one successful jobResult as the JSON
-// response, building the decision and probability views in the
-// request arena.
-func writeScoreResult(w http.ResponseWriter, a *reqArena, res jobResult) {
-	out := scoreResponse{ModelVersion: res.version, Scores: res.scores}
-	if res.kinds != nil {
-		a.decisions = ensure(a.decisions, len(res.kinds))
-		for i, k := range res.kinds {
+// writeScoreResult encodes the arena's answer as the JSON response,
+// building the decision and probability views in the arena.
+func writeScoreResult(w http.ResponseWriter, a *reqArena) {
+	out := scoreResponse{ModelVersion: a.version, Scores: a.scores}
+	if a.decided {
+		a.decisions = ensure(a.decisions, len(a.kinds))
+		for i, k := range a.kinds {
 			a.decisions[i] = k.String()
 		}
 		out.Decisions = a.decisions
 	} else {
 		out.Warning = "decisions omitted: served model has no calibration for the default strategy"
 	}
-	if res.probs != nil {
-		a.probsRows = ensure(a.probsRows, res.probs.Rows)
+	if a.wantProbs {
+		a.probsRows = ensure(a.probsRows, a.probs.Rows)
 		for i := range a.probsRows {
-			a.probsRows[i] = res.probs.Row(i)
+			a.probsRows[i] = a.probs.Row(i)
 		}
 		out.Probabilities = a.probsRows
 	}
@@ -715,11 +656,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	s.setIdentity(w)
-	select {
-	case <-s.done:
+	if s.draining() {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
-	default:
 	}
 	lm := s.cur.Load()
 	if lm == nil {

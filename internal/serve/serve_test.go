@@ -18,6 +18,7 @@ import (
 	"targad/internal/faultinject"
 	"targad/internal/mat"
 	"targad/internal/rng"
+	"targad/internal/wire"
 )
 
 // fixturePath is the trained format-v1 model committed under the core
@@ -156,36 +157,15 @@ func offlineExpect(t testing.TB, m *core.Model, rows [][]float64, strat core.OOD
 	return offline{scores: scores, decisions: dec, probs: res.Probs}
 }
 
-// holdFirstPass makes the next inference pass sleep for d in the
-// serve/slow-score probe, so requests sent meanwhile queue behind it
-// and coalesce into the batch after it.
-func holdFirstPass(t *testing.T, d time.Duration) {
-	t.Helper()
-	faultinject.ArmDelay(faultinject.ServeSlowScore, d, 1)
-	t.Cleanup(faultinject.Reset)
-}
-
-// requireCoalesced fails the test unless some pass carried more than
-// one job. Every request in the callers is one queued job, so fewer
-// passes than requests means at least one batch held several.
-func requireCoalesced(t *testing.T, s *Server) {
-	t.Helper()
-	if passes, reqs := s.metrics.batches.Load(), s.metrics.requests.Load(); passes >= reqs {
-		t.Fatalf("%d passes for %d requests: no batch carried more than one job", passes, reqs)
-	}
-}
-
 // TestServedScoresBitwiseIdenticalConcurrent is the acceptance race
-// suite: N concurrent clients score distinct batches through the
-// micro-batcher against ONE served model, and every response must be
-// bitwise-identical to the offline Model.Score / Identify / Infer
-// probabilities on the same rows. JSON carries float64 losslessly
-// (shortest round-trip encoding), so == is exact. The first pass is
-// held so the other clients' requests queue and share a batch.
+// suite: N concurrent clients score distinct batches against ONE
+// served model, and every response must be bitwise-identical to the
+// offline Model.Score / Identify / Infer probabilities on the same
+// rows. JSON carries float64 losslessly (shortest round-trip
+// encoding), so == is exact.
 func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 16, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{MaxBatch: 16, Strategy: core.ED})
 	ref := loadFixtureModel(t)
-	holdFirstPass(t, 200*time.Millisecond)
 
 	const clients = 8
 	const iters = 10
@@ -239,11 +219,11 @@ func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
 	for f := range fails {
 		t.Fatal(f)
 	}
-	requireCoalesced(t, s)
 }
 
-// TestDirectPathBitwiseIdentical covers batching-off mode (MaxBatch=1):
-// handlers score directly on the replica pool, concurrently.
+// TestDirectPathBitwiseIdentical covers one-row passes (MaxBatch=1):
+// concurrent handlers score every row as its own pass on the replica
+// pool, and each answer equals offline scoring of the whole request.
 func TestDirectPathBitwiseIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 1, Strategy: core.MSP})
 	ref := loadFixtureModel(t)
@@ -263,7 +243,7 @@ func TestDirectPathBitwiseIdentical(t *testing.T) {
 			}
 			for i := range want.scores {
 				if got.Scores[i] != want.scores[i] || got.Decisions[i] != want.decisions[i] {
-					fails <- "direct-path response diverged from offline reference"
+					fails <- "one-row-pass response diverged from offline reference"
 					return
 				}
 			}
@@ -334,81 +314,90 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSaturatedQueueSheds pins load shedding: with the dispatcher
-// pinned inside a slow (fault-injected) pass and the queue full, the
-// next request must be shed with 429 and a Retry-After header — not
-// queued into unbounded latency.
+// TestSaturatedQueueSheds pins load shedding: with QueueDepth requests
+// held inside slow (fault-injected) passes, the next request must be
+// shed at once with 429 and a Retry-After header — not left to wait —
+// and every admitted request still completes. The bound is the same
+// for a 1-row JSON request and for a frame of several passes.
 func TestSaturatedQueueSheds(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		MaxBatch:   2,
-		QueueDepth: 2,
-		RetryAfter: 3 * time.Second,
-		Strategy:   core.ED,
-	})
-	holdFirstPass(t, 400*time.Millisecond)
-
-	rows := testRows(1, 7)
-	var wg sync.WaitGroup
-	codes := make(chan int, 3)
-	send := func() {
-		defer wg.Done()
-		status, _, _ := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows})
-		codes <- status
-	}
-	// One request holds the dispatcher in the injected 400ms sleep.
-	wg.Add(1)
-	go send()
-	deadline := time.Now().Add(2 * time.Second)
-	for faultinject.Fired(faultinject.ServeSlowScore) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never reached the slow-score probe")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Two more park in the queue (depth 2)…
-	wg.Add(2)
-	go send()
-	go send()
-	for len(s.queue) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// …so the fourth must shed immediately.
-	body, _ := json.Marshal(scoreRequest{Instances: rows})
-	start := time.Now()
-	resp, err := ts.Client().Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
+	frame, err := wire.AppendRequestF64(nil, testRows(inlineRows, 6), int(core.ED), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shedLatency := time.Since(start)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated queue answered %d, want 429", resp.StatusCode)
+	jsonBody, err := json.Marshal(scoreRequest{Instances: testRows(1, 7)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
-	}
-	resp.Body.Close()
-	if shedLatency > 200*time.Millisecond {
-		t.Fatalf("shed response took %v; shedding must not wait on the queue", shedLatency)
-	}
+	for _, tc := range []struct {
+		name        string
+		depth       int
+		body        []byte
+		contentType string
+	}{
+		{"json", 2, jsonBody, "application/json"},
+		{"frame", 1, frame, wire.ContentType},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			s, ts := newTestServer(t, Config{
+				MaxBatch:   inlineBatch,
+				QueueDepth: tc.depth,
+				RetryAfter: 3 * time.Second,
+				Strategy:   core.ED,
+			})
+			post := func() (int, error) {
+				resp, err := ts.Client().Post(ts.URL+"/score", tc.contentType, bytes.NewReader(tc.body))
+				if err != nil {
+					return 0, err
+				}
+				resp.Body.Close()
+				return resp.StatusCode, nil
+			}
+			// depth requests each hold their slot in a 400ms pass…
+			faultinject.ArmDelay(faultinject.ServeSlowScore, 400*time.Millisecond, tc.depth)
+			codes := make(chan int, tc.depth)
+			for i := 0; i < tc.depth; i++ {
+				go func() {
+					status, err := post()
+					if err != nil {
+						t.Error(err)
+					}
+					codes <- status
+				}()
+			}
+			waitFor(t, "the held passes", func() bool { return faultinject.Fired(faultinject.ServeSlowScore) == tc.depth })
 
-	wg.Wait()
-	close(codes)
-	for status := range codes {
-		if status != http.StatusOK {
-			t.Fatalf("queued request answered %d, want 200", status)
-		}
-	}
-	if got := s.metrics.shed.Load(); got != 1 {
-		t.Fatalf("shed counter %d, want 1", got)
+			// …so the next must shed immediately.
+			start := time.Now()
+			resp, err := ts.Client().Post(ts.URL+"/score", tc.contentType, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shedLatency := time.Since(start)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "3" {
+				t.Fatalf("Retry-After %q, want \"3\"", ra)
+			}
+			if shedLatency > 200*time.Millisecond {
+				t.Fatalf("shed response took %v; shedding must not wait for a slot", shedLatency)
+			}
+			for i := 0; i < tc.depth; i++ {
+				if status := <-codes; status != http.StatusOK {
+					t.Fatalf("admitted request answered %d, want 200", status)
+				}
+			}
+			if got := s.metrics.shed.Load(); got != 1 {
+				t.Fatalf("shed counter %d, want 1", got)
+			}
+		})
 	}
 }
 
-// TestLoneRequestNotDelayed pins work-conserving batching: a request
-// with nothing queued behind it scores at once. The deprecated MaxWait
-// is set to an hour to prove nothing reads it.
+// TestLoneRequestNotDelayed: a lone request scores at once. The
+// deprecated MaxWait is set to an hour to prove nothing reads it.
 func TestLoneRequestNotDelayed(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxWait: time.Hour, Strategy: core.ED})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -420,72 +409,6 @@ func TestLoneRequestNotDelayed(t *testing.T) {
 	want := offlineExpect(t, loadFixtureModel(t), rows, core.ED)
 	if got.Scores[0] != want.scores[0] {
 		t.Fatalf("served score %v != offline %v", got.Scores[0], want.scores[0])
-	}
-}
-
-// TestBatchFormsDuringPass: requests that arrive while a pass runs
-// queue, and the dispatcher takes them all as the next batch — exactly
-// one more pass — each answer still bitwise the offline answer for its
-// own rows.
-func TestBatchFormsDuringPass(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 16, Strategy: core.ED})
-	ref := loadFixtureModel(t)
-	holdFirstPass(t, time.Second)
-	passes0 := s.metrics.batches.Load()
-
-	held := make(chan error, 1)
-	go func() {
-		status, _, _, err := tryScore(ts.Client(), ts.URL, scoreRequest{Instances: testRows(1, 3)})
-		if err == nil && status != http.StatusOK {
-			err = fmt.Errorf("status %d, want 200", status)
-		}
-		held <- err
-	}()
-	waitFor(t, "the held pass", func() bool { return faultinject.Fired(faultinject.ServeSlowScore) == 1 })
-
-	const k = 4
-	var wg sync.WaitGroup
-	fails := make(chan string, k)
-	for c := 0; c < k; c++ {
-		rows := testRows(1+c, int64(700+c))
-		want := offlineExpect(t, ref, rows, core.ED)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, got, bad, err := tryScore(ts.Client(), ts.URL, scoreRequest{Instances: rows, Strategy: "ED", Probabilities: true})
-			if err != nil || status != http.StatusOK {
-				fails <- fmt.Sprintf("client %d: status %d: %s %v", c, status, bad.Error, err)
-				return
-			}
-			for i := range want.scores {
-				if got.Scores[i] != want.scores[i] || got.Decisions[i] != want.decisions[i] {
-					fails <- fmt.Sprintf("client %d row %d: served answer differs from offline", c, i)
-					return
-				}
-				for j, p := range got.Probabilities[i] {
-					if p != want.probs.At(i, j) {
-						fails <- fmt.Sprintf("client %d row %d: served probability differs from offline", c, i)
-						return
-					}
-				}
-			}
-		}()
-	}
-	waitFor(t, "the queued requests", func() bool { return len(s.queue) == k })
-	if got := s.metrics.batches.Load(); got != passes0 {
-		t.Fatalf("the held pass ended before %d requests queued; lengthen the hold", k)
-	}
-
-	wg.Wait()
-	close(fails)
-	for f := range fails {
-		t.Fatal(f)
-	}
-	if err := <-held; err != nil {
-		t.Fatalf("held request: %v", err)
-	}
-	if got := s.metrics.batches.Load() - passes0; got != 2 {
-		t.Fatalf("%d passes after the held one, want exactly 1 for %d queued requests", got-1, k)
 	}
 }
 
@@ -636,7 +559,7 @@ func TestDefaultStrategyUncalibrated(t *testing.T) {
 	// here is a server whose model simply lacks the strategy — the
 	// fixture has all three calibrated, so exercise the strict path via
 	// a junk strategy (covered in validation) and the lenient path by
-	// spot-checking the dispatcher contract directly.
+	// spot-checking the scoring contract directly.
 	m := loadFixtureModel(t)
 	s, err := New(Config{MaxBatch: 4, Strategy: core.ED})
 	if err != nil {

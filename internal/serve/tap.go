@@ -22,14 +22,8 @@ type sampler struct {
 	acc float64
 }
 
-// sampled reports whether this batch is one of p's. A closing server
-// samples nothing.
+// sampled reports whether this batch is one of p's.
 func (s *Server) sampled(p *sampler) bool {
-	select {
-	case <-s.done:
-		return false
-	default:
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.acc += p.fraction
@@ -56,8 +50,15 @@ var batchCopyPool = sync.Pool{New: func() any { return new(batchCopy) }}
 
 // tap copies one sampled batch into pooled buffers synchronously,
 // before the caller's arena can be recycled, then runs fn on the copy
-// in a goroutine Close waits for.
+// in a goroutine Close waits for. A closing server taps nothing:
+// closeMu makes the draining check and wg.Add one step, so Close's
+// wait counts every goroutine started.
 func (s *Server) tap(x *mat.Matrix, scores []float64, kinds []dataset.Kind, fn func(*batchCopy)) {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.draining() {
+		return
+	}
 	b := batchCopyPool.Get().(*batchCopy)
 	b.x = mat.Ensure(b.x, x.Rows, x.Cols)
 	copy(b.x.Data, x.Data)

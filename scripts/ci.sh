@@ -94,9 +94,10 @@ TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 # layer-workspace reuse and training replicas, the concurrent
 # per-cluster AE training, two Fits contending for helpers,
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
-# asm-vs-Go kernel-swap fit, and the full serving stack (micro-batcher,
-# replica-pool inference, hot reload under load, shedding, shadow
-# evaluation) with a multi-worker pool under the race detector. The zero-alloc assertions self-skip under
+# asm-vs-Go kernel-swap fit, and the full serving stack (concurrent
+# handlers scoring their own passes on the replica pool, hot reload
+# under load, shedding, shadow evaluation) with a multi-worker pool
+# under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
 # the smoke short — the full core suite already ran above.
@@ -125,7 +126,7 @@ TARGAD_WORKERS=4 go test -count=1 -run 'Fault|Crash|Panic|Slow' \
     ./internal/parallel
 go test -count=1 -run 'TestFinite|TestDiverged|TestNonFiniteParam|TestNumericalError' \
     ./internal/nn
-go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledJobsDroppedBeforeDispatch|TestGracefulDrainMixedLoad' \
+go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledRequestsNotScored|TestGracefulDrainMixedLoad|TestScoreAfterClose503' \
     ./internal/serve
 # Closed-loop acceptance: the feedback store's truncate-at-every-byte
 # crash recovery, and the end-to-end lifecycle — verdicts over POST
