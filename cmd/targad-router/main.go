@@ -14,15 +14,16 @@
 // backend over its bounded-load share overflows to the next ring
 // position.
 //
-// A prober walks every replica's /readyz each -probe-interval, driving
-// a per-backend state machine (up, degraded, down, recovering) keyed
-// to the replica's -instance-id, so a restarted process re-proves
-// itself before it is trusted. Failed forwards are retried on the next
-// candidate (scoring is idempotent) under a fleet-wide retry budget
-// with full-jitter backoff; -hedge-quantile arms tail-latency hedging;
-// a per-backend circuit breaker sheds a persistently failing replica
-// until a half-open trial succeeds. The router answers 503 +
-// Retry-After only when no candidate remains.
+// One per-backend state machine (up, degraded, down, recovering) says
+// whether a replica may take a request. A prober walks every replica's
+// /readyz each -probe-interval, keyed to the replica's -instance-id, so
+// a restarted process re-proves itself before it is trusted; a replica
+// whose forwards fault -forward-fail-threshold times in a row goes
+// down until probes bring it back. Failed forwards are retried on the
+// next candidate (scoring is idempotent) under a fleet-wide retry
+// budget with full-jitter backoff; -hedge-quantile arms tail-latency
+// hedging. The router answers 503 + Retry-After only when no candidate
+// remains.
 //
 // /healthz, /readyz (200 while >=1 backend is selectable), /metrics
 // (targad_router_* Prometheus text), and /backends (JSON fleet state)
@@ -70,8 +71,7 @@ func main() {
 		hedgeQuantile = flag.Float64("hedge-quantile", 0, "latency quantile (0,1) past which a hedge fires; 0 disables hedging")
 		hedgeMin      = flag.Duration("hedge-min", time.Millisecond, "floor of the hedge delay")
 
-		cbFailures = flag.Int("cb-failures", 5, "consecutive forward failures that open a backend's circuit breaker")
-		cbCooldown = flag.Duration("cb-cooldown", 2*time.Second, "how long an open breaker sheds before its half-open trial")
+		fwdFailThresh = flag.Int("forward-fail-threshold", 5, "consecutive forward faults (transport error, try timeout, 5xx) that take a backend down until probes re-admit it")
 
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on 503 responses")
@@ -98,27 +98,26 @@ func main() {
 	}
 
 	r, err := fleet.New(fleet.Config{
-		Backends:         urls,
-		TenantHeader:     *tenantHeader,
-		VNodes:           *vnodes,
-		LoadFactor:       *loadFactor,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		FailThreshold:    *failThresh,
-		RecoverThreshold: *recoverThresh,
-		TryTimeout:       *tryTimeout,
-		MaxRetries:       *maxRetries,
-		RetryBudget:      *retryBudget,
-		BackoffBase:      *backoffBase,
-		BackoffMax:       *backoffMax,
-		HedgeQuantile:    *hedgeQuantile,
-		HedgeMin:         *hedgeMin,
-		CBFailures:       *cbFailures,
-		CBCooldown:       *cbCooldown,
-		MaxBodyBytes:     *maxReqBytes,
-		RetryAfter:       *retryAfter,
-		Seed:             *seed,
-		Logf:             log.Printf,
+		Backends:             urls,
+		TenantHeader:         *tenantHeader,
+		VNodes:               *vnodes,
+		LoadFactor:           *loadFactor,
+		ProbeInterval:        *probeInterval,
+		ProbeTimeout:         *probeTimeout,
+		FailThreshold:        *failThresh,
+		RecoverThreshold:     *recoverThresh,
+		TryTimeout:           *tryTimeout,
+		MaxRetries:           *maxRetries,
+		RetryBudget:          *retryBudget,
+		BackoffBase:          *backoffBase,
+		BackoffMax:           *backoffMax,
+		HedgeQuantile:        *hedgeQuantile,
+		HedgeMin:             *hedgeMin,
+		ForwardFailThreshold: *fwdFailThresh,
+		MaxBodyBytes:         *maxReqBytes,
+		RetryAfter:           *retryAfter,
+		Seed:                 *seed,
+		Logf:                 log.Printf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "targad-router: %v\n", err)
@@ -134,8 +133,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("targad-router %s: fronting %d backends on %s (retries<=%d budget=%.2f hedge=%g cb=%d/%s)",
-		buildinfo.Version(), len(urls), *addr, *maxRetries, *retryBudget, *hedgeQuantile, *cbFailures, *cbCooldown)
+	log.Printf("targad-router %s: fronting %d backends on %s (retries<=%d budget=%.2f hedge=%g forward-fail=%d)",
+		buildinfo.Version(), len(urls), *addr, *maxRetries, *retryBudget, *hedgeQuantile, *fwdFailThresh)
 
 	select {
 	case <-ctx.Done():

@@ -4,21 +4,23 @@ import (
 	"net/url"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// BackendState is the health-prober's view of one replica. Transitions
-// (DESIGN.md §13):
+// BackendState is the router's one view of a replica's health. Probes
+// and forwards both feed it (DESIGN.md §13):
 //
 //	up ──probe fail──▶ degraded ──FailThreshold consecutive fails──▶ down
 //	degraded ──probe ok──▶ up
 //	down ──probe ok──▶ recovering
 //	recovering ──RecoverThreshold consecutive oks──▶ up
 //	recovering ──probe fail──▶ down
+//	up, degraded ──ForwardFailThreshold consecutive forward faults──▶ down
+//	recovering ──forward fault──▶ down
 //
-// A replica whose instance identity changes between probes (a restart)
-// drops to recovering regardless of its state: a fresh process must
-// re-prove itself before it is trusted as up.
+// Only probes bring a backend back. A replica whose instance identity
+// changes between probes (a restart) drops to recovering regardless of
+// its state: a fresh process must re-prove itself before it is trusted
+// as up.
 type BackendState int32
 
 const (
@@ -58,15 +60,17 @@ type Backend struct {
 
 	url *url.URL
 
+	// mu orders probe and forward transitions and guards the runs;
+	// the proxy path reads state lock-free.
+	mu       sync.Mutex
 	state    atomic.Int32 // BackendState
-	failRun  int          // consecutive probe failures (prober-only)
-	okRun    int          // consecutive probe successes (prober-only)
+	failRun  int          // consecutive probe failures
+	okRun    int          // consecutive probe successes
+	faultRun int          // consecutive forward faults
 	instance atomic.Pointer[string]
 	models   atomic.Pointer[string] // comma-separated X-Targad-Models stamp
 
 	inflight atomic.Int64 // proxied requests currently outstanding
-
-	cb circuit
 
 	// counters surfaced as targad_router_backend_* metrics
 	requests    atomic.Int64
@@ -77,7 +81,7 @@ type Backend struct {
 	transitions atomic.Int64
 }
 
-// State returns the prober's current view of the backend.
+// State returns the router's current view of the backend.
 func (b *Backend) State() BackendState { return BackendState(b.state.Load()) }
 
 // Instance returns the last instance identity /readyz reported, or "".
@@ -101,20 +105,22 @@ func (b *Backend) Models() string {
 // setModels records the hot-model stamp from a successful probe.
 func (b *Backend) setModels(models string) { b.models.Store(&models) }
 
-func (b *Backend) setState(s BackendState, logf func(string, ...any)) {
+// setState moves the backend to s; cause ("probes" or "forwards")
+// names the input that drove the transition in its log line. Callers
+// hold mu.
+func (b *Backend) setState(s BackendState, cause string, logf func(string, ...any)) {
 	old := BackendState(b.state.Swap(int32(s)))
 	if old != s {
 		b.transitions.Add(1)
-		logf("fleet: backend %s %s -> %s", b.Name, old, s)
+		logf("fleet: backend %s %s -> %s by %s", b.Name, old, s, cause)
 	}
 }
 
-// observeProbe advances the state machine on one probe result. Called
-// only from the prober (one goroutine, or ProbeAll in tests), so the
-// consecutive-run counters need no synchronization; state itself is
-// atomic for the proxy path's reads.
+// observeProbe advances the state machine on one probe result.
 func (b *Backend) observeProbe(ok bool, instance string, cfg *Config, logf func(string, ...any)) {
 	b.probes.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if ok && instance != "" {
 		if prev := b.Instance(); prev != "" && prev != instance {
 			// The process answering is not the one we knew: a restart.
@@ -122,8 +128,8 @@ func (b *Backend) observeProbe(ok bool, instance string, cfg *Config, logf func(
 			// through recovering before it is up again.
 			b.restarts.Add(1)
 			b.instance.Store(&instance)
-			b.okRun, b.failRun = 1, 0
-			b.setState(StateRecovering, logf)
+			b.okRun, b.failRun, b.faultRun = 1, 0, 0
+			b.setState(StateRecovering, "probes", logf)
 			return
 		}
 		b.instance.Store(&instance)
@@ -139,127 +145,43 @@ func (b *Backend) observeProbe(ok bool, instance string, cfg *Config, logf func(
 	switch b.State() {
 	case StateUp:
 		if !ok {
-			b.setState(StateDegraded, logf)
+			b.setState(StateDegraded, "probes", logf)
 		}
 	case StateDegraded:
 		if ok {
-			b.setState(StateUp, logf)
+			b.setState(StateUp, "probes", logf)
 		} else if b.failRun >= cfg.FailThreshold {
-			b.setState(StateDown, logf)
+			b.setState(StateDown, "probes", logf)
 		}
 	case StateDown:
 		if ok {
-			b.setState(StateRecovering, logf)
+			b.faultRun = 0 // faults from before the outage are stale
+			b.setState(StateRecovering, "probes", logf)
 		}
 	case StateRecovering:
 		if !ok {
-			b.setState(StateDown, logf)
+			b.setState(StateDown, "probes", logf)
 		} else if b.okRun >= cfg.RecoverThreshold {
-			b.setState(StateUp, logf)
+			b.setState(StateUp, "probes", logf)
 		}
 	}
 }
 
-// Circuit-breaker states. The breaker is request-driven (the state
-// machine above is probe-driven): CBFailures consecutive forward
-// failures open it, an open breaker sheds the backend from candidate
-// selection for CBCooldown, then a single half-open trial request
-// decides — success closes the breaker, failure re-opens it.
-const (
-	cbClosed = iota
-	cbOpen
-	cbHalfOpen
-)
-
-type circuit struct {
-	mu       sync.Mutex
-	state    int
-	fails    int       // consecutive failures while closed
-	openedAt time.Time // when the breaker last opened
-	trial    bool      // a half-open trial is in flight
-
-	opens     atomic.Int64 // closed/half-open -> open transitions
-	halfOpens atomic.Int64 // open -> half-open transitions
-	closes    atomic.Int64 // half-open -> closed transitions
-}
-
-// allow reports whether a request may be sent through the breaker now;
-// trial marks it as the half-open probe whose outcome must be reported
-// via onResult(trial=true).
-func (c *circuit) allow(now time.Time, cooldown time.Duration) (ok, trial bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch c.state {
-	case cbClosed:
-		return true, false
-	case cbOpen:
-		if now.Sub(c.openedAt) < cooldown {
-			return false, false
-		}
-		c.state = cbHalfOpen
-		c.halfOpens.Add(1)
-		c.trial = true
-		return true, true
-	default: // cbHalfOpen: one trial at a time
-		if c.trial {
-			return false, false
-		}
-		c.trial = true
-		return true, true
-	}
-}
-
-// onResult feeds one forward outcome back into the breaker.
-func (c *circuit) onResult(success, trial bool, threshold int, now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if trial {
-		c.trial = false
-		if success {
-			if c.state == cbHalfOpen {
-				c.state = cbClosed
-				c.fails = 0
-				c.closes.Add(1)
-			}
-		} else if c.state == cbHalfOpen {
-			c.state = cbOpen
-			c.openedAt = now
-			c.opens.Add(1)
-		}
+// observeForward feeds one forward verdict into the state machine: a
+// fault is a transport error, the try timeout or a 5xx. A success only
+// resets the fault run — re-admission is the prober's alone. Threshold
+// consecutive faults take a selectable backend down; a recovering one
+// goes down on its first fault, as it does on a failed probe.
+func (b *Backend) observeForward(fault bool, threshold int, logf func(string, ...any)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !fault {
+		b.faultRun = 0
 		return
 	}
-	if c.state != cbClosed {
-		return
+	b.faultRun++
+	if s := b.State(); s == StateRecovering || (s.selectable() && b.faultRun >= threshold) {
+		b.okRun = 0
+		b.setState(StateDown, "forwards", logf)
 	}
-	if success {
-		c.fails = 0
-		return
-	}
-	c.fails++
-	if c.fails >= threshold {
-		c.state = cbOpen
-		c.openedAt = now
-		c.opens.Add(1)
-	}
-}
-
-// onCanceled releases a forward that ended without a verdict — a
-// hedge loser canceled by the router. A canceled half-open trial frees
-// the trial slot so the next request can re-probe; the breaker state
-// itself is untouched (cancellation is the router's doing, not the
-// backend's).
-func (c *circuit) onCanceled(trial bool) {
-	if !trial {
-		return
-	}
-	c.mu.Lock()
-	c.trial = false
-	c.mu.Unlock()
-}
-
-// snapshotState returns the breaker's current state for metrics.
-func (c *circuit) snapshotState() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
 }

@@ -99,9 +99,9 @@ func TestChaosKillStallFlap(t *testing.T) {
 		c.FailThreshold = 3
 		c.RecoverThreshold = 2
 		// The stall and 5xx bursts below are sized to be absorbed by
-		// retries; the breaker must not amputate the second-to-last
-		// healthy replica mid-chaos (its lifecycle has its own test).
-		c.CBFailures = 50
+		// retries; forward faults must not take down the second-to-last
+		// healthy replica mid-chaos (that rule has its own test).
+		c.ForwardFailThreshold = 50
 	})
 	rt := newRouterServer(t, router)
 	rows := testRows(4, 7)
@@ -222,10 +222,9 @@ func TestChaosKillStallFlap(t *testing.T) {
 	wg.Wait()
 
 	if n := bad.Load(); n != 0 {
-		t.Fatalf("%d client-visible failures during chaos; first: %v\nretries=%d sheds=%d budgetExhausted=%d circuitSkips=%d overflows=%d\nstatus=%+v",
+		t.Fatalf("%d client-visible failures during chaos; first: %v\nretries=%d sheds=%d budgetExhausted=%d overflows=%d\nstatus=%+v",
 			n, badBodies, router.metrics.retries.Load(), router.metrics.sheds.Load(),
-			router.metrics.budgetExhausted.Load(), router.metrics.circuitSkips.Load(),
-			router.metrics.overflows.Load(), router.Status())
+			router.metrics.budgetExhausted.Load(), router.metrics.overflows.Load(), router.Status())
 	}
 	if router.metrics.retries.Load() == 0 {
 		t.Fatal("chaos run drove zero retries — the faults never landed")
@@ -238,62 +237,121 @@ func TestChaosKillStallFlap(t *testing.T) {
 	}
 }
 
-// TestCircuitBreakerLifecycle drives one backend's breaker through
-// closed -> open -> half-open -> closed with injected 5xx, asserting
-// each transition and that an open breaker sheds without forwarding.
-func TestCircuitBreakerLifecycle(t *testing.T) {
+// TestForwardFaultsTakeBackendDown drives one backend through the
+// forward input of its health state machine with injected 5xx:
+// ForwardFailThreshold faults take it down and nothing is forwarded
+// while it is down; a probe re-admits it to recovering, where a single
+// fault takes it down again; only probes bring it back up.
+func TestForwardFaultsTakeBackendDown(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
 	router, _ := newFleet(t, 1, func(c *Config) {
 		c.MaxRetries = 0 // each request is exactly one forward
-		c.CBFailures = 3
-		c.CBCooldown = 80 * time.Millisecond
+		c.ForwardFailThreshold = 3
 	})
 	rt := newRouterServer(t, router)
 	rows := testRows(2, 1)
 	b := router.backends[0]
-
-	// Three straight 5xx answers open the breaker.
-	faultinject.ArmTarget(faultinject.FleetBackend5xx, 0, 3)
-	for i := 0; i < 3; i++ {
-		if st, _ := postJSON(t, http.DefaultClient, rt.URL, rows, ""); st != http.StatusServiceUnavailable {
-			t.Fatalf("request %d under 5xx: status %d, want 503", i, st)
+	post := func(want int, what string) {
+		t.Helper()
+		if st, body := postJSON(t, http.DefaultClient, rt.URL, rows, ""); st != want {
+			t.Fatalf("%s: status %d, want %d (%s)", what, st, want, body)
 		}
 	}
-	if got := b.cb.snapshotState(); got != cbOpen {
-		t.Fatalf("breaker state %d after %d failures, want open", got, 3)
+	wantState := func(want BackendState, what string) {
+		t.Helper()
+		if got := b.State(); got != want {
+			t.Fatalf("%s: state %v, want %v", what, got, want)
+		}
 	}
 
-	// Open breaker: the lone candidate is skipped, the router sheds,
-	// and nothing is forwarded.
+	faultinject.ArmTarget(faultinject.FleetBackend5xx, 0, 3)
+	for i := 0; i < 2; i++ {
+		post(http.StatusServiceUnavailable, "fault under threshold")
+		wantState(StateUp, "fault under threshold")
+	}
+	post(http.StatusServiceUnavailable, "third fault")
+	wantState(StateDown, "after 3 forward faults")
+
+	// Down: the lone candidate is skipped, the router sheds, and
+	// nothing is forwarded.
 	sent := b.requests.Load()
-	st, body := postJSON(t, http.DefaultClient, rt.URL, rows, "")
-	if st != http.StatusServiceUnavailable {
-		t.Fatalf("status %d through open breaker, want 503 (%s)", st, body)
-	}
+	post(http.StatusServiceUnavailable, "while down")
 	if b.requests.Load() != sent {
-		t.Fatal("open breaker still forwarded a request")
-	}
-	if router.metrics.circuitSkips.Load() == 0 {
-		t.Fatal("circuit skip not counted")
+		t.Fatal("a downed backend was still forwarded a request")
 	}
 
-	// After the cooldown one trial goes through; the backend is healthy
-	// again, so the trial closes the breaker and traffic resumes.
-	time.Sleep(100 * time.Millisecond)
-	if st, _ := postJSON(t, http.DefaultClient, rt.URL, rows, ""); st != http.StatusOK {
-		t.Fatalf("trial request status %d, want 200", st)
+	router.ProbeAll()
+	wantState(StateRecovering, "after a clean probe")
+	faultinject.ArmTarget(faultinject.FleetBackend5xx, 0, 1)
+	post(http.StatusServiceUnavailable, "fault while recovering")
+	wantState(StateDown, "after one fault while recovering")
+
+	router.ProbeAll()
+	wantState(StateRecovering, "after the first probe")
+	router.ProbeAll()
+	wantState(StateUp, "after RecoverThreshold probes")
+	post(http.StatusOK, "re-admitted backend")
+	if got := b.failures.Load(); got != 4 {
+		t.Fatalf("failures %d, want 4", got)
 	}
-	if got := b.cb.snapshotState(); got != cbClosed {
-		t.Fatalf("breaker state %d after successful trial, want closed", got)
+}
+
+// TestClientGoneIsNotAFault stalls the only replica and lets every
+// client give up first: a forward canceled because its client left
+// says nothing about the backend, so it counts no failure and leaves
+// the backend up.
+func TestClientGoneIsNotAFault(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+
+	router, _ := newFleet(t, 1, func(c *Config) {
+		c.ForwardFailThreshold = 3
+	})
+	rt := newRouterServer(t, router)
+	body, err := json.Marshal(map[string]any{"instances": testRows(2, 11)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.cb.opens.Load() != 1 || b.cb.halfOpens.Load() != 1 || b.cb.closes.Load() != 1 {
-		t.Fatalf("transitions opens=%d halfOpens=%d closes=%d, want 1/1/1",
-			b.cb.opens.Load(), b.cb.halfOpens.Load(), b.cb.closes.Load())
+	const clients = 6
+	faultinject.ArmTargetDelay(faultinject.FleetBackendLatency, 0, time.Second, clients)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Post(rt.URL+"/score", "application/json", bytes.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+				errs <- fmt.Errorf("stalled request answered %d before the client gave up", resp.StatusCode)
+			}
+		}()
 	}
-	if st, _ := postJSON(t, http.DefaultClient, rt.URL, rows, ""); st != http.StatusOK {
-		t.Fatal("closed breaker refused clean traffic")
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Each request ends as a router-authored error once its canceled
+	// forward has reported back, verdict included.
+	deadline := time.Now().Add(3 * time.Second)
+	for router.metrics.errs.Load() < clients {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d abandoned requests finished", router.metrics.errs.Load(), clients)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	b := router.backends[0]
+	if got := b.failures.Load(); got != 0 {
+		t.Fatalf("failures %d after clients left, want 0", got)
+	}
+	if got := b.State(); got != StateUp {
+		t.Fatalf("state %v after clients left, want up", got)
 	}
 }
 
@@ -374,11 +432,14 @@ func TestNoCandidate503(t *testing.T) {
 	if st != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with the fleet down, want 503 (%s)", st, body)
 	}
-	resp, err := http.DefaultClient.Post(rt.URL+"/readyz", "text/plain", nil)
+	resp, err := http.Get(rt.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz %d with the fleet down, want 503", resp.StatusCode)
+	}
 
 	// Retry-After and the JSON error body.
 	req, _ := http.NewRequest(http.MethodPost, rt.URL+"/score", bytes.NewReader([]byte(`{"instances":[[0]]}`)))
@@ -436,7 +497,6 @@ func TestRouterMetricsAndBackendsEndpoints(t *testing.T) {
 		"targad_router_requests_total 1",
 		"targad_router_requests_ok_total 1",
 		"targad_router_backend_state{backend=",
-		"targad_router_circuit_state{backend=",
 		"targad_router_tenant_routed_total 1",
 		"# HELP targad_router_request_duration_seconds ",
 		"# TYPE targad_router_request_duration_seconds summary\n",

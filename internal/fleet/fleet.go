@@ -8,17 +8,19 @@
 //     hot models stay loaded); requests without a tenant round-robin.
 //     Bounded load overflows a saturated home to the next ring position
 //     instead of queueing behind it.
-//   - Health: a prober walks every replica's /readyz, driving a
-//     per-backend state machine (up → degraded → down → recovering)
-//     keyed to the replica's instance identity, so a restarted process
-//     re-proves itself before it is trusted.
+//   - Health: one per-backend state machine (up → degraded → down →
+//     recovering) with two inputs. A prober walks every replica's
+//     /readyz, keyed to the replica's instance identity, so a restarted
+//     process re-proves itself before it is trusted; forward faults
+//     take a persistently failing replica down between probes. Only
+//     probes bring a downed backend back, so with the prober off it
+//     returns only through ProbeAll.
 //   - Resilience: per-try timeouts; budgeted retries with exponential
 //     backoff and full jitter (idempotent /score only — scoring is a
 //     pure function of the model and the rows); optional tail-latency
 //     hedging once a request outlives the tracked latency quantile,
-//     with the losing request canceled; a per-backend half-open circuit
-//     breaker. The router answers 503 + Retry-After only when no
-//     candidate remains.
+//     with the losing request canceled. The router answers 503 +
+//     Retry-After only when no candidate remains.
 //   - Transparency: JSON and binary (application/x-targad-frame) bodies
 //     are buffered once, forwarded opaquely, and replayed byte-for-byte
 //     on retry, so scores through the router are bitwise-identical to a
@@ -64,7 +66,8 @@ type Config struct {
 	LoadFactor float64
 
 	// ProbeInterval is the health-prober period (default 1s; < 0
-	// disables the background prober — tests drive ProbeAll directly).
+	// disables the background prober — tests drive ProbeAll directly,
+	// and a backend downed by forward faults returns only through it).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /readyz probe (default 500ms).
 	ProbeTimeout time.Duration
@@ -98,11 +101,11 @@ type Config struct {
 	// fast window cannot hedge every request.
 	HedgeMin time.Duration
 
-	// CBFailures is the consecutive forward failures that open a
-	// backend's circuit breaker (default 5); CBCooldown is how long an
-	// open breaker sheds before its half-open trial (default 2s).
-	CBFailures int
-	CBCooldown time.Duration
+	// ForwardFailThreshold is the consecutive forward faults (transport
+	// error, try timeout or 5xx) that take a backend down until probes
+	// re-admit it (default 5). A recovering backend goes down on its
+	// first fault.
+	ForwardFailThreshold int
 
 	// MaxBodyBytes bounds a proxied request body (default 32 MiB,
 	// matching targad-serve).
@@ -118,8 +121,8 @@ type Config struct {
 	// pooled http.Transport).
 	Transport http.RoundTripper
 
-	// Logf, when set, receives one line per backend state or circuit
-	// transition. Nil discards.
+	// Logf, when set, receives one line per backend state transition,
+	// naming its cause (probes or forwards). Nil discards.
 	Logf func(format string, v ...any)
 }
 
@@ -201,11 +204,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HedgeMin <= 0 {
 		cfg.HedgeMin = time.Millisecond
 	}
-	if cfg.CBFailures <= 0 {
-		cfg.CBFailures = 5
-	}
-	if cfg.CBCooldown <= 0 {
-		cfg.CBCooldown = 2 * time.Second
+	if cfg.ForwardFailThreshold <= 0 {
+		cfg.ForwardFailThreshold = 5
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
@@ -340,7 +340,7 @@ func (r *Router) probeOne(b *Backend) (ok bool, instance, models string) {
 	if err != nil {
 		return false, "", ""
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK,
 		resp.Header.Get("X-Targad-Instance"),
 		resp.Header.Get("X-Targad-Models")
@@ -351,7 +351,6 @@ func (r *Router) probeOne(b *Backend) (ok bool, instance, models string) {
 type BackendStatus struct {
 	Name      string `json:"name"`
 	State     string `json:"state"`
-	Circuit   string `json:"circuit"`
 	Instance  string `json:"instance,omitempty"`
 	Models    string `json:"models,omitempty"`
 	Inflight  int64  `json:"inflight"`
@@ -361,8 +360,6 @@ type BackendStatus struct {
 	ProbeFail int64  `json:"probe_failures"`
 }
 
-var circuitNames = [...]string{cbClosed: "closed", cbOpen: "open", cbHalfOpen: "half-open"}
-
 // Status snapshots every backend.
 func (r *Router) Status() []BackendStatus {
 	out := make([]BackendStatus, len(r.backends))
@@ -370,7 +367,6 @@ func (r *Router) Status() []BackendStatus {
 		out[i] = BackendStatus{
 			Name:      b.Name,
 			State:     b.State().String(),
-			Circuit:   circuitNames[b.cb.snapshotState()],
 			Instance:  b.Instance(),
 			Models:    b.Models(),
 			Inflight:  b.inflight.Load(),

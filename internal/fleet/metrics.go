@@ -25,7 +25,6 @@ type routerMetrics struct {
 	hedgeCancels    atomic.Int64 // losing attempts canceled after a winner
 	sheds           atomic.Int64 // 503s answered because no candidate remained
 	overflows       atomic.Int64 // candidates skipped by the bounded-load rule
-	circuitSkips    atomic.Int64 // candidates skipped by an open circuit breaker
 	latencySumNs    atomic.Int64 // end-to-end routed latency of successful requests
 	latencyCount    atomic.Int64
 }
@@ -48,14 +47,13 @@ func (m *routerMetrics) write(w *obs.Writer) {
 	w.Counter("targad_router_hedge_cancels_total", "Losing attempts canceled after another attempt won.", m.hedgeCancels.Load())
 	w.Counter("targad_router_shed_total", "Requests answered 503 because no selectable backend remained.", m.sheds.Load())
 	w.Counter("targad_router_overflow_total", "Candidate selections skipped by the bounded-load rule.", m.overflows.Load())
-	w.Counter("targad_router_circuit_skips_total", "Candidate selections skipped by an open circuit breaker.", m.circuitSkips.Load())
 	w.Summary("targad_router_request_duration_seconds", "End-to-end routed latency of successful requests.",
 		float64(m.latencySumNs.Load())/1e9, m.latencyCount.Load())
 }
 
 // handleMetrics renders router-level counters plus one labeled series
-// per backend: health state, in-flight load, forward and probe
-// counters, and the circuit breaker's state and transition counts.
+// per backend: health state, in-flight load, and forward, probe and
+// transition counters.
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	ow := obs.New()
 	r.metrics.write(ow)
@@ -69,10 +67,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		bw.Counter("targad_router_backend_probe_failures_total", "Health probes that failed per backend.", b.probeFails.Load())
 		bw.Counter("targad_router_backend_restarts_total", "Instance-identity changes observed per backend.", b.restarts.Load())
 		bw.Counter("targad_router_backend_transitions_total", "Health state transitions per backend.", b.transitions.Load())
-		bw.Gauge("targad_router_circuit_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.", float64(b.cb.snapshotState()))
-		bw.Counter("targad_router_circuit_opens_total", "Circuit breaker open transitions per backend.", b.cb.opens.Load())
-		bw.Counter("targad_router_circuit_half_opens_total", "Circuit breaker half-open transitions per backend.", b.cb.halfOpens.Load())
-		bw.Counter("targad_router_circuit_closes_total", "Circuit breaker close transitions per backend.", b.cb.closes.Load())
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
 	_, _ = ow.WriteTo(w)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"targad/internal/wire"
@@ -51,12 +50,18 @@ func (a attempt) succeeded() bool {
 // canceled.
 func (a attempt) discard() {
 	if a.resp != nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(a.resp.Body, 4<<10))
-		a.resp.Body.Close()
+		drainClose(a.resp.Body)
 	}
 	if a.cancel != nil {
 		a.cancel()
 	}
+}
+
+// drainClose reads up to 4 KiB of a body before closing it, so a short
+// response leaves its connection reusable.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 4<<10))
+	body.Close()
 }
 
 // proxyOp names one forwarded operation: the backend method and path,
@@ -248,13 +253,12 @@ type candidateWalk struct {
 }
 
 // nextCandidate advances the walk to the next backend that may take a
-// request now: selectable per the health state machine, under its
-// bounded-load share, and admitted by its circuit breaker. A backend
-// over its load bound is spilled, not dropped — overflow is a
-// placement preference, and an overloaded-but-healthy replica always
-// beats a shed once every lighter candidate is spent. trial marks a
-// half-open breaker's probe (its outcome must be reported).
-func (r *Router) nextCandidate(w *candidateWalk, now time.Time) (b *Backend, trial bool) {
+// request now: selectable per the health state machine and under its
+// bounded-load share. A backend over its load bound is spilled, not
+// dropped — overflow is a placement preference, and an
+// overloaded-but-healthy replica always beats a shed once every
+// lighter candidate is spent.
+func (r *Router) nextCandidate(w *candidateWalk) *Backend {
 	for w.cursor < len(w.order) {
 		cand := r.backends[w.order[w.cursor]]
 		w.cursor++
@@ -266,27 +270,16 @@ func (r *Router) nextCandidate(w *candidateWalk, now time.Time) (b *Backend, tri
 			w.spill = append(w.spill, cand.Index)
 			continue
 		}
-		ok, trial := cand.cb.allow(now, r.cfg.CBCooldown)
-		if !ok {
-			r.metrics.circuitSkips.Add(1)
-			continue
-		}
-		return cand, trial
+		return cand
 	}
 	for len(w.spill) > 0 {
 		cand := r.backends[w.spill[0]]
 		w.spill = w.spill[1:]
-		if !cand.State().selectable() {
-			continue
+		if cand.State().selectable() {
+			return cand
 		}
-		ok, trial := cand.cb.allow(now, r.cfg.CBCooldown)
-		if !ok {
-			r.metrics.circuitSkips.Add(1)
-			continue
-		}
-		return cand, trial
 	}
-	return nil, false
+	return nil
 }
 
 // overloaded applies the bounded-load rule: a backend may hold at most
@@ -309,40 +302,21 @@ func (r *Router) overloaded(b *Backend) bool {
 	return b.inflight.Load() >= capacity
 }
 
-// launchHandle controls one in-flight forwarded copy. cancelByRouter
-// marks the cancellation as the router's own doing (a hedge loser)
-// before firing it — the launch goroutine cannot infer that from the
-// contexts alone, because the client's context dies racily the moment
-// the winning response is written.
-type launchHandle struct {
-	cancel   context.CancelFunc
-	byRouter atomic.Bool
-}
-
-func (h *launchHandle) cancelByRouter() {
-	h.byRouter.Store(true)
-	h.cancel()
-}
-
 // launch fires one forwarded copy of the request at b and reports its
-// outcome on ch. The returned handle cancels the try early — the hedge
+// outcome on ch. The returned cancel ends the try early — the hedge
 // path uses it to cancel the losing request.
-func (r *Router) launch(req *http.Request, b *Backend, trial bool, body []byte, op proxyOp, ch chan<- attempt, idx int) *launchHandle {
+func (r *Router) launch(req *http.Request, b *Backend, body []byte, op proxyOp, ch chan<- attempt, idx int) context.CancelFunc {
 	tryCtx, cancel := context.WithTimeout(req.Context(), r.cfg.TryTimeout)
-	h := &launchHandle{cancel: cancel}
 	go func() {
 		start := time.Now()
 		resp, err := r.forward(tryCtx, b, req, body, op)
-		canceledByRouter := errors.Is(err, context.Canceled) && h.byRouter.Load()
-		if canceledByRouter {
-			// A hedge loser, not a backend fault: no circuit verdict,
-			// no failure count.
-			b.cb.onCanceled(trial)
-			r.metrics.hedgeCancels.Add(1)
-		} else {
-			circuitOK := err == nil && resp.StatusCode < 500
-			b.cb.onResult(circuitOK, trial, r.cfg.CBFailures, time.Now())
-			if err != nil || resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+		// A forward whose context was canceled — a hedge loser, or a
+		// client that left — says nothing about the backend: no
+		// verdict, no failure count. The try timeout is a fault.
+		if err == nil || tryCtx.Err() != context.Canceled {
+			fault := err != nil || resp.StatusCode >= 500
+			b.observeForward(fault, r.cfg.ForwardFailThreshold, r.cfg.Logf)
+			if fault || resp.StatusCode == http.StatusTooManyRequests {
 				b.failures.Add(1)
 			} else {
 				r.lat.observe(time.Since(start))
@@ -350,7 +324,7 @@ func (r *Router) launch(req *http.Request, b *Backend, trial bool, body []byte, 
 		}
 		ch <- attempt{resp: resp, err: err, b: b, idx: idx, cancel: cancel}
 	}()
-	return h
+	return cancel
 }
 
 // forward performs one HTTP exchange with b, replaying the buffered
@@ -384,12 +358,12 @@ func (r *Router) forward(ctx context.Context, b *Backend, orig *http.Request, bo
 // operations whose policy allows it. launched=false means no
 // selectable candidate remained.
 func (r *Router) attemptWithHedge(req *http.Request, walk *candidateWalk, body []byte, op proxyOp) (win attempt, launched bool) {
-	b, trial := r.nextCandidate(walk, time.Now())
+	b := r.nextCandidate(walk)
 	if b == nil {
 		return attempt{}, false
 	}
 	ch := make(chan attempt, 2)
-	launches := []*launchHandle{r.launch(req, b, trial, body, op, ch, 0)}
+	cancels := []context.CancelFunc{r.launch(req, b, body, op, ch, 0)}
 	outstanding := 1
 
 	var hedgeC <-chan time.Time
@@ -410,17 +384,20 @@ func (r *Router) attemptWithHedge(req *http.Request, walk *candidateWalk, body [
 				}
 				// Cancel every launch but the winner's (the winner's
 				// context lives until its body is copied) and drain the
-				// losers in the background; their launch goroutines own
-				// the circuit bookkeeping.
-				for i, lh := range launches {
+				// losers in the background.
+				for i, cancel := range cancels {
 					if i != a.idx {
-						lh.cancelByRouter()
+						cancel()
 					}
 				}
 				if outstanding > 0 {
 					go func(n int) {
 						for i := 0; i < n; i++ {
-							(<-ch).discard()
+							loser := <-ch
+							if errors.Is(loser.err, context.Canceled) {
+								r.metrics.hedgeCancels.Add(1)
+							}
+							loser.discard()
 						}
 					}(outstanding)
 				}
@@ -436,12 +413,12 @@ func (r *Router) attemptWithHedge(req *http.Request, walk *candidateWalk, body [
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			hb, htrial := r.nextCandidate(walk, time.Now())
+			hb := r.nextCandidate(walk)
 			if hb == nil {
 				continue
 			}
 			r.metrics.hedges.Add(1)
-			launches = append(launches, r.launch(req, hb, htrial, body, op, ch, len(launches)))
+			cancels = append(cancels, r.launch(req, hb, body, op, ch, len(cancels)))
 			outstanding++
 		}
 	}

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -128,7 +131,7 @@ func TestBoundedLoadOverflows(t *testing.T) {
 	order, pooled := r.pickOrder(req)
 	defer r.candPool.Put(pooled)
 	walk := candidateWalk{order: order}
-	b, _ := r.nextCandidate(&walk, time.Now())
+	b := r.nextCandidate(&walk)
 	if b == nil {
 		t.Fatal("no candidate despite two idle backends")
 	}
@@ -141,7 +144,7 @@ func TestBoundedLoadOverflows(t *testing.T) {
 	// With the load gone the tenant goes home again.
 	r.backends[home].inflight.Store(0)
 	walk = candidateWalk{order: order}
-	b, _ = r.nextCandidate(&walk, time.Now())
+	b = r.nextCandidate(&walk)
 	if b == nil || b.Index != home {
 		t.Fatalf("tenant did not return to home %d: got %v", home, b)
 	}
@@ -149,7 +152,7 @@ func TestBoundedLoadOverflows(t *testing.T) {
 	// the spill pass turns overflow into a preference, never a shed.
 	r.backends[home].inflight.Store(30)
 	walk = candidateWalk{order: []int{home}}
-	b, _ = r.nextCandidate(&walk, time.Now())
+	b = r.nextCandidate(&walk)
 	if b == nil || b.Index != home {
 		t.Fatalf("overloaded last candidate was shed instead of spilled: %v", b)
 	}
@@ -159,13 +162,13 @@ func TestNextCandidateSkipsDown(t *testing.T) {
 	r := newUnitRouter(t, 2, nil)
 	r.backends[0].state.Store(int32(StateDown))
 	walk := candidateWalk{order: []int{0, 1}}
-	b, _ := r.nextCandidate(&walk, time.Now())
+	b := r.nextCandidate(&walk)
 	if b == nil || b.Index != 1 {
 		t.Fatalf("want backend 1, got %v", b)
 	}
 	r.backends[1].state.Store(int32(StateDown))
 	walk = candidateWalk{order: []int{0, 1}}
-	if b, _ := r.nextCandidate(&walk, time.Now()); b != nil {
+	if b := r.nextCandidate(&walk); b != nil {
 		t.Fatalf("want no candidate with the whole fleet down, got %d", b.Index)
 	}
 }
@@ -223,59 +226,34 @@ func TestProbeStateMachine(t *testing.T) {
 	}
 }
 
-func TestCircuitBreakerUnit(t *testing.T) {
-	var c circuit
-	now := time.Now()
-	const threshold = 3
-	cooldown := 100 * time.Millisecond
-	for i := 0; i < threshold; i++ {
-		ok, trial := c.allow(now, cooldown)
-		if !ok || trial {
-			t.Fatalf("closed breaker refused request %d", i)
+// TestProbeReusesConnection pins the prober to one kept-alive
+// connection: a probe that closed its /readyz body unread would dial
+// anew every round.
+func TestProbeReusesConnection(t *testing.T) {
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("ready\n"))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
 		}
-		c.onResult(false, false, threshold, now)
 	}
-	if c.snapshotState() != cbOpen {
-		t.Fatalf("state %d after %d failures, want open", c.snapshotState(), threshold)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	r, err := New(Config{Backends: []string{ts.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ok, _ := c.allow(now, cooldown); ok {
-		t.Fatal("open breaker admitted a request inside the cooldown")
+	t.Cleanup(r.Close)
+	for i := 0; i < 10; i++ {
+		r.ProbeAll()
 	}
-	later := now.Add(cooldown + time.Millisecond)
-	ok, trial := c.allow(later, cooldown)
-	if !ok || !trial {
-		t.Fatalf("cooled-down breaker did not grant a half-open trial (ok=%v trial=%v)", ok, trial)
+	if got := r.backends[0].State(); got != StateUp {
+		t.Fatalf("state %v after clean probes, want up", got)
 	}
-	if ok, _ := c.allow(later, cooldown); ok {
-		t.Fatal("half-open breaker admitted a second request during the trial")
-	}
-	c.onResult(false, true, threshold, later)
-	if c.snapshotState() != cbOpen {
-		t.Fatal("failed trial did not re-open the breaker")
-	}
-	later = later.Add(cooldown + time.Millisecond)
-	if ok, trial = c.allow(later, cooldown); !ok || !trial {
-		t.Fatal("re-cooled breaker did not grant a second trial")
-	}
-	c.onResult(true, true, threshold, later)
-	if c.snapshotState() != cbClosed {
-		t.Fatal("successful trial did not close the breaker")
-	}
-	if c.opens.Load() != 2 || c.halfOpens.Load() != 2 || c.closes.Load() != 1 {
-		t.Fatalf("transition counters opens=%d halfOpens=%d closes=%d, want 2/2/1",
-			c.opens.Load(), c.halfOpens.Load(), c.closes.Load())
-	}
-	// A canceled trial frees the slot without a verdict.
-	c.onResult(false, false, threshold, later)
-	c.onResult(false, false, threshold, later)
-	c.onResult(false, false, threshold, later)
-	later = later.Add(cooldown + time.Millisecond)
-	if ok, trial = c.allow(later, cooldown); !ok || !trial {
-		t.Fatal("no trial after re-open")
-	}
-	c.onCanceled(true)
-	if ok, trial = c.allow(later, cooldown); !ok || !trial {
-		t.Fatal("canceled trial did not free the half-open slot")
+	if n := dials.Load(); n > 1 {
+		t.Fatalf("10 probe rounds opened %d connections, want at most 1", n)
 	}
 }
 

@@ -151,12 +151,13 @@ go test -count=1 -run 'TestRegistryEvictUnderLoad|TestRegistryLoadFailure' \
 # Fleet chaos suite: targeted network probes (fleet/backend-latency,
 # -5xx, -drop, -flap) kill, stall, and flap replicas behind the router
 # mid-load; the suite asserts zero client-visible failures while at
-# least one replica stays healthy, the full circuit-breaker lifecycle,
+# least one replica stays healthy, forward faults taking a backend down
+# until probes re-admit it, a client that leaves counting as no fault,
 # hedge cancellation of the losing request, and bitwise-identical
 # scores routed vs direct.
 echo "== fleet chaos suite =="
 go test -count=1 \
-    -run 'TestChaosKillStallFlap|TestCircuitBreakerLifecycle|TestHedgeCancelsLoser|TestNoCandidate503|TestRoutedScoresBitwiseIdentical' \
+    -run 'TestChaosKillStallFlap|TestForwardFaultsTakeBackendDown|TestClientGoneIsNotAFault|TestHedgeCancelsLoser|TestNoCandidate503|TestRoutedScoresBitwiseIdentical' \
     ./internal/fleet
 
 # Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
