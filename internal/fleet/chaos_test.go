@@ -237,12 +237,13 @@ func TestChaosKillStallFlap(t *testing.T) {
 	}
 }
 
-// TestForwardFaultsTakeBackendDown drives one backend through the
-// forward input of its health state machine with injected 5xx:
-// ForwardFailThreshold faults take it down and nothing is forwarded
-// while it is down; a probe re-admits it to recovering, where a single
-// fault takes it down again; only probes bring it back up.
-func TestForwardFaultsTakeBackendDown(t *testing.T) {
+// TestCircuitBreakerLifecycle drives the router's circuit breaker —
+// the forward input of a backend's health state machine — end to end
+// with injected 5xx: ForwardFailThreshold faults take the backend down
+// and nothing is forwarded while it is down; a probe re-admits it to
+// recovering, where a single fault takes it down again; only probes
+// bring it back up.
+func TestCircuitBreakerLifecycle(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,6 +224,78 @@ func TestProbeStateMachine(t *testing.T) {
 		if got := b.State(); got != s.want {
 			t.Fatalf("step %d (ok=%v): state %v, want %v", i, s.ok, got, s.want)
 		}
+	}
+}
+
+// TestCircuitBreakerUnit steps one backend through the forward input of
+// its health state machine, interleaved with probes: threshold
+// consecutive forward faults take a selectable backend down, a success
+// resets the fault run, forwards never re-admit, a recovering backend
+// goes down on its first fault, and entering recovering clears a stale
+// fault run. Each transition's log line names the input that drove it.
+func TestCircuitBreakerUnit(t *testing.T) {
+	r := newUnitRouter(t, 1, nil)
+	b := r.backends[0]
+	cfg := &r.cfg // FailThreshold 3, RecoverThreshold 2
+	const threshold = 3
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	const (
+		fault = iota
+		success
+		probeOK
+		probeFail
+	)
+	steps := []struct {
+		input int
+		want  BackendState
+	}{
+		{fault, StateUp},
+		{fault, StateUp},
+		{success, StateUp}, // resets the run
+		{fault, StateUp},
+		{fault, StateUp},
+		{probeFail, StateDegraded},
+		{fault, StateDown},   // 3rd consecutive fault; degraded is selectable
+		{success, StateDown}, // forwards never re-admit
+		{fault, StateDown},
+		{fault, StateDown},
+		{probeOK, StateRecovering}, // clears the stale fault run
+		{probeOK, StateUp},
+		{fault, StateUp},
+		{fault, StateUp},
+		{fault, StateDown},
+		{probeOK, StateRecovering},
+		{fault, StateDown}, // recovery interrupted by one fault
+		{probeOK, StateRecovering},
+		{probeOK, StateUp},
+	}
+	for i, s := range steps {
+		before, n := b.State(), len(logged)
+		cause := "forwards"
+		switch s.input {
+		case fault, success:
+			b.observeForward(s.input == fault, threshold, logf)
+		default:
+			cause = "probes"
+			b.observeProbe(s.input == probeOK, "i", cfg, logf)
+		}
+		if got := b.State(); got != s.want {
+			t.Fatalf("step %d (input %d): state %v, want %v", i, s.input, got, s.want)
+		}
+		if s.want == before {
+			if len(logged) != n {
+				t.Fatalf("step %d: no transition, yet logged %q", i, logged[n:])
+			}
+			continue
+		}
+		if len(logged) != n+1 || !strings.HasSuffix(logged[n], "by "+cause) {
+			t.Fatalf("step %d: transition %v -> %v logged %q, want one line ending %q",
+				i, before, s.want, logged[n:], "by "+cause)
+		}
+	}
+	if got := b.transitions.Load(); got != 9 {
+		t.Fatalf("transitions %d, want 9", got)
 	}
 }
 

@@ -157,7 +157,7 @@ go test -count=1 -run 'TestRegistryEvictUnderLoad|TestRegistryLoadFailure' \
 # scores routed vs direct.
 echo "== fleet chaos suite =="
 go test -count=1 \
-    -run 'TestChaosKillStallFlap|TestForwardFaultsTakeBackendDown|TestClientGoneIsNotAFault|TestHedgeCancelsLoser|TestNoCandidate503|TestRoutedScoresBitwiseIdentical' \
+    -run 'TestChaosKillStallFlap|TestCircuitBreakerLifecycle|TestClientGoneIsNotAFault|TestHedgeCancelsLoser|TestNoCandidate503|TestRoutedScoresBitwiseIdentical' \
     ./internal/fleet
 
 # Fuzz smoke: 10s of coverage-guided fuzzing over the CSV loader, the
