@@ -198,19 +198,23 @@ func (mo *Model) Infer(ctx context.Context, x *mat.Matrix, opt InferOptions) (re
 }
 
 // infer is the one f64 inference body: the forward pass on a pooled
-// replica and the row softmax, then the decision tail. The call must
-// have passed checkCall, which produced thresholds.
+// replica, then the softmax and decision tail. The call must have
+// passed checkCall, which produced thresholds.
 func (mo *Model) infer(x *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	clf, ok := mo.clfFree.get()
 	if !ok {
 		clf = mo.clf.ShareParams()
 	}
 	defer mo.clfFree.put(clf)
-	logits := clf.Forward(x)
-	// Softmax lands in a caller-owned matrix (never a layer workspace):
-	// the recycled result's Probs in reuse mode, a fresh allocation
-	// otherwise — SoftmaxRowsInto(nil, ·) is SoftmaxRows, so the values
-	// are the same either way.
+	return mo.softmaxDecide(clf.Forward(x), opt, thresholds)
+}
+
+// softmaxDecide is the tail both precisions end in: the row softmax of
+// one batch's float64 logits, then decide. The softmax lands in a
+// caller-owned matrix (never a workspace): the recycled result's Probs
+// in reuse mode, a fresh allocation otherwise — SoftmaxRowsInto(nil, ·)
+// is SoftmaxRows, so the values are the same either way.
+func (mo *Model) softmaxDecide(logits *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	var probsDst *mat.Matrix
 	if opt.Reuse != nil {
 		probsDst = opt.Reuse.Probs
@@ -218,14 +222,13 @@ func (mo *Model) infer(x *mat.Matrix, opt InferOptions, thresholds [3]float64) *
 	return mo.decide(nn.SoftmaxRowsInto(probsDst, logits), logits, opt, thresholds)
 }
 
-// decide is the one decision tail behind every inference path, f64
-// and f32 alike: the Eq. (9) target score and the Section III-C
-// three-way decision per requested strategy, read off one batch's
-// softmax rows and logits. It is one serial pass: the per-row work is
-// a few comparisons and, for ES/ED, one exponential per class, so a
-// worker fan-out would cost more than it saves. probs becomes the
-// result's Probs when opt.Probs or opt.Reuse is set, so it must then
-// be caller-owned.
+// decide is the one decision tail behind every inference path: the
+// Eq. (9) target score and the Section III-C three-way decision per
+// requested strategy, read off one batch's softmax rows and logits.
+// It is one serial pass: the per-row work is a few comparisons and,
+// for ES/ED, one exponential per class, so a worker fan-out would cost
+// more than it saves. probs becomes the result's Probs when opt.Probs
+// or opt.Reuse is set, so it must then be caller-owned.
 func (mo *Model) decide(probs, logits *mat.Matrix, opt InferOptions, thresholds [3]float64) *InferResult {
 	res := prepareResult(opt, probs.Rows)
 	for i := 0; i < probs.Rows; i++ {

@@ -43,10 +43,10 @@ func calibratedStrategies(m *Model) []OODStrategy {
 	return out
 }
 
-// TestInferF32ScoreOnlyBitwise pins the score-only fast path (no
-// strategies, no probabilities) to the probability-carrying path: the
-// scores must be bitwise-identical, so callers cannot observe which
-// internal path ran.
+// TestInferF32ScoreOnlyBitwise pins score-only requests (no
+// strategies, no probabilities) to probability-carrying ones: the
+// scores must be bitwise-identical, so what else a caller asks for
+// never changes a score.
 func TestInferF32ScoreOnlyBitwise(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
 	x := fixtureInput(m.dim)
@@ -61,6 +61,50 @@ func TestInferF32ScoreOnlyBitwise(t *testing.T) {
 	for i, s := range fast.Scores {
 		if s != full.Scores[i] {
 			t.Fatalf("score %d: fast path %v, probs path %v (must be bitwise)", i, s, full.Scores[i])
+		}
+	}
+}
+
+// TestInferF32SharesInferTail pins the f32 path's contract: past the
+// float32 forward pass, InferF32 is Infer's tail bit for bit — the
+// exactly widened logits go through nn.SoftmaxRowsInto and decide, so
+// scores, decisions and probabilities carry no other f32 rounding.
+func TestInferF32SharesInferTail(t *testing.T) {
+	for _, path := range []string{fixtureModel, fixtureModelV2} {
+		m := loadFixtureF32(t, path)
+		opt := InferOptions{Strategies: []OODStrategy{MSP, ES, ED}, Probs: true}
+		thresholds, err := m.checkCall(context.Background(), m.dim, opt.Strategies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.clf.Params32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []*mat.Matrix{fixtureInput(m.dim), reuseBatch(300, m.dim, 11)} {
+			got, err := m.InferF32(context.Background(), x, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := mat.ToF64(nil, nn.NewInference32(p).Forward(mat.ToF32(nil, x)))
+			want := m.decide(nn.SoftmaxRowsInto(nil, w), w, opt, thresholds)
+			for i, s := range want.Scores {
+				if got.Scores[i] != s {
+					t.Fatalf("%s, %d rows: score %d = %v, tail gives %v (must be bitwise)", path, x.Rows, i, got.Scores[i], s)
+				}
+			}
+			for _, s := range opt.Strategies {
+				for i, k := range want.Kinds[s] {
+					if got.Kinds[s][i] != k {
+						t.Fatalf("%s, %d rows: %s decision %d = %v, tail gives %v", path, x.Rows, s, i, got.Kinds[s][i], k)
+					}
+				}
+			}
+			for i, v := range want.Probs.Data {
+				if got.Probs.Data[i] != v {
+					t.Fatalf("%s, %d rows: probability %d = %v, tail gives %v (must be bitwise)", path, x.Rows, i, got.Probs.Data[i], v)
+				}
+			}
 		}
 	}
 }
@@ -159,8 +203,8 @@ func TestInferF32Concurrent(t *testing.T) {
 	}
 }
 
-// TestInferF32WorkerInvariance: the score extraction's parallel chunk
-// split never changes a row's value.
+// TestInferF32WorkerInvariance: the softmax's parallel chunk split
+// never changes a row's value.
 func TestInferF32WorkerInvariance(t *testing.T) {
 	m := loadFixtureF32(t, fixtureModelV2)
 	x := fixtureInput(m.dim)

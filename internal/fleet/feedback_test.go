@@ -69,7 +69,7 @@ func newFakeReplica(t testing.TB, instance string) *fakeReplica {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"items":[],"depth":0,"budget":0}`))
 	}))
-	for _, path := range []string{"/reload", "/drift", "/retrain"} {
+	for _, path := range []string{"/reload", "/promote", "/discard", "/drift", "/retrain"} {
 		mux.HandleFunc(path, admin(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write([]byte(`{}`))
@@ -178,11 +178,11 @@ func TestFeedbackForwarding(t *testing.T) {
 
 // TestFeedbackRetryPolicy pins the router's forwarding policy on every
 // admin route. Policy follows the method: a POST mutates the replica
-// (records a verdict, swaps a model, starts a retrain), so with every
-// replica failing it gets exactly one attempt and the client sees the
-// shed; a GET is an idempotent read and is retried onto the second
-// replica. A method the route does not take is the router's own 405,
-// never forwarded.
+// (records a verdict, swaps a model, promotes or discards a shadow,
+// starts a retrain), so with every replica failing it gets exactly one
+// attempt and the client sees the shed; a GET is an idempotent read
+// and is retried onto the second replica. A method the route does not
+// take is the router's own 405, never forwarded.
 func TestFeedbackRetryPolicy(t *testing.T) {
 	cases := []struct {
 		method, path string
@@ -192,6 +192,8 @@ func TestFeedbackRetryPolicy(t *testing.T) {
 	}{
 		{http.MethodPost, "/feedback", false, http.MethodGet, "POST required"},
 		{http.MethodPost, "/reload", false, http.MethodGet, "POST required"},
+		{http.MethodPost, "/promote", false, http.MethodGet, "POST required"},
+		{http.MethodPost, "/discard", false, http.MethodGet, "POST required"},
 		{http.MethodPost, "/retrain", false, http.MethodPut, "GET or POST required"},
 		{http.MethodGet, "/feedback/queue", true, http.MethodPost, "GET required"},
 		{http.MethodGet, "/drift", true, http.MethodPost, "GET required"},
@@ -232,6 +234,68 @@ func TestFeedbackRetryPolicy(t *testing.T) {
 				t.Fatalf("%s %s was forwarded %d times, want the router's own 405", tc.wrong, tc.path, n)
 			}
 		})
+	}
+}
+
+// TestProxyDropsConnectionNamedHeaders: a field that a message's
+// Connection header names is hop-by-hop (RFC 9110 §7.6.1), so the
+// router forwards it in neither direction — not the client's to the
+// replica, not the replica's to the client.
+func TestProxyDropsConnectionNamedHeaders(t *testing.T) {
+	var got atomic.Pointer[http.Header]
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("X-Targad-Instance", "a")
+	})
+	mux.HandleFunc("/drift", func(w http.ResponseWriter, r *http.Request) {
+		h := r.Header.Clone()
+		got.Store(&h)
+		w.Header().Set("Connection", "X-Back-Secret")
+		w.Header().Set("X-Back-Secret", "b")
+		w.Header().Set("X-Back-Public", "b")
+		w.Write([]byte(`{}`))
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+	r, err := New(Config{Backends: []string{backend.URL}, ProbeInterval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	r.ProbeAll()
+	ts := newRouterServer(t, r)
+
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/drift", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "X-Front-Secret")
+	req.Header.Set("X-Front-Secret", "f")
+	req.Header.Set("X-Front-Public", "f")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /drift: status %d", resp.StatusCode)
+	}
+	h := got.Load()
+	if h == nil {
+		t.Fatal("the request never reached the replica")
+	}
+	if v := h.Get("X-Front-Secret"); v != "" {
+		t.Fatalf("replica received X-Front-Secret %q, which the client's Connection header names", v)
+	}
+	if h.Get("X-Front-Public") != "f" {
+		t.Fatal("replica did not receive the end-to-end X-Front-Public")
+	}
+	if v := resp.Header.Get("X-Back-Secret"); v != "" {
+		t.Fatalf("client received X-Back-Secret %q, which the replica's Connection header names", v)
+	}
+	if resp.Header.Get("X-Back-Public") != "b" {
+		t.Fatal("client did not receive the end-to-end X-Back-Public")
 	}
 }
 

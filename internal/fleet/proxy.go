@@ -15,7 +15,8 @@ import (
 	"targad/internal/wire"
 )
 
-// hopHeaders are not forwarded in either direction (RFC 9110 §7.6.1).
+// hopHeaders are not forwarded in either direction (RFC 9110 §7.6.1),
+// nor is any field a message's Connection header names (copyHeaders).
 var hopHeaders = map[string]bool{
 	"Connection":          true,
 	"Keep-Alive":          true,
@@ -25,6 +26,33 @@ var hopHeaders = map[string]bool{
 	"Trailer":             true,
 	"Transfer-Encoding":   true,
 	"Upgrade":             true,
+}
+
+// copyHeaders copies src's end-to-end fields into dst: every field but
+// the fixed hop-by-hop set and those src's Connection header names.
+func copyHeaders(dst, src http.Header) {
+	conn := src["Connection"]
+	for k, vv := range src {
+		if hopHeaders[http.CanonicalHeaderKey(k)] || connectionNames(conn, k) {
+			continue
+		}
+		dst[k] = vv
+	}
+}
+
+// connectionNames reports whether a Connection header's comma-separated
+// option list names the field k.
+func connectionNames(conn []string, k string) bool {
+	for _, v := range conn {
+		for v != "" {
+			var opt string
+			opt, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(opt), k) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // attempt is one forwarded copy of a request: the primary try, a
@@ -87,6 +115,8 @@ var routes = []struct {
 	{"/feedback", []string{http.MethodPost}},
 	{"/feedback/queue", []string{http.MethodGet}},
 	{"/reload", []string{http.MethodPost}},
+	{"/promote", []string{http.MethodPost}},
+	{"/discard", []string{http.MethodPost}},
 	{"/drift", []string{http.MethodGet}},
 	{"/retrain", []string{http.MethodGet, http.MethodPost}},
 }
@@ -96,12 +126,12 @@ var routes = []struct {
 // through opaquely. The retry policy comes from the method: a GET is an
 // idempotent read (the acquisition queue, a drift report, retrain
 // status) and gets MaxRetries plus hedging; a POST mutates the replica
-// (records a verdict, swaps a model, starts a retrain) and gets exactly
-// one attempt — the caller re-issues on a shed, and the verdict store's
-// fingerprint dedup makes that safe for /feedback. /score is the one
-// idempotent POST: scoring is stateless. Only /score speaks the binary
-// protocol. A method the route does not take is the router's own 405,
-// never forwarded.
+// (records a verdict, swaps a model, promotes or discards a shadow,
+// starts a retrain) and gets exactly one attempt — the caller re-issues
+// on a shed, and the verdict store's fingerprint dedup makes that safe
+// for /feedback. /score is the one idempotent POST: scoring is
+// stateless. Only /score speaks the binary protocol. A method the route
+// does not take is the router's own 405, never forwarded.
 func (r *Router) forwarder(path string, methods []string) http.HandlerFunc {
 	notAllowed := strings.Join(methods, " or ") + " required"
 	score := path == "/score"
@@ -337,12 +367,7 @@ func (r *Router) forward(ctx context.Context, b *Backend, orig *http.Request, bo
 	if err != nil {
 		return nil, err
 	}
-	for k, vv := range orig.Header {
-		if hopHeaders[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		req.Header[k] = vv
-	}
+	copyHeaders(req.Header, orig.Header)
 	req.ContentLength = int64(len(body))
 	b.requests.Add(1)
 	b.inflight.Add(1)
@@ -447,13 +472,7 @@ func (r *Router) hedgeDelay() time.Duration {
 func (r *Router) writeProxied(w http.ResponseWriter, a attempt) {
 	defer a.cancel()
 	defer a.resp.Body.Close()
-	h := w.Header()
-	for k, vv := range a.resp.Header {
-		if hopHeaders[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		h[k] = vv
-	}
+	copyHeaders(w.Header(), a.resp.Header)
 	w.WriteHeader(a.resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
 	bufp := r.copyPool.Get().(*[]byte)

@@ -16,10 +16,7 @@
 // their bitwise guarantees.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix32 is a dense row-major matrix of float32 values, the inference
 // twin of Matrix. The zero value is an empty 0×0 matrix.
@@ -94,93 +91,4 @@ func ToF64(dst *Matrix, src *Matrix32) *Matrix {
 		dst.Data[i] = float64(v)
 	}
 	return dst
-}
-
-// Softmax32 writes the softmax of logits into out (out may alias
-// logits). The max-subtraction, exponentials, and normalizing sum run
-// in float64, keeping the only f32 rounding in the stored
-// probabilities themselves; the exponential is expNeg, whose error is
-// below one float32 ulp and therefore invisible after the narrowing.
-func Softmax32(out, logits []float32) {
-	if len(out) != len(logits) {
-		panic("mat: softmax length mismatch")
-	}
-	m := logits[0]
-	for _, v := range logits[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	var s float64
-	for i, v := range logits {
-		e := expNeg(float64(v) - float64(m))
-		out[i] = float32(e)
-		s += e
-	}
-	inv := 1 / s
-	for i, v := range out {
-		out[i] = float32(float64(v) * inv)
-	}
-}
-
-// SoftmaxHeadMax32 returns the maximum softmax probability among the
-// first m entries of logits without materializing the distribution —
-// the score-only fast path of float32 inference. The arithmetic
-// mirrors Softmax32 followed by ArgMax over the widened head EXACTLY
-// (float64 exponentials summed wide, the winning exponential narrowed
-// to float32, one reciprocal multiply, narrowed again), so the result
-// is bitwise-identical to that two-step computation; a test pins the
-// equivalence. Monotonicity makes the shortcut exact: the largest
-// narrowed probability comes from the largest narrowed exponential.
-func SoftmaxHeadMax32(logits []float32, m int) float64 {
-	mx := logits[0]
-	for _, v := range logits[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	var s float64
-	var best float32
-	for i, v := range logits {
-		e := expNeg(float64(v) - float64(mx))
-		s += e
-		if i < m {
-			if f := float32(e); f > best {
-				best = f
-			}
-		}
-	}
-	inv := 1 / s
-	return float64(float32(float64(best) * inv))
-}
-
-// expNeg returns e^x for x ≤ 0 (the post-max-subtraction softmax
-// range) with relative error below 2⁻²³ — under one ulp of the float32
-// the result is narrowed to, faster than math.Exp. The classic
-// reduction: x = n·ln2 + r with |r| ≤ ln2/2, a degree-6 polynomial for
-// e^r in Estrin form (three short dependency chains instead of
-// Horner's one long one; worst-case truncation error r⁷/5040 ≈ 1.2e-7
-// at |r| = 0.347, and the single-constant reduction adds only
-// n·ulp(ln2) ≈ 1e-14 — both invisible at float32 precision), then
-// scaling by 2^n via direct exponent-bit construction. Inputs below
-// -700 return 0 — exp(-700) ≈ 1e-304 is invisible in any softmax sum,
-// and the cutoff stays clear of the subnormal range the bit
-// construction can't reach. NaN propagates, matching math.Exp.
-func expNeg(x float64) float64 {
-	if !(x > -700) {
-		if math.IsNaN(x) {
-			return x
-		}
-		return 0
-	}
-	const (
-		log2e = 1.44269504088896340736
-		ln2   = 0.693147180559945309417
-	)
-	n := math.Floor(x*log2e + 0.5)
-	r := x - n*ln2
-	r2 := r * r
-	r4 := r2 * r2
-	p := (1 + r) + r2*(0.5+r*(1.0/6)) + r4*((1.0/24+r*(1.0/120))+r2*(1.0/720))
-	return p * math.Float64frombits(uint64(1023+int64(n))<<52)
 }

@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"targad/internal/mat"
 	"targad/internal/rng"
@@ -174,44 +172,4 @@ func (m *MLP) replica(ownGrads bool) *MLP {
 		r.Layers[i] = newDenseOver(t.In, t.Out, t.Act, w, b)
 	}
 	return r
-}
-
-// savedMLP is the gob wire format: parameter payloads only. Topology
-// must be reconstructed by the caller before Load.
-type savedMLP struct {
-	Names  []string
-	Values [][]float64
-}
-
-// Save serializes the MLP's parameters to w. The topology itself is
-// not stored; Load must be called on an identically configured MLP.
-func (m *MLP) Save(w io.Writer) error {
-	var s savedMLP
-	for _, p := range m.Params() {
-		s.Names = append(s.Names, p.Name)
-		v := make([]float64, len(p.Data))
-		copy(v, p.Data)
-		s.Values = append(s.Values, v)
-	}
-	return gob.NewEncoder(w).Encode(&s)
-}
-
-// Load restores parameters previously written by Save into m. The
-// receiver must have the same topology as the saved network.
-func (m *MLP) Load(r io.Reader) error {
-	var s savedMLP
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return fmt.Errorf("nn: load: %w", err)
-	}
-	ps := m.Params()
-	if len(ps) != len(s.Values) {
-		return fmt.Errorf("nn: load: have %d params, saved %d", len(ps), len(s.Values))
-	}
-	for i, p := range ps {
-		if len(p.Data) != len(s.Values[i]) {
-			return fmt.Errorf("nn: load: param %q has %d values, saved %d", p.Name, len(p.Data), len(s.Values[i]))
-		}
-		copy(p.Data, s.Values[i])
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -131,48 +130,6 @@ func TestGatherAndGatherVec(t *testing.T) {
 	v := GatherVec([]float64{10, 20, 30}, []int{1, 1, 0})
 	if v[0] != 20 || v[2] != 10 {
 		t.Fatalf("GatherVec = %v", v)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	r := rng.New(9)
-	net, err := NewMLP(MLPConfig{Dims: []int{3, 4, 2}, Hidden: ReLU, Output: Identity}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := mat.New(2, 3)
-	r.FillUniform(x.Data, 0, 1)
-	before := net.Forward(x).Clone()
-
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	net2, err := NewMLP(MLPConfig{Dims: []int{3, 4, 2}, Hidden: ReLU, Output: Identity}, rng.New(999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	after := net2.Forward(x)
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
-			t.Fatal("Save/Load did not preserve outputs")
-		}
-	}
-}
-
-func TestLoadShapeMismatch(t *testing.T) {
-	r := rng.New(10)
-	net, _ := NewMLP(MLPConfig{Dims: []int{3, 4, 2}, Hidden: ReLU, Output: Identity}, r)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	other, _ := NewMLP(MLPConfig{Dims: []int{3, 5, 2}, Hidden: ReLU, Output: Identity}, r)
-	if err := other.Load(&buf); err == nil {
-		t.Fatal("loading into a different topology must error")
 	}
 }
 

@@ -70,8 +70,9 @@ go -C bench test ./...
 # selects AVX2. The f32 row-invariance pins (a row's f32 bits do not
 # depend on its batch, in mat.Mul32 and through InferF32) ride along
 # with the TestInferF32 and TestServeF32 prefixes and the whole mat
-# package. The fit-swap test and the row-invariance pins rerun once
-# more with the assembly compiled in but switched off at runtime
+# package. The fit-swap test, the row-invariance pins and the pin that
+# InferF32 ends in Infer's softmax and decision tail rerun once more
+# with the assembly compiled in but switched off at runtime
 # (TARGAD_NOSIMD=1). So do the Fit working-memory pins: the
 # saved-bytes digests of fixed fits (one with a validation split), v1
 # checkpoint resume, the post-Fit classifier footprint, and the
@@ -84,7 +85,7 @@ go test -tags noasm -count=1 \
     -run "TestF32Tolerance|TestInferF32|TestEnableF32|TestFitKernelSwap|$fitmem_core" ./internal/core
 go test -tags noasm -count=1 -run "$fitmem_ae" ./internal/autoencoder
 go test -tags noasm -count=1 -run 'TestServeF32' ./internal/serve
-TARGAD_NOSIMD=1 go test -count=1 -run "TestFitKernelSwap|TestOuterF64|TestNearestRows|TestInferF32RowBatchInvariant|TestMul32RowInvariant|$fitmem_core" \
+TARGAD_NOSIMD=1 go test -count=1 -run "TestFitKernelSwap|TestOuterF64|TestNearestRows|TestInferF32RowBatchInvariant|TestInferF32SharesInferTail|TestMul32RowInvariant|$fitmem_core" \
     ./internal/core ./internal/mat
 TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 
