@@ -8,10 +8,12 @@
 // POST /score accepts exactly what targad-serve accepts — JSON or
 // binary application/x-targad-frame bodies — and forwards it opaquely,
 // so scores through the router are bitwise-identical to a direct
-// backend response. Requests carrying an X-Targad-Tenant header are
-// pinned to a home replica on a consistent-hash ring (warm drift
-// windows, stable batch mixes); tenantless requests round-robin. A
-// backend over its bounded-load share overflows to the next ring
+// backend response. The replicas' feedback and model-admin routes
+// (/feedback, /feedback/queue, /reload, /promote, /discard, /drift,
+// /retrain) forward the same way. Requests carrying an X-Targad-Tenant
+// header are pinned to a home replica on a consistent-hash ring (warm
+// drift windows, stable batch mixes); tenantless requests round-robin.
+// A backend over its bounded-load share overflows to the next ring
 // position.
 //
 // One per-backend state machine (up, degraded, down, recovering) says
@@ -19,11 +21,11 @@
 // /readyz each -probe-interval, keyed to the replica's -instance-id, so
 // a restarted process re-proves itself before it is trusted; a replica
 // whose forwards fault -forward-fail-threshold times in a row goes
-// down until probes bring it back. Failed forwards are retried on the
-// next candidate (scoring is idempotent) under a fleet-wide retry
-// budget with full-jitter backoff; -hedge-quantile arms tail-latency
-// hedging. The router answers 503 + Retry-After only when no candidate
-// remains.
+// down until probes bring it back. Failed forwards of idempotent
+// operations (POST /score — scoring is idempotent — and every GET) are
+// retried on the next candidate under a fleet-wide retry budget with
+// full-jitter backoff; the other POSTs run exactly one attempt. The
+// router answers 503 + Retry-After only when no candidate remains.
 //
 // /healthz, /readyz (200 while >=1 backend is selectable), /metrics
 // (targad_router_* Prometheus text), and /backends (JSON fleet state)
@@ -68,9 +70,6 @@ func main() {
 		backoffBase = flag.Duration("backoff-base", 5*time.Millisecond, "base of the full-jitter exponential backoff between attempts")
 		backoffMax  = flag.Duration("backoff-max", 100*time.Millisecond, "cap of the backoff between attempts")
 
-		hedgeQuantile = flag.Float64("hedge-quantile", 0, "latency quantile (0,1) past which a hedge fires; 0 disables hedging")
-		hedgeMin      = flag.Duration("hedge-min", time.Millisecond, "floor of the hedge delay")
-
 		fwdFailThresh = flag.Int("forward-fail-threshold", 5, "consecutive forward faults (transport error, try timeout, 5xx) that take a backend down until probes re-admit it")
 
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
@@ -111,8 +110,6 @@ func main() {
 		RetryBudget:          *retryBudget,
 		BackoffBase:          *backoffBase,
 		BackoffMax:           *backoffMax,
-		HedgeQuantile:        *hedgeQuantile,
-		HedgeMin:             *hedgeMin,
 		ForwardFailThreshold: *fwdFailThresh,
 		MaxBodyBytes:         *maxReqBytes,
 		RetryAfter:           *retryAfter,
@@ -133,8 +130,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("targad-router %s: fronting %d backends on %s (retries<=%d budget=%.2f hedge=%g forward-fail=%d)",
-		buildinfo.Version(), len(urls), *addr, *maxRetries, *retryBudget, *hedgeQuantile, *fwdFailThresh)
+	log.Printf("targad-router %s: fronting %d backends on %s (retries<=%d budget=%.2f forward-fail=%d)",
+		buildinfo.Version(), len(urls), *addr, *maxRetries, *retryBudget, *fwdFailThresh)
 
 	select {
 	case <-ctx.Done():

@@ -356,58 +356,52 @@ func TestClientGoneIsNotAFault(t *testing.T) {
 	}
 }
 
-// TestHedgeCancelsLoser arms tail-latency hedging, stalls a tenant's
-// home replica, and asserts the hedge answers while the stalled loser
-// is canceled mid-flight rather than left running to completion.
-func TestHedgeCancelsLoser(t *testing.T) {
+// TestClientGoneReleasesStall stalls the only replica far past its
+// clients' patience: each stalled forward must be released as soon as
+// its client leaves, and an abandoned request spends no retry and no
+// retry budget, and counts no shed.
+func TestClientGoneReleasesStall(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	router, _ := newFleet(t, 2, func(c *Config) {
-		c.HedgeQuantile = 0.9
-		c.HedgeMin = 10 * time.Millisecond
-		c.MaxRetries = 0
-		c.TryTimeout = 5 * time.Second // the stall must lose to the hedge, not the timeout
-	})
+	router, _ := newFleet(t, 1, nil)
 	rt := newRouterServer(t, router)
-	rows := testRows(2, 3)
+	body, err := json.Marshal(map[string]any{"instances": testRows(2, 13)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 4
+	faultinject.ArmTargetDelay(faultinject.FleetBackendLatency, 0, 5*time.Second, clients)
 
-	// Warm the latency window past minHedgeSamples so the quantile is
-	// live.
-	for i := 0; i < minHedgeSamples+4; i++ {
-		if st, _ := postJSON(t, http.DefaultClient, rt.URL, rows, ""); st != http.StatusOK {
-			t.Fatalf("warmup request %d failed", i)
-		}
+	var wg sync.WaitGroup
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := client.Post(rt.URL+"/score", "application/json", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+				t.Errorf("stalled request answered %d before the client gave up", resp.StatusCode)
+			}
+		}()
 	}
+	wg.Wait()
 
-	tenant := "hedged-tenant"
-	home := router.TenantBackend(tenant)
-	faultinject.ArmTargetDelay(faultinject.FleetBackendLatency, home, 2*time.Second, 1)
-
-	start := time.Now()
-	st, body := postJSON(t, http.DefaultClient, rt.URL, rows, tenant)
-	took := time.Since(start)
-	if st != http.StatusOK {
-		t.Fatalf("hedged request status %d (%s)", st, body)
-	}
-	if took >= 2*time.Second {
-		t.Fatalf("request took %v — it waited out the stall instead of hedging", took)
-	}
-	if router.metrics.hedges.Load() == 0 || router.metrics.hedgeWins.Load() == 0 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want both > 0",
-			router.metrics.hedges.Load(), router.metrics.hedgeWins.Load())
-	}
-	// The loser is canceled asynchronously once the winner returns; its
-	// launch goroutine records the cancellation.
-	deadline := time.Now().Add(2 * time.Second)
-	for router.metrics.hedgeCancels.Load() == 0 {
+	b := router.backends[0]
+	deadline := time.Now().Add(time.Second)
+	for router.metrics.errs.Load() < clients || b.inflight.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("losing attempt was never canceled")
+			t.Fatalf("1s after the clients left: %d of %d requests finished, %d forwards still stalled",
+				router.metrics.errs.Load(), clients, b.inflight.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if waited := time.Since(start); waited >= 2*time.Second {
-		t.Fatalf("loser cancel observed only after the full stall (%v)", waited)
+	if got := router.metrics.errs.Load(); got != clients {
+		t.Fatalf("errs %d, want %d", got, clients)
+	}
+	m := &router.metrics
+	if r, br, s := m.retries.Load(), router.budget.retries.Load(), m.sheds.Load(); r != 0 || br != 0 || s != 0 {
+		t.Fatalf("abandoned requests counted retries=%d budget retries=%d sheds=%d, want all 0", r, br, s)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package fleet is the resilience layer in front of a targad-serve
-// fleet: cmd/targad-router proxies POST /score across N replicas so
-// scoring stays available when individual serving processes stall,
-// crash, or degrade (DESIGN.md §13).
+// fleet: cmd/targad-router forwards the replicas' scoring, feedback and
+// model-admin routes (eight method/path pairs) across N replicas so
+// they stay available when individual serving processes stall, crash,
+// or degrade (DESIGN.md §13).
 //
 //   - Placement: a consistent-hash ring keyed on the X-Targad-Tenant
 //     header pins each tenant to a home replica (warm drift windows,
@@ -15,12 +16,12 @@
 //     take a persistently failing replica down between probes. Only
 //     probes bring a downed backend back, so with the prober off it
 //     returns only through ProbeAll.
-//   - Resilience: per-try timeouts; budgeted retries with exponential
-//     backoff and full jitter (idempotent /score only — scoring is a
-//     pure function of the model and the rows); optional tail-latency
-//     hedging once a request outlives the tracked latency quantile,
-//     with the losing request canceled. The router answers 503 +
-//     Retry-After only when no candidate remains.
+//   - Resilience: per-try timeouts and budgeted retries with
+//     exponential backoff and full jitter, for idempotent operations
+//     only (POST /score — scoring is a pure function of the model and
+//     the rows — and the GETs). Each try runs on the request's own
+//     handler goroutine. The router answers 503 + Retry-After only when
+//     no candidate remains.
 //   - Transparency: JSON and binary (application/x-targad-frame) bodies
 //     are buffered once, forwarded opaquely, and replayed byte-for-byte
 //     on retry, so scores through the router are bitwise-identical to a
@@ -81,7 +82,9 @@ type Config struct {
 	// TryTimeout bounds one forwarded attempt (default 2s).
 	TryTimeout time.Duration
 	// MaxRetries is the most re-forwards after the first attempt
-	// (default 2). Only /score is retried: scoring is idempotent.
+	// (default 2). Only idempotent operations are retried: POST /score
+	// (scoring is a pure function of the model and the rows) and every
+	// GET; the other POSTs run exactly one attempt.
 	MaxRetries int
 	// RetryBudget caps fleet-wide retry amplification: retries are
 	// admitted while total retries < RetryBudget*requests + 10
@@ -91,15 +94,6 @@ type Config struct {
 	// between attempts (defaults 5ms / 100ms).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-
-	// HedgeQuantile, when in (0, 1), arms tail-latency hedging: once an
-	// attempt outlives that quantile of recent forward latencies, a
-	// second copy goes to the next candidate and the first response
-	// wins; the loser is canceled. 0 disables (the default).
-	HedgeQuantile float64
-	// HedgeMin floors the hedge delay (default 1ms) so a cold or very
-	// fast window cannot hedge every request.
-	HedgeMin time.Duration
 
 	// ForwardFailThreshold is the consecutive forward faults (transport
 	// error, try timeout or 5xx) that take a backend down until probes
@@ -126,8 +120,9 @@ type Config struct {
 	Logf func(format string, v ...any)
 }
 
-// Router proxies /score across the fleet. Create with New, mount
-// Handler on an http.Server (wire.NewHTTPServer), Close on shutdown.
+// Router forwards the replicas' routes (see routes) across the fleet.
+// Create with New, mount Handler on an http.Server
+// (wire.NewHTTPServer), Close on shutdown.
 type Router struct {
 	cfg      Config
 	backends []*Backend
@@ -138,7 +133,6 @@ type Router struct {
 	probe     *http.Client
 
 	budget   retryBudget
-	lat      latencyTracker
 	jitterMu sync.Mutex
 	jitter   *rng.RNG
 
@@ -197,12 +191,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 100 * time.Millisecond
-	}
-	if cfg.HedgeQuantile < 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = time.Millisecond
 	}
 	if cfg.ForwardFailThreshold <= 0 {
 		cfg.ForwardFailThreshold = 5

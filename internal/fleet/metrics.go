@@ -13,16 +13,13 @@ import (
 // counters bumped on the proxy path and rendered as Prometheus text
 // exposition format by /metrics, mirroring internal/serve's idiom.
 type routerMetrics struct {
-	requests        atomic.Int64 // client requests accepted by /score (any outcome)
+	requests        atomic.Int64 // client requests accepted on a forwarded route (any outcome)
 	ok              atomic.Int64 // client requests answered with a backend success
-	errs            atomic.Int64 // client requests answered with a router-authored error
+	errs            atomic.Int64 // client requests that ended without a backend response (a router-authored error, or a client that left)
 	tooLarge        atomic.Int64 // requests rejected 413 before any forward
 	tenantRouted    atomic.Int64 // requests placed via the tenant ring
 	retries         atomic.Int64 // re-forwards after a failed attempt
 	budgetExhausted atomic.Int64 // retries refused by the retry budget
-	hedges          atomic.Int64 // hedge copies launched
-	hedgeWins       atomic.Int64 // requests won by the hedge copy
-	hedgeCancels    atomic.Int64 // losing attempts canceled after a winner
 	sheds           atomic.Int64 // 503s answered because no candidate remained
 	overflows       atomic.Int64 // candidates skipped by the bounded-load rule
 	latencySumNs    atomic.Int64 // end-to-end routed latency of successful requests
@@ -35,16 +32,13 @@ func (m *routerMetrics) observeLatency(d time.Duration) {
 }
 
 func (m *routerMetrics) write(w *obs.Writer) {
-	w.Counter("targad_router_requests_total", "Scoring requests accepted by the router.", m.requests.Load())
-	w.Counter("targad_router_requests_ok_total", "Scoring requests answered with a backend response.", m.ok.Load())
-	w.Counter("targad_router_request_errors_total", "Scoring requests answered with a router-authored error.", m.errs.Load())
-	w.Counter("targad_router_request_too_large_total", "Scoring requests rejected with 413 before any forward.", m.tooLarge.Load())
+	w.Counter("targad_router_requests_total", "Requests accepted on a forwarded route.", m.requests.Load())
+	w.Counter("targad_router_requests_ok_total", "Forwarded-route requests answered with a backend response.", m.ok.Load())
+	w.Counter("targad_router_request_errors_total", "Forwarded-route requests that got no backend response.", m.errs.Load())
+	w.Counter("targad_router_request_too_large_total", "Forwarded-route requests rejected with 413 before any forward.", m.tooLarge.Load())
 	w.Counter("targad_router_tenant_routed_total", "Scoring requests placed via the tenant consistent-hash ring.", m.tenantRouted.Load())
 	w.Counter("targad_router_retries_total", "Forward attempts re-sent after a retryable failure.", m.retries.Load())
 	w.Counter("targad_router_retry_budget_exhausted_total", "Retries refused because the fleet-wide retry budget ran dry.", m.budgetExhausted.Load())
-	w.Counter("targad_router_hedges_total", "Hedge copies launched for tail-latency requests.", m.hedges.Load())
-	w.Counter("targad_router_hedge_wins_total", "Requests whose hedge copy answered first.", m.hedgeWins.Load())
-	w.Counter("targad_router_hedge_cancels_total", "Losing attempts canceled after another attempt won.", m.hedgeCancels.Load())
 	w.Counter("targad_router_shed_total", "Requests answered 503 because no selectable backend remained.", m.sheds.Load())
 	w.Counter("targad_router_overflow_total", "Candidate selections skipped by the bounded-load rule.", m.overflows.Load())
 	w.Summary("targad_router_request_duration_seconds", "End-to-end routed latency of successful requests.",

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,48 +34,6 @@ func (b *retryBudget) allow() bool {
 	}
 	b.retries.Add(1)
 	return true
-}
-
-// latencyTracker keeps a ring of recent successful-forward latencies
-// and answers quantile queries over it; the hedging policy fires a
-// second request once the first has outlived the tracked quantile.
-// With fewer than minSamples observations the quantile is unknown and
-// hedging stays off — cold routers must not hedge on noise.
-type latencyTracker struct {
-	mu      sync.Mutex
-	ring    [256]time.Duration
-	n, next int
-	scratch []time.Duration
-}
-
-const minHedgeSamples = 16
-
-func (l *latencyTracker) observe(d time.Duration) {
-	l.mu.Lock()
-	l.ring[l.next] = d
-	l.next = (l.next + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the tracked window, or 0 while
-// the window holds fewer than minHedgeSamples observations.
-func (l *latencyTracker) quantile(q float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < minHedgeSamples {
-		return 0
-	}
-	if cap(l.scratch) < l.n {
-		l.scratch = make([]time.Duration, l.n)
-	}
-	s := l.scratch[:l.n]
-	copy(s, l.ring[:l.n])
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	i := int(q * float64(l.n-1))
-	return s[i]
 }
 
 // backoff returns the full-jitter exponential backoff before retry
@@ -125,9 +81,9 @@ type chaosTransport struct {
 func (c *chaosTransport) roundTrip(req *http.Request, backendIdx int) (*http.Response, error) {
 	if faultinject.Enabled() {
 		if d := faultinject.DelayTarget(faultinject.FleetBackendLatency, backendIdx); d > 0 {
-			// The injected stall honors cancellation: a hedged or
-			// timed-out request must be releasable mid-stall, exactly
-			// like a real slow backend.
+			// The injected stall honors cancellation: a timed-out try,
+			// or one whose client left, must be releasable mid-stall,
+			// exactly like a real slow backend.
 			if err := sleepCtx(req.Context(), d); err != nil {
 				return nil, err
 			}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -55,13 +54,11 @@ func connectionNames(conn []string, k string) bool {
 	return false
 }
 
-// attempt is one forwarded copy of a request: the primary try, a
-// retry, or a hedge.
+// attempt is one forwarded copy of a request: the first try or a
+// retry.
 type attempt struct {
 	resp   *http.Response
 	err    error
-	b      *Backend
-	idx    int                // launch ordinal within this attempt round (0 primary, 1 hedge)
 	cancel context.CancelFunc // releases the try context; call after the body is consumed
 }
 
@@ -73,8 +70,8 @@ func (a attempt) succeeded() bool {
 	return a.err == nil && a.resp.StatusCode < 500 && a.resp.StatusCode != http.StatusTooManyRequests
 }
 
-// discard releases a failed or losing attempt: its response body (if
-// any) is drained so the connection can be reused, and its try context
+// discard releases a failed attempt: its response body (if any) is
+// drained so the connection can be reused, and its try context
 // canceled.
 func (a attempt) discard() {
 	if a.resp != nil {
@@ -96,13 +93,12 @@ func drainClose(body io.ReadCloser) {
 // whether the body is a wire frame, and the retry policy it is
 // allowed. Retries re-send the buffered body, so they are reserved for
 // idempotent operations; a non-idempotent POST runs exactly one
-// attempt, no hedge.
+// attempt.
 type proxyOp struct {
 	method     string
 	path       string
 	binary     bool
 	maxRetries int
-	hedge      bool
 }
 
 // routes are the replica endpoints the router forwards, with the
@@ -125,7 +121,7 @@ var routes = []struct {
 // home replica (the tenant's ring walk), query string and body passed
 // through opaquely. The retry policy comes from the method: a GET is an
 // idempotent read (the acquisition queue, a drift report, retrain
-// status) and gets MaxRetries plus hedging; a POST mutates the replica
+// status) and gets MaxRetries; a POST mutates the replica
 // (records a verdict, swaps a model, promotes or discards a shadow,
 // starts a retrain) and gets exactly one attempt — the caller re-issues
 // on a shed, and the verdict store's fingerprint dedup makes that safe
@@ -142,7 +138,7 @@ func (r *Router) forwarder(path string, methods []string) http.HandlerFunc {
 			return
 		}
 		if score || req.Method == http.MethodGet {
-			op.maxRetries, op.hedge = r.cfg.MaxRetries, true
+			op.maxRetries = r.cfg.MaxRetries
 		}
 		r.proxy(w, req, op)
 	}
@@ -171,10 +167,11 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, op proxyOp) {
 	}
 
 	walk := candidateWalk{order: order}
-	var last attempt
-	haveLast := false
 	for tries := 0; tries <= op.maxRetries; tries++ {
 		if tries > 0 {
+			if req.Context().Err() != nil {
+				break // the client left: no retry is owed to it
+			}
 			if !r.budget.allow() {
 				r.metrics.budgetExhausted.Add(1)
 				break
@@ -184,29 +181,27 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, op proxyOp) {
 				break // client gone mid-backoff
 			}
 		}
-		a, launched := r.attemptWithHedge(req, &walk, body, op)
-		if !launched {
+		b := r.nextCandidate(&walk)
+		if b == nil {
 			break // no selectable candidate remains
 		}
-		if haveLast {
-			last.discard()
-		}
-		last, haveLast = a, true
+		a := r.try(req, b, body, op)
 		if a.succeeded() {
 			r.metrics.ok.Add(1)
 			r.metrics.observeLatency(time.Since(start))
 			r.writeProxied(w, a)
 			return
 		}
+		a.discard()
 	}
 
-	// Every path here is a shed: no candidate was selectable, the retry
-	// budget ran dry, or every attempt failed. 503 + Retry-After is the
-	// router's only self-authored failure.
-	if haveLast {
-		last.discard()
-	}
 	r.metrics.errs.Add(1)
+	if req.Context().Err() != nil {
+		return // nobody is left to answer, and a client that left is no shed
+	}
+	// Every other path here is a shed: no candidate was selectable, the
+	// retry budget ran dry, or every attempt failed. 503 + Retry-After is
+	// the router's only self-authored failure.
 	r.metrics.sheds.Add(1)
 	wire.WriteError(w, op.binary, http.StatusServiceUnavailable, "no healthy backend available, retry later", r.cfg.RetryAfter)
 }
@@ -332,29 +327,21 @@ func (r *Router) overloaded(b *Backend) bool {
 	return b.inflight.Load() >= capacity
 }
 
-// launch fires one forwarded copy of the request at b and reports its
-// outcome on ch. The returned cancel ends the try early — the hedge
-// path uses it to cancel the losing request.
-func (r *Router) launch(req *http.Request, b *Backend, body []byte, op proxyOp, ch chan<- attempt, idx int) context.CancelFunc {
+// try forwards one copy of the request to b under the per-try timeout
+// and feeds the outcome to b's health state machine.
+func (r *Router) try(req *http.Request, b *Backend, body []byte, op proxyOp) attempt {
 	tryCtx, cancel := context.WithTimeout(req.Context(), r.cfg.TryTimeout)
-	go func() {
-		start := time.Now()
-		resp, err := r.forward(tryCtx, b, req, body, op)
-		// A forward whose context was canceled — a hedge loser, or a
-		// client that left — says nothing about the backend: no
-		// verdict, no failure count. The try timeout is a fault.
-		if err == nil || tryCtx.Err() != context.Canceled {
-			fault := err != nil || resp.StatusCode >= 500
-			b.observeForward(fault, r.cfg.ForwardFailThreshold, r.cfg.Logf)
-			if fault || resp.StatusCode == http.StatusTooManyRequests {
-				b.failures.Add(1)
-			} else {
-				r.lat.observe(time.Since(start))
-			}
+	resp, err := r.forward(tryCtx, b, req, body, op)
+	// A forward whose client left says nothing about the backend: no
+	// verdict, no failure count. The try timeout is a fault.
+	if err == nil || tryCtx.Err() != context.Canceled {
+		fault := err != nil || resp.StatusCode >= 500
+		b.observeForward(fault, r.cfg.ForwardFailThreshold, r.cfg.Logf)
+		if fault || resp.StatusCode == http.StatusTooManyRequests {
+			b.failures.Add(1)
 		}
-		ch <- attempt{resp: resp, err: err, b: b, idx: idx, cancel: cancel}
-	}()
-	return cancel
+	}
+	return attempt{resp: resp, err: err, cancel: cancel}
 }
 
 // forward performs one HTTP exchange with b, replaying the buffered
@@ -376,97 +363,7 @@ func (r *Router) forward(ctx context.Context, b *Backend, orig *http.Request, bo
 	return resp, err
 }
 
-// attemptWithHedge runs one attempt, optionally racing a hedge against
-// it: once the primary outlives the tracked latency quantile, a second
-// copy goes to the next candidate, the first successful response wins,
-// and the loser's context is canceled. Hedging only arms for
-// operations whose policy allows it. launched=false means no
-// selectable candidate remained.
-func (r *Router) attemptWithHedge(req *http.Request, walk *candidateWalk, body []byte, op proxyOp) (win attempt, launched bool) {
-	b := r.nextCandidate(walk)
-	if b == nil {
-		return attempt{}, false
-	}
-	ch := make(chan attempt, 2)
-	cancels := []context.CancelFunc{r.launch(req, b, body, op, ch, 0)}
-	outstanding := 1
-
-	var hedgeC <-chan time.Time
-	if d := r.hedgeDelay(); op.hedge && d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var last attempt
-	for {
-		select {
-		case a := <-ch:
-			outstanding--
-			if a.succeeded() {
-				if a.idx > 0 {
-					r.metrics.hedgeWins.Add(1)
-				}
-				// Cancel every launch but the winner's (the winner's
-				// context lives until its body is copied) and drain the
-				// losers in the background.
-				for i, cancel := range cancels {
-					if i != a.idx {
-						cancel()
-					}
-				}
-				if outstanding > 0 {
-					go func(n int) {
-						for i := 0; i < n; i++ {
-							loser := <-ch
-							if errors.Is(loser.err, context.Canceled) {
-								r.metrics.hedgeCancels.Add(1)
-							}
-							loser.discard()
-						}
-					}(outstanding)
-				}
-				return a, true
-			}
-			a.discard()
-			last = attempt{err: a.err, b: a.b}
-			if a.resp != nil {
-				last.err = fmt.Errorf("backend %s answered %d", a.b.Name, a.resp.StatusCode)
-			}
-			if outstanding == 0 {
-				return last, true
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hb := r.nextCandidate(walk)
-			if hb == nil {
-				continue
-			}
-			r.metrics.hedges.Add(1)
-			cancels = append(cancels, r.launch(req, hb, body, op, ch, len(cancels)))
-			outstanding++
-		}
-	}
-}
-
-// hedgeDelay returns how long an attempt may run before a hedge fires,
-// or 0 when hedging is off (disabled, or the latency window is still
-// cold).
-func (r *Router) hedgeDelay() time.Duration {
-	if r.cfg.HedgeQuantile <= 0 {
-		return 0
-	}
-	d := r.lat.quantile(r.cfg.HedgeQuantile)
-	if d == 0 {
-		return 0
-	}
-	if d < r.cfg.HedgeMin {
-		d = r.cfg.HedgeMin
-	}
-	return d
-}
-
-// writeProxied copies the winning response to the client
+// writeProxied copies the successful response to the client
 // byte-for-byte, flushing per chunk so streamed binary responses keep
 // streaming through the router.
 func (r *Router) writeProxied(w http.ResponseWriter, a attempt) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRingDeterministicAndComplete(t *testing.T) {
@@ -327,20 +326,6 @@ func TestProbeReusesConnection(t *testing.T) {
 	}
 	if n := dials.Load(); n > 1 {
 		t.Fatalf("10 probe rounds opened %d connections, want at most 1", n)
-	}
-}
-
-func TestLatencyTrackerQuantile(t *testing.T) {
-	var l latencyTracker
-	if l.quantile(0.9) != 0 {
-		t.Fatal("cold tracker must answer 0 (hedging off)")
-	}
-	for i := 1; i <= 100; i++ {
-		l.observe(time.Duration(i) * time.Millisecond)
-	}
-	q := l.quantile(0.9)
-	if q < 85*time.Millisecond || q > 95*time.Millisecond {
-		t.Fatalf("p90 of 1..100ms = %v, want ~90ms", q)
 	}
 }
 

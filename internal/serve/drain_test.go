@@ -18,7 +18,7 @@ import (
 
 // TestCanceledRequestsNotScored pins the cancellation contract: a
 // request whose client is already gone (a closed connection, a router
-// hedge that lost) stops before it costs an inference pass, answers
+// try that timed out) stops before it costs an inference pass, answers
 // 499 with its context's error, and counts in
 // targad_serve_canceled_total. Dead requests alternate JSON and binary
 // frames, so both decoders are covered.
