@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"targad/internal/monitor"
 	"targad/internal/nn"
-	"targad/internal/rng"
 )
 
 // Versioned gob envelope. Every file this package writes — saved
@@ -173,33 +171,54 @@ func (mo *Model) Save(w io.Writer) error {
 // ready for Score, Identify, and Infer. A stream that is not a
 // TargAD save file fails with ErrBadFormat; a save from a newer format
 // version fails with ErrUnknownVersion.
+//
+// The classifier is an inference-only network built directly over the
+// decoded parameter tensors (nn.NewInferenceMLP): it holds no gradient
+// buffers and no copy of the values, and scores bitwise like the model
+// that was saved. A loaded model can still Fit, which builds a fresh
+// classifier.
 func Load(r io.Reader) (*Model, error) {
-	// Non-nil maps make gob insert into them instead of pre-sizing a
-	// fresh map from the length the stream claims — a forged count
-	// would otherwise allocate unbounded memory before any entry is
-	// read. An empty preset profile fails Validate below and is
-	// dropped, exactly like an absent one.
-	s := savedModel{
-		Thresholds: map[int]float64{},
-		Profile:    &monitor.Profile{Mix: map[int][3]float64{}},
-	}
-	if err := readEnvelope(r, kindModel, modelFormatVersion, &s); err != nil {
-		return nil, fmt.Errorf("targad: load: %w", err)
-	}
-	if s.M < 1 || s.K < 1 || s.Dim < 1 {
-		return nil, fmt.Errorf("targad: load: %w: invalid metadata m=%d k=%d dim=%d", ErrBadFormat, s.M, s.K, s.Dim)
-	}
-	dims := append([]int{s.Dim}, s.ClfHidden...)
-	dims = append(dims, s.M+s.K)
-	if err := checkParamShapes(dims, s.Params); err != nil {
-		return nil, fmt.Errorf("targad: load: %w: %v", ErrBadFormat, err)
-	}
-	clf, err := nn.NewMLP(nn.MLPConfig{Dims: dims, Hidden: nn.ReLU, Output: nn.Identity, Init: nn.HeNormal}, rng.New(0))
+	s, err := decodeModel(r)
 	if err != nil {
 		return nil, fmt.Errorf("targad: load: %w", err)
 	}
-	for i, p := range clf.Params() {
-		copy(p.Data, s.Params[i])
+	mo, err := s.model()
+	if err != nil {
+		return nil, fmt.Errorf("targad: load: %w", err)
+	}
+	return mo, nil
+}
+
+// decodeModel reads and validates the envelope and decodes its payload.
+func decodeModel(r io.Reader) (*savedModel, error) {
+	// Non-nil maps make gob insert into them instead of pre-sizing a
+	// fresh map from the length the stream claims — a forged count
+	// would otherwise allocate unbounded memory before any entry is
+	// read. An empty preset profile fails Validate in model and is
+	// dropped, exactly like an absent one.
+	s := &savedModel{
+		Thresholds: map[int]float64{},
+		Profile:    &monitor.Profile{Mix: map[int][3]float64{}},
+	}
+	if err := readEnvelope(r, kindModel, modelFormatVersion, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// model builds the Model s describes, its classifier reading s.Params
+// in place. The widths come from the file, so every one is checked
+// against the tensors actually decoded before anything is sized from
+// it; any mismatch fails with ErrBadFormat.
+func (s *savedModel) model() (*Model, error) {
+	if s.M < 1 || s.K < 1 || s.Dim < 1 {
+		return nil, fmt.Errorf("%w: invalid metadata m=%d k=%d dim=%d", ErrBadFormat, s.M, s.K, s.Dim)
+	}
+	dims := append([]int{s.Dim}, s.ClfHidden...)
+	dims = append(dims, s.M+s.K)
+	clf, err := nn.NewInferenceMLP(nn.MLPConfig{Dims: dims, Hidden: nn.ReLU, Output: nn.Identity}, s.Params)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	mo := New(Config{ClfHidden: s.ClfHidden}, 0)
 	mo.m = s.M
@@ -222,32 +241,4 @@ func Load(r io.Reader) (*Model, error) {
 		mo.profile = s.Profile
 	}
 	return mo, nil
-}
-
-// checkParamShapes verifies that params holds exactly the weight and
-// bias tensors of the dense network over dims (layer widths, input
-// first), in nn.MLP parameter order. Load runs it before sizing
-// anything from dims: the widths come from the file, so a forged width
-// must fail against the tensors actually decoded, not allocate a
-// network first.
-func checkParamShapes(dims []int, params [][]float64) error {
-	layers := len(dims) - 1
-	if len(params) != 2*layers {
-		return fmt.Errorf("%d param tensors, want %d for %d dense layers", len(params), 2*layers, layers)
-	}
-	for i, d := range dims {
-		if d < 1 {
-			return fmt.Errorf("layer width %d is %d", i, d)
-		}
-	}
-	for l := 0; l < layers; l++ {
-		in, out := dims[l], dims[l+1]
-		if w := params[2*l]; in > math.MaxInt/out || len(w) != in*out {
-			return fmt.Errorf("param %d has %d values, want %d×%d", 2*l, len(w), in, out)
-		}
-		if b := params[2*l+1]; len(b) != out {
-			return fmt.Errorf("param %d has %d values, want %d", 2*l+1, len(b), out)
-		}
-	}
-	return nil
 }

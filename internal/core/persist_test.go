@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"testing"
 )
 
@@ -91,6 +92,67 @@ func TestSaveByteDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(save(loaded), first) {
 		t.Fatal("re-saving a loaded model changed its bytes")
+	}
+}
+
+// TestLoadServesDecodedTensors pins the loaded form: Load's classifier
+// is inference-only, with no gradient storage, and its parameter
+// tensors are the decoded slices themselves, not copies of them.
+func TestLoadServesDecodedTensors(t *testing.T) {
+	b := testBundle(t, 10)
+	m := New(testConfig(), 1)
+	if err := m.Fit(context.Background(), b.Train); err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	if err := m.Save(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(fixtureModelV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{{"model_v2 fixture", fixture}, {"fresh fit", fresh.Bytes()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := decodeModel(bytes.NewReader(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mo, err := s.model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := mo.clf.Params()
+			if len(ps) != len(s.Params) {
+				t.Fatalf("classifier has %d param tensors, decoded %d", len(ps), len(s.Params))
+			}
+			for i, p := range ps {
+				if p.Grad != nil {
+					t.Fatalf("param %d carries %d gradient values, want none", i, len(p.Grad))
+				}
+				if len(p.Data) != len(s.Params[i]) || &p.Data[0] != &s.Params[i][0] {
+					t.Fatalf("param %d is not the decoded tensor", i)
+				}
+			}
+			// Load itself: the same form, over the same values.
+			loaded, err := Load(bytes.NewReader(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range loaded.clf.Params() {
+				if p.Grad != nil {
+					t.Fatalf("Load: param %d carries gradient storage", i)
+				}
+				for j, v := range p.Data {
+					if v != s.Params[i][j] {
+						t.Fatalf("Load: param %d[%d] = %v, decoded %v", i, j, v, s.Params[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -216,5 +278,22 @@ func TestLoadCorruptPayloadMetadata(t *testing.T) {
 				t.Fatalf("case %d: corrupt metadata must not load", i)
 			}
 		}()
+	}
+}
+
+// BenchmarkLoad decodes the committed v2 fixture into a servable
+// model: the start-up, /reload and registry cold-load path. CI gates
+// its bytes/op, so a classifier that again allocates gradient buffers
+// or draws initial weights it then overwrites trips the budget.
+func BenchmarkLoad(b *testing.B) {
+	raw, err := os.ReadFile(fixtureModelV2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -29,6 +29,15 @@
 //     operand, and Backward reads the activation derivative from the
 //     stage's own output; callers must mutate neither between Forward
 //     and the matching Backward.
+//
+// # Inference-only networks
+//
+// NewInferenceMLP builds a network directly over existing parameter
+// values: no gradient buffers, no initializer draw, no copy. It
+// forwards exactly like a trained network over the same values, and
+// ShareParams, Params and ZeroGrad (a no-op) work on it; Backward,
+// BackwardParams, AddGrads and TrainReplica panic, naming the network
+// inference-only.
 package nn
 
 import (
@@ -39,6 +48,7 @@ import (
 )
 
 // Param is a named, flat parameter tensor with its gradient buffer.
+// Grad is nil on an inference-only network.
 type Param struct {
 	Name string
 	Data []float64
@@ -77,11 +87,26 @@ type Dense struct {
 // NewDense returns a Dense stage with activation act and weights drawn
 // from the given initializer.
 func NewDense(in, out int, act Activation, init Initializer, r *rng.RNG) *Dense {
-	d := newDenseOver(in, out, act,
-		&Param{Name: fmt.Sprintf("dense%dx%d.W", in, out), Data: make([]float64, in*out), Grad: make([]float64, in*out)},
-		&Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), Data: make([]float64, out), Grad: make([]float64, out)})
+	w, b := denseParams(in, out, make([]float64, in*out), make([]float64, out))
+	w.Grad, b.Grad = make([]float64, in*out), make([]float64, out)
+	d := newDenseOver(in, out, act, w, b)
 	init(d.W.Data, in, out, r)
 	return d
+}
+
+// denseParams names the weight and bias tensors of an in×out stage over
+// the given values, with no gradient buffers.
+func denseParams(in, out int, w, b []float64) (*Param, *Param) {
+	return &Param{Name: fmt.Sprintf("dense%dx%d.W", in, out), Data: w},
+		&Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), Data: b}
+}
+
+// requireGrads panics when d has no gradient buffers: an
+// inference-only stage cannot train.
+func (d *Dense) requireGrads(op string) {
+	if d.W.Grad == nil || d.B.Grad == nil {
+		panic(fmt.Sprintf("nn: %s on an inference-only network (built without gradient buffers)", op))
+	}
 }
 
 // newDenseOver returns a Dense stage over existing parameter tensors.
@@ -125,6 +150,7 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 // dL/d(x·W + b) in place, then each element of W.Grad and B.Grad
 // receives exactly one add of its finished chain.
 func (d *Dense) accumulateGrads(grad *mat.Matrix) {
+	d.requireGrads("backward")
 	if d.lastIn == nil {
 		panic("nn: dense backward before forward")
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"targad/internal/mat"
 	"targad/internal/rng"
@@ -37,13 +38,8 @@ type MLPConfig struct {
 // NewMLP builds an MLP from cfg using the provided RNG for weight
 // initialization.
 func NewMLP(cfg MLPConfig, r *rng.RNG) (*MLP, error) {
-	if len(cfg.Dims) < 2 {
-		return nil, fmt.Errorf("nn: MLP needs at least 2 dims, got %d", len(cfg.Dims))
-	}
-	for i, d := range cfg.Dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("nn: MLP dim %d is %d, must be positive", i, d)
-		}
+	if err := cfg.checkDims(); err != nil {
+		return nil, err
 	}
 	init := cfg.Init
 	if init == nil {
@@ -51,13 +47,66 @@ func NewMLP(cfg MLPConfig, r *rng.RNG) (*MLP, error) {
 	}
 	m := &MLP{Layers: make([]*Dense, len(cfg.Dims)-1)}
 	for i := range m.Layers {
-		act := cfg.Hidden
-		if i == len(m.Layers)-1 {
-			act = cfg.Output
-		}
-		m.Layers[i] = NewDense(cfg.Dims[i], cfg.Dims[i+1], act, init, r)
+		m.Layers[i] = NewDense(cfg.Dims[i], cfg.Dims[i+1], cfg.act(i), init, r)
 	}
 	return m, nil
+}
+
+// NewInferenceMLP builds an inference-only MLP with cfg's topology
+// directly over params: the weight and bias tensors in Params order,
+// each exactly its stage's size. The layers read those slices in place
+// (nothing is copied, cfg.Init is not drawn) and carry no gradient
+// buffers, so the network forwards bitwise like any MLP over the same
+// values but cannot train (see the package doc). Shapes are checked
+// against the tensors before anything is sized, so a forged width
+// fails here rather than allocating.
+func NewInferenceMLP(cfg MLPConfig, params [][]float64) (*MLP, error) {
+	if err := cfg.checkDims(); err != nil {
+		return nil, err
+	}
+	dims := cfg.Dims
+	layers := len(dims) - 1
+	if len(params) != 2*layers {
+		return nil, fmt.Errorf("nn: %d param tensors, want %d for %d dense layers", len(params), 2*layers, layers)
+	}
+	for l := 0; l < layers; l++ {
+		in, out := dims[l], dims[l+1]
+		if w := params[2*l]; in > math.MaxInt/out || len(w) != in*out {
+			return nil, fmt.Errorf("nn: param %d has %d values, want %d×%d", 2*l, len(w), in, out)
+		}
+		if b := params[2*l+1]; len(b) != out {
+			return nil, fmt.Errorf("nn: param %d has %d values, want %d", 2*l+1, len(b), out)
+		}
+	}
+	m := &MLP{Layers: make([]*Dense, layers)}
+	for l := range m.Layers {
+		in, out := dims[l], dims[l+1]
+		w, b := denseParams(in, out, params[2*l], params[2*l+1])
+		m.Layers[l] = newDenseOver(in, out, cfg.act(l), w, b)
+	}
+	return m, nil
+}
+
+// checkDims rejects a topology with fewer than two widths or a width
+// below one.
+func (cfg MLPConfig) checkDims() error {
+	if len(cfg.Dims) < 2 {
+		return fmt.Errorf("nn: MLP needs at least 2 dims, got %d", len(cfg.Dims))
+	}
+	for i, d := range cfg.Dims {
+		if d <= 0 {
+			return fmt.Errorf("nn: MLP dim %d is %d, must be positive", i, d)
+		}
+	}
+	return nil
+}
+
+// act is the activation after layer i: Hidden, or Output for the last.
+func (cfg MLPConfig) act(i int) Activation {
+	if i == len(cfg.Dims)-2 {
+		return cfg.Output
+	}
+	return cfg.Hidden
 }
 
 // Reinit redraws m's weights in place from r exactly as NewMLP draws
@@ -107,6 +156,8 @@ func (m *MLP) BackwardParams(grad *mat.Matrix) {
 // element (g_m += g_src). src must share m's topology, as a
 // TrainReplica does.
 func (m *MLP) AddGrads(src *MLP) {
+	m.requireGrads("AddGrads")
+	src.requireGrads("AddGrads")
 	sp := src.Params()
 	for i, p := range m.Params() {
 		mat.Axpy(1, sp[i].Grad, p.Grad)
@@ -128,7 +179,15 @@ func (m *MLP) Params() []*Param {
 	return m.params
 }
 
-// ZeroGrad clears every parameter gradient.
+// requireGrads panics when m is inference-only.
+func (m *MLP) requireGrads(op string) {
+	for _, l := range m.Layers {
+		l.requireGrads(op)
+	}
+}
+
+// ZeroGrad clears every parameter gradient (none on an inference-only
+// network).
 func (m *MLP) ZeroGrad() {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
@@ -157,7 +216,10 @@ func (m *MLP) ShareParams() *MLP { return m.replica(false) }
 // meanwhile; the owner then folds them in with AddGrads and steps its
 // optimizer on its own Params. A replica allocates one gradient buffer
 // per parameter up front; workspaces grow lazily on first Forward.
-func (m *MLP) TrainReplica() *MLP { return m.replica(true) }
+func (m *MLP) TrainReplica() *MLP {
+	m.requireGrads("TrainReplica")
+	return m.replica(true)
+}
 
 // replica builds a layer-for-layer copy of m over m's parameter values,
 // with gradient buffers of its own when ownGrads is set.

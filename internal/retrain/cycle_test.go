@@ -1,7 +1,11 @@
 package retrain
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,5 +156,114 @@ func TestReleaseMemoryOncePerFit(t *testing.T) {
 				t.Fatalf("memory released %d times, want %d", n, tc.releases)
 			}
 		})
+	}
+}
+
+// installControl is a promoteControl that installs what it promotes:
+// CurrentModel answers the last promoted shadow.
+type installControl struct {
+	promoteControl
+	cur, shadow *core.Model
+}
+
+func (c *installControl) CurrentModel() *core.Model { return c.cur }
+func (c *installControl) ShadowModel(m *core.Model, _ string) (int64, error) {
+	c.shadow = m
+	return 1, nil
+}
+func (c *installControl) PromoteShadow(int64) (int64, error) {
+	c.cur, c.shadow = c.shadow, nil
+	return 2, nil
+}
+
+// TestPromotedModelIsItsSavedForm pins what a promoted cycle serves:
+// exactly what the promoted file loads. The served model re-saves to
+// the file's bytes, scores like core.Load of it bit for bit, and
+// carries none of Fit's candidate-selection state.
+func TestPromotedModelIsItsSavedForm(t *testing.T) {
+	dir := t.TempDir()
+	b := testBundle(t)
+	basePath := filepath.Join(dir, "base.gob")
+	fitAndSave(t, quickCfg(), 7, b.Train, basePath)
+	base, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := core.Load(bytes.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := feedback.Open(filepath.Join(dir, "feedback"), feedback.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Append(feedback.Record{
+		Features: append([]float64(nil), b.Test.X.Row(0)...),
+		Verdict:  feedback.VerdictBenign,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &installControl{cur: cur}
+	promotedPath := filepath.Join(dir, "promoted.gob")
+	o, err := New(ctrl, Config{
+		Store:    store,
+		Train:    func() (*dataset.TrainSet, error) { return b.Train, nil },
+		Fit:      quickCfg(),
+		Seed:     99,
+		SavePath: promotedPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	o.runCycle("test")
+	if res := o.last; res.Outcome != "promoted" || res.Err != "" {
+		t.Fatalf("outcome %q (%s), want promoted", res.Outcome, res.Err)
+	}
+	served := ctrl.CurrentModel()
+	if served == cur {
+		t.Fatal("the promoted candidate is not serving")
+	}
+
+	file, err := os.ReadFile(promotedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := served.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), file) {
+		t.Fatal("the served model does not re-save to the promoted file's bytes")
+	}
+	loaded, err := core.Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.InferOptions{Strategies: core.OODStrategies()}
+	want, err := loaded.Infer(context.Background(), b.Test.X, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := served.Infer(context.Background(), b.Test.X, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Scores {
+		if got.Scores[i] != want.Scores[i] {
+			t.Fatalf("row %d: served score %v, loaded file %v", i, got.Scores[i], want.Scores[i])
+		}
+	}
+	for s, kinds := range want.Kinds {
+		for i := range kinds {
+			if got.Kinds[s][i] != kinds[i] {
+				t.Fatalf("row %d: served %s decision %v, loaded file %v", i, s, got.Kinds[s][i], kinds[i])
+			}
+		}
+	}
+	if served.ReconstructionErrors() != nil || served.CandidateIndices() != nil || served.FinalWeights() != nil {
+		t.Fatal("the served model carries Fit's candidate-selection state")
 	}
 }

@@ -15,16 +15,20 @@
 //  2. Warm-start core.Model.Fit from the serving model's classifier
 //     parameters, in a background goroutine under the orchestrator's
 //     context (the checkpoint machinery applies when Fit.Checkpoint is
-//     configured). When Fit returns, the base and merged sets are
-//     dropped and the heap is handed back to the OS
-//     (debug.FreeOSMemory), then the slot is released, so the
-//     replica's resident size falls back before the shadow wait.
+//     configured). The candidate is the fitted model's saved bytes,
+//     loaded back (Model.Save, core.Load): the form a restart serves,
+//     with none of Fit's training state. When Fit returns, the base
+//     and merged sets and the fitted model are dropped and the heap is
+//     handed back to the OS (debug.FreeOSMemory), then the slot is
+//     released, so the replica's resident size falls back before the
+//     shadow wait.
 //  3. Install the candidate as a shadow (never touching live traffic),
 //     wait for it to re-score at least MinShadowRows sampled rows,
 //     then gate on decision-flip rate and mean |score delta|.
 //  4. Promote on pass — post-promotion scoring is bitwise-identical to
-//     the shadow's, because promotion installs the same model object —
-//     or discard on fail, leaving the old model serving.
+//     the shadow's, because promotion installs the same model object,
+//     and to a restart's, because that object is what the promoted
+//     file loads — or discard on fail, leaving the old model serving.
 //
 // The orchestrator implements serve.RetrainController; wiring is
 // serve.New → retrain.New(srv, cfg) → srv.SetRetrain(o), done in one
@@ -32,6 +36,7 @@
 package retrain
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -405,11 +410,11 @@ var releaseMemory = debug.FreeOSMemory
 // fitCandidate is the cycle's expensive stage: it loads the base set,
 // merges the verdicts and fits a candidate, all under the fit slot, so
 // a cycle queued behind another tenant's fit holds no training data.
-// Once a Fit has run, the base and merged sets are unreachable and the
-// heap is handed back to the OS before the slot is released: the
-// retrain's working memory would otherwise stay resident through the
-// shadow wait and beyond. A canceled slot wait or Fit returns an error
-// wrapping context.Canceled.
+// Once a Fit has run, the base and merged sets and the fitted model are
+// unreachable and the heap is handed back to the OS before the slot is
+// released: the retrain's working memory would otherwise stay resident
+// through the shadow wait and beyond. A canceled slot wait or Fit
+// returns an error wrapping context.Canceled.
 func (o *Orchestrator) fitCandidate(recs []feedback.Record) (*core.Model, error) {
 	if o.cfg.FitSlot != nil {
 		select {
@@ -426,8 +431,9 @@ func (o *Orchestrator) fitCandidate(recs []feedback.Record) (*core.Model, error)
 	return m, err
 }
 
-// fit is fitCandidate's body; the base and merged sets live in its
-// frame only. fitted reports whether Fit ran.
+// fit is fitCandidate's body; the base and merged sets and the fitted
+// model live in its frame only. It returns the model the fitted one's
+// saved bytes load. fitted reports whether Fit ran.
 func (o *Orchestrator) fit(recs []feedback.Record) (m *core.Model, fitted bool, err error) {
 	base, err := o.cfg.Train()
 	if err != nil {
@@ -441,9 +447,20 @@ func (o *Orchestrator) fit(recs []feedback.Record) (m *core.Model, fitted bool, 
 	if cur := o.ctrl.CurrentModel(); cur != nil {
 		fitCfg.WarmStart = cur.WarmStartState()
 	}
-	m = core.New(fitCfg, o.cfg.Seed)
-	if err := m.Fit(o.ctx, merged); err != nil {
+	trained := core.New(fitCfg, o.cfg.Seed)
+	if err := trained.Fit(o.ctx, merged); err != nil {
 		return nil, true, err
+	}
+	// Serve what the saved bytes load, not the fitted object: its
+	// training buffers, candidate-selection state and the warm-start
+	// snapshot in its config die with this frame, before releaseMemory.
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		return nil, true, fmt.Errorf("encode candidate: %w", err)
+	}
+	m, err = core.Load(&buf)
+	if err != nil {
+		return nil, true, fmt.Errorf("load candidate: %w", err)
 	}
 	return m, true, nil
 }

@@ -103,10 +103,12 @@ func (s *Server) ShadowLoad() (string, error) {
 }
 
 // ShadowModel starts shadow evaluation of an in-memory candidate —
-// the retrain orchestrator's entry point, which has just fitted m and
-// has no reason to round-trip it through a file. Returns the candidate
-// id PromoteShadow/DiscardShadow act on. Replaces any previous
-// candidate (its stats are dropped). The serving model is untouched.
+// the retrain orchestrator's entry point. The orchestrator round-trips
+// its fitted model through Save and core.Load in memory, with no file,
+// and hands over the loaded model, so m is the form a restart would
+// serve. Returns the candidate id PromoteShadow/DiscardShadow act on.
+// Replaces any previous candidate (its stats are dropped). The serving
+// model is untouched.
 func (s *Server) ShadowModel(m *core.Model, source string) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
