@@ -39,7 +39,8 @@
 // Models saved by recent builds carry a training-time reference
 // profile; when present, the server tracks feature/score drift and
 // decision-mix deviation over a sliding window (GET /drift, /metrics
-// gauges; -drift-degrade fails /readyz on alarm). POST /reload?shadow=1
+// gauges). The drift status is a report: /readyz ignores it, and no
+// retrain starts on it. POST /reload?shadow=1
 // loads a candidate model that re-scores a sample of live traffic in
 // the background; POST /promote installs it, POST /discard drops it.
 //
@@ -48,12 +49,12 @@
 // append-only store), -acquire-budget mounts GET /feedback/queue (the
 // rows whose labels would help the model most, by active-learning
 // informativeness), and a store plus -retrain-labeled and
-// -retrain-unlabeled arms the retrain cycle: POST /retrain (or, with
-// -auto-retrain, a drift alarm) fits a candidate on the verdict-merged
-// training set, shadow-evaluates it on live traffic, and promotes it
-// automatically when it passes the -retrain-max-flip /
-// -retrain-max-delta gate. A promoted model overwrites -model, so a
-// restart serves it again. -auto-retrain without -feedback-dir exits 2.
+// -retrain-unlabeled arms the retrain cycle: POST /retrain fits a
+// candidate on the verdict-merged training set, shadow-evaluates it on
+// live traffic, and promotes it automatically when it passes the
+// -retrain-max-flip / -retrain-max-delta gate. A promoted model
+// overwrites -model, so a restart serves it again. The retraining CSVs
+// without -feedback-dir exit 2.
 //
 // -model-dir serves every model a manifest.json lists from one process
 // (DESIGN.md §15), routed by the X-Targad-Model and X-Targad-Tenant
@@ -104,7 +105,6 @@ func main() {
 		monitorWindow = flag.Int("monitor-window", 0, "drift window size in scored rows (0 = monitor default)")
 		driftWarn     = flag.Float64("drift-warn", 0, "PSI warn threshold (0 = monitor default)")
 		driftAlarm    = flag.Float64("drift-alarm", 0, "PSI alarm threshold (0 = monitor default)")
-		driftDegrade  = flag.Bool("drift-degrade", false, "fail /readyz with 503 while drift status is alarm")
 		shadowSample  = flag.Float64("shadow-sample", 0.25, "fraction of live batches a shadow model re-scores")
 		workers       = flag.Int("workers", 0, "compute worker pool size (default GOMAXPROCS; TARGAD_WORKERS env also honored)")
 		instanceID    = flag.String("instance-id", "", "identity stamped on /healthz and /readyz for fleet probers (default host-pid-starttime)")
@@ -115,7 +115,6 @@ func main() {
 		acquireBudget = flag.Int("acquire-budget", 0, "active-learning queue capacity; mounts GET /feedback/queue (0 disables)")
 		acquireSample = flag.Float64("acquire-sample", 0.25, "fraction of live batches offered to the acquisition queue")
 
-		autoRetrain      = flag.Bool("auto-retrain", false, "retrain on drift alarm and auto-promote through shadow evaluation (needs -feedback-dir; with -model also -retrain-labeled and -retrain-unlabeled, with -model-dir the manifest's retrain CSVs)")
 		retrainLabeled   = flag.String("retrain-labeled", "", "CSV of labeled target anomalies for retraining (type index in first column; -model only)")
 		retrainUnlabeled = flag.String("retrain-unlabeled", "", "CSV of unlabeled instances for retraining (features only; -model only)")
 		retrainHeader    = flag.Bool("retrain-csv-header", false, "retraining CSVs start with a header row")
@@ -160,9 +159,9 @@ func main() {
 	switch {
 	case *modelDir != "" && retrainFlags:
 		flagErr = "-retrain-labeled and -retrain-unlabeled do not apply to -model-dir (each manifest entry names its own retraining CSVs)"
-	case (*autoRetrain || retrainFlags) && *feedbackDir == "":
+	case retrainFlags && *feedbackDir == "":
 		flagErr = "retraining needs -feedback-dir (verdicts are the retraining signal)"
-	case *modelPath != "" && (*autoRetrain || retrainFlags) && (*retrainLabeled == "" || *retrainUnlabeled == ""):
+	case (*retrainLabeled == "") != (*retrainUnlabeled == ""):
 		flagErr = "retraining needs both -retrain-labeled and -retrain-unlabeled (the base training set verdicts merge into)"
 	}
 	if flagErr != "" {
@@ -185,10 +184,8 @@ func main() {
 			AlarmPSI:   *driftAlarm,
 		},
 		DisableMonitor: *noMonitor,
-		DriftDegrade:   *driftDegrade,
 		ShadowSample:   *shadowSample,
 		AcquireSample:  *acquireSample,
-		AutoRetrain:    *autoRetrain,
 		Logf:           log.Printf,
 	}
 	fitCfg := core.DefaultConfig()
@@ -219,8 +216,8 @@ func main() {
 		// at most -max-hot-models loaded at once. Each model gets the
 		// stack single-model mode builds, with its store under
 		// -feedback-dir and its retraining CSVs from its manifest
-		// entry; all retrain cycles share one fit slot so drift alarms
-		// never fork parallel fits.
+		// entry; all retrain cycles share one fit slot, so retrains of
+		// several models never fork parallel fits.
 		reg, err := registry.New(registry.Config{
 			Dir:           *modelDir,
 			MaxHot:        *maxHot,

@@ -139,11 +139,10 @@ type Model struct {
 	clf *nn.MLP
 
 	// Candidate-selection artifacts.
-	clusterRes *cluster.Result
-	recErrors  []float64 // S^Rec per unlabeled row
-	candIdx    []int     // rows of D_U^A within the unlabeled pool
-	normIdx    []int     // rows of D_U^N
-	normClus   []int     // cluster index per D_U^N row
+	recErrors []float64 // S^Rec per unlabeled row
+	candIdx   []int     // rows of D_U^A within the unlabeled pool
+	normIdx   []int     // rows of D_U^N
+	normClus  []int     // cluster index per D_U^N row
 
 	// Training instrumentation.
 	EpochLosses  []float64   // mean L_clf per epoch (Fig. 3a)
@@ -325,7 +324,6 @@ func (mo *Model) selectCandidates(ctx context.Context, train *dataset.TrainSet, 
 	if err != nil {
 		return fmt.Errorf("targad: clustering: %w", err)
 	}
-	mo.clusterRes = res
 	if ck != nil && !resumed {
 		if err := ck.saveClustering(res); err != nil {
 			return err

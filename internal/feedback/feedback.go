@@ -150,10 +150,6 @@ type Config struct {
 	// RotateBytes seals the active log into a read-only segment once
 	// it grows past this size (default 1 MiB; <0 disables rotation).
 	RotateBytes int64
-	// Sync fsyncs the active log after every append. Off by default:
-	// the recovery contract never depends on it (a lost tail is
-	// truncated cleanly), it only narrows the crash window.
-	Sync bool
 }
 
 // Store is the verdict store over one directory. Safe for concurrent
@@ -323,11 +319,12 @@ func (s *Store) insert(rec Record) (added bool) {
 	return true
 }
 
-// Append records one verdict: the frame goes to the active log, the
-// in-memory view dedups by feature fingerprint (a re-labeled row keeps
-// its first-seen position, latest verdict wins). added reports whether
-// the row was new. The record's feature slice is copied; the caller
-// keeps ownership of its argument.
+// Append records one verdict: the frame goes to the active log and is
+// fsynced before Append returns, so an acknowledged verdict survives a
+// crash; the in-memory view dedups by feature fingerprint (a re-labeled
+// row keeps its first-seen position, latest verdict wins). added
+// reports whether the row was new. The record's feature slice is
+// copied; the caller keeps ownership of its argument.
 func (s *Store) Append(rec Record) (added bool, err error) {
 	if len(rec.Features) == 0 {
 		return false, errors.New("feedback: record needs at least one feature")
@@ -347,10 +344,8 @@ func (s *Store) Append(rec Record) (added bool, err error) {
 		return false, fmt.Errorf("feedback: append: %w", err)
 	}
 	s.size += int64(len(s.buf))
-	if s.cfg.Sync {
-		if err := s.f.Sync(); err != nil {
-			return false, fmt.Errorf("feedback: append: %w", err)
-		}
+	if err := s.f.Sync(); err != nil {
+		return false, fmt.Errorf("feedback: append: %w", err)
 	}
 	s.frames++
 	added = s.insert(rec)

@@ -17,11 +17,15 @@
 //     sliding window of ring-buffered buckets. The hot path (Observe)
 //     only bins values into pre-allocated counters: zero allocations
 //     per request, one short mutex hold per batch.
-//   - On demand (GET /drift, /metrics, /readyz), Snapshot compares the
-//     window against the Profile: PSI and binned KS per feature and
-//     for the score distribution, and total-variation deviation of the
+//   - On demand (GET /drift, /metrics), Snapshot compares the window
+//     against the Profile: PSI and binned KS per feature and for the
+//     score distribution, and total-variation deviation of the
 //     decision mix from the training reference — classified into
 //     ok / warn / alarm by configurable thresholds.
+//
+// The status is a report: nothing in the process acts on it. Readiness
+// does not depend on it, and a retrain cycle starts only on request
+// (POST /retrain), which an alert on targad_monitor_status can call.
 //
 // The package depends only on mat, dataset, and metrics; core imports
 // it for capture and persistence, serve for the runtime window.
@@ -345,7 +349,7 @@ func (b *bucket) addInto(dst *bucket) {
 //
 // Observe is the hot path: it allocates nothing and holds the mutex
 // only for the row loop. Snapshot allocates its report; it is meant
-// for /drift, /metrics, and /readyz cadences, not per request.
+// for /drift and /metrics cadences, not per request.
 type Accumulator struct {
 	p       *Profile
 	cfg     Config
@@ -358,15 +362,6 @@ type Accumulator struct {
 	next      int
 	perBucket int64
 	total     int64 // rows ever observed
-
-	// Alarm hook (SetAlarmHook): checked every hookEvery observed rows,
-	// single-flighted by hookBusy, and latched so one excursion into
-	// alarm fires exactly once.
-	hookFn       func(Snapshot)
-	hookEvery    int64
-	hookCount    int64
-	hookBusy     bool
-	alarmLatched bool
 }
 
 // NewAccumulator builds the window for one profile. The profile must
@@ -435,69 +430,7 @@ func (a *Accumulator) Observe(x *mat.Matrix, scores []float64, kinds []dataset.K
 			cur.reset()
 		}
 	}
-	check := a.hookTick(int64(x.Rows))
 	a.mu.Unlock()
-	if check {
-		go a.runAlarmHook()
-	}
-}
-
-// SetAlarmHook registers fn to run (in its own goroutine) when the
-// window's status transitions into StatusAlarm. The status is checked
-// every `every` observed rows (<=0: once per ring bucket) — Snapshot
-// allocates, so the check must not ride every batch. The hook fires
-// once per excursion: after firing it re-arms only when the status has
-// fallen back to OK or Filling; a lingering Warn keeps it latched, so
-// a flapping window cannot retrigger mid-recovery. With no hook set
-// (or between checks) Observe's zero-allocation guarantee is intact.
-// Passing a nil fn removes the hook.
-func (a *Accumulator) SetAlarmHook(every int64, fn func(Snapshot)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if every <= 0 {
-		every = a.perBucket
-	}
-	a.hookFn = fn
-	a.hookEvery = every
-	a.hookCount = 0
-}
-
-// hookTick advances the check counter; called with a.mu held. It
-// reports whether a status check is due, claiming the single-flight
-// slot when so.
-func (a *Accumulator) hookTick(rows int64) bool {
-	if a.hookFn == nil || a.hookBusy {
-		return false
-	}
-	a.hookCount += rows
-	if a.hookCount < a.hookEvery {
-		return false
-	}
-	a.hookCount = 0
-	a.hookBusy = true
-	return true
-}
-
-// runAlarmHook performs one status check off the hot path.
-func (a *Accumulator) runAlarmHook() {
-	snap := a.Snapshot()
-	a.mu.Lock()
-	fn := a.hookFn
-	fire := false
-	switch snap.Status {
-	case StatusAlarm:
-		if !a.alarmLatched {
-			a.alarmLatched = true
-			fire = fn != nil
-		}
-	case StatusOK, StatusFilling:
-		a.alarmLatched = false
-	}
-	a.hookBusy = false
-	a.mu.Unlock()
-	if fire {
-		fn(snap)
-	}
 }
 
 // TotalRows returns how many rows the accumulator has ever observed.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"targad/internal/dataset"
 	"targad/internal/mat"
@@ -326,90 +325,5 @@ func BenchmarkMonitorObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Observe(x, scores, kinds)
-	}
-}
-
-// TestAlarmHookFiresOnceAndRearms: the hook fires on the transition
-// into alarm, stays silent while the excursion lasts, and re-arms only
-// after the window has recovered to OK.
-func TestAlarmHookFiresOnce(t *testing.T) {
-	p, x, scores, kinds := captureRef(t, 2000, 4)
-	a, err := NewAccumulator(p, Config{WindowRows: 800, Buckets: 4, Strategy: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var fired []Status
-	done := make(chan struct{}, 16)
-	a.SetAlarmHook(100, func(s Snapshot) {
-		mu.Lock()
-		fired = append(fired, s.Status)
-		mu.Unlock()
-		done <- struct{}{}
-	})
-
-	shifted := x.Clone()
-	for i := range shifted.Data {
-		shifted.Data[i] += 0.7
-	}
-	a.Observe(shifted, scores, kinds)
-	// The check runs in a goroutine; hookBusy single-flights it, so one
-	// more observe after it settles guarantees a post-alarm check ran.
-	<-done
-	a.Observe(shifted, scores, kinds)
-	waitHookIdle(t, a)
-	mu.Lock()
-	n := len(fired)
-	mu.Unlock()
-	if n != 1 || fired[0] != StatusAlarm {
-		t.Fatalf("hook fired %d times (%v), want exactly once with alarm", n, fired)
-	}
-
-	// Recovery to OK re-arms; the next excursion fires again.
-	a.Observe(x, scores, kinds)
-	a.Observe(x, scores, kinds)
-	waitHookIdle(t, a)
-	a.Observe(shifted, scores, kinds)
-	<-done
-	mu.Lock()
-	n = len(fired)
-	mu.Unlock()
-	if n != 2 {
-		t.Fatalf("hook fired %d times after recovery + second excursion, want 2", n)
-	}
-}
-
-// waitHookIdle blocks until no alarm-hook check goroutine is in flight.
-func waitHookIdle(t *testing.T, a *Accumulator) {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		a.mu.Lock()
-		busy := a.hookBusy
-		a.mu.Unlock()
-		if !busy {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("alarm hook never settled")
-}
-
-// TestAlarmHookKeepsObserveAllocFree: with a hook registered but not
-// due, Observe still allocates nothing.
-func TestAlarmHookKeepsObserveAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race")
-	}
-	p, x, scores, kinds := captureRef(t, 512, 8)
-	a, err := NewAccumulator(p, Config{WindowRows: 256, Buckets: 4, Strategy: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetAlarmHook(1<<40, func(Snapshot) {})
-	allocs := testing.AllocsPerRun(50, func() {
-		a.Observe(x, scores, kinds)
-	})
-	if allocs != 0 {
-		t.Fatalf("Observe with armed hook allocated %.1f allocs/op, want 0", allocs)
 	}
 }

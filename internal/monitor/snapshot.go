@@ -16,8 +16,7 @@ const (
 	// StatusWarn: at least one statistic crossed warn but none crossed
 	// alarm.
 	StatusWarn
-	// StatusAlarm: at least one statistic crossed its alarm threshold;
-	// the serving layer may degrade /readyz on this state.
+	// StatusAlarm: at least one statistic crossed its alarm threshold.
 	StatusAlarm
 )
 

@@ -2,8 +2,8 @@
 // analyst verdicts (internal/feedback) into a retrained candidate
 // model and drives that candidate through the serving layer's shadow
 // evaluation to an automatic, gated promotion — zero human steps
-// between "the drift window alarmed" and "a model fitted on the
-// corrected labels is serving".
+// between "start a cycle" (POST /retrain, the only trigger) and "a
+// model fitted on the corrected labels is serving".
 //
 // One cycle:
 //
@@ -118,10 +118,10 @@ type Config struct {
 	// before it loads the base set and releases it once Fit has
 	// returned and its memory has been handed back, before the shadow
 	// wait. A registry hosting N tenants hands every orchestrator the
-	// same slot so N drift alarms cannot fork N concurrent Fits and a
-	// queued tenant holds no training data, while one tenant's shadow
-	// evaluation overlaps the next tenant's fit. Nil fits without
-	// queueing.
+	// same slot so N retrain requests cannot fork N concurrent Fits
+	// and a queued tenant holds no training data, while one tenant's
+	// shadow evaluation overlaps the next tenant's fit. Nil fits
+	// without queueing.
 	FitSlot chan struct{}
 
 	// MinShadowRows is how many sampled rows the candidate must

@@ -16,10 +16,8 @@ import (
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/dataset/synth"
-	"targad/internal/faultinject"
 	"targad/internal/feedback"
 	"targad/internal/mat"
-	"targad/internal/monitor"
 	"targad/internal/rng"
 	"targad/internal/serve"
 )
@@ -167,14 +165,13 @@ func getQueue(t testing.TB, ts *httptest.Server, n int) queueResp {
 
 // TestFeedbackLifecycle is the closed-loop acceptance: serve a model,
 // record analyst verdicts over POST /feedback, watch acquisition
-// surface informative rows on GET /feedback/queue, inject drifted
-// traffic until the monitor alarm auto-triggers a retrain, and follow
-// the candidate through shadow evaluation to an automatic promotion —
-// zero human steps. The promoted generation's served scores must then
-// be bitwise-reproducible offline from the persisted base model, the
-// verdict store, and the seed alone.
+// surface informative rows on GET /feedback/queue, start a cycle with
+// POST /retrain, and follow the candidate through shadow evaluation to
+// an automatic promotion — no human step after the request. The
+// promoted generation's served scores must then be bitwise-reproducible
+// offline from the persisted base model, the verdict store, and the
+// seed alone.
 func TestFeedbackLifecycle(t *testing.T) {
-	defer faultinject.Reset()
 	const batch = 64
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.gob")
@@ -191,22 +188,12 @@ func TestFeedbackLifecycle(t *testing.T) {
 	queue := activelearn.New(activelearn.Config{Budget: 64, Labeled: store.Has})
 
 	srv, err := serve.New(serve.Config{
-		ModelPath: modelPath,
-		Strategy:  core.ED, // one POST of at most 64 rows = one pass = one Observe
-		Monitor: monitor.Config{
-			WindowRows: 4 * batch,
-			Buckets:    4,
-			MinRows:    3 * batch, // > one stray post-promotion batch: no second alarm
-			WarnPSI:    0.2,
-			AlarmPSI:   2.0,
-			WarnMix:    0.3,
-			AlarmMix:   0.95,
-		},
+		ModelPath:     modelPath,
+		Strategy:      core.ED,
 		ShadowSample:  1.0,
 		AcquireSample: 1.0,
 		Feedback:      store,
 		Acquire:       queue,
-		AutoRetrain:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +212,9 @@ func TestFeedbackLifecycle(t *testing.T) {
 		Fit:           fitCfg,
 		Seed:          99,
 		MinShadowRows: batch,
-		// The candidate retrains on drifted-era verdicts, so scores are
-		// expected to move; the gate only has to catch a broken fit.
+		// The candidate retrains on new verdicts under another seed, so
+		// scores are expected to move; the gate only has to catch a
+		// broken fit.
 		MaxFlipRate:   1.0,
 		MaxScoreDelta: 1.0,
 		ShadowTimeout: 60 * time.Second,
@@ -240,7 +228,7 @@ func TestFeedbackLifecycle(t *testing.T) {
 	defer o.Close()
 	srv.SetRetrain(o)
 
-	// Fill the drift window with in-distribution traffic.
+	// Serve traffic; acquisition samples every batch.
 	rows := trafficRows(t, b)
 	for i := 0; i < 4; i++ {
 		scoreBatch(t, ts, rows, i*batch, batch)
@@ -284,11 +272,13 @@ func TestFeedbackLifecycle(t *testing.T) {
 		t.Fatalf("store holds %d verdicts, want 6", store.Len())
 	}
 
-	// Shift the request stream: the window degrades to alarm, the alarm
-	// hook auto-triggers the orchestrator, the candidate fits on the
-	// merged verdicts, shadows on live traffic, and promotes — all
-	// while we do nothing but keep serving.
-	faultinject.ArmValue(faultinject.ServeDriftTraffic, 6.0, -1)
+	// Start the cycle: the candidate fits on the merged verdicts,
+	// shadows on live traffic, and promotes — all while we do nothing
+	// but keep serving.
+	status, body := postJSON(t, ts, "/retrain", nil)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /retrain: status %d: %s", status, body)
+	}
 	pumpDeadline := time.Now().Add(120 * time.Second)
 	for i := 4; srv.ModelVersion() == baseVersion; i++ {
 		if time.Now().After(pumpDeadline) {
@@ -297,7 +287,6 @@ func TestFeedbackLifecycle(t *testing.T) {
 		scoreBatch(t, ts, rows, i*batch, batch)
 		time.Sleep(10 * time.Millisecond)
 	}
-	faultinject.Reset()
 
 	var res Result
 	select {
@@ -308,8 +297,8 @@ func TestFeedbackLifecycle(t *testing.T) {
 	if res.Outcome != "promoted" {
 		t.Fatalf("cycle outcome %q (err %q), want promoted", res.Outcome, res.Err)
 	}
-	if res.Reason != "drift-alarm" {
-		t.Fatalf("cycle reason %q, want drift-alarm", res.Reason)
+	if res.Reason != "manual" {
+		t.Fatalf("cycle reason %q, want manual", res.Reason)
 	}
 	if res.Verdicts != 6 {
 		t.Fatalf("cycle saw %d verdicts, want 6", res.Verdicts)

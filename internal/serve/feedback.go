@@ -10,21 +10,20 @@ import (
 	"targad/internal/dataset"
 	"targad/internal/feedback"
 	"targad/internal/mat"
-	"targad/internal/monitor"
 	"targad/internal/obs"
 	"targad/internal/wire"
 )
 
 // Closing the loop (DESIGN.md §14): POST /feedback records analyst
 // verdicts on served decisions; GET /feedback/queue hands the analyst
-// the rows whose labels would help the model most; POST /retrain (or a
-// drift-window alarm, when AutoRetrain is set) hands the accumulated
-// verdicts to the registered RetrainController, which fits a candidate
-// and drives it through shadow evaluation to an automatic, gated
-// promotion. The serving hot path pays for none of it: acquisition
-// samples through the same batch tap as shadow evaluation (tap.go) —
-// one nil check on the non-sampled path, pooled copies on the sampled
-// one.
+// the rows whose labels would help the model most; POST /retrain hands
+// the accumulated verdicts to the registered RetrainController, which
+// fits a candidate and drives it through shadow evaluation to an
+// automatic, gated promotion. Only that request starts a cycle: a drift
+// alarm is reported on /drift and /metrics, and nothing acts on it.
+// The serving hot path pays for none of it: acquisition samples
+// through the same batch tap as shadow evaluation (tap.go) — one nil
+// check on the non-sampled path, pooled copies on the sampled one.
 
 // RetrainController is the orchestration the serving layer delegates
 // retraining to (implemented by internal/retrain; the interface keeps
@@ -42,10 +41,9 @@ type RetrainController interface {
 // retrainBox wraps the interface for atomic.Pointer storage.
 type retrainBox struct{ rc RetrainController }
 
-// SetRetrain registers the retrain controller POST /retrain and the
-// AutoRetrain alarm hook delegate to. Called once at wiring time
-// (after New, since the controller needs the *Server); the alarm hook
-// reads it at fire time, so the order is safe.
+// SetRetrain registers the retrain controller POST /retrain delegates
+// to. Called once at wiring time, after New, since the controller
+// needs the *Server.
 func (s *Server) SetRetrain(rc RetrainController) {
 	s.retrain.Store(&retrainBox{rc: rc})
 }
@@ -55,28 +53,6 @@ func (s *Server) retrainController() RetrainController {
 		return b.rc
 	}
 	return nil
-}
-
-// armAlarmHook connects a freshly installed generation's drift window
-// to the closed loop: with AutoRetrain, the transition into alarm
-// triggers the retrain controller.
-func (s *Server) armAlarmHook(lm *loadedModel) {
-	if lm.mon == nil || !s.cfg.AutoRetrain {
-		return
-	}
-	version := lm.version
-	lm.mon.SetAlarmHook(0, func(snap monitor.Snapshot) {
-		s.cfg.Logf("serve: drift alarm on model v%d (max feature PSI %.3f, score PSI %.3f, mix TV %.3f)",
-			version, snap.MaxPSI, snap.ScorePSI, snap.MixTV)
-		rc := s.retrainController()
-		if rc == nil {
-			s.cfg.Logf("serve: auto-retrain skipped: no retrain controller registered")
-			return
-		}
-		if err := rc.Trigger("drift-alarm"); err != nil {
-			s.cfg.Logf("serve: auto-retrain not started: %v", err)
-		}
-	})
 }
 
 // feedbackRequest is the POST /feedback JSON body: one analyst verdict
@@ -209,7 +185,7 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		if rc == nil {
-			wire.WriteError(w, false, http.StatusNotImplemented, "no retrain controller configured (-auto-retrain wiring)", 0)
+			wire.WriteError(w, false, http.StatusNotImplemented, "no retrain controller configured", 0)
 			return
 		}
 		if err := rc.Trigger("manual"); err != nil {

@@ -157,9 +157,9 @@ func TestDriftDisabledForV1Model(t *testing.T) {
 // distribution (status ok, /readyz 200), then shift the synthetic
 // request stream through the serve/drift-traffic probe and watch the
 // window degrade — warn at partial displacement, alarm when the shift
-// dominates, and /readyz 503 under -drift-degrade. Disarming the probe
-// and replaying clean traffic ages the shift out of the ring and
-// recovers readiness.
+// dominates. The status is a report only: /readyz answers 200 all
+// along, alarm included. Disarming the probe and replaying clean
+// traffic ages the shift out of the ring.
 func TestDriftLifecycle(t *testing.T) {
 	defer faultinject.Reset()
 	const batch = 64
@@ -174,7 +174,6 @@ func TestDriftLifecycle(t *testing.T) {
 			WarnMix:    0.3,
 			AlarmMix:   0.95,
 		},
-		DriftDegrade: true,
 	})
 	rows := trainingRows(t)
 
@@ -216,7 +215,7 @@ func TestDriftLifecycle(t *testing.T) {
 		t.Fatalf("/readyz must stay 200 on warn, got %d", got)
 	}
 
-	// Let the shift take over the whole window: alarm, degraded.
+	// Let the shift take over the whole window: alarm, still ready.
 	for i := 5; i < 8; i++ {
 		postBatch(t, ts, rows, i*batch, batch)
 	}
@@ -228,15 +227,15 @@ func TestDriftLifecycle(t *testing.T) {
 	if d.MaxFeaturePSI < 2.0 && d.ScorePSI < 2.0 {
 		t.Fatalf("alarm without a PSI above threshold: feature %.3f score %.3f", d.MaxFeaturePSI, d.ScorePSI)
 	}
-	if got := getStatus(t, ts, "/readyz"); got != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz under drift alarm: %d, want 503", got)
+	if got := getStatus(t, ts, "/readyz"); got != http.StatusOK {
+		t.Fatalf("/readyz under drift alarm: %d, want 200 (readiness ignores drift)", got)
 	}
 
 	// The alarmed replica still answers scoring traffic.
 	postBatch(t, ts, rows, 0, 4)
 
-	// Clean traffic rotates the shift out of the ring; readiness
-	// recovers without a restart or reload.
+	// Clean traffic rotates the shift out of the ring without a restart
+	// or reload.
 	faultinject.Reset()
 	for i := 0; i < 5; i++ {
 		postBatch(t, ts, rows, i*batch, batch)

@@ -111,10 +111,6 @@ type Config struct {
 	// DisableMonitor switches drift monitoring off even for models
 	// that carry a profile.
 	DisableMonitor bool
-	// DriftDegrade makes /readyz answer 503 while the drift status is
-	// alarm, steering load-balancer traffic away from a replica whose
-	// inputs no longer match its model.
-	DriftDegrade bool
 	// ShadowSample is the fraction of live batches a loaded shadow
 	// model re-scores in the background (default 0.25; clamped to
 	// (0, 1]). Sampling is deterministic (every 1/fraction-th batch),
@@ -133,9 +129,6 @@ type Config struct {
 	// acquisition queue (default 0.25; clamped to (0, 1]). Deterministic
 	// counter sampling, like ShadowSample.
 	AcquireSample float64
-	// AutoRetrain arms the closed loop: a drift-window alarm triggers
-	// the registered retrain controller (SetRetrain) automatically.
-	AutoRetrain bool
 
 	// Logf, when set, receives one line per lifecycle event (load,
 	// reload, shutdown). Nil discards.
@@ -309,15 +302,13 @@ func (s *Server) SetModel(m *core.Model, source string) (int64, error) {
 // frees it after the last such request.
 func (s *Server) install(m *core.Model, source string) int64 {
 	v := s.gen.Add(1)
-	next := &loadedModel{
+	s.cur.Store(&loadedModel{
 		model:    m,
 		version:  v,
 		source:   source,
 		loadedAt: time.Now(),
 		mon:      s.newAccumulator(m),
-	}
-	s.armAlarmHook(next)
-	s.cur.Store(next)
+	})
 	return v
 }
 
@@ -660,17 +651,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	lm := s.cur.Load()
-	if lm == nil {
+	if s.cur.Load() == nil {
 		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
 		return
-	}
-	if s.cfg.DriftDegrade && lm.mon != nil {
-		if snap := lm.mon.Snapshot(); snap.Status == monitor.StatusAlarm {
-			http.Error(w, fmt.Sprintf("drift alarm: max feature PSI %.3f, score PSI %.3f, mix TV %.3f",
-				snap.MaxPSI, snap.ScorePSI, snap.MixTV), http.StatusServiceUnavailable)
-			return
-		}
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ready\n"))

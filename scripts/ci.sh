@@ -131,9 +131,9 @@ go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|Tes
     ./internal/serve
 # Closed-loop acceptance: the feedback store's truncate-at-every-byte
 # crash recovery, and the end-to-end lifecycle — verdicts over POST
-# /feedback, injected drift traffic alarming the window, automatic
-# retrain on the merged verdicts, shadow evaluation, gated
-# auto-promote (plus the gate-failure path keeping the old model), and
+# /feedback, a cycle started by POST /retrain, retrain on the merged
+# verdicts, shadow evaluation, gated auto-promote (plus the
+# gate-failure path keeping the old model), and
 # the promoted model being exactly what its saved file loads. The
 # loop's wiring: registry.OpenStack's arming rules, the same rules in
 # registry mode, and single-model vs registry /metrics parity built
