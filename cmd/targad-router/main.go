@@ -9,12 +9,11 @@
 // binary application/x-targad-frame bodies — and forwards it opaquely,
 // so scores through the router are bitwise-identical to a direct
 // backend response. The replicas' feedback and model-admin routes
-// (/feedback, /feedback/queue, /reload, /promote, /discard, /drift,
-// /retrain) forward the same way. Requests carrying an X-Targad-Tenant
-// header are pinned to a home replica on a consistent-hash ring (warm
-// drift windows, stable batch mixes); tenantless requests round-robin.
-// A backend over its bounded-load share overflows to the next ring
-// position.
+// (/feedback, /feedback/queue, /reload, /drift, /retrain) forward the
+// same way. Requests carrying an X-Targad-Tenant header are pinned to
+// a home replica on a consistent-hash ring (warm drift windows, stable
+// batch mixes); tenantless requests round-robin. A backend over its
+// bounded-load share overflows to the next ring position.
 //
 // One per-backend state machine (up, degraded, down, recovering) says
 // whether a replica may take a request. A prober walks every replica's
@@ -55,9 +54,8 @@ func main() {
 		addr     = flag.String("addr", ":8090", "listen address")
 		backends = flag.String("backends", "", "comma-separated targad-serve base URLs (required)")
 
-		tenantHeader = flag.String("tenant-header", "X-Targad-Tenant", "header that pins a request to its ring position")
-		vnodes       = flag.Int("vnodes", 128, "virtual nodes per backend on the consistent-hash ring")
-		loadFactor   = flag.Float64("load-factor", 1.25, "bounded-load multiple of a backend's fair share before a tenant overflows")
+		vnodes     = flag.Int("vnodes", 128, "virtual nodes per backend on the consistent-hash ring")
+		loadFactor = flag.Float64("load-factor", 1.25, "bounded-load multiple of a backend's fair share before a tenant overflows")
 
 		probeInterval = flag.Duration("probe-interval", time.Second, "health probe period per backend")
 		probeTimeout  = flag.Duration("probe-timeout", 500*time.Millisecond, "timeout of one /readyz probe")
@@ -98,7 +96,6 @@ func main() {
 
 	r, err := fleet.New(fleet.Config{
 		Backends:             urls,
-		TenantHeader:         *tenantHeader,
 		VNodes:               *vnodes,
 		LoadFactor:           *loadFactor,
 		ProbeInterval:        *probeInterval,

@@ -40,9 +40,10 @@
 // profile; when present, the server tracks feature/score drift and
 // decision-mix deviation over a sliding window (GET /drift, /metrics
 // gauges). The drift status is a report: /readyz ignores it, and no
-// retrain starts on it. POST /reload?shadow=1
-// loads a candidate model that re-scores a sample of live traffic in
-// the background; POST /promote installs it, POST /discard drops it.
+// retrain starts on it. While a retrain cycle evaluates its candidate,
+// the candidate re-scores a -shadow-sample fraction of live batches in
+// the background, and /drift and the targad_shadow_* metrics report the
+// deltas; only the cycle promotes or discards it.
 //
 // The closed feedback loop (DESIGN.md §14) is opt-in: -feedback-dir
 // mounts POST /feedback (analyst verdicts land in a crash-safe

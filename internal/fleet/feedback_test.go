@@ -69,6 +69,8 @@ func newFakeReplica(t testing.TB, instance string) *fakeReplica {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"items":[],"depth":0,"budget":0}`))
 	}))
+	// /promote and /discard are not replica routes any more; the fake
+	// answers them so a test can tell the router never forwards them.
 	for _, path := range []string{"/reload", "/promote", "/discard", "/drift", "/retrain"} {
 		mux.HandleFunc(path, admin(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -178,11 +180,11 @@ func TestFeedbackForwarding(t *testing.T) {
 
 // TestFeedbackRetryPolicy pins the router's forwarding policy on every
 // admin route. Policy follows the method: a POST mutates the replica
-// (records a verdict, swaps a model, promotes or discards a shadow,
-// starts a retrain), so with every replica failing it gets exactly one
-// attempt and the client sees the shed; a GET is an idempotent read
-// and is retried onto the second replica. A method the route does not
-// take is the router's own 405, never forwarded.
+// (records a verdict, swaps a model, starts a retrain), so with every
+// replica failing it gets exactly one attempt and the client sees the
+// shed; a GET is an idempotent read and is retried onto the second
+// replica. A method the route does not take is the router's own 405,
+// never forwarded.
 func TestFeedbackRetryPolicy(t *testing.T) {
 	cases := []struct {
 		method, path string
@@ -192,8 +194,6 @@ func TestFeedbackRetryPolicy(t *testing.T) {
 	}{
 		{http.MethodPost, "/feedback", false, http.MethodGet, "POST required"},
 		{http.MethodPost, "/reload", false, http.MethodGet, "POST required"},
-		{http.MethodPost, "/promote", false, http.MethodGet, "POST required"},
-		{http.MethodPost, "/discard", false, http.MethodGet, "POST required"},
 		{http.MethodPost, "/retrain", false, http.MethodPut, "GET or POST required"},
 		{http.MethodGet, "/feedback/queue", true, http.MethodPost, "GET required"},
 		{http.MethodGet, "/drift", true, http.MethodPost, "GET required"},
@@ -234,6 +234,23 @@ func TestFeedbackRetryPolicy(t *testing.T) {
 				t.Fatalf("%s %s was forwarded %d times, want the router's own 405", tc.wrong, tc.path, n)
 			}
 		})
+	}
+}
+
+// TestShadowAdminRoutesNotForwarded: a shadow candidate is installed,
+// promoted and discarded only by its replica's retrain cycle, so POST
+// /promote and POST /discard are not routes of the router: each is a
+// 404 that reaches no replica.
+func TestShadowAdminRoutesNotForwarded(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b")}
+	_, ts := newFeedbackFleet(t, replicas)
+	for _, path := range []string{"/promote", "/discard"} {
+		if status, out := doRequest(t, ts, http.MethodPost, path, nil); status != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d (%s), want 404", path, status, out)
+		}
+		if n := replicas[0].hitCount(http.MethodPost, path) + replicas[1].hitCount(http.MethodPost, path); n != 0 {
+			t.Fatalf("POST %s reached a replica %d times, want 0", path, n)
+		}
 	}
 }
 

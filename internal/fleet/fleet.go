@@ -1,6 +1,6 @@
 // Package fleet is the resilience layer in front of a targad-serve
 // fleet: cmd/targad-router forwards the replicas' scoring, feedback and
-// model-admin routes (eight method/path pairs) across N replicas so
+// model-admin routes (seven method/path pairs) across N replicas so
 // they stay available when individual serving processes stall, crash,
 // or degrade (DESIGN.md §13).
 //
@@ -45,6 +45,7 @@ import (
 
 	"targad/internal/faultinject"
 	"targad/internal/rng"
+	"targad/internal/wire"
 )
 
 // Config tunes the router. The zero value of every field has a usable
@@ -54,10 +55,6 @@ type Config struct {
 	// The set is fixed for the router's lifetime; at most 64.
 	Backends []string
 
-	// TenantHeader names the header whose value pins a request to its
-	// ring position (default X-Targad-Tenant; requests without it
-	// round-robin over selectable backends).
-	TenantHeader string
 	// VNodes is the virtual-node count per backend on the ring
 	// (default 128).
 	VNodes int
@@ -153,9 +150,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if len(cfg.Backends) > 64 {
 		return nil, fmt.Errorf("fleet: %d backends exceeds the 64-backend limit", len(cfg.Backends))
-	}
-	if cfg.TenantHeader == "" {
-		cfg.TenantHeader = "X-Targad-Tenant"
 	}
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = 128
@@ -330,8 +324,8 @@ func (r *Router) probeOne(b *Backend) (ok bool, instance, models string) {
 	}
 	defer drainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK,
-		resp.Header.Get("X-Targad-Instance"),
-		resp.Header.Get("X-Targad-Models")
+		resp.Header.Get(wire.HeaderInstance),
+		resp.Header.Get(wire.HeaderModels)
 }
 
 // BackendStatus is one backend's externally visible state (GET

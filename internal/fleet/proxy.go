@@ -111,8 +111,6 @@ var routes = []struct {
 	{"/feedback", []string{http.MethodPost}},
 	{"/feedback/queue", []string{http.MethodGet}},
 	{"/reload", []string{http.MethodPost}},
-	{"/promote", []string{http.MethodPost}},
-	{"/discard", []string{http.MethodPost}},
 	{"/drift", []string{http.MethodGet}},
 	{"/retrain", []string{http.MethodGet, http.MethodPost}},
 }
@@ -121,13 +119,13 @@ var routes = []struct {
 // home replica (the tenant's ring walk), query string and body passed
 // through opaquely. The retry policy comes from the method: a GET is an
 // idempotent read (the acquisition queue, a drift report, retrain
-// status) and gets MaxRetries; a POST mutates the replica
-// (records a verdict, swaps a model, promotes or discards a shadow,
-// starts a retrain) and gets exactly one attempt — the caller re-issues
-// on a shed, and the verdict store's fingerprint dedup makes that safe
-// for /feedback. /score is the one idempotent POST: scoring is
-// stateless. Only /score speaks the binary protocol. A method the route
-// does not take is the router's own 405, never forwarded.
+// status) and gets MaxRetries; a POST mutates the replica (records a
+// verdict, swaps a model, starts a retrain) and gets exactly one
+// attempt — the caller re-issues on a shed, and the verdict store's
+// fingerprint dedup makes that safe for /feedback. /score is the one
+// idempotent POST: scoring is stateless. Only /score speaks the binary
+// protocol. A method the route does not take is the router's own 405,
+// never forwarded.
 func (r *Router) forwarder(path string, methods []string) http.HandlerFunc {
 	notAllowed := strings.Join(methods, " or ") + " required"
 	score := path == "/score"
@@ -254,7 +252,7 @@ func (r *Router) pickOrder(req *http.Request) (order []int, fromPool *[]int) {
 	n := len(r.backends)
 	bufp := r.candPool.Get().(*[]int)
 	buf := (*bufp)[:0]
-	if tenant := req.Header.Get(r.cfg.TenantHeader); tenant != "" {
+	if tenant := req.Header.Get(wire.HeaderTenant); tenant != "" {
 		r.metrics.tenantRouted.Add(1)
 		buf = r.ring.candidates(tenant, buf)
 	} else {

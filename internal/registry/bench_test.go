@@ -99,7 +99,7 @@ func BenchmarkRegistryScoreBinaryHot(b *testing.B) {
 	}
 	req.Header.Set("Content-Type", wire.ContentType)
 	req.ContentLength = int64(len(frame))
-	req.Header.Set(HeaderModel, "alpha")
+	req.Header.Set(wire.HeaderModel, "alpha")
 	w := &nullResponseWriter{h: make(http.Header)}
 
 	for i := 0; i < 16; i++ {

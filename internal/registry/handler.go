@@ -8,20 +8,6 @@ import (
 	"targad/internal/wire"
 )
 
-// Request headers the registry routes on.
-const (
-	// HeaderModel names the model a /score request wants; it must be
-	// manifested or the request is rejected with 404.
-	HeaderModel = "X-Targad-Model"
-	// HeaderTenant carries the caller's tenant ID; unknown tenants are
-	// served the default model.
-	HeaderTenant = "X-Targad-Tenant"
-	// HeaderHotModels is stamped on /healthz and /readyz: the
-	// comma-separated hot model names, read by fleet probers for
-	// affinity routing.
-	HeaderHotModels = "X-Targad-Models"
-)
-
 // Handler returns the registry's HTTP routes. It is a hand-rolled path
 // switch, not a ServeMux: the default-model /score path must add zero
 // allocations over a single-model server, and a mux match is neither
@@ -42,7 +28,7 @@ func (h handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	case "/healthz", "/readyz":
 		// Health belongs to the host, identity to the default entry;
 		// the hot-model stamp rides along for fleet affinity probing.
-		w.Header().Set(HeaderHotModels, strings.Join(r.Hot(), ","))
+		w.Header().Set(wire.HeaderModels, strings.Join(r.Hot(), ","))
 		r.def.Server.Handler().ServeHTTP(w, req)
 	default:
 		// Admin endpoints (/reload, /drift, /retrain, /feedback, ...)
@@ -68,10 +54,10 @@ func serveAdmin(s *serve.Server, w http.ResponseWriter, req *http.Request) {
 func (r *Registry) serveModel(w http.ResponseWriter, req *http.Request, name string,
 	handle func(*serve.Server, http.ResponseWriter, *http.Request)) {
 	if name == "" {
-		name = req.Header.Get(HeaderModel)
+		name = req.Header.Get(wire.HeaderModel)
 	}
 	if name == "" {
-		if tenant := req.Header.Get(HeaderTenant); tenant != "" {
+		if tenant := req.Header.Get(wire.HeaderTenant); tenant != "" {
 			name = r.tenantModel(tenant)
 		}
 	}

@@ -73,21 +73,22 @@ func TestRegistryMetricsParity(t *testing.T) {
 	defer hosted.Close()
 
 	// Identical traffic, then an active shadow on both, so the drift
-	// and shadow families are all present.
-	scrape := func(ts *httptest.Server) string {
+	// and shadow families are all present. The shadow is a fresh load
+	// of the served file, installed the way a retrain cycle installs
+	// its candidate.
+	scrape := func(ts *httptest.Server, srv *serve.Server) string {
 		t.Helper()
 		if status, body := scoreVia(t, ts.Client(), ts.URL, fx.rows, "", ""); status != http.StatusOK {
 			t.Fatalf("score: status %d: %s", status, body)
 		}
-		resp, err := ts.Client().Post(ts.URL+"/reload?shadow=1", "application/json", nil)
+		cand, err := core.Load(mustOpenFile(t, spec.Path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shadow reload: status %d", resp.StatusCode)
+		if _, err := srv.ShadowModel(cand, spec.Path); err != nil {
+			t.Fatal(err)
 		}
-		resp, err = ts.Client().Get(ts.URL + "/metrics")
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestRegistryMetricsParity(t *testing.T) {
 		}
 		return string(body)
 	}
-	single, multi := scrape(direct), scrape(hosted)
+	single, multi := scrape(direct, st.Server), scrape(hosted, reg.def.Server)
 
 	want := families(single)
 	for _, name := range families(multi) {

@@ -229,10 +229,10 @@ func scoreVia(t testing.TB, client *http.Client, url string, rows [][]float64, m
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if model != "" {
-		req.Header.Set(HeaderModel, model)
+		req.Header.Set(wire.HeaderModel, model)
 	}
 	if tenant != "" {
-		req.Header.Set(HeaderTenant, tenant)
+		req.Header.Set(wire.HeaderTenant, tenant)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
@@ -437,7 +437,7 @@ func TestUnknownModelTyped404(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set(HeaderModel, bogus)
+	req.Header.Set(wire.HeaderModel, bogus)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

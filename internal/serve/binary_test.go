@@ -437,14 +437,7 @@ func TestBinaryRowsObserved(t *testing.T) {
 		Strategy:     core.ED,
 		ShadowSample: 1,
 	})
-	resp, err := ts.Client().Post(ts.URL+"/reload?shadow=1", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shadow reload: %d", resp.StatusCode)
-	}
+	shadowServedFile(t, s)
 
 	rows := testRows(16, 99)
 	frame, err := wire.AppendRequestF64(nil, rows, int(core.ED), false)
@@ -522,13 +515,15 @@ func TestBinaryF32FrameWindow(t *testing.T) {
 	}
 }
 
+// waitShadow waits until the active shadow has scored want batches.
 func waitShadow(t testing.TB, s *Server, want int64) {
 	t.Helper()
+	batches := func() int64 { st, _ := s.ShadowStats(); return st.Batches }
 	for i := 0; i < 5000; i++ {
-		if s.ShadowBatches() >= want {
+		if batches() >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("shadow scored %d batches, want %d", s.ShadowBatches(), want)
+	t.Fatalf("shadow scored %d batches, want %d", batches(), want)
 }

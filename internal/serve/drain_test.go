@@ -220,9 +220,7 @@ func TestScoreAfterClose503(t *testing.T) {
 // -race, a tap started after Close's wait began is reported).
 func TestCloseDuringTappedTraffic(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxBatch: 2, ShadowSample: 1})
-	if _, err := s.ShadowLoad(); err != nil {
-		t.Fatal(err)
-	}
+	shadowServedFile(t, s)
 	req := scoreRequest{Instances: testRows(6, 1)}
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {

@@ -297,9 +297,7 @@ func TestInlineClientGone(t *testing.T) {
 // pass.
 func TestInlineConcurrentTaps(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{MaxBatch: inlineBatch, Strategy: core.ED, ShadowSample: 1})
-	if _, err := s.ShadowLoad(); err != nil {
-		t.Fatal(err)
-	}
+	shadowServedFile(t, s)
 	ref := loadFixtureModel(t)
 	const senders, iters = 2, 3
 	const passes = (inlineRows + inlineBatch - 1) / inlineBatch

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"targad/internal/core"
 	"targad/internal/dataset/synth"
@@ -35,6 +35,18 @@ func loadModelFile(t testing.TB, path string) *core.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// shadowServedFile installs a fresh load of the served model file as
+// the shadow candidate, the way a retrain cycle installs its candidate,
+// and returns the candidate's id.
+func shadowServedFile(t testing.TB, s *Server) int64 {
+	t.Helper()
+	id, err := s.ShadowModel(loadModelFile(t, s.cfg.ModelPath), s.cfg.ModelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // newV2TestServer serves a temp copy of the v2 fixture so monitoring
@@ -275,7 +287,7 @@ func TestReloadResetsDriftWindow(t *testing.T) {
 	}
 }
 
-// TestShadowEvaluationAndPromote is the shadow-rollout acceptance:
+// TestShadowEvaluationAndPromote is the shadow-evaluation acceptance:
 // load a differently-trained candidate as a shadow, verify it scores
 // sampled live traffic in the background and accumulates real deltas,
 // then promote it and require served scores bitwise-identical to
@@ -297,25 +309,13 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	}
 	f.Close()
 
-	// Promote/discard without a shadow is a 409.
-	resp, err := ts.Client().Post(ts.URL+"/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("promote without shadow: %d, want 409", resp.StatusCode)
+	// Promote/discard without a shadow fails.
+	if _, err := s.PromoteShadow(1); err == nil {
+		t.Fatal("promote without a shadow must fail")
 	}
 
 	// Load the candidate as a shadow; the serving model must not move.
-	resp, err = ts.Client().Post(ts.URL+"/reload?shadow=1", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shadow reload: %d", resp.StatusCode)
-	}
+	id := shadowServedFile(t, s)
 	if got := s.ModelVersion(); got != servingVersion {
 		t.Fatalf("shadow load moved the serving model: v%d -> v%d", servingVersion, got)
 	}
@@ -337,13 +337,7 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.ShadowBatches() < batches {
-		if time.Now().After(deadline) {
-			t.Fatalf("shadow scored %d of %d batches", s.ShadowBatches(), batches)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitShadow(t, s, batches)
 	d := getDrift(t, ts)
 	if d.Shadow == nil {
 		t.Fatal("/drift must carry shadow stats while one is active")
@@ -361,16 +355,12 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	// Promote: the same model object the shadow scored with starts
 	// serving, so answers match loading the candidate file directly —
 	// bitwise.
-	resp, err = ts.Client().Post(ts.URL+"/promote", "application/json", nil)
+	v, err := s.PromoteShadow(id)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("promote: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("promote: %d", resp.StatusCode)
-	}
-	if got := s.ModelVersion(); got != servingVersion+1 {
-		t.Fatalf("promotion version %d, want %d", got, servingVersion+1)
+	if got := s.ModelVersion(); got != servingVersion+1 || v != got {
+		t.Fatalf("promotion version %d (returned v%d), want %d", got, v, servingVersion+1)
 	}
 	direct := loadModelFile(t, s.cfg.ModelPath)
 	wantCand := offlineExpect(t, direct, rows, core.ED)
@@ -396,11 +386,7 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 func TestShadowDiscard(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{Strategy: core.ED, ShadowSample: 1})
 	before := s.ModelVersion()
-	resp, err := ts.Client().Post(ts.URL+"/reload?shadow=1", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	id := shadowServedFile(t, s)
 	// The shadow's _total series only grow within a session: counters.
 	m := scrapeMetrics(t, ts)
 	for _, want := range []string{
@@ -413,24 +399,66 @@ func TestShadowDiscard(t *testing.T) {
 			t.Fatalf("/metrics with an active shadow missing %q in:\n%s", want, m)
 		}
 	}
-	resp, err = ts.Client().Post(ts.URL+"/discard", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("discard: %d", resp.StatusCode)
+	if err := s.DiscardShadow(id); err != nil {
+		t.Fatalf("discard: %v", err)
 	}
 	if got := s.ModelVersion(); got != before {
 		t.Fatal("discard must not touch the serving model")
 	}
-	resp, err = ts.Client().Post(ts.URL+"/discard", "application/json", nil)
+	if _, ok := s.ShadowStats(); ok {
+		t.Fatal("discard must drop the shadow stats")
+	}
+	if err := s.DiscardShadow(id); err == nil {
+		t.Fatal("second discard must fail")
+	}
+}
+
+// TestReloadRefusesShadowQuery: only a retrain cycle installs a shadow
+// candidate, so POST /reload with a shadow query is a 400 that names
+// the removal. A script that copied a candidate over the served file
+// and asked for a shadow load must not get it served instead: the
+// version, the answers and the (absent) shadow stay as they were.
+func TestReloadRefusesShadowQuery(t *testing.T) {
+	s, ts := newV2TestServer(t, Config{Strategy: core.ED, ShadowSample: 1})
+	before := s.ModelVersion()
+	rows := testRows(8, 77)
+	want := offlineExpect(t, loadModelFile(t, s.cfg.ModelPath), rows, core.ED)
+
+	f, err := os.Create(s.cfg.ModelPath) // a different model on the served path
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("second discard: %d, want 409", resp.StatusCode)
+	if err := fitCandidate(t).Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, query := range []string{"shadow=1", "shadow=true"} {
+		resp, err := ts.Client().Post(ts.URL+"/reload?"+query, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "removed") {
+			t.Fatalf("POST /reload?%s: %d %s, want 400 naming the removal", query, resp.StatusCode, body)
+		}
+	}
+	if got := s.ModelVersion(); got != before {
+		t.Fatalf("refused reload moved the model: v%d -> v%d", before, got)
+	}
+	if _, ok := s.ShadowStats(); ok {
+		t.Fatal("refused reload installed a shadow")
+	}
+	status, got, bad := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows, Strategy: "ED"})
+	if status != http.StatusOK {
+		t.Fatalf("score: %d: %s", status, bad.Error)
+	}
+	for j := range want.scores {
+		if got.Scores[j] != want.scores[j] || got.Decisions[j] != want.decisions[j] {
+			t.Fatalf("row %d: served %v/%q after a refused reload, want %v/%q",
+				j, got.Scores[j], got.Decisions[j], want.scores[j], want.decisions[j])
+		}
 	}
 }
 

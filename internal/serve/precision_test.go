@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"targad/internal/core"
 	"targad/internal/wire"
@@ -261,19 +260,11 @@ func TestServeF32RetiredModelUnchanged(t *testing.T) {
 // deltas are exactly zero (same path, same kernels, same bytes).
 func TestServeF32Shadow(t *testing.T) {
 	s, ts := newTestServer(t, Config{Precision: F32, ShadowSample: 1})
-	if _, err := s.ShadowLoad(); err != nil {
-		t.Fatal(err)
-	}
+	shadowServedFile(t, s)
 	if status, _, bad := postScore(t, http.DefaultClient, ts.URL, scoreRequest{Instances: testRows(5, 55)}); status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, bad.Error)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.ShadowBatches() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("shadow batch never scored")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitShadow(t, s, 1)
 	rep := s.shadowSnapshot()
 	if rep.MaxAbsDelta != 0 {
 		t.Fatalf("identical candidate on the same f32 path must have zero delta, got %g", rep.MaxAbsDelta)

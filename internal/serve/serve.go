@@ -229,8 +229,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/score", s.handleScore)
 	s.mux.HandleFunc("/reload", s.handleReload)
 	s.mux.HandleFunc("/drift", s.handleDrift)
-	s.mux.HandleFunc("/promote", s.handlePromote)
-	s.mux.HandleFunc("/discard", s.handleDiscard)
 	s.mux.HandleFunc("/feedback", s.handleFeedback)
 	s.mux.HandleFunc("/feedback/queue", s.handleFeedbackQueue)
 	s.mux.HandleFunc("/retrain", s.handleRetrain)
@@ -610,13 +608,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
 		return
 	}
-	if q := r.URL.Query().Get("shadow"); q == "1" || strings.EqualFold(q, "true") {
-		source, err := s.ShadowLoad()
-		if err != nil {
-			wire.WriteError(w, false, http.StatusInternalServerError, err.Error(), 0)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, map[string]any{"shadow": true, "source": source})
+	// A script written for the removed manual shadow path would
+	// otherwise install its candidate as the served model.
+	if r.URL.Query().Has("shadow") {
+		wire.WriteError(w, false, http.StatusBadRequest,
+			"POST /reload?shadow was removed: only a retrain cycle installs a shadow candidate", 0)
 		return
 	}
 	v, err := s.Reload()
@@ -635,8 +631,8 @@ func (s *Server) InstanceID() string { return s.cfg.InstanceID }
 // which process answered, and which model generation it serves.
 func (s *Server) setIdentity(w http.ResponseWriter) {
 	h := w.Header()
-	h.Set("X-Targad-Instance", s.cfg.InstanceID)
-	h.Set("X-Targad-Model-Version", strconv.FormatInt(s.ModelVersion(), 10))
+	h.Set(wire.HeaderInstance, s.cfg.InstanceID)
+	h.Set(wire.HeaderModelVersion, strconv.FormatInt(s.ModelVersion(), 10))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -11,21 +10,18 @@ import (
 	"targad/internal/core"
 	"targad/internal/dataset"
 	"targad/internal/mat"
-	"targad/internal/wire"
 )
 
-// Shadow evaluation: POST /reload?shadow=1 loads a candidate model
-// beside the serving one. The candidate never answers requests;
-// instead a deterministic sample of live batches is re-scored on it in
-// the background, accumulating score deltas and decision-flip rates
-// against the answers the serving model actually returned. When the
-// stats look right, POST /promote installs the very same *core.Model
-// object as the next serving generation — so promoted scoring is
-// bitwise-identical to what the shadow produced — and POST /discard
-// drops it.
-
-// errNoShadow answers /promote and /discard when nothing is loaded.
-var errNoShadow = errors.New("serve: no shadow model loaded")
+// Shadow evaluation: a retrain cycle (internal/retrain) installs its
+// candidate model beside the serving one with ShadowModel. The
+// candidate never answers requests; instead a deterministic sample of
+// live batches is re-scored on it in the background, accumulating
+// score deltas and decision-flip rates against the answers the serving
+// model actually returned. The cycle gates on those stats: it either
+// promotes the candidate — PromoteShadow installs the very same
+// *core.Model object as the next serving generation, so promoted
+// scoring is bitwise-identical to what the shadow produced — or
+// discards it. No HTTP route installs, promotes or discards a shadow.
 
 // shadowState is one candidate under evaluation. The model pointer is
 // immutable; the stats are guarded by mu.
@@ -80,28 +76,6 @@ type ShadowReport struct {
 	FlipRate    float64 `json:"decision_flip_rate"`
 }
 
-// ShadowLoad reads cfg.ModelPath into a candidate model and starts
-// shadow evaluation, replacing any previous candidate (its stats are
-// dropped). The serving model is untouched.
-func (s *Server) ShadowLoad() (string, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if s.cfg.ModelPath == "" {
-		return "", errors.New("serve: no model path configured")
-	}
-	m, err := s.loadModelFile()
-	if err != nil {
-		s.metrics.reloadErrs.Add(1)
-		return "", err
-	}
-	if err := s.intake(m); err != nil {
-		s.metrics.reloadErrs.Add(1)
-		return "", fmt.Errorf("serve: shadow load: %w", err)
-	}
-	s.installShadow(m, s.cfg.ModelPath)
-	return s.cfg.ModelPath, nil
-}
-
 // ShadowModel starts shadow evaluation of an in-memory candidate —
 // the retrain orchestrator's entry point. The orchestrator round-trips
 // its fitted model through Save and core.Load in memory, with no file,
@@ -118,13 +92,6 @@ func (s *Server) ShadowModel(m *core.Model, source string) (int64, error) {
 	if err := s.intake(m); err != nil {
 		return 0, fmt.Errorf("serve: shadow model: %w", err)
 	}
-	sh := s.installShadow(m, source)
-	return sh.id, nil
-}
-
-// installShadow stores a fresh candidate; callers hold reloadMu and
-// have passed m through intake.
-func (s *Server) installShadow(m *core.Model, source string) *shadowState {
 	sh := &shadowState{
 		model:       m,
 		source:      source,
@@ -135,25 +102,19 @@ func (s *Server) installShadow(m *core.Model, source string) *shadowState {
 	}
 	s.shadow.Store(sh)
 	s.cfg.Logf("serve: shadow candidate %d loaded from %s (sample %.2f)", sh.id, source, s.cfg.ShadowSample)
-	return sh
+	return sh.id, nil
 }
 
-// PromoteShadow installs the shadow model as the next serving
+// PromoteShadow installs shadow candidate id as the next serving
 // generation and ends the evaluation. Because the promoted generation
 // is the same model object the shadow scored with, traffic after
-// promotion gets bitwise-identical scores to the shadow's. A nonzero
-// id pins the candidate: if a different one replaced the candidate the
-// caller evaluated, the promotion fails instead of shipping unmeasured
-// code (0 = whichever is loaded).
+// promotion gets bitwise-identical scores to the shadow's.
 func (s *Server) PromoteShadow(id int64) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	sh := s.shadow.Load()
-	if sh == nil {
-		return 0, errNoShadow
-	}
-	if id != 0 && sh.id != id {
-		return 0, fmt.Errorf("serve: shadow candidate %d superseded by %d", id, sh.id)
+	sh, err := s.candidate(id)
+	if err != nil {
+		return 0, err
 	}
 	v := s.install(sh.model, sh.source)
 	s.shadow.Store(nil)
@@ -162,21 +123,32 @@ func (s *Server) PromoteShadow(id int64) (int64, error) {
 	return v, nil
 }
 
-// DiscardShadow drops the shadow model and its stats; a nonzero id
-// pins the candidate as in PromoteShadow (0 = whichever is loaded).
+// DiscardShadow drops shadow candidate id and its stats.
 func (s *Server) DiscardShadow(id int64) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	sh := s.shadow.Load()
-	if sh == nil {
-		return errNoShadow
-	}
-	if id != 0 && sh.id != id {
-		return fmt.Errorf("serve: shadow candidate %d superseded by %d", id, sh.id)
+	sh, err := s.candidate(id)
+	if err != nil {
+		return err
 	}
 	s.shadow.Store(nil)
 	s.cfg.Logf("serve: shadow candidate %d discarded", sh.id)
 	return nil
+}
+
+// candidate returns the loaded shadow if it is candidate id; callers
+// hold reloadMu. The id pins the candidate the caller evaluated: if
+// another replaced it, promoting or discarding fails instead of acting
+// on unmeasured code.
+func (s *Server) candidate(id int64) (*shadowState, error) {
+	sh := s.shadow.Load()
+	if sh == nil {
+		return nil, errors.New("serve: no shadow model loaded")
+	}
+	if sh.id != id {
+		return nil, fmt.Errorf("serve: shadow candidate %d superseded by %d", id, sh.id)
+	}
+	return sh, nil
 }
 
 // CurrentModel returns the served model object (nil when none): the
@@ -232,18 +204,6 @@ func (s *Server) shadowSnapshot() *ShadowReport {
 	return r
 }
 
-// ShadowBatches returns how many batches the active shadow has scored
-// (0 when none); tests poll it to wait for background passes.
-func (s *Server) ShadowBatches() int64 {
-	sh := s.shadow.Load()
-	if sh == nil {
-		return 0
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.batches
-}
-
 // maybeShadow samples one served batch for background re-scoring on
 // the shadow model. The fast path (no shadow loaded) is one atomic
 // load and zero allocations; a sampled batch goes through the batch
@@ -295,35 +255,4 @@ func (s *Server) shadowScore(sh *shadowState, b *batchCopy) {
 			}
 		}
 	}
-}
-
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
-		return
-	}
-	report := s.shadowSnapshot()
-	v, err := s.PromoteShadow(0)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, errNoShadow) {
-			status = http.StatusConflict
-		}
-		wire.WriteError(w, false, status, err.Error(), 0)
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]any{"model_version": v, "shadow": report})
-}
-
-func (s *Server) handleDiscard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, false, http.StatusMethodNotAllowed, "POST required", 0)
-		return
-	}
-	report := s.shadowSnapshot()
-	if err := s.DiscardShadow(0); err != nil {
-		wire.WriteError(w, false, http.StatusConflict, err.Error(), 0)
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]any{"discarded": true, "shadow": report})
 }

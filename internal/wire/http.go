@@ -17,6 +17,22 @@ import (
 // functions, so a binary client parses one failure shape end to end
 // and a JSON client one body, {"error": msg}.
 
+// Headers the serving stack routes on and stamps. A /score request
+// names its model by HeaderModel (registry mode; it must be manifested)
+// or its tenant by HeaderTenant: the router places a request on its
+// ring by the tenant, and a registry maps the tenant to a model (an
+// unknown tenant gets the default model). /healthz and /readyz stamp
+// which process answered (HeaderInstance) and which model generation it
+// serves (HeaderModelVersion); a registry adds its comma-separated hot
+// model names (HeaderModels), which fleet probers read.
+const (
+	HeaderModel        = "X-Targad-Model"
+	HeaderTenant       = "X-Targad-Tenant"
+	HeaderModels       = "X-Targad-Models"
+	HeaderInstance     = "X-Targad-Instance"
+	HeaderModelVersion = "X-Targad-Model-Version"
+)
+
 // IsFrame reports whether a request with header h carries a wire frame
 // (its Content-Type is ContentType); anything else is JSON.
 func IsFrame(h http.Header) bool { return strings.HasPrefix(h.Get("Content-Type"), ContentType) }

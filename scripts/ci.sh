@@ -97,7 +97,8 @@ TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
 # asm-vs-Go kernel-swap fit, and the full serving stack (concurrent
 # handlers scoring their own passes on the replica pool, hot reload
-# under load, shedding, shadow evaluation) with a multi-worker pool
+# under load, shedding, and shadow evaluation of a candidate installed
+# the way the retrain path installs it) with a multi-worker pool
 # under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
@@ -127,7 +128,7 @@ TARGAD_WORKERS=4 go test -count=1 -run 'Fault|Crash|Panic|Slow' \
     ./internal/parallel
 go test -count=1 -run 'TestFinite|TestDiverged|TestNonFiniteParam|TestNumericalError' \
     ./internal/nn
-go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledRequestsNotScored|TestGracefulDrainMixedLoad|TestScoreAfterClose503' \
+go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledRequestsNotScored|TestGracefulDrainMixedLoad|TestScoreAfterClose503|TestShadowEvaluationAndPromote|TestReloadRefusesShadowQuery' \
     ./internal/serve
 # Closed-loop acceptance: the feedback store's truncate-at-every-byte
 # crash recovery, and the end-to-end lifecycle — verdicts over POST
