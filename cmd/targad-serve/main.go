@@ -41,9 +41,11 @@
 // decision-mix deviation over a sliding window (GET /drift, /metrics
 // gauges). The drift status is a report: /readyz ignores it, and no
 // retrain starts on it. While a retrain cycle evaluates its candidate,
-// the candidate re-scores a -shadow-sample fraction of live batches in
-// the background, and /drift and the targad_shadow_* metrics report the
-// deltas; only the cycle promotes or discards it.
+// the candidate re-scores a -shadow-sample fraction of live passes on
+// the request's handler, counted against -queue, and /drift and the
+// targad_shadow_* metrics report the deltas; only the cycle promotes or
+// discards it. A -acquire-budget queue is offered its sampled passes
+// the same way.
 //
 // The closed feedback loop (DESIGN.md §14) is opt-in: -feedback-dir
 // mounts POST /feedback (analyst verdicts land in a crash-safe

@@ -58,7 +58,6 @@ import (
 // pointing retrain→serve only.
 type Control interface {
 	CurrentModel() *core.Model
-	ModelVersion() int64
 	ShadowModel(m *core.Model, source string) (int64, error)
 	ShadowStats() (serve.ShadowReport, bool)
 	PromoteShadow(id int64) (int64, error)

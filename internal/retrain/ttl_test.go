@@ -17,7 +17,6 @@ import (
 type stubControl struct{}
 
 func (stubControl) CurrentModel() *core.Model { return nil }
-func (stubControl) ModelVersion() int64       { return 1 }
 func (stubControl) ShadowModel(*core.Model, string) (int64, error) {
 	return 0, errors.New("stub: no shadow")
 }

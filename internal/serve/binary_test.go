@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"targad/internal/core"
 	"targad/internal/feedback"
@@ -431,7 +430,8 @@ func TestJSONBodyLimit413(t *testing.T) {
 
 // TestBinaryRowsObserved: binary frames must feed the drift window
 // exactly like JSON rows (f32 entries widened element-exact) and be
-// sampled by an active shadow.
+// sampled by an active shadow, whose stats are complete at the
+// response.
 func TestBinaryRowsObserved(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{
 		Strategy:     core.ED,
@@ -515,15 +515,13 @@ func TestBinaryF32FrameWindow(t *testing.T) {
 	}
 }
 
-// waitShadow waits until the active shadow has scored want batches.
+// waitShadow checks that the active shadow has scored exactly want
+// passes. It reads the stats once, without waiting: a sampled pass is
+// re-scored on its request's handler, so the stats are complete by the
+// time the response arrives.
 func waitShadow(t testing.TB, s *Server, want int64) {
 	t.Helper()
-	batches := func() int64 { st, _ := s.ShadowStats(); return st.Batches }
-	for i := 0; i < 5000; i++ {
-		if batches() >= want {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if st, _ := s.ShadowStats(); st.Batches != want {
+		t.Fatalf("shadow scored %d passes by the response, want %d", st.Batches, want)
 	}
-	t.Fatalf("shadow scored %d batches, want %d", batches(), want)
 }

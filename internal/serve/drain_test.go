@@ -215,9 +215,8 @@ func TestScoreAfterClose503(t *testing.T) {
 }
 
 // TestCloseDuringTappedTraffic: Close while requests score with every
-// pass tapped for a shadow model. Requests answer 200 or, once Close
-// has run, 503; Close waits for every tap goroutine it raced (under
-// -race, a tap started after Close's wait began is reported).
+// pass re-scored on a shadow model. Requests answer 200 or, once Close
+// has run, 503.
 func TestCloseDuringTappedTraffic(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxBatch: 2, ShadowSample: 1})
 	shadowServedFile(t, s)

@@ -21,9 +21,11 @@ import (
 // fits a candidate and drives it through shadow evaluation to an
 // automatic, gated promotion. Only that request starts a cycle: a drift
 // alarm is reported on /drift and /metrics, and nothing acts on it.
-// The serving hot path pays for none of it: acquisition samples
-// through the same batch tap as shadow evaluation (tap.go) — one nil
-// check on the non-sampled path, pooled copies on the sampled one.
+// The serving hot path pays little for it: acquisition samples passes
+// the way shadow evaluation does (tap.go) — one nil check and a
+// counter bump on the non-sampled path; a sampled pass is offered on
+// the request's handler, and the queue copies a row only when it
+// admits it.
 
 // RetrainController is the orchestration the serving layer delegates
 // retraining to (implemented by internal/retrain; the interface keeps
@@ -204,30 +206,29 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// maybeAcquire samples one served batch into the acquisition queue.
-// The fast path — no queue configured, or this batch not sampled — is
-// a nil check plus one counter bump under a mutex: zero allocations
-// (scripts/ci.sh pins BenchmarkServeScoreWithAcquisition to the plain
-// serve budget). A sampled batch is offered row by row in the
-// background (tap.go).
+// maybeAcquire offers one served pass to the acquisition queue, row by
+// row, when the pass is sampled. The fast path — no queue configured,
+// or this pass not sampled — is a nil check plus one counter bump
+// under a mutex: zero allocations (scripts/ci.sh pins
+// BenchmarkServeScoreWithAcquisition to the plain serve budget). A
+// sampled pass is offered on the request's handler; Offer copies a row
+// only when it admits it.
 func (s *Server) maybeAcquire(lm *loadedModel, x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	q := s.cfg.Acquire
-	if q == nil || !s.sampled(&s.acq) {
+	if q == nil || !s.acq.sampled() {
 		return
 	}
 	// The acquisition threshold is the S^tar complement of the normal
 	// prior k/(m+k): a score at the threshold is the row the served
 	// model was least sure about.
-	threshold, version := 1-lm.model.NormalPrior(), lm.version
-	s.tap(x, scores, kinds, func(b *batchCopy) {
-		for i := 0; i < b.x.Rows; i++ {
-			decision := ""
-			if len(b.kinds) > 0 {
-				decision = b.kinds[i].String()
-			}
-			q.Offer(b.x.Row(i), b.scores[i], threshold, decision, version)
+	threshold := 1 - lm.model.NormalPrior()
+	for i := 0; i < x.Rows; i++ {
+		decision := ""
+		if len(kinds) > 0 {
+			decision = kinds[i].String()
 		}
-	})
+		q.Offer(x.Row(i), scores[i], threshold, decision, lm.version)
+	}
 }
 
 // writeFeedbackMetrics writes the feedback-loop series: verdict store,

@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"targad/internal/activelearn"
 	"targad/internal/core"
 	"targad/internal/faultinject"
 	"targad/internal/mat"
@@ -293,8 +296,8 @@ func TestInlineClientGone(t *testing.T) {
 
 // TestInlineConcurrentTaps: two big frames score at once, on two
 // handlers, with drift monitoring and a shadow model on. Every answer
-// is bitwise the offline one, and the window and the shadow see every
-// pass.
+// is bitwise the offline one, and by the time the last response
+// arrives the window and the shadow have seen every pass.
 func TestInlineConcurrentTaps(t *testing.T) {
 	s, ts := newV2TestServer(t, Config{MaxBatch: inlineBatch, Strategy: core.ED, ShadowSample: 1})
 	shadowServedFile(t, s)
@@ -342,6 +345,77 @@ func TestInlineConcurrentTaps(t *testing.T) {
 		t.Fatalf("drift window saw %d rows, want %d", d.TotalRows, senders*iters*inlineRows)
 	}
 	waitShadow(t, s, senders*iters*passes)
+}
+
+// sampledFrames serves cfg with QueueDepth 1 and MaxBatch 16, lets arm
+// prepare the server, then sends five 4096-row f64 frames one at a
+// time, calling check after each response with the rows served so far.
+// Meanwhile it samples the goroutine count and fails if it ever rises
+// more than 8 above the idle baseline: every sampled pass must run on
+// its request's handler, inside the one admitted request, never on a
+// goroutine of its own.
+func sampledFrames(t *testing.T, cfg Config, arm func(*Server), check func(s *Server, rows int64)) {
+	t.Helper()
+	cfg.QueueDepth, cfg.MaxBatch, cfg.Strategy = 1, 16, core.ED
+	s, ts := newTestServer(t, cfg)
+	arm(s)
+	const rows, frames = 4096, 5
+	frame, err := wire.AppendRequestF64(nil, testRows(rows, 17), int(core.ED), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Microsecond):
+			}
+		}
+	}()
+	for i := 1; i <= frames; i++ {
+		scoreFrame(t, ts, frame)
+		check(s, int64(i*rows))
+	}
+	close(stop)
+	<-polled
+	if extra := peak.Load() - int64(baseline); extra > 8 {
+		t.Fatalf("goroutines peaked %d above the idle baseline of %d, want at most 8", extra, baseline)
+	}
+}
+
+// TestSampledPassesRunUnderAdmission: with a shadow re-scoring every
+// pass, the shadow's stats are complete when the response arrives —
+// 256 passes and 4096 rows more per 4096-row frame, read once without
+// waiting — and the re-scoring starts no goroutine.
+func TestSampledPassesRunUnderAdmission(t *testing.T) {
+	arm := func(s *Server) { shadowServedFile(t, s) }
+	sampledFrames(t, Config{ShadowSample: 1}, arm, func(s *Server, rows int64) {
+		st, _ := s.ShadowStats()
+		if want := rows / 16; st.Batches != want || st.Rows != rows {
+			t.Fatalf("at the response, the shadow had scored %d passes and %d rows, want %d and %d", st.Batches, st.Rows, want, rows)
+		}
+	})
+}
+
+// TestSampledOffersRunUnderAdmission is the acquisition twin: with
+// every pass sampled and no labeled-row filter, every served row has
+// been offered to the queue when its response arrives, and the offers
+// start no goroutine.
+func TestSampledOffersRunUnderAdmission(t *testing.T) {
+	q := activelearn.New(activelearn.Config{Budget: 64})
+	sampledFrames(t, Config{Acquire: q, AcquireSample: 1}, func(*Server) {}, func(_ *Server, rows int64) {
+		if got := q.Stats().Offered; got != rows {
+			t.Fatalf("at the response, %d rows offered to the queue, want the %d served", got, rows)
+		}
+	})
 }
 
 // TestInlineMemoryBoundedByMaxBatch: after a 4096-row frame, no

@@ -89,8 +89,9 @@ func (s *Server) scorePasses(a *reqArena, r *http.Request, frame bool) error {
 }
 
 // infer runs one inference pass of lm over x and feeds it to the drift
-// window and the sampled taps. Passes score into the arena's recycled
-// InferResult (opt.Reuse), so a steady pass allocates nothing here.
+// window, the shadow evaluation and the acquisition queue, all on the
+// calling handler. Passes score into the arena's recycled InferResult
+// (opt.Reuse), so a steady pass allocates nothing here.
 func (s *Server) infer(lm *loadedModel, x *mat.Matrix, opt core.InferOptions) (*core.InferResult, error) {
 	faultinject.Sleep(faultinject.ServeSlowScore)
 	if v, ok := faultinject.Value(faultinject.ServeDriftTraffic); ok {
@@ -109,9 +110,11 @@ func (s *Server) infer(lm *loadedModel, x *mat.Matrix, opt core.InferOptions) (*
 	s.metrics.batchRows.Add(int64(x.Rows))
 	s.metrics.rows.Add(int64(x.Rows))
 
-	// Feed the drift window and (when active) the shadow evaluation.
-	// Binary-path rows are observed identically to JSON rows: an f32
-	// frame was widened exactly at decode.
+	// Feed the drift window and, on sampled passes, the shadow
+	// evaluation and the acquisition queue. Each reads the pass before
+	// it returns, so the arena's rows and results are never held past
+	// the request. Binary-path rows are observed identically to JSON
+	// rows: an f32 frame was widened exactly at decode.
 	kinds := res.Kinds[s.cfg.Strategy]
 	if lm.mon != nil {
 		lm.mon.Observe(x, res.Scores, kinds)

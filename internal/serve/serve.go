@@ -111,10 +111,10 @@ type Config struct {
 	// DisableMonitor switches drift monitoring off even for models
 	// that carry a profile.
 	DisableMonitor bool
-	// ShadowSample is the fraction of live batches a loaded shadow
-	// model re-scores in the background (default 0.25; clamped to
-	// (0, 1]). Sampling is deterministic (every 1/fraction-th batch),
-	// not random.
+	// ShadowSample is the fraction of live passes a loaded shadow
+	// model re-scores, on the request's handler and counted against
+	// QueueDepth (default 0.25; clamped to (0, 1]). Sampling is
+	// deterministic (every 1/fraction-th pass), not random.
 	ShadowSample float64
 
 	// Feedback, when set, mounts POST /feedback: analyst verdicts on
@@ -122,12 +122,13 @@ type Config struct {
 	// retraining.
 	Feedback *feedback.Store
 	// Acquire, when set, mounts GET /feedback/queue and samples served
-	// batches into this acquisition queue (internal/activelearn) — the
+	// passes into this acquisition queue (internal/activelearn) — the
 	// rows whose labels would help the model most.
 	Acquire *activelearn.Queue
-	// AcquireSample is the fraction of live batches offered to the
-	// acquisition queue (default 0.25; clamped to (0, 1]). Deterministic
-	// counter sampling, like ShadowSample.
+	// AcquireSample is the fraction of live passes offered to the
+	// acquisition queue, on the request's handler (default 0.25;
+	// clamped to (0, 1]). Deterministic counter sampling, like
+	// ShadowSample.
 	AcquireSample float64
 
 	// Logf, when set, receives one line per lifecycle event (load,
@@ -160,12 +161,8 @@ type Server struct {
 	// request that finds it full is shed.
 	slots chan struct{}
 
-	// done closes when Close marks the server draining. wg counts the
-	// tap goroutines Close waits for; closeMu orders every wg.Add
-	// before that wait (tap.go).
+	// done closes when Close marks the server draining.
 	done    chan struct{}
-	closeMu sync.Mutex
-	wg      sync.WaitGroup
 	closing sync.Once
 
 	reloadMu sync.Mutex // serializes Reload/SetModel/shadow swaps
@@ -176,7 +173,7 @@ type Server struct {
 	shadow    atomic.Pointer[shadowState]
 	shadowSeq atomic.Int64
 
-	// acq samples served batches for the acquisition queue
+	// acq samples served passes for the acquisition queue
 	// (feedback.go); retrain holds the registered RetrainController
 	// (SetRetrain).
 	acq     sampler
@@ -353,17 +350,12 @@ func (s *Server) loadModelFile() (*core.Model, error) {
 }
 
 // Close marks the server draining, so a request that arrives
-// afterwards is answered 503, and waits for the background passes of
-// sampled batches. In-flight HTTP handlers should be drained first
-// (http.Server.Shutdown); one still scoring finishes on its
+// afterwards is answered 503. It waits for nothing: the server runs no
+// work of its own, so in-flight HTTP handlers are drained by
+// http.Server.Shutdown, and one still scoring finishes on its
 // generation.
 func (s *Server) Close() {
-	s.closing.Do(func() {
-		s.closeMu.Lock()
-		close(s.done)
-		s.closeMu.Unlock()
-		s.wg.Wait()
-	})
+	s.closing.Do(func() { close(s.done) })
 }
 
 // ParseStrategy maps the API's strategy names (case-insensitive MSP,

@@ -15,9 +15,9 @@ import (
 // Shadow evaluation: a retrain cycle (internal/retrain) installs its
 // candidate model beside the serving one with ShadowModel. The
 // candidate never answers requests; instead a deterministic sample of
-// live batches is re-scored on it in the background, accumulating
-// score deltas and decision-flip rates against the answers the serving
-// model actually returned. The cycle gates on those stats: it either
+// live passes is re-scored on it, on the request's handler and counted
+// against QueueDepth, accumulating score deltas and decision-flip
+// rates against the answers the serving model actually returned. The cycle gates on those stats: it either
 // promotes the candidate — PromoteShadow installs the very same
 // *core.Model object as the next serving generation, so promoted
 // scoring is bitwise-identical to what the shadow produced — or
@@ -36,7 +36,7 @@ type shadowState struct {
 	id          int64
 	baseVersion int64
 
-	// sample picks the live batches re-scored on the candidate
+	// sample picks the live passes re-scored on the candidate
 	// (ShadowSample of them).
 	sample sampler
 
@@ -204,29 +204,28 @@ func (s *Server) shadowSnapshot() *ShadowReport {
 	return r
 }
 
-// maybeShadow samples one served batch for background re-scoring on
-// the shadow model. The fast path (no shadow loaded) is one atomic
-// load and zero allocations; a sampled batch goes through the batch
-// tap (tap.go).
+// maybeShadow re-scores one served pass on the shadow model when the
+// pass is sampled. The fast path (no shadow loaded) is one atomic load
+// and zero allocations; a sampled pass runs shadowScore on the
+// request's handler, before the handler moves on.
 func (s *Server) maybeShadow(x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
-	sh := s.shadow.Load()
-	if sh == nil || !s.sampled(&sh.sample) {
-		return
+	if sh := s.shadow.Load(); sh != nil && sh.sample.sampled() {
+		s.shadowScore(sh, x, scores, kinds)
 	}
-	s.tap(x, scores, kinds, func(b *batchCopy) { s.shadowScore(sh, b) })
 }
 
-// shadowScore runs the candidate over one sampled (copied) batch and
-// folds the comparison into the running stats.
-func (s *Server) shadowScore(sh *shadowState, b *batchCopy) {
+// shadowScore runs the candidate over one served pass — rows x, which
+// the serving model answered with scores and kinds — and folds the
+// comparison into the running stats.
+func (s *Server) shadowScore(sh *shadowState, x *mat.Matrix, scores []float64, kinds []dataset.Kind) {
 	opt := core.InferOptions{}
-	if len(b.kinds) > 0 {
+	if len(kinds) > 0 {
 		if _, ok := sh.model.IdentifyThreshold(s.cfg.Strategy); ok {
 			opt.Strategies = []core.OODStrategy{s.cfg.Strategy}
 		}
 	}
 	// The candidate scores at the served generation's precision.
-	res, err := s.score(sh.model, b.x, opt)
+	res, err := s.score(sh.model, x, opt)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -235,8 +234,8 @@ func (s *Server) shadowScore(sh *shadowState, b *batchCopy) {
 		return
 	}
 	sh.batches++
-	sh.rows += int64(b.x.Rows)
-	for i, old := range b.scores {
+	sh.rows += int64(x.Rows)
+	for i, old := range scores {
 		d := res.Scores[i] - old
 		sh.deltaSum += d
 		if d < 0 {
@@ -247,10 +246,10 @@ func (s *Server) shadowScore(sh *shadowState, b *batchCopy) {
 			sh.maxAbs = d
 		}
 	}
-	if newKinds, ok := res.Kinds[s.cfg.Strategy]; ok && len(b.kinds) > 0 {
+	if newKinds, ok := res.Kinds[s.cfg.Strategy]; ok && len(kinds) > 0 {
 		for i, k := range newKinds {
 			sh.decided++
-			if k != b.kinds[i] {
+			if k != kinds[i] {
 				sh.flips++
 			}
 		}

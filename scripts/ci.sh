@@ -97,8 +97,9 @@ TARGAD_NOSIMD=1 go test -count=1 -run "$fitmem_ae" ./internal/autoencoder
 # the drift-monitoring window (concurrent Observe vs Snapshot), the
 # asm-vs-Go kernel-swap fit, and the full serving stack (concurrent
 # handlers scoring their own passes on the replica pool, hot reload
-# under load, shedding, and shadow evaluation of a candidate installed
-# the way the retrain path installs it) with a multi-worker pool
+# under load, shedding, and shadow evaluation and acquisition running
+# on the scoring handlers, with the candidate installed the way the
+# retrain path installs it) with a multi-worker pool
 # under the race detector. The zero-alloc assertions self-skip under
 # -race (the instrumentation allocates); the core package is scoped to
 # its parallel-path determinism and concurrent-inference tests to keep
@@ -128,7 +129,7 @@ TARGAD_WORKERS=4 go test -count=1 -run 'Fault|Crash|Panic|Slow' \
     ./internal/parallel
 go test -count=1 -run 'TestFinite|TestDiverged|TestNonFiniteParam|TestNumericalError' \
     ./internal/nn
-go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledRequestsNotScored|TestGracefulDrainMixedLoad|TestScoreAfterClose503|TestShadowEvaluationAndPromote|TestReloadRefusesShadowQuery' \
+go test -count=1 -run 'TestSaturatedQueueSheds|TestReloadFailureKeepsServing|TestDriftLifecycle|TestBinaryFrameFaults|TestJSONBodyLimit413|TestCanceledRequestsNotScored|TestGracefulDrainMixedLoad|TestScoreAfterClose503|TestShadowEvaluationAndPromote|TestReloadRefusesShadowQuery|TestSampledPassesRunUnderAdmission|TestSampledOffersRunUnderAdmission' \
     ./internal/serve
 # Closed-loop acceptance: the feedback store's truncate-at-every-byte
 # crash recovery, and the end-to-end lifecycle — verdicts over POST
@@ -207,11 +208,13 @@ go test -run '^$' -bench 'BenchmarkLoad$' \
 # net/http client overhead stays out of the number) is the PR7
 # zero-copy acceptance gate; the HTTP-suffixed variant is deliberately
 # outside the pattern. The WithAcquisition twin (PR9) holds the same
-# budget with an acquisition queue armed: the sampler's non-sampled
-# path must add zero allocations. The bulk frames (512 and 4096 rows
-# at MaxBatch 64, f64 and f32, scored 64 rows per pass on their
-# handler) share one budget of 12 allocs/op: one allocation per pass
-# adds 64 at 4096 rows, so the gate rejects it.
+# budget with an acquisition queue armed. Sampled passes make their
+# offers on the handler, so an offer falls inside the measured op; at
+# the twin's cadence no pass is sampled, and the non-sampled path must
+# add zero allocations. The bulk frames (512 and 4096 rows at MaxBatch
+# 64, f64 and f32, scored 64 rows per pass on their handler) share one
+# budget of 12 allocs/op: one allocation per pass adds 64 at 4096 rows,
+# so the gate rejects it.
 go test -run '^$' -bench 'BenchmarkServeScoreBinary/|BenchmarkServeScoreBinaryFrame/|BenchmarkServeScoreWithAcquisition' \
     -benchmem -cpu 1 ./internal/serve | tee -a /tmp/targad_alloc_smoke.txt
 # The registry twin (PR10) holds the identical budget on the
